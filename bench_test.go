@@ -13,6 +13,7 @@ import (
 
 	"daesim"
 	"daesim/internal/experiments"
+	"daesim/internal/sweep"
 )
 
 // benchSuite caches lowered programs for the microbenchmarks only; the
@@ -141,6 +142,36 @@ func BenchmarkTable1(b *testing.B) {
 		last = res.Rows[len(res.Rows)-1].Unlimited
 	}
 	b.ReportMetric(last, "LHE(TRACK,inf)")
+}
+
+// BenchmarkPolicyStudy regenerates the partition-policy study (P1) on a
+// fresh Context over a persistent store filled before the timer starts,
+// the warm path of repro -exp all: what it times is building the seven
+// workloads, lowering them under each policy, fingerprinting the suites
+// and reading the stored points back. A pass that simulates anything
+// fails the benchmark.
+func BenchmarkPolicyStudy(b *testing.B) {
+	store, err := sweep.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill := experiments.NewContext()
+	fill.Cache = store
+	if _, err := fill.PolicyStudy(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := experiments.NewContext()
+		ctx.Cache = store
+		if _, err := ctx.PolicyStudy(); err != nil {
+			b.Fatal(err)
+		}
+		if sims := ctx.CacheStats().Sims; sims != 0 {
+			b.Fatalf("warm pass ran %d simulations, want 0", sims)
+		}
+	}
 }
 
 func benchFigure(b *testing.B, workload string) {

@@ -104,25 +104,31 @@ type PolicyResult struct {
 
 // PolicyStudy compares the classic all-integer-AU partition against the
 // slice-only and balanced partitions, the paper's second future-work
-// question (static vs alternative partitions of the code).
+// question (static vs alternative partitions of the code). Rows under the
+// context's own policy run on the context's workload runner, sharing its
+// L1, store traffic and remote hooks with every other experiment. Rows
+// under the other policies run on detached runners over
+// Suite.Repartition, which lowers only the DM half again and reuses the
+// runner's trace and SWSM program; the suite fingerprint covers the
+// partition, so these points persist in the shared store as well.
 func (c *Context) PolicyStudy() (*PolicyResult, error) {
 	res := &PolicyResult{}
 	sim := engine.NewSim()
 	for _, spec := range workloads.Catalog() {
-		tr, err := workloads.Build(spec.Name, c.Scale)
+		base, err := c.Runner(spec.Name)
 		if err != nil {
 			return nil, err
 		}
 		for _, pol := range partition.Policies() {
-			suite, err := machine.NewSuite(tr, pol)
-			if err != nil {
-				return nil, err
+			r := base
+			if pol != c.Policy {
+				suite, err := base.Suite.Repartition(pol)
+				if err != nil {
+					return nil, err
+				}
+				r = sweep.NewRunner(suite)
+				r.Store = c.Cache
 			}
-			// A detached runner per (workload, policy) suite: the suite
-			// fingerprint covers the partition, so these points persist
-			// in the shared store like the classic-policy sweeps.
-			r := sweep.NewRunner(suite)
-			r.Store = c.Cache
 			r0, err := r.RunWith(sim, sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
 			if err != nil {
 				return nil, err
@@ -131,11 +137,14 @@ func (c *Context) PolicyStudy() (*PolicyResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.addStats(r.Stats())
+			if r != base {
+				c.addStats(r.Stats())
+			}
+			dm := r.Suite.DM
 			res.Rows = append(res.Rows, PolicyRow{
 				Name: spec.Name, Policy: pol,
-				AUOps: suite.DM.Assignment.OpsAU, DUOps: suite.DM.Assignment.OpsDU,
-				Copies:  suite.DM.CopiesAUDU + suite.DM.CopiesDUAU,
+				AUOps: dm.Assignment.OpsAU, DUOps: dm.Assignment.OpsDU,
+				Copies:  dm.CopiesAUDU + dm.CopiesDUAU,
 				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
 			})
 		}

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"daesim/internal/machine"
+	"daesim/internal/partition"
+	"daesim/internal/sweep"
+	"daesim/internal/workloads"
 )
 
 func TestCodeExpansion(t *testing.T) {
@@ -83,6 +87,78 @@ func TestPolicyStudy(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "slice-only") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestPolicyStudyReusesContextRunners pins the study's cost on a context
+// whose classic runners are already warm: rows under the context's policy
+// run on those runners (the MD=60 points CodeExpansion simulated are L1
+// hits), and only the 14 repartitioned suites get detached runners. The
+// rows must match suites lowered from scratch under each policy.
+func TestPolicyStudyReusesContextRunners(t *testing.T) {
+	c := NewContext()
+	if _, err := c.CodeExpansion(); err != nil {
+		t.Fatal(err)
+	}
+	before := c.CacheStats()
+	res, err := c.PolicyStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.CacheStats()
+	if sims, l1 := after.Sims-before.Sims, after.L1Hits-before.L1Hits; sims != 35 || l1 != 7 {
+		t.Errorf("the study cost %d simulations and %d L1 hits, want 35 and 7", sims, l1)
+	}
+
+	// CacheStats is the context runners' traffic plus the detached
+	// runners', each counted once: the classic rows' two points per
+	// workload land on the context runner only.
+	var runners sweep.CacheStats
+	for _, spec := range workloads.Catalog() {
+		r, err := c.Runner(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners.Add(r.Stats())
+	}
+	if want := (sweep.CacheStats{Sims: 28}); c.extraStats != want {
+		t.Errorf("detached runners' stats %+v, want %+v", c.extraStats, want)
+	}
+	total := runners
+	total.Add(c.extraStats)
+	if after != total {
+		t.Errorf("CacheStats %+v, want the runners' sum %+v", after, total)
+	}
+
+	var want []PolicyRow
+	for _, spec := range workloads.Catalog() {
+		tr, err := workloads.Build(spec.Name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range partition.Policies() {
+			s, err := machine.NewSuite(tr, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r0, err := s.RunDM(machine.Params{Window: ablationWindow, MD: MDZero})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r60, err := s.RunDM(machine.Params{Window: ablationWindow, MD: ablationMD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, PolicyRow{
+				Name: spec.Name, Policy: pol,
+				AUOps: s.DM.Assignment.OpsAU, DUOps: s.DM.Assignment.OpsDU,
+				Copies:  s.DM.CopiesAUDU + s.DM.CopiesDUAU,
+				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
+			})
+		}
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("policy rows differ from per-policy NewSuite suites:\n got %+v\nwant %+v", res.Rows, want)
 	}
 }
 

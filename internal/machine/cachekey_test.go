@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +11,7 @@ import (
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
 	"daesim/internal/partition"
+	"daesim/internal/workloads"
 )
 
 // TestCacheKeyCoversAllParams pins Params' field list by name
@@ -136,5 +140,107 @@ func TestFingerprintTracksContent(t *testing.T) {
 	}
 	if a1.Fingerprint() != a1.Fingerprint() {
 		t.Error("fingerprint must be stable per suite")
+	}
+}
+
+// referenceFingerprint is Fingerprint's byte stream written the slow,
+// obvious way: one 8-byte hash Write per integer. Fingerprint must stay
+// equal to it, so persistent-store keys survive changes to how the
+// stream is buffered.
+func referenceFingerprint(s *Suite) string {
+	h := sha256.New()
+	var buf [8]byte
+	wInt := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	for _, p := range []*engine.Program{s.DM.Program, s.SWSM} {
+		h.Write([]byte(p.Name))
+		wInt(int64(p.NumUnits))
+		wInt(int64(p.TraceLen))
+		wInt(int64(len(p.Ops)))
+		for i := range p.Ops {
+			op := &p.Ops[i]
+			wInt(int64(op.Kind))
+			wInt(int64(op.Unit))
+			wInt(int64(op.MemSrc))
+			wInt(int64(op.Addr))
+			wInt(int64(op.Orig))
+			wInt(int64(len(op.Srcs)))
+			for _, src := range op.Srcs {
+				wInt(int64(src))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFingerprintMatchesReference pins every fingerprint the persistent
+// store is keyed by: each catalog workload and a generated one, under
+// every partition policy. It also checks that a repartitioned suite is
+// indistinguishable from one lowered from scratch under the new policy.
+func TestFingerprintMatchesReference(t *testing.T) {
+	names := []string{"spec:depth=8,ilp=4,mem=0.4,addr=gather,iters=64,seed=3"}
+	for _, spec := range workloads.Catalog() {
+		names = append(names, spec.Name)
+	}
+	for _, name := range names {
+		tr, err := workloads.Build(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := map[partition.Policy]*Suite{}
+		for _, pol := range partition.Policies() {
+			s, err := NewSuite(tr, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.Fingerprint(), referenceFingerprint(s); got != want {
+				t.Errorf("%s/%v: Fingerprint %s, reference encoder %s", name, pol, got, want)
+			}
+			fresh[pol] = s
+		}
+		for _, from := range partition.Policies() {
+			for _, to := range partition.Policies() {
+				re, err := fresh[from].Repartition(to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if re.SWSM != fresh[from].SWSM || re.Trace != tr {
+					t.Errorf("%s: Repartition(%v→%v) must share the trace and SWSM program", name, from, to)
+				}
+				if got, want := re.Fingerprint(), fresh[to].Fingerprint(); got != want {
+					t.Errorf("%s: Repartition(%v→%v) fingerprint %s, NewSuite(%v) %s", name, from, to, got, to, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSuiteFingerprint hashes MDG's classic suite, the largest
+// program pair of the catalog's figure workloads.
+func BenchmarkSuiteFingerprint(b *testing.B) {
+	tr, err := workloads.Build("MDG", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSuite(tr, partition.Classic)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	for _, p := range []*engine.Program{s.DM.Program, s.SWSM} {
+		n += int64(len(p.Name)) + 3*8
+		for i := range p.Ops {
+			n += 8 * int64(6+len(p.Ops[i].Srcs))
+		}
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh Suite per iteration: Fingerprint memoizes per Suite.
+		fresh := &Suite{Trace: s.Trace, DM: s.DM, SWSM: s.SWSM}
+		fresh.Fingerprint()
 	}
 }

@@ -219,15 +219,36 @@ type Suite struct {
 
 // NewSuite lowers tr for both machines using the given partition policy.
 func NewSuite(tr *trace.Trace, pol partition.Policy) (*Suite, error) {
-	dm, err := lower.DM(tr, pol)
+	dm, err := lowerDM(tr, pol)
 	if err != nil {
-		return nil, fmt.Errorf("machine: lowering DM: %w", err)
+		return nil, err
 	}
 	sw, err := lower.SWSM(tr)
 	if err != nil {
 		return nil, fmt.Errorf("machine: lowering SWSM: %w", err)
 	}
 	return &Suite{Trace: tr, DM: dm, SWSM: sw}, nil
+}
+
+// Repartition returns the suite for the same trace under another
+// partition policy. Only the DM half is lowered again: the trace and the
+// SWSM program do not depend on the partition, so the new suite shares
+// them with s (programs are read-only once built, and runners already
+// share them across goroutines).
+func (s *Suite) Repartition(pol partition.Policy) (*Suite, error) {
+	dm, err := lowerDM(s.Trace, pol)
+	if err != nil {
+		return nil, err
+	}
+	return &Suite{Trace: s.Trace, DM: dm, SWSM: s.SWSM}, nil
+}
+
+func lowerDM(tr *trace.Trace, pol partition.Policy) (*lower.DMResult, error) {
+	dm, err := lower.DM(tr, pol)
+	if err != nil {
+		return nil, fmt.Errorf("machine: lowering DM: %w", err)
+	}
+	return dm, nil
 }
 
 // Run executes the given machine kind under p, drawing a reusable
