@@ -4,8 +4,8 @@
 // Usage:
 //
 //	repro [-out results] [-scale 1] [-par 0] [-cache dir] [-cache-clear] [-cache-stats file]
-//	      [-cache-gc policy] [-remote url1,url2,...] [-remote-batch=true] [-degrade=true]
-//	      [-hedge 0] [-chaos spec] [-chaos-stats file] [-chaos-trace file]
+//	      [-cache-gc policy] [-remote url1,url2,...] [-degrade=true]
+//	      [-chaos spec] [-chaos-stats file] [-chaos-trace file]
 //	      [-metrics-dump file]
 //	      [-exp all|table1|fig4|fig5|fig6|fig7|fig8|fig9|cutoffs|bigwindow|esw|ablations|expansion|policies|retire|cache|complexity]
 //	repro -exp fig7 -workload spec:depth=6,ilp=2,mem=0.5,addr=chase,hazard=0.4
@@ -32,15 +32,13 @@
 // URL (e.g. http://127.0.0.1:8077) attaches a single daemon, a
 // comma-separated list shards points across the fleet by consistent
 // hashing with failover (DESIGN.md §11). Remote sweeps and search probe
-// waves are batched into one request per replica round trip;
-// -remote-batch=false reverts to one request per point (the
-// request-count comparison CI's fleet smoke asserts). Replica failures
+// waves are batched into one request per replica round trip, and the
+// ratio searches of Figures 7-9 run server-side. Replica failures
 // climb the ladder of DESIGN.md §13 — retry with backoff, circuit
 // breakers, rerouting — and -degrade (on by default) arms the last
 // resort: points whose every replica is down are simulated locally, so
 // the run completes byte-identically even with the whole fleet dead
-// (-degrade=false fails loudly instead). -hedge arms tail-latency
-// hedging for single-point remote calls. SIGINT/SIGTERM cancel the
+// (-degrade=false fails loudly instead). SIGINT/SIGTERM cancel the
 // remote calls in flight and fail the run cleanly.
 //
 // -chaos injects deterministic faults for testing that ladder: the spec
@@ -175,9 +173,7 @@ func main() {
 	cacheStats := flag.String("cache-stats", "", "write cache hit/miss statistics as JSON to this file")
 	cacheGC := flag.String("cache-gc", "", "trim the persistent cache after the run, e.g. max-entries=5000,max-bytes=256mb,max-age=168h")
 	remote := flag.String("remote", "", "comma-separated sweepd base URLs: run cacheable simulations on a daemon (or a consistent-hash fleet) instead of locally")
-	remoteBatch := flag.Bool("remote-batch", true, "with -remote, batch sweeps and probe waves into one request per replica round trip")
 	degrade := flag.Bool("degrade", true, "with -remote, fall back to local simulation for points whose every replica is unavailable (false: fail loudly)")
-	hedge := flag.Duration("hedge", 0, "with -remote, hedge single-point calls to a second replica after this delay (0 = off)")
 	chaos := flag.String("chaos", "", "deterministic fault-injection schedule, e.g. seed=7,timeout@r1:rate=0.2,5xx:rate=0.05 (see internal/faultinject)")
 	chaosStats := flag.String("chaos-stats", "", "write fault-injection and failure-handling counters as JSON to this file")
 	chaosTrace := flag.String("chaos-trace", "", "write the per-request fault decision trace as JSON to this file (stable across runs at -par 1)")
@@ -247,7 +243,7 @@ func main() {
 	}
 	var fleet *daemon.FleetClient
 	if *remote != "" {
-		f, err := attachRemote(rctx, ctx, *remote, *remoteBatch, injector, *hedge, reg)
+		f, err := attachRemote(rctx, ctx, *remote, injector, reg)
 		if err != nil {
 			fatal(fmt.Errorf("-remote: %w", err))
 		}
@@ -285,7 +281,7 @@ func main() {
 // chaos injector (scope "r<i>" in list order) — faults exercise the
 // steady-state path, not the startup gate. rctx carries the process
 // signal context into every remote call.
-func attachRemote(rctx context.Context, ctx *experiments.Context, spec string, batch bool, injector *faultinject.Injector, hedge time.Duration, reg *obsv.Registry) (*daemon.FleetClient, error) {
+func attachRemote(rctx context.Context, ctx *experiments.Context, spec string, injector *faultinject.Injector, reg *obsv.Registry) (*daemon.FleetClient, error) {
 	urls := strings.Split(spec, ",")
 	for i := range urls {
 		urls[i] = strings.TrimSpace(urls[i])
@@ -294,7 +290,6 @@ func attachRemote(rctx context.Context, ctx *experiments.Context, spec string, b
 	if err != nil {
 		return nil, err
 	}
-	fleet.HedgeDelay = hedge
 	if reg != nil {
 		fleet.Instrument(reg)
 	}
@@ -312,13 +307,11 @@ func attachRemote(rctx context.Context, ctx *experiments.Context, spec string, b
 	ctx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
 		return fleet.Run(rctx, workload, scale, fingerprint, pt)
 	}
-	if batch {
-		ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
-			return fleet.RunBatch(rctx, workload, scale, fingerprint, pts)
-		}
-		ctx.RemoteSearch = func(workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
-			return fleet.RatioBatch(rctx, workload, scale, fingerprint, params)
-		}
+	ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return fleet.RunBatch(rctx, workload, scale, fingerprint, pts)
+	}
+	ctx.RemoteSearch = func(workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
+		return fleet.RatioBatch(rctx, workload, scale, fingerprint, params)
 	}
 	return fleet, nil
 }
@@ -341,7 +334,7 @@ func fatal(err error) {
 
 // listWorkloads prints the registry, one name per line, in the
 // canonical enumeration order — the same order the workloads.Lookup
-// error and the daemon's /v1/run validation errors print
+// error and the daemon's /v1/batch/run validation errors print
 // (TestListOrderParity pins the agreement).
 func listWorkloads(w io.Writer) {
 	for _, name := range workloads.Names() {
@@ -410,8 +403,8 @@ type chaosReport struct {
 	// Faults counts the injector's decisions by kind.
 	Faults faultinject.Counts `json:"faults"`
 	// Fleet counts the failure-handling the FleetClient performed:
-	// retries, breaker opens, hedges, draining reroutes, exhausted
-	// points.
+	// retries, breaker opens, draining reroutes, exhausted points
+	// (Hedges stays 0).
 	Fleet daemon.FleetMetrics `json:"fleet"`
 	// Degraded counts points answered by last-resort local simulation.
 	Degraded int64 `json:"degraded"`

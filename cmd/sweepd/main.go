@@ -10,11 +10,11 @@
 //	       [-drain-grace 500ms] [-quiet] [-replica id] [-fleet url1,url2,...]
 //	       [-metrics=true]
 //
-// Endpoints: POST /v1/run (one point), POST /v1/sweep (a batch, sharded
-// across the bounded pool), POST /v1/search (equivalent-window, ratio
-// and crossover searches), POST /v1/batch/run and /v1/batch/search
-// (many independent items in one round trip — the request-collapsing
-// path of fleet clients), GET /v1/cache/stats, POST /v1/cache/gc,
+// Endpoints: POST /v1/batch/run (simulation points, each with its own
+// workload target, run on the bounded pool) and POST /v1/batch/search
+// (equivalent-window, ratio and crossover searches, fanned across the
+// pool) — a single point or search is a batch of one — plus
+// GET /v1/cache/stats, POST /v1/cache/gc,
 // GET /healthz, and GET /metrics (Prometheus text exposition of the
 // request, cache, store and admission-queue counters — DESIGN.md §15;
 // disable with -metrics=false). -gc takes a sweep GC policy
@@ -36,8 +36,8 @@
 // for -drain-grace; then it stops accepting connections, lets in-flight
 // requests finish for up to -drain, and exits with a final cache
 // summary on stderr. Clients: repro -remote <url> routes a local
-// reproduction's cacheable simulations here; examples/daemon shows the
-// raw API.
+// reproduction's cacheable simulations here; examples/daemon drives
+// the API through a one-replica DaemonFleet.
 package main
 
 import (

@@ -178,14 +178,14 @@ func DefaultTiming(md int) Timing { return isa.DefaultTiming(md) }
 // cache: results survive process restarts, keyed by engine version,
 // workload content fingerprint and canonical parameters, so re-runs skip
 // every point they have seen before (DESIGN.md §9), and Store.GC keeps
-// it bounded (GCPolicy). A DaemonClient serves the same sweeps from a
-// long-lived sweepd process instead of simulating locally
-// (DESIGN.md §10).
+// it bounded (GCPolicy). A DaemonFleet serves the same sweeps from one
+// or more long-lived sweepd processes instead of simulating locally
+// (DESIGN.md §10-11).
 type (
 	// Runner is a parallel, memoizing simulation executor for one Suite.
 	// Set Runner.Store to persist results across processes.
 	Runner = sweep.Runner
-	// Point identifies one simulation for a Runner or a DaemonClient: a
+	// Point identifies one simulation for a Runner or a DaemonFleet: a
 	// machine kind plus parameters.
 	Point = sweep.Point
 	// Search runs equivalent-window and crossover searches against a
@@ -204,28 +204,21 @@ type (
 	GCPolicy = sweep.GCPolicy
 	// GCResult reports one Store.GC pass (entries scanned, evicted, kept).
 	GCResult = sweep.GCResult
-	// DaemonClient talks to a running sweepd daemon (cmd/sweepd): run
-	// single points, sharded sweeps and equivalent-window searches on a
-	// long-lived server with a shared persistent cache, query its cache
-	// statistics, and trigger store GC. Every method takes a
-	// context.Context that cancels the request in flight. Bind
-	// DaemonClient.Run to a context and attach it to Experiments.Remote
-	// (or, bound to one workload, Runner.Remote) to route a local
-	// sweep's cacheable simulations through the daemon — repro -remote
-	// is exactly that wiring. See DESIGN.md §10.
-	DaemonClient = daemon.Client
-	// DaemonFleet routes simulations across several sweepd replicas by
-	// consistent hashing of cache keys, with per-replica health checks
-	// and an explicit failure ladder: ring-order failover with bounded,
+	// DaemonFleet routes simulations across one or more sweepd replicas
+	// (cmd/sweepd; a single daemon is a one-replica fleet) by consistent
+	// hashing of cache keys, with per-replica health checks and an
+	// explicit failure ladder: ring-order failover with bounded,
 	// deterministically-jittered backoff, per-replica circuit breakers
 	// with probe-on-recovery, penalty-free rerouting off draining
-	// replicas, optional hedged single-point requests (HedgeDelay), and
-	// partial-batch returns that let a Degrade-enabled Runner simulate
-	// unserved points locally. Bind DaemonFleet.Run and
-	// DaemonFleet.RunBatch to a context and attach them to
-	// Experiments.Remote/RemoteBatch to shard a sweep across the fleet
-	// with batched round trips — repro -remote url1,url2,... is exactly
-	// that wiring. See DESIGN.md §11 and §13.
+	// replicas, and partial-batch returns that let a Degrade-enabled
+	// Runner simulate unserved points locally. Every method takes a
+	// context.Context that cancels the requests in flight. Bind
+	// DaemonFleet.Run, RunBatch and RatioBatch to a context and attach
+	// them to Experiments.Remote/RemoteBatch/RemoteSearch to shard a
+	// sweep across the fleet with batched round trips — repro -remote
+	// url1,url2,... is exactly that wiring. Clients() exposes the
+	// per-replica transports for cache statistics and store GC. See
+	// DESIGN.md §10, §11 and §13.
 	DaemonFleet = daemon.FleetClient
 	// FleetRing is the consistent-hash ring behind DaemonFleet: a pure
 	// function of the replica address list, deterministic across
@@ -250,12 +243,9 @@ func NewSearch(r *Runner) *Search { return metrics.NewSearch(r) }
 // repro -cache-gc and sweepd -gc). Omitted bounds are unlimited.
 func ParseGCPolicy(spec string) (GCPolicy, error) { return sweep.ParseGCPolicy(spec) }
 
-// NewDaemonClient returns a client for the sweepd daemon at baseURL
-// (e.g. "http://127.0.0.1:8077").
-func NewDaemonClient(baseURL string) *DaemonClient { return daemon.NewClient(baseURL) }
-
 // NewDaemonFleet returns a client routing across the sweepd replicas at
-// the given base URLs. Every client of a fleet must list the same
+// the given base URLs (e.g. "http://127.0.0.1:8077"; one URL for a
+// single daemon). Every client of a fleet must list the same
 // addresses (the URL strings are the ring identity).
 func NewDaemonFleet(urls []string) (*DaemonFleet, error) { return daemon.NewFleetClient(urls) }
 

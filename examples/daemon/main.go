@@ -3,8 +3,9 @@
 // to a daemon you started yourself (`go run ./cmd/sweepd -cache dir`);
 // without, it spins up an in-process server on a loopback port so the
 // example is self-contained. Either way the client-side code is the
-// same: one point, a sharded sweep, an equivalent-window search, cache
-// statistics, and a store GC pass — all over HTTP/JSON, all memoized
+// same: a one-replica DaemonFleet runs one point, a sweep and an
+// equivalent-window ratio search, then reads the replica's cache
+// statistics and runs a store GC pass — all over HTTP/JSON, all memoized
 // server-side, so re-running this example against a live daemon does
 // zero simulations the second time.
 package main
@@ -39,23 +40,26 @@ func main() {
 		fmt.Printf("started in-process daemon at %s\n\n", base)
 	}
 
-	client := daesim.NewDaemonClient(base)
+	fleet, err := daesim.NewDaemonFleet([]string{base})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctx := context.Background()
-	if err := client.Health(ctx); err != nil {
+	if err := fleet.Health(ctx); err != nil {
 		log.Fatal(err)
 	}
 
 	// One point: the paper's headline configuration for FLO52Q.
-	res, err := client.Run(ctx, "FLO52Q", 1, "", daesim.Point{Kind: daesim.DM, P: daesim.Params{Window: 64, MD: 60}})
+	res, err := fleet.Run(ctx, "FLO52Q", 1, "", daesim.Point{Kind: daesim.DM, P: daesim.Params{Window: 64, MD: 60}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("FLO52Q DM w=64 md=60: %d cycles, IPC %.2f\n\n", res.Cycles, res.IPC())
 
 	// A sweep: both machines across a window grid, one request. The
-	// daemon shards the batch across its worker pool and memoizes every
-	// point, so an overlapping sweep (another client, a repro -remote
-	// run) reuses these results.
+	// daemon runs the batch on its worker pool and memoizes every point,
+	// so an overlapping sweep (another client, a repro -remote run)
+	// reuses these results.
 	var pts []daesim.Point
 	windows := []int{16, 32, 64, 96}
 	for _, kind := range []daesim.Kind{daesim.DM, daesim.SWSM} {
@@ -63,7 +67,7 @@ func main() {
 			pts = append(pts, daesim.Point{Kind: kind, P: daesim.Params{Window: w, MD: 60}})
 		}
 	}
-	results, err := client.Sweep(ctx, "FLO52Q", 1, pts)
+	results, err := fleet.RunBatch(ctx, "FLO52Q", 1, "", pts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,25 +76,23 @@ func main() {
 		fmt.Printf("%-9d %-12d %d\n", w, results[i].Cycles, results[len(windows)+i].Cycles)
 	}
 
-	// An equivalent-window search (the Figures 7-9 metric), probed
-	// entirely through the daemon's cache.
-	search, err := client.Search(ctx, "FLO52Q", 1, daemon.SearchRequest{
-		Op:     daemon.SearchRatio,
-		Params: daemon.Params{Window: 60, MD: 60},
-	})
+	// An equivalent-window ratio search (the Figures 7-9 metric), run
+	// server-side and probed entirely through the daemon's cache.
+	ratios, err := fleet.RatioBatch(ctx, "FLO52Q", 1, "", []daesim.Params{{Window: 60, MD: 60}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nequivalent-window ratio at w=60 md=60: %.3f (ok=%v)\n", search.Ratio, search.OK)
+	fmt.Printf("\nequivalent-window ratio at w=60 md=60: %.3f (ok=%v)\n", ratios[0].Ratio, ratios[0].OK)
 
-	// Cache statistics and a GC pass.
-	stats, err := client.CacheStats(ctx)
+	// Cache statistics and a GC pass, on the fleet's only replica.
+	replica := fleet.Clients()[0]
+	stats, err := replica.CacheStats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndaemon cache: %d sims, %d L1 hits, hit rate %.1f%%, %d store entries\n",
 		stats.Runner.Sims, stats.Runner.L1Hits, 100*stats.HitRate, stats.StoreEntries)
-	gc, err := client.GC(ctx, daesim.GCPolicy{MaxEntries: 1000})
+	gc, err := replica.GC(ctx, daesim.GCPolicy{MaxEntries: 1000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,21 +1,20 @@
 // Package daemon implements sweepd, the long-lived simulation service:
 // the HTTP/JSON wire protocol shared by server and client, the Server
 // that owns per-workload memoizing runners (single-flight L1) over one
-// shared persistent sweep.Store (L2), and the thin Client that lets a
-// local sweep — repro -remote, or any sweep.Runner with its Remote hook
-// set — route cacheable simulations through a running daemon instead of
-// simulating locally.
+// shared persistent sweep.Store (L2), and the FleetClient that lets a
+// local sweep — repro -remote, or any sweep.Runner with its remote
+// hooks set — route cacheable simulations through one or more running
+// daemons instead of simulating locally. A single daemon is a
+// one-replica fleet.
 //
-// Endpoints (DESIGN.md §10 documents the full schemas):
+// Endpoints (DESIGN.md §10-11 document the full schemas):
 //
-//	POST /v1/run          one (workload, machine, params) point → Result
-//	POST /v1/sweep        a batch of points, sharded across the pool
-//	POST /v1/search       equivalent-window / ratio / crossover searches
 //	POST /v1/batch/run    many run requests (own targets) in one round trip
 //	POST /v1/batch/search many searches, fanned across the pool
 //	GET  /v1/cache/stats  runner + store cache counters
 //	POST /v1/cache/gc     trim the persistent store to given bounds
 //	GET  /healthz         liveness (never throttled by the request limit)
+//	GET  /metrics         Prometheus text exposition (DESIGN.md §15)
 //
 // Fleet mode shards keys across several daemons with the consistent-hash
 // Ring and FleetClient (DESIGN.md §11).
@@ -161,9 +160,9 @@ func ParsePolicy(s string) (partition.Policy, error) {
 // otherwise return results the client's own cache keys could never
 // produce — and the client would install them into its local store
 // under its own version key, poisoning exactly the entries the §9 key
-// scheme exists to invalidate. The Client always sends its linked
-// engine.Version; sweeps routed through sweep.Runner.Remote also send
-// the local suite's content fingerprint.
+// scheme exists to invalidate. FleetClient always sends its linked
+// engine.Version and, from sweeps routed through the runner hooks, the
+// local suite's content fingerprint.
 type Target struct {
 	Workload string `json:"workload"`
 	Scale    int    `json:"scale,omitempty"`
@@ -176,29 +175,10 @@ type Target struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// RunRequest is the POST /v1/run body: one simulation point.
+// RunRequest is one simulation point: an item of a /v1/batch/run body.
 type RunRequest struct {
 	Target
 	Point
-}
-
-// RunResponse is the POST /v1/run reply.
-type RunResponse struct {
-	Result *engine.Result `json:"result"`
-}
-
-// SweepRequest is the POST /v1/sweep body: a batch of points against one
-// suite, executed by the daemon's bounded worker pool with the same
-// memoization as any local sweep.
-type SweepRequest struct {
-	Target
-	Points []Point `json:"points"`
-}
-
-// SweepResponse is the POST /v1/sweep reply; Results[i] answers
-// Points[i].
-type SweepResponse struct {
-	Results []*engine.Result `json:"results"`
 }
 
 // Search operations for SearchRequest.Op.
@@ -213,8 +193,9 @@ const (
 	SearchCrossover = "crossover"
 )
 
-// SearchRequest is the POST /v1/search body: an equivalent-window search
-// against one suite, probed through the daemon's shared cache.
+// SearchRequest is an equivalent-window search against one suite,
+// probed through the daemon's shared cache: an item of a
+// /v1/batch/search body.
 type SearchRequest struct {
 	Target
 	// Op selects the search: SearchWindow, SearchRatio or SearchCrossover.
@@ -228,7 +209,7 @@ type SearchRequest struct {
 	Windows []int `json:"windows,omitempty"`
 }
 
-// SearchResponse is the POST /v1/search reply. OK is false when the
+// SearchResponse answers one SearchRequest. OK is false when the
 // search saturated (no window within metrics.MaxEquivalentWindow, or no
 // crossover in the grid).
 type SearchResponse struct {
@@ -256,8 +237,7 @@ type BatchRunRequest struct {
 
 // BatchRunResponse is the POST /v1/batch/run reply; Results[i] answers
 // Items[i]. The batch is all-or-nothing: any invalid item fails the
-// whole request (400/409) before anything simulates, matching the
-// loud-failure contract of the point-wise endpoints.
+// whole request (400/409) before anything simulates.
 type BatchRunResponse struct {
 	Results []*engine.Result `json:"results"`
 }
@@ -321,7 +301,7 @@ const (
 // HealthResponse is the GET /healthz reply. Status is "ok", or
 // "draining" while the daemon winds down (routable probes should treat
 // draining as not-ready). EngineVersion lets clients and probes detect
-// a version-skewed daemon before routing work to it (Client.Health
+// a version-skewed daemon before routing work to it (FleetClient.Health
 // checks it). ReplicaID and Fleet, set when sweepd runs with
 // -replica/-fleet, advertise the daemon's view of the ring so a fleet
 // client can detect membership skew — a client and a replica

@@ -13,7 +13,7 @@ import (
 )
 
 // fakeFleet builds a FleetClient over dummy URLs (no sockets are ever
-// dialed — tests drive scatter/single with their own exec functions),
+// dialed — tests drive scatter with their own exec functions),
 // with a controllable clock and recorded, non-blocking sleeps.
 func fakeFleet(t *testing.T, n int) (*FleetClient, *time.Time, *[]time.Duration) {
 	t.Helper()
@@ -380,56 +380,6 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds should jitter differently")
-	}
-}
-
-// TestHedgedSingle: with HedgeDelay armed, a slow primary is raced by
-// a second replica and the first success wins.
-func TestHedgedSingle(t *testing.T) {
-	t.Parallel()
-	f, _, _ := fakeFleet(t, 2)
-	f.HedgeDelay = 5 * time.Millisecond
-	key := keyOwnedBy(t, f, 0)
-	primary := f.ring.Owner(key)
-	release := make(chan struct{})
-	defer close(release)
-	err := f.single(context.Background(), key, func(ctx context.Context, replica int) error {
-		if replica == primary {
-			// The primary hangs until the test ends — only the hedge
-			// can answer.
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
-			return ctx.Err()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("hedged call must win via the secondary: %v", err)
-	}
-	if got := f.Metrics().Hedges; got != 1 {
-		t.Fatalf("Hedges = %d, want 1", got)
-	}
-}
-
-// TestHedgedSingleFailureRelaunches: without waiting for the hedge
-// timer, a failed attempt immediately tries the next candidate, and
-// exhaustion surfaces as sweep.ErrUnavailable.
-func TestHedgedSingleFailureRelaunches(t *testing.T) {
-	t.Parallel()
-	f, _, _ := fakeFleet(t, 2)
-	f.HedgeDelay = time.Hour // the timer must never be what advances this test
-	calls := 0
-	err := f.single(context.Background(), "k", func(_ context.Context, replica int) error {
-		calls++
-		return &StatusError{Code: 500, Msg: "injected"}
-	})
-	if !errors.Is(err, sweep.ErrUnavailable) {
-		t.Fatalf("exhausted hedged call must wrap sweep.ErrUnavailable, got %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("both replicas must have been tried, got %d calls", calls)
 	}
 }
 

@@ -10,20 +10,15 @@ import (
 	"time"
 
 	"daesim/internal/engine"
-	"daesim/internal/experiments"
-	"daesim/internal/machine"
 	"daesim/internal/sweep"
 )
 
-// Client talks to a running sweepd. Its Run method has the shape
-// experiments.Context.Remote (and, bound to one workload,
-// sweep.Runner.Remote) expects, so attaching a Client routes every
-// cacheable simulation of a local sweep through the daemon's shared
-// cache; repro -remote is exactly that wiring. Every request pins the
-// client's engine.Version (and, through the Remote path, the local
-// suite fingerprint), so a version-skewed daemon refuses with 409
-// instead of answering with results from a different build. A Client
-// is safe for concurrent use.
+// Client is the transport to one sweepd replica: JSON round trips,
+// status classification (StatusError), MaxBatchItems chunking of the
+// batch endpoints, and the per-replica admin calls CacheStats and GC.
+// It does not route, retry or pin targets — FleetClient, which owns one
+// Client per replica, does all three. A Client is safe for concurrent
+// use.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8077".
 	BaseURL string
@@ -32,20 +27,12 @@ type Client struct {
 	// legitimately slow) so a wedged daemon eventually fails the run
 	// loudly rather than hanging it forever; replace it to tune.
 	HTTP *http.Client
-	// Policy optionally pins a non-default partition policy for the
-	// suites remote runs execute against ("classic" when empty).
-	Policy string
 }
 
 // defaultHTTPClient bounds requests to a daemon that accepted the
 // connection but never answers (wedged, SIGSTOPped, or drowning in a
 // concurrency-limit queue).
 var defaultHTTPClient = &http.Client{Timeout: 15 * time.Minute}
-
-// NewClient returns a Client for the daemon at baseURL.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL}
-}
 
 // httpClient resolves the transport to use.
 func (c *Client) httpClient() *http.Client {
@@ -140,55 +127,6 @@ func (c *Client) decodeReply(path string, r *http.Response, resp any) error {
 	return nil
 }
 
-// target builds the request target for a workload and scale, pinned to
-// this build's engine version (and the suite fingerprint when known).
-func (c *Client) target(workload string, scale int, fingerprint string) Target {
-	return Target{
-		Workload: workload, Scale: scale, Policy: c.Policy,
-		EngineVersion: engine.Version, Fingerprint: fingerprint,
-	}
-}
-
-// Run executes one point on the daemon. The signature matches
-// experiments.Context.Remote: fingerprint, when non-empty, is the
-// local suite's content hash (machine.Suite.Fingerprint), which the
-// daemon must match or refuse — pass "" to skip the content check.
-func (c *Client) Run(ctx context.Context, workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-	wp, err := ToPoint(pt)
-	if err != nil {
-		return nil, err
-	}
-	var resp RunResponse
-	if err := c.post(ctx, "/v1/run", RunRequest{Target: c.target(workload, scale, fingerprint), Point: wp}, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, fmt.Errorf("daemon client: /v1/run returned no result: %w", ErrMalformedReply)
-	}
-	return resp.Result, nil
-}
-
-// Sweep executes a batch of points on the daemon; Results[i] answers
-// pts[i].
-func (c *Client) Sweep(ctx context.Context, workload string, scale int, pts []sweep.Point) ([]*engine.Result, error) {
-	wire := make([]Point, len(pts))
-	for i, pt := range pts {
-		wp, err := ToPoint(pt)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: point %d: %w", i, err)
-		}
-		wire[i] = wp
-	}
-	var resp SweepResponse
-	if err := c.post(ctx, "/v1/sweep", SweepRequest{Target: c.target(workload, scale, ""), Points: wire}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(pts) {
-		return nil, fmt.Errorf("daemon client: /v1/sweep returned %d results for %d points: %w", len(resp.Results), len(pts), ErrMalformedReply)
-	}
-	return resp.Results, nil
-}
-
 // BatchRun executes run requests — each carrying its own target — in
 // MaxBatchItems-sized round trips (one for any realistically sized
 // batch; the server 400s oversized requests with a non-retryable
@@ -223,8 +161,7 @@ func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Re
 
 // BatchSearch executes searches server-side in MaxBatchItems-sized
 // round trips; Results[i] answers items[i]. Each item's Target must be
-// set by the caller (use Client.Search for the single pinned-target
-// case).
+// set by the caller (FleetClient.BatchSearch pins them).
 func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
 	out := make([]SearchResponse, 0, len(items))
 	for start := 0; start < len(items); start += MaxBatchItems {
@@ -245,59 +182,6 @@ func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]Sear
 	return out, nil
 }
 
-// RunBatch executes a batch of points against one suite in a single
-// round trip. The signature matches experiments.Context.RemoteBatch
-// (and, bound to one workload, sweep.Runner.RemoteBatch), so attaching
-// it lets a local sweep or search submit a whole probe wave as one
-// request instead of one per point — the request-count collapse behind
-// repro -remote's batched mode (DESIGN.md §11).
-func (c *Client) RunBatch(ctx context.Context, workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
-	target := c.target(workload, scale, fingerprint)
-	items := make([]RunRequest, len(pts))
-	for i, pt := range pts {
-		wp, err := ToPoint(pt)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: point %d: %w", i, err)
-		}
-		items[i] = RunRequest{Target: target, Point: wp}
-	}
-	return c.BatchRun(ctx, items)
-}
-
-// RatioBatch executes one curve of equivalent-window ratio searches
-// server-side, in a single round trip. The signature matches
-// experiments.Context.RemoteSearch: attaching it lets Figures 7-9 cost
-// a few requests per figure instead of several per ratio point, with
-// answers identical to the local search by construction (the probe
-// path is a fixed function of its inputs — metrics.Search).
-func (c *Client) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
-	items := make([]SearchRequest, len(params))
-	for i, p := range params {
-		wp, err := ToParams(p)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: ratio point %d: %w", i, err)
-		}
-		items[i] = SearchRequest{Target: c.target(workload, scale, fingerprint), Op: SearchRatio, Params: wp}
-	}
-	resp, err := c.BatchSearch(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]experiments.RatioAnswer, len(resp))
-	for i, r := range resp {
-		answers[i] = experiments.RatioAnswer{Ratio: r.Ratio, OK: r.OK}
-	}
-	return answers, nil
-}
-
-// Search runs one equivalent-window search on the daemon.
-func (c *Client) Search(ctx context.Context, workload string, scale int, req SearchRequest) (SearchResponse, error) {
-	req.Target = c.target(workload, scale, "")
-	var resp SearchResponse
-	err := c.post(ctx, "/v1/search", req, &resp)
-	return resp, err
-}
-
 // CacheStats fetches the daemon's cache counters.
 func (c *Client) CacheStats(ctx context.Context) (StatsResponse, error) {
 	var resp StatsResponse
@@ -314,46 +198,4 @@ func (c *Client) GC(ctx context.Context, pol sweep.GCPolicy) (sweep.GCResult, er
 	var resp sweep.GCResult
 	err := c.post(ctx, "/v1/cache/gc", req, &resp)
 	return resp, err
-}
-
-// Health checks the daemon's liveness endpoint and that its engine
-// build matches this client's, so version skew surfaces at attach time
-// rather than per request.
-func (c *Client) Health(ctx context.Context) error {
-	var resp HealthResponse
-	if err := c.get(ctx, "/healthz", &resp); err != nil {
-		return err
-	}
-	if resp.Status != "ok" {
-		return fmt.Errorf("daemon client: health status %q: %w", resp.Status, ErrFleetUnhealthy)
-	}
-	if resp.EngineVersion != "" && resp.EngineVersion != engine.Version {
-		return fmt.Errorf("daemon client: engine version skew: daemon runs %s, this build is %s (restart sweepd from this build): %w", resp.EngineVersion, engine.Version, ErrFleetUnhealthy)
-	}
-	return nil
-}
-
-// WaitHealthy polls /healthz until the daemon answers or the deadline
-// passes — the startup handshake for scripts and tests that just
-// launched a sweepd.
-func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var err error
-	for {
-		if err = c.Health(ctx); err == nil {
-			return nil
-		}
-		// A cancelled caller must stop retrying: Health fails fast on a
-		// dead context, and without this check the loop would spin on
-		// that error until the deadline.
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon client: not healthy after %s: %w", timeout, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

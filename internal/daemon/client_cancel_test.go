@@ -7,17 +7,28 @@ import (
 	"time"
 )
 
+// deadFleet returns a one-replica fleet over an address nothing
+// listens on (port 1).
+func deadFleet(t *testing.T) *FleetClient {
+	t.Helper()
+	f, err := NewFleetClient([]string{"http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestWaitHealthyStopsOnCancel pins the per-round cancellation check in
-// Client.WaitHealthy: against an unreachable daemon, a cancelled context
-// must end the poll loop immediately instead of burning the full
-// deadline in 50ms health probes.
+// FleetClient.WaitHealthy: against an unreachable daemon, a cancelled
+// context must end the poll loop immediately instead of burning the
+// full deadline in 50ms health probes.
 func TestWaitHealthyStopsOnCancel(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listens on port 1
+	f := deadFleet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	start := time.Now()
-	err := c.WaitHealthy(ctx, 30*time.Second)
+	err := f.WaitHealthy(ctx, 30*time.Second)
 	elapsed := time.Since(start)
 
 	if err == nil {
@@ -31,12 +42,12 @@ func TestWaitHealthyStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestWaitHealthyNilContext pins the nil-context tolerance the other
-// Client methods share: WaitHealthy(nil, ...) must poll to the deadline,
-// not panic on the cancellation check.
+// TestWaitHealthyNilContext pins the nil-context tolerance the
+// transport calls share: WaitHealthy(nil, ...) must poll to the
+// deadline, not panic on the cancellation check.
 func TestWaitHealthyNilContext(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1")
-	err := c.WaitHealthy(nil, 60*time.Millisecond)
+	f := deadFleet(t)
+	err := f.WaitHealthy(nil, 60*time.Millisecond)
 	if err == nil {
 		t.Fatal("WaitHealthy succeeded against a dead address")
 	}

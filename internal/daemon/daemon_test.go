@@ -1,15 +1,17 @@
 package daemon
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,28 +89,33 @@ func (*stubMem) Reset()                                    {}
 const testWorkload = "TRFD"
 
 // newTestServer starts a daemon over an optional store and returns a
-// client bound to it.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
+// one-replica fleet client bound to it.
+func newTestServer(t *testing.T, cfg Config) (*Server, *FleetClient) {
 	t.Helper()
 	srv := NewServer(cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	return srv, NewClient(hs.URL)
+	f, err := NewFleetClient([]string{hs.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, f
+}
+
+// localRunner is a local memoizing runner over a workload — the oracle
+// for searches and sweeps answered by the daemon.
+func localRunner(t *testing.T, workload string) *sweep.Runner {
+	t.Helper()
+	runner := sweep.NewRunner(mustSuite(t, workload))
+	runner.Parallelism = 1
+	return runner
 }
 
 // localResult simulates one point locally, bypassing the daemon — the
 // oracle for byte-identity checks.
 func localResult(t *testing.T, workload string, pt sweep.Point) *engine.Result {
 	t.Helper()
-	tr, err := workloads.Build(workload, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := machine.NewSuite(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := suite.Run(pt.Kind, pt.P)
+	res, err := mustSuite(t, workload).Run(pt.Kind, pt.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +131,9 @@ func asJSON(t *testing.T, v any) []byte {
 	return data
 }
 
+// TestRunEndpointMatchesLocalByteForByte: a one-point FleetClient.Run,
+// which travels as a one-item /v1/batch/run, answers byte-identically
+// to a local simulation.
 func TestRunEndpointMatchesLocalByteForByte(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
@@ -138,6 +148,69 @@ func TestRunEndpointMatchesLocalByteForByte(t *testing.T) {
 	}
 }
 
+// TestRemovedEndpointsNotFound: the point-wise endpoints are gone —
+// a single point or search is a batch of one — so posting to them
+// answers 404 rather than reaching a handler.
+func TestRemovedEndpointsNotFound(t *testing.T) {
+	t.Parallel()
+	handler := NewServer(Config{}).Handler()
+	for _, path := range []string{"/v1/run", "/v1/sweep", "/v1/search"} {
+		if code := postBody(handler, path, []byte(`{"workload":"TRFD","kind":"DM"}`)); code != http.StatusNotFound {
+			t.Errorf("POST %s answered %d, want 404", path, code)
+		}
+	}
+}
+
+// TestFleetRunIsOneBatchItem pins FleetClient.Run's path: one point is
+// exactly one /v1/batch/run request on a 3-replica fleet, answering
+// what a local run does; with every replica refusing, Run returns no
+// result and an error wrapping sweep.ErrUnavailable, the signal a
+// Degrade runner falls back on.
+func TestFleetRunIsOneBatchItem(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var paths []string
+	var refuse atomic.Bool
+	fleet, _, _ := newFleet(t, 3, nil, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			paths = append(paths, r.Method+" "+r.URL.Path)
+			mu.Unlock()
+			if refuse.Load() {
+				writeError(w, http.StatusServiceUnavailable, errors.New("refused"))
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	fleet.BackoffBase, fleet.BackoffMax = time.Millisecond, time.Millisecond
+	fp := mustSuite(t, testWorkload).Fingerprint()
+
+	pt := sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: 12, MD: 20}}
+	res, err := fleet.Run(context.Background(), testWorkload, 1, fp, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localResult(t, testWorkload, pt); !reflect.DeepEqual(res, want) {
+		t.Fatalf("Run result differs from local:\nremote %+v\nlocal  %+v", res, want)
+	}
+	if len(paths) != 1 || paths[0] != "POST /v1/batch/run" {
+		t.Fatalf("one-point Run issued %v, want exactly one POST /v1/batch/run", paths)
+	}
+
+	refuse.Store(true)
+	res, err = fleet.Run(context.Background(), testWorkload, 1, fp, sweep.Point{Kind: machine.DM, P: machine.Params{Window: 12, MD: 20}})
+	if res != nil || !errors.Is(err, sweep.ErrUnavailable) {
+		t.Fatalf("Run with every replica refusing = (%v, %v), want (nil, error wrapping sweep.ErrUnavailable)", res, err)
+	}
+	if len(paths) != 4 {
+		t.Fatalf("refused Run issued %d requests, want one per replica (3): %v", len(paths)-1, paths[1:])
+	}
+}
+
+// TestSweepEndpointWarmRunHitsCache: a sweep sent as one /v1/batch/run
+// matches local simulation, persists every point, and a repeat of it
+// is answered from the daemon's L1.
 func TestSweepEndpointWarmRunHitsCache(t *testing.T) {
 	t.Parallel()
 	store, err := sweep.OpenStore(t.TempDir())
@@ -151,11 +224,11 @@ func TestSweepEndpointWarmRunHitsCache(t *testing.T) {
 			sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}},
 			sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: w, MD: 30}})
 	}
-	cold, err := client.Sweep(context.Background(), testWorkload, 1, pts)
+	cold, err := client.RunBatch(context.Background(), testWorkload, 1, "", pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := client.Sweep(context.Background(), testWorkload, 1, pts)
+	warm, err := client.RunBatch(context.Background(), testWorkload, 1, "", pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,31 +256,27 @@ func TestSweepEndpointWarmRunHitsCache(t *testing.T) {
 	}
 }
 
+// TestSearchEndpointMatchesLocalSearch: each search op, sent as a
+// one-item /v1/batch/search, answers exactly as the local search does.
 func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	p := machine.Params{Window: 16, MD: 30}
+	search := func(req SearchRequest) SearchResponse {
+		t.Helper()
+		resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp[0]
+	}
 
-	// Local oracle.
-	tr, err := workloads.Build(testWorkload, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := machine.NewSuite(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := sweep.NewRunner(suite)
-	runner.Parallelism = 1
+	runner := localRunner(t, testWorkload)
 	wantRatio, wantOK, err := metrics.NewSearch(runner).EquivalentWindowRatio(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	resp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := search(SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
 	if resp.OK != wantOK || resp.Ratio != wantRatio {
 		t.Fatalf("ratio search: got %+v, want ratio %v ok %v", resp, wantRatio, wantOK)
 	}
@@ -216,18 +285,12 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wresp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wresp := search(SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
 	if !wresp.OK || float64(wresp.Window)/16 != resp.Ratio {
 		t.Fatalf("window search %+v inconsistent with ratio %v", wresp, resp.Ratio)
 	}
 
-	xresp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	xresp := search(SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
 	wantX, wantXOK, err := metrics.NewSearch(runner).Crossover(machine.Params{MD: 0}, []int{4, 8, 16, 32, 64, 96, 128})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +309,8 @@ func TestGCEndpoint(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		store.Put(fmt.Sprintf("key-%d", i), &engine.Result{Cycles: int64(i)})
 	}
-	_, client := newTestServer(t, Config{Store: store})
+	_, fleet := newTestServer(t, Config{Store: store})
+	client := fleet.Clients()[0]
 	res, err := client.GC(context.Background(), sweep.GCPolicy{MaxEntries: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +328,7 @@ func TestGCEndpoint(t *testing.T) {
 
 	// Without a store the endpoint must refuse, not no-op.
 	_, storeless := newTestServer(t, Config{})
-	if _, err := storeless.GC(context.Background(), sweep.GCPolicy{MaxEntries: 1}); err == nil || !strings.Contains(err.Error(), "no persistent store") {
+	if _, err := storeless.Clients()[0].GC(context.Background(), sweep.GCPolicy{MaxEntries: 1}); err == nil || !strings.Contains(err.Error(), "no persistent store") {
 		t.Errorf("GC without store: %v", err)
 	}
 }
@@ -276,11 +340,10 @@ func TestGCEndpoint(t *testing.T) {
 func TestSkewRefused(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
-	var resp RunResponse
-	err := client.post(context.Background(), "/v1/run", RunRequest{
+	_, err := client.Clients()[0].BatchRun(context.Background(), []RunRequest{{
 		Target: Target{Workload: testWorkload, EngineVersion: "engine-v0"},
 		Point:  Point{Kind: "DM", Params: Params{Window: 8}},
-	}, &resp)
+	}})
 	if err == nil || !strings.Contains(err.Error(), "engine version skew") || !strings.Contains(err.Error(), "409") {
 		t.Errorf("engine version skew should be refused with 409: %v", err)
 	}
@@ -290,37 +353,21 @@ func TestSkewRefused(t *testing.T) {
 	}
 
 	// The real fingerprint (what Runner.Remote sends) must pass.
-	tr, err := workloads.Build(testWorkload, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := machine.NewSuite(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Run(context.Background(), testWorkload, 1, suite.Fingerprint(), sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
+	if _, err := client.Run(context.Background(), testWorkload, 1, mustSuite(t, testWorkload).Fingerprint(), sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Errorf("matching fingerprint refused: %v", err)
 	}
 }
 
 // TestGeneratedWorkloadServes: a "spec:" workload travels by name over
-// /v1/run — the daemon regenerates it from the spec and answers
+// /v1/batch/run — the daemon regenerates it from the spec and answers
 // byte-identically to a local run, and the content fingerprint the
 // client pins is the proof both sides lowered the same program.
 func TestGeneratedWorkloadServes(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	const spec = "spec:depth=5,ilp=2,mem=0.8,addr=gather,hazard=0.2,iters=32,seed=9"
-	tr, err := workloads.Build(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := machine.NewSuite(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pt := sweep.Point{Kind: machine.DM, P: machine.Params{Window: 24, MD: 40}}
-	remote, err := client.Run(context.Background(), spec, 1, suite.Fingerprint(), pt)
+	remote, err := client.Run(context.Background(), spec, 1, mustSuite(t, spec).Fingerprint(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +384,7 @@ func TestGeneratedWorkloadServes(t *testing.T) {
 
 // TestUnknownWorkloadErrorEnumeratesRegistry pins the daemon half of
 // the enumeration-parity contract (cmd/repro's TestListOrderParity
-// holds the other): the /v1/run validation error for an unknown
+// holds the other): the /v1/batch/run validation error for an unknown
 // workload lists the registry in workloads.Names() order — the exact
 // order repro -list prints — so operators comparing a 400 body against
 // the CLI listing never see two orderings of the same catalog.
@@ -367,60 +414,65 @@ func TestHealthz(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	t.Parallel()
-	_, client := newTestServer(t, Config{})
+	_, fleet := newTestServer(t, Config{})
+	client := fleet.Clients()[0]
+	post := func(path string, body any) error {
+		var resp json.RawMessage
+		return client.post(context.Background(), path, body, &resp)
+	}
+	run := func(item any) error { return post("/v1/batch/run", map[string]any{"items": []any{item}}) }
+	search := func(item SearchRequest) error {
+		item.Target = Target{Workload: testWorkload}
+		return post("/v1/batch/search", BatchSearchRequest{Items: []SearchRequest{item}})
+	}
 	cases := []struct {
 		name string
 		call func() error
 		want string
 	}{
 		{"unknown workload", func() error {
-			_, err := client.Run(context.Background(), "NOSUCH", 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
+			_, err := fleet.Run(context.Background(), "NOSUCH", 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
 			return err
 		}, "NOSUCH"},
 		{"bad kind", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}}, &resp)
+			return run(RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}})
 		}, "unknown machine kind"},
 		{"bad policy", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload, Policy: "random"}, Point: Point{Kind: "DM"}}, &resp)
+			return run(RunRequest{Target: Target{Workload: testWorkload, Policy: "random"}, Point: Point{Kind: "DM"}})
 		}, "unknown partition policy"},
 		{"bad retire", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Retire: "never"}}}, &resp)
+			return run(RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Retire: "never"}}})
 		}, "unknown retire policy"},
-		{"empty sweep", func() error {
-			_, err := client.Sweep(context.Background(), testWorkload, 1, nil)
-			return err
-		}, "no points"},
+		{"empty batch", func() error {
+			return post("/v1/batch/run", BatchRunRequest{})
+		}, "no items"},
 		{"bad search op", func() error {
-			_, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: "median"})
-			return err
+			return search(SearchRequest{Op: "median"})
 		}, "unknown search op"},
 		{"window search without target", func() error {
-			_, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchWindow})
-			return err
+			return search(SearchRequest{Op: SearchWindow})
 		}, "target_cycles"},
 		{"unknown field", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}}, &resp)
+			return run(map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}})
 		}, "unknown field"},
 	}
 	for _, tc := range cases {
 		err := tc.call()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a 400 containing %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestBatchRunEndpoint: a batch whose items span workloads and scales
-// answers each item exactly as the point-wise endpoint would, and a bad
-// item anywhere fails the whole batch before anything simulates,
-// naming the item.
+// TestBatchRunEndpoint: a batch whose items span workloads answers
+// each item exactly as a local simulation would, and a bad item
+// anywhere fails the whole batch before anything simulates, naming the
+// item.
 func TestBatchRunEndpoint(t *testing.T) {
 	t.Parallel()
-	_, client := newTestServer(t, Config{})
+	_, fleet := newTestServer(t, Config{})
+	client := fleet.Clients()[0]
 	mk := func(workload string, kind string, w int) RunRequest {
 		return RunRequest{
 			Target: Target{Workload: workload, EngineVersion: engine.Version},
@@ -459,27 +511,39 @@ func TestBatchRunEndpoint(t *testing.T) {
 }
 
 // TestBatchSearchEndpoint: a heterogeneous search batch answers each
-// item exactly as /v1/search would.
+// item exactly as a local search over a sweep.Runner would.
 func TestBatchSearchEndpoint(t *testing.T) {
 	t.Parallel()
-	_, client := newTestServer(t, Config{})
+	_, fleet := newTestServer(t, Config{})
+	client := fleet.Clients()[0]
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
+	windows := []int{4, 8, 16, 32, 64, 96, 128}
 	items := []SearchRequest{
 		{Target: target, Op: SearchRatio, Params: Params{Window: 16, MD: 30}},
-		{Target: target, Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}},
+		{Target: target, Op: SearchCrossover, Params: Params{MD: 0}, Windows: windows},
 		{Target: target, Op: SearchRatio, Params: Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner := localRunner(t, testWorkload)
 	for i, item := range items {
-		single, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: item.Op, Params: item.Params, Windows: item.Windows})
+		p, err := item.Params.Machine()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batched[i] != single {
-			t.Errorf("batch item %d: %+v != point-wise %+v", i, batched[i], single)
+		var want SearchResponse
+		if item.Op == SearchRatio {
+			want.Ratio, want.OK, err = metrics.NewSearch(runner).EquivalentWindowRatio(p)
+		} else {
+			want.Window, want.OK, err = metrics.NewSearch(runner).Crossover(p, windows)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched[i] != want {
+			t.Errorf("batch item %d: %+v != local %+v", i, batched[i], want)
 		}
 	}
 	if _, err := client.BatchSearch(context.Background(), []SearchRequest{{Target: target, Op: "median"}}); err == nil || !strings.Contains(err.Error(), "unknown search op") {
@@ -510,7 +574,7 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 }
 
 // TestRemoteContext is the repro -remote wiring end to end: an
-// experiments.Context with a daemon client attached runs all cacheable
+// experiments.Context with a one-replica fleet attached runs all cacheable
 // points remotely (zero local simulations) and produces results
 // byte-identical to a purely local context.
 func TestRemoteContext(t *testing.T) {
@@ -565,7 +629,7 @@ func TestRemoteContext(t *testing.T) {
 
 	// A dead daemon must fail the run loudly, not fall back to local.
 	deadCtx := experiments.NewContext()
-	dead := NewClient("http://127.0.0.1:1")
+	dead := deadFleet(t)
 	deadCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
 		return dead.Run(context.Background(), workload, scale, fingerprint, pt)
 	}
@@ -586,7 +650,7 @@ func TestStatsEndpointShape(t *testing.T) {
 	if _, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	hres, err := http.Get(client.BaseURL + "/v1/cache/stats")
+	hres, err := http.Get(client.Clients()[0].BaseURL + "/v1/cache/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,11 @@ import (
 //     Degrade-enabled sweep.Runner converts into last-resort local
 //     simulation.
 //
-// Run and RunBatch have the hook shapes of experiments.Context.Remote
-// and RemoteBatch; attaching both is repro -remote host1,host2,...
-// (DESIGN.md §11). A FleetClient is safe for concurrent use.
+// Run, RunBatch and RatioBatch have the hook shapes of
+// experiments.Context.Remote, RemoteBatch and RemoteSearch; attaching
+// all three is repro -remote host1,host2,... (DESIGN.md §11). Every
+// call travels over the two batch endpoints, so a single daemon is just
+// a one-replica fleet. A FleetClient is safe for concurrent use.
 type FleetClient struct {
 	clients []*Client
 	ring    *Ring
@@ -76,11 +78,6 @@ type FleetClient struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	BackoffSeed uint64
-	// HedgeDelay, when positive, arms tail-latency hedging on
-	// single-point calls (Run, Search — idempotent by determinism): if
-	// the owner has not answered within HedgeDelay, the same request
-	// is issued to the next candidate and the first success wins.
-	HedgeDelay time.Duration
 
 	breakers []breaker
 
@@ -88,7 +85,7 @@ type FleetClient struct {
 	now   func() time.Time
 	sleep func(time.Duration)
 
-	retries, breakerOpens, hedges, drainingReroutes, unavailable atomic.Int64
+	retries, breakerOpens, drainingReroutes, unavailable atomic.Int64
 
 	// latency holds per-replica request-latency histograms once
 	// Instrument has been called; nil slots mean "not observing".
@@ -102,7 +99,8 @@ type FleetMetrics struct {
 	Retries int64 `json:"retries"`
 	// BreakerOpens counts closed/half-open -> open transitions.
 	BreakerOpens int64 `json:"breaker_opens"`
-	// Hedges counts secondary requests launched by HedgeDelay.
+	// Hedges is always 0: the client no longer hedges. The field stays
+	// so -chaos-stats documents and benchmark ledgers keep their schema.
 	Hedges int64 `json:"hedges"`
 	// DrainingReroutes counts point-attempts rerouted off a cleanly
 	// draining replica (no failure charged).
@@ -147,7 +145,7 @@ func NewFleetClient(urls []string) (*FleetClient, error) {
 		}
 		seen[u] = i
 		members[i] = u
-		clients[i] = NewClient(u)
+		clients[i] = &Client{BaseURL: u}
 	}
 	return &FleetClient{
 		clients:          clients,
@@ -174,7 +172,6 @@ func (f *FleetClient) Metrics() FleetMetrics {
 	return FleetMetrics{
 		Retries:          f.retries.Load(),
 		BreakerOpens:     f.breakerOpens.Load(),
-		Hedges:           f.hedges.Load(),
 		DrainingReroutes: f.drainingReroutes.Load(),
 		Unavailable:      f.unavailable.Load(),
 	}
@@ -526,116 +523,17 @@ func (f *FleetClient) scatter(ctx context.Context, n int, keyOf func(int) string
 	return nil
 }
 
-// single executes one keyed call through the failure ladder. With
-// HedgeDelay armed it also hedges: the primary owner gets HedgeDelay
-// to answer before the same request is launched on the next candidate;
-// the first success wins and cancels the rest. exec must only publish
-// its result on success (and tolerate publishing from two goroutines —
-// hedged attempts compute identical results by determinism).
-func (f *FleetClient) single(ctx context.Context, key string, exec func(ctx context.Context, replica int) error) error {
-	if f.HedgeDelay <= 0 {
-		return f.scatter(ctx, 1, func(int) string { return key }, func(ctx context.Context, replica int, _ []int) error {
-			return exec(ctx, replica)
-		})
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type attempt struct {
-		replica int
-		err     error
-	}
-	results := make(chan attempt, maxFleet)
-	tried := uint64(0)
-	outstanding := 0
-	launch := func() bool {
-		c := f.pickCandidate(key, tried)
-		if c < 0 {
-			return false
-		}
-		tried |= 1 << uint(c)
-		outstanding++
-		go func() {
-			results <- attempt{c, f.observe(c, func() error { return exec(actx, c) })}
-		}()
-		return true
-	}
-	if !launch() {
-		f.unavailable.Add(1)
-		return &unavailableError{n: 1}
-	}
-	timer := time.NewTimer(f.HedgeDelay)
-	defer timer.Stop()
-	hedgeArmed := true
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-			hedgeArmed = false
-			if launch() {
-				f.hedges.Add(1)
-			}
-		case a := <-results:
-			outstanding--
-			switch {
-			case a.err == nil:
-				f.onSuccess(a.replica)
-				return nil
-			case errors.Is(a.err, context.Canceled):
-				// A loser cancelled by the winner never gets here (we
-				// return on first success); this is our own ctx dying.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			case isDraining(a.err):
-				f.drainingReroutes.Add(1)
-				lastErr = a.err
-			case !retryable(a.err):
-				return a.err
-			default:
-				f.onFailure(a.replica)
-				f.retries.Add(1)
-				lastErr = a.err
-			}
-			// Replace the failed attempt immediately; backoff would
-			// defeat hedging's purpose (these calls are latency-bound).
-			if !launch() && outstanding == 0 {
-				f.unavailable.Add(1)
-				return &unavailableError{n: 1, last: lastErr}
-			}
-		}
-		if !hedgeArmed {
-			timer.Stop()
-		}
-	}
-}
-
-// Run executes one point on the replica owning its cache key, failing
-// over along the ring (and hedging, when armed) on replica-local
-// errors. Bound to a workload it matches experiments.Context.Remote.
+// Run executes one point as a one-item RunBatch: the owner of its cache
+// key answers, with the scatter loop's failover. Bound to a workload it
+// matches experiments.Context.Remote. An unserved point is (nil, err)
+// with err wrapping sweep.ErrUnavailable, so a Degrade-enabled Runner
+// simulates it locally.
 func (f *FleetClient) Run(ctx context.Context, workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-	key, ok := routeKey(workload, scale, fingerprint, pt)
-	if !ok {
-		return nil, fmt.Errorf("daemon fleet: points with a custom memory model cannot be simulated remotely: %w", ErrNotRemotable)
-	}
-	var mu sync.Mutex
-	var res *engine.Result
-	err := f.single(ctx, key, func(ctx context.Context, replica int) error {
-		r, err := f.clients[replica].Run(ctx, workload, scale, fingerprint, pt)
-		if err == nil {
-			mu.Lock()
-			if res == nil {
-				res = r
-			}
-			mu.Unlock()
-		}
-		return err
-	})
+	res, err := f.RunBatch(ctx, workload, scale, fingerprint, []sweep.Point{pt})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return res[0], nil
 }
 
 // RunBatch executes a batch of points against one suite: points group
@@ -650,21 +548,25 @@ func (f *FleetClient) Run(ctx context.Context, workload string, scale int, finge
 // wrapping sweep.ErrUnavailable, which a Degrade-enabled Runner
 // converts into local simulation of exactly the nil slots.
 func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+	target := Target{Workload: workload, Scale: scale, EngineVersion: engine.Version, Fingerprint: fingerprint}
 	keys := make([]string, len(pts))
+	items := make([]RunRequest, len(pts))
 	for i, pt := range pts {
 		k, ok := routeKey(workload, scale, fingerprint, pt)
-		if !ok {
+		wp, err := ToPoint(pt)
+		if !ok || err != nil {
 			return nil, fmt.Errorf("daemon fleet: point %d carries a custom memory model and cannot run remotely: %w", i, ErrNotRemotable)
 		}
 		keys[i] = k
+		items[i] = RunRequest{Target: target, Point: wp}
 	}
 	out := make([]*engine.Result, len(pts))
 	err := f.scatter(ctx, len(pts), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
-		sub := make([]sweep.Point, len(idx))
+		sub := make([]RunRequest, len(idx))
 		for j, i := range idx {
-			sub[j] = pts[i]
+			sub[j] = items[i]
 		}
-		res, err := f.clients[replica].RunBatch(ctx, workload, scale, fingerprint, sub)
+		res, err := f.clients[replica].BatchRun(ctx, sub)
 		if err != nil {
 			return err
 		}
@@ -692,32 +594,11 @@ func searchKey(workload string, scale int, req SearchRequest) string {
 	return engine.Version + "|" + workload + "|" + strconv.Itoa(scale) + "|search|" + string(b)
 }
 
-// Search runs one server-side search on the replica owning it, with
-// the same failover (and hedging) as Run.
-func (f *FleetClient) Search(ctx context.Context, workload string, scale int, req SearchRequest) (SearchResponse, error) {
-	key := searchKey(workload, scale, req)
-	var mu sync.Mutex
-	var res SearchResponse
-	var settled bool
-	err := f.single(ctx, key, func(ctx context.Context, replica int) error {
-		r, err := f.clients[replica].Search(ctx, workload, scale, req)
-		if err == nil {
-			mu.Lock()
-			if !settled {
-				res, settled = r, true
-			}
-			mu.Unlock()
-		}
-		return err
-	})
-	return res, err
-}
-
 // BatchSearch executes server-side searches across the fleet: items
 // group by owning replica, one /v1/batch/search round trip per group.
 // Results[i] answers items[i]; each item's Target is pinned to this
 // build's engine version (and the suite fingerprint when known) like
-// the point-wise paths. Unlike RunBatch there is no partial return —
+// RunBatch's. Unlike RunBatch there is no partial return —
 // a search with unavailable owners fails with sweep.ErrUnavailable and
 // the caller (experiments.RatioFigure with Degrade) falls back to the
 // local search path wholesale.
@@ -755,9 +636,11 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 }
 
 // RatioBatch executes one curve of equivalent-window ratio searches
-// across the fleet, grouped by owning replica — the fleet counterpart
-// of Client.RatioBatch, with the same experiments.Context.RemoteSearch
-// signature and the scatter loop's failover.
+// across the fleet, grouped by owning replica, with the
+// experiments.Context.RemoteSearch signature and the scatter loop's
+// failover: Figures 7-9 cost a few requests per figure instead of
+// several per ratio point, with answers identical to the local search
+// (the probe path is a fixed function of its inputs — metrics.Search).
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {
@@ -838,8 +721,11 @@ func sameMembers(a, b []string) bool {
 
 // WaitHealthy polls until every replica passes Health or the deadline
 // (or ctx) expires — the startup handshake for scripts that just
-// launched a fleet.
+// launched a fleet. A nil ctx means background, as in Client's calls.
 func (f *FleetClient) WaitHealthy(ctx context.Context, timeout time.Duration) error {
+	if ctx == nil {
+		ctx = context.Background() //daelint:ctxflow-ok nil ctx is documented to mean background
+	}
 	deadline := time.Now().Add(timeout)
 	var err error
 	for {

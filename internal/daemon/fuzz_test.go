@@ -13,9 +13,9 @@ import (
 
 // TestBatchWireSchemasMirrorPointSchemas is the batch protocol's drift
 // guard, mirroring TestWireParamsCoverMachineParams one level up: the
-// batch request bodies are exactly {items: [<point-wise request>]}, so
+// batch request bodies are exactly {items: [<one-point request>]}, so
 // the existing field-count guard on Params transitively covers them —
-// but only as long as the item types stay the point-wise request types
+// but only as long as the item types stay RunRequest and SearchRequest
 // and nothing grows beside Items without the decoders (and their fuzz
 // corpus) being extended consciously.
 func TestBatchWireSchemasMirrorPointSchemas(t *testing.T) {
@@ -28,7 +28,7 @@ func TestBatchWireSchemasMirrorPointSchemas(t *testing.T) {
 	if bs.NumField() != 1 || bs.Field(0).Type != reflect.TypeOf([]SearchRequest(nil)) {
 		t.Errorf("BatchSearchRequest must be exactly {Items []SearchRequest}; extend the decoders and fuzz seeds before changing it")
 	}
-	// The replies mirror the point-wise replies element-wise too.
+	// The replies carry one SearchResponse per item.
 	if rt := reflect.TypeOf(BatchSearchResponse{}); rt.Field(0).Type != reflect.TypeOf([]SearchResponse(nil)) {
 		t.Errorf("BatchSearchResponse must carry []SearchResponse")
 	}

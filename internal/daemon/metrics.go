@@ -48,7 +48,7 @@ var storeStatsMetrics = map[string]metricSpec{
 var fleetMetricsSpecs = map[string]metricSpec{
 	"Retries":          {"daesim_fleet_retries_total", "point-attempts rerouted after a retryable failure"},
 	"BreakerOpens":     {"daesim_fleet_breaker_opens_total", "circuit-breaker closed/half-open to open transitions"},
-	"Hedges":           {"daesim_fleet_hedges_total", "secondary requests launched by tail-latency hedging"},
+	"Hedges":           {"daesim_fleet_hedges_total", "always 0: the fleet client no longer hedges (kept for schema stability)"},
 	"DrainingReroutes": {"daesim_fleet_draining_reroutes_total", "point-attempts rerouted off a cleanly draining replica"},
 	"Unavailable":      {"daesim_fleet_unavailable_total", "points that exhausted every candidate replica"},
 }

@@ -160,15 +160,16 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, client := newTestServer(t, Config{Store: store, MaxConcurrent: 1})
+	base := client.Clients()[0].BaseURL
 
 	pts := []sweep.Point{
 		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}},
 		{Kind: machine.DM, P: machine.Params{Window: 16, MD: 10}},
 	}
-	if _, err := client.Sweep(context.Background(), testWorkload, 1, pts); err != nil {
+	if _, err := client.RunBatch(context.Background(), testWorkload, 1, "", pts); err != nil {
 		t.Fatal(err)
 	}
-	cold := scrapeMetrics(t, client.BaseURL)
+	cold := scrapeMetrics(t, base)
 	if cold["daesim_runner_sims_total"] == 0 {
 		t.Fatalf("cold scrape: daesim_runner_sims_total = 0, want > 0 (scrape: %v)", cold)
 	}
@@ -182,10 +183,10 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 		t.Fatalf("daesim_requests_admitted_total = %v, stats say %v", got, want)
 	}
 
-	if _, err := client.Sweep(context.Background(), testWorkload, 1, pts); err != nil {
+	if _, err := client.RunBatch(context.Background(), testWorkload, 1, "", pts); err != nil {
 		t.Fatal(err)
 	}
-	warm := scrapeMetrics(t, client.BaseURL)
+	warm := scrapeMetrics(t, base)
 	if warm["daesim_runner_l1_hits_total"] <= cold["daesim_runner_l1_hits_total"] {
 		t.Fatal("warm re-run did not move daesim_runner_l1_hits_total")
 	}
@@ -211,7 +212,7 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	mid := scrapeMetrics(t, client.BaseURL)
+	mid := scrapeMetrics(t, base)
 	if mid["daesim_admission_queue_depth"] < 1 {
 		t.Fatalf("daesim_admission_queue_depth = %v under a saturated semaphore, want >= 1", mid["daesim_admission_queue_depth"])
 	}
@@ -219,7 +220,7 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	final := scrapeMetrics(t, client.BaseURL)
+	final := scrapeMetrics(t, base)
 	if final["daesim_admission_queue_depth"] != 0 {
 		t.Fatalf("daesim_admission_queue_depth = %v after the queue drained, want 0", final["daesim_admission_queue_depth"])
 	}
@@ -295,9 +296,9 @@ func TestMetricsDisabled(t *testing.T) {
 // reader's bare "unexpected EOF".
 func TestDecodeBodyLimitMessage(t *testing.T) {
 	t.Parallel()
-	big := `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}`
-	req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(big))
-	var v RunRequest
+	big := `{"items":[{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}]}`
+	req := httptest.NewRequest("POST", "/v1/batch/run", strings.NewReader(big))
+	var v BatchRunRequest
 	err := decode(req, &v)
 	if err == nil {
 		t.Fatal("oversized body decoded")
@@ -306,7 +307,7 @@ func TestDecodeBodyLimitMessage(t *testing.T) {
 		t.Fatalf("oversized body error = %q, want %q", err, want)
 	}
 	// A small valid body with trailing garbage keeps its own message.
-	req = httptest.NewRequest("POST", "/v1/run", strings.NewReader(`{"workload":"x"}garbage`))
+	req = httptest.NewRequest("POST", "/v1/batch/run", strings.NewReader(`{"items":[{"workload":"x"}]}garbage`))
 	if err := decode(req, &v); err == nil || !strings.Contains(err.Error(), "unexpected data after the JSON body") {
 		t.Fatalf("trailing-garbage error = %v, want the trailing-data message", err)
 	}
@@ -357,6 +358,7 @@ func TestUnavailableErrorWording(t *testing.T) {
 func TestMetricsScrapeConcurrentWithTraffic(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{MaxConcurrent: 2})
+	base := client.Clients()[0].BaseURL
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -369,7 +371,7 @@ func TestMetricsScrapeConcurrentWithTraffic(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < 5; i++ {
-		scrapeMetrics(t, client.BaseURL)
+		scrapeMetrics(t, base)
 	}
 	wg.Wait()
 }

@@ -31,8 +31,8 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
-	// (run/sweep/search); excess requests queue until a slot frees or
-	// their timeout expires. 0 = unlimited.
+	// (batch run and batch search); excess requests queue until a slot
+	// frees or their timeout expires. 0 = unlimited.
 	MaxConcurrent int
 	// RequestTimeout bounds each simulation request end to end, queue
 	// wait included; expired requests get 503. The underlying
@@ -247,18 +247,16 @@ func targetStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// Handler returns the daemon's HTTP handler. Simulation endpoints
-// (run/sweep/search) pass through the concurrency limiter and the
-// per-request timeout; health and cache management stay unthrottled so
-// liveness probes and operators are never starved by a sweep burst.
+// Handler returns the daemon's HTTP handler. The simulation endpoints
+// (batch run and batch search) pass through the concurrency limiter
+// and the per-request timeout; health and cache management stay
+// unthrottled so liveness probes and operators are never starved by a
+// sweep burst.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /v1/cache/stats", s.instrument("cache_stats", http.HandlerFunc(s.handleCacheStats)))
 	mux.Handle("POST /v1/cache/gc", s.instrument("cache_gc", http.HandlerFunc(s.handleCacheGC)))
-	mux.Handle("POST /v1/run", s.instrument("run", s.throttle(s.handleRun)))
-	mux.Handle("POST /v1/sweep", s.instrument("sweep", s.throttle(s.handleSweep)))
-	mux.Handle("POST /v1/search", s.instrument("search", s.throttle(s.handleSearch)))
 	mux.Handle("POST /v1/batch/run", s.instrument("batch_run", s.throttle(s.handleBatchRun)))
 	mux.Handle("POST /v1/batch/search", s.instrument("batch_search", s.throttle(s.handleBatchSearch)))
 	if !s.cfg.DisableMetrics {
@@ -380,62 +378,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad run request: %w", err))
-		return
-	}
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		writeError(w, targetStatus(err), err)
-		return
-	}
-	pt, err := req.Point.Sweep()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := runner.Run(pt)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, RunResponse{Result: res})
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad sweep request: %w", err))
-		return
-	}
-	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: sweep request has no points"))
-		return
-	}
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		writeError(w, targetStatus(err), err)
-		return
-	}
-	pts := make([]sweep.Point, len(req.Points))
-	for i, wp := range req.Points {
-		if pts[i], err = wp.Sweep(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: point %d: %w", i, err))
-			return
-		}
-	}
-	start := time.Now()
-	results, err := runner.RunAll(pts)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.logf("sweep %s scale=%d: %d points in %s", req.Workload, req.Scale, len(pts), time.Since(start).Round(time.Millisecond))
-	writeJSON(w, SweepResponse{Results: results})
-}
-
 // prepSearch validates one search request: it resolves the runner and
 // decodes the params, refusing malformed ops before anything simulates.
 // A non-nil error carries the HTTP status to refuse with.
@@ -485,25 +427,6 @@ func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest, searc
 		resp.Window, resp.OK, err = search.Crossover(p, req.Windows)
 	}
 	return resp, err
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad search request: %w", err))
-		return
-	}
-	runner, p, status, err := s.prepSearch(req)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	resp, err := execSearch(runner, p, req, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 // checkBatchSize refuses empty and oversized batches with 400.

@@ -45,9 +45,9 @@ type Context struct {
 	// to that workload, the context's scale, and the local suite's
 	// content fingerprint (so a daemon built from different workload or
 	// engine code refuses instead of answering with skewed results).
-	// internal/daemon.Client.Run has this signature, so attaching a
-	// daemon client routes every cacheable simulation through a running
-	// sweepd (repro -remote; DESIGN.md §10). Detached runners built
+	// internal/daemon.FleetClient.Run has this signature, so attaching a
+	// fleet client routes every cacheable simulation through running
+	// sweepd replicas (repro -remote; DESIGN.md §10-11). Detached runners built
 	// outside the per-workload cache (the policy study's non-default
 	// partitions) still simulate locally. Set it before the first
 	// experiment runs.
@@ -55,10 +55,10 @@ type Context struct {
 	// RemoteBatch, when non-nil, executes whole point sets remotely in
 	// one call — it becomes each workload runner's RemoteBatch hook, so
 	// figure sweeps and search probe waves travel as one request per
-	// fleet replica instead of one per point (daemon.Client.RunBatch and
-	// daemon.FleetClient.RunBatch have this signature; repro -remote
-	// attaches it alongside Remote unless -remote-batch=false). Set it
-	// before the first experiment runs.
+	// fleet replica instead of one per point
+	// (daemon.FleetClient.RunBatch has this signature; repro -remote
+	// attaches it alongside Remote). Set it before the first experiment
+	// runs.
 	RemoteBatch func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error)
 	// RemoteSearch, when non-nil, executes a whole curve of
 	// equivalent-window ratio searches (the unit of Figures 7-9)
@@ -67,9 +67,8 @@ type Context struct {
 	// probe path is a fixed function of its inputs (metrics.Search), not
 	// of where it executes — but a server-side curve is one round trip
 	// where even a batched local search needs several per ratio point.
-	// daemon.Client.RatioBatch and daemon.FleetClient.RatioBatch have
-	// this signature (repro -remote attaches it unless
-	// -remote-batch=false). Set it before the first experiment runs.
+	// daemon.FleetClient.RatioBatch has this signature (repro -remote
+	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
 	// Degrade, when set, arms every runner's last-resort fallback: a
 	// Remote/RemoteBatch call failing with sweep.ErrUnavailable (every

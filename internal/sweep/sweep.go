@@ -111,8 +111,8 @@ type Runner struct {
 	// in-memory map and the simulator. Set it before the first Run.
 	Store *Store
 	// Remote, when non-nil, executes cacheable points that miss the local
-	// layers — typically a daemon client (internal/daemon.Client.Run bound
-	// to a workload), so a sweep runs against a long-lived sweepd's shared
+	// layers — typically a daemon fleet client
+	// (internal/daemon.FleetClient.Run bound to a workload), so a sweep runs against a long-lived sweepd's shared
 	// cache instead of simulating locally. Remote results are installed
 	// into the local Store (when attached) like any fill. A Remote error
 	// fails the point: a misconfigured or unreachable daemon should

@@ -149,7 +149,7 @@ func FigureNames() []string { return []string{"FLO52Q", "MDG", "TRACK"} }
 // canonicalized here, so every spelling of a spec resolves to one
 // workload identity. The unknown-name error enumerates the catalog in
 // Names() order — the same order repro -list prints and the daemon's
-// /v1/run validation errors surface — so every user-facing enumeration
+// /v1/batch/run validation errors surface — so every user-facing enumeration
 // of the registry agrees.
 func Lookup(name string) (Spec, error) {
 	if rest, ok := strings.CutPrefix(name, workgen.Prefix); ok {
