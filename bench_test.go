@@ -198,14 +198,19 @@ func BenchmarkFigure5(b *testing.B) { benchFigure(b, "MDG") }
 // BenchmarkFigure6 regenerates Figure 6 (TRACK speedup vs window).
 func BenchmarkFigure6(b *testing.B) { benchFigure(b, "TRACK") }
 
+// benchRatioFigure also reports the simulations one figure costs
+// (sims/op): the count is deterministic, so it tracks the search's probe
+// path beside the timing.
 func benchRatioFigure(b *testing.B, workload string) {
 	var ratio float64
+	var sims int64
 	for i := 0; i < b.N; i++ {
 		ctx := experiments.NewContext()
 		res, err := ctx.RatioFigure(workload)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sims += ctx.CacheStats().Sims
 		md60 := res.Series[len(res.Series)-1]
 		// Ratio at the realistic DM window of 60 slots.
 		for j, x := range md60.X {
@@ -215,6 +220,7 @@ func benchRatioFigure(b *testing.B, workload string) {
 		}
 	}
 	b.ReportMetric(ratio, "ratio@w60,md60")
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }
 
 // BenchmarkFigure7 regenerates Figure 7 (FLO52Q equivalent window ratio)
@@ -244,13 +250,17 @@ func BenchmarkAblationSplit(b *testing.B) {
 // BenchmarkEquivalentWindowSearch measures one Figure 7-9 search step:
 // finding the SWSM window matching a DM configuration. A fresh Runner
 // per iteration keeps the measurement honest: nothing is memoized across
-// iterations, so the number reflects a full cold search.
+// iterations, so the number reflects a full cold search. sims/op is the
+// probes the search simulated.
 func BenchmarkEquivalentWindowSearch(b *testing.B) {
 	flo, _ := suites(b)
+	var sims int64
 	for i := 0; i < b.N; i++ {
 		r := daesim.NewRunner(flo)
 		if _, _, err := daesim.EquivalentWindowRatio(r, daesim.Params{Window: 50, MD: 60}); err != nil {
 			b.Fatal(err)
 		}
+		sims += r.Stats().Sims
 	}
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }

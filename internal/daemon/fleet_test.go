@@ -1,8 +1,8 @@
 package daemon
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"

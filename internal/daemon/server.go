@@ -521,8 +521,8 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	// Search, and all probes coalesce in the runners' caches. The pool
 	// budget is split between the two layers — par concurrent searches,
 	// each with a slice of the pool for its probe waves (slightly
-	// overcommitted, like experiments.RatioFigure) — so one batch never
-	// multiplies into Parallelism² simulation workers.
+	// overcommitted) — so one batch never multiplies into Parallelism²
+	// simulation workers.
 	pool := s.cfg.Parallelism
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)

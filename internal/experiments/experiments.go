@@ -393,92 +393,85 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}
-	res.Series = make([]sweep.Series, len(RatioMDs))
+	// answers[mi][wi] is the search answer at RatioMDs[mi], RatioWindows[wi].
+	answers := make([][]RatioAnswer, len(RatioMDs))
+	for mi := range answers {
+		answers[mi] = make([]RatioAnswer, len(RatioWindows))
+	}
+	ratioAt := func(search *metrics.Search, mi, wi int) error {
+		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: RatioWindows[wi], MD: RatioMDs[mi]})
+		answers[mi][wi] = RatioAnswer{Ratio: ratio, OK: ok}
+		return err
+	}
 	par := c.par()
-	var mu sync.Mutex // guards res.Saturated
-	// localCurve measures one MD curve through the local search path.
-	// Every probe routes through the shared Runner, so curves share
-	// memoized DM anchors and SWSM probes with each other and with
-	// other sweeps. Each curve's probe fan-out gets a slice of the
-	// pool; the division overcommits slightly (searches spend time
-	// between waves) rather than letting finished curves idle the pool.
-	searchPar := 2 * par / len(RatioMDs)
-	if searchPar < 1 {
-		searchPar = 1
-	}
-	localCurve := func(mi int) error {
-		md := RatioMDs[mi]
-		search := metrics.NewSearch(r)
-		search.Parallelism = searchPar
-		s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
-		for _, w := range RatioWindows {
-			ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: w, MD: md})
-			if err != nil {
-				return err
-			}
-			if !ok {
-				mu.Lock()
-				res.Saturated[md] = append(res.Saturated[md], w)
-				mu.Unlock()
-				continue
-			}
-			s.X = append(s.X, float64(w))
-			s.Y = append(s.Y, ratio)
-		}
-		res.Series[mi] = s
-		return nil
-	}
-	// With a remote search service attached, each MD curve travels as
-	// one server-side batch: the daemon runs the same deterministic
-	// searches over its own shared cache, so a whole figure costs a few
-	// round trips instead of one per probe wave — and the values are
-	// identical to the local path by construction. A curve whose owners
-	// are all unavailable falls back to localCurve wholesale when
-	// Degrade is set: the probes then flow through the runner, whose
-	// own Degrade fallback absorbs any remaining point-level outage.
 	if c.RemoteSearch != nil {
+		// With a remote search service attached, each MD curve travels
+		// as one server-side batch: the daemon runs the same
+		// deterministic searches over its own shared cache, so a whole
+		// figure costs a few round trips instead of one per probe wave —
+		// and the values are identical to the local path by
+		// construction. A curve whose owners are all unavailable is
+		// searched locally when Degrade is set: the probes then flow
+		// through the runner, whose own Degrade fallback absorbs any
+		// remaining point-level outage.
 		fp := r.Suite.Fingerprint()
-		if err := forEach(par, len(RatioMDs), func(mi int) error {
-			md := RatioMDs[mi]
+		err = forEach(par, len(RatioMDs), func(mi int) error {
 			params := make([]machine.Params, len(RatioWindows))
 			for wi, w := range RatioWindows {
-				params[wi] = machine.Params{Window: w, MD: md}
+				params[wi] = machine.Params{Window: w, MD: RatioMDs[mi]}
 			}
-			answers, err := c.RemoteSearch(name, c.Scale, fp, params)
+			got, err := c.RemoteSearch(name, c.Scale, fp, params)
 			if err != nil {
-				if c.Degrade && errors.Is(err, sweep.ErrUnavailable) {
-					return localCurve(mi)
+				if !c.Degrade || !errors.Is(err, sweep.ErrUnavailable) {
+					return err
 				}
-				return err
-			}
-			if len(answers) != len(params) {
-				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(answers), len(params))
-			}
-			s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
-			for wi, a := range answers {
-				if !a.OK {
-					mu.Lock()
-					res.Saturated[md] = append(res.Saturated[md], RatioWindows[wi])
-					mu.Unlock()
-					continue
+				search := metrics.NewSearch(r)
+				for wi := range RatioWindows {
+					if err := ratioAt(search, mi, wi); err != nil {
+						return err
+					}
 				}
-				s.X = append(s.X, float64(RatioWindows[wi]))
-				s.Y = append(s.Y, a.Ratio)
+				return nil
 			}
-			res.Series[mi] = s
+			if len(got) != len(params) {
+				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
+			}
+			copy(answers[mi], got)
 			c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return res, nil
+		})
+	} else {
+		// Every (MD, window) point is an independent search, so the
+		// pool schedules points, not curves, and no worker idles while
+		// another finishes a long curve. Each worker keeps one warm
+		// Search (not safe for concurrent use) probing one point at a
+		// time, so each wave stops at its first target-meeting probe.
+		// Every probe routes through the shared Runner, so curves still
+		// share memoized results with each other and with other sweeps.
+		searches := make([]*metrics.Search, par)
+		err = forEachWorker(par, len(RatioMDs)*len(RatioWindows), func(worker, i int) error {
+			if searches[worker] == nil {
+				searches[worker] = metrics.NewSearch(r)
+				searches[worker].Parallelism = 1
+			}
+			return ratioAt(searches[worker], i/len(RatioWindows), i%len(RatioWindows))
+		})
 	}
-	// The MD curves are independent, so they fan out across the pool:
-	// one goroutine and one Search per curve (a Search parallelizes
-	// internally but is not safe for concurrent use).
-	if err := forEach(par, len(RatioMDs), localCurve); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}
+	for mi, md := range RatioMDs {
+		s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
+		for wi, a := range answers[mi] {
+			if !a.OK {
+				res.Saturated[md] = append(res.Saturated[md], RatioWindows[wi])
+				continue
+			}
+			s.X = append(s.X, float64(RatioWindows[wi]))
+			s.Y = append(s.Y, a.Ratio)
+		}
+		res.Series = append(res.Series, s)
 	}
 	return res, nil
 }
@@ -506,33 +499,36 @@ type CutoffResult struct {
 	Rows    []CutoffRow
 }
 
-// Cutoffs locates the MD=0 crossover window for every workload.
+// Cutoffs locates the MD=0 crossover window for every workload. The
+// workloads fan out across the pool; each scans its windows in order and
+// stops at its crossover.
 func (c *Context) Cutoffs() (*CutoffResult, error) {
 	windows := sweep.Windows(4, 128, 4)
-	res := &CutoffResult{Windows: windows}
-	for _, spec := range workloads.Catalog() {
-		r, err := c.Runner(spec.Name)
+	specs := workloads.Catalog()
+	res := &CutoffResult{Windows: windows, Rows: make([]CutoffRow, len(specs))}
+	if err := forEach(c.par(), len(specs), func(i int) error {
+		r, err := c.Runner(specs[i].Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := CutoffRow{Name: spec.Name}
-		for _, w := range windows {
-			dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: MDZero}})
-			if err != nil {
-				return nil, err
-			}
-			sw, err := r.Run(sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: w, MD: MDZero}})
-			if err != nil {
-				return nil, err
-			}
-			if sw.Cycles <= dm.Cycles {
-				row.Window, row.Found = w, true
-				break
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		w, found, err := metrics.NewSearch(r).Crossover(machine.Params{MD: MDZero}, windows)
+		res.Rows[i] = CutoffRow{Name: specs[i].Name, Window: w, Found: found}
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// runAll runs one workload's points as one Runner.RunAll: they fan out
+// across the runner's pool (or travel as one RemoteBatch call) and come
+// back in order.
+func (c *Context) runAll(name string, pts []sweep.Point) ([]*engine.Result, error) {
+	r, err := c.Runner(name)
+	if err != nil {
+		return nil, err
+	}
+	return r.RunAll(pts)
 }
 
 // BigWindowRow compares the machines at one large window.
@@ -553,21 +549,19 @@ type BigWindowResult struct {
 // BigWindow compares DM and SWSM at large windows and MD=60.
 func (c *Context) BigWindow() (*BigWindowResult, error) {
 	res := &BigWindowResult{MD: MDFull}
+	windows := []int{256, 512, 1000}
 	for _, name := range workloads.FigureNames() {
-		r, err := c.Runner(name)
+		pts := make([]sweep.Point, 0, 2*len(windows))
+		for _, w := range windows {
+			p := machine.Params{Window: w, MD: MDFull}
+			pts = append(pts, sweep.Point{Kind: machine.DM, P: p}, sweep.Point{Kind: machine.SWSM, P: p})
+		}
+		results, err := c.runAll(name, pts)
 		if err != nil {
 			return nil, err
 		}
-		for _, w := range []int{256, 512, 1000} {
-			dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: MDFull}})
-			if err != nil {
-				return nil, err
-			}
-			sw, err := r.Run(sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: w, MD: MDFull}})
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, BigWindowRow{Name: name, Window: w, DMCycles: dm.Cycles, SWCycles: sw.Cycles})
+		for i, w := range windows {
+			res.Rows = append(res.Rows, BigWindowRow{Name: name, Window: w, DMCycles: results[2*i].Cycles, SWCycles: results[2*i+1].Cycles})
 		}
 	}
 	return res, nil
@@ -596,27 +590,25 @@ type ESWResult struct {
 // to pure rate imbalance and stops measuring latency-driven slippage).
 func (c *Context) ESWStudy() (*ESWResult, error) {
 	res := &ESWResult{}
-	sim := engine.NewSim()
 	for _, name := range workloads.FigureNames() {
-		r, err := c.Runner(name)
+		// Through the runner: CollectESW is part of the cache key, so
+		// ESW points persist like any other.
+		var pts []sweep.Point
+		for _, w := range []int{16, 64} {
+			for _, md := range []int{10, 30, MDFull} {
+				pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: md, CollectESW: true}})
+			}
+		}
+		results, err := c.runAll(name, pts)
 		if err != nil {
 			return nil, err
 		}
-		for _, w := range []int{16, 64} {
-			for _, md := range []int{10, 30, MDFull} {
-				// Through the runner: CollectESW is part of the cache
-				// key, so ESW points persist like any other.
-				p := machine.Params{Window: w, MD: md, CollectESW: true}
-				rr, err := r.RunWith(sim, sweep.Point{Kind: machine.DM, P: p})
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = append(res.Rows, ESWRow{
-					Name: name, Window: w, MD: md,
-					MaxESW: rr.MaxESW, AvgESW: rr.AvgESW,
-					MaxSlip: rr.MaxSlip, AvgSlip: rr.AvgSlip,
-				})
-			}
+		for i, rr := range results {
+			res.Rows = append(res.Rows, ESWRow{
+				Name: name, Window: pts[i].P.Window, MD: pts[i].P.MD,
+				MaxESW: rr.MaxESW, AvgESW: rr.AvgESW,
+				MaxSlip: rr.MaxSlip, AvgSlip: rr.AvgSlip,
+			})
 		}
 	}
 	return res, nil

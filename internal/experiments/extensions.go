@@ -190,25 +190,24 @@ type RetireResult struct {
 func (c *Context) RetireStudy() (*RetireResult, error) {
 	res := &RetireResult{MD: ablationMD}
 	for _, name := range workloads.FigureNames() {
-		r, err := c.Runner(name)
+		// Each configuration is a (free-at-complete, in-order) point pair.
+		var pts []sweep.Point
+		for _, kind := range []machine.Kind{machine.DM, machine.SWSM} {
+			for _, w := range []int{64, 256, 1000} {
+				for _, ret := range []machine.RetirePolicy{machine.RetireAtComplete, machine.RetireInOrder} {
+					pts = append(pts, sweep.Point{Kind: kind, P: machine.Params{Window: w, MD: ablationMD, Retire: ret}})
+				}
+			}
+		}
+		results, err := c.runAll(name, pts)
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range []machine.Kind{machine.DM, machine.SWSM} {
-			for _, w := range []int{64, 256, 1000} {
-				def, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: w, MD: ablationMD, Retire: machine.RetireAtComplete}})
-				if err != nil {
-					return nil, err
-				}
-				rob, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: w, MD: ablationMD, Retire: machine.RetireInOrder}})
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = append(res.Rows, RetireRow{
-					Name: name, Kind: kind, Window: w,
-					Complete: def.Cycles, InOrder: rob.Cycles,
-				})
-			}
+		for i := 0; i < len(pts); i += 2 {
+			res.Rows = append(res.Rows, RetireRow{
+				Name: name, Kind: pts[i].Kind, Window: pts[i].P.Window,
+				Complete: results[i].Cycles, InOrder: results[i+1].Cycles,
+			})
 		}
 	}
 	return res, nil

@@ -142,19 +142,22 @@ func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err e
 // memoized by the Runner, so overlapping sweeps (WindowSweep curves, the
 // other MD curves of a ratio figure) share results.
 //
-// The search is speculative and wave-structured: the exponential
-// bracket ladder is evaluated as one wave, then each refinement layer
-// probes kSectionWidth interior points at once (k-section), trading
-// redundant simulations for wall-clock depth. The wave contents are a
-// pure function of the hint and the probe results — never of
-// Parallelism, GOMAXPROCS, or where the probes execute — so a search
-// returns the same window on a laptop, a CI runner, and a sweepd fleet
-// (TestSearchDeterministicAcrossParallelism), and byte-identity between
-// local and remote reproductions is structural rather than lucky.
-// Parallelism only chooses how a wave is executed: fanned across
-// per-goroutine scratches, serially on one, or — when the Runner has a
-// RemoteBatch hook — as a single batched round trip per wave, which is
-// what collapses a remote search's request count (DESIGN.md §11).
+// The search is wave-structured: the exponential bracket ladder is
+// climbed in stages of ladderStage rungs, then each refinement layer
+// probes kSectionWidth interior points (k-section). The wave contents
+// are a pure function of the hint and the probe results — never of
+// Parallelism, GOMAXPROCS, or where the probes execute — and every wave
+// is read for one thing only: its first probe meeting the target. So a
+// search returns the same window on a laptop, a CI runner, and a sweepd
+// fleet (TestSearchDeterministicAcrossParallelism), and byte-identity
+// between local and remote reproductions is structural rather than
+// lucky. Parallelism chooses how a wave is executed and how much of it
+// runs. Locally a wave is evaluated in order, in chunks of Parallelism
+// points fanned across per-goroutine scratches, and stops after the
+// first chunk holding a probe that meets the target: the probes after
+// it could not change the answer. With a RemoteBatch hook on the Runner
+// a whole wave travels as one batched round trip, which is what
+// collapses a remote search's request count (DESIGN.md §11).
 // Points carrying a custom Params.Mem fall back to a serial adaptive
 // path: stateful memory models are not safe to probe concurrently (or
 // remotely).
@@ -181,7 +184,7 @@ func (s *Search) par() int {
 	if s.Runner != nil && s.Runner.Parallelism > 0 {
 		return s.Runner.Parallelism
 	}
-	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; the wave ladder places every probe by step index
+	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; wave contents and the first target-meeting probe fix every answer
 }
 
 // sim returns the i'th warm scratch context, growing the pool on demand.
@@ -203,72 +206,88 @@ func (s *Search) probe(sim *engine.Sim, p machine.Params, w int) (int64, error) 
 	return r.Cycles, nil
 }
 
-// evalWave evaluates one wave of points. The wave's results do not
-// depend on the execution strategy: a batched remote round trip when
-// the Runner has one, else a fan across the worker pool (each worker
-// owning one scratch context), else a serial loop.
-func (s *Search) evalWave(pts []sweep.Point) ([]int64, error) {
-	times := make([]int64, len(pts))
-	if s.Runner.RemoteBatch != nil {
-		results, err := s.Runner.RunBatch(pts)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			times[i] = r.Cycles
-		}
-		return times, nil
-	}
-	par := s.par()
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par <= 1 {
-		sim := s.sim(0)
-		for i, pt := range pts {
-			r, err := s.Runner.RunWith(sim, pt)
-			if err != nil {
-				return nil, err
-			}
-			times[i] = r.Cycles
-		}
-		return times, nil
-	}
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		sim := s.sim(g)
-		wg.Add(1)
-		go func(g int, sim *engine.Sim) {
-			defer wg.Done()
-			for i := g; i < len(pts); i += par {
-				r, err := s.Runner.RunWith(sim, pts[i])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				times[i] = r.Cycles
-			}
-		}(g, sim)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return times, nil
-}
-
-// evalBatch evaluates the SWSM time at every window in ws as one wave.
-func (s *Search) evalBatch(p machine.Params, ws []int) ([]int64, error) {
+// evalWave evaluates the SWSM at the windows of one wave and returns
+// the times of an evaluated prefix of it: the prefix ends within
+// Parallelism points after the first probe meeting the target, or is
+// the whole wave when none does. Every caller reads only that first
+// meeting probe, so the prefix carries the wave's whole answer, and the
+// answer does not depend on the execution strategy. A Runner with a
+// RemoteBatch hook evaluates the whole wave in one batched round trip.
+func (s *Search) evalWave(p machine.Params, ws []int, target int64) ([]int64, error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
 		q := p
 		q.Window = w
 		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	return s.evalWave(pts)
+	if s.Runner.RemoteBatch != nil {
+		return s.runBatch(pts)
+	}
+	par := s.par()
+	times := make([]int64, len(pts))
+	for lo := 0; lo < len(pts); lo += par {
+		hi := lo + par
+		if hi > len(pts) {
+			hi = len(pts)
+		}
+		if err := s.evalChunk(pts[lo:hi], times[lo:hi]); err != nil {
+			return nil, err
+		}
+		for _, t := range times[lo:hi] {
+			if t <= target {
+				return times[:hi], nil
+			}
+		}
+	}
+	return times, nil
+}
+
+// evalChunk simulates pts into times, one scratch context per point,
+// fanned across goroutines when there is more than one point.
+func (s *Search) evalChunk(pts []sweep.Point, times []int64) error {
+	if len(pts) == 1 {
+		r, err := s.Runner.RunWith(s.sim(0), pts[0])
+		if err != nil {
+			return err
+		}
+		times[0] = r.Cycles
+		return nil
+	}
+	errs := make([]error, len(pts))
+	var wg sync.WaitGroup
+	for i := range pts {
+		sim := s.sim(i)
+		wg.Add(1)
+		go func(i int, sim *engine.Sim) {
+			defer wg.Done()
+			r, err := s.Runner.RunWith(sim, pts[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			times[i] = r.Cycles
+		}(i, sim)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runBatch evaluates every point through the Runner's batched path.
+func (s *Search) runBatch(pts []sweep.Point) ([]int64, error) {
+	results, err := s.Runner.RunBatch(pts)
+	if err != nil {
+		return nil, err
+	}
+	times := make([]int64, len(results))
+	for i, r := range results {
+		times[i] = r.Cycles
+	}
+	return times, nil
 }
 
 // EquivalentWindow returns the smallest SWSM window (running the suite
@@ -292,16 +311,7 @@ func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, o
 		sim := s.sim(0)
 		return searchFrom(func(w int) (int64, error) { return s.probe(sim, p, w) }, target, hint)
 	}
-	ladder := ladderWindows(hint)
-	end := ladderStage
-	if end > len(ladder) {
-		end = len(ladder)
-	}
-	times, err := s.evalBatch(p, ladder[:end])
-	if err != nil {
-		return 0, false, err
-	}
-	return s.ladderSearch(p, target, ladder, times)
+	return s.ladderSearch(p, target, ladderWindows(hint), nil)
 }
 
 // kSectionWidth is the interior-probe count of each refinement wave.
@@ -309,9 +319,10 @@ func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, o
 // wave contents define the search's answer path, and that path must be
 // identical everywhere for local, remote, and differently-sized hosts
 // to agree bit-for-bit on figure values. 4 shrinks a bracket 5x per
-// wave — 2-3 waves for figure-scale brackets — while keeping the
-// redundant-probe overhead on serial hosts within ~20% of the old
-// adaptive search (measured on repro -exp all).
+// wave, 2-3 waves for figure-scale brackets. A local serial search
+// stops each wave at its first target-meeting probe, so the width costs
+// it nothing beyond the probes it reads; only a batched remote wave
+// simulates all 4.
 const kSectionWidth = 4
 
 // clampHint bounds a bracket hint to [1, MaxEquivalentWindow].
@@ -363,7 +374,7 @@ func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, time
 		if end > len(ladder) {
 			end = len(ladder)
 		}
-		chunk, err := s.evalBatch(p, ladder[len(times):end])
+		chunk, err := s.evalWave(p, ladder[len(times):end], target)
 		if err != nil {
 			return 0, false, err
 		}
@@ -407,7 +418,7 @@ func (s *Search) refine(p machine.Params, target int64, ladder []int, times []in
 		if len(xs) == 0 {
 			xs = append(xs, lo+span/2)
 		}
-		times, err := s.evalBatch(p, xs)
+		times, err := s.evalWave(p, xs, target)
 		if err != nil {
 			return 0, false, err
 		}
@@ -443,23 +454,31 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 	if p.Window <= 0 {
 		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
 	}
-	if p.Mem != nil {
+	var w int
+	if p.Mem != nil || s.Runner.RemoteBatch == nil {
+		// Locally the DM anchor resolves first: its time is the target
+		// every ladder wave stops on.
 		dm, err := s.Runner.RunWith(s.sim(0), sweep.Point{Kind: machine.DM, P: p})
 		if err != nil {
 			return 0, false, err
 		}
-		w, ok, err := s.EquivalentWindow(p, dm.Cycles)
-		if err != nil {
-			return 0, false, err
-		}
-		return float64(w) / float64(p.Window), ok, nil
+		w, ok, err = s.EquivalentWindow(p, dm.Cycles)
+	} else {
+		w, ok, err = s.remoteRatio(p)
 	}
-	// The DM anchor rides in the first wave with the first ladder stage:
-	// the ladder's contents depend only on the hint, not on the target,
-	// so nothing forces the anchor to resolve first — and folding it in
-	// saves a remote search one full round trip per ratio point.
-	hint := clampHint(p.Window)
-	ladder := ladderWindows(hint)
+	if err != nil {
+		return 0, false, err
+	}
+	return float64(w) / float64(p.Window), ok, nil
+}
+
+// remoteRatio is the batched ratio search. The DM anchor rides in the
+// first wave with the first ladder stage: the ladder's contents depend
+// only on the hint, not on the target, so nothing forces the anchor to
+// resolve first — and folding it in saves a remote search one full
+// round trip per ratio point.
+func (s *Search) remoteRatio(p machine.Params) (window int, ok bool, err error) {
+	ladder := ladderWindows(clampHint(p.Window))
 	end := ladderStage
 	if end > len(ladder) {
 		end = len(ladder)
@@ -471,15 +490,11 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 		q.Window = w
 		pts = append(pts, sweep.Point{Kind: machine.SWSM, P: q})
 	}
-	times, err := s.evalWave(pts)
+	times, err := s.runBatch(pts)
 	if err != nil {
 		return 0, false, err
 	}
-	w, ok, err := s.ladderSearch(p, times[0], ladder, times[1:])
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(w) / float64(p.Window), ok, nil
+	return s.ladderSearch(p, times[0], ladder, times[1:])
 }
 
 // Crossover returns the smallest window in windows (ascending) at which

@@ -337,3 +337,80 @@ func TestCrossover(t *testing.T) {
 		t.Fatalf("crossover %d outside sweep", w)
 	}
 }
+
+// TestInOrderWavesKeepAnswersAndSaveProbes: a local search evaluates
+// each wave in order, Parallelism points at a time, and stops at the
+// first probe meeting the target. The reference is a runner whose
+// RemoteBatch hook evaluates whole waves. Over every Figure 7
+// (MD, window) point of the small suite, both the window and the ratio
+// search must give the reference's answer at every Parallelism, and
+// never simulate more probes than it.
+func TestInOrderWavesKeepAnswersAndSaveProbes(t *testing.T) {
+	s := smallSuite(t)
+	type answer struct {
+		w     int
+		ratio float64
+		ok    bool
+	}
+	searches := []struct {
+		name string
+		run  func(search *Search, p machine.Params, target int64) (answer, error)
+	}{
+		{"EquivalentWindow", func(search *Search, p machine.Params, target int64) (answer, error) {
+			w, ok, err := search.EquivalentWindow(p, target)
+			return answer{w: w, ok: ok}, err
+		}},
+		{"EquivalentWindowRatio", func(search *Search, p machine.Params, _ int64) (answer, error) {
+			ratio, ok, err := search.EquivalentWindowRatio(p)
+			return answer{ratio: ratio, ok: ok}, err
+		}},
+	}
+	// Points where the serial search must simulate strictly fewer
+	// probes: some of their waves meet the target before the last probe
+	// (whole waves 12 and 18 probes per ratio search, serial 8 and 13).
+	named := map[machine.Params]bool{{Window: 10, MD: 0}: true, {Window: 50, MD: 60}: true}
+	var whole, serial int64
+	for _, md := range []int{0, 10, 20, 30, 40, 50, 60} {
+		for w := 10; w <= 100; w += 10 {
+			p := machine.Params{Window: w, MD: md}
+			dm, err := s.RunDM(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sr := range searches {
+				exec := sweep.NewRunner(s)
+				batched := sweep.NewRunner(s)
+				batched.RemoteBatch = exec.RunAll
+				want, err := sr.run(NewSearch(batched), p, dm.Cycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSims := exec.Stats().Sims
+				whole += wantSims
+				for _, par := range []int{1, 2, 4, 9} {
+					local := sweep.NewRunner(s)
+					search := NewSearch(local)
+					search.Parallelism = par
+					got, err := sr.run(search, p, dm.Cycles)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s md=%d w=%d par=%d: %+v, whole-wave search gave %+v", sr.name, md, w, par, got, want)
+					}
+					sims := local.Stats().Sims
+					if sims > wantSims {
+						t.Errorf("%s md=%d w=%d par=%d: %d probes simulated, whole-wave search needed %d", sr.name, md, w, par, sims, wantSims)
+					}
+					if par == 1 {
+						serial += sims
+						if named[p] && sims >= wantSims {
+							t.Errorf("%s md=%d w=%d: serial search simulated %d probes, want fewer than the whole-wave %d", sr.name, md, w, sims, wantSims)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("probes simulated: whole waves %d, serial in-order %d", whole, serial)
+}
