@@ -147,8 +147,8 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkPolicyStudy regenerates the partition-policy study (P1) on a
 // fresh Context over a persistent store filled before the timer starts,
 // the warm path of repro -exp all: what it times is building the seven
-// workloads, lowering them under each policy, fingerprinting the suites
-// and reading the stored points back. A pass that simulates anything
+// workloads, lowering them under each policy, keying the suites and
+// reading the stored points back. A pass that simulates anything
 // fails the benchmark.
 func BenchmarkPolicyStudy(b *testing.B) {
 	store, err := sweep.OpenStore(b.TempDir())

@@ -11,7 +11,7 @@
 //	go run ./cmd/daelint -tests ./...               include _test.go files
 //	go run ./cmd/daelint -only determinism ./...    run a subset
 //	go run ./cmd/daelint -json ./...                machine-readable findings
-//	go run ./cmd/daelint -update-semantics ./...    regenerate semantics.lock
+//	go run ./cmd/daelint -update-semantics ./...    regenerate semantics.lock and lower.lock
 //
 // Exit status is 1 when any finding survives, 2 on usage or load errors.
 package main
@@ -29,7 +29,7 @@ import (
 func main() {
 	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	only := flag.String("only", "", "comma-separated analyzer subset (determinism,schemaguard,hotpath,versionkey,lockguard,ctxflow,errclass)")
-	update := flag.Bool("update-semantics", false, "regenerate the versionkey semantics lock instead of linting")
+	update := flag.Bool("update-semantics", false, "regenerate the versionkey locks (semantics.lock, lower.lock) instead of linting")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message/directive)")
 	flag.Usage = func() {
@@ -42,11 +42,15 @@ func main() {
 		lint.NewDeterminism(lint.DeterminismConfig{Paths: lint.DefaultDeterminismPaths}),
 		lint.NewSchemaGuard(lint.DefaultSchemaConfig),
 		lint.NewHotpath(),
-		lint.NewVersionKey(lint.DefaultVersionKeyConfig),
+	}
+	for _, cfg := range lint.VersionKeyConfigs {
+		analyzers = append(analyzers, lint.NewVersionKey(cfg))
+	}
+	analyzers = append(analyzers,
 		lint.NewLockguard(lint.LockguardConfig{Paths: lint.DefaultConcurrencyPaths}),
 		lint.NewCtxflow(lint.CtxflowConfig{Paths: lint.DefaultConcurrencyPaths}),
 		lint.NewErrclass(lint.DefaultErrclassConfig),
-	}
+	)
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -69,12 +73,14 @@ func main() {
 	w.IncludeTests = *tests
 
 	if *update {
-		path, err := lint.WriteSemanticsLock(w, lint.DefaultVersionKeyConfig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		for _, cfg := range lint.VersionKeyConfigs {
+			path, err := lint.WriteSemanticsLock(w, cfg)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			fmt.Printf("daelint: wrote %s\n", path)
 		}
-		fmt.Printf("daelint: wrote %s\n", path)
 		return
 	}
 
@@ -87,8 +93,10 @@ func main() {
 		for _, a := range analyzers {
 			if keep[a.Name] {
 				sel = append(sel, a)
-				delete(keep, a.Name)
 			}
+		}
+		for _, a := range sel {
+			delete(keep, a.Name)
 		}
 		for name := range keep {
 			fmt.Fprintf(os.Stderr, "daelint: unknown analyzer %q\n", name)

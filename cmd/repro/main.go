@@ -16,13 +16,13 @@
 // generated "spec:..." workload (internal/workgen), so the whole
 // generator space sweeps through the same figure machinery, local or
 // -remote (generated workloads travel by name; the daemon regenerates
-// them and the content fingerprint proves both sides agree). -list
+// them and the suite's source key proves both sides agree). -list
 // prints the workload registry in its canonical enumeration order and
 // exits.
 //
 // With -cache, simulation results are read from and written to a
-// persistent on-disk store keyed by engine version, workload content and
-// parameters, so a re-run (or an overlapping experiment) skips every
+// persistent on-disk store keyed by engine version, the suite's source
+// key (lowering version, trace and partition) and parameters, so a re-run (or an overlapping experiment) skips every
 // point it has seen before; -cache-clear empties the store first,
 // -cache-gc trims it after the run to the given bounds (e.g.
 // "max-entries=5000,max-bytes=256mb,max-age=168h", LRU by access time;

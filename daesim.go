@@ -176,7 +176,8 @@ func DefaultTiming(md int) Timing { return isa.DefaultTiming(md) }
 // and crossover searches against a Runner on a warm scratch pool. A
 // Store adds a persistent on-disk layer behind a Runner's in-memory
 // cache: results survive process restarts, keyed by engine version,
-// workload content fingerprint and canonical parameters, so re-runs skip
+// suite source key (lowering version, trace and partition) and
+// canonical parameters, so re-runs skip
 // every point they have seen before (DESIGN.md §9), and Store.GC keeps
 // it bounded (GCPolicy). A DaemonFleet serves the same sweeps from one
 // or more long-lived sweepd processes instead of simulating locally

@@ -156,13 +156,13 @@ func ParsePolicy(s string) (partition.Policy, error) {
 //
 // EngineVersion and Fingerprint, when set, make the daemon refuse
 // (HTTP 409) to answer from a skewed build: a daemon left running
-// across an engine-semantics bump or a workload recalibration would
-// otherwise return results the client's own cache keys could never
-// produce — and the client would install them into its local store
-// under its own version key, poisoning exactly the entries the §9 key
-// scheme exists to invalidate. FleetClient always sends its linked
-// engine.Version and, from sweeps routed through the runner hooks, the
-// local suite's content fingerprint.
+// across an engine-semantics bump, a lowering change or a workload
+// recalibration would otherwise return results the client's own cache
+// keys could never produce — and the client would install them into
+// its local store under its own version key, poisoning exactly the
+// entries the §9 key scheme exists to invalidate. FleetClient always
+// sends its linked engine.Version and, from sweeps routed through the
+// runner hooks, the local suite's source key.
 type Target struct {
 	Workload string `json:"workload"`
 	Scale    int    `json:"scale,omitempty"`
@@ -171,7 +171,11 @@ type Target struct {
 	// engine.Version.
 	EngineVersion string `json:"engine_version,omitempty"`
 	// Fingerprint, when non-empty, must equal the daemon suite's
-	// machine.Suite.Fingerprint().
+	// machine.Suite.Fingerprint(): its source key, a hash of
+	// lower.Version and of digests of the trace and the partition
+	// assignment. A daemon built
+	// with another lowering version, or one that builds the workload or
+	// its partition differently, refuses the request.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 

@@ -352,6 +352,19 @@ func TestSkewRefused(t *testing.T) {
 		t.Errorf("fingerprint skew should be refused: %v", err)
 	}
 
+	// A client built before store keys named the lowering inputs sends
+	// the hash of its lowered programs (this is TRFD's, scale 1, classic
+	// partition); the daemon must refuse it rather than answer under a
+	// key the client never computed.
+	const programContentFP = "d39d6c8eabefb13843668b60b78e0c0a391d30ec132e24ab5a1b615760ebcbe0"
+	_, err = client.Clients()[0].BatchRun(context.Background(), []RunRequest{{
+		Target: Target{Workload: testWorkload, EngineVersion: engine.Version, Fingerprint: programContentFP},
+		Point:  Point{Kind: "DM", Params: Params{Window: 8}},
+	}})
+	if err == nil || !strings.Contains(err.Error(), "workload content skew") || !strings.Contains(err.Error(), "409") {
+		t.Errorf("program-content fingerprint from an older client should be refused with 409: %v", err)
+	}
+
 	// The real fingerprint (what Runner.Remote sends) must pass.
 	if _, err := client.Run(context.Background(), testWorkload, 1, mustSuite(t, testWorkload).Fingerprint(), sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Errorf("matching fingerprint refused: %v", err)
@@ -360,8 +373,8 @@ func TestSkewRefused(t *testing.T) {
 
 // TestGeneratedWorkloadServes: a "spec:" workload travels by name over
 // /v1/batch/run — the daemon regenerates it from the spec and answers
-// byte-identically to a local run, and the content fingerprint the
-// client pins is the proof both sides lowered the same program.
+// byte-identically to a local run, and the source key the client pins
+// is the proof both sides built the same trace and lowering inputs.
 func TestGeneratedWorkloadServes(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})

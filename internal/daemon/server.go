@@ -217,9 +217,9 @@ func (e *skewError) Error() string { return e.msg }
 
 // runnerFor resolves a request target to its memoizing runner,
 // enforcing the Target's skew guards: a request pinned to a different
-// engine version or workload content than this daemon's build is
-// refused rather than answered with results the client could never
-// have produced itself.
+// engine version or suite source key (trace, partition assignment and
+// lower.Version) than this daemon's build is refused rather than
+// answered with results the client could never have produced itself.
 func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.EngineVersion != "" && t.EngineVersion != engine.Version {
 		return nil, &skewError{fmt.Sprintf("daemon: engine version skew: daemon runs %s, client expects %s (rebuild or restart sweepd)", engine.Version, t.EngineVersion)}
@@ -233,7 +233,7 @@ func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 		return nil, err
 	}
 	if t.Fingerprint != "" && t.Fingerprint != r.Suite.Fingerprint() {
-		return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d, policy %s): daemon and client builds lower different programs (recalibrated workloads?); restart sweepd from the client's build", t.Workload, t.Scale, pol)}
+		return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d, policy %s): daemon key %s, client key %s — the builds trace, partition or lower (lower.Version) the workload differently; restart sweepd from the client's build", t.Workload, t.Scale, pol, r.Suite.Fingerprint(), t.Fingerprint)}
 	}
 	return r, nil
 }

@@ -43,7 +43,7 @@ type Context struct {
 	// Remote, when non-nil, executes cacheable points that miss the local
 	// cache layers — it becomes each workload runner's Remote hook, bound
 	// to that workload, the context's scale, and the local suite's
-	// content fingerprint (so a daemon built from different workload or
+	// source key (so a daemon built from different workload, lowering or
 	// engine code refuses instead of answering with skewed results).
 	// internal/daemon.FleetClient.Run has this signature, so attaching a
 	// fleet client routes every cacheable simulation through running

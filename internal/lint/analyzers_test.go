@@ -21,12 +21,12 @@ func TestHotpathFixture(t *testing.T) {
 var fixtureSchemaConfig = SchemaConfig{
 	ParamsPkg: "schema/machine", ParamsType: "Params", CacheKeyFunc: "CacheKey",
 	WirePkg: "schema/wire", WireType: "Params", WireTo: "ToParams", WireFrom: "Machine",
-	ResultPkg:   "schema/result",
-	ResultTypes: []string{"Result", "CoreStats"},
-	CloneFunc:   "Clone",
-	OracleFunc:  "resultsEqual",
-	OpPkg:       "schema/machine", OpType: "Op",
-	FingerprintPkg: "schema/machine", FingerprintFunc: "Fingerprint",
+	ResultPkg:    "schema/result",
+	ResultTypes:  []string{"Result", "CoreStats"},
+	CloneFunc:    "Clone",
+	OracleFunc:   "resultsEqual",
+	SourceKeyPkg: "schema/machine", SourceKeyFunc: "Fingerprint",
+	SourceStructs: [][2]string{{"schema/trace", "Instr"}, {"schema/machine", "Assignment"}},
 }
 
 func TestSchemaGuardFixture(t *testing.T) {
@@ -108,7 +108,7 @@ func TestMalformedDirectives(t *testing.T) {
 // fixtureVersionKeyConfig mirrors DefaultVersionKeyConfig over the
 // fixture tree rooted at a (possibly temp-copied) directory.
 var fixtureVersionKeyConfig = VersionKeyConfig{
-	EnginePkg:         "version/engine",
+	VersionPkg:        "version/engine",
 	VersionConst:      "Version",
 	VersionPattern:    `^engine-v\d+$`,
 	Roots:             []string{"(Sim).Run"},
@@ -194,9 +194,95 @@ func TestVersionKeyLifecycle(t *testing.T) {
 	wantOne("version bump", `records "engine-v1"`)
 }
 
+// fixtureLowerVersionKeyConfig mirrors LowerVersionKeyConfig: a second
+// version discipline whose roots reach into another package's
+// constructor, over the same fixture tree.
+var fixtureLowerVersionKeyConfig = VersionKeyConfig{
+	VersionPkg:        "version/lower",
+	VersionConst:      "Version",
+	VersionPattern:    `^lower-v\d+$`,
+	Roots:             []string{"Lower", "version/engine.NewProgram"},
+	Structs:           [][2]string{{"version/engine", "Op"}},
+	ConstPkgs:         []string{"version/lower"},
+	LockFile:          "lower.lock",
+	RequireVersionUse: []string{"version/store"},
+}
+
+// TestLowerVersionKeyGate: editing a lowering-surface declaration — in
+// the lowering package itself or in the cross-package constructor it
+// roots — without bumping lower.Version fails the gate, and the two
+// locks ratchet independently.
+func TestLowerVersionKeyGate(t *testing.T) {
+	tmp := t.TempDir()
+	copyFixtureTree(t, filepath.Join("testdata", "src", "version"), filepath.Join(tmp, "version"))
+	cfgs := []VersionKeyConfig{fixtureVersionKeyConfig, fixtureLowerVersionKeyConfig}
+	load := func() *World { return loadFixture(t, tmp, "version/engine", "version/lower", "version/store") }
+	run := func() []Diagnostic {
+		var as []*Analyzer
+		for _, cfg := range cfgs {
+			as = append(as, NewVersionKey(cfg))
+		}
+		return RunAnalyzers(load(), as)
+	}
+	writeLocks := func() {
+		t.Helper()
+		w := load()
+		for _, cfg := range cfgs {
+			if _, err := WriteSemanticsLock(w, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wantOne := func(stage, substr string) {
+		t.Helper()
+		diags := run()
+		if len(diags) != 1 || !strings.Contains(diags[0].Message, substr) {
+			t.Fatalf("%s: got %v, want one finding containing %q", stage, diags, substr)
+		}
+	}
+	edit := func(file, old, new string) {
+		t.Helper()
+		path := filepath.Join(tmp, "version", file)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), old) {
+			t.Fatalf("edit: %q not found in %s", old, file)
+		}
+		if err := os.WriteFile(path, []byte(strings.Replace(string(src), old, new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeLocks()
+	if diags := run(); len(diags) != 0 {
+		t.Fatalf("fresh locks: got %v, want no findings", diags)
+	}
+
+	// A lowering body edit trips the lowering lock only.
+	edit("lower/lower.go", "return engine.NewProgram(ops)", "return engine.NewProgram(append(ops, engine.Op{}))")
+	wantOne("lowering edit", "func version/lower.Lower (changed)")
+	writeLocks()
+
+	// So does an edit to a function the cross-package root reaches, even
+	// though the engine's own lock (rooted at Sim.Run) does not cover it.
+	edit("engine/engine.go", "return len(ops) + 1", "return len(ops) + 2")
+	wantOne("constructor edit", "func version/engine.width (changed)")
+
+	// Bumping lower.Version is not enough on its own: the lock must be
+	// regenerated in the same change.
+	edit("lower/lower.go", `Version = "lower-v1"`, `Version = "lower-v2"`)
+	wantOne("bump without lock", `records "lower-v1"`)
+	writeLocks()
+	if diags := run(); len(diags) != 0 {
+		t.Fatalf("regenerated locks: got %v, want no findings", diags)
+	}
+}
+
 // TestRepoIsClean is the self-hosting gate: the seven production
-// analyzers over the whole module must report nothing, in both the
-// plain and the -tests configuration.
+// analyzers (versionkey once per lock) over the whole module must
+// report nothing, in both the plain and the -tests configuration.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
@@ -209,10 +295,12 @@ func TestRepoIsClean(t *testing.T) {
 		NewDeterminism(DeterminismConfig{Paths: DefaultDeterminismPaths}),
 		NewSchemaGuard(DefaultSchemaConfig),
 		NewHotpath(),
-		NewVersionKey(DefaultVersionKeyConfig),
 		NewLockguard(LockguardConfig{Paths: DefaultConcurrencyPaths}),
 		NewCtxflow(CtxflowConfig{Paths: DefaultConcurrencyPaths}),
 		NewErrclass(DefaultErrclassConfig),
+	}
+	for _, cfg := range VersionKeyConfigs {
+		analyzers = append(analyzers, NewVersionKey(cfg))
 	}
 	for _, includeTests := range []bool{false, true} {
 		w.IncludeTests = includeTests

@@ -14,7 +14,7 @@ import (
 type SchemaConfig struct {
 	// ParamsPkg.ParamsType is the simulation-parameter struct; every
 	// field not annotated //daelint:unkeyed must be read — directly or
-	// through same-package calls — by CacheKeyFunc.
+	// through the functions it calls — by CacheKeyFunc.
 	ParamsPkg, ParamsType, CacheKeyFunc string
 	// WirePkg.WireType is the wire form of ParamsType: field names must
 	// match 1:1 with ParamsType minus //daelint:unwired fields, every
@@ -31,9 +31,12 @@ type SchemaConfig struct {
 	// (reflect.DeepEqual or ==), not field-by-field, so new Result
 	// fields are covered by construction.
 	OracleFunc string
-	// OpPkg.OpType is hashed field-by-field by FingerprintPkg's
-	// FingerprintFunc; every Op field must be read there.
-	OpPkg, OpType, FingerprintPkg, FingerprintFunc string
+	// SourceKeyPkg.SourceKeyFunc builds a suite's store key from the
+	// inputs of lowering; every field of each SourceStructs entry
+	// ({package path, type name}) not annotated //daelint:unkeyed must
+	// be read by it, directly or through the functions it calls.
+	SourceKeyPkg, SourceKeyFunc string
+	SourceStructs               [][2]string
 }
 
 // DefaultSchemaConfig encodes this repo's schema invariants (DESIGN.md
@@ -41,30 +44,34 @@ type SchemaConfig struct {
 var DefaultSchemaConfig = SchemaConfig{
 	ParamsPkg: "daesim/internal/machine", ParamsType: "Params", CacheKeyFunc: "CacheKey",
 	WirePkg: "daesim/internal/daemon", WireType: "Params", WireTo: "ToParams", WireFrom: "Machine",
-	ResultPkg:   "daesim/internal/engine",
-	ResultTypes: []string{"Result", "CoreStats"},
-	CloneFunc:   "Clone",
-	OracleFunc:  "resultsEqual",
-	OpPkg:       "daesim/internal/engine", OpType: "Op",
-	FingerprintPkg: "daesim/internal/machine", FingerprintFunc: "Fingerprint",
+	ResultPkg:    "daesim/internal/engine",
+	ResultTypes:  []string{"Result", "CoreStats"},
+	CloneFunc:    "Clone",
+	OracleFunc:   "resultsEqual",
+	SourceKeyPkg: "daesim/internal/machine", SourceKeyFunc: "Fingerprint",
+	SourceStructs: [][2]string{
+		{"daesim/internal/trace", "Instr"},
+		{"daesim/internal/partition", "Assignment"},
+	},
 }
 
 // NewSchemaGuard builds the schemaguard analyzer: the static form of the
 // field-coverage invariants the repo previously pinned with
 // reflect.NumField counts — every Params field reaches the cache-key
 // encoding and the wire schema, every reference-typed Result field is
-// deep-copied by Clone, every Op field is hashed by Fingerprint — with
-// diagnostics that name the missing field.
+// deep-copied by Clone, every trace instruction field and assignment
+// slice reaches the source key — with diagnostics that name the missing
+// field.
 func NewSchemaGuard(cfg SchemaConfig) *Analyzer {
 	return &Analyzer{
 		Name: "schemaguard",
-		Doc:  "proves cache-key, wire-schema, clone and fingerprint field coverage",
+		Doc:  "proves cache-key, wire-schema, clone and source-key field coverage",
 		Run: func(w *World, report func(pos token.Pos, format string, args ...any)) {
 			checkCacheKey(w, cfg, report)
 			checkWireParity(w, cfg, report)
 			checkClone(w, cfg, report)
 			checkOracle(w, cfg, report)
-			checkFingerprint(w, cfg, report)
+			checkSourceKey(w, cfg, report)
 		},
 	}
 }
@@ -100,8 +107,8 @@ func structFields(pkg *Package, typeName string) (*types.Named, []*types.Var, ma
 	return named, fields, astFields
 }
 
-// checkCacheKey: every Params field is read, transitively through
-// same-package calls, by the cache-key encoder.
+// checkCacheKey: every Params field is read, transitively through the
+// functions it calls, by the cache-key encoder.
 func checkCacheKey(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
 	if cfg.ParamsPkg == "" || cfg.CacheKeyFunc == "" {
 		return
@@ -120,7 +127,7 @@ func checkCacheKey(w *World, cfg SchemaConfig, report func(pos token.Pos, format
 		report(token.NoPos, "schema config names encoder %s on %s.%s, which does not exist", cfg.CacheKeyFunc, cfg.ParamsPkg, cfg.ParamsType)
 		return
 	}
-	read := fieldsRead(pkg, enc, cfg.ParamsPkg, cfg.ParamsType)
+	read := fieldsRead(w, pkg, enc, cfg.ParamsPkg, cfg.ParamsType)
 	for _, fld := range fields {
 		if read[fld.Name()] {
 			continue
@@ -174,7 +181,7 @@ func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, form
 	// every wire field, or a new field round-trips as the zero value.
 	if cfg.WireTo != "" {
 		if to := findFunc(wpkg, cfg.WireTo, ""); to != nil {
-			read := fieldsRead(wpkg, to, cfg.ParamsPkg, cfg.ParamsType)
+			read := fieldsRead(w, wpkg, to, cfg.ParamsPkg, cfg.ParamsType)
 			for _, f := range pFields {
 				if machineSet[f.Name()] && !read[f.Name()] {
 					report(f.Pos(), "%s does not read %s.%s, so the wire form drops field %s", cfg.WireTo, cfg.ParamsType, f.Name(), f.Name())
@@ -184,7 +191,7 @@ func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, form
 	}
 	if cfg.WireFrom != "" {
 		if from := findFunc(wpkg, cfg.WireFrom, cfg.WireType); from != nil {
-			read := fieldsRead(wpkg, from, cfg.WirePkg, cfg.WireType)
+			read := fieldsRead(w, wpkg, from, cfg.WirePkg, cfg.WireType)
 			for _, f := range wFields {
 				if !read[f.Name()] {
 					report(f.Pos(), "%s does not read wire field %s, so the daemon drops it on decode", cfg.WireFrom, f.Name())
@@ -216,7 +223,7 @@ func checkClone(w *World, cfg SchemaConfig, report func(pos token.Pos, format st
 			report(token.NoPos, "schema config names %s.%s, which does not exist", cfg.ResultPkg, typeName)
 			continue
 		}
-		mentioned := fieldsRead(pkg, clone, cfg.ResultPkg, typeName)
+		mentioned := fieldsRead(w, pkg, clone, cfg.ResultPkg, typeName)
 		for _, f := range fields {
 			if !isReferenceType(f.Type()) || mentioned[f.Name()] {
 				continue
@@ -263,34 +270,41 @@ func checkOracle(w *World, cfg SchemaConfig, report func(pos token.Pos, format s
 	}
 }
 
-// checkFingerprint: every Op field must be read by the workload
-// fingerprint hash.
-func checkFingerprint(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
-	if cfg.OpPkg == "" || cfg.FingerprintPkg == "" {
+// checkSourceKey: every field of the lowering-input structs must be
+// read by the suite's source key.
+func checkSourceKey(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
+	if cfg.SourceKeyPkg == "" || cfg.SourceKeyFunc == "" {
 		return
 	}
-	opPkg, fpPkg := w.Pkg(cfg.OpPkg), w.Pkg(cfg.FingerprintPkg)
-	if opPkg == nil || fpPkg == nil {
+	keyPkg := w.Pkg(cfg.SourceKeyPkg)
+	if keyPkg == nil {
 		return
 	}
-	_, fields, astFields := structFields(opPkg, cfg.OpType)
-	if fields == nil {
+	fn := findFunc(keyPkg, cfg.SourceKeyFunc, "")
+	if fn == nil {
+		report(token.NoPos, "schema config names %s in %s, which does not exist", cfg.SourceKeyFunc, cfg.SourceKeyPkg)
 		return
 	}
-	fp := findFunc(fpPkg, cfg.FingerprintFunc, "")
-	if fp == nil {
-		report(token.NoPos, "schema config names %s in %s, which does not exist", cfg.FingerprintFunc, cfg.FingerprintPkg)
-		return
-	}
-	read := fieldsRead(fpPkg, fp, cfg.OpPkg, cfg.OpType)
-	for _, f := range fields {
-		if read[f.Name()] {
+	for _, st := range cfg.SourceStructs {
+		pkg := w.Pkg(st[0])
+		if pkg == nil {
 			continue
 		}
-		if _, ok := fieldDirective(astFields[f.Name()], "unkeyed"); ok {
+		_, fields, astFields := structFields(pkg, st[1])
+		if fields == nil {
+			report(token.NoPos, "schema config names %s.%s, which does not exist", st[0], st[1])
 			continue
 		}
-		report(f.Pos(), "field %s added to %s.%s but not hashed by %s: suites differing only in %s would alias in the persistent store; extend the hash, or annotate //daelint:unkeyed <reason>", f.Name(), pkgBase(cfg.OpPkg), cfg.OpType, cfg.FingerprintFunc, f.Name())
+		read := fieldsRead(w, keyPkg, fn, st[0], st[1])
+		for _, f := range fields {
+			if read[f.Name()] {
+				continue
+			}
+			if _, ok := fieldDirective(astFields[f.Name()], "unkeyed"); ok {
+				continue
+			}
+			report(f.Pos(), "field %s of %s.%s is not read by the source key %s: suites differing only in %s would alias in the persistent store; extend the key, or annotate //daelint:unkeyed <reason>", f.Name(), pkgBase(st[0]), st[1], cfg.SourceKeyFunc, f.Name())
+		}
 	}
 }
 
@@ -324,16 +338,17 @@ func findFunc(pkg *Package, name, recv string) *ast.FuncDecl {
 }
 
 // fieldsRead collects the fields of (structPkg, structName) selected
-// anywhere in fn's body or in same-package functions it calls,
-// transitively. Matching is by receiver type name and package path, so
-// it works across type-checking universes (the struct may come from
-// export data).
-func fieldsRead(pkg *Package, fn *ast.FuncDecl, structPkg, structName string) map[string]bool {
+// anywhere in fn's body (fn is declared in pkg) or in the functions it
+// calls, transitively, as far as their packages are loaded in w.
+// Matching is by receiver type name and package path, so it works
+// across type-checking universes (the struct may come from export
+// data).
+func fieldsRead(w *World, pkg *Package, fn *ast.FuncDecl, structPkg, structName string) map[string]bool {
 	read := map[string]bool{}
-	decls := funcDecls(pkg)
+	decls := map[*Package]map[string]*ast.FuncDecl{}
 	visited := map[*ast.FuncDecl]bool{}
-	var visit func(fd *ast.FuncDecl)
-	visit = func(fd *ast.FuncDecl) {
+	var visit func(p *Package, fd *ast.FuncDecl)
+	visit = func(p *Package, fd *ast.FuncDecl) {
 		if fd == nil || fd.Body == nil || visited[fd] {
 			return
 		}
@@ -341,20 +356,29 @@ func fieldsRead(pkg *Package, fn *ast.FuncDecl, structPkg, structName string) ma
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if sel, ok := pkg.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
+				if sel, ok := p.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
 					if owner, field := fieldOwner(sel); owner == structPkg+"."+structName {
 						read[field] = true
 					}
 				}
 			case *ast.CallExpr:
-				if callee := calleeFunc(pkg.Info, n); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == pkg.Path {
-					visit(decls[funcKey(callee)])
+				callee := calleeFunc(p.Info, n)
+				if callee == nil || callee.Pkg() == nil {
+					break
 				}
+				cp := w.Pkg(callee.Pkg().Path())
+				if cp == nil {
+					break
+				}
+				if decls[cp] == nil {
+					decls[cp] = funcDecls(cp)
+				}
+				visit(cp, decls[cp][funcKey(callee)])
 			}
 			return true
 		})
 	}
-	visit(fn)
+	visit(pkg, fn)
 	return read
 }
 

@@ -1,9 +1,14 @@
 // Package machine is the schemaguard fixture's parameter schema: A and
 // B are fully plumbed, C is the field someone forgot everywhere, D is
-// consciously exempted with annotations.
+// consciously exempted with annotations. Fingerprint is the source key
+// over trace.Instr and Assignment.
 package machine
 
-import "strconv"
+import (
+	"strconv"
+
+	"schema/trace"
+)
 
 // Params mirrors the real machine.Params shape.
 type Params struct {
@@ -16,10 +21,14 @@ type Params struct {
 	D func()
 }
 
-// Op mirrors the real engine.Op for the fingerprint check.
-type Op struct {
-	Code int
-	Addr int // want `field Addr added to machine.Op but not hashed by Fingerprint`
+// Assignment mirrors partition.Assignment for the source-key check:
+// Unit is keyed, Recv is the slice someone forgot, Ops is a derived
+// counter exempted with an annotation.
+type Assignment struct {
+	Unit []uint8
+	Recv []bool // want `field Recv of machine.Assignment is not read by the source key Fingerprint`
+	//daelint:unkeyed fixture: derived from Unit
+	Ops int
 }
 
 // CacheKey encodes the cache identity of p.
@@ -27,11 +36,12 @@ func (p Params) CacheKey() string {
 	return strconv.Itoa(p.A) + "|" + p.B
 }
 
-// Fingerprint hashes an op stream.
-func Fingerprint(ops []Op) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := range ops {
-		h ^= uint64(ops[i].Code)
+// Fingerprint keys a suite by its lowering inputs; the trace half is
+// read in another package, through trace.Digest.
+func Fingerprint(tr []trace.Instr, a *Assignment) uint64 {
+	h := trace.Digest(tr)
+	for _, u := range a.Unit {
+		h ^= uint64(u)
 		h *= 1099511628211
 	}
 	return h

@@ -1,7 +1,8 @@
 // Package engine is the versionkey fixture: a tiny Sim with a version
-// constant, a semantics root and a surface struct. The lifecycle test
-// copies this tree to a temp dir, writes the lock, edits the surface
-// and asserts each ratchet stage.
+// constant, a semantics root and a surface struct, plus the program
+// constructor the lowering fixture roots. The lifecycle tests copy this
+// tree to a temp dir, write the locks, edit the surface and assert each
+// ratchet stage.
 package engine
 
 // Version tags the semantics of Run.
@@ -27,4 +28,25 @@ func (s *Sim) Run(cfg Config) int {
 		t = s.step(t)
 	}
 	return t
+}
+
+// Op is one program instruction, surface of the lowering lock.
+type Op struct {
+	Kind int
+}
+
+// Program is a constructed op list.
+type Program struct {
+	Ops   []Op
+	Width int
+}
+
+// NewProgram is the constructor the lowering lock roots across
+// packages; Sim.Run does not reach it.
+func NewProgram(ops []Op) Program {
+	return Program{Ops: ops, Width: width(ops)}
+}
+
+func width(ops []Op) int {
+	return len(ops) + 1
 }

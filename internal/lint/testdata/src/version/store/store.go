@@ -1,10 +1,13 @@
-// Package store keys its entries by the engine version, satisfying the
-// versionkey analyzer's RequireVersionUse check.
+// Package store keys its entries by the engine and lowering versions,
+// satisfying the versionkey analyzer's RequireVersionUse check.
 package store
 
-import "version/engine"
+import (
+	"version/engine"
+	"version/lower"
+)
 
-// Key builds a cache key embedding the engine version.
+// Key builds a cache key embedding both versions.
 func Key(name string) string {
-	return engine.Version + "/" + name
+	return engine.Version + "/" + lower.Version + "/" + name
 }

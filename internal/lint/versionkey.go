@@ -16,39 +16,41 @@ import (
 	"strings"
 )
 
-// VersionKeyConfig names the engine-version discipline the versionkey
-// analyzer enforces: the declarations whose change can alter a Result
-// for the same inputs (the "semantics surface" of Sim.Run) are recorded
-// in a lock file keyed by the engine version string, so editing the
-// surface without either bumping the version or consciously regenerating
-// the lock (a reviewable diff) fails the build gate.
+// VersionKeyConfig names a version discipline the versionkey analyzer
+// enforces: the declarations whose change can alter a persisted value
+// for the same inputs (the "surface" of the roots) are recorded in a
+// lock file keyed by a version string, so editing the surface without
+// either bumping the version or consciously regenerating the lock (a
+// reviewable diff) fails the build gate.
 type VersionKeyConfig struct {
-	// EnginePkg declares VersionConst and the root functions.
-	EnginePkg    string
+	// VersionPkg declares VersionConst; unqualified roots resolve in it.
+	VersionPkg   string
 	VersionConst string
 	// VersionPattern constrains the version string's shape.
 	VersionPattern string
-	// Roots are function keys within EnginePkg ("(Sim).Run", "Run");
-	// every same-package function reachable from them is surface.
+	// Roots are function keys: "(Sim).Run" and "Run" name functions of
+	// VersionPkg, and a key containing a '/' is qualified by its package
+	// path ("daesim/internal/engine.NewProgram"). Every function
+	// reachable from a root within the root's own package is surface.
 	Roots []string
 	// Structs are {package path, type name} pairs whose field lists and
-	// types are surface (config knobs reaching the engine).
+	// types are surface (config knobs reaching the roots).
 	Structs [][2]string
 	// ConstPkgs are packages whose exported constant values are surface
 	// (calibrated latencies, queue factors).
 	ConstPkgs []string
-	// LockFile is the lock file name, relative to EnginePkg's directory.
+	// LockFile is the lock file name, relative to VersionPkg's directory.
 	LockFile string
 	// RequireVersionUse lists packages that must reference VersionConst
 	// in non-test code (cache-entry key builders, skew guards).
 	RequireVersionUse []string
 }
 
-// DefaultVersionKeyConfig encodes this repo's discipline: engine.Version
+// DefaultVersionKeyConfig encodes the engine discipline: engine.Version
 // tags Sim.Run semantics, sweep folds it into store keys and daemon into
 // skew guards, and internal/engine/semantics.lock pins the surface.
 var DefaultVersionKeyConfig = VersionKeyConfig{
-	EnginePkg:      "daesim/internal/engine",
+	VersionPkg:     "daesim/internal/engine",
 	VersionConst:   "Version",
 	VersionPattern: `^engine-v\d+$`,
 	Roots:          []string{"(Sim).Run", "Run"},
@@ -66,11 +68,35 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 	RequireVersionUse: []string{"daesim/internal/sweep", "daesim/internal/daemon"},
 }
 
+// LowerVersionKeyConfig encodes the lowering discipline: store keys name
+// the inputs of lowering (machine.Suite.Fingerprint) instead of hashing
+// its output, so lower.Version tags what DM and SWSM emit for a trace
+// and assignment, machine folds it into the key, and
+// internal/lower/lower.lock pins the surface — the lowerings, the
+// program constructor they call and the op layout they fill.
+var LowerVersionKeyConfig = VersionKeyConfig{
+	VersionPkg:     "daesim/internal/lower",
+	VersionConst:   "Version",
+	VersionPattern: `^lower-v\d+$`,
+	Roots:          []string{"DM", "SWSM", "daesim/internal/engine.NewProgram"},
+	Structs: [][2]string{
+		{"daesim/internal/engine", "Op"},
+		{"daesim/internal/lower", "DMResult"},
+	},
+	ConstPkgs:         []string{"daesim/internal/lower"},
+	LockFile:          "lower.lock",
+	RequireVersionUse: []string{"daesim/internal/machine"},
+}
+
+// VersionKeyConfigs lists every version discipline of this repo, in the
+// order daelint checks and regenerates their locks.
+var VersionKeyConfigs = []VersionKeyConfig{DefaultVersionKeyConfig, LowerVersionKeyConfig}
+
 // NewVersionKey builds the versionkey analyzer.
 func NewVersionKey(cfg VersionKeyConfig) *Analyzer {
 	return &Analyzer{
 		Name: "versionkey",
-		Doc:  "pins Sim.Run's semantics surface to engine.Version via a lock file",
+		Doc:  "pins a version string to the surface of its roots via a lock file (engine.Version, lower.Version)",
 		Run: func(w *World, report func(pos token.Pos, format string, args ...any)) {
 			checkVersionKey(w, cfg, report)
 		},
@@ -78,18 +104,19 @@ func NewVersionKey(cfg VersionKeyConfig) *Analyzer {
 }
 
 func checkVersionKey(w *World, cfg VersionKeyConfig, report func(pos token.Pos, format string, args ...any)) {
-	pkg := w.Pkg(cfg.EnginePkg)
+	pkg := w.Pkg(cfg.VersionPkg)
 	if pkg == nil {
 		return
 	}
+	name := pkgBase(cfg.VersionPkg) + "." + cfg.VersionConst
 	version, vpos, ok := versionValue(pkg, cfg.VersionConst)
 	if !ok {
-		report(token.NoPos, "%s.%s not found: the engine must declare its semantics version for persistent caches", pkgBase(cfg.EnginePkg), cfg.VersionConst)
+		report(token.NoPos, "%s not found: %s must declare its version for persistent caches", name, cfg.VersionPkg)
 		return
 	}
 	if cfg.VersionPattern != "" {
 		if re, err := regexp.Compile(cfg.VersionPattern); err == nil && !re.MatchString(version) {
-			report(vpos, "%s.%s = %q does not match %s: cache keys embed this string, keep it canonical", pkgBase(cfg.EnginePkg), cfg.VersionConst, version, cfg.VersionPattern)
+			report(vpos, "%s = %q does not match %s: cache keys embed this string, keep it canonical", name, version, cfg.VersionPattern)
 		}
 	}
 
@@ -101,8 +128,8 @@ func checkVersionKey(w *World, cfg VersionKeyConfig, report func(pos token.Pos, 
 		if p == nil {
 			continue
 		}
-		if !usesObject(p, cfg.EnginePkg, cfg.VersionConst) {
-			report(token.NoPos, "package %s never references %s.%s: its persistent keys or skew guards would survive a semantics bump", path, pkgBase(cfg.EnginePkg), cfg.VersionConst)
+		if !usesObject(p, cfg.VersionPkg, cfg.VersionConst) {
+			report(token.NoPos, "package %s never references %s: its persistent keys or skew guards would survive a version bump", path, name)
 		}
 	}
 
@@ -119,7 +146,7 @@ func checkVersionKey(w *World, cfg VersionKeyConfig, report func(pos token.Pos, 
 	}
 	lockVersion, lockLines := parseLock(string(lock))
 	if lockVersion != version {
-		report(vpos, "%s.%s is %q but %s records %q: regenerate the lock with `go run ./cmd/daelint -update-semantics ./...` so the bump and its surface land in one reviewable diff", pkgBase(cfg.EnginePkg), cfg.VersionConst, version, cfg.LockFile, lockVersion)
+		report(vpos, "%s is %q but %s records %q: regenerate the lock with `go run ./cmd/daelint -update-semantics ./...` so the bump and its surface land in one reviewable diff", name, version, cfg.LockFile, lockVersion)
 		return
 	}
 	added, removed := diffLines(lockLines, surface)
@@ -133,24 +160,23 @@ func checkVersionKey(w *World, cfg VersionKeyConfig, report func(pos token.Pos, 
 	if len(removed) > 0 {
 		parts = append(parts, "removed: "+strings.Join(removed, ", "))
 	}
-	report(vpos, "declarations reachable from %s changed (%s) while %s.%s stayed %q: if Results can change, bump the version; either way regenerate with `go run ./cmd/daelint -update-semantics ./...` (the reference-oracle tests gate Result-preserving refactors)", strings.Join(cfg.Roots, "/"), strings.Join(parts, "; "), pkgBase(cfg.EnginePkg), cfg.VersionConst, version)
+	report(vpos, "declarations reachable from %s changed (%s) while %s stayed %q: if persisted values can change, bump the version; either way regenerate with `go run ./cmd/daelint -update-semantics ./...` (the reference-oracle tests and the lowering guard gate value-preserving refactors)", strings.Join(cfg.Roots, "/"), strings.Join(parts, "; "), name, version)
 }
 
 // ComputeSemanticsSurface renders the current surface as sorted lock
 // lines (without the version header).
 func ComputeSemanticsSurface(w *World, cfg VersionKeyConfig) ([]string, error) {
-	pkg := w.Pkg(cfg.EnginePkg)
-	if pkg == nil {
-		return nil, fmt.Errorf("package %s not loaded", cfg.EnginePkg)
+	if w.Pkg(cfg.VersionPkg) == nil {
+		return nil, fmt.Errorf("package %s not loaded", cfg.VersionPkg)
 	}
 	qual := func(p *types.Package) string { return p.Path() }
 	var lines []string
 
-	// Reachable functions from the roots, same-package closure.
-	decls := funcDecls(pkg)
+	// Reachable functions from the roots, closed over each root's own
+	// package.
 	visited := map[string]bool{}
-	var visit func(key string)
-	visit = func(key string) {
+	var visit func(pkg *Package, decls map[string]*ast.FuncDecl, key string)
+	visit = func(pkg *Package, decls map[string]*ast.FuncDecl, key string) {
 		if visited[key] {
 			return
 		}
@@ -170,18 +196,31 @@ func ComputeSemanticsSurface(w *World, cfg VersionKeyConfig) ([]string, error) {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if callee := calleeFunc(pkg.Info, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == pkg.Path {
-					visit(funcKey(callee))
+					visit(pkg, decls, funcKey(callee))
 				}
 			}
 			return true
 		})
 	}
 	for _, root := range cfg.Roots {
-		key := pkg.Path + "." + root
-		if decls[key] == nil {
-			return nil, fmt.Errorf("root %s not found in %s", root, cfg.EnginePkg)
+		path, fn := cfg.VersionPkg, root
+		if slash := strings.LastIndex(root, "/"); slash >= 0 {
+			dot := strings.Index(root[slash:], ".")
+			if dot < 0 {
+				return nil, fmt.Errorf("root %s names no function", root)
+			}
+			path, fn = root[:slash+dot], root[slash+dot+1:]
 		}
-		visit(key)
+		pkg := w.Pkg(path)
+		if pkg == nil {
+			return nil, fmt.Errorf("root package %s not loaded", path)
+		}
+		decls := funcDecls(pkg)
+		key := pkg.Path + "." + fn
+		if decls[key] == nil {
+			return nil, fmt.Errorf("root %s not found in %s", fn, path)
+		}
+		visit(pkg, decls, key)
 	}
 
 	// Struct field surfaces.
@@ -221,22 +260,22 @@ func ComputeSemanticsSurface(w *World, cfg VersionKeyConfig) ([]string, error) {
 
 // WriteSemanticsLock regenerates the lock file for the current world.
 func WriteSemanticsLock(w *World, cfg VersionKeyConfig) (string, error) {
-	pkg := w.Pkg(cfg.EnginePkg)
+	pkg := w.Pkg(cfg.VersionPkg)
 	if pkg == nil {
-		return "", fmt.Errorf("lint: package %s not loaded; include it in the patterns", cfg.EnginePkg)
+		return "", fmt.Errorf("lint: package %s not loaded; include it in the patterns", cfg.VersionPkg)
 	}
 	version, _, ok := versionValue(pkg, cfg.VersionConst)
 	if !ok {
-		return "", fmt.Errorf("lint: %s.%s not found", cfg.EnginePkg, cfg.VersionConst)
+		return "", fmt.Errorf("lint: %s.%s not found", cfg.VersionPkg, cfg.VersionConst)
 	}
 	surface, err := ComputeSemanticsSurface(w, cfg)
 	if err != nil {
 		return "", fmt.Errorf("lint: %v", err)
 	}
 	var b strings.Builder
-	b.WriteString("# daelint:versionkey semantics surface.\n")
-	b.WriteString("# Declarations reachable from the engine's semantic roots, keyed by the\n")
-	b.WriteString("# engine version. Regenerate (after auditing whether Results can change\n")
+	b.WriteString("# daelint:versionkey surface.\n")
+	fmt.Fprintf(&b, "# Declarations reachable from %s, keyed by %s.%s.\n", strings.Join(cfg.Roots, ", "), pkgBase(cfg.VersionPkg), cfg.VersionConst)
+	b.WriteString("# Regenerate (after auditing whether persisted values can change\n")
 	b.WriteString("# and bumping the version if so) with:\n")
 	b.WriteString("#\n")
 	b.WriteString("#   go run ./cmd/daelint -update-semantics ./...\n")

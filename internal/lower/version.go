@@ -1,0 +1,17 @@
+package lower
+
+// Version tags the lowerings' output for persistent result caches. A
+// suite's store key (machine.Suite.Fingerprint) names what goes into
+// lowering — this version, the trace and the partition assignment —
+// rather than hashing the lowered programs, so any change to DM or SWSM
+// that can emit different programs for the same trace and assignment
+// must bump this string. lower.lock pins the lowering surface to it
+// (daelint's versionkey analyzer), and machine's lowering guard test
+// fails when the lowered content of a checked-in workload changes while
+// its key does not.
+//
+// History:
+//
+//	v1 — store keys name the lowering inputs instead of hashing the
+//	     lowered programs
+const Version = "lower-v1"

@@ -6,7 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"daesim/internal/engine"
+	"daesim/internal/lower"
+	"daesim/internal/partition"
 )
 
 // CacheKey returns a canonical, process-stable encoding of (kind, p) for
@@ -34,56 +35,75 @@ func (p Params) CacheKey(kind Kind) (string, bool) {
 		p.CollectESW, p.HoldSendSlots, retire), true
 }
 
-// fpChunk is the size of the buffer Fingerprint streams its encoding
-// through: one hash Write per 64 KiB rather than one per integer.
-const fpChunk = 64 << 10
-
-// Fingerprint returns a content hash of the suite's lowered programs —
-// the workload identity for persistent result caches. It covers every
-// field of every op of both machines' programs plus the trace length, so
-// it changes when a workload model is recalibrated, when its scale
-// changes, when the partition policy assigns ops differently, or when a
-// lowering emits different code — exactly the events that must invalidate
-// cached results for the suite. The hash input is each program's name
-// followed by little-endian 8-byte integers; how that stream is chunked
-// into Writes does not change the value (TestFingerprintMatchesReference
-// pins it against a one-Write-per-integer encoder). Computed once per
-// Suite, since sweeps ask for it per point: hashing MDG's 3.6 MB classic
-// program pair takes about 4 ms on a 2-vCPU cloud Xeon
-// (BenchmarkSuiteFingerprint; about 9 ms with one Write per integer).
+// Fingerprint returns the suite's source identity — the workload
+// identity for persistent result caches. It names what goes into
+// lowering rather than what comes out: the hex SHA-256 of
+// lower.Version, the trace's digest (trace.Trace.Digest: its name and
+// every field of every instruction) and a digest of the partition
+// assignment the DM was lowered under. So it changes when a workload model is recalibrated,
+// when its scale or spec changes, when the partition assigns ops
+// differently, or when lower.Version is bumped — exactly the events
+// that must invalidate cached results for the suite. Policies that
+// produce the same assignment share a key, and so share store entries.
+//
+// The trace digest is computed once per trace and shared by every
+// suite lowered from it (Repartition reuses it); the assignment digest
+// once per Suite, since sweeps ask for the key per point. A lowering
+// change that forgets the version bump is caught by the lowering guard
+// test, which pins each catalog workload's key next to a hash of its
+// lowered programs.
 func (s *Suite) Fingerprint() string {
 	s.fpOnce.Do(func() {
+		td := s.Trace.Digest()
+		ad := assignmentDigest(s.DM.Assignment)
 		h := sha256.New()
-		buf := make([]byte, 0, fpChunk)
-		flush := func() {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		hashProgram := func(p *engine.Program) {
-			buf = append(buf, p.Name...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(p.NumUnits))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(p.TraceLen))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Ops)))
-			for i := range p.Ops {
-				op := &p.Ops[i]
-				if len(buf)+8*(6+len(op.Srcs)) > cap(buf) {
-					flush()
-				}
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Kind))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Unit))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(op.MemSrc))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Addr))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Orig))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(op.Srcs)))
-				for _, src := range op.Srcs {
-					buf = binary.LittleEndian.AppendUint64(buf, uint64(src))
-				}
-			}
-		}
-		hashProgram(s.DM.Program)
-		hashProgram(s.SWSM)
-		flush()
+		h.Write([]byte(lower.Version))
+		h.Write(td[:])
+		h.Write(ad[:])
 		s.fp = hex.EncodeToString(h.Sum(nil))
 	})
 	return s.fp
+}
+
+// assignmentChunk is the buffer assignmentDigest streams through: a
+// large trace's assignment is never materialized as one byte slice.
+const assignmentChunk = 8 << 10
+
+// assignmentDigest hashes every per-instruction slice of a partition
+// assignment, each length-prefixed, one byte per entry. The op counts
+// are derived from these slices and are not hashed.
+func assignmentDigest(a *partition.Assignment) [sha256.Size]byte {
+	h := sha256.New()
+	buf := make([]byte, 0, assignmentChunk)
+	flush := func() {
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Unit)))
+	for _, u := range a.Unit {
+		if len(buf) == cap(buf) {
+			flush()
+		}
+		buf = append(buf, byte(u))
+	}
+	for _, flags := range [][]bool{a.InAddrSlice, a.RecvAU, a.RecvDU} {
+		if len(buf)+4 > cap(buf) {
+			flush()
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(flags)))
+		for _, f := range flags {
+			if len(buf) == cap(buf) {
+				flush()
+			}
+			b := byte(0)
+			if f {
+				b = 1
+			}
+			buf = append(buf, b)
+		}
+	}
+	flush()
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

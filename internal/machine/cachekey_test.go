@@ -4,13 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"hash"
 	"reflect"
 	"strings"
 	"testing"
 
 	"daesim/internal/engine"
+	"daesim/internal/isa"
 	"daesim/internal/kernel"
+	"daesim/internal/lower"
 	"daesim/internal/partition"
+	"daesim/internal/trace"
 	"daesim/internal/workloads"
 )
 
@@ -28,13 +33,28 @@ func TestCacheKeyCoversAllParams(t *testing.T) {
 	})
 }
 
-// TestFingerprintCoversAllOpFields pins engine.Op's field list the same
-// way: Suite.Fingerprint hashes every Op field by hand, so a new field
-// that can affect simulation results must be added to the hash (or the
-// persistent store would alias suites differing only in that field).
+// TestFingerprintCoversAllOpFields pins engine.Op's field list for
+// loweredDigest, the lowering guard's content hash: it hashes every Op
+// field by hand, so a new field a lowering can set must be added to it
+// (or the guard would miss lowering changes that only touch that field).
 func TestFingerprintCoversAllOpFields(t *testing.T) {
-	auditFields(t, reflect.TypeOf(engine.Op{}), "Fingerprint", []string{
+	auditFields(t, reflect.TypeOf(engine.Op{}), "loweredDigest", []string{
 		"Kind", "Unit", "Srcs", "MemSrc", "Addr", "Orig",
+	})
+}
+
+// TestFingerprintCoversSourceFields pins the fields the source key
+// reads: every trace.Instr field (trace.Digest) and every
+// per-instruction slice of the partition assignment (assignmentDigest).
+// daelint's schemaguard proves the same statically; the assignment's
+// op counts are derived from the slices and stay unkeyed.
+func TestFingerprintCoversSourceFields(t *testing.T) {
+	auditFields(t, reflect.TypeOf(trace.Instr{}), "trace.Digest", []string{
+		"Class", "Addr", "Args", "MemAddr",
+	})
+	auditFields(t, reflect.TypeOf(partition.Assignment{}), "assignmentDigest", []string{
+		"Unit", "InAddrSlice", "RecvAU", "RecvDU",
+		"OpsAU", "OpsDU", "SelfLoads", // derived counters, unkeyed
 	})
 }
 
@@ -143,48 +163,64 @@ func TestFingerprintTracksContent(t *testing.T) {
 	}
 }
 
-// referenceFingerprint is Fingerprint's byte stream written the slow,
-// obvious way: one 8-byte hash Write per integer. Fingerprint must stay
-// equal to it, so persistent-store keys survive changes to how the
-// stream is buffered.
+// referenceFingerprint is Fingerprint's input written the slow, obvious
+// way: one hash Write per field, the lowering version, then the trace,
+// then the assignment.
+// Fingerprint must stay equal to it, so persistent-store keys survive
+// changes to how the streams are buffered or memoized.
 func referenceFingerprint(s *Suite) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+	th := sha256.New()
+	w32 := func(h hash.Hash, x uint32) {
+		var buf [4]byte
+		binary.LittleEndian.PutUint32(buf[:], x)
 		h.Write(buf[:])
 	}
-	for _, p := range []*engine.Program{s.DM.Program, s.SWSM} {
-		h.Write([]byte(p.Name))
-		wInt(int64(p.NumUnits))
-		wInt(int64(p.TraceLen))
-		wInt(int64(len(p.Ops)))
-		for i := range p.Ops {
-			op := &p.Ops[i]
-			wInt(int64(op.Kind))
-			wInt(int64(op.Unit))
-			wInt(int64(op.MemSrc))
-			wInt(int64(op.Addr))
-			wInt(int64(op.Orig))
-			wInt(int64(len(op.Srcs)))
-			for _, src := range op.Srcs {
-				wInt(int64(src))
+	tr := s.Trace
+	w32(th, uint32(len(tr.Name)))
+	th.Write([]byte(tr.Name))
+	w32(th, uint32(len(tr.Instrs)))
+	for i := range tr.Instrs {
+		in := &tr.Instrs[i]
+		th.Write([]byte{byte(in.Class)})
+		for _, refs := range [][]int32{in.Addr, in.Args} {
+			w32(th, uint32(len(refs)))
+			for _, r := range refs {
+				w32(th, uint32(r))
 			}
 		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], in.MemAddr)
+		th.Write(buf[:])
 	}
+	ah := sha256.New()
+	a := s.DM.Assignment
+	w32(ah, uint32(len(a.Unit)))
+	for _, u := range a.Unit {
+		ah.Write([]byte{byte(u)})
+	}
+	for _, flags := range [][]bool{a.InAddrSlice, a.RecvAU, a.RecvDU} {
+		w32(ah, uint32(len(flags)))
+		for _, f := range flags {
+			b := byte(0)
+			if f {
+				b = 1
+			}
+			ah.Write([]byte{b})
+		}
+	}
+	h := sha256.New()
+	h.Write([]byte(lower.Version))
+	h.Write(th.Sum(nil))
+	h.Write(ah.Sum(nil))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestFingerprintMatchesReference pins every fingerprint the persistent
+// TestFingerprintMatchesReference pins every source key the persistent
 // store is keyed by: each catalog workload and a generated one, under
 // every partition policy. It also checks that a repartitioned suite is
 // indistinguishable from one lowered from scratch under the new policy.
 func TestFingerprintMatchesReference(t *testing.T) {
-	names := []string{"spec:depth=8,ilp=4,mem=0.4,addr=gather,iters=64,seed=3"}
-	for _, spec := range workloads.Catalog() {
-		names = append(names, spec.Name)
-	}
-	for _, name := range names {
+	for _, name := range guardWorkloads() {
 		tr, err := workloads.Build(name, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -217,8 +253,114 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkSuiteFingerprint hashes MDG's classic suite, the largest
-// program pair of the catalog's figure workloads.
+// TestRepartitionReusesTraceDigest: a repartitioned suite takes its
+// trace digest from the shared trace's memo instead of hashing the
+// trace again. The test breaks the trace's immutability on purpose
+// after the base suite was keyed — a load's MemAddr moves, which no
+// partition reads — so a recomputed digest would show as a new key.
+func TestRepartitionReusesTraceDigest(t *testing.T) {
+	tr, err := workloads.Build("TRFD", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewSuite(tr, partition.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := base.Fingerprint()
+	for i := range tr.Instrs {
+		if tr.Instrs[i].Class == isa.Load {
+			tr.Instrs[i].MemAddr += 8
+			break
+		}
+	}
+	re, err := base.Repartition(partition.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Fingerprint(); got != key {
+		t.Errorf("repartitioned suite rehashed its trace: key %s, base %s", got, key)
+	}
+	moved, err := NewSuite(&trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, partition.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Fingerprint() == key {
+		t.Error("a fresh trace with a moved MemAddr must key differently")
+	}
+}
+
+// TestFingerprintSharesIdenticalAssignments: the key names the
+// assignment, not the policy. A kernel whose every integer op computes
+// an address partitions identically under every policy, so its suites
+// share one key (and one set of store entries); a data-side integer op
+// makes the policies disagree, and the keys with them.
+func TestFingerprintSharesIdenticalAssignments(t *testing.T) {
+	build := func(dataInt bool) *trace.Trace {
+		b := kernel.New("asg")
+		arr := b.Array("a", 64, 8)
+		for i := 0; i < 16; i++ {
+			base := b.Int()
+			v := b.FP(b.Load(arr, i, base))
+			if dataInt {
+				v = b.Int(b.Load(arr, 16+i, base))
+			}
+			b.Store(arr, 32+i, v, base)
+		}
+		return b.MustTrace()
+	}
+	keys := func(tr *trace.Trace) map[partition.Policy]string {
+		out := map[partition.Policy]string{}
+		for _, pol := range partition.Policies() {
+			s, err := NewSuite(tr, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[pol] = s.Fingerprint()
+		}
+		return out
+	}
+	same := keys(build(false))
+	for _, pol := range partition.Policies() {
+		if same[pol] != same[partition.Classic] {
+			t.Errorf("address-only kernel: %v keys %s, classic %s (identical assignments must share a key)", pol, same[pol], same[partition.Classic])
+		}
+	}
+	diff := keys(build(true))
+	if diff[partition.Classic] == diff[partition.SliceOnly] {
+		t.Error("classic and slice-only assign the data-side integer ops differently but share a key")
+	}
+}
+
+// TestFingerprintTracksSpecAndScale: a generated workload's seed and the
+// workload scale both reach the key, through the trace they build.
+func TestFingerprintTracksSpecAndScale(t *testing.T) {
+	key := func(name string, scale int) string {
+		tr, err := workloads.Build(name, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSuite(tr, partition.Classic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Fingerprint()
+	}
+	const spec = "spec:depth=4,ilp=2,mem=0.5,addr=gather,iters=32,seed=%d"
+	if key(fmt.Sprintf(spec, 1), 1) == key(fmt.Sprintf(spec, 2), 1) {
+		t.Error("changing a spec seed must change the key")
+	}
+	for _, name := range []string{fmt.Sprintf(spec, 1), "TRFD"} {
+		if key(name, 1) == key(name, 2) {
+			t.Errorf("%s: changing the scale must change the key", name)
+		}
+	}
+}
+
+// BenchmarkSuiteFingerprint keys MDG's classic suite, the largest trace
+// of the catalog's figure workloads, from a fresh trace each iteration:
+// the cost a pass pays the first time it keys a workload (the trace
+// digest plus one assignment digest).
 func BenchmarkSuiteFingerprint(b *testing.B) {
 	tr, err := workloads.Build("MDG", 1)
 	if err != nil {
@@ -228,19 +370,16 @@ func BenchmarkSuiteFingerprint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var n int64
-	for _, p := range []*engine.Program{s.DM.Program, s.SWSM} {
-		n += int64(len(p.Name)) + 3*8
-		for i := range p.Ops {
-			n += 8 * int64(6+len(p.Ops[i].Srcs))
-		}
+	n := int64(len(tr.Name)) + 8 + 4*int64(len(s.DM.Assignment.Unit)) + 16
+	for i := range tr.Instrs {
+		n += 1 + 8 + 8 + 4*int64(len(tr.Instrs[i].Addr)+len(tr.Instrs[i].Args))
 	}
 	b.SetBytes(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Suite per iteration: Fingerprint memoizes per Suite.
-		fresh := &Suite{Trace: s.Trace, DM: s.DM, SWSM: s.SWSM}
+		// A fresh Trace and Suite per iteration: both memoize.
+		fresh := &Suite{Trace: &trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, DM: s.DM, SWSM: s.SWSM}
 		fresh.Fingerprint()
 	}
 }

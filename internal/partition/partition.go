@@ -72,8 +72,10 @@ type Assignment struct {
 	RecvAU, RecvDU []bool
 	// Counts per unit of value-computing instructions (loads counted on
 	// each receiving unit).
+	//daelint:unkeyed derived from Unit, RecvAU and RecvDU, which the source key hashes
 	OpsAU, OpsDU int
 	// SelfLoads counts loads delivered to the AU.
+	//daelint:unkeyed derived from RecvAU, which the source key hashes
 	SelfLoads int
 }
 

@@ -79,7 +79,7 @@ func TestStoreHitAcrossRestart(t *testing.T) {
 
 // TestStoreKeyScheme pins what the persistent key must cover: the engine
 // version tag (a semantic bump invalidates everything), the suite
-// content fingerprint (a recalibrated workload misses), and the
+// source key (a recalibrated workload or a lowering bump misses), and the
 // canonical parameter encoding (distinct points never collide).
 func TestStoreKeyScheme(t *testing.T) {
 	dir := t.TempDir()

@@ -159,9 +159,9 @@ func (r *Runner) Run(pt Point) (*engine.Result, error) {
 }
 
 // storeKey returns the persistent key for a point: the engine version
-// tag and the suite's content fingerprint (workload identity, scale,
-// partition, lowering) joined with the canonical parameter encoding.
-// The fingerprint is hashed once per Runner, on first use.
+// tag and the suite's source key (lowering version, trace, partition
+// assignment) joined with the canonical parameter encoding. The key is
+// built once per Runner, on first use.
 func (r *Runner) storeKey(pt Point) (string, bool) {
 	pk, ok := pt.P.CacheKey(pt.Kind)
 	if !ok {

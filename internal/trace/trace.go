@@ -13,7 +13,9 @@
 package trace
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"daesim/internal/isa"
 )
@@ -57,6 +59,10 @@ type Trace struct {
 	Name string
 	// Instrs is the instruction stream in program order.
 	Instrs []Instr
+
+	// Digest memoization.
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // Len returns the number of instructions.
