@@ -272,8 +272,9 @@ func main() {
 	}
 }
 
-// attachRemote wires the context's Remote/RemoteBatch/RemoteSearch
-// hooks to a consistent-hash fleet over the comma-separated URLs (a
+// attachRemote wires the context's RemoteBatch and RemoteSearch hooks
+// (a single point rides RemoteBatch as a one-item batch) to a
+// consistent-hash fleet over the comma-separated URLs (a
 // single URL is a one-replica fleet — same failure ladder, trivial
 // ring). The health handshake runs up front, over the clean
 // transports, so a dead or skewed daemon fails the run before any
@@ -303,9 +304,6 @@ func attachRemote(rctx context.Context, ctx *experiments.Context, spec string, i
 				Transport: &faultinject.Transport{Injector: injector, Scope: fmt.Sprintf("r%d", i)},
 			}
 		}
-	}
-	ctx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return fleet.Run(rctx, workload, scale, fingerprint, pt)
 	}
 	ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
 		return fleet.RunBatch(rctx, workload, scale, fingerprint, pts)

@@ -12,8 +12,8 @@
 //
 // Endpoints: POST /v1/batch/run (simulation points, each with its own
 // workload target, run on the bounded pool) and POST /v1/batch/search
-// (equivalent-window, ratio and crossover searches, fanned across the
-// pool) — a single point or search is a batch of one — plus
+// (the equivalent-window ratio searches of Figures 7-9, fanned across
+// the pool) — a single point or search is a batch of one — plus
 // GET /v1/cache/stats, POST /v1/cache/gc,
 // GET /healthz, and GET /metrics (Prometheus text exposition of the
 // request, cache, store and admission-queue counters — DESIGN.md §15;

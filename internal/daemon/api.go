@@ -185,41 +185,26 @@ type RunRequest struct {
 	Point
 }
 
-// Search operations for SearchRequest.Op.
-const (
-	// SearchWindow finds the smallest SWSM window meeting Target cycles
-	// (metrics.Search.EquivalentWindow).
-	SearchWindow = "window"
-	// SearchRatio runs the DM at the given params and reports the
-	// equivalent-window ratio of Figures 7-9.
-	SearchRatio = "ratio"
-	// SearchCrossover scans Windows for the first SWSM-wins window.
-	SearchCrossover = "crossover"
-)
+// SearchRatio is the one SearchRequest.Op: run the DM at the given
+// params and report the equivalent-window ratio of Figures 7-9.
+const SearchRatio = "ratio"
 
-// SearchRequest is an equivalent-window search against one suite,
+// SearchRequest is an equivalent-window ratio search against one suite,
 // probed through the daemon's shared cache: an item of a
 // /v1/batch/search body.
 type SearchRequest struct {
 	Target
-	// Op selects the search: SearchWindow, SearchRatio or SearchCrossover.
+	// Op selects the search; SearchRatio is the only one.
 	Op string `json:"op"`
-	// Params configures the probes; Params.Window is the DM window for
-	// ratio searches and the bracket hint for window searches.
+	// Params configures the probes; Params.Window is the DM window.
 	Params Params `json:"params"`
-	// TargetCycles is the time to match (SearchWindow only).
-	TargetCycles int64 `json:"target_cycles,omitempty"`
-	// Windows is the ascending scan grid (SearchCrossover only).
-	Windows []int `json:"windows,omitempty"`
 }
 
 // SearchResponse answers one SearchRequest. OK is false when the
-// search saturated (no window within metrics.MaxEquivalentWindow, or no
-// crossover in the grid).
+// search saturated (no window within metrics.MaxEquivalentWindow).
 type SearchResponse struct {
-	Window int     `json:"window,omitempty"`
-	Ratio  float64 `json:"ratio,omitempty"`
-	OK     bool    `json:"ok"`
+	Ratio float64 `json:"ratio,omitempty"`
+	OK    bool    `json:"ok"`
 }
 
 // MaxBatchItems caps the item count of /v1/batch/run and

@@ -256,47 +256,22 @@ func TestSweepEndpointWarmRunHitsCache(t *testing.T) {
 	}
 }
 
-// TestSearchEndpointMatchesLocalSearch: each search op, sent as a
+// TestSearchEndpointMatchesLocalSearch: a ratio search, sent as a
 // one-item /v1/batch/search, answers exactly as the local search does.
 func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	p := machine.Params{Window: 16, MD: 30}
-	search := func(req SearchRequest) SearchResponse {
-		t.Helper()
-		resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{req})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp[0]
-	}
-
-	runner := localRunner(t, testWorkload)
-	wantRatio, wantOK, err := metrics.NewSearch(runner).EquivalentWindowRatio(p)
+	resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{{Op: SearchRatio, Params: Params{Window: 16, MD: 30}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := search(SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
-	if resp.OK != wantOK || resp.Ratio != wantRatio {
-		t.Fatalf("ratio search: got %+v, want ratio %v ok %v", resp, wantRatio, wantOK)
-	}
-
-	dm, err := runner.Run(sweep.Point{Kind: machine.DM, P: p})
+	wantRatio, wantOK, err := metrics.NewSearch(localRunner(t, testWorkload)).EquivalentWindowRatio(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wresp := search(SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
-	if !wresp.OK || float64(wresp.Window)/16 != resp.Ratio {
-		t.Fatalf("window search %+v inconsistent with ratio %v", wresp, resp.Ratio)
-	}
-
-	xresp := search(SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
-	wantX, wantXOK, err := metrics.NewSearch(runner).Crossover(machine.Params{MD: 0}, []int{4, 8, 16, 32, 64, 96, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xresp.OK != wantXOK || xresp.Window != wantX {
-		t.Fatalf("crossover: got %+v, want %d ok %v", xresp, wantX, wantXOK)
+	if resp[0].OK != wantOK || resp[0].Ratio != wantRatio {
+		t.Fatalf("ratio search: got %+v, want ratio %v ok %v", resp[0], wantRatio, wantOK)
 	}
 }
 
@@ -462,9 +437,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad search op", func() error {
 			return search(SearchRequest{Op: "median"})
 		}, "unknown search op"},
-		{"window search without target", func() error {
-			return search(SearchRequest{Op: SearchWindow})
-		}, "target_cycles"},
+		{"removed window search op", func() error {
+			return search(SearchRequest{Op: "window"})
+		}, "unknown search op"},
 		{"unknown field", func() error {
 			return run(map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}})
 		}, "unknown field"},
@@ -523,17 +498,15 @@ func TestBatchRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSearchEndpoint: a heterogeneous search batch answers each
+// TestBatchSearchEndpoint: a batch of ratio searches answers each
 // item exactly as a local search over a sweep.Runner would.
 func TestBatchSearchEndpoint(t *testing.T) {
 	t.Parallel()
 	_, fleet := newTestServer(t, Config{})
 	client := fleet.Clients()[0]
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
-	windows := []int{4, 8, 16, 32, 64, 96, 128}
 	items := []SearchRequest{
 		{Target: target, Op: SearchRatio, Params: Params{Window: 16, MD: 30}},
-		{Target: target, Op: SearchCrossover, Params: Params{MD: 0}, Windows: windows},
 		{Target: target, Op: SearchRatio, Params: Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
@@ -547,11 +520,7 @@ func TestBatchSearchEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want SearchResponse
-		if item.Op == SearchRatio {
-			want.Ratio, want.OK, err = metrics.NewSearch(runner).EquivalentWindowRatio(p)
-		} else {
-			want.Window, want.OK, err = metrics.NewSearch(runner).Crossover(p, windows)
-		}
+		want.Ratio, want.OK, err = metrics.NewSearch(runner).EquivalentWindowRatio(p)
 		if err != nil {
 			t.Fatal(err)
 		}

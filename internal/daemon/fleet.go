@@ -54,7 +54,8 @@ import (
 //
 // Run, RunBatch and RatioBatch have the hook shapes of
 // experiments.Context.Remote, RemoteBatch and RemoteSearch; attaching
-// all three is repro -remote host1,host2,... (DESIGN.md §11). Every
+// RunBatch and RatioBatch is repro -remote host1,host2,... (DESIGN.md
+// §11), and single points then ride RunBatch as one-item batches. Every
 // call travels over the two batch endpoints, so a single daemon is just
 // a one-replica fleet. A FleetClient is safe for concurrent use.
 type FleetClient struct {

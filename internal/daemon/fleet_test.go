@@ -52,9 +52,6 @@ func newFleet(t *testing.T, n int, mkcfg func(i int) Config, wrap func(i int, h 
 // attached to the fleet — the repro -remote url1,url2,... wiring.
 func fleetContext(fleet *FleetClient) *experiments.Context {
 	ctx := experiments.NewContext()
-	ctx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return fleet.Run(context.Background(), workload, scale, fingerprint, pt)
-	}
 	ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
 		return fleet.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}

@@ -378,10 +378,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// prepSearch validates one search request: it resolves the runner and
-// decodes the params, refusing malformed ops before anything simulates.
-// A non-nil error carries the HTTP status to refuse with.
+// prepSearch validates one search request: it checks the op, resolves
+// the runner and decodes the params before anything simulates. A
+// non-nil error carries the HTTP status to refuse with.
 func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, int, error) {
+	if req.Op != SearchRatio {
+		return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: unknown search op %q (want %s)", req.Op, SearchRatio)
+	}
 	runner, err := s.runnerFor(req.Target)
 	if err != nil {
 		return nil, machine.Params{}, targetStatus(err), err
@@ -390,43 +393,22 @@ func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, i
 	if err != nil {
 		return nil, machine.Params{}, http.StatusBadRequest, err
 	}
-	switch req.Op {
-	case SearchWindow:
-		if req.TargetCycles <= 0 {
-			return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: window search needs target_cycles > 0")
-		}
-	case SearchRatio, SearchCrossover:
-		if req.Op == SearchCrossover && len(req.Windows) == 0 {
-			return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: crossover search needs a windows grid")
-		}
-	default:
-		return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: unknown search op %q (want %s, %s, %s)", req.Op, SearchWindow, SearchRatio, SearchCrossover)
-	}
 	return runner, p, 0, nil
 }
 
-// execSearch runs one validated search. Each call owns its Search (a
-// Search parallelizes internally but is not safe for concurrent use);
-// probes still share the runner's caches with every other request.
-// searchPar, when positive, caps the Search's internal probe fan-out —
-// batch execution splits the pool budget across concurrent searches so
-// a batch never multiplies into Parallelism² workers. The cap cannot
-// change the answer: the probe sequence is parallelism-independent
-// (metrics.Search).
-func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest, searchPar int) (SearchResponse, error) {
+// execSearch runs one validated ratio search. Each call owns its Search
+// (a Search parallelizes internally but is not safe for concurrent
+// use); probes still share the runner's caches with every other
+// request. searchPar, when positive, caps the Search's internal probe
+// fan-out — batch execution splits the pool budget across concurrent
+// searches so a batch never multiplies into Parallelism² workers. The
+// cap cannot change the answer: the probe sequence is
+// parallelism-independent (metrics.Search).
+func execSearch(runner *sweep.Runner, p machine.Params, searchPar int) (SearchResponse, error) {
 	search := metrics.NewSearch(runner)
 	search.Parallelism = searchPar
-	var resp SearchResponse
-	var err error
-	switch req.Op {
-	case SearchWindow:
-		resp.Window, resp.OK, err = search.EquivalentWindow(p, req.TargetCycles)
-	case SearchRatio:
-		resp.Ratio, resp.OK, err = search.EquivalentWindowRatio(p)
-	case SearchCrossover:
-		resp.Window, resp.OK, err = search.Crossover(p, req.Windows)
-	}
-	return resp, err
+	ratio, ok, err := search.EquivalentWindowRatio(p)
+	return SearchResponse{Ratio: ratio, OK: ok}, err
 }
 
 // checkBatchSize refuses empty and oversized batches with 400.
@@ -545,7 +527,7 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = execSearch(runners[i], params[i], req.Items[i], searchPar)
+				results[i], errs[i] = execSearch(runners[i], params[i], searchPar)
 			}
 		}()
 	}

@@ -40,25 +40,26 @@ type Context struct {
 	// invalidated by engine-version bumps and workload recalibrations
 	// (DESIGN.md §9). Set it before the first experiment runs.
 	Cache *sweep.Store
-	// Remote, when non-nil, executes cacheable points that miss the local
-	// cache layers — it becomes each workload runner's Remote hook, bound
-	// to that workload, the context's scale, and the local suite's
-	// source key (so a daemon built from different workload, lowering or
-	// engine code refuses instead of answering with skewed results).
-	// internal/daemon.FleetClient.Run has this signature, so attaching a
-	// fleet client routes every cacheable simulation through running
-	// sweepd replicas (repro -remote; DESIGN.md §10-11). Detached runners built
-	// outside the per-workload cache (the policy study's non-default
-	// partitions) still simulate locally. Set it before the first
-	// experiment runs.
+	// Remote, when non-nil and RemoteBatch is nil, executes cacheable
+	// points that miss the local cache layers one at a time — it becomes
+	// each workload runner's Remote hook, bound to that workload, the
+	// context's scale, and the local suite's source key (so a daemon
+	// built from different workload, lowering or engine code refuses
+	// instead of answering with skewed results).
+	// internal/daemon.FleetClient.Run has this signature. Detached
+	// runners built outside the per-workload cache (the policy study's
+	// non-default partitions) still simulate locally. Set it before the
+	// first experiment runs.
 	Remote func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error)
-	// RemoteBatch, when non-nil, executes whole point sets remotely in
-	// one call — it becomes each workload runner's RemoteBatch hook, so
-	// figure sweeps and search probe waves travel as one request per
-	// fleet replica instead of one per point
-	// (daemon.FleetClient.RunBatch has this signature; repro -remote
-	// attaches it alongside Remote). Set it before the first experiment
-	// runs.
+	// RemoteBatch, when non-nil, executes point sets remotely in one
+	// call, bound like Remote — it becomes each workload runner's
+	// RemoteBatch hook, so figure sweeps and search probe waves travel
+	// as one request per fleet replica instead of one per point, and a
+	// single point as a one-item batch; Remote is then never called.
+	// daemon.FleetClient.RunBatch has this signature, so attaching a
+	// fleet client routes every cacheable simulation through running
+	// sweepd replicas (repro -remote; DESIGN.md §10-11). Set it before
+	// the first experiment runs.
 	RemoteBatch func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error)
 	// RemoteSearch, when non-nil, executes a whole curve of
 	// equivalent-window ratio searches (the unit of Figures 7-9)
@@ -71,7 +72,7 @@ type Context struct {
 	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
 	// Degrade, when set, arms every runner's last-resort fallback: a
-	// Remote/RemoteBatch call failing with sweep.ErrUnavailable (every
+	// RemoteBatch/Remote call failing with sweep.ErrUnavailable (every
 	// candidate replica down or exhausted — daemon.FleetClient reports
 	// exactly that) is answered by simulating the affected points
 	// locally instead of failing the experiment, counted under

@@ -42,99 +42,6 @@ func LHE(perfect, actual int64) float64 {
 // sweep so ratios near the top of Figures 7-9 resolve.
 const MaxEquivalentWindow = 8192
 
-// RunFunc reports the execution time at a given window size.
-type RunFunc func(window int) (int64, error)
-
-// EquivalentWindowFunc returns the smallest window at which run's time is
-// at most target cycles, exploiting monotonicity of time in window size.
-// ok is false if even MaxEquivalentWindow cannot reach the target.
-func EquivalentWindowFunc(run RunFunc, target int64) (window int, ok bool, err error) {
-	return searchFrom(run, target, 1)
-}
-
-// searchFrom is the serial search: probe the hint, then bracket by
-// exponential doubling upward (or binary refinement downward) and binary
-// search the bracket. With hint 1 it probes the exact sequence the
-// original from-scratch search did; a hint near the answer (e.g. the DM
-// window for a ratio search, whose result is almost always a small
-// multiple of it) skips the cold low-window rungs of the ladder, which
-// are also the slowest to simulate.
-func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err error) {
-	h := hint
-	if h < 1 {
-		h = 1
-	}
-	if h > MaxEquivalentWindow {
-		h = MaxEquivalentWindow
-	}
-	c, err := run(h)
-	if err != nil {
-		return 0, false, err
-	}
-	// (wFail, cFail) is the largest window known to miss the target,
-	// (hi, cHi) the smallest known to meet it; both anchor the
-	// interpolation steps below.
-	var lo, hi int
-	wFail, cFail := 0, int64(-1)
-	var cHi int64
-	if c <= target {
-		lo, hi, cHi = 1, h, c
-	} else {
-		wFail, cFail = h, c
-		// Exponential probe upward for an upper bound.
-		lo, hi = h+1, 2*h
-		for {
-			if hi >= MaxEquivalentWindow {
-				c, err := run(MaxEquivalentWindow)
-				if err != nil {
-					return 0, false, err
-				}
-				if c > target {
-					return MaxEquivalentWindow, false, nil
-				}
-				hi, cHi = MaxEquivalentWindow, c
-				break
-			}
-			c, err := run(hi)
-			if err != nil {
-				return 0, false, err
-			}
-			if c <= target {
-				cHi = c
-				break
-			}
-			lo = hi + 1
-			wFail, cFail = hi, c
-			hi *= 2
-		}
-	}
-	// Refine [lo, hi]; hi is known to meet the target. Steps alternate
-	// between interpolating the boundary from the bracket anchors (time
-	// is near-smooth in window size, so the secant estimate usually lands
-	// within a few slots of the answer) and plain bisection, which caps
-	// the worst case at 2x the probes of pure binary search.
-	for step := 0; lo < hi; step++ {
-		mid := (lo + hi) / 2
-		if step%2 == 0 && cFail > cHi && cFail > target {
-			est := float64(wFail) + float64(cFail-target)/float64(cFail-cHi)*float64(hi-wFail)
-			if m := int(est); m >= lo && m < hi {
-				mid = m
-			}
-		}
-		c, err := run(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if c <= target {
-			hi, cHi = mid, c
-		} else {
-			lo = mid + 1
-			wFail, cFail = mid, c
-		}
-	}
-	return hi, true, nil
-}
-
 // Search runs equivalent-window and crossover searches against one
 // sweep.Runner. It owns a pool of per-goroutine engine.Sim scratch
 // contexts that stay warm across calls, so a figure sweep of many search
@@ -158,9 +65,9 @@ func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err e
 // it could not change the answer. With a RemoteBatch hook on the Runner
 // a whole wave travels as one batched round trip, which is what
 // collapses a remote search's request count (DESIGN.md §11).
-// Points carrying a custom Params.Mem fall back to a serial adaptive
-// path: stateful memory models are not safe to probe concurrently (or
-// remotely).
+// Points carrying a custom Params.Mem run the same waves, evaluated
+// locally one probe at a time: a stateful memory model is not safe to
+// probe concurrently (or remotely).
 //
 // A Search is not safe for concurrent use by multiple goroutines; it
 // parallelizes internally.
@@ -195,24 +102,14 @@ func (s *Search) sim(i int) *engine.Sim {
 	return s.sims[i]
 }
 
-// probe runs the SWSM at window w on the given scratch, memoized.
-func (s *Search) probe(sim *engine.Sim, p machine.Params, w int) (int64, error) {
-	q := p
-	q.Window = w
-	r, err := s.Runner.RunWith(sim, sweep.Point{Kind: machine.SWSM, P: q})
-	if err != nil {
-		return 0, err
-	}
-	return r.Cycles, nil
-}
-
 // evalWave evaluates the SWSM at the windows of one wave and returns
 // the times of an evaluated prefix of it: the prefix ends within
 // Parallelism points after the first probe meeting the target, or is
 // the whole wave when none does. Every caller reads only that first
 // meeting probe, so the prefix carries the wave's whole answer, and the
 // answer does not depend on the execution strategy. A Runner with a
-// RemoteBatch hook evaluates the whole wave in one batched round trip.
+// RemoteBatch hook evaluates the whole wave in one batched round trip;
+// a custom Params.Mem point is evaluated locally, one probe at a time.
 func (s *Search) evalWave(p machine.Params, ws []int, target int64) ([]int64, error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
@@ -220,10 +117,13 @@ func (s *Search) evalWave(p machine.Params, ws []int, target int64) ([]int64, er
 		q.Window = w
 		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	if s.Runner.RemoteBatch != nil {
-		return s.runBatch(pts)
+	par := 1
+	if p.Mem == nil {
+		if s.Runner.RemoteBatch != nil {
+			return s.runBatch(pts)
+		}
+		par = s.par()
 	}
-	par := s.par()
 	times := make([]int64, len(pts))
 	for lo := 0; lo < len(pts); lo += par {
 		hi := lo + par
@@ -277,9 +177,9 @@ func (s *Search) evalChunk(pts []sweep.Point, times []int64) error {
 	return nil
 }
 
-// runBatch evaluates every point through the Runner's batched path.
+// runBatch evaluates every point in one Runner.RunAll call.
 func (s *Search) runBatch(pts []sweep.Point) ([]int64, error) {
-	results, err := s.Runner.RunBatch(pts)
+	results, err := s.Runner.RunAll(pts)
 	if err != nil {
 		return nil, err
 	}
@@ -306,12 +206,7 @@ func (s *Search) runBatch(pts []sweep.Point) ([]int64, error) {
 // t(w) <= target < t(w-1). Only the hint can steer which boundary of a
 // wobble band is reported.
 func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, ok bool, err error) {
-	hint := clampHint(p.Window)
-	if p.Mem != nil {
-		sim := s.sim(0)
-		return searchFrom(func(w int) (int64, error) { return s.probe(sim, p, w) }, target, hint)
-	}
-	return s.ladderSearch(p, target, ladderWindows(hint), nil)
+	return s.ladderSearch(p, target, ladderWindows(clampHint(p.Window)), nil)
 }
 
 // kSectionWidth is the interior-probe count of each refinement wave.

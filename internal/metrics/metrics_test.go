@@ -1,13 +1,15 @@
 package metrics
 
 import (
-	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/sweep"
 )
@@ -24,60 +26,6 @@ func TestSpeedupAndLHE(t *testing.T) {
 	}
 	if LHE(80, 0) != 0 {
 		t.Fatal("zero actual should yield zero")
-	}
-}
-
-// fakeMonotone builds a RunFunc from a step function: time = hi below the
-// threshold window, lo at or above it.
-func fakeMonotone(threshold int, hi, lo int64) RunFunc {
-	return func(w int) (int64, error) {
-		if w >= threshold {
-			return lo, nil
-		}
-		return hi, nil
-	}
-}
-
-func TestEquivalentWindowFuncFindsThreshold(t *testing.T) {
-	f := func(th uint16) bool {
-		threshold := int(th%2000) + 1
-		run := fakeMonotone(threshold, 100, 10)
-		w, ok, err := EquivalentWindowFunc(run, 50)
-		return err == nil && ok && w == threshold
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEquivalentWindowFuncSaturates(t *testing.T) {
-	run := func(w int) (int64, error) { return 1000, nil }
-	w, ok, err := EquivalentWindowFunc(run, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("unreachable target should report !ok")
-	}
-	if w != MaxEquivalentWindow {
-		t.Fatalf("saturated search should report the cap, got %d", w)
-	}
-}
-
-func TestEquivalentWindowFuncImmediate(t *testing.T) {
-	// Window 1 already meets the target.
-	run := fakeMonotone(1, 99, 10)
-	w, ok, err := EquivalentWindowFunc(run, 50)
-	if err != nil || !ok || w != 1 {
-		t.Fatalf("got w=%d ok=%v err=%v, want 1 true nil", w, ok, err)
-	}
-}
-
-func TestEquivalentWindowFuncPropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	run := func(w int) (int64, error) { return 0, boom }
-	if _, _, err := EquivalentWindowFunc(run, 10); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
@@ -127,13 +75,13 @@ func TestEquivalentWindowAgainstSuite(t *testing.T) {
 	}
 }
 
-// TestSearchParallelMatchesSerial pins the speculative-parallel search
-// against the serial path on a small figure grid. Simulated time is not
-// perfectly monotone in window size (Graham anomalies), so the two
-// probe paths may legally land on different boundaries of an anomaly
-// wobble band; the contract both must satisfy is boundary validity —
-// t(w) <= target < t(w-1) — plus agreement on ok. Run under -race this
-// also exercises the worker pool for data races (the CI race job does).
+// TestSearchParallelMatchesSerial runs the search at Parallelism 1 and
+// 4 over a small figure grid. Simulated time is not perfectly monotone
+// in window size (Graham anomalies), so an answer may legally land on
+// either boundary of an anomaly wobble band; the contract both widths
+// must satisfy is boundary validity — t(w) <= target < t(w-1) — plus
+// agreement on ok. Run under -race this also exercises the worker pool
+// for data races (the CI race job does).
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	s := smallSuite(t)
 	serial := NewSearch(sweep.NewRunner(s))
@@ -268,6 +216,104 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// guardMem is a stateful memory model that fails the test when two
+// runs drive it at once: it yields inside every RequestFill, so a
+// concurrent caller would land in the same call.
+type guardMem struct {
+	t      *testing.T
+	inner  *memsys.Outstanding
+	inside atomic.Int32
+}
+
+func (g *guardMem) RequestFill(addr uint64, sent int64) int64 {
+	if g.inside.Add(1) != 1 {
+		g.t.Error("memory model probed concurrently")
+	}
+	runtime.Gosched()
+	arrive := g.inner.RequestFill(addr, sent)
+	g.inside.Add(-1)
+	return arrive
+}
+func (g *guardMem) Consume(addr uint64, cycle int64) { g.inner.Consume(addr, cycle) }
+func (g *guardMem) Reset()                           { g.inner.Reset() }
+
+// TestCustomMemSearchMatchesQueue: a point carrying a custom memory
+// model runs the same search waves as a cacheable one. Mem =
+// memsys.NewOutstanding(md, q) is the model MemQueue: q selects, so the
+// window and ratio searches must answer identically at every
+// Parallelism — and never probe the stateful model concurrently.
+func TestCustomMemSearchMatchesQueue(t *testing.T) {
+	s := smallSuite(t)
+	type answer struct {
+		w     int
+		ratio float64
+		ok    bool
+	}
+	for _, md := range []int{0, 40} {
+		for _, w := range []int{8, 20} {
+			q := machine.QueueFactor * w
+			queued := machine.Params{Window: w, MD: md, MemQueue: q}
+			dm, err := s.RunDM(queued)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(search *Search, p machine.Params) answer {
+				win, ok, err := search.EquivalentWindow(p, dm.Cycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ratio, rok, err := search.EquivalentWindowRatio(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rok != ok {
+					t.Fatalf("md=%d w=%d: window search ok=%v, ratio search ok=%v", md, w, ok, rok)
+				}
+				return answer{win, ratio, ok}
+			}
+			want := run(NewSearch(sweep.NewRunner(s)), queued)
+			for _, par := range []int{1, 4} {
+				inner, err := memsys.NewOutstanding(int64(md), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := machine.Params{Window: w, MD: md, Mem: &guardMem{t: t, inner: inner}}
+				r := sweep.NewRunner(s)
+				search := NewSearch(r)
+				search.Parallelism = par
+				if got := run(search, p); got != want {
+					t.Errorf("md=%d w=%d par=%d: custom Mem search %+v, MemQueue search %+v", md, w, par, got, want)
+				}
+				if st := r.Stats(); st.Sims != 0 || st.Uncacheable == 0 {
+					t.Errorf("md=%d w=%d par=%d: custom Mem probes must bypass the cache: %+v", md, w, par, st)
+				}
+			}
+		}
+	}
+}
+
+// earlyMem returns every fill one cycle before its send, which the
+// engine refuses.
+type earlyMem struct{}
+
+func (earlyMem) RequestFill(addr uint64, sent int64) int64 { return sent - 1 }
+func (earlyMem) Consume(addr uint64, cycle int64)          {}
+func (earlyMem) Reset()                                    {}
+
+// TestCustomMemSearchPropagatesErrors: an engine error raised by a
+// custom memory model fails the search with that error.
+func TestCustomMemSearchPropagatesErrors(t *testing.T) {
+	s := smallSuite(t)
+	for _, par := range []int{1, 4} {
+		search := NewSearch(sweep.NewRunner(s))
+		search.Parallelism = par
+		_, _, err := search.EquivalentWindow(machine.Params{Window: 8, MD: 40, Mem: earlyMem{}}, 1000)
+		if err == nil || !strings.Contains(err.Error(), "before send") {
+			t.Errorf("par=%d: want the engine's arrival-before-send error, got %v", par, err)
+		}
+	}
+}
+
 // TestEquivalentWindowHintInvariance: the bracket hint (p.Window) must
 // not change the answer, wherever it lands relative to the minimum.
 func TestEquivalentWindowHintInvariance(t *testing.T) {
@@ -299,8 +345,8 @@ func TestEquivalentWindowHintInvariance(t *testing.T) {
 	}
 }
 
-// TestSearchSaturates: an unreachable target reports the cap and !ok on
-// both the serial and the parallel path.
+// TestSearchSaturates: an unreachable target reports the cap and !ok at
+// Parallelism 1 and 3.
 func TestSearchSaturates(t *testing.T) {
 	s := smallSuite(t)
 	for _, par := range []int{1, 3} {

@@ -55,7 +55,8 @@ type CacheStats struct {
 	L1Hits int64
 	// StoreHits are points loaded from the persistent Store.
 	StoreHits int64
-	// RemoteHits are points served by a remote daemon (Runner.Remote).
+	// RemoteHits are points served by a remote daemon (Runner.RemoteBatch
+	// or Runner.Remote).
 	RemoteHits int64
 	// RemoteSearches are whole equivalent-window searches answered
 	// server-side by a remote daemon (experiments.Context.RemoteSearch)
@@ -110,30 +111,25 @@ type Runner struct {
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
 	Store *Store
-	// Remote, when non-nil, executes cacheable points that miss the local
-	// layers — typically a daemon fleet client
-	// (internal/daemon.FleetClient.Run bound to a workload), so a sweep runs against a long-lived sweepd's shared
-	// cache instead of simulating locally. Remote results are installed
-	// into the local Store (when attached) like any fill. A Remote error
-	// fails the point: a misconfigured or unreachable daemon should
-	// surface, not silently degrade to local simulation (the one
-	// explicit exception is Degrade + ErrUnavailable). Uncacheable
-	// points (custom Params.Mem) never route remotely — a MemModel is
-	// arbitrary local code. Set it before the first Run.
-	Remote func(Point) (*engine.Result, error)
-	// RemoteBatch, when non-nil, executes a whole set of cacheable
-	// misses in one call — typically a daemon fleet client
-	// (internal/daemon.FleetClient.RunBatch bound to a workload), so a
-	// probe wave or figure sweep becomes one HTTP round trip per
-	// replica instead of one request per point. RunBatch and RunAll
-	// consult it for the points that miss the local layers; single-point
-	// paths (RunWith) still use Remote, so set both when attaching a
-	// remote. Same contract as Remote otherwise: errors surface loudly,
-	// results install into the local Store, uncacheable points never
-	// route. Set it before the first Run.
+	// RemoteBatch, when non-nil, executes the cacheable points that miss
+	// the local layers in one call per RunAll or RunWith — typically a
+	// daemon fleet client (internal/daemon.FleetClient.RunBatch bound to
+	// a workload), so a probe wave or figure sweep becomes one HTTP
+	// round trip per replica, and a single point a one-item batch.
+	// Remote results are installed into the local Store (when attached)
+	// like any fill. A remote error fails the call: a misconfigured or
+	// unreachable daemon should surface, not silently degrade to local
+	// simulation (the one explicit exception is Degrade +
+	// ErrUnavailable). Uncacheable points (custom Params.Mem) never
+	// route remotely — a MemModel is arbitrary local code. Set it before
+	// the first Run.
 	RemoteBatch func([]Point) ([]*engine.Result, error)
+	// Remote is the point-wise form of RemoteBatch, with the same
+	// contract: when RemoteBatch is nil, each miss is sent through it
+	// on its own. It is never called while RemoteBatch is set.
+	Remote func(Point) (*engine.Result, error)
 	// Degrade is the last rung of the failure ladder: when set, a
-	// Remote/RemoteBatch failure that wraps ErrUnavailable (every owner
+	// RemoteBatch/Remote failure that wraps ErrUnavailable (every owner
 	// of the point is down) falls back to local simulation — counted as
 	// Degraded, installed into the Store like any fill, byte-identical
 	// by determinism — instead of failing the sweep. Any other remote
@@ -177,70 +173,22 @@ func (r *Runner) storeKey(pt Point) (string, bool) {
 }
 
 // RunWith executes one point on sim's reusable scratch (nil draws from
-// the engine's shared pool), consulting the in-memory cache and then the
-// persistent Store. Returned Results are private copies: the canonical
-// cached Result never escapes, so callers may mutate what they get back.
-//
-//daelint:ctx-root cancellation rides the Remote hook's captured context; local simulation is not cancellable mid-run
+// the engine's shared pool). It is RunAll of one point, run inline on
+// the caller's goroutine: the point passes the same L1, Store and remote
+// layers a sweep does, and with RemoteBatch set it travels as a one-item
+// batch. Returned Results are private copies: the canonical cached
+// Result never escapes, so callers may mutate what they get back.
 func (r *Runner) RunWith(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	if pt.P.Mem != nil {
-		r.uncacheable.Add(1)
-		return r.Suite.RunWith(sim, pt.Kind, pt.P)
+	out, err := r.runAll(sim, []Point{pt})
+	if err != nil {
+		return nil, err
 	}
-	// The key canonicalizes the retirement policy (RetireAuto resolves
-	// to a concrete policy, exactly as the engine and the store key see
-	// it), so an explicit-policy point and its equivalent auto-policy
-	// point share one entry instead of simulating twice.
-	kp := pt.P
-	kp.Retire = machine.ResolveRetire(kp.Retire)
-	k := key{kind: pt.Kind, p: kp}
-	r.mu.Lock()
-	if e, ok := r.cache[k]; ok {
-		r.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, e.err
-		}
-		r.l1Hits.Add(1)
-		return e.res.Clone(), nil
-	}
-	e := &entry{ready: make(chan struct{})}
-	r.cache[k] = e
-	r.mu.Unlock()
-
-	e.res, e.err = r.fill(sim, pt)
-	if e.err != nil {
-		// Drop the errored entry so later callers retry rather than
-		// replaying a possibly transient failure forever.
-		r.mu.Lock()
-		delete(r.cache, k)
-		r.mu.Unlock()
-		close(e.ready)
-		return nil, e.err
-	}
-	close(e.ready)
-	return e.res.Clone(), nil
+	return out[0], nil
 }
 
-// fill produces the canonical result for a cacheable point: from the
-// persistent store when possible, else by simulating (and installing the
-// result back into the store).
-func (r *Runner) fill(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	if r.Store != nil {
-		if sk, ok := r.storeKey(pt); ok {
-			if res, hit := r.Store.Get(sk); hit {
-				r.storeHits.Add(1)
-				return res, nil
-			}
-		}
-	}
-	return r.fillMiss(sim, pt)
-}
-
-// fillMiss produces the canonical result for a point already known to
-// miss the store — the point-wise remote hook or the local simulator —
-// and installs it. Callers that just proved the store miss (RunBatch's
-// parallel peel) come here directly rather than paying a second Get.
+// fillMiss produces the canonical result for a point known to miss the
+// store — through the Remote hook or the local simulator — and installs
+// it.
 func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
 	var res *engine.Result
 	var err error
@@ -268,12 +216,17 @@ func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
 		}
 		r.sims.Add(1)
 	}
+	r.install(pt, res)
+	return res, nil
+}
+
+// install writes a freshly filled result into the Store, when attached.
+func (r *Runner) install(pt Point, res *engine.Result) {
 	if r.Store != nil {
 		if sk, ok := r.storeKey(pt); ok {
 			r.Store.Put(sk, res)
 		}
 	}
-	return res, nil
 }
 
 // Stats returns a snapshot of the runner's cache traffic.
@@ -290,13 +243,14 @@ func (r *Runner) Stats() CacheStats {
 
 // forEach fans fn(sim, i) for i in [0, n) across at most
 // min(Parallelism, n) worker goroutines, each owning one scratch
-// context; with a single worker it runs inline. fn communicates
-// through its captures (result and error slices indexed by i). This is
-// the one worker-pool shape RunAll, RunBatch's store peel and
-// fillBatch all share.
+// context. With a single worker it runs inline on the caller's scratch
+// (nil: the engine's shared pool), so a one-point call starts no
+// goroutine and reuses the caller's warm Sim. fn communicates through
+// its captures (result and error slices indexed by i). This is the one
+// worker-pool shape the store peel and every local fill share.
 //
 //daelint:ctx-root workers drain a closed channel of at most n indices; there is no caller to cancel for
-func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
+func (r *Runner) forEach(sim *engine.Sim, n int, fn func(sim *engine.Sim, i int)) {
 	par := r.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; fn writes results indexed by i
@@ -305,7 +259,6 @@ func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
 		par = n
 	}
 	if par <= 1 {
-		sim := engine.NewSim()
 		for i := 0; i < n; i++ {
 			fn(sim, i)
 		}
@@ -332,18 +285,11 @@ func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
 	wg.Wait()
 }
 
-// RunBatch executes a set of points as one unit, preserving order: L1
-// and Store hits are peeled off locally, and the remaining misses go to
-// RemoteBatch in a single call when it is set (else they are simulated
-// locally in parallel). This is the request-collapsing path of remote
-// sweeps — a probe wave whose points are all warm issues no remote
-// traffic at all — and it keeps the single-flight contract: misses are
-// claimed before filling, so concurrent overlapping batches never
-// duplicate a simulation. The first error aborts the batch; failed
-// claims are dropped so later callers retry.
+// runAll is RunAll with sim as the scratch of a one-worker pool (see
+// forEach) and of the uncacheable points.
 //
-//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
-func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
+//daelint:ctx-root cancellation rides the remote hooks' captured context; local simulation is not cancellable mid-run
+func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(pts))
 	var owned, waiters []claim
 	var uncached []int
@@ -353,6 +299,11 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 			uncached = append(uncached, i)
 			continue
 		}
+		// The key canonicalizes the retirement policy (RetireAuto
+		// resolves to a concrete policy, exactly as the engine and the
+		// store key see it), so an explicit-policy point and its
+		// equivalent auto-policy point share one entry instead of
+		// simulating twice.
 		kp := pt.P
 		kp.Retire = machine.ResolveRetire(kp.Retire)
 		k := key{kind: pt.Kind, p: kp}
@@ -366,18 +317,15 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 	}
 	r.mu.Unlock()
 
-	// Fill owned claims: store first, then the misses — remotely in one
-	// batch when RemoteBatch is set, else locally across the pool. The
-	// store peel fans its blob reads (disk + decode + checksum) across
-	// the worker pool: a warm-store batch is exactly the case batching
-	// exists to make fast, so it must not serialize the I/O the
-	// point-wise path already overlapped.
+	// Fill owned claims: store first, then the misses. The store peel
+	// fans its blob reads (disk + decode + checksum) across the worker
+	// pool, so a warm-store sweep overlaps its I/O.
 	var misses []claim
 	if r.Store == nil {
 		misses = owned
 	} else {
 		hits := make([]*engine.Result, len(owned))
-		r.forEach(len(owned), func(_ *engine.Sim, j int) {
+		r.forEach(sim, len(owned), func(_ *engine.Sim, j int) {
 			if sk, ok := r.storeKey(pts[owned[j].idx]); ok {
 				if res, hit := r.Store.Get(sk); hit {
 					hits[j] = res
@@ -396,12 +344,13 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 		}
 	}
 	if len(misses) > 0 {
-		if err := r.fillBatch(pts, misses, func(c claim, res *engine.Result) {
+		if err := r.fillBatch(sim, pts, misses, func(c claim, res *engine.Result) {
 			c.e.res = res
 			close(c.e.ready)
 			out[c.idx] = res.Clone()
 		}); err != nil {
-			// Drop the unfilled claims so later callers retry, and
+			// Drop the unfilled claims so later callers retry rather
+			// than replaying a possibly transient failure forever, and
 			// settle their waiters with the error.
 			r.mu.Lock()
 			for _, c := range misses {
@@ -420,21 +369,19 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 		}
 	}
 
-	// Uncacheable points bypass both layers, like RunWith.
-	if len(uncached) > 0 {
-		sim := engine.NewSim()
-		for _, i := range uncached {
-			r.uncacheable.Add(1)
-			res, err := r.Suite.RunWith(sim, pts[i].Kind, pts[i].P)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			out[i] = res
+	// Uncacheable points (custom Params.Mem) bypass both layers and never
+	// route remotely: a MemModel is arbitrary local code.
+	for _, i := range uncached {
+		r.uncacheable.Add(1)
+		res, err := r.Suite.RunWith(sim, pts[i].Kind, pts[i].P)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
+		out[i] = res
 	}
 
 	// Entries owned elsewhere: every claim of ours is settled by now, so
-	// waiting last cannot deadlock on our own batch's duplicates.
+	// waiting last cannot deadlock on our own call's duplicates.
 	for _, c := range waiters {
 		<-c.e.ready
 		if c.e.err != nil {
@@ -446,9 +393,9 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 	return out, nil
 }
 
-// claim is one cacheable point's L1 slot within a RunBatch: either
+// claim is one cacheable point's L1 slot within a runAll call: either
 // owned by that call (it fills and settles the entry) or by another
-// in-flight caller (the batch waits on it).
+// in-flight caller (the call waits on it).
 type claim struct {
 	idx int
 	e   *entry
@@ -457,9 +404,9 @@ type claim struct {
 
 // fillBatch produces canonical results for claimed misses and hands
 // each to settle. With RemoteBatch: one remote call for the whole set.
-// Without: local simulation across the worker pool. Results install
-// into the Store either way.
-func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
+// Without: fillMiss across the worker pool. Results install into the
+// Store either way.
+func (r *Runner) fillBatch(sim *engine.Sim, pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
 	if r.RemoteBatch != nil {
 		mpts := make([]Point, len(misses))
 		for j, c := range misses {
@@ -471,18 +418,18 @@ func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res
 			if !r.Degrade || !errors.Is(err, ErrUnavailable) {
 				return err
 			}
-			// Partial-batch degradation: the hook ran the wave against
+			// Partial-batch degradation: the hook ran the batch against
 			// the surviving owners and returned what it could (slots it
 			// could not serve are nil — possibly all of them). Accept
 			// the served slots as remote hits and simulate the rest
 			// locally, so one dead replica (or a whole dead fleet)
-			// degrades the wave instead of failing it.
+			// degrades the batch instead of failing it.
 			if len(results) != len(mpts) {
 				results = make([]*engine.Result, len(mpts))
 			}
 			unserved = make([]bool, len(mpts))
 			errs := make([]error, len(mpts))
-			r.forEach(len(mpts), func(sim *engine.Sim, j int) {
+			r.forEach(sim, len(mpts), func(sim *engine.Sim, j int) {
 				if results[j] != nil {
 					return
 				}
@@ -513,18 +460,14 @@ func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res
 			} else {
 				r.remoteHits.Add(1)
 			}
-			if r.Store != nil {
-				if sk, ok := r.storeKey(pts[c.idx]); ok {
-					r.Store.Put(sk, results[j])
-				}
-			}
+			r.install(pts[c.idx], results[j])
 			settle(c, results[j])
 		}
 		return nil
 	}
 	results := make([]*engine.Result, len(misses))
 	errs := make([]error, len(misses))
-	r.forEach(len(misses), func(sim *engine.Sim, j int) {
+	r.forEach(sim, len(misses), func(sim *engine.Sim, j int) {
 		results[j], errs[j] = r.fillMiss(sim, pts[misses[j].idx])
 	})
 	for j, err := range errs {
@@ -538,24 +481,18 @@ func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res
 	return nil
 }
 
-// RunAll executes all points, in parallel, preserving order. The first
-// error aborts the sweep. With RemoteBatch attached the whole sweep
-// collapses into batched remote calls (see RunBatch).
+// RunAll executes a set of points as one unit, preserving order: L1
+// and Store hits are peeled off locally, and the remaining misses go to
+// RemoteBatch in a single call when it is set (else they are filled
+// locally, or through Remote, in parallel). This is the
+// request-collapsing path of remote sweeps — a probe wave whose points
+// are all warm issues no remote traffic at all — and it keeps the
+// single-flight contract: misses are claimed before filling, so
+// concurrent overlapping calls never duplicate a simulation. The first
+// error aborts the call; failed claims are dropped so later callers
+// retry.
 func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
-	if r.RemoteBatch != nil {
-		return r.RunBatch(pts)
-	}
-	out := make([]*engine.Result, len(pts))
-	errs := make([]error, len(pts))
-	r.forEach(len(pts), func(sim *engine.Sim, i int) {
-		out[i], errs[i] = r.RunWith(sim, pts[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return r.runAll(nil, pts)
 }
 
 // Series is a named sequence of (x, y) samples, one curve of a figure.

@@ -139,10 +139,10 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRunAll: the batched path answers exactly what the
-// point-wise path would — including duplicates, cached points and
-// uncacheable custom-Mem points — with the same counters a point-wise
-// run would produce.
+// TestRunBatchMatchesRunAll: a batch through RunAll answers exactly
+// what point-wise Run calls would — including duplicates, cached points
+// and uncacheable custom-Mem points — with the same counters a
+// point-wise run would produce.
 func TestRunBatchMatchesRunAll(t *testing.T) {
 	oracle := testRunner(t)
 	r := testRunner(t)
@@ -159,16 +159,16 @@ func TestRunBatchMatchesRunAll(t *testing.T) {
 	if _, err := r.Run(pts[4]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunBatch(pts)
+	got, err := r.RunAll(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.RunAll(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if !reflect.DeepEqual(got[i], want[i]) {
+	for i, pt := range pts {
+		want, err := oracle.Run(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("point %d: batch result differs from point-wise", i)
 		}
 	}
@@ -178,18 +178,108 @@ func TestRunBatchMatchesRunAll(t *testing.T) {
 	}
 	// Returned results are private copies, like every other path.
 	got[0].Cycles = -1
-	again, err := r.RunBatch(pts[:1])
+	again, err := r.RunAll(pts[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again[0].Cycles == -1 {
-		t.Error("RunBatch leaked the cached Result")
+		t.Error("RunAll leaked the cached Result")
+	}
+}
+
+// TestRunWithMatchesRunAll: a point-wise pass (RunWith, one point at a
+// time on one scratch) and one RunAll over the same points — duplicates
+// included — return DeepEqual results and equal counters on a local, a
+// store-backed and a RemoteBatch runner.
+func TestRunWithMatchesRunAll(t *testing.T) {
+	pts := []Point{
+		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}},
+		{Kind: machine.SWSM, P: machine.Params{Window: 16, MD: 30}},
+		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}, // duplicate
+		{Kind: machine.SWSM, P: machine.Params{Window: 4, MD: 30}},
+		{Kind: machine.SWSM, P: machine.Params{Window: 16, MD: 30}}, // duplicate
+	}
+	configs := []struct {
+		name string
+		make func(t *testing.T) *Runner
+	}{
+		{"local", testRunner},
+		{"store", func(t *testing.T) *Runner {
+			store, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One stored point, so both passes peel a store hit.
+			warmer := testRunner(t)
+			warmer.Store = store
+			if _, err := warmer.Run(pts[1]); err != nil {
+				t.Fatal(err)
+			}
+			r := testRunner(t)
+			r.Store = store
+			return r
+		}},
+		{"remote-batch", func(t *testing.T) *Runner {
+			exec := testRunner(t)
+			r := testRunner(t)
+			r.RemoteBatch = exec.RunAll
+			return r
+		}},
+	}
+	for _, cfg := range configs {
+		pointwise, batched := cfg.make(t), cfg.make(t)
+		sim := engine.NewSim()
+		var got []*engine.Result
+		for _, pt := range pts {
+			res, err := pointwise.RunWith(sim, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res)
+		}
+		want, err := batched.RunAll(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunWith results differ from RunAll's", cfg.name)
+		}
+		if a, b := pointwise.Stats(), batched.Stats(); a != b {
+			t.Errorf("%s: RunWith counters %+v, RunAll counters %+v", cfg.name, a, b)
+		}
+	}
+}
+
+// TestRunWithRidesRemoteBatch: with both hooks set, a single point
+// travels as one RemoteBatch call carrying that point; Remote is never
+// called.
+func TestRunWithRidesRemoteBatch(t *testing.T) {
+	exec := testRunner(t)
+	r := testRunner(t)
+	var batches []int
+	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
+		batches = append(batches, len(pts))
+		return exec.RunAll(pts)
+	}
+	r.Remote = func(Point) (*engine.Result, error) {
+		t.Error("Remote called while RemoteBatch is set")
+		return nil, errFleetDown
+	}
+	if _, err := r.RunWith(engine.NewSim(), Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(batches, []int{1}) {
+		t.Errorf("want one RemoteBatch call carrying 1 point, got calls of sizes %v", batches)
+	}
+	if st := r.Stats(); st.RemoteHits != 1 || st.Sims != 0 {
+		t.Errorf("want 1 remote hit and no local simulation, got %+v", st)
 	}
 }
 
 // TestRunBatchRemote: with a RemoteBatch hook, exactly the local-layer
-// misses travel, in one call; warm batches travel nothing; a remote
-// error fails the batch loudly and drops the claims so a retry works.
+// misses of a RunAll travel, in one call; warm batches travel nothing;
+// a remote error fails the batch loudly and drops the claims so a retry
+// works.
 func TestRunBatchRemote(t *testing.T) {
 	exec := testRunner(t) // stands in for the daemon fleet
 	r := testRunner(t)
@@ -222,7 +312,7 @@ func TestRunBatchRemote(t *testing.T) {
 		return exec.RunAll(pts)
 	}
 
-	got, err := r.RunBatch(pts)
+	got, err := r.RunAll(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +329,7 @@ func TestRunBatchRemote(t *testing.T) {
 		}
 	}
 	// Warm batch: everything is an L1 hit, nothing travels.
-	if _, err := r.RunBatch(pts); err != nil {
+	if _, err := r.RunAll(pts); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
@@ -250,22 +340,14 @@ func TestRunBatchRemote(t *testing.T) {
 		t.Errorf("want 3 remote hits and the 1 pre-warmed local sim, got %+v", st)
 	}
 
-	// RunAll delegates to the batched path when the hook is set.
-	if _, err := r.RunAll(pts); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("warm RunAll should not re-travel, remote calls went to %d", calls.Load())
-	}
-
 	// A remote failure surfaces and does not poison the cache.
 	fresh := Point{Kind: machine.SWSM, P: machine.Params{Window: 64, MD: 30}}
 	fail.Store(true)
-	if _, err := r.RunBatch([]Point{fresh}); err == nil {
+	if _, err := r.RunAll([]Point{fresh}); err == nil {
 		t.Fatal("remote batch failure must surface")
 	}
 	fail.Store(false)
-	if _, err := r.RunBatch([]Point{fresh}); err != nil {
+	if _, err := r.RunAll([]Point{fresh}); err != nil {
 		t.Fatalf("retry after a remote failure: %v", err)
 	}
 }
@@ -286,7 +368,7 @@ func TestRunBatchStorePeel(t *testing.T) {
 	}
 	warmer := testRunner(t)
 	warmer.Store = store
-	want, err := warmer.RunBatch(pts)
+	want, err := warmer.RunAll(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +379,7 @@ func TestRunBatchStorePeel(t *testing.T) {
 		t.Error("store-warm batch must not travel")
 		return nil, errFleetDown
 	}
-	got, err := r.RunBatch(pts)
+	got, err := r.RunAll(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +397,13 @@ func TestRunBatchStorePeel(t *testing.T) {
 	bad.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
 		return make([]*engine.Result, len(pts)), nil
 	}
-	if _, err := bad.RunBatch(pts[:1]); err == nil || !errorsContains(err, "nil result") {
+	if _, err := bad.RunAll(pts[:1]); err == nil || !errorsContains(err, "nil result") {
 		t.Errorf("nil remote result must fail the batch: %v", err)
 	}
 	if st := bad.Stats(); st.RemoteHits != 0 {
 		t.Errorf("nil results must not count as remote hits: %+v", st)
 	}
-	if _, err := bad.RunBatch(pts[:1]); err == nil {
+	if _, err := bad.RunAll(pts[:1]); err == nil {
 		t.Error("the poisoned claim should have been dropped and retried remotely (still failing)")
 	}
 }
@@ -357,10 +439,12 @@ func TestWindows(t *testing.T) {
 }
 
 // TestRemoteDegradeFallsBackLocally pins the last rung of the failure
-// ladder: a Remote failure wrapping ErrUnavailable fails loudly by
-// default, but with Degrade set the point simulates locally (counted
-// as Degraded, byte-identical to the local oracle). Any other remote
-// error still surfaces even with Degrade on.
+// ladder for a single point, on a RemoteBatch runner (the point travels
+// as a one-item batch whose slot comes back nil) and on a Remote-only
+// runner: a failure wrapping ErrUnavailable fails loudly by default,
+// but with Degrade set the point simulates locally (counted as
+// Degraded, byte-identical to the local oracle). Any other remote error
+// still surfaces even with Degrade on.
 func TestRemoteDegradeFallsBackLocally(t *testing.T) {
 	pt := Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}
 	oracle := testRunner(t)
@@ -368,31 +452,43 @@ func TestRemoteDegradeFallsBackLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hooks := []struct {
+		name   string
+		attach func(r *Runner, err error)
+	}{
+		{"RemoteBatch", func(r *Runner, err error) {
+			r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
+				return make([]*engine.Result, len(pts)), err
+			}
+		}},
+		{"Remote", func(r *Runner, err error) {
+			r.Remote = func(Point) (*engine.Result, error) { return nil, err }
+		}},
+	}
+	for _, h := range hooks {
+		r := testRunner(t)
+		h.attach(r, fmt.Errorf("daemon fleet: every owner down: %w", ErrUnavailable))
+		if _, err := r.Run(pt); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("%s: without Degrade an unavailable fleet must fail loudly, got %v", h.name, err)
+		}
+		r.Degrade = true
+		got, err := r.Run(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: degraded result differs from the local oracle", h.name)
+		}
+		if st := r.Stats(); st.Degraded != 1 || st.Sims != 0 || st.RemoteHits != 0 {
+			t.Fatalf("%s: degraded fill miscounted: %+v", h.name, st)
+		}
 
-	r := testRunner(t)
-	r.Remote = func(Point) (*engine.Result, error) {
-		return nil, fmt.Errorf("daemon fleet: every owner down: %w", ErrUnavailable)
-	}
-	if _, err := r.Run(pt); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("without Degrade an unavailable fleet must fail loudly, got %v", err)
-	}
-	r.Degrade = true
-	got, err := r.Run(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("degraded result differs from the local oracle")
-	}
-	if st := r.Stats(); st.Degraded != 1 || st.Sims != 0 || st.RemoteHits != 0 {
-		t.Fatalf("degraded fill miscounted: %+v", st)
-	}
-
-	r2 := testRunner(t)
-	r2.Degrade = true
-	r2.Remote = func(Point) (*engine.Result, error) { return nil, errors.New("version skew") }
-	if _, err := r2.Run(pt); err == nil || !strings.Contains(err.Error(), "version skew") {
-		t.Fatalf("non-unavailable remote errors must not degrade: %v", err)
+		r2 := testRunner(t)
+		r2.Degrade = true
+		h.attach(r2, errors.New("version skew"))
+		if _, err := r2.Run(pt); err == nil || !strings.Contains(err.Error(), "version skew") {
+			t.Fatalf("%s: non-unavailable remote errors must not degrade: %v", h.name, err)
+		}
 	}
 }
 
@@ -426,7 +522,7 @@ func TestRemoteBatchPartialDegrade(t *testing.T) {
 		}
 		return out, fmt.Errorf("daemon fleet: 3 points failed on every candidate: %w", ErrUnavailable)
 	}
-	got, err := r.RunBatch(pts)
+	got, err := r.RunAll(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +538,7 @@ func TestRemoteBatchPartialDegrade(t *testing.T) {
 	r2.RemoteBatch = func(misses []Point) ([]*engine.Result, error) {
 		return make([]*engine.Result, len(misses)), fmt.Errorf("down: %w", ErrUnavailable)
 	}
-	if _, err := r2.RunBatch(pts); !errors.Is(err, ErrUnavailable) {
+	if _, err := r2.RunAll(pts); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("without Degrade a partial batch must fail: %v", err)
 	}
 }
