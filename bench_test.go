@@ -49,7 +49,7 @@ func suites(b *testing.B) (*daesim.Suite, *daesim.Suite) {
 // machine at the paper's headline operating point (pool-backed scratch).
 func BenchmarkEngineDM(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.DM.Program.Len())
+	ops := float64(flo.Stats().DMOps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +66,7 @@ func BenchmarkEngineDM(b *testing.B) {
 // superscalar machine (pool-backed scratch).
 func BenchmarkEngineSWSM(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.SWSM.Len())
+	ops := float64(flo.Stats().SWSMOps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,7 +82,7 @@ func BenchmarkEngineSWSM(b *testing.B) {
 // for the goroutine's whole lifetime.
 func BenchmarkEngineDMScratch(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.DM.Program.Len())
+	ops := float64(flo.Stats().DMOps)
 	sim := daesim.NewSim()
 	if _, err := flo.RunDMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
@@ -100,7 +100,7 @@ func BenchmarkEngineDMScratch(b *testing.B) {
 // BenchmarkEngineSWSMScratch is BenchmarkEngineSWSM on a caller-held Sim.
 func BenchmarkEngineSWSMScratch(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.SWSM.Len())
+	ops := float64(flo.Stats().SWSMOps)
 	sim := daesim.NewSim()
 	if _, err := flo.RunSWSMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
@@ -115,15 +115,22 @@ func BenchmarkEngineSWSMScratch(b *testing.B) {
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
-// BenchmarkLowering measures trace construction and machine lowering.
+// BenchmarkLowering measures trace construction and machine lowering:
+// the suite's partition and statistics, then both programs.
 func BenchmarkLowering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr, err := daesim.Workload("MDG", 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := daesim.NewSuite(tr, daesim.Classic); err != nil {
+		suite, err := daesim.NewSuite(tr, daesim.Classic)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, kind := range []daesim.Kind{daesim.DM, daesim.SWSM} {
+			if _, err := suite.Program(kind); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -147,9 +154,9 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkPolicyStudy regenerates the partition-policy study (P1) on a
 // fresh Context over a persistent store filled before the timer starts,
 // the warm path of repro -exp all: what it times is building the seven
-// workloads, lowering them under each policy, keying the suites and
-// reading the stored points back. A pass that simulates anything
-// fails the benchmark.
+// workloads, partitioning and counting them under each policy, keying
+// the suites and reading the stored points back. A pass that simulates
+// anything fails the benchmark.
 func BenchmarkPolicyStudy(b *testing.B) {
 	store, err := sweep.OpenStore(b.TempDir())
 	if err != nil {

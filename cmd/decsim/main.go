@@ -87,9 +87,9 @@ func run(w io.Writer, workload, kindName, policyName string, p machine.Params, s
 	fmt.Fprintf(w, "workload   %s (scale %d): %v\n", workload, scale, st)
 	fmt.Fprintf(w, "machine    %s  window=%d md=%d policy=%s\n", kind, p.Window, p.MD, pol)
 	if kind == machine.DM {
+		asg, st := suite.Assignment(), suite.Stats()
 		fmt.Fprintf(w, "partition  AU ops=%d DU ops=%d self-loads=%d copies AU->DU=%d DU->AU=%d\n",
-			suite.DM.Assignment.OpsAU, suite.DM.Assignment.OpsDU, suite.DM.Assignment.SelfLoads,
-			suite.DM.CopiesAUDU, suite.DM.CopiesDUAU)
+			asg.OpsAU, asg.OpsDU, asg.SelfLoads, st.CopiesAUDU, st.CopiesDUAU)
 	}
 	fmt.Fprintf(w, "cycles     %d\n", res.Cycles)
 	fmt.Fprintf(w, "ipc        %.2f instructions/cycle (%.2f machine ops/cycle)\n", res.IPC(), res.OpsPerCycle())

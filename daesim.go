@@ -46,8 +46,8 @@ type (
 	// MD reproduces the paper's configuration (AU/DU widths 4/5, SWSM
 	// width 9, FP latency 3, window-scaled memory queue).
 	Params = machine.Params
-	// Suite holds the lowered programs for one trace; build once, run many
-	// configurations.
+	// Suite is one trace under one partition policy; build once, run many
+	// configurations. Each machine's program is lowered on its first run.
 	Suite = machine.Suite
 	// Result reports cycles and microarchitectural statistics.
 	Result = engine.Result
@@ -116,7 +116,9 @@ type (
 	Timing = isa.Timing
 )
 
-// NewSuite lowers tr for both machines under the given partition policy.
+// NewSuite partitions tr under the given policy and counts its lowering
+// statistics (Suite.Stats); each machine's program is lowered on its
+// first run.
 func NewSuite(tr *Trace, pol Policy) (*Suite, error) { return machine.NewSuite(tr, pol) }
 
 // Workload builds a trace by name at the given scale (1 = the

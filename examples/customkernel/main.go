@@ -65,8 +65,7 @@ func main() {
 		}
 		fmt.Printf("  %-11s %9d cycles  (AU ops %d, DU ops %d, copies %d)\n",
 			pol, res.Cycles,
-			suite.DM.Assignment.OpsAU, suite.DM.Assignment.OpsDU,
-			suite.DM.CopiesAUDU+suite.DM.CopiesDUAU)
+			suite.Assignment().OpsAU, suite.Assignment().OpsDU, suite.Stats().Copies())
 	}
 
 	suite, err := daesim.NewSuite(tr, daesim.Classic)

@@ -90,7 +90,7 @@ type Context struct {
 }
 
 // runnerEntry is a single-flight slot for one workload's runner: the
-// first caller builds the trace and lowers it outside the context lock;
+// first caller builds the trace and its suite outside the context lock;
 // concurrent callers block on ready. Without this, sharded drivers that
 // first-touch several workloads at once (Table1's construction phase)
 // would serialize the expensive builds on the context mutex.
@@ -106,7 +106,8 @@ func NewContext() *Context {
 }
 
 // Runner returns the memoizing runner for a workload, building the trace
-// and lowering it on first use.
+// and its suite on first use. The suite lowers each machine's program on
+// the first point that simulates.
 func (c *Context) Runner(name string) (*sweep.Runner, error) {
 	c.mu.Lock()
 	if e, ok := c.runners[name]; ok {
@@ -128,7 +129,7 @@ func (c *Context) Runner(name string) (*sweep.Runner, error) {
 	return e.r, e.err
 }
 
-// buildRunner constructs a workload's trace, lowering and runner.
+// buildRunner constructs a workload's trace, suite and runner.
 func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 	tr, err := workloads.Build(name, c.Scale)
 	if err != nil {
@@ -232,9 +233,10 @@ type Table1Result struct {
 
 // Table1 measures DM latency-hiding effectiveness for all seven programs
 // at MD=60 across window sizes. The table is sharded two ways: workload
-// construction (trace build + lowering) fans out across the pool, then
-// every (workload, window, MD) point — they are all independent — joins
-// one global work list instead of running workload-serial.
+// construction (trace build, partition, lowering statistics) fans out
+// across the pool, then every (workload, window, MD) point — they are all
+// independent — joins one global work list instead of running
+// workload-serial.
 func (c *Context) Table1() (*Table1Result, error) {
 	specs := workloads.Catalog()
 	runners := make([]*sweep.Runner, len(specs))
@@ -246,21 +248,22 @@ func (c *Context) Table1() (*Table1Result, error) {
 		return nil, err
 	}
 	windows := append(append([]int(nil), Table1Windows...), 0)
-	type job struct {
-		workload, window int
-		pt               sweep.Point
-	}
-	var jobs []job
-	for i := range specs {
-		for wi, w := range windows {
-			jobs = append(jobs,
-				job{i, wi, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: MDFull}}},
-				job{i, wi, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: MDZero}}})
+	mds := []int{MDFull, MDZero} // actual, perfect
+	// Jobs run workload-minor: consecutive jobs touch different suites,
+	// so the pool's first runs lower the seven DM programs side by side
+	// instead of queuing behind one suite's lowering.
+	job := func(i, wi, mi int) int { return (wi*len(mds)+mi)*len(specs) + i }
+	jobs := make([]sweep.Point, len(windows)*len(mds)*len(specs))
+	for wi, w := range windows {
+		for mi, md := range mds {
+			for i := range specs {
+				jobs[job(i, wi, mi)] = sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: md}}
+			}
 		}
 	}
 	results := make([]*engine.Result, len(jobs))
 	if err := forEach(c.par(), len(jobs), func(j int) error {
-		res, err := runners[jobs[j].workload].Run(jobs[j].pt)
+		res, err := runners[j%len(specs)].Run(jobs[j])
 		results[j] = res
 		return err
 	}); err != nil {
@@ -269,16 +272,16 @@ func (c *Context) Table1() (*Table1Result, error) {
 	res := &Table1Result{MD: MDFull, Windows: Table1Windows}
 	res.Rows = make([]Table1Row, len(specs))
 	for i, spec := range specs {
-		res.Rows[i] = Table1Row{Name: spec.Name, Band: spec.Band}
-	}
-	for j := 0; j < len(jobs); j += 2 {
-		actual, perfect := results[j], results[j+1]
-		row := &res.Rows[jobs[j].workload]
-		lhe := metrics.LHE(perfect.Cycles, actual.Cycles)
-		if windows[jobs[j].window] == 0 {
-			row.Unlimited = lhe
-		} else {
-			row.LHE = append(row.LHE, lhe)
+		row := &res.Rows[i]
+		*row = Table1Row{Name: spec.Name, Band: spec.Band}
+		for wi, w := range windows {
+			actual, perfect := results[job(i, wi, 0)], results[job(i, wi, 1)]
+			lhe := metrics.LHE(perfect.Cycles, actual.Cycles)
+			if w == 0 {
+				row.Unlimited = lhe
+			} else {
+				row.LHE = append(row.LHE, lhe)
+			}
 		}
 	}
 	return res, nil

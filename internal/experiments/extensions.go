@@ -41,7 +41,8 @@ type ExpansionResult struct {
 }
 
 // CodeExpansion measures how much each lowering expands the instruction
-// stream, the paper's first future-work question.
+// stream, the paper's first future-work question. The op and copy counts
+// are the suites' lowering statistics, which build no program.
 func (c *Context) CodeExpansion() (*ExpansionResult, error) {
 	res := &ExpansionResult{}
 	for _, spec := range workloads.Catalog() {
@@ -57,12 +58,13 @@ func (c *Context) CodeExpansion() (*ExpansionResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		st := r.Suite.Stats()
 		res.Rows = append(res.Rows, ExpansionRow{
 			Name:     spec.Name,
 			TraceLen: r.Suite.Trace.Len(),
-			DMOps:    r.Suite.DM.Program.Len(),
-			SWSMOps:  r.Suite.SWSM.Len(),
-			Copies:   r.Suite.DM.CopiesAUDU + r.Suite.DM.CopiesDUAU,
+			DMOps:    st.DMOps,
+			SWSMOps:  st.SWSMOps,
+			Copies:   st.Copies(),
 			DMCycles: dm.Cycles,
 			SWCycles: sw.Cycles,
 		})
@@ -108,9 +110,11 @@ type PolicyResult struct {
 // context's own policy run on the context's workload runner, sharing its
 // L1, store traffic and remote hooks with every other experiment. Rows
 // under the other policies run on detached runners over
-// Suite.Repartition, which lowers only the DM half again and reuses the
-// runner's trace and SWSM program; the suite fingerprint covers the
-// partition, so these points persist in the shared store as well.
+// Suite.Repartition, which partitions again and shares the runner's
+// trace and SWSM program; the suite fingerprint covers the partition, so
+// these points persist in the shared store as well. The op and copy
+// counts come from the suites' lowering statistics, so a row served from
+// the store lowers nothing.
 func (c *Context) PolicyStudy() (*PolicyResult, error) {
 	res := &PolicyResult{}
 	sim := engine.NewSim()
@@ -140,11 +144,11 @@ func (c *Context) PolicyStudy() (*PolicyResult, error) {
 			if r != base {
 				c.addStats(r.Stats())
 			}
-			dm := r.Suite.DM
+			asg := r.Suite.Assignment()
 			res.Rows = append(res.Rows, PolicyRow{
 				Name: spec.Name, Policy: pol,
-				AUOps: dm.Assignment.OpsAU, DUOps: dm.Assignment.OpsDU,
-				Copies:  dm.CopiesAUDU + dm.CopiesDUAU,
+				AUOps: asg.OpsAU, DUOps: asg.OpsDU,
+				Copies:  r.Suite.Stats().Copies(),
 				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
 			})
 		}

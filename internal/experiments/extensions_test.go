@@ -151,8 +151,8 @@ func TestPolicyStudyReusesContextRunners(t *testing.T) {
 			}
 			want = append(want, PolicyRow{
 				Name: spec.Name, Policy: pol,
-				AUOps: s.DM.Assignment.OpsAU, DUOps: s.DM.Assignment.OpsDU,
-				Copies:  s.DM.CopiesAUDU + s.DM.CopiesDUAU,
+				AUOps: s.Assignment().OpsAU, DUOps: s.Assignment().OpsDU,
+				Copies:  s.Stats().Copies(),
 				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
 			})
 		}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"daesim/internal/machine"
 	"daesim/internal/sweep"
 )
 
@@ -132,9 +133,21 @@ func TestResultsLock(t *testing.T) {
 		t.Errorf("repro -exp all wrote %d files, %s lists %d", len(cold), resultsLock, len(want))
 	}
 	misses := store.Stats().Misses
+	dm0, sw0 := machine.Lowerings()
 	warm := renderDigests(t, store, full)
 	if got := store.Stats().Misses - misses; got != 0 {
 		t.Errorf("warm render missed the store %d times; want every cacheable point served from it", got)
+	}
+	// A warm render lowers only the programs that simulate uncacheable
+	// points: the A5 and cache studies' custom memory models on the three
+	// figure workloads, which only the full corpus runs.
+	wantLowered := int64(0)
+	if full {
+		wantLowered = 3
+	}
+	dm, sw := machine.Lowerings()
+	if dm-dm0 != wantLowered || sw-sw0 != wantLowered {
+		t.Errorf("warm render lowered %d DM and %d SWSM programs, want %d of each", dm-dm0, sw-sw0, wantLowered)
 	}
 	for _, run := range []struct {
 		name    string

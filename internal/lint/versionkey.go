@@ -75,14 +75,11 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 // internal/lower/lower.lock pins the surface — the lowerings, the
 // program constructor they call and the op layout they fill.
 var LowerVersionKeyConfig = VersionKeyConfig{
-	VersionPkg:     "daesim/internal/lower",
-	VersionConst:   "Version",
-	VersionPattern: `^lower-v\d+$`,
-	Roots:          []string{"DM", "SWSM", "daesim/internal/engine.NewProgram"},
-	Structs: [][2]string{
-		{"daesim/internal/engine", "Op"},
-		{"daesim/internal/lower", "DMResult"},
-	},
+	VersionPkg:        "daesim/internal/lower",
+	VersionConst:      "Version",
+	VersionPattern:    `^lower-v\d+$`,
+	Roots:             []string{"DM", "SWSM", "daesim/internal/engine.NewProgram"},
+	Structs:           [][2]string{{"daesim/internal/engine", "Op"}},
 	ConstPkgs:         []string{"daesim/internal/lower"},
 	LockFile:          "lower.lock",
 	RequireVersionUse: []string{"daesim/internal/machine"},

@@ -23,27 +23,83 @@ import (
 	"daesim/internal/trace"
 )
 
-// DMResult is a lowered decoupled-machine program with lowering metadata.
-type DMResult struct {
-	// Program is the two-unit machine program (unit 0 = AU, unit 1 = DU).
-	Program *engine.Program
-	// CopiesAUDU counts AU→DU register copies.
+// Stats counts what the two lowerings emit for one trace and partition
+// assignment. Count derives it from the same walks that build the
+// programs, without building either one.
+type Stats struct {
+	// DMOps and SWSMOps are the op counts of the DM and SWSM programs.
+	DMOps, SWSMOps int
+	// CopiesAUDU counts AU→DU register copies in the DM program.
 	CopiesAUDU int
 	// CopiesDUAU counts DU→AU register copies (loss-of-decoupling events).
 	CopiesDUAU int
-	// Assignment is the partition used.
-	Assignment *partition.Assignment
 }
 
-// DM lowers tr for the decoupled machine under the given partition policy.
-func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
-	asg, err := partition.Partition(tr, pol)
-	if err != nil {
-		return nil, err
+// Copies returns the DM program's register copies in both directions.
+func (s Stats) Copies() int { return s.CopiesAUDU + s.CopiesDUAU }
+
+// Count returns the statistics of lowering tr under asg for both
+// machines. It runs the lowerings' walks with no op stream attached, so
+// it builds no program and allocates only the walks' per-value tables.
+func Count(tr *trace.Trace, asg *partition.Assignment) Stats {
+	var st Stats
+	st.DMOps, st.CopiesAUDU, st.CopiesDUAU = walkDM(tr, asg, nil)
+	st.SWSMOps = walkSWSM(tr, nil)
+	return st
+}
+
+// DM lowers tr for the decoupled machine under the partition assignment
+// asg: unit 0 is the AU, unit 1 the DU. st must be Count(tr, asg); it
+// sizes the op stream exactly.
+func DM(tr *trace.Trace, asg *partition.Assignment, st Stats) (*engine.Program, error) {
+	out := newOpStream(st.DMOps)
+	walkDM(tr, asg, out)
+	return engine.NewProgram(tr.Name+"/dm", out.ops, 2, tr.Len())
+}
+
+// SWSM lowers tr for the single-window superscalar machine. st must be
+// Count of tr under any assignment; it sizes the op stream exactly.
+func SWSM(tr *trace.Trace, st Stats) (*engine.Program, error) {
+	out := newOpStream(st.SWSMOps)
+	walkSWSM(tr, out)
+	return engine.NewProgram(tr.Name+"/swsm", out.ops, 1, tr.Len())
+}
+
+// srcChunk is the number of dependence references an opStream allocates
+// at a time for its ops' Srcs.
+const srcChunk = 4096
+
+// opStream collects a walk's ops into a program's op stream. Each op's
+// Srcs are copied out of the walk's scratch into chunks shared by many
+// ops, so a lowering makes a few large allocations instead of one per op.
+type opStream struct {
+	ops  []engine.Op
+	srcs []int32
+}
+
+func newOpStream(n int) *opStream {
+	return &opStream{ops: make([]engine.Op, 0, n)}
+}
+
+// add appends op, taking its own copy of op.Srcs.
+func (s *opStream) add(op engine.Op) {
+	if k := len(op.Srcs); k > 0 {
+		if cap(s.srcs)-len(s.srcs) < k {
+			s.srcs = make([]int32, 0, max(srcChunk, k))
+		}
+		at := len(s.srcs)
+		s.srcs = append(s.srcs, op.Srcs...)
+		op.Srcs = s.srcs[at:len(s.srcs):len(s.srcs)]
 	}
+	s.ops = append(s.ops, op)
+}
+
+// walkDM is the decoupled-machine lowering of tr under asg. It visits
+// every op of the program in order, appending each to out when out is
+// non-nil, and returns the op count and the copies it inserted in each
+// direction.
+func walkDM(tr *trace.Trace, asg *partition.Assignment, out *opStream) (ops, copiesAUDU, copiesDUAU int) {
 	n := tr.Len()
-	res := &DMResult{Assignment: asg}
-	ops := make([]engine.Op, 0, n*2)
 	// avail[u][v] is the machine op producing trace value v on unit u, or
 	// engine.NoDep when the value is not (yet) available there.
 	avail := [2][]int32{make([]int32, n), make([]int32, n)}
@@ -52,9 +108,16 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 			avail[u][i] = engine.NoDep
 		}
 	}
+	// srcs and copySrc are the walk's scratch for resolved sources; add
+	// copies them out.
+	srcs := make([]int32, 0, 8)
+	copySrc := make([]int32, 1)
 	emit := func(op engine.Op) int32 {
-		ops = append(ops, op)
-		return int32(len(ops) - 1)
+		if out != nil {
+			out.add(op)
+		}
+		ops++
+		return int32(ops - 1)
 	}
 	// resolve returns the op producing trace value v on unit u, inserting
 	// a copy from the other unit if needed.
@@ -70,12 +133,13 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 		if src == engine.NoDep {
 			panic(fmt.Sprintf("lower: trace %s: value %d unavailable on both units at %d", tr.Name, v, orig))
 		}
-		cp := emit(engine.Op{Kind: isa.OpCopy, Unit: other, Srcs: []int32{src}, MemSrc: engine.NoDep, Orig: orig})
+		copySrc[0] = src
+		cp := emit(engine.Op{Kind: isa.OpCopy, Unit: other, Srcs: copySrc, MemSrc: engine.NoDep, Orig: orig})
 		avail[u][v] = cp
 		if other == isa.AU {
-			res.CopiesAUDU++
+			copiesAUDU++
 		} else {
-			res.CopiesDUAU++
+			copiesDUAU++
 		}
 		return cp
 	}
@@ -83,11 +147,11 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 		if len(vals) == 0 {
 			return nil
 		}
-		out := make([]int32, len(vals))
-		for i, v := range vals {
-			out[i] = resolve(v, u, orig)
+		srcs = srcs[:0]
+		for _, v := range vals {
+			srcs = append(srcs, resolve(v, u, orig))
 		}
-		return out
+		return srcs
 	}
 
 	for i := range tr.Instrs {
@@ -129,43 +193,47 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 			}
 			emit(engine.Op{
 				Kind: isa.OpStoreData, Unit: du,
-				Srcs: []int32{resolve(data, du, orig)}, MemSrc: engine.NoDep,
+				Srcs: resolveAll(in.Args[:1], du, orig), MemSrc: engine.NoDep,
 				Addr: in.MemAddr, Orig: orig,
 			})
 		}
 	}
-	p, err := engine.NewProgram(tr.Name+"/dm", ops, 2, n)
-	if err != nil {
-		return nil, err
-	}
-	res.Program = p
-	return res, nil
+	return ops, copiesAUDU, copiesDUAU
 }
 
-// SWSM lowers tr for the single-window superscalar machine.
-func SWSM(tr *trace.Trace) (*engine.Program, error) {
+// walkSWSM is the superscalar lowering of tr. It visits every op of the
+// program in order, appending each to out when out is non-nil, and
+// returns the op count.
+func walkSWSM(tr *trace.Trace, out *opStream) (ops int) {
 	n := tr.Len()
-	ops := make([]engine.Op, 0, n+n/4)
 	avail := make([]int32, n)
 	for i := range avail {
 		avail[i] = engine.NoDep
 	}
-	resolveAll := func(vals []int32) []int32 {
-		if len(vals) == 0 {
+	srcs := make([]int32, 0, 8)
+	// resolveAll returns the producers of the values in lists, in order,
+	// in the scratch srcs (nil when there are none).
+	resolveAll := func(lists ...[]int32) []int32 {
+		srcs = srcs[:0]
+		for _, vals := range lists {
+			for _, v := range vals {
+				if avail[v] == engine.NoDep {
+					panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
+				}
+				srcs = append(srcs, avail[v])
+			}
+		}
+		if len(srcs) == 0 {
 			return nil
 		}
-		out := make([]int32, len(vals))
-		for i, v := range vals {
-			if avail[v] == engine.NoDep {
-				panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
-			}
-			out[i] = avail[v]
-		}
-		return out
+		return srcs
 	}
 	emit := func(op engine.Op) int32 {
-		ops = append(ops, op)
-		return int32(len(ops) - 1)
+		if out != nil {
+			out.add(op)
+		}
+		ops++
+		return int32(ops - 1)
 	}
 	for i := range tr.Instrs {
 		in := &tr.Instrs[i]
@@ -182,9 +250,8 @@ func SWSM(tr *trace.Trace) (*engine.Program, error) {
 			avail[i] = emit(engine.Op{Kind: isa.OpAccess, Unit: isa.AU, MemSrc: pf, Addr: in.MemAddr, Orig: orig})
 		case isa.Store:
 			emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(in.Addr), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
-			srcs := resolveAll(append(append([]int32(nil), in.Addr...), in.Args...))
-			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: srcs, MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
+			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: resolveAll(in.Addr, in.Args), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
 		}
 	}
-	return engine.NewProgram(tr.Name+"/swsm", ops, 1, n)
+	return ops
 }

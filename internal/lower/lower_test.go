@@ -23,12 +23,33 @@ func simpleTrace() *trace.Trace {
 	}}
 }
 
+// dmOf partitions tr under pol and lowers it for the DM, returning the
+// program with the statistics Count reports for it.
+func dmOf(tr *trace.Trace, pol partition.Policy) (*engine.Program, Stats, error) {
+	asg, err := partition.Partition(tr, pol)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	st := Count(tr, asg)
+	p, err := DM(tr, asg, st)
+	return p, st, err
+}
+
+// swsmOf lowers tr for the SWSM.
+func swsmOf(tr *trace.Trace) (*engine.Program, error) {
+	asg, err := partition.Partition(tr, partition.Classic)
+	if err != nil {
+		return nil, err
+	}
+	return SWSM(tr, Count(tr, asg))
+}
+
 func TestDMOpShapes(t *testing.T) {
-	res, err := DM(simpleTrace(), partition.Classic)
+	p, _, err := dmOf(simpleTrace(), partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Program.KindCounts()
+	c := p.KindCounts()
 	if c[isa.OpLoadSend] != 1 || c[isa.OpLoadRecv] != 1 {
 		t.Errorf("load lowering wrong: %v", c)
 	}
@@ -42,7 +63,7 @@ func TestDMOpShapes(t *testing.T) {
 		t.Errorf("no copies expected, got %d", c[isa.OpCopy])
 	}
 	// Memory halves: send on AU, recv on DU.
-	for _, op := range res.Program.Ops {
+	for _, op := range p.Ops {
 		switch op.Kind {
 		case isa.OpLoadSend, isa.OpStoreAddr:
 			if op.Unit != isa.AU {
@@ -57,7 +78,7 @@ func TestDMOpShapes(t *testing.T) {
 }
 
 func TestSWSMOpShapes(t *testing.T) {
-	p, err := SWSM(simpleTrace())
+	p, err := swsmOf(simpleTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +104,15 @@ func TestLossOfDecouplingCopy(t *testing.T) {
 		{Class: isa.Load, Addr: []int32{1}, MemAddr: 0x100},
 		{Class: isa.FPALU, Args: []int32{2}},
 	}}
-	res, err := DM(tr, partition.Classic)
+	_, st, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CopiesDUAU != 1 {
-		t.Errorf("DU→AU copies = %d, want 1", res.CopiesDUAU)
+	if st.CopiesDUAU != 1 {
+		t.Errorf("DU→AU copies = %d, want 1", st.CopiesDUAU)
 	}
-	if res.CopiesAUDU != 0 {
-		t.Errorf("AU→DU copies = %d, want 0", res.CopiesAUDU)
+	if st.CopiesAUDU != 0 {
+		t.Errorf("AU→DU copies = %d, want 0", st.CopiesAUDU)
 	}
 }
 
@@ -101,12 +122,12 @@ func TestAUtoDUCopy(t *testing.T) {
 		{Class: isa.IntALU},
 		{Class: isa.FPALU, Args: []int32{0}},
 	}}
-	res, err := DM(tr, partition.Classic)
+	_, st, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CopiesAUDU != 1 || res.CopiesDUAU != 0 {
-		t.Errorf("copies = %d/%d, want 1/0", res.CopiesAUDU, res.CopiesDUAU)
+	if st.CopiesAUDU != 1 || st.CopiesDUAU != 0 {
+		t.Errorf("copies = %d/%d, want 1/0", st.CopiesAUDU, st.CopiesDUAU)
 	}
 }
 
@@ -117,12 +138,12 @@ func TestCopyMemoized(t *testing.T) {
 		{Class: isa.FPALU, Args: []int32{0}},
 		{Class: isa.FPALU, Args: []int32{0}},
 	}}
-	res, err := DM(tr, partition.Classic)
+	_, st, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CopiesAUDU != 1 {
-		t.Errorf("copies = %d, want 1 (memoized)", res.CopiesAUDU)
+	if st.CopiesAUDU != 1 {
+		t.Errorf("copies = %d, want 1 (memoized)", st.CopiesAUDU)
 	}
 }
 
@@ -135,11 +156,11 @@ func TestDualDeliveryLoad(t *testing.T) {
 		{Class: isa.Load, Addr: []int32{2}, MemAddr: 0x200},
 		{Class: isa.FPALU, Args: []int32{1}},
 	}}
-	res, err := DM(tr, partition.Classic)
+	p, _, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Program.KindCounts()
+	c := p.KindCounts()
 	if c[isa.OpLoadRecv] != 3 { // load1 delivered twice, load3 once
 		t.Errorf("receives = %d, want 3", c[isa.OpLoadRecv])
 	}
@@ -161,17 +182,17 @@ func TestLoweredProgramsRun(t *testing.T) {
 	}
 	tr := b.MustTrace()
 
-	dm, err := DM(tr, partition.Classic)
+	dm, _, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := SWSM(tr)
+	sw, err := swsmOf(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dmCfg := engine.Config{Timing: tm(30), Cores: []isa.CoreConfig{{Window: 16, IssueWidth: 4}, {Window: 16, IssueWidth: 5}}}
 	swCfg := engine.Config{Timing: tm(30), Cores: []isa.CoreConfig{{Window: 16, IssueWidth: 9}}}
-	rd, err := engine.Run(dm.Program, dmCfg)
+	rd, err := engine.Run(dm, dmCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +204,7 @@ func TestLoweredProgramsRun(t *testing.T) {
 		t.Fatalf("degenerate cycles: dm=%d swsm=%d", rd.Cycles, rs.Cycles)
 	}
 	// Lower bound: neither machine can beat the dataflow limit.
-	if rd.Cycles < dm.Program.DataflowTime(tm(30)) {
+	if rd.Cycles < dm.DataflowTime(tm(30)) {
 		t.Error("DM beat its dataflow limit")
 	}
 	if rs.Cycles < sw.DataflowTime(tm(30)) {
@@ -237,13 +258,13 @@ func TestLoweringProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomKernel(rng, int(sz)+5)
-		sw, err := SWSM(tr)
+		sw, err := swsmOf(tr)
 		if err != nil {
 			t.Logf("swsm: %v", err)
 			return false
 		}
 		for _, pol := range partition.Policies() {
-			dm, err := DM(tr, pol)
+			dm, dst, err := dmOf(tr, pol)
 			if err != nil {
 				t.Logf("dm(%v): %v", pol, err)
 				return false
@@ -251,7 +272,7 @@ func TestLoweringProperty(t *testing.T) {
 			// Conservation: every trace instruction appears; compute ops map
 			// one-to-one plus copies; memory ops lower to >= 2 ops.
 			st := tr.Stats()
-			c := dm.Program.KindCounts()
+			c := dm.KindCounts()
 			if c[isa.OpInt] != st.ByClass[isa.IntALU] || c[isa.OpFP] != st.ByClass[isa.FPALU] {
 				t.Logf("dm(%v): compute op mismatch", pol)
 				return false
@@ -264,8 +285,8 @@ func TestLoweringProperty(t *testing.T) {
 				t.Logf("dm(%v): missing receives", pol)
 				return false
 			}
-			if c[isa.OpCopy] != dm.CopiesAUDU+dm.CopiesDUAU {
-				t.Logf("dm(%v): copy count mismatch", pol)
+			if c[isa.OpCopy] != dst.Copies() || dm.Len() != dst.DMOps || sw.Len() != dst.SWSMOps {
+				t.Logf("dm(%v): statistics %+v do not match the programs", pol, dst)
 				return false
 			}
 		}
@@ -289,13 +310,13 @@ func TestUnlimitedLoweredRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomKernel(rng, 60)
-		dm, err1 := DM(tr, partition.Classic)
-		sw, err2 := SWSM(tr)
+		dm, _, err1 := dmOf(tr, partition.Classic)
+		sw, err2 := swsmOf(tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		big := []isa.CoreConfig{{Window: 0, IssueWidth: 1 << 20}, {Window: 0, IssueWidth: 1 << 20}}
-		rd, err := engine.Run(dm.Program, engine.Config{Timing: tm(20), Cores: big})
+		rd, err := engine.Run(dm, engine.Config{Timing: tm(20), Cores: big})
 		if err != nil {
 			return false
 		}
@@ -303,7 +324,7 @@ func TestUnlimitedLoweredRuns(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if rd.Cycles != dm.Program.DataflowTime(tm(20)) || rs.Cycles != sw.DataflowTime(tm(20)) {
+		if rd.Cycles != dm.DataflowTime(tm(20)) || rs.Cycles != sw.DataflowTime(tm(20)) {
 			return false
 		}
 		// The SWSM dataflow limit can never exceed the DM's: the DM program

@@ -55,7 +55,7 @@ func (p Params) CacheKey(kind Kind) (string, bool) {
 func (s *Suite) Fingerprint() string {
 	s.fpOnce.Do(func() {
 		td := s.Trace.Digest()
-		ad := assignmentDigest(s.DM.Assignment)
+		ad := assignmentDigest(s.asg)
 		h := sha256.New()
 		h.Write([]byte(lower.Version))
 		h.Write(td[:])

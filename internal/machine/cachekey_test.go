@@ -193,7 +193,7 @@ func referenceFingerprint(s *Suite) string {
 		th.Write(buf[:])
 	}
 	ah := sha256.New()
-	a := s.DM.Assignment
+	a := s.Assignment()
 	w32(ah, uint32(len(a.Unit)))
 	for _, u := range a.Unit {
 		ah.Write([]byte{byte(u)})
@@ -242,7 +242,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if re.SWSM != fresh[from].SWSM || re.Trace != tr {
+				if re.swsm != fresh[from].swsm || re.Trace != tr {
 					t.Errorf("%s: Repartition(%v→%v) must share the trace and SWSM program", name, from, to)
 				}
 				if got, want := re.Fingerprint(), fresh[to].Fingerprint(); got != want {
@@ -370,7 +370,7 @@ func BenchmarkSuiteFingerprint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := int64(len(tr.Name)) + 8 + 4*int64(len(s.DM.Assignment.Unit)) + 16
+	n := int64(len(tr.Name)) + 8 + 4*int64(len(s.Assignment().Unit)) + 16
 	for i := range tr.Instrs {
 		n += 1 + 8 + 8 + 4*int64(len(tr.Instrs[i].Addr)+len(tr.Instrs[i].Args))
 	}
@@ -379,7 +379,7 @@ func BenchmarkSuiteFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh Trace and Suite per iteration: both memoize.
-		fresh := &Suite{Trace: &trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, DM: s.DM, SWSM: s.SWSM}
+		fresh := &Suite{Trace: &trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, asg: s.asg}
 		fresh.Fingerprint()
 	}
 }

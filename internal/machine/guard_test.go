@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"daesim/internal/engine"
 	"daesim/internal/partition"
 	"daesim/internal/workloads"
 )
@@ -39,14 +38,19 @@ func guardWorkloads() []string {
 // name, unit count, trace length and every field of every op, as
 // little-endian 8-byte integers. Until lower.Version existed this was
 // the store key; it now only watches the source key from the guard.
-func loweredDigest(s *Suite) string {
+func loweredDigest(t *testing.T, s *Suite) string {
+	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
 	wInt := func(x int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(x))
 		h.Write(buf[:])
 	}
-	for _, p := range []*engine.Program{s.DM.Program, s.SWSM} {
+	for _, kind := range []Kind{DM, SWSM} {
+		p, err := s.Program(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
 		h.Write([]byte(p.Name))
 		wInt(int64(p.NumUnits))
 		wInt(int64(p.TraceLen))
@@ -92,7 +96,7 @@ func TestLoweringGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := name + " " + pol.String()
-			got[id] = guardEntry{s.Fingerprint(), loweredDigest(s)}
+			got[id] = guardEntry{s.Fingerprint(), loweredDigest(t, s)}
 			order = append(order, id)
 		}
 	}

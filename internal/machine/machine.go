@@ -1,12 +1,13 @@
 // Package machine assembles the engine, partitioner and lowerings into
 // the paper's two machine models and the serial baseline used for
-// speedup. A Suite caches the lowered programs for one trace so sweeps
-// can run many configurations cheaply.
+// speedup. A Suite lowers one trace's programs on first use and keeps
+// them, so sweeps can run many configurations cheaply.
 package machine
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"daesim/internal/engine"
 	"daesim/internal/isa"
@@ -202,53 +203,96 @@ func (p Params) duWindow() int {
 	return p.Window
 }
 
-// Suite holds the lowered programs for one trace under one partition
-// policy. Build once, run many configurations.
+// Suite is one trace under one partition policy, ready to run on both
+// machines. NewSuite partitions the trace and counts what lowering it
+// would emit (Stats); each machine's program is lowered on its first
+// run, once, so a suite whose points are all served from a result store
+// never builds a program. Build once, run many configurations.
 type Suite struct {
 	// Trace is the source trace.
 	Trace *trace.Trace
-	// DM is the decoupled-machine lowering.
-	DM *lower.DMResult
-	// SWSM is the superscalar lowering.
-	SWSM *engine.Program
+
+	asg   *partition.Assignment
+	stats lower.Stats
+	// dm and swsm lower each program on first use. A repartitioned suite
+	// shares swsm with the suite it came from.
+	dm, swsm *lazyProgram
 
 	// fingerprint memoization (see Fingerprint).
 	fpOnce sync.Once
 	fp     string
 }
 
-// NewSuite lowers tr for both machines using the given partition policy.
+// lazyProgram is a program lowered on first use.
+type lazyProgram struct {
+	once sync.Once
+	prog *engine.Program
+	err  error
+}
+
+// get returns the program, lowering it with build on the first call.
+func (l *lazyProgram) get(kind Kind, build func() (*engine.Program, error)) (*engine.Program, error) {
+	l.once.Do(func() {
+		lowerings[kind].Add(1)
+		if l.prog, l.err = build(); l.err != nil {
+			l.err = fmt.Errorf("machine: lowering %v: %w", kind, l.err)
+		}
+	})
+	return l.prog, l.err
+}
+
+// lowerings counts the programs this process has lowered, per Kind.
+var lowerings [2]atomic.Int64
+
+// Lowerings returns how many DM and SWSM programs this process has
+// lowered so far.
+func Lowerings() (dm, swsm int64) {
+	return lowerings[DM].Load(), lowerings[SWSM].Load()
+}
+
+// NewSuite partitions tr under the given policy and counts its lowering
+// statistics. Neither program is built until a run needs it.
 func NewSuite(tr *trace.Trace, pol partition.Policy) (*Suite, error) {
-	dm, err := lowerDM(tr, pol)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := lower.SWSM(tr)
-	if err != nil {
-		return nil, fmt.Errorf("machine: lowering SWSM: %w", err)
-	}
-	return &Suite{Trace: tr, DM: dm, SWSM: sw}, nil
+	return newSuite(tr, pol, &lazyProgram{})
 }
 
 // Repartition returns the suite for the same trace under another
-// partition policy. Only the DM half is lowered again: the trace and the
-// SWSM program do not depend on the partition, so the new suite shares
-// them with s (programs are read-only once built, and runners already
-// share them across goroutines).
+// partition policy. The trace and the SWSM program do not depend on the
+// partition, so the new suite shares them with s: the SWSM program is
+// lowered at most once for both (programs are read-only once built, and
+// runners already share them across goroutines).
 func (s *Suite) Repartition(pol partition.Policy) (*Suite, error) {
-	dm, err := lowerDM(s.Trace, pol)
-	if err != nil {
-		return nil, err
-	}
-	return &Suite{Trace: s.Trace, DM: dm, SWSM: s.SWSM}, nil
+	return newSuite(s.Trace, pol, s.swsm)
 }
 
-func lowerDM(tr *trace.Trace, pol partition.Policy) (*lower.DMResult, error) {
-	dm, err := lower.DM(tr, pol)
+func newSuite(tr *trace.Trace, pol partition.Policy, swsm *lazyProgram) (*Suite, error) {
+	asg, err := partition.Partition(tr, pol)
 	if err != nil {
-		return nil, fmt.Errorf("machine: lowering DM: %w", err)
+		return nil, fmt.Errorf("machine: partitioning: %w", err)
 	}
-	return dm, nil
+	return &Suite{Trace: tr, asg: asg, stats: lower.Count(tr, asg), dm: &lazyProgram{}, swsm: swsm}, nil
+}
+
+// Assignment returns the AU/DU partition the DM program is lowered
+// under. It is read-only.
+func (s *Suite) Assignment() *partition.Assignment { return s.asg }
+
+// Stats returns the lowering statistics of both programs: op counts and
+// the DM's register copies. They are counted when the suite is built, so
+// reading them lowers nothing.
+func (s *Suite) Stats() lower.Stats { return s.stats }
+
+// Program returns the lowered program RunWith executes for kind,
+// lowering it on the first call.
+func (s *Suite) Program(kind Kind) (*engine.Program, error) {
+	switch kind {
+	case DM:
+		return s.dm.get(DM, func() (*engine.Program, error) { return lower.DM(s.Trace, s.asg, s.stats) })
+	case SWSM:
+		return s.swsm.get(SWSM, func() (*engine.Program, error) { return lower.SWSM(s.Trace, s.stats) })
+	default:
+		return nil, fmt.Errorf("machine: unknown kind %v", kind)
+	}
 }
 
 // Run executes the given machine kind under p, drawing a reusable
@@ -261,16 +305,21 @@ func (s *Suite) Run(kind Kind, p Params) (*engine.Result, error) {
 // scratch. A nil sim draws from the engine's shared pool. Callers that
 // run many configurations on a dedicated goroutine (sweep workers,
 // equivalent-window searches) should hold their own engine.Sim so
-// repeated runs allocate nothing beyond the Results.
+// repeated runs allocate nothing beyond the Results. The first run of a
+// kind lowers its program; concurrent first runs wait for one lowering.
 func (s *Suite) RunWith(sim *engine.Sim, kind Kind, p Params) (*engine.Result, error) {
-	switch kind {
-	case DM:
-		return s.RunDMWith(sim, p)
-	case SWSM:
-		return s.RunSWSMWith(sim, p)
-	default:
-		return nil, fmt.Errorf("machine: unknown kind %v", kind)
+	prog, err := s.Program(kind)
+	if err != nil {
+		return nil, err
 	}
+	cfg, err := p.Config(kind)
+	if err != nil {
+		return nil, err
+	}
+	if sim == nil {
+		return engine.Run(prog, cfg)
+	}
+	return sim.Run(prog, cfg)
 }
 
 // dmConfig materializes the engine configuration for the decoupled
@@ -328,44 +377,22 @@ func (p Params) Config(kind Kind) (engine.Config, error) {
 	}
 }
 
-// Program returns the lowered program Run executes for kind.
-func (s *Suite) Program(kind Kind) *engine.Program {
-	if kind == DM {
-		return s.DM.Program
-	}
-	return s.SWSM
-}
-
 // RunDM executes the decoupled machine under p.
-func (s *Suite) RunDM(p Params) (*engine.Result, error) { return s.RunDMWith(nil, p) }
+func (s *Suite) RunDM(p Params) (*engine.Result, error) { return s.RunWith(nil, DM, p) }
 
 // RunDMWith executes the decoupled machine under p on sim's scratch
 // (nil draws from the shared pool).
 func (s *Suite) RunDMWith(sim *engine.Sim, p Params) (*engine.Result, error) {
-	cfg, err := p.dmConfig()
-	if err != nil {
-		return nil, err
-	}
-	if sim == nil {
-		return engine.Run(s.DM.Program, cfg)
-	}
-	return sim.Run(s.DM.Program, cfg)
+	return s.RunWith(sim, DM, p)
 }
 
 // RunSWSM executes the superscalar machine under p.
-func (s *Suite) RunSWSM(p Params) (*engine.Result, error) { return s.RunSWSMWith(nil, p) }
+func (s *Suite) RunSWSM(p Params) (*engine.Result, error) { return s.RunWith(nil, SWSM, p) }
 
 // RunSWSMWith executes the superscalar machine under p on sim's scratch
 // (nil draws from the shared pool).
 func (s *Suite) RunSWSMWith(sim *engine.Sim, p Params) (*engine.Result, error) {
-	cfg, err := p.swsmConfig()
-	if err != nil {
-		return nil, err
-	}
-	if sim == nil {
-		return engine.Run(s.SWSM, cfg)
-	}
-	return sim.Run(s.SWSM, cfg)
+	return s.RunWith(sim, SWSM, p)
 }
 
 // SerialCycles returns the execution time of tr on the serial reference

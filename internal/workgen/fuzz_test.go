@@ -89,7 +89,11 @@ func FuzzWorkgenDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := engine.ReferenceRun(suite.Program(kind), cfg)
+			prog, err := suite.Program(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine.ReferenceRun(prog, cfg)
 			if err != nil {
 				t.Fatalf("spec %q %v: reference: %v", spec.Format(), kind, err)
 			}

@@ -39,7 +39,7 @@ func TestCalibrateReport(t *testing.T) {
 
 		t.Logf("%-7s band=%-10s %v copies(AU->DU %d, DU->AU %d) selfloads=%d",
 			spec.Name, spec.Band, st,
-			suite.DM.CopiesAUDU, suite.DM.CopiesDUAU, suite.DM.Assignment.SelfLoads)
+			suite.Stats().CopiesAUDU, suite.Stats().CopiesDUAU, suite.Assignment().SelfLoads)
 		t.Logf("  LHE(inf,md60)=%.3f  (perfect=%d actual=%d)", lheInf, perfect, actual.Cycles)
 
 		for _, md := range []int{0, 60} {
