@@ -174,9 +174,10 @@ func DefaultTiming(md int) Timing { return isa.DefaultTiming(md) }
 
 // Sweeping and searching. A Runner executes simulation points against
 // one suite, in parallel, memoizing results so overlapping sweeps do not
-// re-simulate; a Search runs the speculative-parallel equivalent-window
-// and crossover searches against a Runner on a warm scratch pool. A
-// Store adds a persistent on-disk layer behind a Runner's in-memory
+// re-simulate; EquivalentWindow, EquivalentWindowRatio and Crossover
+// search through a Runner one probe at a time, so probes another sweep
+// already ran cost nothing (fan independent searches out for
+// parallelism). A Store adds a persistent on-disk layer behind a Runner's in-memory
 // cache: results survive process restarts, keyed by engine version,
 // suite source key (lowering version, trace and partition) and
 // canonical parameters, so re-runs skip
@@ -191,9 +192,6 @@ type (
 	// Point identifies one simulation for a Runner or a DaemonFleet: a
 	// machine kind plus parameters.
 	Point = sweep.Point
-	// Search runs equivalent-window and crossover searches against a
-	// Runner (see NewSearch).
-	Search = metrics.Search
 	// Store is a persistent, content-addressed, corruption-tolerant
 	// on-disk result cache, safe for concurrent processes.
 	Store = sweep.Store
@@ -238,10 +236,6 @@ func NewRunner(s *Suite) *Runner { return sweep.NewRunner(s) }
 // (Experiments.Cache) before the first run.
 func OpenStore(dir string) (*Store, error) { return sweep.OpenStore(dir) }
 
-// NewSearch returns a Search against the runner. Hold one per sweep so
-// its per-worker scratch contexts stay warm across search points.
-func NewSearch(r *Runner) *Search { return metrics.NewSearch(r) }
-
 // ParseGCPolicy parses a comma-separated Store GC bound list, e.g.
 // "max-entries=500,max-bytes=64mb,max-age=168h" (the syntax of
 // repro -cache-gc and sweepd -gc). Omitted bounds are unlimited.
@@ -264,7 +258,7 @@ var (
 	// LHE returns the latency-hiding effectiveness T_perfect/T_actual.
 	LHE = metrics.LHE
 	// EquivalentWindow returns the smallest SWSM window matching a target
-	// time, probing through the runner's cache.
+	// time, probing serially through the runner's cache.
 	EquivalentWindow = metrics.EquivalentWindow
 	// EquivalentWindowRatio runs the DM and reports the SWSM/DM window
 	// ratio of Figures 7-9.

@@ -19,9 +19,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One memoizing runner + search for the whole table: scratch stays
-	// warm and overlapping probes are simulated once.
-	search := daesim.NewSearch(daesim.NewRunner(suite))
+	// One memoizing runner for the whole table: overlapping probes are
+	// simulated once.
+	runner := daesim.NewRunner(suite)
 
 	mds := []int{0, 20, 40, 60}
 	windows := []int{10, 20, 40, 60, 80, 100}
@@ -35,7 +35,7 @@ func main() {
 	for _, w := range windows {
 		fmt.Printf("%-10d", w)
 		for _, md := range mds {
-			ratio, ok, err := search.EquivalentWindowRatio(daesim.Params{Window: w, MD: md})
+			ratio, ok, err := daesim.EquivalentWindowRatio(runner, daesim.Params{Window: w, MD: md})
 			if err != nil {
 				log.Fatal(err)
 			}

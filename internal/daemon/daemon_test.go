@@ -266,7 +266,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRatio, wantOK, err := metrics.NewSearch(localRunner(t, testWorkload)).EquivalentWindowRatio(p)
+	wantRatio, wantOK, err := metrics.EquivalentWindowRatio(localRunner(t, testWorkload), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestBatchSearchEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want SearchResponse
-		want.Ratio, want.OK, err = metrics.NewSearch(runner).EquivalentWindowRatio(p)
+		want.Ratio, want.OK, err = metrics.EquivalentWindowRatio(runner, p)
 		if err != nil {
 			t.Fatal(err)
 		}

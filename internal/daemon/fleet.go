@@ -641,7 +641,8 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 // experiments.Context.RemoteSearch signature and the scatter loop's
 // failover: Figures 7-9 cost a few requests per figure instead of
 // several per ratio point, with answers identical to the local search
-// (the probe path is a fixed function of its inputs — metrics.Search).
+// (the probe path is a fixed function of its inputs; see
+// metrics.EquivalentWindow).
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {

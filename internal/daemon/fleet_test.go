@@ -337,8 +337,7 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	}
 	var pwAnswers []experiments.RatioAnswer
 	for _, w := range windows {
-		search := metrics.NewSearch(pwRunner)
-		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: w, MD: md})
+		ratio, ok, err := metrics.EquivalentWindowRatio(pwRunner, machine.Params{Window: w, MD: md})
 		if err != nil {
 			t.Fatal(err)
 		}

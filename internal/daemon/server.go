@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +26,9 @@ type Config struct {
 	// Store is the shared persistent result cache (L2) behind every
 	// runner the daemon builds; nil serves from memory only.
 	Store *sweep.Store
-	// Parallelism caps each runner's worker pool and search fan-out
-	// (0 = GOMAXPROCS).
+	// Parallelism is the sweep.ForEach width of each runner's RunAll
+	// fills and of a batch search's fan-out across its items
+	// (0 = GOMAXPROCS). Each search probes one point at a time.
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
 	// (batch run and batch search); excess requests queue until a slot
@@ -396,21 +396,6 @@ func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, i
 	return runner, p, 0, nil
 }
 
-// execSearch runs one validated ratio search. Each call owns its Search
-// (a Search parallelizes internally but is not safe for concurrent
-// use); probes still share the runner's caches with every other
-// request. searchPar, when positive, caps the Search's internal probe
-// fan-out — batch execution splits the pool budget across concurrent
-// searches so a batch never multiplies into Parallelism² workers. The
-// cap cannot change the answer: the probe sequence is
-// parallelism-independent (metrics.Search).
-func execSearch(runner *sweep.Runner, p machine.Params, searchPar int) (SearchResponse, error) {
-	search := metrics.NewSearch(runner)
-	search.Parallelism = searchPar
-	ratio, ok, err := search.EquivalentWindowRatio(p)
-	return SearchResponse{Ratio: ratio, OK: ok}, err
-}
-
 // checkBatchSize refuses empty and oversized batches with 400.
 func checkBatchSize(w http.ResponseWriter, path string, n int) bool {
 	switch {
@@ -449,8 +434,8 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Execute per runner through RunAll, so each group reuses the
-	// runner's worker pool and per-worker scratches like a local sweep.
+	// Execute per runner through RunAll, so each group fills on the
+	// runner's worker pool like a local sweep.
 	start := time.Now()
 	results := make([]*engine.Result, len(req.Items))
 	var order []*sweep.Runner
@@ -499,48 +484,17 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		runners[i], params[i] = runner, p
 	}
-	// Independent searches fan out across the pool; each owns its
-	// Search, and all probes coalesce in the runners' caches. The pool
-	// budget is split between the two layers — par concurrent searches,
-	// each with a slice of the pool for its probe waves (slightly
-	// overcommitted) — so one batch never multiplies into Parallelism²
-	// simulation workers.
-	pool := s.cfg.Parallelism
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
-	par := pool
-	if par > len(req.Items) {
-		par = len(req.Items)
-	}
-	searchPar := 2 * pool / len(req.Items)
-	if searchPar < 1 {
-		searchPar = 1
-	}
+	// Independent searches fan out across the pool, each probing one
+	// point at a time; all probes coalesce in the runners' caches.
 	start := time.Now()
 	results := make([]SearchResponse, len(req.Items))
-	errs := make([]error, len(req.Items))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = execSearch(runners[i], params[i], searchPar)
-			}
-		}()
-	}
-	for i := range req.Items {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	if err := sweep.ForEach(s.cfg.Parallelism, len(req.Items), func(i int) error {
+		ratio, ok, err := metrics.EquivalentWindowRatio(runners[i], params[i])
+		results[i] = SearchResponse{Ratio: ratio, OK: ok}
+		return err
+	}); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	s.logf("batch search: %d items in %s", len(req.Items), time.Since(start).Round(time.Millisecond))
 	writeJSON(w, BatchSearchResponse{Results: results})

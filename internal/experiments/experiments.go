@@ -15,7 +15,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"daesim/internal/engine"
@@ -32,8 +31,10 @@ type Context struct {
 	Scale int
 	// Policy is the AU/DU partition policy (default Classic).
 	Policy partition.Policy
-	// Parallelism caps each workload runner's concurrent simulations and
-	// the equivalent-window search fan-out (0 = GOMAXPROCS).
+	// Parallelism is the sweep.ForEach width of every fan-out the
+	// context runs: the drivers' workloads, points and searches, and
+	// each workload runner's RunAll fills (0 = GOMAXPROCS). Each
+	// equivalent-window search probes one point at a time.
 	Parallelism int
 	// Cache, when non-nil, is the persistent result store handed to every
 	// workload runner: simulation results survive process restarts and are
@@ -65,9 +66,10 @@ type Context struct {
 	// equivalent-window ratio searches (the unit of Figures 7-9)
 	// server-side in one call, instead of probing locally and shipping
 	// each probe wave. The answers are identical either way — the search
-	// probe path is a fixed function of its inputs (metrics.Search), not
-	// of where it executes — but a server-side curve is one round trip
-	// where even a batched local search needs several per ratio point.
+	// probe path is a fixed function of its inputs
+	// (metrics.EquivalentWindow), not of where it executes — but a
+	// server-side curve is one round trip where even a batched local
+	// search needs several per ratio point.
 	// daemon.FleetClient.RatioBatch has this signature (repro -remote
 	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
@@ -158,14 +160,6 @@ func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 	return r, nil
 }
 
-// par returns the effective worker-pool width.
-func (c *Context) par() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; every result lands in a shard indexed by input, not by completion order
-}
-
 // CacheStats aggregates cache traffic across every runner the context
 // has built so far (the run summary of cmd/repro), including the
 // ad-hoc runners the policy study builds for non-default partitions.
@@ -240,7 +234,7 @@ type Table1Result struct {
 func (c *Context) Table1() (*Table1Result, error) {
 	specs := workloads.Catalog()
 	runners := make([]*sweep.Runner, len(specs))
-	if err := forEach(c.par(), len(specs), func(i int) error {
+	if err := sweep.ForEach(c.Parallelism, len(specs), func(i int) error {
 		r, err := c.Runner(specs[i].Name)
 		runners[i] = r
 		return err
@@ -262,7 +256,7 @@ func (c *Context) Table1() (*Table1Result, error) {
 		}
 	}
 	results := make([]*engine.Result, len(jobs))
-	if err := forEach(c.par(), len(jobs), func(j int) error {
+	if err := sweep.ForEach(c.Parallelism, len(jobs), func(j int) error {
 		res, err := runners[j%len(specs)].Run(jobs[j])
 		results[j] = res
 		return err
@@ -402,12 +396,11 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	for mi := range answers {
 		answers[mi] = make([]RatioAnswer, len(RatioWindows))
 	}
-	ratioAt := func(search *metrics.Search, mi, wi int) error {
-		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: RatioWindows[wi], MD: RatioMDs[mi]})
+	ratioAt := func(mi, wi int) error {
+		ratio, ok, err := metrics.EquivalentWindowRatio(r, machine.Params{Window: RatioWindows[wi], MD: RatioMDs[mi]})
 		answers[mi][wi] = RatioAnswer{Ratio: ratio, OK: ok}
 		return err
 	}
-	par := c.par()
 	if c.RemoteSearch != nil {
 		// With a remote search service attached, each MD curve travels
 		// as one server-side batch: the daemon runs the same
@@ -415,11 +408,11 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 		// figure costs a few round trips instead of one per probe wave —
 		// and the values are identical to the local path by
 		// construction. A curve whose owners are all unavailable is
-		// searched locally when Degrade is set: the probes then flow
-		// through the runner, whose own Degrade fallback absorbs any
-		// remaining point-level outage.
+		// searched locally, point by point on this worker, when Degrade
+		// is set: the probes then flow through the runner, whose own
+		// Degrade fallback absorbs any remaining point-level outage.
 		fp := r.Suite.Fingerprint()
-		err = forEach(par, len(RatioMDs), func(mi int) error {
+		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(mi int) error {
 			params := make([]machine.Params, len(RatioWindows))
 			for wi, w := range RatioWindows {
 				params[wi] = machine.Params{Window: w, MD: RatioMDs[mi]}
@@ -429,9 +422,8 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 				if !c.Degrade || !errors.Is(err, sweep.ErrUnavailable) {
 					return err
 				}
-				search := metrics.NewSearch(r)
 				for wi := range RatioWindows {
-					if err := ratioAt(search, mi, wi); err != nil {
+					if err := ratioAt(mi, wi); err != nil {
 						return err
 					}
 				}
@@ -447,18 +439,11 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	} else {
 		// Every (MD, window) point is an independent search, so the
 		// pool schedules points, not curves, and no worker idles while
-		// another finishes a long curve. Each worker keeps one warm
-		// Search (not safe for concurrent use) probing one point at a
-		// time, so each wave stops at its first target-meeting probe.
-		// Every probe routes through the shared Runner, so curves still
-		// share memoized results with each other and with other sweeps.
-		searches := make([]*metrics.Search, par)
-		err = forEachWorker(par, len(RatioMDs)*len(RatioWindows), func(worker, i int) error {
-			if searches[worker] == nil {
-				searches[worker] = metrics.NewSearch(r)
-				searches[worker].Parallelism = 1
-			}
-			return ratioAt(searches[worker], i/len(RatioWindows), i%len(RatioWindows))
+		// another finishes a long curve. Every probe routes through the
+		// shared Runner, so curves still share memoized results with
+		// each other and with other sweeps.
+		err = sweep.ForEach(c.Parallelism, len(RatioMDs)*len(RatioWindows), func(i int) error {
+			return ratioAt(i/len(RatioWindows), i%len(RatioWindows))
 		})
 	}
 	if err != nil {
@@ -510,12 +495,12 @@ func (c *Context) Cutoffs() (*CutoffResult, error) {
 	windows := sweep.Windows(4, 128, 4)
 	specs := workloads.Catalog()
 	res := &CutoffResult{Windows: windows, Rows: make([]CutoffRow, len(specs))}
-	if err := forEach(c.par(), len(specs), func(i int) error {
+	if err := sweep.ForEach(c.Parallelism, len(specs), func(i int) error {
 		r, err := c.Runner(specs[i].Name)
 		if err != nil {
 			return err
 		}
-		w, found, err := metrics.NewSearch(r).Crossover(machine.Params{MD: MDZero}, windows)
+		w, found, err := metrics.Crossover(r, machine.Params{MD: MDZero}, windows)
 		res.Rows[i] = CutoffRow{Name: specs[i].Name, Window: w, Found: found}
 		return err
 	}); err != nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"daesim/internal/engine"
 	"daesim/internal/isa"
 	"daesim/internal/machine"
 	"daesim/internal/memsys"
@@ -117,7 +116,6 @@ type PolicyResult struct {
 // the store lowers nothing.
 func (c *Context) PolicyStudy() (*PolicyResult, error) {
 	res := &PolicyResult{}
-	sim := engine.NewSim()
 	for _, spec := range workloads.Catalog() {
 		base, err := c.Runner(spec.Name)
 		if err != nil {
@@ -133,11 +131,11 @@ func (c *Context) PolicyStudy() (*PolicyResult, error) {
 				r = sweep.NewRunner(suite)
 				r.Store = c.Cache
 			}
-			r0, err := r.RunWith(sim, sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
+			r0, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
 			if err != nil {
 				return nil, err
 			}
-			r60, err := r.RunWith(sim, sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
+			r60, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
 			if err != nil {
 				return nil, err
 			}
@@ -250,14 +248,13 @@ type CacheResult struct {
 // CacheStudy runs the figure workloads against the default hierarchy.
 func (c *Context) CacheStudy() (*CacheResult, error) {
 	res := &CacheResult{}
-	sim := engine.NewSim()
 	for _, name := range workloads.FigureNames() {
 		r, err := c.Runner(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, kind := range []machine.Kind{machine.DM, machine.SWSM} {
-			fixed, err := r.RunWith(sim, sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
+			fixed, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
 			if err != nil {
 				return nil, err
 			}
@@ -267,7 +264,7 @@ func (c *Context) CacheStudy() (*CacheResult, error) {
 			}
 			// Through the runner so the run is counted (it bypasses both
 			// cache layers: stateful models are uncacheable).
-			cached, err := r.RunWith(sim, sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD, Mem: h}})
+			cached, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD, Mem: h}})
 			if err != nil {
 				return nil, err
 			}
@@ -315,33 +312,43 @@ type ComplexityResult struct {
 }
 
 // ComplexityStudy evaluates clock-adjusted equivalent windows at MD=60.
+// The workloads fan out across the pool; each runs its three searches
+// in order, so its probe waves (and remote requests) do not depend on
+// timing.
 func (c *Context) ComplexityStudy() (*ComplexityResult, error) {
-	res := &ComplexityResult{MD: ablationMD}
 	model := metrics.DefaultDelayModel
-	for _, name := range workloads.FigureNames() {
-		r, err := c.Runner(name)
+	names := workloads.FigureNames()
+	rows := make([][]ComplexityRow, len(names))
+	if err := sweep.ForEach(c.Parallelism, len(names), func(i int) error {
+		r, err := c.Runner(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		search := metrics.NewSearch(r)
 		for _, w := range []int{32, 64, 100} {
 			dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: ablationMD}})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			eq, ok, err := search.EquivalentWindow(machine.Params{Window: w, MD: ablationMD, MemQueue: machine.QueueFactor * w}, dm.Cycles)
+			eq, ok, err := metrics.EquivalentWindow(r, machine.Params{Window: w, MD: ablationMD, MemQueue: machine.QueueFactor * w}, dm.Cycles)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
-			res.Rows = append(res.Rows, ComplexityRow{
-				Name: name, DMWindow: w, EqWindow: eq,
+			rows[i] = append(rows[i], ComplexityRow{
+				Name: names[i], DMWindow: w, EqWindow: eq,
 				Ratio:        float64(eq) / float64(w),
 				ClockPenalty: model.ClockAdjustedAdvantage(w, isa.DefaultDUWidth, eq, isa.DefaultSWSMWidth),
 			})
 		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	res := &ComplexityResult{MD: ablationMD}
+	for _, rs := range rows {
+		res.Rows = append(res.Rows, rs...)
 	}
 	return res, nil
 }

@@ -12,7 +12,7 @@ import (
 // change in the count means the probe path changed.
 func TestFannedStudiesMatchSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the ratio figure and five studies on two fresh contexts")
+		t.Skip("runs the ratio figure and six studies on two fresh contexts")
 	}
 	const fig7Sims = 535
 	studies := []struct {
@@ -25,6 +25,7 @@ func TestFannedStudiesMatchSerial(t *testing.T) {
 		{"ESWStudy", func(c *Context) (any, error) { return c.ESWStudy() }},
 		{"RetireStudy", func(c *Context) (any, error) { return c.RetireStudy() }},
 		{"Ablations", func(c *Context) (any, error) { return c.Ablations() }},
+		{"ComplexityStudy", func(c *Context) (any, error) { return c.ComplexityStudy() }},
 	}
 	serial := NewContext()
 	serial.Parallelism = 1

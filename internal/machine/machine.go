@@ -302,11 +302,11 @@ func (s *Suite) Run(kind Kind, p Params) (*engine.Result, error) {
 }
 
 // RunWith executes the given machine kind under p on sim's reusable
-// scratch. A nil sim draws from the engine's shared pool. Callers that
-// run many configurations on a dedicated goroutine (sweep workers,
-// equivalent-window searches) should hold their own engine.Sim so
-// repeated runs allocate nothing beyond the Results. The first run of a
-// kind lowers its program; concurrent first runs wait for one lowering.
+// scratch. A nil sim draws from the engine's shared pool, which is what
+// sweeps and searches use. A caller that times repeated runs on one
+// goroutine (the engine benchmarks) can hold its own engine.Sim so they
+// allocate nothing beyond the Results. The first run of a kind lowers
+// its program; concurrent first runs wait for one lowering.
 func (s *Suite) RunWith(sim *engine.Sim, kind Kind, p Params) (*engine.Result, error) {
 	prog, err := s.Program(kind)
 	if err != nil {
@@ -322,59 +322,39 @@ func (s *Suite) RunWith(sim *engine.Sim, kind Kind, p Params) (*engine.Result, e
 	return sim.Run(prog, cfg)
 }
 
-// dmConfig materializes the engine configuration for the decoupled
-// machine.
-func (p Params) dmConfig() (engine.Config, error) {
-	mem, err := p.queueModel()
-	if err != nil {
-		return engine.Config{}, err
-	}
-	return engine.Config{
-		Timing: p.Timing(),
-		Cores: []isa.CoreConfig{
-			{Window: p.auWindow(), IssueWidth: p.auWidth(), DispatchWidth: p.DispatchWidth},
-			{Window: p.duWindow(), IssueWidth: p.duWidth(), DispatchWidth: p.DispatchWidth},
-		},
-		Mem:           mem,
-		CollectESW:    p.CollectESW,
-		HoldSendSlots: p.HoldSendSlots,
-		RetireInOrder: p.retireInOrder(),
-	}, nil
-}
-
-// swsmConfig materializes the engine configuration for the superscalar
-// machine.
-func (p Params) swsmConfig() (engine.Config, error) {
-	mem, err := p.queueModel()
-	if err != nil {
-		return engine.Config{}, err
-	}
-	return engine.Config{
-		Timing: p.Timing(),
-		Cores: []isa.CoreConfig{
-			{Window: p.Window, IssueWidth: p.swsmWidth(), DispatchWidth: p.DispatchWidth},
-		},
-		Mem:           mem,
-		CollectESW:    p.CollectESW,
-		HoldSendSlots: p.HoldSendSlots,
-		RetireInOrder: p.retireInOrder(),
-	}, nil
-}
-
 // Config materializes the engine configuration p implies for a machine
-// kind — exactly what Run hands the engine. Exported for differential
-// harnesses (FuzzWorkgenDifferential) that replay the same setup
-// through engine.ReferenceRun; each call constructs a fresh memory
-// model, so two configs never share queue state.
+// kind — exactly what Run hands the engine. Only the cores differ by
+// kind: the DM's AU and DU, or the SWSM's single window. Exported for
+// differential harnesses (FuzzWorkgenDifferential) that replay the same
+// setup through engine.ReferenceRun; each call constructs a fresh
+// memory model, so two configs never share queue state.
 func (p Params) Config(kind Kind) (engine.Config, error) {
+	var cores []isa.CoreConfig
 	switch kind {
 	case DM:
-		return p.dmConfig()
+		cores = []isa.CoreConfig{
+			{Window: p.auWindow(), IssueWidth: p.auWidth(), DispatchWidth: p.DispatchWidth},
+			{Window: p.duWindow(), IssueWidth: p.duWidth(), DispatchWidth: p.DispatchWidth},
+		}
 	case SWSM:
-		return p.swsmConfig()
+		cores = []isa.CoreConfig{
+			{Window: p.Window, IssueWidth: p.swsmWidth(), DispatchWidth: p.DispatchWidth},
+		}
 	default:
 		return engine.Config{}, fmt.Errorf("machine: unknown kind %v", kind)
 	}
+	mem, err := p.queueModel()
+	if err != nil {
+		return engine.Config{}, err
+	}
+	return engine.Config{
+		Timing:        p.Timing(),
+		Cores:         cores,
+		Mem:           mem,
+		CollectESW:    p.CollectESW,
+		HoldSendSlots: p.HoldSendSlots,
+		RetireInOrder: p.retireInOrder(),
+	}, nil
 }
 
 // RunDM executes the decoupled machine under p.

@@ -4,17 +4,13 @@
 // the MD=0 crossover window.
 //
 // The equivalent-window searches route every probe through a
-// sweep.Runner, so overlapping figure sweeps share memoized results, and
-// fan independent probes out across a bounded worker pool of
-// per-goroutine engine.Sim scratches (see Search).
+// sweep.Runner, so overlapping figure sweeps share memoized results.
+// Each search is serial; callers fan independent searches out.
 package metrics
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"daesim/internal/engine"
 	"daesim/internal/machine"
 	"daesim/internal/sweep"
 )
@@ -42,150 +38,61 @@ func LHE(perfect, actual int64) float64 {
 // sweep so ratios near the top of Figures 7-9 resolve.
 const MaxEquivalentWindow = 8192
 
-// Search runs equivalent-window and crossover searches against one
-// sweep.Runner. It owns a pool of per-goroutine engine.Sim scratch
-// contexts that stay warm across calls, so a figure sweep of many search
-// points does not cold-start scratch on every point, and its probes are
-// memoized by the Runner, so overlapping sweeps (WindowSweep curves, the
-// other MD curves of a ratio figure) share results.
+// evalWave evaluates the SWSM at the windows of one wave and returns
+// the times of an evaluated prefix of it: the prefix ends at the first
+// probe meeting the target, or is the whole wave when none does.
 //
-// The search is wave-structured: the exponential bracket ladder is
+// The searches are wave-structured: the exponential bracket ladder is
 // climbed in stages of ladderStage rungs, then each refinement layer
 // probes kSectionWidth interior points (k-section). The wave contents
 // are a pure function of the hint and the probe results — never of
-// Parallelism, GOMAXPROCS, or where the probes execute — and every wave
-// is read for one thing only: its first probe meeting the target. So a
-// search returns the same window on a laptop, a CI runner, and a sweepd
-// fleet (TestSearchDeterministicAcrossParallelism), and byte-identity
-// between local and remote reproductions is structural rather than
-// lucky. Parallelism chooses how a wave is executed and how much of it
-// runs. Locally a wave is evaluated in order, in chunks of Parallelism
-// points fanned across per-goroutine scratches, and stops after the
-// first chunk holding a probe that meets the target: the probes after
-// it could not change the answer. With a RemoteBatch hook on the Runner
-// a whole wave travels as one batched round trip, which is what
-// collapses a remote search's request count (DESIGN.md §11).
-// Points carrying a custom Params.Mem run the same waves, evaluated
-// locally one probe at a time: a stateful memory model is not safe to
-// probe concurrently (or remotely).
-//
-// A Search is not safe for concurrent use by multiple goroutines; it
-// parallelizes internally.
-type Search struct {
-	// Runner executes and memoizes the probes.
-	Runner *sweep.Runner
-	// Parallelism bounds the probe fan-out (0: the Runner's Parallelism,
-	// else GOMAXPROCS).
-	Parallelism int
-
-	sims []*engine.Sim
-}
-
-// NewSearch returns a Search against the runner.
-func NewSearch(r *sweep.Runner) *Search { return &Search{Runner: r} }
-
-func (s *Search) par() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
-	}
-	if s.Runner != nil && s.Runner.Parallelism > 0 {
-		return s.Runner.Parallelism
-	}
-	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; wave contents and the first target-meeting probe fix every answer
-}
-
-// sim returns the i'th warm scratch context, growing the pool on demand.
-func (s *Search) sim(i int) *engine.Sim {
-	for len(s.sims) <= i {
-		s.sims = append(s.sims, engine.NewSim())
-	}
-	return s.sims[i]
-}
-
-// evalWave evaluates the SWSM at the windows of one wave and returns
-// the times of an evaluated prefix of it: the prefix ends within
-// Parallelism points after the first probe meeting the target, or is
-// the whole wave when none does. Every caller reads only that first
-// meeting probe, so the prefix carries the wave's whole answer, and the
-// answer does not depend on the execution strategy. A Runner with a
-// RemoteBatch hook evaluates the whole wave in one batched round trip;
-// a custom Params.Mem point is evaluated locally, one probe at a time.
-func (s *Search) evalWave(p machine.Params, ws []int, target int64) ([]int64, error) {
+// where the probes execute — and every wave is read for one thing only:
+// its first probe meeting the target. So the prefix carries the wave's
+// whole answer, a search returns the same window on a laptop, a CI
+// runner and a sweepd fleet (TestSearchLocalMatchesRemoteBatch), and
+// byte-identity between local and remote reproductions is structural
+// rather than lucky. Locally a wave is probed in order, one point at a
+// time through the Runner (so overlapping sweeps share memoized
+// results), and stops at its first probe meeting the target. With a
+// RemoteBatch hook on the Runner the whole wave of a cacheable point
+// travels as one batched round trip, which is what collapses a remote
+// search's request count (DESIGN.md §11); a custom Params.Mem point
+// takes the local path, since a MemModel is arbitrary local code. A
+// search is serial: callers get parallelism by fanning independent
+// searches out (sweep.ForEach).
+func evalWave(r *sweep.Runner, p machine.Params, ws []int, target int64) ([]int64, error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
 		q := p
 		q.Window = w
 		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	par := 1
-	if p.Mem == nil {
-		if s.Runner.RemoteBatch != nil {
-			return s.runBatch(pts)
-		}
-		par = s.par()
+	if p.Mem == nil && r.RemoteBatch != nil {
+		return runBatch(r, pts)
 	}
-	times := make([]int64, len(pts))
-	for lo := 0; lo < len(pts); lo += par {
-		hi := lo + par
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if err := s.evalChunk(pts[lo:hi], times[lo:hi]); err != nil {
+	times := make([]int64, 0, len(pts))
+	for _, pt := range pts {
+		res, err := r.Run(pt)
+		if err != nil {
 			return nil, err
 		}
-		for _, t := range times[lo:hi] {
-			if t <= target {
-				return times[:hi], nil
-			}
+		times = append(times, res.Cycles)
+		if res.Cycles <= target {
+			break
 		}
 	}
 	return times, nil
 }
 
-// evalChunk simulates pts into times, one scratch context per point,
-// fanned across goroutines when there is more than one point.
-func (s *Search) evalChunk(pts []sweep.Point, times []int64) error {
-	if len(pts) == 1 {
-		r, err := s.Runner.RunWith(s.sim(0), pts[0])
-		if err != nil {
-			return err
-		}
-		times[0] = r.Cycles
-		return nil
-	}
-	errs := make([]error, len(pts))
-	var wg sync.WaitGroup
-	for i := range pts {
-		sim := s.sim(i)
-		wg.Add(1)
-		go func(i int, sim *engine.Sim) {
-			defer wg.Done()
-			r, err := s.Runner.RunWith(sim, pts[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			times[i] = r.Cycles
-		}(i, sim)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runBatch evaluates every point in one Runner.RunAll call.
-func (s *Search) runBatch(pts []sweep.Point) ([]int64, error) {
-	results, err := s.Runner.RunAll(pts)
+func runBatch(r *sweep.Runner, pts []sweep.Point) ([]int64, error) {
+	results, err := r.RunAll(pts)
 	if err != nil {
 		return nil, err
 	}
 	times := make([]int64, len(results))
-	for i, r := range results {
-		times[i] = r.Cycles
+	for i, res := range results {
+		times[i] = res.Cycles
 	}
 	return times, nil
 }
@@ -200,13 +107,12 @@ func (s *Search) runBatch(pts []sweep.Point) ([]int64, error) {
 // engine satisfies up to small Graham anomalies (DESIGN.md §3). Inside
 // an anomaly wobble band the boundary is ambiguous and the returned
 // window depends on the probe path — but the probe path is a pure
-// function of the hint and the probe results, never of Parallelism or
-// execution placement (the Search doc has the contract), so the answer
-// is reproducible everywhere and always satisfies
-// t(w) <= target < t(w-1). Only the hint can steer which boundary of a
-// wobble band is reported.
-func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, ok bool, err error) {
-	return s.ladderSearch(p, target, ladderWindows(clampHint(p.Window)), nil)
+// function of the hint and the probe results, never of execution
+// placement (see evalWave), so the answer is reproducible everywhere and
+// always satisfies t(w) <= target < t(w-1). Only the hint can steer
+// which boundary of a wobble band is reported.
+func EquivalentWindow(r *sweep.Runner, p machine.Params, target int64) (window int, ok bool, err error) {
+	return ladderSearch(r, p, target, ladderWindows(clampHint(p.Window)), nil)
 }
 
 // kSectionWidth is the interior-probe count of each refinement wave.
@@ -214,10 +120,10 @@ func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, o
 // wave contents define the search's answer path, and that path must be
 // identical everywhere for local, remote, and differently-sized hosts
 // to agree bit-for-bit on figure values. 4 shrinks a bracket 5x per
-// wave, 2-3 waves for figure-scale brackets. A local serial search
-// stops each wave at its first target-meeting probe, so the width costs
-// it nothing beyond the probes it reads; only a batched remote wave
-// simulates all 4.
+// wave, 2-3 waves for figure-scale brackets. A local search stops each
+// wave at its first target-meeting probe, so the width costs it nothing
+// beyond the probes it reads; only a batched remote wave simulates
+// all 4.
 const kSectionWidth = 4
 
 // clampHint bounds a bracket hint to [1, MaxEquivalentWindow].
@@ -255,7 +161,7 @@ const ladderStage = 4
 // ladder[:len(times)]) stage by stage until a rung meets the target or
 // the ladder is exhausted, then refines the bracket. The probe path is
 // a pure function of (ladder, target, probe results).
-func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
+func ladderSearch(r *sweep.Runner, p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
 	found := func() bool {
 		for _, t := range times {
 			if t <= target {
@@ -269,20 +175,20 @@ func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, time
 		if end > len(ladder) {
 			end = len(ladder)
 		}
-		chunk, err := s.evalWave(p, ladder[len(times):end], target)
+		chunk, err := evalWave(r, p, ladder[len(times):end], target)
 		if err != nil {
 			return 0, false, err
 		}
 		times = append(times, chunk...)
 	}
-	return s.refine(p, target, ladder[:len(times)], times)
+	return refine(r, p, target, ladder[:len(times)], times)
 }
 
 // refine turns evaluated ladder times into the smallest target-meeting
 // window: bracket from the first ladder rung meeting the target, then
 // k-section waves of kSectionWidth interior points until the bracket
 // closes.
-func (s *Search) refine(p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
+func refine(r *sweep.Runner, p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
 	first := -1
 	for i, t := range times {
 		if t <= target {
@@ -313,7 +219,7 @@ func (s *Search) refine(p machine.Params, target int64, ladder []int, times []in
 		if len(xs) == 0 {
 			xs = append(xs, lo+span/2)
 		}
-		times, err := s.evalWave(p, xs, target)
+		times, err := evalWave(r, p, xs, target)
 		if err != nil {
 			return 0, false, err
 		}
@@ -345,21 +251,21 @@ func (s *Search) refine(p machine.Params, target int64, ladder []int, times []in
 // the probes to the DM's capacity would charge the SWSM twice for the
 // same slots. An explicit p.MemQueue or p.Mem is used as given. ok is
 // false when the SWSM cannot match the DM within MaxEquivalentWindow.
-func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool, err error) {
+func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok bool, err error) {
 	if p.Window <= 0 {
 		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
 	}
 	var w int
-	if p.Mem != nil || s.Runner.RemoteBatch == nil {
+	if p.Mem != nil || r.RemoteBatch == nil {
 		// Locally the DM anchor resolves first: its time is the target
 		// every ladder wave stops on.
-		dm, err := s.Runner.RunWith(s.sim(0), sweep.Point{Kind: machine.DM, P: p})
+		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: p})
 		if err != nil {
 			return 0, false, err
 		}
-		w, ok, err = s.EquivalentWindow(p, dm.Cycles)
+		w, ok, err = EquivalentWindow(r, p, dm.Cycles)
 	} else {
-		w, ok, err = s.remoteRatio(p)
+		w, ok, err = remoteRatio(r, p)
 	}
 	if err != nil {
 		return 0, false, err
@@ -372,7 +278,7 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 // only on the hint, not on the target, so nothing forces the anchor to
 // resolve first — and folding it in saves a remote search one full
 // round trip per ratio point.
-func (s *Search) remoteRatio(p machine.Params) (window int, ok bool, err error) {
+func remoteRatio(r *sweep.Runner, p machine.Params) (window int, ok bool, err error) {
 	ladder := ladderWindows(clampHint(p.Window))
 	end := ladderStage
 	if end > len(ladder) {
@@ -385,29 +291,28 @@ func (s *Search) remoteRatio(p machine.Params) (window int, ok bool, err error) 
 		q.Window = w
 		pts = append(pts, sweep.Point{Kind: machine.SWSM, P: q})
 	}
-	times, err := s.runBatch(pts)
+	times, err := runBatch(r, pts)
 	if err != nil {
 		return 0, false, err
 	}
-	return s.ladderSearch(p, times[0], ladder, times[1:])
+	return ladderSearch(r, p, times[0], ladder, times[1:])
 }
 
 // Crossover returns the smallest window in windows (ascending) at which
 // the SWSM is at least as fast as the DM with the same per-unit window,
 // and ok=false if no such window exists in the sweep. This locates the
-// paper's MD=0 cutoff points. Both machines run through the Runner on
-// one warm scratch, so a crossover scan over windows another sweep
-// already visited costs nothing.
-func (s *Search) Crossover(p machine.Params, windows []int) (window int, ok bool, err error) {
-	sim := s.sim(0)
+// paper's MD=0 cutoff points. Both machines run through the Runner, so
+// a crossover scan over windows another sweep already visited costs
+// nothing.
+func Crossover(r *sweep.Runner, p machine.Params, windows []int) (window int, ok bool, err error) {
 	for _, w := range windows {
 		q := p
 		q.Window = w
-		dm, err := s.Runner.RunWith(sim, sweep.Point{Kind: machine.DM, P: q})
+		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: q})
 		if err != nil {
 			return 0, false, err
 		}
-		sw, err := s.Runner.RunWith(sim, sweep.Point{Kind: machine.SWSM, P: q})
+		sw, err := r.Run(sweep.Point{Kind: machine.SWSM, P: q})
 		if err != nil {
 			return 0, false, err
 		}
@@ -416,22 +321,4 @@ func (s *Search) Crossover(p machine.Params, windows []int) (window int, ok bool
 		}
 	}
 	return 0, false, nil
-}
-
-// EquivalentWindow is Search.EquivalentWindow on a one-shot Search
-// against r. Callers evaluating many points should hold a Search so the
-// scratch pool stays warm.
-func EquivalentWindow(r *sweep.Runner, p machine.Params, target int64) (window int, ok bool, err error) {
-	return NewSearch(r).EquivalentWindow(p, target)
-}
-
-// EquivalentWindowRatio is Search.EquivalentWindowRatio on a one-shot
-// Search against r.
-func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok bool, err error) {
-	return NewSearch(r).EquivalentWindowRatio(p)
-}
-
-// Crossover is Search.Crossover on a one-shot Search against r.
-func Crossover(r *sweep.Runner, p machine.Params, windows []int) (window int, ok bool, err error) {
-	return NewSearch(r).Crossover(p, windows)
 }

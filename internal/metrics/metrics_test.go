@@ -75,19 +75,14 @@ func TestEquivalentWindowAgainstSuite(t *testing.T) {
 	}
 }
 
-// TestSearchParallelMatchesSerial runs the search at Parallelism 1 and
-// 4 over a small figure grid. Simulated time is not perfectly monotone
-// in window size (Graham anomalies), so an answer may legally land on
-// either boundary of an anomaly wobble band; the contract both widths
-// must satisfy is boundary validity — t(w) <= target < t(w-1) — plus
-// agreement on ok. Run under -race this also exercises the worker pool
-// for data races (the CI race job does).
-func TestSearchParallelMatchesSerial(t *testing.T) {
+// TestSearchAnswersAreBoundaries runs the search over a small figure
+// grid. Simulated time is not perfectly monotone in window size (Graham
+// anomalies), so an answer may legally land on either boundary of an
+// anomaly wobble band; the contract every answer must satisfy is
+// boundary validity: t(w) <= target < t(w-1).
+func TestSearchAnswersAreBoundaries(t *testing.T) {
 	s := smallSuite(t)
-	serial := NewSearch(sweep.NewRunner(s))
-	serial.Parallelism = 1
-	parallel := NewSearch(sweep.NewRunner(s))
-	parallel.Parallelism = 4
+	r := sweep.NewRunner(s)
 	probe := func(p machine.Params, w int) int64 {
 		q := p
 		q.Window = w
@@ -105,45 +100,32 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, sok, err := serial.EquivalentWindow(machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}, dm.Cycles)
+			got, ok, err := EquivalentWindow(r, machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}, dm.Cycles)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pw, pok, err := parallel.EquivalentWindow(machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}, dm.Cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sok != pok {
-				t.Errorf("md=%d w=%d: ok mismatch: serial %v, parallel %v", md, w, sok, pok)
+			if !ok {
 				continue
 			}
-			if !sok {
-				continue
+			if c := probe(p, got); c > dm.Cycles {
+				t.Errorf("md=%d w=%d: window %d misses target (%d > %d)", md, w, got, c, dm.Cycles)
 			}
-			for _, got := range []struct {
-				name string
-				w    int
-			}{{"serial", sw}, {"parallel", pw}} {
-				if c := probe(p, got.w); c > dm.Cycles {
-					t.Errorf("md=%d w=%d: %s window %d misses target (%d > %d)", md, w, got.name, got.w, c, dm.Cycles)
-				}
-				if got.w > 1 {
-					if c := probe(p, got.w-1); c <= dm.Cycles {
-						t.Errorf("md=%d w=%d: %s window %d is not a boundary (t(w-1)=%d <= %d)", md, w, got.name, got.w, c, dm.Cycles)
-					}
+			if got > 1 {
+				if c := probe(p, got-1); c <= dm.Cycles {
+					t.Errorf("md=%d w=%d: window %d is not a boundary (t(w-1)=%d <= %d)", md, w, got, c, dm.Cycles)
 				}
 			}
 		}
 	}
 }
 
-// TestSearchDeterministicAcrossParallelism pins the fleet-era contract
-// the probe waves were redesigned around: the search answer is a pure
-// function of its inputs — never of Parallelism, GOMAXPROCS, or
-// whether probes execute locally or through a batch-capable runner.
-// This is what makes a server-side search byte-identical to a local
-// one by construction (DESIGN.md §11), not merely in practice.
-func TestSearchDeterministicAcrossParallelism(t *testing.T) {
+// TestSearchLocalMatchesRemoteBatch pins the fleet-era contract the
+// probe waves were designed around: the search answer is a pure
+// function of its inputs — never of whether probes execute locally or
+// through a batch-capable runner. This is what makes a server-side
+// search byte-identical to a local one by construction (DESIGN.md §11),
+// not merely in practice.
+func TestSearchLocalMatchesRemoteBatch(t *testing.T) {
 	s := smallSuite(t)
 	dm, err := s.RunDM(machine.Params{Window: 12, MD: 40})
 	if err != nil {
@@ -155,22 +137,11 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		w  int
 		ok bool
 	}
-	var want answer
-	for i, par := range []int{1, 2, 4, 9} {
-		search := NewSearch(sweep.NewRunner(s))
-		search.Parallelism = par
-		w, ok, err := search.EquivalentWindow(p, dm.Cycles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = answer{w, ok}
-			continue
-		}
-		if (answer{w, ok}) != want {
-			t.Errorf("par=%d: (%d, %v) differs from par=1's (%d, %v)", par, w, ok, want.w, want.ok)
-		}
+	w, ok, err := EquivalentWindow(sweep.NewRunner(s), p, dm.Cycles)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := answer{w, ok}
 
 	// A batch-capable runner (the remote path) probes the same waves and
 	// lands on the same answer; every probe travels through RemoteBatch.
@@ -181,8 +152,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		waves++
 		return exec.RunAll(pts)
 	}
-	search := NewSearch(batched)
-	w, ok, err := search.EquivalentWindow(p, dm.Cycles)
+	w, ok, err = EquivalentWindow(batched, p, dm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +178,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return execR.RunAll(pts)
 	}
-	if _, _, err := NewSearch(batchedR).EquivalentWindowRatio(p); err != nil {
+	if _, _, err := EquivalentWindowRatio(batchedR, p); err != nil {
 		t.Fatal(err)
 	}
 	if len(firstWave) < 2 || firstWave[0].Kind != machine.DM || firstWave[1].Kind != machine.SWSM {
@@ -240,8 +210,8 @@ func (g *guardMem) Reset()                           { g.inner.Reset() }
 // TestCustomMemSearchMatchesQueue: a point carrying a custom memory
 // model runs the same search waves as a cacheable one. Mem =
 // memsys.NewOutstanding(md, q) is the model MemQueue: q selects, so the
-// window and ratio searches must answer identically at every
-// Parallelism — and never probe the stateful model concurrently.
+// window and ratio searches must answer identically — and never probe
+// the stateful model concurrently.
 func TestCustomMemSearchMatchesQueue(t *testing.T) {
 	s := smallSuite(t)
 	type answer struct {
@@ -257,12 +227,12 @@ func TestCustomMemSearchMatchesQueue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(search *Search, p machine.Params) answer {
-				win, ok, err := search.EquivalentWindow(p, dm.Cycles)
+			run := func(r *sweep.Runner, p machine.Params) answer {
+				win, ok, err := EquivalentWindow(r, p, dm.Cycles)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ratio, rok, err := search.EquivalentWindowRatio(p)
+				ratio, rok, err := EquivalentWindowRatio(r, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,22 +241,18 @@ func TestCustomMemSearchMatchesQueue(t *testing.T) {
 				}
 				return answer{win, ratio, ok}
 			}
-			want := run(NewSearch(sweep.NewRunner(s)), queued)
-			for _, par := range []int{1, 4} {
-				inner, err := memsys.NewOutstanding(int64(md), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := machine.Params{Window: w, MD: md, Mem: &guardMem{t: t, inner: inner}}
-				r := sweep.NewRunner(s)
-				search := NewSearch(r)
-				search.Parallelism = par
-				if got := run(search, p); got != want {
-					t.Errorf("md=%d w=%d par=%d: custom Mem search %+v, MemQueue search %+v", md, w, par, got, want)
-				}
-				if st := r.Stats(); st.Sims != 0 || st.Uncacheable == 0 {
-					t.Errorf("md=%d w=%d par=%d: custom Mem probes must bypass the cache: %+v", md, w, par, st)
-				}
+			want := run(sweep.NewRunner(s), queued)
+			inner, err := memsys.NewOutstanding(int64(md), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := machine.Params{Window: w, MD: md, Mem: &guardMem{t: t, inner: inner}}
+			r := sweep.NewRunner(s)
+			if got := run(r, p); got != want {
+				t.Errorf("md=%d w=%d: custom Mem search %+v, MemQueue search %+v", md, w, got, want)
+			}
+			if st := r.Stats(); st.Sims != 0 || st.Uncacheable == 0 {
+				t.Errorf("md=%d w=%d: custom Mem probes must bypass the cache: %+v", md, w, st)
 			}
 		}
 	}
@@ -304,13 +270,9 @@ func (earlyMem) Reset()                                    {}
 // custom memory model fails the search with that error.
 func TestCustomMemSearchPropagatesErrors(t *testing.T) {
 	s := smallSuite(t)
-	for _, par := range []int{1, 4} {
-		search := NewSearch(sweep.NewRunner(s))
-		search.Parallelism = par
-		_, _, err := search.EquivalentWindow(machine.Params{Window: 8, MD: 40, Mem: earlyMem{}}, 1000)
-		if err == nil || !strings.Contains(err.Error(), "before send") {
-			t.Errorf("par=%d: want the engine's arrival-before-send error, got %v", par, err)
-		}
+	_, _, err := EquivalentWindow(sweep.NewRunner(s), machine.Params{Window: 8, MD: 40, Mem: earlyMem{}}, 1000)
+	if err == nil || !strings.Contains(err.Error(), "before send") {
+		t.Errorf("want the engine's arrival-before-send error, got %v", err)
 	}
 }
 
@@ -328,37 +290,28 @@ func TestEquivalentWindowHintInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		for _, hint := range []int{0, 1, 3, 12, 77, 600, MaxEquivalentWindow, MaxEquivalentWindow + 9} {
-			q := base
-			q.Window = hint
-			search := NewSearch(r)
-			search.Parallelism = par
-			got, ok, err := search.EquivalentWindow(q, dm.Cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want || ok != wantOK {
-				t.Errorf("par=%d hint=%d: got (%d, %v), want (%d, %v)", par, hint, got, ok, want, wantOK)
-			}
+	for _, hint := range []int{0, 1, 3, 12, 77, 600, MaxEquivalentWindow, MaxEquivalentWindow + 9} {
+		q := base
+		q.Window = hint
+		got, ok, err := EquivalentWindow(r, q, dm.Cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || ok != wantOK {
+			t.Errorf("hint=%d: got (%d, %v), want (%d, %v)", hint, got, ok, want, wantOK)
 		}
 	}
 }
 
-// TestSearchSaturates: an unreachable target reports the cap and !ok at
-// Parallelism 1 and 3.
+// TestSearchSaturates: an unreachable target reports the cap and !ok.
 func TestSearchSaturates(t *testing.T) {
 	s := smallSuite(t)
-	for _, par := range []int{1, 3} {
-		search := NewSearch(sweep.NewRunner(s))
-		search.Parallelism = par
-		w, ok, err := search.EquivalentWindow(machine.Params{MD: 40, Window: 16}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok || w != MaxEquivalentWindow {
-			t.Fatalf("par=%d: unreachable target gave (%d, %v), want (%d, false)", par, w, ok, MaxEquivalentWindow)
-		}
+	w, ok, err := EquivalentWindow(sweep.NewRunner(s), machine.Params{MD: 40, Window: 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || w != MaxEquivalentWindow {
+		t.Fatalf("unreachable target gave (%d, %v), want (%d, false)", w, ok, MaxEquivalentWindow)
 	}
 }
 
@@ -385,12 +338,11 @@ func TestCrossover(t *testing.T) {
 }
 
 // TestInOrderWavesKeepAnswersAndSaveProbes: a local search evaluates
-// each wave in order, Parallelism points at a time, and stops at the
-// first probe meeting the target. The reference is a runner whose
-// RemoteBatch hook evaluates whole waves. Over every Figure 7
-// (MD, window) point of the small suite, both the window and the ratio
-// search must give the reference's answer at every Parallelism, and
-// never simulate more probes than it.
+// each wave in order, one point at a time, and stops at the first probe
+// meeting the target. The reference is a runner whose RemoteBatch hook
+// evaluates whole waves. Over every Figure 7 (MD, window) point of the
+// small suite, both the window and the ratio search must give the
+// reference's answer, and never simulate more probes than it.
 func TestInOrderWavesKeepAnswersAndSaveProbes(t *testing.T) {
 	s := smallSuite(t)
 	type answer struct {
@@ -400,14 +352,14 @@ func TestInOrderWavesKeepAnswersAndSaveProbes(t *testing.T) {
 	}
 	searches := []struct {
 		name string
-		run  func(search *Search, p machine.Params, target int64) (answer, error)
+		run  func(r *sweep.Runner, p machine.Params, target int64) (answer, error)
 	}{
-		{"EquivalentWindow", func(search *Search, p machine.Params, target int64) (answer, error) {
-			w, ok, err := search.EquivalentWindow(p, target)
+		{"EquivalentWindow", func(r *sweep.Runner, p machine.Params, target int64) (answer, error) {
+			w, ok, err := EquivalentWindow(r, p, target)
 			return answer{w: w, ok: ok}, err
 		}},
-		{"EquivalentWindowRatio", func(search *Search, p machine.Params, _ int64) (answer, error) {
-			ratio, ok, err := search.EquivalentWindowRatio(p)
+		{"EquivalentWindowRatio", func(r *sweep.Runner, p machine.Params, _ int64) (answer, error) {
+			ratio, ok, err := EquivalentWindowRatio(r, p)
 			return answer{ratio: ratio, ok: ok}, err
 		}},
 	}
@@ -427,33 +379,27 @@ func TestInOrderWavesKeepAnswersAndSaveProbes(t *testing.T) {
 				exec := sweep.NewRunner(s)
 				batched := sweep.NewRunner(s)
 				batched.RemoteBatch = exec.RunAll
-				want, err := sr.run(NewSearch(batched), p, dm.Cycles)
+				want, err := sr.run(batched, p, dm.Cycles)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantSims := exec.Stats().Sims
 				whole += wantSims
-				for _, par := range []int{1, 2, 4, 9} {
-					local := sweep.NewRunner(s)
-					search := NewSearch(local)
-					search.Parallelism = par
-					got, err := sr.run(search, p, dm.Cycles)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%s md=%d w=%d par=%d: %+v, whole-wave search gave %+v", sr.name, md, w, par, got, want)
-					}
-					sims := local.Stats().Sims
-					if sims > wantSims {
-						t.Errorf("%s md=%d w=%d par=%d: %d probes simulated, whole-wave search needed %d", sr.name, md, w, par, sims, wantSims)
-					}
-					if par == 1 {
-						serial += sims
-						if named[p] && sims >= wantSims {
-							t.Errorf("%s md=%d w=%d: serial search simulated %d probes, want fewer than the whole-wave %d", sr.name, md, w, sims, wantSims)
-						}
-					}
+				local := sweep.NewRunner(s)
+				got, err := sr.run(local, p, dm.Cycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s md=%d w=%d: %+v, whole-wave search gave %+v", sr.name, md, w, got, want)
+				}
+				sims := local.Stats().Sims
+				serial += sims
+				if sims > wantSims {
+					t.Errorf("%s md=%d w=%d: %d probes simulated, whole-wave search needed %d", sr.name, md, w, sims, wantSims)
+				}
+				if named[p] && sims >= wantSims {
+					t.Errorf("%s md=%d w=%d: serial search simulated %d probes, want fewer than the whole-wave %d", sr.name, md, w, sims, wantSims)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -102,17 +101,16 @@ func (s CacheStats) HitRate() float64 {
 // Runner executes points against one suite.
 type Runner struct {
 	Suite *machine.Suite
-	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
-	// It caps both RunAll's worker pool and the probe fan-out of the
-	// speculative-parallel equivalent-window searches that run against
-	// this Runner (metrics.Search). Set it to 1 to force every consumer
-	// serial, e.g. for deterministic profiling.
+	// Parallelism bounds the ForEach pool one RunAll call fills its
+	// store reads and local misses on (0: GOMAXPROCS; 1: inline, in
+	// order). Equivalent-window searches probe one point at a time and
+	// take their parallelism from callers fanning points out.
 	Parallelism int
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
 	Store *Store
 	// RemoteBatch, when non-nil, executes the cacheable points that miss
-	// the local layers in one call per RunAll or RunWith — typically a
+	// the local layers in one call per Run or RunAll — typically a
 	// daemon fleet client (internal/daemon.FleetClient.RunBatch bound to
 	// a workload), so a probe wave or figure sweep becomes one HTTP
 	// round trip per replica, and a single point a one-item batch.
@@ -149,9 +147,17 @@ func NewRunner(s *machine.Suite) *Runner {
 	return &Runner{Suite: s, cache: make(map[key]*entry)}
 }
 
-// Run executes one point, consulting the cache.
+// Run executes one point. It is RunAll of one point, run inline on the
+// caller's goroutine: the point passes the same L1, Store and remote
+// layers a sweep does, and with RemoteBatch set it travels as a one-item
+// batch. Returned Results are private copies: the canonical cached
+// Result never escapes, so callers may mutate what they get back.
 func (r *Runner) Run(pt Point) (*engine.Result, error) {
-	return r.RunWith(nil, pt)
+	out, err := r.RunAll([]Point{pt})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // storeKey returns the persistent key for a point: the engine version
@@ -172,24 +178,10 @@ func (r *Runner) storeKey(pt Point) (string, bool) {
 	return p + pk, true
 }
 
-// RunWith executes one point on sim's reusable scratch (nil draws from
-// the engine's shared pool). It is RunAll of one point, run inline on
-// the caller's goroutine: the point passes the same L1, Store and remote
-// layers a sweep does, and with RemoteBatch set it travels as a one-item
-// batch. Returned Results are private copies: the canonical cached
-// Result never escapes, so callers may mutate what they get back.
-func (r *Runner) RunWith(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	out, err := r.runAll(sim, []Point{pt})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // fillMiss produces the canonical result for a point known to miss the
 // store — through the Remote hook or the local simulator — and installs
 // it.
-func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
+func (r *Runner) fillMiss(pt Point) (*engine.Result, error) {
 	var res *engine.Result
 	var err error
 	if r.Remote != nil {
@@ -201,7 +193,7 @@ func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
 			// Every owner is down: simulate locally so the sweep
 			// completes (byte-identically — the remote would have run
 			// the same deterministic simulation).
-			res, err = r.Suite.RunWith(sim, pt.Kind, pt.P)
+			res, err = r.Suite.Run(pt.Kind, pt.P)
 			if err != nil {
 				return nil, err
 			}
@@ -210,7 +202,7 @@ func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
 			return nil, err
 		}
 	} else {
-		res, err = r.Suite.RunWith(sim, pt.Kind, pt.P)
+		res, err = r.Suite.Run(pt.Kind, pt.P)
 		if err != nil {
 			return nil, err
 		}
@@ -241,55 +233,19 @@ func (r *Runner) Stats() CacheStats {
 	}
 }
 
-// forEach fans fn(sim, i) for i in [0, n) across at most
-// min(Parallelism, n) worker goroutines, each owning one scratch
-// context. With a single worker it runs inline on the caller's scratch
-// (nil: the engine's shared pool), so a one-point call starts no
-// goroutine and reuses the caller's warm Sim. fn communicates through
-// its captures (result and error slices indexed by i). This is the one
-// worker-pool shape the store peel and every local fill share.
-//
-//daelint:ctx-root workers drain a closed channel of at most n indices; there is no caller to cancel for
-func (r *Runner) forEach(sim *engine.Sim, n int, fn func(sim *engine.Sim, i int)) {
-	par := r.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; fn writes results indexed by i
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(sim, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch context per worker: runs on this goroutine
-			// reuse state without contending on the shared pool.
-			sim := engine.NewSim()
-			for i := range work {
-				fn(sim, i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
-// runAll is RunAll with sim as the scratch of a one-worker pool (see
-// forEach) and of the uncacheable points.
+// RunAll executes a set of points as one unit, preserving order: L1
+// and Store hits are peeled off locally, and the remaining misses go to
+// RemoteBatch in a single call when it is set (else they are filled
+// locally, or through Remote, across the ForEach pool). This is the
+// request-collapsing path of remote sweeps — a probe wave whose points
+// are all warm issues no remote traffic at all — and it keeps the
+// single-flight contract: misses are claimed before filling, so
+// concurrent overlapping calls never duplicate a simulation. The first
+// error aborts the call; failed claims are dropped so later callers
+// retry.
 //
 //daelint:ctx-root cancellation rides the remote hooks' captured context; local simulation is not cancellable mid-run
-func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) {
+func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(pts))
 	var owned, waiters []claim
 	var uncached []int
@@ -325,12 +281,13 @@ func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) 
 		misses = owned
 	} else {
 		hits := make([]*engine.Result, len(owned))
-		r.forEach(sim, len(owned), func(_ *engine.Sim, j int) {
+		_ = ForEach(r.Parallelism, len(owned), func(j int) error {
 			if sk, ok := r.storeKey(pts[owned[j].idx]); ok {
 				if res, hit := r.Store.Get(sk); hit {
 					hits[j] = res
 				}
 			}
+			return nil
 		})
 		for j, c := range owned {
 			if res := hits[j]; res != nil {
@@ -344,7 +301,7 @@ func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) 
 		}
 	}
 	if len(misses) > 0 {
-		if err := r.fillBatch(sim, pts, misses, func(c claim, res *engine.Result) {
+		if err := r.fillBatch(pts, misses, func(c claim, res *engine.Result) {
 			c.e.res = res
 			close(c.e.ready)
 			out[c.idx] = res.Clone()
@@ -373,7 +330,7 @@ func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) 
 	// route remotely: a MemModel is arbitrary local code.
 	for _, i := range uncached {
 		r.uncacheable.Add(1)
-		res, err := r.Suite.RunWith(sim, pts[i].Kind, pts[i].P)
+		res, err := r.Suite.Run(pts[i].Kind, pts[i].P)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
@@ -393,7 +350,7 @@ func (r *Runner) runAll(sim *engine.Sim, pts []Point) ([]*engine.Result, error) 
 	return out, nil
 }
 
-// claim is one cacheable point's L1 slot within a runAll call: either
+// claim is one cacheable point's L1 slot within a RunAll call: either
 // owned by that call (it fills and settles the entry) or by another
 // in-flight caller (the call waits on it).
 type claim struct {
@@ -404,9 +361,9 @@ type claim struct {
 
 // fillBatch produces canonical results for claimed misses and hands
 // each to settle. With RemoteBatch: one remote call for the whole set.
-// Without: fillMiss across the worker pool. Results install into the
+// Without: fillMiss across the ForEach pool. Results install into the
 // Store either way.
-func (r *Runner) fillBatch(sim *engine.Sim, pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
+func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
 	if r.RemoteBatch != nil {
 		mpts := make([]Point, len(misses))
 		for j, c := range misses {
@@ -428,18 +385,18 @@ func (r *Runner) fillBatch(sim *engine.Sim, pts []Point, misses []claim, settle 
 				results = make([]*engine.Result, len(mpts))
 			}
 			unserved = make([]bool, len(mpts))
-			errs := make([]error, len(mpts))
-			r.forEach(sim, len(mpts), func(sim *engine.Sim, j int) {
+			if err := ForEach(r.Parallelism, len(mpts), func(j int) error {
 				if results[j] != nil {
-					return
+					return nil
 				}
 				unserved[j] = true
-				results[j], errs[j] = r.Suite.RunWith(sim, mpts[j].Kind, mpts[j].P)
-			})
-			for j, serr := range errs {
-				if serr != nil {
-					return fmt.Errorf("sweep: point %d: %w", misses[j].idx, serr)
+				var err error
+				if results[j], err = r.Suite.Run(mpts[j].Kind, mpts[j].P); err != nil {
+					return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
 				}
+				return nil
+			}); err != nil {
+				return err
 			}
 		}
 		if len(results) != len(mpts) {
@@ -466,33 +423,19 @@ func (r *Runner) fillBatch(sim *engine.Sim, pts []Point, misses []claim, settle 
 		return nil
 	}
 	results := make([]*engine.Result, len(misses))
-	errs := make([]error, len(misses))
-	r.forEach(sim, len(misses), func(sim *engine.Sim, j int) {
-		results[j], errs[j] = r.fillMiss(sim, pts[misses[j].idx])
-	})
-	for j, err := range errs {
-		if err != nil {
+	if err := ForEach(r.Parallelism, len(misses), func(j int) error {
+		var err error
+		if results[j], err = r.fillMiss(pts[misses[j].idx]); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	for j, c := range misses {
 		settle(c, results[j])
 	}
 	return nil
-}
-
-// RunAll executes a set of points as one unit, preserving order: L1
-// and Store hits are peeled off locally, and the remaining misses go to
-// RemoteBatch in a single call when it is set (else they are filled
-// locally, or through Remote, in parallel). This is the
-// request-collapsing path of remote sweeps — a probe wave whose points
-// are all warm issues no remote traffic at all — and it keeps the
-// single-flight contract: misses are claimed before filling, so
-// concurrent overlapping calls never duplicate a simulation. The first
-// error aborts the call; failed claims are dropped so later callers
-// retry.
-func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
-	return r.runAll(nil, pts)
 }
 
 // Series is a named sequence of (x, y) samples, one curve of a figure.

@@ -187,11 +187,11 @@ func TestRunBatchMatchesRunAll(t *testing.T) {
 	}
 }
 
-// TestRunWithMatchesRunAll: a point-wise pass (RunWith, one point at a
-// time on one scratch) and one RunAll over the same points — duplicates
-// included — return DeepEqual results and equal counters on a local, a
-// store-backed and a RemoteBatch runner.
-func TestRunWithMatchesRunAll(t *testing.T) {
+// TestRunMatchesRunAll: a point-wise pass (Run, one point at a time)
+// and one RunAll over the same points — duplicates included — return
+// DeepEqual results and equal counters on a local, a store-backed and a
+// RemoteBatch runner.
+func TestRunMatchesRunAll(t *testing.T) {
 	pts := []Point{
 		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}},
 		{Kind: machine.SWSM, P: machine.Params{Window: 16, MD: 30}},
@@ -228,10 +228,9 @@ func TestRunWithMatchesRunAll(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		pointwise, batched := cfg.make(t), cfg.make(t)
-		sim := engine.NewSim()
 		var got []*engine.Result
 		for _, pt := range pts {
-			res, err := pointwise.RunWith(sim, pt)
+			res, err := pointwise.Run(pt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,18 +241,17 @@ func TestRunWithMatchesRunAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: RunWith results differ from RunAll's", cfg.name)
+			t.Errorf("%s: Run results differ from RunAll's", cfg.name)
 		}
 		if a, b := pointwise.Stats(), batched.Stats(); a != b {
-			t.Errorf("%s: RunWith counters %+v, RunAll counters %+v", cfg.name, a, b)
+			t.Errorf("%s: Run counters %+v, RunAll counters %+v", cfg.name, a, b)
 		}
 	}
 }
 
-// TestRunWithRidesRemoteBatch: with both hooks set, a single point
-// travels as one RemoteBatch call carrying that point; Remote is never
-// called.
-func TestRunWithRidesRemoteBatch(t *testing.T) {
+// TestRunRidesRemoteBatch: with both hooks set, a single point travels
+// as one RemoteBatch call carrying that point; Remote is never called.
+func TestRunRidesRemoteBatch(t *testing.T) {
 	exec := testRunner(t)
 	r := testRunner(t)
 	var batches []int
@@ -265,7 +263,7 @@ func TestRunWithRidesRemoteBatch(t *testing.T) {
 		t.Error("Remote called while RemoteBatch is set")
 		return nil, errFleetDown
 	}
-	if _, err := r.RunWith(engine.NewSim(), Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}); err != nil {
+	if _, err := r.Run(Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(batches, []int{1}) {

@@ -77,9 +77,9 @@ func TestCalibrateReport(t *testing.T) {
 		t.Log(line)
 		// Equivalent window ratio at md=60 for a few DM windows.
 		line = "  EWR(md60):"
-		search := metrics.NewSearch(sweep.NewRunner(suite))
+		runner := sweep.NewRunner(suite)
 		for _, w := range []int{10, 30, 64, 100} {
-			r, ok, err := search.EquivalentWindowRatio(machine.Params{Window: w, MD: 60})
+			r, ok, err := metrics.EquivalentWindowRatio(runner, machine.Params{Window: w, MD: 60})
 			if err != nil {
 				t.Fatal(err)
 			}
