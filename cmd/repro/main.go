@@ -6,7 +6,7 @@
 //	repro [-out results] [-scale 1] [-par 0] [-cache dir] [-cache-clear] [-cache-stats file]
 //	      [-cache-gc policy] [-remote url1,url2,...] [-degrade=true]
 //	      [-chaos spec] [-chaos-stats file] [-chaos-trace file]
-//	      [-metrics-dump file]
+//	      [-metrics-dump file] [-cpuprofile file]
 //	      [-exp all|table1|fig4|fig5|fig6|fig7|fig8|fig9|cutoffs|bigwindow|esw|ablations|expansion|policies|retire|cache|complexity]
 //	repro -exp fig7 -workload spec:depth=6,ilp=2,mem=0.5,addr=chase,hazard=0.4
 //	repro -list
@@ -45,7 +45,7 @@
 // (e.g. "seed=7,timeout@r1:rate=0.2,5xx:rate=0.05") seeds a schedule of
 // refusals, timeouts, slow or corrupted replies against the daemon
 // transports (scopes r0,r1,... in -remote list order) and the local
-// store's blob I/O (scope "store"). The same spec replays the same
+// store's record I/O (scope "store"). The same spec replays the same
 // faults. -chaos-stats writes the observed fault/retry/degrade counters
 // as JSON; -chaos-trace writes the per-request fault decisions (stable
 // across runs at -par 1). The summary always prints to stderr, keeping
@@ -56,7 +56,9 @@
 // counters and gauges, and (with -remote) the fleet client's failure
 // ladder and per-replica latency histograms — to a file after the run:
 // the same exposition a sweepd serves live on GET /metrics (DESIGN.md
-// §15), for runs that have no daemon to scrape.
+// §15), for runs that have no daemon to scrape. -cpuprofile writes a
+// runtime/pprof CPU profile of the run, so an end-to-end time can be
+// attributed without the perfbench driver; no output depends on it.
 //
 // TestUsageEnumeratesExperiments keeps the usage line above, the -exp
 // flag help and the dispatch table in sync.
@@ -71,6 +73,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -178,11 +181,19 @@ func main() {
 	chaosStats := flag.String("chaos-stats", "", "write fault-injection and failure-handling counters as JSON to this file")
 	chaosTrace := flag.String("chaos-trace", "", "write the per-request fault decision trace as JSON to this file (stable across runs at -par 1)")
 	metricsDump := flag.String("metrics-dump", "", "write a one-shot Prometheus text exposition of the run's client-side metrics to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 	flag.Parse()
 
 	if *list {
 		listWorkloads(os.Stdout)
 		return
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		defer stop()
 	}
 
 	// SIGINT/SIGTERM cancel remote calls in flight: the run fails
@@ -323,6 +334,23 @@ func runCacheGC(store *sweep.Store, pol sweep.GCPolicy, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "repro: cache-gc (%s): %s\n", pol, res)
 	return nil
+}
+
+// startCPUProfile starts a CPU profile written to path; stop flushes
+// and closes it.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
 }
 
 func fatal(err error) {

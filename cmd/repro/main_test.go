@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,23 +103,11 @@ func TestCacheGCSummary(t *testing.T) {
 	}
 	// All three entries marshal to the same number of bytes (single-digit
 	// cycle counts), so the summary's byte totals are exact multiples.
-	var size int64
-	if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		size = info.Size()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	n, total := store.Usage()
+	if n != 3 || total%3 != 0 {
+		t.Fatalf("want 3 equal-size store entries, got %d in %d B", n, total)
 	}
-	if size == 0 {
-		t.Fatal("no store entries written")
-	}
+	size := total / 3
 
 	pol, err := sweep.ParseGCPolicy("max-entries=1")
 	if err != nil {
@@ -136,6 +123,32 @@ func TestCacheGCSummary(t *testing.T) {
 	}
 	if store.Len() != 1 {
 		t.Fatalf("store holds %d entries after GC, want 1", store.Len())
+	}
+}
+
+// TestCPUProfile: -cpuprofile writes a profile and leaves the rendered
+// output byte-identical.
+func TestCPUProfile(t *testing.T) {
+	render := func() []byte {
+		var b bytes.Buffer
+		if err := dispatch(experiments.NewContext(), "")["table1"](&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	want := render()
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	stop, err := startCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := render()
+	stop()
+	if !bytes.Equal(got, want) {
+		t.Fatal("profiling changed the output")
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+		t.Fatalf("no profile written: %v", err)
 	}
 }
 

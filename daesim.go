@@ -192,8 +192,10 @@ type (
 	// Point identifies one simulation for a Runner or a DaemonFleet: a
 	// machine kind plus parameters.
 	Point = sweep.Point
-	// Store is a persistent, content-addressed, corruption-tolerant
-	// on-disk result cache, safe for concurrent processes.
+	// Store is a persistent, corruption-tolerant on-disk result cache,
+	// safe for concurrent processes: append-only segment files (one per
+	// writing handle) behind an in-memory index of each key's latest
+	// record, with every read checked against its key and checksum.
 	Store = sweep.Store
 	// CacheStats counts where a Runner's results came from.
 	CacheStats = sweep.CacheStats
@@ -201,7 +203,8 @@ type (
 	StoreStats = sweep.StoreStats
 	// GCPolicy bounds a Store for garbage collection (Store.GC): entry
 	// count, total bytes, and age since last access; LRU entries are
-	// evicted first. Zero fields are unbounded.
+	// evicted first and the survivors compacted into one segment. Zero
+	// fields are unbounded.
 	GCPolicy = sweep.GCPolicy
 	// GCResult reports one Store.GC pass (entries scanned, evicted, kept).
 	GCResult = sweep.GCResult

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"reflect"
+	"sync"
 
 	"daesim/internal/obsv"
 	"daesim/internal/sweep"
@@ -73,16 +74,40 @@ func InstrumentCacheStats(r *obsv.Registry, stats func() sweep.CacheStats) {
 }
 
 // InstrumentStore exposes a persistent store's counters plus its
-// entry-count and byte-size gauges (each scrape scans the store
-// directory once per gauge — diagnostic cost, on the scrape path only).
+// entry-count and byte-size gauges. Both gauges of a scrape read one
+// Store.Usage snapshot (an index top-up on the scrape path), so they
+// always describe the same store state.
 func InstrumentStore(r *obsv.Registry, st *sweep.Store) {
 	for field, spec := range storeStatsMetrics {
 		fieldCounter(r, spec, field, func() reflect.Value { return reflect.ValueOf(st.Stats()) })
 	}
+	u := &storeUsage{st: st, seen: [2]bool{true, true}}
 	r.GaugeFunc("daesim_store_entries", "entries in the persistent store",
-		func() float64 { e, _ := st.Usage(); return float64(e) })
+		func() float64 { return u.value(0) })
 	r.GaugeFunc("daesim_store_bytes", "bytes in the persistent store",
-		func() float64 { _, b := st.Usage(); return float64(b) })
+		func() float64 { return u.value(1) })
+}
+
+// storeUsage serves the store gauges (0: entries, 1: bytes) from one
+// Usage snapshot per scrape. A scrape reads each gauge once, so a gauge
+// asking again for a value it already read starts the next scrape: it
+// takes a fresh snapshot.
+type storeUsage struct {
+	st   *sweep.Store
+	mu   sync.Mutex
+	vals [2]float64 //daelint:guardedby mu
+	seen [2]bool    //daelint:guardedby mu
+}
+
+func (u *storeUsage) value(i int) float64 {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.seen[i] {
+		n, b := u.st.Usage()
+		u.vals, u.seen = [2]float64{float64(n), float64(b)}, [2]bool{}
+	}
+	u.seen[i] = true
+	return u.vals[i]
 }
 
 // InstrumentFleetMetrics exposes a fleet client's failure-ladder

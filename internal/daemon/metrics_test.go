@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"daesim/internal/engine"
 	"daesim/internal/machine"
+	"daesim/internal/obsv"
 	"daesim/internal/sweep"
 )
 
@@ -232,6 +234,47 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 // TestThrottleDrainRefusalAccounting pins the accounting bugfix: a
 // drain-refused request counts as received and refused, never as served
 // work (it used to inflate Requests, the number the CI smokes assert).
+// TestStoreGaugesShareOneSnapshot: the entry and byte gauges of one
+// scrape come from one Usage snapshot, and the next scrape takes a fresh
+// one that sees another handle's appends.
+func TestStoreGaugesShareOneSnapshot(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	store, err := sweep.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		store.Put(fmt.Sprintf("key-%d", i), &engine.Result{Cycles: int64(i)})
+	}
+	r := obsv.NewRegistry()
+	InstrumentStore(r, store)
+	scrape := func() (entries, bytes float64) {
+		for _, s := range r.Snapshot() {
+			switch s.Name {
+			case "daesim_store_entries":
+				entries = s.Value
+			case "daesim_store_bytes":
+				bytes = s.Value
+			}
+		}
+		return entries, bytes
+	}
+	n, b := scrape()
+	if n != 3 || b <= 0 || int64(b)%3 != 0 {
+		t.Fatalf("first scrape: %v entries, %v bytes (want 3 equal-size entries)", n, b)
+	}
+	per := b / 3
+	other, err := sweep.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Put("key-3", &engine.Result{Cycles: 3})
+	if n, b := scrape(); n != 4 || b != 4*per {
+		t.Fatalf("second scrape: %v entries, %v bytes; want 4 and %v", n, b, 4*per)
+	}
+}
+
 func TestThrottleDrainRefusalAccounting(t *testing.T) {
 	t.Parallel()
 	srv, client := newTestServer(t, Config{})

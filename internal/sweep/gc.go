@@ -1,18 +1,22 @@
-// Store eviction / garbage collection. A Store grows without bound as
-// sweeps explore new configurations; GC trims it back under size and age
-// bounds, evicting least-recently-used entries first. Recency is the
-// blob's mtime: Get touches an entry on every hit, so LRU order tracks
-// access, not install, time. Eviction is a plain unlink of an
-// atomically-installed blob, so it is safe under concurrent readers and
-// writers — a reader that already opened the file still reads complete
-// bytes, a reader that arrives later sees a clean miss and re-simulates,
-// and a concurrent Put simply reinstalls the entry.
+// Store compaction / garbage collection. A Store grows without bound as
+// sweeps explore new configurations and as handles append to their own
+// segments; GC trims it back under size and age bounds, evicting
+// least-recently-used entries first, and compacts the survivors into
+// one segment. Recency is the access time each handle keeps in memory
+// (a hit refreshes it, so LRU order tracks access, not install, time);
+// compaction saves it in the rewritten records, so the next pass — in
+// any process — orders by it too.
 package sweep
 
 import (
+	"bufio"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,11 +25,12 @@ import (
 
 // GCPolicy bounds a Store. The zero value of each field means
 // "unbounded" in that dimension; a policy with no bound set makes GC a
-// no-op scan.
+// pure compaction.
 type GCPolicy struct {
 	// MaxEntries bounds the number of cached results (0 = unlimited).
 	MaxEntries int
-	// MaxBytes bounds the total size of the cached blobs (0 = unlimited).
+	// MaxBytes bounds the total size of the cached entries, each counted
+	// as the record Put writes (0 = unlimited).
 	MaxBytes int64
 	// MaxAge evicts entries not accessed for longer than this
 	// (0 = unlimited). Access time is refreshed on every cache hit.
@@ -126,10 +131,10 @@ type GCResult struct {
 	// including entries a failed unlink left behind (see Errors).
 	Remaining      int
 	RemainingBytes int64
-	// Errors counts entries the pass selected for eviction but could not
-	// unlink (permissions, I/O). They remain on disk, counted in
-	// Remaining/RemainingBytes, so a pass that reports Errors > 0 may
-	// leave the store over its bounds.
+	// Errors counts entries the pass selected for eviction whose
+	// segment it could not unlink (permissions, I/O). They remain on
+	// disk, counted in Remaining/RemainingBytes, so a pass that reports
+	// Errors > 0 may leave the store over its bounds.
 	Errors int
 }
 
@@ -144,98 +149,216 @@ func (r GCResult) String() string {
 	return s
 }
 
-// blobInfo is one on-disk entry during a GC scan.
-type blobInfo struct {
-	path  string
-	size  int64
-	mtime time.Time
+// candidate is an entry a GC pass orders, with its recency.
+type candidate struct {
+	key string
+	e   *record
+	at  int64
 }
 
-// GC trims the store to the policy's bounds: entries unaccessed for
-// longer than MaxAge go first, then least-recently-used entries until
-// both MaxEntries and MaxBytes hold. Safe to run concurrently with
-// readers and writers (and with other GC passes): eviction is an atomic
-// unlink, so a racing Get sees either the complete entry or a clean
-// miss, never partial bytes. Entries installed while the pass is
-// scanning may be missed until the next pass.
+// GC compacts the store under the policy's bounds. It claims every
+// segment no live handle is writing to: a writer holds an advisory
+// flock on its segment, and that segment stays for a later pass. The
+// pass orders the entries least recently used first, evicts the
+// claimed entries unaccessed for longer than MaxAge, then claimed LRU
+// entries until both MaxEntries and MaxBytes hold; entries in
+// unclaimed segments count toward the bounds but stay where they are.
+// The survivors are rewritten, LRU first and each with its access time
+// saved, into one new segment that appears by rename, and the claimed
+// segments are unlinked. A reader that already opened one keeps
+// reading it through its fd; other handles find the new segment on
+// their next miss. A pass with nothing to evict over one claimed
+// segment that holds no superseded record and no unsaved access time
+// rewrites nothing. Passes serialize on a lock file in the store
+// directory, across handles and processes.
 func (s *Store) GC(pol GCPolicy) (GCResult, error) {
-	var res GCResult
-	fans, err := os.ReadDir(s.dir)
+	lock, err := os.OpenFile(filepath.Join(s.dir, "gc.lock"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return res, fmt.Errorf("sweep: GC scan: %w", err)
+		return GCResult{}, fmt.Errorf("sweep: GC lock: %w", err)
 	}
-	var blobs []blobInfo
-	var total int64
-	for _, fan := range fans {
-		if !fan.IsDir() {
+	defer lock.Close()
+	if err := waitLock(lock); err != nil {
+		return GCResult{}, fmt.Errorf("sweep: GC lock: %w", err)
+	}
+	now := time.Now() //daelint:nondeterministic-ok GC age cutoff prunes cache entries; simulation results are never derived from it
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, sealed, err := s.idx.compact(pol, now)
+	if sealed {
+		s.w = nil
+	}
+	s.gcEvictions.Add(int64(res.Evicted))
+	return res, err
+}
+
+// compact runs one GC pass over the index (see Store.GC). sealed
+// reports that the handle's own segment was compacted away, so its next
+// Put starts a new one.
+func (x *index) compact(pol GCPolicy, now time.Time) (res GCResult, sealed bool, err error) {
+	if err := x.topUp(); err != nil {
+		return res, false, fmt.Errorf("sweep: GC scan: %w", err)
+	}
+	// The handle's own write lock is on the same fd, so its own segment
+	// claims too. A claimed segment's writer may have appended since
+	// the top-up before it let go, so its tail is scanned again.
+	var claims []*segment
+	claimed := map[*segment]bool{}
+	for _, sg := range x.segs {
+		if tryLock(sg.f) {
+			claims = append(claims, sg)
+			claimed[sg] = true
+			x.scan(sg)
+		}
+	}
+	defer func() {
+		for _, sg := range claims {
+			if slices.Contains(x.segs, sg) && !sg.own {
+				unlock(sg.f)
+			}
+		}
+	}()
+
+	all := make([]candidate, 0, len(x.m))
+	live := map[*segment]int64{}
+	for key, e := range x.m { //daelint:nondeterministic-ok candidates are sorted below
+		all = append(all, candidate{key, e, e.recency()})
+		live[e.seg] += int64(e.n + 1)
+	}
+	res.Scanned = len(all)
+	// Oldest access first; position breaks ties so eviction order is
+	// deterministic.
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		switch {
+		case a.at != b.at:
+			return a.at < b.at
+		case a.e.seg != b.e.seg:
+			return a.e.seg.name < b.e.seg.name
+		}
+		return a.e.off < b.e.off
+	})
+	cutoff := now.Add(-pol.MaxAge).UnixNano()
+	kept, total := len(all), x.bytes
+	var keep, evict []candidate
+	for _, c := range all {
+		if !claimed[c.e.seg] {
 			continue
 		}
-		entries, err := os.ReadDir(filepath.Join(s.dir, fan.Name()))
-		if err != nil {
-			continue // fan dir vanished under a concurrent Clear/GC
+		over := (pol.MaxEntries > 0 && kept > pol.MaxEntries) || (pol.MaxBytes > 0 && total > pol.MaxBytes)
+		if over || (pol.MaxAge > 0 && c.at < cutoff) {
+			evict = append(evict, c)
+			kept--
+			total -= c.e.size()
+		} else {
+			keep = append(keep, c)
 		}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
+	}
+	// Rewrite unless the claimed records are already one segment that
+	// holds nothing superseded and every access time it could save.
+	stale := len(claims) > 1
+	for _, sg := range claims {
+		stale = stale || live[sg] != sg.size
+	}
+	for _, c := range keep {
+		stale = stale || c.e.atime.Load() > c.e.saved
+	}
+	if len(evict) == 0 && !stale {
+		res.Remaining, res.RemainingBytes = res.Scanned, x.bytes
+		return res, false, nil
+	}
+
+	if len(keep) > 0 {
+		sg, placed, err := x.rewrite(keep)
+		if err != nil {
+			res.Remaining, res.RemainingBytes = res.Scanned, x.bytes
+			return res, false, fmt.Errorf("sweep: GC compaction: %w", err)
+		}
+		x.add(sg)
+		for i, c := range keep {
+			if placed[i] == nil {
+				evict = append(evict, c) // no longer verifies
 				continue
 			}
-			info, err := e.Info()
-			if err != nil {
-				continue // entry vanished mid-scan
-			}
-			blobs = append(blobs, blobInfo{
-				path:  filepath.Join(s.dir, fan.Name(), e.Name()),
-				size:  info.Size(),
-				mtime: info.ModTime(),
-			})
-			total += info.Size()
+			x.set(c.key, placed[i])
 		}
 	}
-	res.Scanned = len(blobs)
-	// Oldest-access first; path breaks mtime ties so eviction order is
-	// deterministic on filesystems with coarse timestamps.
-	sort.Slice(blobs, func(i, j int) bool {
-		if !blobs[i].mtime.Equal(blobs[j].mtime) {
-			return blobs[i].mtime.Before(blobs[j].mtime)
+	// Every record in a claimed segment is now moved, evicted or
+	// superseded.
+	failed := map[*segment]bool{}
+	for _, sg := range claims {
+		if err := os.Remove(filepath.Join(x.dir, sg.name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			failed[sg] = true
+			continue
 		}
-		return blobs[i].path < blobs[j].path
-	})
-	evict := func(b blobInfo) {
-		switch err := os.Remove(b.path); {
-		case err == nil:
-			res.Evicted++
-			res.EvictedBytes += b.size
-			s.gcEvictions.Add(1)
-			total -= b.size
-		case os.IsNotExist(err):
-			// A concurrent GC pass (or Clear) removed it already: gone
-			// from disk, so drop it from the running total, but only the
-			// pass that performed the unlink counts the eviction.
-			total -= b.size
-		default:
-			// Unremovable (permissions, I/O): the entry is still on disk
-			// and still occupies bytes, so it stays in the total — the
-			// bounds loop keeps evicting younger entries rather than
-			// stopping early on bytes it never freed.
-			res.Errors++
+		x.segs = slices.DeleteFunc(x.segs, func(s *segment) bool { return s == sg })
+		sg.f.Close()
+		sealed = sealed || sg.own
+	}
+	for _, c := range evict {
+		if failed[c.e.seg] {
+			res.Errors++ // still on disk, still indexed
+			continue
+		}
+		x.drop(c.key, c.e)
+		res.Evicted++
+		res.EvictedBytes += c.e.size()
+	}
+	res.Remaining, res.RemainingBytes = res.Scanned-res.Evicted, x.bytes
+	return res, sealed, nil
+}
+
+// rewrite writes the survivors' records, LRU first and each with its
+// access time saved, into a new segment that appears by rename. placed
+// holds each survivor's new entry, or nil for a record that no longer
+// verifies.
+func (x *index) rewrite(keep []candidate) (sg *segment, placed []*record, err error) {
+	tmp, err := os.CreateTemp(x.dir, ".compact-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	fail := func(err error) (*segment, []*record, error) {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return nil, nil, err
+	}
+	bw := bufio.NewWriter(tmp)
+	placed = make([]*record, len(keep))
+	var off int64
+	for i, c := range keep {
+		data, rerr := c.e.read()
+		ent, ok := verifyRecord(c.key, data)
+		if rerr != nil || !ok {
+			continue
+		}
+		ent.Atime = c.at
+		rec, err := json.Marshal(ent)
+		if err != nil {
+			return fail(err)
+		}
+		_, saved, extra, _ := recordHead(rec)
+		placed[i] = &record{off: off, n: len(rec), saved: saved, extra: extra}
+		bw.Write(rec)
+		bw.WriteByte('\n')
+		off += int64(len(rec) + 1)
+	}
+	if err := bw.Flush(); err != nil {
+		return fail(err)
+	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	name := segmentName()
+	if err := os.Rename(tmp.Name(), filepath.Join(x.dir, name)); err != nil {
+		return fail(err)
+	}
+	sg = &segment{name: name, f: tmp, size: off, mtime: fi.ModTime().UnixNano()}
+	for _, e := range placed {
+		if e != nil {
+			e.seg = sg
 		}
 	}
-	cutoff := time.Now().Add(-pol.MaxAge) //daelint:nondeterministic-ok GC age cutoff prunes cache entries; simulation results are never derived from it
-	i := 0
-	if pol.MaxAge > 0 {
-		for ; i < len(blobs) && blobs[i].mtime.Before(cutoff); i++ {
-			evict(blobs[i])
-		}
-	}
-	for ; i < len(blobs); i++ {
-		keep := len(blobs) - i
-		overEntries := pol.MaxEntries > 0 && keep > pol.MaxEntries
-		overBytes := pol.MaxBytes > 0 && total > pol.MaxBytes
-		if !overEntries && !overBytes {
-			break
-		}
-		evict(blobs[i])
-	}
-	res.Remaining = res.Scanned - res.Evicted
-	res.RemainingBytes = total
-	return res, nil
+	return sg, placed, nil
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // gcStore opens a store in a temp dir and installs n synthetic entries
-// key-0 .. key-n-1, backdating entry i's mtime to base + i seconds so
-// LRU order is deterministic (oldest = lowest index) regardless of
-// filesystem timestamp granularity.
+// key-0 .. key-n-1, backdating entry i's access time to base + i
+// seconds so LRU order is deterministic (oldest = lowest index).
 func gcStore(t *testing.T, n int, base time.Time) *Store {
 	t.Helper()
 	st, err := OpenStore(t.TempDir())
@@ -25,12 +24,21 @@ func gcStore(t *testing.T, n int, base time.Time) *Store {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		st.Put(key, &engine.Result{Cycles: int64(i)})
-		mt := base.Add(time.Duration(i) * time.Second)
-		if err := os.Chtimes(st.path(key), mt, mt); err != nil {
-			t.Fatal(err)
-		}
+		backdate(t, st, key, base.Add(time.Duration(i)*time.Second))
 	}
 	return st
+}
+
+// backdate sets the access time the handle holds for key.
+func backdate(t *testing.T, st *Store, key string, at time.Time) {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.idx.m[key]
+	if e == nil {
+		t.Fatalf("%s is not indexed", key)
+	}
+	e.atime.Store(at.UnixNano())
 }
 
 func TestGCMaxEntriesEvictsLRU(t *testing.T) {
@@ -75,15 +83,85 @@ func TestGCRecencyIsAccessNotInstall(t *testing.T) {
 	}
 }
 
+// TestGCRecencySurvivesCompaction: compaction saves the access times a
+// handle holds, so a pass in a fresh handle (another process) still
+// evicts by access, not install, order.
+func TestGCRecencySurvivesCompaction(t *testing.T) {
+	base := time.Now().Add(-time.Hour) //daelint:nondeterministic-ok GC tests fabricate access times relative to the real clock
+	st := gcStore(t, 6, base)
+	for _, k := range []string{"key-0", "key-1"} {
+		if _, ok := st.Get(k); !ok {
+			t.Fatalf("%s should hit", k)
+		}
+	}
+	if res, err := st.GC(GCPolicy{MaxEntries: 6}); err != nil || res.Evicted != 0 {
+		t.Fatalf("in-bounds pass must evict nothing: %+v, %v", res, err)
+	}
+	fresh, err := OpenStore(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.GC(GCPolicy{MaxEntries: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		_, ok := fresh.Get(fmt.Sprintf("key-%d", i))
+		if want := i <= 1; ok != want {
+			t.Errorf("key-%d: present=%v, want %v (saved recency must order a later pass)", i, ok, want)
+		}
+	}
+	if n := len(segPaths(t, st.Dir())); n != 1 {
+		t.Errorf("compaction must leave one segment, found %d", n)
+	}
+}
+
+// TestGCSparesLiveWriter: a segment another handle is still appending
+// to stays, with its entries, for a later pass; that handle's own pass
+// then compacts the store to one segment.
+func TestGCSparesLiveWriter(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		writer.Put(fmt.Sprintf("w-%d", i), &engine.Result{Cycles: int64(i)})
+		other.Put(fmt.Sprintf("o-%d", i), &engine.Result{Cycles: int64(i)})
+	}
+	res, err := other.GC(GCPolicy{MaxEntries: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scanned != 8 || res.Evicted != 3 || res.Remaining != 5 {
+		t.Fatalf("only the unlocked segments' entries may go: %+v", res)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := other.Get(fmt.Sprintf("w-%d", i)); !ok {
+			t.Errorf("w-%d: a live writer's entry was evicted", i)
+		}
+	}
+	writer.Put("w-4", &engine.Result{Cycles: 4})
+	if _, ok := other.Get("w-4"); !ok {
+		t.Error("the spared writer's later appends must stay visible")
+	}
+	if res, err := writer.GC(GCPolicy{MaxEntries: 2}); err != nil || res.Scanned != 6 || res.Remaining != 2 {
+		t.Fatalf("writer's own pass: %+v, %v", res, err)
+	}
+	if n := len(segPaths(t, dir)); n != 1 {
+		t.Fatalf("with no live writer left the pass must compact to one segment, got %d", n)
+	}
+}
+
 func TestGCMaxBytes(t *testing.T) {
 	base := time.Now().Add(-time.Hour) //daelint:nondeterministic-ok GC tests fabricate mtimes relative to the real clock
 	st := gcStore(t, 8, base)
 	// All entries are the same size; bound to roughly three entries' bytes.
-	info, err := os.Stat(st.path("key-0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := info.Size()
+	_, total := st.Usage()
+	per := total / 8
 	res, err := st.GC(GCPolicy{MaxBytes: 3*per + per/2})
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +212,9 @@ func TestGCUnboundedPolicyIsANoop(t *testing.T) {
 // TestGCConcurrentReadersWriters hammers one store with readers, writers
 // and GC passes at once (run under -race in CI). The invariants: a Get
 // either returns the complete, correct result or a clean miss — never a
-// corrupt entry (eviction is an atomic unlink of an atomically-installed
-// blob, so no reader can observe partial bytes) — and the store stays
-// usable throughout.
+// corrupt entry (compaction renames a complete segment into place and
+// unlinks segments no reader is mid-way through, so no reader can
+// observe partial bytes) — and the store stays usable throughout.
 func TestGCConcurrentReadersWriters(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -189,8 +267,8 @@ func TestGCConcurrentReadersWriters(t *testing.T) {
 }
 
 // TestGCNeverEvictsMidRead pins the mid-read safety property directly:
-// a reader that has opened an entry gets its complete bytes even if GC
-// unlinks the file before the read finishes. ReadFile holds the fd, so
+// a reader that has opened a segment gets its complete bytes even if GC
+// unlinks the file before the read finishes. The fd keeps the file, so
 // the unlink only removes the name.
 func TestGCNeverEvictsMidRead(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
@@ -198,7 +276,7 @@ func TestGCNeverEvictsMidRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Put("k", &engine.Result{Cycles: 7})
-	f, err := os.Open(st.path("k"))
+	f, err := os.Open(segPaths(t, st.Dir())[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package sweep
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -152,48 +156,62 @@ func TestStoreMissOnEngineVersionBump(t *testing.T) {
 	}
 }
 
-// blobPaths lists every entry file in a store directory.
-func blobPaths(t *testing.T, dir string) []string {
+// segPaths lists the segment files in a store directory, oldest first.
+func segPaths(t *testing.T, dir string) []string {
 	t.Helper()
-	var paths []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			paths = append(paths, path)
-		}
-		return nil
-	})
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+segExt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return paths
 }
 
-// TestStoreCorruptedEntryRecovery: damaged entries — truncated JSON,
-// bit-flipped payloads, foreign keys — are detected, deleted, and
-// re-simulated; the store heals in place.
+// rewriteRecord replaces the one record of a single-record segment with
+// damage(record), newline kept: the record is complete but damaged.
+func rewriteRecord(t *testing.T, path string, damage func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(data, []byte("\n")) != 1 || data[len(data)-1] != '\n' {
+		t.Fatalf("want one complete record in %s, got %q", path, data)
+	}
+	out := append(damage(data[:len(data)-1]), '\n')
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipDigit flips a digit inside a record's payload without breaking
+// JSON: only the checksum can catch it.
+func flipDigit(t *testing.T, d []byte) []byte {
+	s := string(d)
+	i := strings.Index(s, `"result":`)
+	for j := i; j < len(s); j++ {
+		if s[j] >= '1' && s[j] <= '8' {
+			return []byte(s[:j] + "9" + s[j+1:])
+		}
+	}
+	t.Fatal("no digit to flip")
+	return d
+}
+
+// TestStoreCorruptedEntryRecovery: damaged records — torn mid-payload
+// (and sealed by a later newline), bit-flipped payloads, emptied
+// payloads — are detected, counted, dropped and re-simulated; the healed
+// record, appended to a newer segment, serves the next fresh handle.
 func TestStoreCorruptedEntryRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		corrupt func(data []byte) []byte
+		corrupt func(rec []byte) []byte
 	}{
 		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"bitflip", func(d []byte) []byte {
-			// Flip a digit inside the payload without breaking JSON:
-			// the checksum must catch it.
-			s := string(d)
-			i := strings.Index(s, `"result":`)
-			for j := i; j < len(s); j++ {
-				if s[j] >= '1' && s[j] <= '8' {
-					return []byte(s[:j] + "9" + s[j+1:])
-				}
-			}
-			t.Fatal("no digit to flip")
-			return d
+		{"bitflip", func(d []byte) []byte { return flipDigit(t, d) }},
+		{"emptied", func(d []byte) []byte {
+			head, _, _ := bytes.Cut(d, []byte(`,"sum":`))
+			return append(head, '}')
 		}},
-		{"emptied", func(d []byte) []byte { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -202,17 +220,11 @@ func TestStoreCorruptedEntryRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			paths := blobPaths(t, dir)
+			paths := segPaths(t, dir)
 			if len(paths) != 1 {
-				t.Fatalf("want 1 blob, got %v", paths)
+				t.Fatalf("want 1 segment, got %v", paths)
 			}
-			data, err := os.ReadFile(paths[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(paths[0], tc.corrupt(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewriteRecord(t, paths[0], tc.corrupt)
 
 			r2 := storeRunner(t, dir, 24)
 			got, err := r2.Run(storePoint)
@@ -228,7 +240,7 @@ func TestStoreCorruptedEntryRecovery(t *testing.T) {
 			if st := r2.Store.Stats(); st.Corrupt != 1 {
 				t.Fatalf("corruption must be counted, got %+v", st)
 			}
-			// The heal must reinstall a clean entry.
+			// The heal must install a clean record.
 			r3 := storeRunner(t, dir, 24)
 			if _, err := r3.Run(storePoint); err != nil {
 				t.Fatal(err)
@@ -240,8 +252,9 @@ func TestStoreCorruptedEntryRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreForeignKeyEntry: an entry whose embedded key disagrees with
-// its filename (hash collision, copied file) reads as a miss.
+// TestStoreForeignKeyEntry: a record whose head names one key but whose
+// body carries another (a spliced or hostile record) reads as a miss
+// and counts as corruption.
 func TestStoreForeignKeyEntry(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -249,24 +262,234 @@ func TestStoreForeignKeyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Put("key-a", &engine.Result{Cycles: 1})
-	src := blobPaths(t, dir)[0]
-	data, err := os.ReadFile(src)
+	rewriteRecord(t, segPaths(t, dir)[0], func(d []byte) []byte {
+		return append([]byte(`{"key":"key-b",`), d[1:]...)
+	})
+	fresh, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Install key-a's bytes where key-b's entry belongs.
-	dst := st.path("key-b")
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get("key-b"); ok {
+	if _, ok := fresh.Get("key-b"); ok {
 		t.Fatal("foreign-key entry must miss")
 	}
-	if st.Stats().Corrupt != 1 {
-		t.Fatalf("foreign key must count as corruption, got %+v", st.Stats())
+	if fresh.Stats().Corrupt != 1 {
+		t.Fatalf("foreign key must count as corruption, got %+v", fresh.Stats())
+	}
+}
+
+// TestStoreTornTailInvisible: a record without its trailing newline is
+// a write in progress. It stays invisible, and is not counted as
+// corrupt, until the rest of it lands; the next miss then finds it.
+func TestStoreTornTailInvisible(t *testing.T) {
+	dir := t.TempDir()
+	src, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Put("key-a", &engine.Result{Cycles: 1})
+	src.Put("key-b", &engine.Result{Cycles: 2})
+	segs := segPaths(t, src.Dir())
+	if len(segs) != 1 {
+		t.Fatalf("want both records in one segment, got %v", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.IndexByte(data, '\n') + 1 + 40 // key-a whole, key-b's head only
+	path := filepath.Join(dir, "0000000000000001-1-1"+segExt)
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := st.Get("key-a"); !ok || res.Cycles != 1 {
+		t.Fatal("the complete record must hit")
+	}
+	if _, ok := st.Get("key-b"); ok {
+		t.Fatal("a record without its newline must stay invisible")
+	}
+	if s := st.Stats(); s.Corrupt != 0 {
+		t.Fatalf("an incomplete tail is not corruption: %+v", s)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if res, ok := st.Get("key-b"); !ok || res.Cycles != 2 {
+		t.Fatal("the completed record must hit on the next miss")
+	}
+	if s := st.Stats(); s.Corrupt != 0 {
+		t.Fatalf("completing a record is not corruption: %+v", s)
+	}
+}
+
+// TestStoreSecondHandleSeesLaterPuts: a handle that indexed the store
+// picks up another handle's later appends on its next miss.
+func TestStoreSecondHandleSeesLaterPuts(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Put("key-1", &engine.Result{Cycles: 1})
+	if res, ok := r.Get("key-1"); !ok || res.Cycles != 1 {
+		t.Fatal("second handle must see the first Put")
+	}
+	w.Put("key-2", &engine.Result{Cycles: 2}) // grows the indexed segment
+	if res, ok := r.Get("key-2"); !ok || res.Cycles != 2 {
+		t.Fatal("second handle must see a later Put on its next miss")
+	}
+	if n := len(segPaths(t, dir)); n != 1 {
+		t.Fatalf("one writer must leave one segment, got %d", n)
+	}
+}
+
+// TestStorePrefersHealedRecord: when an older segment holds a corrupt
+// record and a newer one its healed copy, a fresh handle serves the
+// healed one without counting corruption.
+func TestStorePrefersHealedRecord(t *testing.T) {
+	dir := t.TempDir()
+	first, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &engine.Result{Cycles: 42}
+	first.Put("k", want)
+	rewriteRecord(t, segPaths(t, dir)[0], func(d []byte) []byte { return flipDigit(t, d) })
+	healer, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := healer.Get("k"); ok {
+		t.Fatal("corrupt record served as a hit")
+	}
+	healer.Put("k", want)
+	if n := len(segPaths(t, dir)); n != 2 {
+		t.Fatalf("the heal must land in the healer's own segment: %d segments", n)
+	}
+	fresh, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := fresh.Get("k")
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh handle must serve the healed record, got %+v, %v", got, ok)
+	}
+	if s := fresh.Stats(); s.Corrupt != 0 {
+		t.Fatalf("fresh handle read the older corrupt record: %+v", s)
+	}
+}
+
+// TestStoreFollowsOtherHandles: a handle whose indexed segments another
+// handle compacted away rescans on its next miss, and a writer whose
+// segment another handle cleared starts a new one once a miss shows it
+// the segment is gone.
+func TestStoreFollowsOtherHandles(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Put("k1", &engine.Result{Cycles: 1})
+	a.Put("k2", &engine.Result{Cycles: 2})
+	if _, ok := b.Get("k1"); !ok {
+		t.Fatal("b must see a's entry")
+	}
+	if res, err := a.GC(GCPolicy{MaxEntries: 1}); err != nil || res.Evicted != 1 {
+		t.Fatalf("a's pass must evict k1: %+v, %v", res, err)
+	}
+	if _, ok := b.Get("k3"); ok {
+		t.Fatal("k3 was never written")
+	}
+	if n := b.Len(); n != 1 {
+		t.Fatalf("after the rescan b must index only the compacted k2, got %d entries", n)
+	}
+	if res, ok := b.Get("k2"); !ok || res.Cycles != 2 {
+		t.Fatal("b must read k2 from the compacted segment")
+	}
+
+	a.Put("k4", &engine.Result{Cycles: 4})
+	if err := b.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	a.Get("k5") // a miss: a finds its segment gone
+	a.Put("k6", &engine.Result{Cycles: 6})
+	if res, ok := b.Get("k6"); !ok || res.Cycles != 6 {
+		t.Fatal("a's Put after the clear must land in a new, visible segment")
+	}
+	if s := a.Stats(); s.WriteErrors != 0 {
+		t.Fatalf("a clear elsewhere is not a write error: %+v", s)
+	}
+}
+
+// dirState snapshots every file in dir with its size and mtime.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, d := range des {
+		info, err := d.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[d.Name()] = fmt.Sprintf("%d %d", info.Size(), info.ModTime().UnixNano())
+	}
+	return out
+}
+
+// TestStoreFileDiscipline pins the layout's cost model: a handle's first
+// Put creates its segment and no later Put creates a file, and Get — hit
+// or miss, same handle or fresh — writes no file or file metadata.
+func TestStoreFileDiscipline(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get("key-0"); ok {
+		t.Fatal("empty store hit")
+	}
+	if n := len(dirState(t, dir)); n != 0 {
+		t.Fatalf("a handle that only reads must create no file, found %d", n)
+	}
+	st.Put("key-0", &engine.Result{Cycles: 0})
+	files := dirState(t, dir)
+	for i := 1; i < 20; i++ {
+		st.Put(fmt.Sprintf("key-%d", i), &engine.Result{Cycles: int64(i)})
+	}
+	if got := dirState(t, dir); len(got) != len(files) || len(got) != 1 {
+		t.Fatalf("Puts after the first created files: before %v, after %v", files, got)
+	}
+	before := dirState(t, dir)
+	fresh, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Store{st, fresh} {
+		for i := 0; i < 25; i++ {
+			h.Get(fmt.Sprintf("key-%d", i))
+		}
+	}
+	if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Get touched the store's files:\nbefore %v\nafter  %v", before, after)
 	}
 }
 
@@ -370,8 +593,8 @@ func TestStoreSingleFlight(t *testing.T) {
 	}
 }
 
-// corruptingFaults damages the first byte of every blob read while
-// active — a persistently bad blob, as a failing disk sector would
+// corruptingFaults damages the first byte of every record read while
+// active — a persistently bad record, as a failing disk sector would
 // present it.
 type corruptingFaults struct{ active bool }
 
@@ -387,9 +610,10 @@ func (c *corruptingFaults) OnRead(key string, data []byte) []byte {
 func (c *corruptingFaults) OnWrite(key string, data []byte) []byte { return data }
 
 // TestStoreQuarantineBreaksHealLoop pins the anti-loop contract: the
-// first corrupt read of a key deletes and heals, the second retires the
-// key — renamed to *.corrupt, dropped from caching — so a persistently
-// bad blob cannot trap the store in heal/re-corrupt forever.
+// first corrupt read of a key drops it and heals, the second retires the
+// key — damaged bytes kept as *.corrupt evidence, key dropped from
+// caching — so a persistently bad record cannot trap the store in
+// heal/re-corrupt forever.
 func TestStoreQuarantineBreaksHealLoop(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir, 24)
@@ -404,33 +628,34 @@ func TestStoreQuarantineBreaksHealLoop(t *testing.T) {
 	cf := &corruptingFaults{active: true}
 	st.Faults = cf
 
-	// First corrupt read: heal path — blob deleted, counted, missed.
+	// First corrupt read: heal path — record dropped, counted, missed.
 	if _, hit := st.Get(key); hit {
-		t.Fatal("corrupt blob served as a hit")
+		t.Fatal("corrupt record served as a hit")
 	}
 	if s := st.Stats(); s.Corrupt != 1 || s.CorruptQuarantined != 0 {
 		t.Fatalf("after first corruption: %+v", s)
 	}
-	if _, err := os.Stat(st.path(key)); !os.IsNotExist(err) {
-		t.Fatal("first corruption must delete the blob so the point re-heals")
+	if _, hit := st.Get(key); hit || st.Stats().Corrupt != 1 || st.Len() != 0 {
+		t.Fatalf("first corruption must drop the record so the point re-heals: %+v, Len=%d", st.Stats(), st.Len())
 	}
 
-	// The runner heals it (simulate + reinstall), the blob reads corrupt
-	// again: quarantine.
+	// The runner heals it (simulate + reinstall), the record reads
+	// corrupt again: quarantine.
 	res, err := r.Suite.RunWith(nil, storePoint.Kind, storePoint.P)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Put(key, res)
 	if _, hit := st.Get(key); hit {
-		t.Fatal("corrupt blob served as a hit")
+		t.Fatal("corrupt record served as a hit")
 	}
 	s := st.Stats()
 	if s.Corrupt != 2 || s.CorruptQuarantined != 1 {
 		t.Fatalf("after second corruption: %+v", s)
 	}
-	if _, err := os.Stat(st.path(key) + ".corrupt"); err != nil {
-		t.Fatalf("quarantined blob should survive as *.corrupt evidence: %v", err)
+	evidence, err := os.ReadFile(st.evidencePath(key))
+	if err != nil || len(evidence) == 0 || evidence[0] != 0x00 {
+		t.Fatalf("quarantined record's damaged bytes should survive as *.corrupt evidence: %q, %v", evidence, err)
 	}
 	if st.Len() != 0 {
 		t.Fatalf("quarantined entry still counted: Len=%d", st.Len())
@@ -461,4 +686,69 @@ func TestStoreQuarantineBreaksHealLoop(t *testing.T) {
 	if rs := r2.Stats(); rs.Sims != 1 || rs.StoreHits != 0 {
 		t.Fatalf("quarantined point should simulate, not hit: %+v", rs)
 	}
+}
+
+// FuzzStoreSegment feeds arbitrary bytes to a store as one segment
+// file: torn tails, duplicate keys, head/body key mismatches, bit flips.
+// Nothing may panic, and every hit — before and after a compaction —
+// must be backed by a complete line of the input that carries the key
+// and matches its checksum.
+func FuzzStoreSegment(f *testing.F) {
+	rec := func(key string, cycles int64) []byte {
+		body, _ := json.Marshal(&engine.Result{Cycles: cycles, Ops: 3})
+		sum := sha256.Sum256(body)
+		data, _ := json.Marshal(entryFile{Key: key, Sum: hex.EncodeToString(sum[:]), Result: body})
+		return data
+	}
+	lines := func(recs ...[]byte) []byte { return append(bytes.Join(recs, []byte("\n")), '\n') }
+	good := rec("k", 7)
+	f.Add(lines(good), "k")
+	f.Add(good, "k")                                              // torn tail
+	f.Add(append(lines(good), rec("k", 8)[:30]...), "k")          // complete, then torn
+	f.Add(lines(good, rec("k", 8)), "k")                          // duplicate key, later wins
+	f.Add(lines(rec("j", 1), good, rec("j", 2)), "j")             // interleaved keys
+	f.Add(lines(append([]byte(`{"key":"k",`), good[1:]...)), "k") // head/body mismatch
+	f.Add(lines(bytes.Replace(good, []byte("7"), []byte("9"), 1)), "k")
+	f.Add(lines(bytes.Replace(good, []byte(`"sum"`), []byte(`"atime":12,"sum"`), 1)), "k")
+	f.Add(lines([]byte(`{"key":"k\"x","sum":"","result":{}}`)), `k"x`)
+	f.Add([]byte("\n\n{\n{\"key\":\n{\"key\":\"\\"), "")
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "0000000000000001-1-1"+segExt), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			st.mu.Lock()
+			st.idx.reset()
+			st.mu.Unlock()
+		})
+		complete := bytes.Split(data, []byte("\n"))
+		complete = complete[:len(complete)-1]
+		check := func(res *engine.Result, ok bool) {
+			if !ok {
+				return
+			}
+			got, _ := json.Marshal(res)
+			for _, line := range complete {
+				ent, ok := verifyRecord(key, line)
+				var want engine.Result
+				if ok && json.Unmarshal(ent.Result, &want) == nil {
+					if b, _ := json.Marshal(&want); bytes.Equal(b, got) {
+						return
+					}
+				}
+			}
+			t.Fatalf("hit for %q with %s is backed by no complete, verified record", key, got)
+		}
+		check(st.Get(key))
+		st.Usage()
+		if _, err := st.GC(GCPolicy{MaxEntries: 2}); err != nil {
+			t.Fatal(err)
+		}
+		check(st.Get(key))
+	})
 }
