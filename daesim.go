@@ -196,6 +196,7 @@ type (
 	// safe for concurrent processes: append-only segment files (one per
 	// writing handle) behind an in-memory index of each key's latest
 	// record, with every read checked against its key and checksum.
+	// A handle holds an fd per segment; Close releases them.
 	Store = sweep.Store
 	// CacheStats counts where a Runner's results came from.
 	CacheStats = sweep.CacheStats

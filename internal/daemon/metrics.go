@@ -38,7 +38,7 @@ var cacheStatsMetrics = map[string]metricSpec{
 var storeStatsMetrics = map[string]metricSpec{
 	"Hits":               {"daesim_store_hits_total", "store Get hits"},
 	"Misses":             {"daesim_store_misses_total", "store Get misses"},
-	"Corrupt":            {"daesim_store_corrupt_total", "store misses caused by damaged entries"},
+	"Corrupt":            {"daesim_store_corrupt_total", "damaged store records found by reads and scans"},
 	"Writes":             {"daesim_store_writes_total", "store entries installed"},
 	"WriteErrors":        {"daesim_store_write_errors_total", "failed store installs (cache degraded to pass-through)"},
 	"GCEvictions":        {"daesim_store_gc_evictions_total", "store entries removed by GC passes"},

@@ -7,6 +7,9 @@ import (
 	"syscall"
 )
 
+// locksWork reports that tryLock tells a live writer's segment apart.
+const locksWork = true
+
 // tryLock takes f's advisory exclusive lock (flock) without waiting. It
 // fails while another open file description holds the lock, even in the
 // same process; a lock already held through f itself succeeds.

@@ -41,7 +41,11 @@ import (
 // invisible. Every read re-checks the record: it must parse, carry the
 // requested key and match its SHA-256 sum. A damaged record is counted,
 // dropped from the index and reported as a miss; the point re-simulates
-// and the healed record, appended later, supersedes it.
+// and the healed record, appended later to a newer segment, supersedes
+// it. A complete line that is no record at all is counted when a scan
+// meets it.
+//
+// A handle holds an fd on every segment it indexed until Close.
 //
 // Neither Put nor Get touches file metadata: after a handle's first Put
 // no call creates a file, and a hit records its access time in memory.
@@ -93,8 +97,10 @@ type BlobFaults interface {
 
 // StoreStats is a snapshot of a Store's traffic counters.
 type StoreStats struct {
-	// Hits and Misses count Get outcomes; Corrupt is the subset of
-	// misses caused by damaged records (which leave the index on sight).
+	// Hits and Misses count Get outcomes. Corrupt counts damaged
+	// records: the misses they cause (they leave the index on sight),
+	// plus complete lines too damaged to name a key, counted once per
+	// handle when a scan meets them.
 	Hits, Misses, Corrupt int64
 	// Writes counts entries installed; WriteErrors counts failed
 	// installs (the cache degrades to pass-through, never fails a run).
@@ -142,6 +148,13 @@ type segment struct {
 	// gone is set when a scan finds an own segment unlinked (a Clear
 	// from another handle): the next Put starts a new one.
 	gone atomic.Bool
+	// sealed marks a segment no writer will append to again; only a
+	// rescan reads it again.
+	sealed bool
+	// badTo is the offset up to which complete lines that are no record
+	// at all have been counted as corrupt, so a rescan does not count
+	// them twice.
+	badTo int64
 }
 
 // record locates one record in a segment.
@@ -193,6 +206,11 @@ type index struct {
 	segs  []*segment // sorted by name
 	m     map[string]*record
 	bytes int64 // sum of record sizes
+	// listed is the directory mtime (Unix ns) of the last listing, 0
+	// while that mtime is too recent to trust (see topUp).
+	listed int64
+	// corrupt is the Store's corruption counter, which scans feed.
+	corrupt *atomic.Int64
 }
 
 // set indexes key at a record, keeping the handle's access time.
@@ -227,22 +245,92 @@ func (x *index) add(s *segment) {
 	x.segs = slices.Insert(x.segs, i, s)
 }
 
-// reset closes every segment and empties the index.
-func (x *index) reset() {
+// reset closes every segment and empties the index. w is the handle's
+// own segment, nil if none: once a scan found it gone the index no
+// longer holds it, so reset closes it too.
+func (x *index) reset(w *segment) {
+	if w != nil && w.gone.Load() {
+		w.f.Close()
+	}
 	for _, s := range x.segs {
 		s.f.Close()
 	}
-	x.segs, x.m, x.bytes = nil, map[string]*record{}, 0
+	x.segs, x.m, x.bytes, x.listed = nil, map[string]*record{}, 0, 0
 }
 
 // topUp indexes the segments that are new or have grown since the last
 // scan. A segment that vanished (compacted or cleared by another handle)
 // forces a full rescan: the keys it held may now live in older
 // segments, or in a newer compacted one.
+//
+// A miss on an aged store costs neither a directory listing nor a look
+// at every segment. The directory is listed again only when its mtime
+// moved: segments appear and vanish only by create, rename and unlink.
+// Sealed segments are not looked at: a writer appends only while it
+// holds its segment's flock and never takes it again once it lets go,
+// and a segment is empty until its writer holds the lock; so a
+// non-empty segment whose lock is free is sealed, and after one more
+// scan of its tail it is never checked again.
 func (x *index) topUp() error {
-	des, err := os.ReadDir(x.dir) // sorted by name, like x.segs
+	di, err := os.Stat(x.dir)
 	if err != nil {
 		return err
+	}
+	rescan := false
+	if mt := di.ModTime(); mt.UnixNano() != x.listed {
+		if rescan, err = x.list(); err != nil {
+			return err
+		}
+		// Trust the mtime only once it is older than any clock tick a
+		// later change could share with it.
+		x.listed = 0
+		if time.Since(mt) > listSlack { //daelint:nondeterministic-ok gates a directory listing; no Result depends on it
+			x.listed = mt.UnixNano()
+		}
+	}
+	var old map[string]*record
+	if rescan {
+		for _, s := range x.segs {
+			s.size = 0
+		}
+		old, x.m, x.bytes = x.m, map[string]*record{}, 0
+	}
+	var firstErr error
+	for _, s := range x.segs {
+		if (s.own || s.sealed) && !rescan {
+			continue
+		}
+		err := x.scan(s)
+		if err == nil && !s.own && !s.sealed && locksWork && s.size > 0 && tryLock(s.f) {
+			err = x.scan(s)
+			s.sealed = err == nil
+			unlock(s.f)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if rescan {
+		for key, e := range x.m { //daelint:nondeterministic-ok copies each key's access time across the rescan; order-free
+			if o := old[key]; o != nil {
+				e.atime.Store(o.atime.Load())
+			}
+		}
+	}
+	return firstErr
+}
+
+// listSlack is how old a directory mtime must be before topUp trusts an
+// unchanged one to mean an unchanged listing.
+const listSlack = time.Second
+
+// list merges the directory listing into the index's segments: it opens
+// the new ones and drops the vanished ones. rescan reports that a
+// segment vanished.
+func (x *index) list() (rescan bool, err error) {
+	des, err := os.ReadDir(x.dir) // sorted by name, like x.segs
+	if err != nil {
+		return false, err
 	}
 	var segs, gone []*segment
 	i := 0
@@ -267,42 +355,20 @@ func (x *index) topUp() error {
 	}
 	gone = append(gone, x.segs[i:]...)
 	x.segs = segs
-	rescan := len(gone) > 0
-	var old map[string]*record
-	if rescan {
-		for _, s := range gone {
-			if s.own {
-				s.gone.Store(true) // Put still holds the fd and closes it
-			} else {
-				s.f.Close()
-			}
-		}
-		for _, s := range segs {
-			s.size = 0
-		}
-		old, x.m, x.bytes = x.m, map[string]*record{}, 0
-	}
-	var firstErr error
-	for _, s := range x.segs {
-		if s.own && !rescan {
-			continue
-		}
-		if err := x.scan(s); err != nil && firstErr == nil {
-			firstErr = err
+	for _, s := range gone {
+		if s.own {
+			s.gone.Store(true) // Put still holds the fd and closes it
+		} else {
+			s.f.Close()
 		}
 	}
-	if rescan {
-		for key, e := range x.m { //daelint:nondeterministic-ok copies each key's access time across the rescan; order-free
-			if o := old[key]; o != nil {
-				e.atime.Store(o.atime.Load())
-			}
-		}
-	}
-	return firstErr
+	return len(gone) > 0, nil
 }
 
 // scan indexes the complete records a segment gained since its last
-// scan. An incomplete tail is left for a later scan.
+// scan. An incomplete tail is left for a later scan. A complete line
+// that does not begin like a record has no key to charge the damage to,
+// so it is counted as corrupt here, once per handle, and skipped.
 func (x *index) scan(s *segment) error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -333,10 +399,13 @@ func (x *index) scan(s *segment) error {
 			if e := x.m[key]; e == nil || e.newer(s, off) {
 				x.set(key, &record{seg: s, off: off, n: n, saved: saved, extra: extra})
 			}
+		} else if off >= s.badTo {
+			x.corrupt.Add(1)
 		}
 		off += int64(len(line))
 	}
 	s.size = off
+	s.badTo = max(s.badTo, off)
 	return nil
 }
 
@@ -434,7 +503,7 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("sweep: opening store: %w", err)
 	}
 	s := &Store{dir: dir}
-	s.idx = index{dir: dir, m: map[string]*record{}}
+	s.idx = index{dir: dir, m: map[string]*record{}, corrupt: &s.corrupt}
 	return s, nil
 }
 
@@ -504,12 +573,23 @@ func (s *Store) lookup(key string) (e *record, data []byte, err error) {
 // quarantines it instead (damaged bytes kept as evidence, key dropped
 // from caching) — healing clearly did not stick, and retrying forever
 // would loop heal/re-corrupt.
+//
+// The heal must land in a segment newer than the damaged record's, or
+// a fresh handle (and this one, after a rescan) would still prefer the
+// damaged record. A handle writing to an older segment seals it, so its
+// next Put starts a new one.
 func (s *Store) evictCorrupt(key string, e *record, data []byte) bool {
 	s.corrupt.Add(1)
 	s.misses.Add(1)
+	s.wmu.Lock()
 	s.mu.Lock()
 	s.idx.drop(key, e)
+	if s.w != nil && s.w.name < e.seg.name {
+		s.idx.seal(s.w)
+		s.w = nil
+	}
 	s.mu.Unlock()
+	s.wmu.Unlock()
 	s.qmu.Lock()
 	if s.corruptSeen == nil {
 		s.corruptSeen = make(map[string]int)
@@ -586,12 +666,10 @@ func (s *Store) Put(key string, res *engine.Result) {
 	w.end += int64(n)
 	if err != nil {
 		// A torn record has no newline and stays invisible. Stop
-		// appending behind it: the next Put starts a new segment, and
-		// this one becomes an ordinary segment GC may claim.
+		// appending behind it: the next Put starts a new segment.
 		s.mu.Lock()
-		w.own = false
+		s.idx.seal(w)
 		s.mu.Unlock()
-		unlock(w.f)
 		s.w = nil
 		s.writeErrs.Add(1)
 		return
@@ -603,6 +681,31 @@ func (s *Store) Put(key string, res *engine.Result) {
 	s.writes.Add(1)
 }
 
+// seal ends a handle's appends to w, its own segment: w becomes an
+// ordinary sealed segment that GC may claim. The caller drops w, so its
+// next Put starts a new segment.
+func (x *index) seal(w *segment) {
+	if w.gone.Load() {
+		w.f.Close() // a scan already dropped it from the index
+		return
+	}
+	w.own, w.sealed = false, true
+	unlock(w.f)
+}
+
+// Close releases the handle's files: its segment's write lock and the
+// fd it holds on every segment. A closed Store stays usable; the next
+// call reopens what it needs, as on a fresh handle.
+func (s *Store) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idx.reset(s.w)
+	s.w = nil
+	return nil
+}
+
 // Clear deletes every entry in the store, keeping the directory. Other
 // handles notice on their next miss; until then a handle whose segment
 // was deleted keeps the entries it had indexed.
@@ -611,7 +714,7 @@ func (s *Store) Clear() error {
 	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.idx.reset()
+	s.idx.reset(s.w)
 	s.w = nil
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
@@ -198,9 +199,10 @@ func flipDigit(t *testing.T, d []byte) []byte {
 }
 
 // TestStoreCorruptedEntryRecovery: damaged records — torn mid-payload
-// (and sealed by a later newline), bit-flipped payloads, emptied
-// payloads — are detected, counted, dropped and re-simulated; the healed
-// record, appended to a newer segment, serves the next fresh handle.
+// (and sealed by a later newline), bit-flipped payloads, records emptied
+// to a bare newline or to their key alone — are detected, counted,
+// dropped and re-simulated; the healed record, appended to a newer
+// segment, serves the next fresh handle.
 func TestStoreCorruptedEntryRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -208,7 +210,8 @@ func TestStoreCorruptedEntryRecovery(t *testing.T) {
 	}{
 		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
 		{"bitflip", func(d []byte) []byte { return flipDigit(t, d) }},
-		{"emptied", func(d []byte) []byte {
+		{"emptied", func(d []byte) []byte { return nil }},
+		{"key-only", func(d []byte) []byte {
 			head, _, _ := bytes.Cut(d, []byte(`,"sum":`))
 			return append(head, '}')
 		}},
@@ -249,6 +252,52 @@ func TestStoreCorruptedEntryRecovery(t *testing.T) {
 				t.Fatalf("healed entry must hit, got %+v", st)
 			}
 		})
+	}
+}
+
+// TestStoreJunkLineCountedOnce: a complete line that is no record at
+// all counts as corrupt once per handle, not again on a rescan.
+func TestStoreJunkLineCountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Put("k", &engine.Result{Cycles: 1})
+	w.Close()
+	seg := segPaths(t, dir)[0]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append([]byte("\n"), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Put("other", &engine.Result{Cycles: 2})
+	other.Close()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := st.Get("k"); !ok || res.Cycles != 1 {
+		t.Fatal("the record after the junk line must hit")
+	}
+	if s := st.Stats(); s.Corrupt != 1 {
+		t.Fatalf("the junk line must count as corrupt once: %+v", s)
+	}
+	if err := os.Remove(segPaths(t, dir)[1]); err != nil {
+		t.Fatal(err)
+	}
+	st.Get("absent") // rescans the junk line's segment
+	if res, ok := st.Get("k"); !ok || res.Cycles != 1 {
+		t.Fatal("the record after the junk line must still hit")
+	}
+	if s := st.Stats(); s.Corrupt != 1 {
+		t.Fatalf("a rescan must not count the junk line again: %+v", s)
 	}
 }
 
@@ -297,8 +346,18 @@ func TestStoreTornTailInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := bytes.IndexByte(data, '\n') + 1 + 40 // key-a whole, key-b's head only
+	// A writer in the middle of its second record: it holds the
+	// segment's lock, as Put's writer does.
 	path := filepath.Join(dir, "0000000000000001-1-1"+segExt)
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !tryLock(f) {
+		t.Fatal("cannot lock the new segment")
+	}
+	if _, err := f.Write(data[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenStore(dir)
@@ -314,14 +373,9 @@ func TestStoreTornTailInvisible(t *testing.T) {
 	if s := st.Stats(); s.Corrupt != 0 {
 		t.Fatalf("an incomplete tail is not corruption: %+v", s)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := f.Write(data[cut:]); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	if res, ok := st.Get("key-b"); !ok || res.Cycles != 2 {
 		t.Fatal("the completed record must hit on the next miss")
 	}
@@ -355,10 +409,68 @@ func TestStoreSecondHandleSeesLaterPuts(t *testing.T) {
 	}
 }
 
+// TestStoreListingGate: a miss lists the directory only when its mtime
+// moved, and never trusts an mtime recent enough that a later change
+// could share its clock tick.
+func TestStoreListingGate(t *testing.T) {
+	put := func(dir, key string) {
+		w, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Put(key, &engine.Result{Cycles: 1})
+		w.Close()
+	}
+	setMtime := func(dir string, at time.Time) {
+		if err := os.Chtimes(dir, at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("aged", func(t *testing.T) {
+		dir := t.TempDir()
+		put(dir, "k1")
+		setMtime(dir, time.Now().Add(-time.Hour)) //daelint:nondeterministic-ok fabricates directory mtimes; no Result depends on it
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Get("k1"); !ok {
+			t.Fatal("k1 must hit")
+		}
+		put(dir, "k2") // a new segment moves the mtime
+		if _, ok := st.Get("k2"); !ok {
+			t.Fatal("a new segment must be listed once the mtime moved")
+		}
+	})
+	t.Run("same-tick", func(t *testing.T) {
+		dir := t.TempDir()
+		put(dir, "k1")
+		now := time.Now() //daelint:nondeterministic-ok fabricates directory mtimes; no Result depends on it
+		setMtime(dir, now)
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Get("k1"); !ok {
+			t.Fatal("k1 must hit")
+		}
+		put(dir, "k2")
+		setMtime(dir, now) // a coarse clock gave both changes one mtime
+		if _, ok := st.Get("k2"); !ok {
+			t.Fatal("a recent mtime must not stop the listing")
+		}
+	})
+}
+
 // TestStorePrefersHealedRecord: when an older segment holds a corrupt
 // record and a newer one its healed copy, a fresh handle serves the
 // healed one without counting corruption.
 func TestStorePrefersHealedRecord(t *testing.T) {
+	t.Run("healer-opens-later", testHealerOpensLater)
+	t.Run("healer-opened-first", testHealerOpenedFirst)
+}
+
+func testHealerOpensLater(t *testing.T) {
 	dir := t.TempDir()
 	first, err := OpenStore(dir)
 	if err != nil {
@@ -388,6 +500,57 @@ func TestStorePrefersHealedRecord(t *testing.T) {
 	}
 	if s := fresh.Stats(); s.Corrupt != 0 {
 		t.Fatalf("fresh handle read the older corrupt record: %+v", s)
+	}
+}
+
+// testHealerOpenedFirst: a healer whose own segment is older than the
+// damaged record's writes the heal to a new segment, so a fresh handle
+// and the healer itself after a rescan both serve the heal.
+func testHealerOpenedFirst(t *testing.T) {
+	dir := t.TempDir()
+	healer, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healer.Put("other", &engine.Result{Cycles: 1}) // the healer's segment, oldest
+	writer, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &engine.Result{Cycles: 42}
+	writer.Put("k", want)
+	writer.Close()
+	segs := segPaths(t, dir)
+	if len(segs) != 2 {
+		t.Fatalf("want the healer's and the writer's segments, got %v", segs)
+	}
+	rewriteRecord(t, segs[1], func(d []byte) []byte { return flipDigit(t, d) })
+	if _, ok := healer.Get("k"); ok {
+		t.Fatal("corrupt record served as a hit")
+	}
+	healer.Put("k", want)
+	fresh, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := fresh.Get("k")
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh handle must serve the healed record, got %+v, %v", got, ok)
+	}
+	if s := fresh.Stats(); s.Corrupt != 0 {
+		t.Fatalf("fresh handle read the damaged record in the newer segment: %+v", s)
+	}
+	// Unlinking the healer's first segment forces it to rescan on its
+	// next miss; it must still serve the heal, not re-read the damage.
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	healer.Get("absent")
+	if got, ok := healer.Get("k"); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("healer must serve its heal after a rescan, got %+v, %v", got, ok)
+	}
+	if s := healer.Stats(); s.Corrupt != 1 || s.CorruptQuarantined != 0 {
+		t.Fatalf("healer re-read the damaged record after a rescan: %+v", s)
 	}
 }
 
@@ -490,6 +653,109 @@ func TestStoreFileDiscipline(t *testing.T) {
 	}
 	if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
 		t.Fatalf("Get touched the store's files:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// segmentSealed reports whether st takes the segment at path for sealed.
+func segmentSealed(t *testing.T, st *Store, path string) bool {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, sg := range st.idx.segs {
+		if sg.name == filepath.Base(path) {
+			return sg.sealed
+		}
+	}
+	t.Fatalf("%s is not indexed", path)
+	return false
+}
+
+// TestStoreClose: Close releases the handle's segment. Readers then take
+// it for sealed and stop checking it for growth, and another handle's GC
+// claims it; the closed handle stays usable.
+func TestStoreClose(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Put("k1", &engine.Result{Cycles: 1})
+	if _, ok := r.Get("k1"); !ok {
+		t.Fatal("r must see w's entry")
+	}
+	seg := segPaths(t, dir)[0]
+	if segmentSealed(t, r, seg) {
+		t.Fatal("a live writer's segment must not be taken for sealed")
+	}
+	if _, err := r.GC(GCPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := segPaths(t, dir); len(got) != 1 || got[0] != seg {
+		t.Fatalf("GC must spare a live writer's segment, got %v", got)
+	}
+
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.Get("absent")
+	if !segmentSealed(t, r, seg) {
+		t.Fatal("a closed writer's segment must be taken for sealed")
+	}
+	if _, err := r.GC(GCPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := segPaths(t, dir); len(got) != 1 || got[0] == seg {
+		t.Fatalf("GC must compact a closed writer's segment, got %v", got)
+	}
+
+	if res, ok := w.Get("k1"); !ok || res.Cycles != 1 {
+		t.Fatal("a closed handle must reopen the store on its next call")
+	}
+	w.Put("k2", &engine.Result{Cycles: 2})
+	if res, ok := r.Get("k2"); !ok || res.Cycles != 2 {
+		t.Fatal("a closed handle's later Put must be visible")
+	}
+	if s := w.Stats(); s.WriteErrors != 0 || s.Corrupt != 0 {
+		t.Fatalf("reopening after Close: %+v", s)
+	}
+}
+
+// BenchmarkStoreGetMiss measures a miss against a store of sealed
+// segments from earlier writers: the top-up every point a run has to
+// simulate pays on an aged shared cache.
+func BenchmarkStoreGetMiss(b *testing.B) {
+	for _, segs := range []int{1, 40} {
+		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < segs; i++ {
+				w, err := OpenStore(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < 50; j++ {
+					w.Put(fmt.Sprintf("key-%d-%d", i, j), &engine.Result{Cycles: int64(j)})
+				}
+				w.Close()
+			}
+			aged := time.Now().Add(-time.Hour) //daelint:nondeterministic-ok backdates the store directory; no Result depends on it
+			if err := os.Chtimes(dir, aged, aged); err != nil {
+				b.Fatal(err)
+			}
+			st, err := OpenStore(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			st.Get("absent") // builds the index
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Get("absent")
+			}
+		})
 	}
 }
 
@@ -721,11 +987,7 @@ func FuzzStoreSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			st.mu.Lock()
-			st.idx.reset()
-			st.mu.Unlock()
-		})
+		t.Cleanup(func() { st.Close() })
 		complete := bytes.Split(data, []byte("\n"))
 		complete = complete[:len(complete)-1]
 		check := func(res *engine.Result, ok bool) {
