@@ -393,9 +393,9 @@ func run(ctx *experiments.Context, exp, out, workload string) error {
 // cacheReport is the -cache-stats JSON document.
 type cacheReport struct {
 	// Runner-level traffic: L1 (in-memory) hits, persistent-store hits,
-	// simulations executed, uncacheable runs, and the composite hit rate.
+	// simulations executed, and the composite hit rate.
 	Runner sweep.CacheStats `json:"runner"`
-	// HitRate is Runner's fraction of cacheable points served from cache.
+	// HitRate is Runner's fraction of points served from cache.
 	HitRate float64 `json:"hit_rate"`
 	// Store-level counters (zero when -cache is off).
 	Store sweep.StoreStats `json:"store"`
@@ -407,8 +407,8 @@ type cacheReport struct {
 func reportCache(ctx *experiments.Context, statsPath string) error {
 	stats := ctx.CacheStats()
 	report := cacheReport{Runner: stats, HitRate: stats.HitRate(), Store: ctx.StoreStats()}
-	fmt.Fprintf(os.Stderr, "repro: cache: %d sims, %d L1 hits, %d store hits, %d remote, %d remote searches (hit rate %.1f%%), %d uncacheable, %d degraded; store: %d writes, %d corrupt\n",
-		stats.Sims, stats.L1Hits, stats.StoreHits, stats.RemoteHits, stats.RemoteSearches, 100*report.HitRate, stats.Uncacheable, stats.Degraded,
+	fmt.Fprintf(os.Stderr, "repro: cache: %d sims, %d L1 hits, %d store hits, %d remote, %d remote searches (hit rate %.1f%%), %d degraded; store: %d writes, %d corrupt\n",
+		stats.Sims, stats.L1Hits, stats.StoreHits, stats.RemoteHits, stats.RemoteSearches, 100*report.HitRate, stats.Degraded,
 		report.Store.Writes, report.Store.Corrupt)
 	if statsPath == "" {
 		return nil

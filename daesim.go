@@ -51,9 +51,6 @@ type (
 	Suite = machine.Suite
 	// Result reports cycles and microarchitectural statistics.
 	Result = engine.Result
-	// MemModel abstracts the memory system (see Fixed, Ports, Outstanding,
-	// Bypass).
-	MemModel = engine.MemModel
 	// Sim is a reusable engine scratch context: hold one per goroutine and
 	// pass it to Suite.RunDMWith/RunSWSMWith so repeated runs allocate
 	// almost nothing. The plain Run methods draw from a shared pool.
@@ -271,48 +268,31 @@ var (
 	Crossover = metrics.Crossover
 )
 
-// Memory models for Params.Mem (the default is the paper's fixed
-// differential behind a window-scaled outstanding-fill queue).
+// Memory models for Params.Mem. The zero MemSpec is the paper's fixed
+// differential behind a window-scaled outstanding-fill queue. A spec is a
+// plain value, so its points cache and run remotely like any other; each
+// run builds a fresh model and reports its hits in Result.MemHits (out
+// of Result.Fills).
 type (
-	// FixedMem is the paper's fixed-differential model.
-	FixedMem = memsys.Fixed
-	// PortsMem models finite memory bandwidth.
-	PortsMem = memsys.Ports
-	// OutstandingMem bounds outstanding fills (decoupled-memory or
-	// prefetch-buffer capacity).
-	OutstandingMem = memsys.Outstanding
-	// BypassMem is the paper's future-work bypass buffer: a line-grain LRU
-	// buffer capturing the temporal locality exposed by decoupling.
-	BypassMem = memsys.Bypass
-	// CacheHierarchy is a multi-level LRU cache refining the fixed
-	// differential (full misses pay MD).
-	CacheHierarchy = memsys.Hierarchy
-	// CacheLevel configures one level of a CacheHierarchy.
+	// MemSpec describes a memory model: none, a bypass buffer or a cache
+	// hierarchy.
+	MemSpec = memsys.Spec
+	// CacheLevel configures one level of a cache hierarchy.
 	CacheLevel = memsys.CacheLevel
 )
 
-// NewPortsMem returns a bandwidth-limited memory model.
-func NewPortsMem(md int64, ports int) (*PortsMem, error) { return memsys.NewPorts(md, ports) }
+// BypassSpec describes the paper's future-work bypass buffer: a
+// line-grain LRU buffer of the given capacity that captures the temporal
+// locality exposed by decoupling.
+func BypassSpec(lines int) (MemSpec, error) { return memsys.BypassSpec(lines) }
 
-// NewOutstandingMem returns a capacity-limited memory model.
-func NewOutstandingMem(md int64, capacity int) (*OutstandingMem, error) {
-	return memsys.NewOutstanding(md, capacity)
-}
+// CacheSpec describes a multi-level LRU cache hierarchy ordered from L1
+// outward; full misses pay MD.
+func CacheSpec(levels ...CacheLevel) (MemSpec, error) { return memsys.CacheSpec(levels...) }
 
-// NewBypassMem returns a bypass-buffer memory model.
-func NewBypassMem(md int64, lines int) (*BypassMem, error) { return memsys.NewBypass(md, lines) }
-
-// NewCacheHierarchy returns a multi-level cache memory model ordered from
-// L1 outward.
-func NewCacheHierarchy(md int64, levels ...CacheLevel) (*CacheHierarchy, error) {
-	return memsys.NewHierarchy(md, levels...)
-}
-
-// DefaultCacheHierarchy returns the Pentium-Pro-flavoured two-level
+// DefaultCacheSpec describes the Pentium-Pro-flavoured two-level
 // hierarchy used by the A7 study.
-func DefaultCacheHierarchy(md int64) (*CacheHierarchy, error) {
-	return memsys.DefaultHierarchy(md)
-}
+func DefaultCacheSpec() MemSpec { return memsys.DefaultCacheSpec() }
 
 // Experiments: regenerate the paper's evaluation.
 type (

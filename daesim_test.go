@@ -86,7 +86,7 @@ func TestMemoryModelsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bypass, err := daesim.NewBypassMem(60, 128)
+	bypass, err := daesim.BypassSpec(128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,11 @@ func TestMemoryModelsThroughPublicAPI(t *testing.T) {
 	if with.Cycles > base.Cycles {
 		t.Fatalf("bypass should not hurt: %d vs %d", with.Cycles, base.Cycles)
 	}
-	if bypass.HitRate() <= 0 {
-		t.Fatal("bypass should observe hits on TRACK's strided measurements")
+	if with.MemHits <= 0 || with.MemHits > with.Fills {
+		t.Fatalf("bypass should observe hits on TRACK's strided measurements: %d of %d fills", with.MemHits, with.Fills)
+	}
+	if base.MemHits != 0 {
+		t.Fatalf("the fixed differential reports %d hits, want 0", base.MemHits)
 	}
 }
 

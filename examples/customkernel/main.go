@@ -79,7 +79,7 @@ func main() {
 	fmt.Println("\nbypass buffer (the paper's future work):")
 	fmt.Printf("  %-11s %9d cycles\n", "none", base.Cycles)
 	for _, lines := range []int{32, 128, 512} {
-		bp, err := daesim.NewBypassMem(60, lines)
+		bp, err := daesim.BypassSpec(lines)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,6 +87,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %4d lines  %9d cycles  (hit rate %.0f%%)\n", lines, res.Cycles, 100*bp.HitRate())
+		hit := float64(res.MemHits) / float64(res.Fills)
+		fmt.Printf("  %4d lines  %9d cycles  (hit rate %.0f%%)\n", lines, res.Cycles, 100*hit)
 	}
 }

@@ -25,15 +25,15 @@ import (
 
 	"daesim/internal/engine"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/sweep"
 )
 
 // Params is the wire form of machine.Params. Every simulation-visible
-// field crosses the wire explicitly except Mem: a custom MemModel is
-// arbitrary local code with no serialized identity, so points carrying
-// one are not remotable (they are also the points sweep.Runner never
-// routes through its Remote hook). TestWireParamsCoverMachineParams
+// field crosses the wire explicitly; a memory model travels as its
+// canonical spec text (memsys.Spec.String), omitted when there is none,
+// so requests without one keep their bytes. TestWireParamsCoverMachineParams
 // pins the field count against machine.Params, so adding a parameter
 // without extending the protocol fails the build gate.
 type Params struct {
@@ -48,18 +48,19 @@ type Params struct {
 	Width         int    `json:"width,omitempty"`
 	DispatchWidth int    `json:"dispatch_width,omitempty"`
 	MemQueue      int    `json:"mem_queue,omitempty"`
+	Mem           string `json:"mem,omitempty"` // memsys.Spec text: "bypass:64", "cache:64x2@2,1024x4@8"
 	CollectESW    bool   `json:"collect_esw,omitempty"`
 	HoldSendSlots bool   `json:"hold_send_slots,omitempty"`
 	Retire        string `json:"retire,omitempty"` // "", "auto", "at-complete", "in-order"
 }
 
-// ToParams converts machine parameters to their wire form. It fails on
-// points carrying a custom Params.Mem (not remotable, see Params).
-func ToParams(p machine.Params) (Params, error) {
-	if p.Mem != nil {
-		return Params{}, fmt.Errorf("daemon: points with a custom memory model cannot be simulated remotely")
-	}
+// ToParams converts machine parameters to their wire form.
+func ToParams(p machine.Params) Params {
 	retire := ""
+	mem := ""
+	if p.Mem != (memsys.Spec{}) {
+		mem = p.Mem.String()
+	}
 	if p.Retire != machine.RetireAuto {
 		retire = p.Retire.String()
 	}
@@ -67,10 +68,10 @@ func ToParams(p machine.Params) (Params, error) {
 		Window: p.Window, AUWindow: p.AUWindow, DUWindow: p.DUWindow,
 		MD: p.MD, FPLat: p.FPLat, CopyLat: p.CopyLat,
 		AUWidth: p.AUWidth, DUWidth: p.DUWidth, Width: p.Width,
-		DispatchWidth: p.DispatchWidth, MemQueue: p.MemQueue,
+		DispatchWidth: p.DispatchWidth, MemQueue: p.MemQueue, Mem: mem,
 		CollectESW: p.CollectESW, HoldSendSlots: p.HoldSendSlots,
 		Retire: retire,
-	}, nil
+	}
 }
 
 // Machine converts wire parameters back to machine.Params.
@@ -81,6 +82,10 @@ func (w Params) Machine() (machine.Params, error) {
 		AUWidth: w.AUWidth, DUWidth: w.DUWidth, Width: w.Width,
 		DispatchWidth: w.DispatchWidth, MemQueue: w.MemQueue,
 		CollectESW: w.CollectESW, HoldSendSlots: w.HoldSendSlots,
+	}
+	var err error
+	if p.Mem, err = memsys.ParseSpec(w.Mem); err != nil {
+		return p, fmt.Errorf("daemon: %w", err)
 	}
 	switch w.Retire {
 	case "", "auto":
@@ -102,12 +107,8 @@ type Point struct {
 }
 
 // ToPoint converts a sweep point to its wire form.
-func ToPoint(pt sweep.Point) (Point, error) {
-	wp, err := ToParams(pt.P)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{Kind: pt.Kind.String(), Params: wp}, nil
+func ToPoint(pt sweep.Point) Point {
+	return Point{Kind: pt.Kind.String(), Params: ToParams(pt.P)}
 }
 
 // Sweep converts a wire point back to a sweep.Point.

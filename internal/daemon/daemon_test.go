@@ -18,15 +18,15 @@ import (
 	"daesim/internal/engine"
 	"daesim/internal/experiments"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/metrics"
 	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
 
 // TestWireParamsCoverMachineParams is the protocol's field-count guard,
-// mirroring TestCacheKeyCoversAllParams: machine.Params has exactly one
-// field (Mem, deliberately not remotable) more than the wire Params.
-// Adding a machine parameter without extending the protocol — which
+// mirroring TestCacheKeyCoversAllParams: machine.Params and the wire
+// Params declare the same fields. Adding a machine parameter without extending the protocol — which
 // would silently simulate the default value on the daemon — fails here.
 func TestWireParamsCoverMachineParams(t *testing.T) {
 	t.Parallel()
@@ -40,9 +40,6 @@ func TestWireParamsCoverMachineParams(t *testing.T) {
 	mp := names(reflect.TypeOf(machine.Params{}))
 	wp := names(reflect.TypeOf(Params{}))
 	for n := range mp {
-		if n == "Mem" {
-			continue // deliberately not remotable, see ToParams
-		}
 		if !wp[n] {
 			t.Errorf("machine.Params.%s has no wire counterpart: extend the protocol (daemon.Params, ToParams, Machine)", n)
 		}
@@ -60,11 +57,9 @@ func TestParamsRoundTrip(t *testing.T) {
 		Window: 64, AUWindow: 32, DUWindow: 48, MD: 60, FPLat: 5, CopyLat: 2,
 		AUWidth: 3, DUWidth: 6, Width: 9, DispatchWidth: 4, MemQueue: 128,
 		CollectESW: true, HoldSendSlots: true, Retire: machine.RetireAtComplete,
+		Mem: memsys.DefaultCacheSpec(),
 	}
-	wp, err := ToParams(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wp := ToParams(in)
 	out, err := wp.Machine()
 	if err != nil {
 		t.Fatal(err)
@@ -72,19 +67,18 @@ func TestParamsRoundTrip(t *testing.T) {
 	if out != in {
 		t.Fatalf("round trip changed params:\nin  %+v\nout %+v", in, out)
 	}
-	if _, err := ToParams(machine.Params{Mem: &stubMem{}}); err == nil {
-		t.Error("custom-Mem params must not be remotable")
+	// Without a memory model the wire form carries no "mem" key, so
+	// requests keep the bytes they had before the field existed.
+	if b, err := json.Marshal(ToParams(machine.Params{Window: 8})); err != nil || string(b) != `{"window":8}` {
+		t.Errorf("spec-free params encode as %s (%v), want {\"window\":8}", b, err)
+	}
+	if _, err := (Params{Mem: "cache:3x2@1"}).Machine(); err == nil {
+		t.Error("an invalid memory spec must fail")
 	}
 	if _, err := (Params{Retire: "bogus"}).Machine(); err == nil {
 		t.Error("unknown retire policy must fail")
 	}
 }
-
-type stubMem struct{}
-
-func (*stubMem) RequestFill(addr uint64, sent int64) int64 { return sent }
-func (*stubMem) Consume(addr uint64, cycle int64)          {}
-func (*stubMem) Reset()                                    {}
 
 const testWorkload = "TRFD"
 

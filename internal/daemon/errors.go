@@ -17,11 +17,6 @@ var (
 	// right move.
 	ErrMalformedReply = errors.New("daemon: malformed reply")
 
-	// ErrNotRemotable marks work that can never run remotely (points
-	// carrying a custom in-process memory model have no wire encoding).
-	// Not retryable: the refusal repeats identically on every replica.
-	ErrNotRemotable = errors.New("daemon: not remotable")
-
 	// ErrFleetUnhealthy marks a failed health interrogation: bad status,
 	// engine version skew, membership skew, duplicate replica IDs. Not
 	// retryable under the current topology — an operator has to fix the

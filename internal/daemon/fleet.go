@@ -328,7 +328,7 @@ func retryable(err error) bool {
 	if errors.As(err, &se) {
 		return se.Retryable()
 	}
-	if errors.Is(err, ErrNotRemotable) || errors.Is(err, ErrFleetUnhealthy) {
+	if errors.Is(err, ErrFleetUnhealthy) {
 		return false
 	}
 	return true
@@ -367,14 +367,10 @@ func (e *unavailableError) Unwrap() error { return sweep.ErrUnavailable }
 // routeKey is the ring key for a point: the cache identity of §9
 // (engine version | suite fingerprint | canonical params) widened with
 // the workload name and scale, which the fingerprint encodes but
-// point-only callers may pass as "". ok is false for points carrying a
-// custom memory model — not remotable at all.
-func routeKey(workload string, scale int, fingerprint string, pt sweep.Point) (string, bool) {
-	pk, ok := pt.P.CacheKey(pt.Kind)
-	if !ok {
-		return "", false
-	}
-	return engine.Version + "|" + fingerprint + "|" + workload + "|" + strconv.Itoa(scale) + "|" + pk, true
+// point-only callers may pass as "".
+func routeKey(workload string, scale int, fingerprint string, pt sweep.Point) string {
+	pk, _ := pt.P.CacheKey(pt.Kind)
+	return engine.Version + "|" + fingerprint + "|" + workload + "|" + strconv.Itoa(scale) + "|" + pk
 }
 
 // pickCandidate returns the next replica to try for key: the first
@@ -553,13 +549,8 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 	keys := make([]string, len(pts))
 	items := make([]RunRequest, len(pts))
 	for i, pt := range pts {
-		k, ok := routeKey(workload, scale, fingerprint, pt)
-		wp, err := ToPoint(pt)
-		if !ok || err != nil {
-			return nil, fmt.Errorf("daemon fleet: point %d carries a custom memory model and cannot run remotely: %w", i, ErrNotRemotable)
-		}
-		keys[i] = k
-		items[i] = RunRequest{Target: target, Point: wp}
+		keys[i] = routeKey(workload, scale, fingerprint, pt)
+		items[i] = RunRequest{Target: target, Point: ToPoint(pt)}
 	}
 	out := make([]*engine.Result, len(pts))
 	err := f.scatter(ctx, len(pts), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
@@ -646,11 +637,7 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {
-		wp, err := ToParams(p)
-		if err != nil {
-			return nil, fmt.Errorf("daemon fleet: ratio point %d: %w", i, err)
-		}
-		items[i] = SearchRequest{Op: SearchRatio, Params: wp}
+		items[i] = SearchRequest{Op: SearchRatio, Params: ToParams(p)}
 	}
 	resp, err := f.BatchSearch(ctx, workload, scale, fingerprint, items)
 	if err != nil {

@@ -61,6 +61,55 @@ func fleetContext(fleet *FleetClient) *experiments.Context {
 	return ctx
 }
 
+// TestFleetMemoryStudiesByteIdentical: the ablations (A5's bypass
+// buffers) and the cache study (A7's hierarchies) render through a
+// 3-replica fleet byte-identically to a local render, hit and miss
+// rates included, with zero local simulations.
+func TestFleetMemoryStudiesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders two studies twice; skipped with -short")
+	}
+	t.Parallel()
+	fleet, _, _ := newFleet(t, 3, nil, nil)
+	render := func(ctx *experiments.Context) (ablations, cache []byte) {
+		t.Helper()
+		var a, c bytes.Buffer
+		abls, err := ctx.Ablations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, abl := range abls {
+			if err := abl.Render(&a); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&a)
+		}
+		study, err := ctx.CacheStudy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := study.Render(&c); err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes(), c.Bytes()
+	}
+	localA, localC := render(experiments.NewContext())
+	remoteCtx := fleetContext(fleet)
+	remoteA, remoteC := render(remoteCtx)
+	if !bytes.Equal(localA, remoteA) {
+		t.Errorf("fleet ablations.txt differs from local:\n%s\nlocal:\n%s", remoteA, localA)
+	}
+	if !bytes.Equal(localC, remoteC) {
+		t.Errorf("fleet cache.txt differs from local:\n%s\nlocal:\n%s", remoteC, localC)
+	}
+	if !bytes.Contains(remoteA, []byte("bypass=256 lines (hit ")) || !bytes.Contains(remoteC, []byte("miss rate")) {
+		t.Error("the renders lack the A5 and A7 rows")
+	}
+	if st := remoteCtx.CacheStats(); st.Sims != 0 || st.RemoteHits == 0 {
+		t.Errorf("fleet context must simulate nothing locally: %+v", st)
+	}
+}
+
 // TestFleetFigure7ByteIdentical is the fleet's end-to-end contract: a
 // 3-replica fleet reproduces Figure 7 (and the Figure 4 speedup sweep,
 // which exercises the batched point path where Figure 7 exercises the
@@ -128,11 +177,7 @@ func TestFleetFigure7ByteIdentical(t *testing.T) {
 	counts := make([]int, 3)
 	n := 0
 	own := func(pt sweep.Point) {
-		key, ok := routeKey("FLO52Q", 1, suite.Fingerprint(), pt)
-		if !ok {
-			t.Fatalf("point %+v not routable", pt)
-		}
-		counts[fleet.Ring().Owner(key)]++
+		counts[fleet.Ring().Owner(routeKey("FLO52Q", 1, suite.Fingerprint(), pt))]++
 		n++
 	}
 	for _, kind := range []machine.Kind{machine.DM, machine.SWSM} {

@@ -70,6 +70,9 @@ func batchFuzzSeeds(f *testing.F, valid string) {
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"VLIW"}]}`))                      // bad kind
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":-5}}]}`)) // hostile params
 	f.Add([]byte(strings.Repeat(`[`, 10000)))                                           // deep nesting
+	for _, body := range oversizedBodies {
+		f.Add([]byte(body.body))
+	}
 	// Oversized: one item past the limit must be refused with 400.
 	var big bytes.Buffer
 	big.WriteString(`{"items":[`)
@@ -102,6 +105,34 @@ func fuzzBatchEndpoint(f *testing.F, path, valid string) {
 			t.Errorf("%s accepted invalid JSON with %d: %q", path, code, body)
 		}
 	})
+}
+
+// oversizedBodies are small requests naming enormous sizes. A queue or
+// window bound is only a bound — the outstanding-fill ring grows with
+// the fills actually in flight — so those points simulate; memory-spec
+// geometry beyond memsys's limits is refused at decode.
+var oversizedBodies = []struct {
+	body string
+	want int
+}{
+	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem_queue":68719476736}}]}`, http.StatusOK},
+	{`{"items":[{"workload":"TRFD","kind":"SWSM","params":{"window":68719476736,"md":10}}]}`, http.StatusOK},
+	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"bypass:64"}}]}`, http.StatusOK},
+	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"bypass:68719476736"}}]}`, http.StatusBadRequest},
+	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:68719476736x2@1"}}]}`, http.StatusBadRequest},
+	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:64x68719476736@1"}}]}`, http.StatusBadRequest},
+}
+
+// TestOversizedRequestsAnswer: none of the oversizedBodies may take the
+// process down; each earns its status.
+func TestOversizedRequestsAnswer(t *testing.T) {
+	t.Parallel()
+	handler := NewServer(Config{}).Handler()
+	for _, tc := range oversizedBodies {
+		if code := postBody(handler, "/v1/batch/run", []byte(tc.body)); code != tc.want {
+			t.Errorf("%s answered %d, want %d", tc.body, code, tc.want)
+		}
+	}
 }
 
 // FuzzBatchRunDecode fuzzes the /v1/batch/run decoder. Run with

@@ -29,9 +29,9 @@ var cacheStatsMetrics = map[string]metricSpec{
 	"StoreHits":      {"daesim_runner_store_hits_total", "points loaded from the persistent store"},
 	"RemoteHits":     {"daesim_runner_remote_hits_total", "points served by a remote daemon"},
 	"RemoteSearches": {"daesim_runner_remote_searches_total", "whole searches answered server-side by a remote daemon"},
-	"Sims":           {"daesim_runner_sims_total", "simulations executed for cacheable points"},
-	"Degraded":       {"daesim_runner_degraded_total", "cacheable points simulated locally because every remote owner was unavailable"},
-	"Uncacheable":    {"daesim_runner_uncacheable_total", "runs that bypassed both cache layers"},
+	"Sims":           {"daesim_runner_sims_total", "simulations executed"},
+	"Degraded":       {"daesim_runner_degraded_total", "points simulated locally because every remote owner was unavailable"},
+	"Uncacheable":    {"daesim_runner_uncacheable_total", "always 0: every point is cacheable (kept while sweep.CacheStats has the field)"},
 }
 
 // storeStatsMetrics maps every sweep.StoreStats field to its metric.
@@ -69,7 +69,7 @@ func InstrumentCacheStats(r *obsv.Registry, stats func() sweep.CacheStats) {
 	for field, spec := range cacheStatsMetrics {
 		fieldCounter(r, spec, field, func() reflect.Value { return reflect.ValueOf(stats()) })
 	}
-	r.GaugeFunc("daesim_runner_hit_rate", "fraction of cacheable points served without simulating",
+	r.GaugeFunc("daesim_runner_hit_rate", "fraction of points served without simulating",
 		func() float64 { return stats().HitRate() })
 }
 

@@ -16,7 +16,7 @@ func TestCloneCoversAllResultFields(t *testing.T) {
 	auditField(t, reflect.TypeOf(Result{}), []string{
 		"Cycles", "Ops", "TraceLen", "Cores",
 		"MaxESW", "AvgESW", "MaxSlip", "AvgSlip",
-		"Fills", "MaxFillsInFlight",
+		"Fills", "MemHits", "MaxFillsInFlight",
 	})
 	auditField(t, reflect.TypeOf(CoreStats{}), []string{
 		"Issued", "IssuedByKind", "BusyCycles", "IssueHist",

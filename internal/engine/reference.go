@@ -313,6 +313,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 		res.Cores[u] = c.stats
 	}
 	res.MaxFillsInFlight = maxInflight
+	res.MemHits = memHits(cfg.Mem)
 	if eswSamples > 0 {
 		res.AvgESW = float64(eswSum) / float64(eswSamples)
 	}

@@ -24,6 +24,22 @@ type MemModel interface {
 	Reset()
 }
 
+// MemHitCounter is implemented by memory models that serve some fills
+// without going to memory (a bypass buffer, a cache). After a run the
+// engine records the count in Result.MemHits, so the hit rate travels
+// with the result rather than with the model object.
+type MemHitCounter interface {
+	MemHits() int64
+}
+
+// memHits returns m's hit count, or 0 for a model that counts none.
+func memHits(m MemModel) int64 {
+	if hc, ok := m.(MemHitCounter); ok {
+		return hc.MemHits()
+	}
+	return 0
+}
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Timing holds the latency parameters.
@@ -114,8 +130,12 @@ type Result struct {
 	// programs only).
 	MaxSlip int64
 	AvgSlip float64
-	// Fills is the number of memory fills requested.
+	// Fills is the number of memory fills requested: with a memory
+	// model, the number of RequestFill calls.
 	Fills int64
+	// MemHits is how many of the Fills the memory model served without
+	// going to memory (MemHitCounter); zero without such a model.
+	MemHits int64
 	// MaxFillsInFlight is the peak number of outstanding fills.
 	MaxFillsInFlight int
 }

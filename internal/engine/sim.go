@@ -456,6 +456,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 		res.Cores[u] = c.stats
 	}
 	res.MaxFillsInFlight = maxInflight
+	res.MemHits = memHits(cfg.Mem) //daelint:hotpath-ok once per run; MemModel is an external interface, not auditable
 	if eswSamples > 0 {
 		res.AvgESW = float64(eswSum) / float64(eswSamples)
 	}

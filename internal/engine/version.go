@@ -15,4 +15,6 @@ package engine
 //	v3 — machine-level retirement defaults resolved by the caller; the
 //	     SWSM now retires in order (see machine.RetirePolicy), so cached
 //	     points carry the resolved policy in their key
-const Version = "engine-v3"
+//	v4 — Result.MemHits: a memory model's hit count rides the result,
+//	     and memory models are cacheable parameters (machine.Params.Mem)
+const Version = "engine-v4"

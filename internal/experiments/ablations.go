@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"daesim/internal/engine"
 	"daesim/internal/machine"
 	"daesim/internal/memsys"
 	"daesim/internal/sweep"
@@ -30,10 +31,9 @@ const (
 )
 
 // Ablations runs all design-choice studies on the figure workloads.
-// A1-A4 vary cacheable DM parameters only: their points are listed
-// first and each workload's share runs as one Runner.RunAll, so they
-// fan out across the pool. A5's bypass buffers are stateful and run one
-// at a time.
+// Every study varies DM parameters only, a memory model included: the
+// points are listed first and each workload's share runs as one
+// Runner.RunAll, so they fan out across the pool.
 func (c *Context) Ablations() ([]*AblationResult, error) {
 	figNames := []string{"FLO52Q", "MDG", "TRACK"}
 	base := machine.Params{Window: ablationWindow, MD: ablationMD}
@@ -95,7 +95,24 @@ func (c *Context) Ablations() ([]*AblationResult, error) {
 		pts = append(pts, listed{a4, name, "queue=inf", p})
 	}
 
-	cycles := make([]int64, len(pts))
+	// A5: the bypass buffer (the paper's future work): a line-grain LRU
+	// buffer in the decoupled memory that captures temporal/spatial
+	// locality exposed by decoupling. Its label reports the hit rate the
+	// run's Result carries.
+	a5 := &AblationResult{ID: "A5", Description: "bypass buffer in the decoupled memory (DM, window 64, MD=60)"}
+	for _, name := range figNames {
+		pts = append(pts, listed{a5, name, "none", base})
+		for _, lines := range []int{16, 64, 256} {
+			p := base
+			var err error
+			if p.Mem, err = memsys.BypassSpec(lines); err != nil {
+				return nil, err
+			}
+			pts = append(pts, listed{a5, name, fmt.Sprintf("bypass=%d lines", lines), p})
+		}
+	}
+
+	results := make([]*engine.Result, len(pts))
 	for _, name := range figNames {
 		var idx []int
 		var batch []sweep.Point
@@ -105,50 +122,28 @@ func (c *Context) Ablations() ([]*AblationResult, error) {
 				batch = append(batch, sweep.Point{Kind: machine.DM, P: lp.p})
 			}
 		}
-		results, err := c.runAll(name, batch)
+		rs, err := c.runAll(name, batch)
 		if err != nil {
 			return nil, err
 		}
 		for j, i := range idx {
-			cycles[i] = results[j].Cycles
+			results[i] = rs[j]
 		}
 	}
 	for i, lp := range pts {
-		lp.study.Points = append(lp.study.Points, AblationPoint{Workload: lp.workload, Label: lp.label, Cycles: cycles[i]})
+		label := lp.label
+		if lp.p.Mem.Kind == memsys.BypassModel {
+			label += fmt.Sprintf(" (hit %.0f%%)", 100*fraction(results[i].MemHits, results[i].Fills))
+		}
+		lp.study.Points = append(lp.study.Points, AblationPoint{Workload: lp.workload, Label: label, Cycles: results[i].Cycles})
 	}
-	out := []*AblationResult{a1, a2, a3, a4}
+	return []*AblationResult{a1, a2, a3, a4, a5}, nil
+}
 
-	// A5: the bypass buffer (the paper's future work): a line-grain LRU
-	// buffer in the decoupled memory that captures temporal/spatial
-	// locality exposed by decoupling.
-	a5 := &AblationResult{ID: "A5", Description: "bypass buffer in the decoupled memory (DM, window 64, MD=60)"}
-	for _, name := range figNames {
-		r, err := c.Runner(name)
-		if err != nil {
-			return nil, err
-		}
-		none, err := r.Run(sweep.Point{Kind: machine.DM, P: base})
-		if err != nil {
-			return nil, err
-		}
-		a5.Points = append(a5.Points, AblationPoint{Workload: name, Label: "none", Cycles: none.Cycles})
-		for _, lines := range []int{16, 64, 256} {
-			bp, err := memsys.NewBypass(int64(ablationMD), lines)
-			if err != nil {
-				return nil, err
-			}
-			p := base
-			p.Mem = bp
-			res, err := r.Run(sweep.Point{Kind: machine.DM, P: p})
-			if err != nil {
-				return nil, err
-			}
-			a5.Points = append(a5.Points, AblationPoint{
-				Workload: name,
-				Label:    fmt.Sprintf("bypass=%d lines (hit %.0f%%)", lines, 100*bp.HitRate()),
-				Cycles:   res.Cycles,
-			})
-		}
+// fraction returns n/total, or 0 when total is 0.
+func fraction(n, total int64) float64 {
+	if total == 0 {
+		return 0
 	}
-	return append(out, a5), nil
+	return float64(n) / float64(total)
 }

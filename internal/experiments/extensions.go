@@ -245,32 +245,28 @@ type CacheResult struct {
 	Rows []CacheRow
 }
 
-// CacheStudy runs the figure workloads against the default hierarchy.
+// CacheStudy runs the figure workloads against the default hierarchy,
+// each workload's points as one Runner.RunAll.
 func (c *Context) CacheStudy() (*CacheResult, error) {
 	res := &CacheResult{}
+	kinds := []machine.Kind{machine.DM, machine.SWSM}
+	fixed := machine.Params{Window: ablationWindow, MD: ablationMD}
+	cached := fixed
+	cached.Mem = memsys.DefaultCacheSpec()
 	for _, name := range workloads.FigureNames() {
-		r, err := c.Runner(name)
+		var pts []sweep.Point
+		for _, kind := range kinds {
+			pts = append(pts, sweep.Point{Kind: kind, P: fixed}, sweep.Point{Kind: kind, P: cached})
+		}
+		rs, err := c.runAll(name, pts)
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range []machine.Kind{machine.DM, machine.SWSM} {
-			fixed, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
-			if err != nil {
-				return nil, err
-			}
-			h, err := memsys.DefaultHierarchy(int64(ablationMD))
-			if err != nil {
-				return nil, err
-			}
-			// Through the runner so the run is counted (it bypasses both
-			// cache layers: stateful models are uncacheable).
-			cached, err := r.Run(sweep.Point{Kind: kind, P: machine.Params{Window: ablationWindow, MD: ablationMD, Mem: h}})
-			if err != nil {
-				return nil, err
-			}
+		for i, kind := range kinds {
+			f, h := rs[2*i], rs[2*i+1]
 			res.Rows = append(res.Rows, CacheRow{
 				Name: name, Kind: kind,
-				Fixed: fixed.Cycles, Cached: cached.Cycles, MissRate: h.MissRate(),
+				Fixed: f.Cycles, Cached: h.Cycles, MissRate: fraction(h.Fills-h.MemHits, h.Fills),
 			})
 		}
 	}

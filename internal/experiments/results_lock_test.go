@@ -66,9 +66,9 @@ func renderOf[T interface{ Render(io.Writer) error }](get func() (T, error)) fun
 }
 
 // renderDigests renders the corpus on a fresh Context over store and
-// returns each file's SHA-256: the whole of repro -exp all when full,
-// else lockSubset in a fixed order.
-func renderDigests(t *testing.T, store *sweep.Store, full bool) map[string]string {
+// returns each file's SHA-256 — the whole of repro -exp all when full,
+// else lockSubset in a fixed order — and the Context's cache counters.
+func renderDigests(t *testing.T, store *sweep.Store, full bool) (map[string]string, sweep.CacheStats) {
 	t.Helper()
 	c := NewContext()
 	c.Cache = store
@@ -87,7 +87,7 @@ func renderDigests(t *testing.T, store *sweep.Store, full bool) map[string]strin
 			sum := sha256.Sum256(data)
 			out[filepath.Base(path)] = hex.EncodeToString(sum[:])
 		}
-		return out
+		return out, c.CacheStats()
 	}
 	subset := lockSubset(c)
 	names := make([]string, 0, len(subset))
@@ -102,7 +102,7 @@ func renderDigests(t *testing.T, store *sweep.Store, full bool) map[string]strin
 		}
 		out[name] = hex.EncodeToString(h.Sum(nil))
 	}
-	return out
+	return out, c.CacheStats()
 }
 
 // TestResultsLock renders the corpus cold into a fresh store, then warm
@@ -120,7 +120,7 @@ func TestResultsLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := *fullResults || *updateResults
-	cold := renderDigests(t, store, full)
+	cold, _ := renderDigests(t, store, full)
 	if *updateResults {
 		writeResultsLock(t, cold)
 		return
@@ -134,20 +134,17 @@ func TestResultsLock(t *testing.T) {
 	}
 	misses := store.Stats().Misses
 	dm0, sw0 := machine.Lowerings()
-	warm := renderDigests(t, store, full)
+	warm, st := renderDigests(t, store, full)
 	if got := store.Stats().Misses - misses; got != 0 {
-		t.Errorf("warm render missed the store %d times; want every cacheable point served from it", got)
+		t.Errorf("warm render missed the store %d times; want every point served from it", got)
 	}
-	// A warm render lowers only the programs that simulate uncacheable
-	// points: the A5 and cache studies' custom memory models on the three
-	// figure workloads, which only the full corpus runs.
-	wantLowered := int64(0)
-	if full {
-		wantLowered = 3
+	// Every point is cacheable, memory models included, so a warm render
+	// simulates nothing and lowers no program.
+	if st.Sims != 0 || st.Uncacheable != 0 {
+		t.Errorf("warm render ran %d simulations and %d uncacheable points, want 0", st.Sims, st.Uncacheable)
 	}
-	dm, sw := machine.Lowerings()
-	if dm-dm0 != wantLowered || sw-sw0 != wantLowered {
-		t.Errorf("warm render lowered %d DM and %d SWSM programs, want %d of each", dm-dm0, sw-sw0, wantLowered)
+	if dm, sw := machine.Lowerings(); dm != dm0 || sw != sw0 {
+		t.Errorf("warm render lowered %d DM and %d SWSM programs, want 0", dm-dm0, sw-sw0)
 	}
 	for _, run := range []struct {
 		name    string

@@ -18,7 +18,6 @@ import (
 //	//daelint:concurrent-callback            (func doc) func-typed args run on goroutines
 //	//daelint:ctx-root <reason>              (func doc) context flow starts here
 //	//daelint:unkeyed <reason>               (struct field) exempt from cache-key coverage
-//	//daelint:unwired <reason>               (struct field) exempt from wire-schema parity
 //	//daelint:guardedby <mutex field>        (struct field) accesses require the mutex
 //
 // A *-ok suppression written on a code line applies to findings on that
@@ -43,7 +42,6 @@ var markerCategories = map[string]bool{
 	"concurrent-callback": true,
 	"ctx-root":            true,
 	"unkeyed":             true,
-	"unwired":             true,
 	"guardedby":           true,
 }
 
@@ -57,7 +55,6 @@ var reasonRequired = map[string]bool{
 	"errclass-ok":         true,
 	"ctx-root":            true,
 	"unkeyed":             true,
-	"unwired":             true,
 	"guardedby":           true,
 }
 

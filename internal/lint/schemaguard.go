@@ -17,8 +17,7 @@ type SchemaConfig struct {
 	// through the functions it calls — by CacheKeyFunc.
 	ParamsPkg, ParamsType, CacheKeyFunc string
 	// WirePkg.WireType is the wire form of ParamsType: field names must
-	// match 1:1 with ParamsType minus //daelint:unwired fields, every
-	// wire field needs a json tag, and the To/From converters must read
+	// match 1:1 with ParamsType, every wire field needs a json tag, and the To/From converters must read
 	// every field they translate.
 	WirePkg, WireType, WireTo, WireFrom string
 	// ResultPkg holds ResultTypes, whose reference-typed fields must
@@ -140,7 +139,7 @@ func checkCacheKey(w *World, cfg SchemaConfig, report func(pos token.Pos, format
 }
 
 // checkWireParity: machine params and wire params must declare the same
-// field names (minus //daelint:unwired), wire fields must carry json
+// field names, wire fields must carry json
 // tags, and the converters must read every field they translate.
 func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
 	if cfg.ParamsPkg == "" || cfg.WirePkg == "" {
@@ -150,7 +149,7 @@ func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, form
 	if ppkg == nil || wpkg == nil {
 		return
 	}
-	_, pFields, pAst := structFields(ppkg, cfg.ParamsType)
+	_, pFields, _ := structFields(ppkg, cfg.ParamsType)
 	wNamed, wFields, wAst := structFields(wpkg, cfg.WireType)
 	if pFields == nil || wFields == nil {
 		return
@@ -161,12 +160,9 @@ func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, form
 	}
 	machineSet := map[string]bool{}
 	for _, f := range pFields {
-		if _, unwired := fieldDirective(pAst[f.Name()], "unwired"); unwired {
-			continue
-		}
 		machineSet[f.Name()] = true
 		if !wireSet[f.Name()] {
-			report(f.Pos(), "field %s added to %s.%s but missing from the wire struct %s.%s: a daemon would silently simulate the default value; extend the protocol, or annotate //daelint:unwired <reason>", f.Name(), pkgBase(cfg.ParamsPkg), cfg.ParamsType, pkgBase(cfg.WirePkg), cfg.WireType)
+			report(f.Pos(), "field %s added to %s.%s but missing from the wire struct %s.%s: a daemon would silently simulate the default value; extend the protocol", f.Name(), pkgBase(cfg.ParamsPkg), cfg.ParamsType, pkgBase(cfg.WirePkg), cfg.WireType)
 		}
 	}
 	for _, f := range wFields {

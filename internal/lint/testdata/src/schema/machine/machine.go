@@ -1,7 +1,6 @@
 // Package machine is the schemaguard fixture's parameter schema: A and
-// B are fully plumbed, C is the field someone forgot everywhere, D is
-// consciously exempted with annotations. Fingerprint is the source key
-// over trace.Instr and Assignment.
+// B are fully plumbed, C is the field someone forgot everywhere.
+// Fingerprint is the source key over trace.Instr and Assignment.
 package machine
 
 import (
@@ -15,10 +14,6 @@ type Params struct {
 	A int
 	B string
 	C int // want `field C added to machine.Params but not encoded in CacheKey` `field C added to machine.Params but missing from the wire struct wire.Params` `ToParams does not read Params.C`
-	// D is in-process state.
-	//daelint:unkeyed fixture: not part of cache identity
-	//daelint:unwired fixture: not serializable
-	D func()
 }
 
 // Assignment mirrors partition.Assignment for the source-key check:

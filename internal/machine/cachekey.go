@@ -11,9 +11,10 @@ import (
 )
 
 // CacheKey returns a canonical, process-stable encoding of (kind, p) for
-// persistent result caches, and reports whether the point is cacheable at
-// all. Points carrying a custom Params.Mem are not: a MemModel is
-// arbitrary stateful code with no stable identity.
+// persistent result caches. Every point is cacheable, memory models
+// included: Params.Mem is a value, written in its canonical text form.
+// ok is always true; the second result remains only because perfbench
+// still reads it, and goes with the benchmark's next revision.
 //
 // The encoding writes every Params field explicitly, raw (unresolved),
 // except the retirement policy, which is recorded resolved so a change
@@ -21,17 +22,14 @@ import (
 // TestCacheKeyCoversAllParams pins the field count: adding a Params field
 // without extending this encoding is a build-time-visible bug, not a
 // silent stale-cache hazard.
-func (p Params) CacheKey(kind Kind) (string, bool) {
-	if p.Mem != nil {
-		return "", false
-	}
+func (p Params) CacheKey(kind Kind) (key string, ok bool) {
 	retire := RetireAtComplete
 	if p.retireInOrder() {
 		retire = RetireInOrder
 	}
-	return fmt.Sprintf("k=%s w=%d auw=%d duw=%d md=%d fp=%d cp=%d aw=%d dw=%d sw=%d dpw=%d mq=%d esw=%t hold=%t ret=%s",
+	return fmt.Sprintf("k=%s w=%d auw=%d duw=%d md=%d fp=%d cp=%d aw=%d dw=%d sw=%d dpw=%d mq=%d mem=%s esw=%t hold=%t ret=%s",
 		kind, p.Window, p.AUWindow, p.DUWindow, p.MD, p.FPLat, p.CopyLat,
-		p.AUWidth, p.DUWidth, p.Width, p.DispatchWidth, p.MemQueue,
+		p.AUWidth, p.DUWidth, p.Width, p.DispatchWidth, p.MemQueue, p.Mem.String(),
 		p.CollectESW, p.HoldSendSlots, retire), true
 }
 

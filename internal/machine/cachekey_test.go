@@ -14,6 +14,7 @@ import (
 	"daesim/internal/isa"
 	"daesim/internal/kernel"
 	"daesim/internal/lower"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/trace"
 	"daesim/internal/workloads"
@@ -94,6 +95,9 @@ func TestCacheKeyDistinguishesEveryField(t *testing.T) {
 		{Window: 64, MD: 60, Width: 8},
 		{Window: 64, MD: 60, DispatchWidth: 2},
 		{Window: 64, MD: 60, MemQueue: 7},
+		{Window: 64, MD: 60, Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 64}},
+		{Window: 64, MD: 60, Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 65}},
+		{Window: 64, MD: 60, Mem: memsys.DefaultCacheSpec()},
 		{Window: 64, MD: 60, CollectESW: true},
 		{Window: 64, MD: 60, HoldSendSlots: true},
 		{Window: 64, MD: 60, Retire: RetireAtComplete}, // auto resolves to in-order

@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -63,10 +64,11 @@ type Params struct {
 	// default QueueFactor×Window (unlimited when the window is unlimited);
 	// Unbounded disables the limit; any positive value is used directly.
 	MemQueue int
-	// Mem selects a custom memory model and overrides MemQueue; nil uses
-	// the fixed differential plus the MemQueue bound.
-	//daelint:unwired in-process interface, not serializable: ToParams rejects it and CacheKey refuses to cache it
-	Mem engine.MemModel
+	// Mem selects a memory model — a bypass buffer or a cache hierarchy
+	// whose full misses pay MD — and then overrides MemQueue. The zero
+	// value keeps the fixed differential behind the MemQueue bound. Each
+	// run builds a fresh model from the spec.
+	Mem memsys.Spec
 	// CollectESW enables effective-single-window statistics.
 	CollectESW bool
 	// HoldSendSlots makes sends occupy window slots until their fill
@@ -136,21 +138,26 @@ const Unbounded = -1
 // unbounded run-ahead.
 const QueueFactor = 2
 
-// queueModel returns the memory model implied by the parameters.
+// queueModel builds the memory model implied by the parameters.
 func (p Params) queueModel() (engine.MemModel, error) {
-	if p.Mem != nil {
-		return p.Mem, nil
+	if err := p.Mem.Validate(); err != nil {
+		return nil, err
 	}
+	md := int64(p.Timing().MD)
 	switch {
+	case p.Mem.Kind == memsys.BypassModel:
+		return memsys.NewBypass(md, p.Mem.Lines)
+	case p.Mem.Kind == memsys.CacheModel:
+		return memsys.NewHierarchy(md, p.Mem.CacheLevels()...)
 	case p.MemQueue == Unbounded:
 		return nil, nil
 	case p.MemQueue > 0:
-		return memsys.NewOutstanding(int64(p.Timing().MD), p.MemQueue)
+		return memsys.NewOutstanding(md, p.MemQueue)
 	case p.MemQueue == 0:
 		if p.Window <= 0 {
 			return nil, nil // unlimited window: unlimited queue
 		}
-		return memsys.NewOutstanding(int64(p.Timing().MD), QueueFactor*p.Window)
+		return memsys.NewOutstanding(md, QueueFactor*min(p.Window, math.MaxInt/QueueFactor))
 	default:
 		return nil, fmt.Errorf("machine: invalid MemQueue %d", p.MemQueue)
 	}

@@ -1,13 +1,16 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"daesim/internal/engine"
 	"daesim/internal/isa"
 	"daesim/internal/kernel"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/trace"
+	"daesim/internal/workloads"
 )
 
 // testTrace builds a small streaming kernel exercising both machines.
@@ -181,19 +184,105 @@ func TestHoldSendSlotsNeverFaster(t *testing.T) {
 
 func TestCustomMemOverridesQueue(t *testing.T) {
 	s := mustSuite(t)
-	var mm countingMem
-	if _, err := s.RunDM(Params{Window: 16, MD: 60, Mem: &mm}); err != nil {
+	bp, err := memsys.BypassSpec(64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mm.fills == 0 {
-		t.Fatal("custom memory model not consulted")
+	with, err := s.RunDM(Params{Window: 16, MD: 60, Mem: bp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.RunDM(Params{Window: 16, MD: 60, MemQueue: 1, Mem: bp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, queued) {
+		t.Fatal("a memory spec must override MemQueue")
+	}
+	if with.Fills == 0 || with.MemHits == 0 {
+		t.Fatalf("bypass model not consulted: %d hits of %d fills", with.MemHits, with.Fills)
 	}
 }
 
-type countingMem struct{ fills int }
-
-func (m *countingMem) RequestFill(addr uint64, sent int64) int64 { m.fills++; return sent + 10 }
-func (m *countingMem) Consume(addr uint64, cycle int64)          {}
-func (m *countingMem) Reset()                                    { m.fills = 0 }
-
-var _ engine.MemModel = (*countingMem)(nil)
+// TestMemSpecMatchesHandBuiltModel is the spec's differential check:
+// on every catalog workload and both machines, the Result a spec point
+// returns equals an engine run on a hand-constructed memsys model, and
+// its counters equal the model's own: Fills its requests, MemHits its
+// hits.
+func TestMemSpecMatchesHandBuiltModel(t *testing.T) {
+	const window, md = 64, 60
+	bypass, err := memsys.BypassSpec(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		spec memsys.Spec
+		// build returns the hand-built model and, for models that
+		// count, a reader of its requests and hits after the run.
+		build func() (engine.MemModel, func() (requests, hits int64))
+	}{
+		{memsys.Spec{}, func() (engine.MemModel, func() (int64, int64)) {
+			m, err := memsys.NewOutstanding(md, QueueFactor*window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, nil
+		}},
+		{bypass, func() (engine.MemModel, func() (int64, int64)) {
+			m, err := memsys.NewBypass(md, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, func() (int64, int64) { return m.Hits + m.Misses, m.Hits }
+		}},
+		{memsys.DefaultCacheSpec(), func() (engine.MemModel, func() (int64, int64)) {
+			m, err := memsys.DefaultHierarchy(md)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, func() (int64, int64) { return m.Misses + m.MemHits(), m.MemHits() }
+		}},
+	}
+	for _, name := range workloads.Names() {
+		tr, err := workloads.Build(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSuite(tr, partition.Classic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []Kind{DM, SWSM} {
+			prog, err := s.Program(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				p := Params{Window: window, MD: md, Mem: c.spec}
+				got, err := s.Run(kind, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg, err := p.Config(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var counters func() (int64, int64)
+				cfg.Mem, counters = c.build()
+				want, err := engine.Run(prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v %v: spec run differs from the hand-built model: %d vs %d cycles", name, kind, c.spec, got.Cycles, want.Cycles)
+				}
+				if counters == nil {
+					continue
+				}
+				if req, hits := counters(); got.Fills != req || got.MemHits != hits {
+					t.Errorf("%s %v %v: Result counts %d hits of %d fills, the model %d of %d requests", name, kind, c.spec, got.MemHits, got.Fills, hits, req)
+				}
+			}
+		}
+	}
+}

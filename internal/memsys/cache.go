@@ -18,11 +18,11 @@ type CacheLevel struct {
 
 // Validate reports geometry errors.
 func (l CacheLevel) Validate() error {
-	if l.Sets < 1 || l.Sets&(l.Sets-1) != 0 {
-		return fmt.Errorf("memsys: cache sets %d must be a positive power of two", l.Sets)
+	if l.Sets < 1 || l.Sets > MaxSets || l.Sets&(l.Sets-1) != 0 {
+		return fmt.Errorf("memsys: cache sets %d must be a power of two in [1, %d]", l.Sets, MaxSets)
 	}
-	if l.Ways < 1 {
-		return fmt.Errorf("memsys: cache ways %d < 1", l.Ways)
+	if l.Ways < 1 || l.Ways > MaxWays {
+		return fmt.Errorf("memsys: cache ways %d outside [1, %d]", l.Ways, MaxWays)
 	}
 	if l.HitLat < 0 {
 		return fmt.Errorf("memsys: hit latency %d < 0", l.HitLat)
@@ -126,22 +126,14 @@ func (h *Hierarchy) RequestFill(addr uint64, sent int64) int64 {
 // Consume implements engine.MemModel.
 func (h *Hierarchy) Consume(addr uint64, cycle int64) {}
 
-// Accesses returns the total number of fills requested.
-func (h *Hierarchy) Accesses() int64 {
-	total := h.Misses
+// MemHits implements engine.MemHitCounter: the fills served by any
+// level.
+func (h *Hierarchy) MemHits() int64 {
+	var total int64
 	for _, v := range h.Hits {
 		total += v
 	}
 	return total
-}
-
-// MissRate returns the fraction of fills that reached memory.
-func (h *Hierarchy) MissRate() float64 {
-	total := h.Accesses()
-	if total == 0 {
-		return 0
-	}
-	return float64(h.Misses) / float64(total)
 }
 
 // DefaultHierarchy returns a Pentium-Pro-flavoured two-level hierarchy:
@@ -149,8 +141,10 @@ func (h *Hierarchy) MissRate() float64 {
 // with full misses paying md — the paper's MD=60 is "comparable to the
 // cost of a second level cache miss".
 func DefaultHierarchy(md int64) (*Hierarchy, error) {
-	return NewHierarchy(md,
-		CacheLevel{Sets: 64, Ways: 2, HitLat: 2},
-		CacheLevel{Sets: 1024, Ways: 4, HitLat: 8},
-	)
+	return NewHierarchy(md, defaultL1, defaultL2)
 }
+
+var (
+	defaultL1 = CacheLevel{Sets: 64, Ways: 2, HitLat: 2}
+	defaultL2 = CacheLevel{Sets: 1024, Ways: 4, HitLat: 8}
+)

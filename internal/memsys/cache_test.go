@@ -46,8 +46,8 @@ func TestHierarchyHitAndMiss(t *testing.T) {
 	if h.Hits[0] != 1 || h.Misses != 1 {
 		t.Fatalf("counters wrong: hits=%v misses=%d", h.Hits, h.Misses)
 	}
-	if h.Accesses() != 2 || h.MissRate() != 0.5 {
-		t.Fatalf("rates wrong: %d %.2f", h.Accesses(), h.MissRate())
+	if h.MemHits() != 1 {
+		t.Fatalf("MemHits = %d, want 1", h.MemHits())
 	}
 }
 
@@ -114,7 +114,7 @@ func TestDefaultHierarchy(t *testing.T) {
 	}
 	h.RequestFill(0x1000, 0)
 	h.Reset()
-	if h.Accesses() != 0 {
+	if h.MemHits() != 0 || h.Misses != 0 {
 		t.Fatal("reset should clear counters")
 	}
 }

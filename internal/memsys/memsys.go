@@ -89,7 +89,9 @@ type Outstanding struct {
 	Cap int
 
 	// completion times of in-flight fills, as a ring-buffered min-queue:
-	// starts are nondecreasing so completions are too.
+	// starts are nondecreasing so completions are too. The ring grows
+	// on demand up to Cap, so it never outgrows the fills a program
+	// actually has in flight, however large Cap is.
 	ring []int64
 	head int
 	n    int
@@ -103,17 +105,17 @@ func NewOutstanding(md int64, capacity int) (*Outstanding, error) {
 	if md < 0 {
 		return nil, fmt.Errorf("memsys: md %d < 0", md)
 	}
-	return &Outstanding{MD: md, Cap: capacity, ring: make([]int64, capacity)}, nil
+	return &Outstanding{MD: md, Cap: capacity}, nil
 }
 
 // RequestFill implements engine.MemModel.
 func (m *Outstanding) RequestFill(addr uint64, sent int64) int64 {
 	start := sent
-	head, n := m.head, m.n
+	head, n, size := m.head, m.n, len(m.ring)
 	// Retire fills that completed by now. Conditional wrap instead of
 	// modulo: this runs once per send on the simulator's hot path.
 	for n > 0 && m.ring[head] <= start {
-		if head++; head == m.Cap {
+		if head++; head == size {
 			head = 0
 		}
 		n--
@@ -121,19 +123,33 @@ func (m *Outstanding) RequestFill(addr uint64, sent int64) int64 {
 	if n == m.Cap {
 		// Wait for the oldest in-flight fill.
 		start = m.ring[head]
-		if head++; head == m.Cap {
+		if head++; head == size {
 			head = 0
 		}
 		n--
 	}
+	if n == size {
+		head, size = m.grow(head), len(m.ring)
+	}
 	done := start + m.MD
 	tail := head + n
-	if tail >= m.Cap {
-		tail -= m.Cap
+	if tail >= size {
+		tail -= size
 	}
 	m.ring[tail] = done
 	m.head, m.n = head, n+1
 	return done
+}
+
+// grow doubles the full ring (at least 16 slots, at most Cap), unwraps
+// it from head and returns the new head, 0.
+func (m *Outstanding) grow(head int) int {
+	size := min(max(2*len(m.ring), 16), m.Cap)
+	ring := make([]int64, size)
+	k := copy(ring, m.ring[head:])
+	copy(ring[k:], m.ring[:head])
+	m.ring = ring
+	return 0
 }
 
 // Consume implements engine.MemModel.
@@ -171,13 +187,20 @@ type bypassEntry struct {
 
 // NewBypass returns a bypass-buffer model with hit latency 1.
 func NewBypass(md int64, lines int) (*Bypass, error) {
-	if lines < 1 {
-		return nil, fmt.Errorf("memsys: bypass lines %d < 1", lines)
+	if err := validateLines(lines); err != nil {
+		return nil, err
 	}
 	if md < 0 {
 		return nil, fmt.Errorf("memsys: md %d < 0", md)
 	}
 	return &Bypass{MD: md, Lines: lines, HitLat: 1, table: make(map[uint64]*bypassEntry)}, nil
+}
+
+func validateLines(lines int) error {
+	if lines < 1 || lines > MaxBypassLines {
+		return fmt.Errorf("memsys: bypass lines %d outside [1, %d]", lines, MaxBypassLines)
+	}
+	return nil
 }
 
 func (m *Bypass) detach(e *bypassEntry) {
@@ -243,11 +266,5 @@ func (m *Bypass) Reset() {
 	m.Hits, m.Misses = 0, 0
 }
 
-// HitRate returns the fraction of requests satisfied by the bypass.
-func (m *Bypass) HitRate() float64 {
-	total := m.Hits + m.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(total)
-}
+// MemHits implements engine.MemHitCounter.
+func (m *Bypass) MemHits() int64 { return m.Hits }

@@ -54,12 +54,10 @@ const MaxEquivalentWindow = 8192
 // rather than lucky. Locally a wave is probed in order, one point at a
 // time through the Runner (so overlapping sweeps share memoized
 // results), and stops at its first probe meeting the target. With a
-// RemoteBatch hook on the Runner the whole wave of a cacheable point
-// travels as one batched round trip, which is what collapses a remote
-// search's request count (DESIGN.md §11); a custom Params.Mem point
-// takes the local path, since a MemModel is arbitrary local code. A
-// search is serial: callers get parallelism by fanning independent
-// searches out (sweep.ForEach).
+// RemoteBatch hook on the Runner the whole wave travels as one batched
+// round trip, which is what collapses a remote search's request count
+// (DESIGN.md §11). A search is serial: callers get parallelism by
+// fanning independent searches out (sweep.ForEach).
 func evalWave(r *sweep.Runner, p machine.Params, ws []int, target int64) ([]int64, error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
@@ -67,7 +65,7 @@ func evalWave(r *sweep.Runner, p machine.Params, ws []int, target int64) ([]int6
 		q.Window = w
 		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	if p.Mem == nil && r.RemoteBatch != nil {
+	if r.RemoteBatch != nil {
 		return runBatch(r, pts)
 	}
 	times := make([]int64, 0, len(pts))
@@ -256,7 +254,7 @@ func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok
 		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
 	}
 	var w int
-	if p.Mem != nil || r.RemoteBatch == nil {
+	if r.RemoteBatch == nil {
 		// Locally the DM anchor resolves first: its time is the target
 		// every ladder wave stops on.
 		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: p})

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"daesim/internal/engine"
@@ -186,32 +184,46 @@ func TestSearchLocalMatchesRemoteBatch(t *testing.T) {
 	}
 }
 
-// guardMem is a stateful memory model that fails the test when two
-// runs drive it at once: it yields inside every RequestFill, so a
-// concurrent caller would land in the same call.
-type guardMem struct {
-	t      *testing.T
-	inner  *memsys.Outstanding
-	inside atomic.Int32
-}
-
-func (g *guardMem) RequestFill(addr uint64, sent int64) int64 {
-	if g.inside.Add(1) != 1 {
-		g.t.Error("memory model probed concurrently")
+// handBuilt runs pts on memory models built by hand from their
+// parameters, outside machine's spec path — the RemoteBatch hook of a
+// runner whose searches are the oracle for spec searches.
+func handBuilt(t *testing.T, s *machine.Suite) func([]sweep.Point) ([]*engine.Result, error) {
+	return func(pts []sweep.Point) ([]*engine.Result, error) {
+		out := make([]*engine.Result, len(pts))
+		for i, pt := range pts {
+			prog, err := s.Program(pt.Kind)
+			if err != nil {
+				return nil, err
+			}
+			cfg, err := pt.P.Config(pt.Kind)
+			if err != nil {
+				return nil, err
+			}
+			md := int64(pt.P.MD)
+			switch pt.P.Mem.Kind {
+			case memsys.BypassModel:
+				cfg.Mem, err = memsys.NewBypass(md, pt.P.Mem.Lines)
+			case memsys.CacheModel:
+				cfg.Mem, err = memsys.DefaultHierarchy(md)
+			default:
+				cfg.Mem, err = memsys.NewOutstanding(md, machine.QueueFactor*pt.P.Window)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[i], err = engine.Run(prog, cfg); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
-	runtime.Gosched()
-	arrive := g.inner.RequestFill(addr, sent)
-	g.inside.Add(-1)
-	return arrive
 }
-func (g *guardMem) Consume(addr uint64, cycle int64) { g.inner.Consume(addr, cycle) }
-func (g *guardMem) Reset()                           { g.inner.Reset() }
 
-// TestCustomMemSearchMatchesQueue: a point carrying a custom memory
-// model runs the same search waves as a cacheable one. Mem =
-// memsys.NewOutstanding(md, q) is the model MemQueue: q selects, so the
-// window and ratio searches must answer identically — and never probe
-// the stateful model concurrently.
+// TestCustomMemSearchMatchesQueue: window and ratio searches over a
+// memory-model point — the default window-scaled queue, a bypass buffer,
+// a cache hierarchy — answer exactly as the same searches whose probes
+// run on hand-built models. The spec runner's probes are cached: a
+// second pass simulates nothing. The oracle's probes ride RemoteBatch.
 func TestCustomMemSearchMatchesQueue(t *testing.T) {
 	s := smallSuite(t)
 	type answer struct {
@@ -219,60 +231,59 @@ func TestCustomMemSearchMatchesQueue(t *testing.T) {
 		ratio float64
 		ok    bool
 	}
-	for _, md := range []int{0, 40} {
-		for _, w := range []int{8, 20} {
-			q := machine.QueueFactor * w
-			queued := machine.Params{Window: w, MD: md, MemQueue: q}
-			dm, err := s.RunDM(queued)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(r *sweep.Runner, p machine.Params) answer {
-				win, ok, err := EquivalentWindow(r, p, dm.Cycles)
+	bypass, err := memsys.BypassSpec(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []memsys.Spec{{}, bypass, memsys.DefaultCacheSpec()} {
+		for _, md := range []int{0, 40} {
+			for _, w := range []int{8, 20} {
+				p := machine.Params{Window: w, MD: md, Mem: spec}
+				dm, err := s.RunDM(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ratio, rok, err := EquivalentWindowRatio(r, p)
-				if err != nil {
-					t.Fatal(err)
+				run := func(r *sweep.Runner) answer {
+					win, ok, err := EquivalentWindow(r, p, dm.Cycles)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ratio, rok, err := EquivalentWindowRatio(r, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rok != ok {
+						t.Fatalf("%v md=%d w=%d: window search ok=%v, ratio search ok=%v", spec, md, w, ok, rok)
+					}
+					return answer{win, ratio, ok}
 				}
-				if rok != ok {
-					t.Fatalf("md=%d w=%d: window search ok=%v, ratio search ok=%v", md, w, ok, rok)
+				oracle := sweep.NewRunner(s)
+				oracle.RemoteBatch = handBuilt(t, s)
+				want := run(oracle)
+				if st := oracle.Stats(); st.Sims != 0 || st.RemoteHits == 0 {
+					t.Errorf("%v md=%d w=%d: oracle probes must ride RemoteBatch: %+v", spec, md, w, st)
 				}
-				return answer{win, ratio, ok}
-			}
-			want := run(sweep.NewRunner(s), queued)
-			inner, err := memsys.NewOutstanding(int64(md), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := machine.Params{Window: w, MD: md, Mem: &guardMem{t: t, inner: inner}}
-			r := sweep.NewRunner(s)
-			if got := run(r, p); got != want {
-				t.Errorf("md=%d w=%d: custom Mem search %+v, MemQueue search %+v", md, w, got, want)
-			}
-			if st := r.Stats(); st.Sims != 0 || st.Uncacheable == 0 {
-				t.Errorf("md=%d w=%d: custom Mem probes must bypass the cache: %+v", md, w, st)
+				r := sweep.NewRunner(s)
+				if got := run(r); got != want {
+					t.Errorf("%v md=%d w=%d: spec search %+v, hand-built search %+v", spec, md, w, got, want)
+				}
+				sims := r.Stats().Sims
+				if got := run(r); got != want || r.Stats().Sims != sims {
+					t.Errorf("%v md=%d w=%d: a repeated spec search must be all cache hits: %+v", spec, md, w, r.Stats())
+				}
 			}
 		}
 	}
 }
 
-// earlyMem returns every fill one cycle before its send, which the
-// engine refuses.
-type earlyMem struct{}
-
-func (earlyMem) RequestFill(addr uint64, sent int64) int64 { return sent - 1 }
-func (earlyMem) Consume(addr uint64, cycle int64)          {}
-func (earlyMem) Reset()                                    {}
-
-// TestCustomMemSearchPropagatesErrors: an engine error raised by a
-// custom memory model fails the search with that error.
+// TestCustomMemSearchPropagatesErrors: a memory spec no model can be
+// built from fails the search with the spec's error.
 func TestCustomMemSearchPropagatesErrors(t *testing.T) {
 	s := smallSuite(t)
-	_, _, err := EquivalentWindow(sweep.NewRunner(s), machine.Params{Window: 8, MD: 40, Mem: earlyMem{}}, 1000)
-	if err == nil || !strings.Contains(err.Error(), "before send") {
-		t.Errorf("want the engine's arrival-before-send error, got %v", err)
+	bad := memsys.Spec{Kind: memsys.CacheModel, Levels: [memsys.MaxLevels]memsys.CacheLevel{{Sets: 3, Ways: 1}}}
+	_, _, err := EquivalentWindow(sweep.NewRunner(s), machine.Params{Window: 8, MD: 40, Mem: bad}, 1000)
+	if err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("want the spec's geometry error, got %v", err)
 	}
 }
 

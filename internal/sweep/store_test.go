@@ -17,6 +17,7 @@ import (
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 )
 
@@ -89,10 +90,7 @@ func TestStoreHitAcrossRestart(t *testing.T) {
 func TestStoreKeyScheme(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir, 24)
-	k, ok := r.storeKey(storePoint)
-	if !ok {
-		t.Fatal("default params must be cacheable")
-	}
+	k := r.storeKey(storePoint)
 	if !strings.Contains(k, engine.Version) {
 		t.Errorf("key %q does not embed engine.Version %q", k, engine.Version)
 	}
@@ -101,14 +99,13 @@ func TestStoreKeyScheme(t *testing.T) {
 	}
 	p2 := storePoint
 	p2.P.MD++
-	k2, _ := r.storeKey(p2)
-	if k2 == k {
+	if r.storeKey(p2) == k {
 		t.Error("distinct params must produce distinct keys")
 	}
 	memPt := storePoint
-	memPt.P.Mem = &countingMem{}
-	if _, ok := r.storeKey(memPt); ok {
-		t.Error("custom-Mem points must not be persistable")
+	memPt.P.Mem = memsys.DefaultCacheSpec()
+	if r.storeKey(memPt) == k {
+		t.Error("a memory model must change the key")
 	}
 }
 
@@ -139,7 +136,7 @@ func TestStoreMissOnEngineVersionBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := r1.storeKey(storePoint)
+	key := r1.storeKey(storePoint)
 	if _, ok := r1.Store.Get(key); !ok {
 		t.Fatal("entry must be on disk under the current version")
 	}
@@ -886,10 +883,7 @@ func TestStoreQuarantineBreaksHealLoop(t *testing.T) {
 	if _, err := r.Run(storePoint); err != nil {
 		t.Fatal(err)
 	}
-	key, ok := r.storeKey(storePoint)
-	if !ok {
-		t.Fatal("store point must be cacheable")
-	}
+	key := r.storeKey(storePoint)
 	st := r.Store
 	cf := &corruptingFaults{active: true}
 	st.Faults = cf

@@ -30,8 +30,7 @@ type Point struct {
 	P    machine.Params
 }
 
-// key is the in-memory memoization key. Custom memory models are not
-// memoizable, so points carrying Mem bypass the cache.
+// key is the in-memory memoization key.
 type key struct {
 	kind machine.Kind
 	p    machine.Params
@@ -63,16 +62,19 @@ type CacheStats struct {
 	// local layers, so they are reported alongside RemoteHits but are
 	// not points and do not enter HitRate.
 	RemoteSearches int64
-	// Sims are simulations actually executed for cacheable points.
+	// Sims are simulations actually executed.
 	Sims int64
-	// Degraded are cacheable points simulated locally as a last resort
+	// Degraded are points simulated locally as a last resort
 	// because every remote owner was unavailable (Runner.Degrade) —
 	// results are byte-identical to the remote answer by determinism,
 	// so a degraded run completes correctly, just without the shared
 	// cache. Counted separately from Sims so "warm remote runs simulate
 	// nothing" assertions stay meaningful.
 	Degraded int64
-	// Uncacheable are runs that bypassed both layers (custom Params.Mem).
+	// Uncacheable is always 0: every point is cacheable since memory
+	// models became values (machine.Params.Mem). perfbench still reads
+	// the field; the benchmark's next revision (ROADMAP item 2) deletes
+	// it.
 	Uncacheable int64
 }
 
@@ -84,10 +86,9 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.RemoteSearches += other.RemoteSearches
 	s.Sims += other.Sims
 	s.Degraded += other.Degraded
-	s.Uncacheable += other.Uncacheable
 }
 
-// HitRate returns the fraction of cacheable points served without
+// HitRate returns the fraction of points served without
 // simulating locally (from the in-memory map, the persistent store, or
 // a remote daemon).
 func (s CacheStats) HitRate() float64 {
@@ -109,7 +110,7 @@ type Runner struct {
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
 	Store *Store
-	// RemoteBatch, when non-nil, executes the cacheable points that miss
+	// RemoteBatch, when non-nil, executes the points that miss
 	// the local layers in one call per Run or RunAll — typically a
 	// daemon fleet client (internal/daemon.FleetClient.RunBatch bound to
 	// a workload), so a probe wave or figure sweep becomes one HTTP
@@ -118,9 +119,7 @@ type Runner struct {
 	// like any fill. A remote error fails the call: a misconfigured or
 	// unreachable daemon should surface, not silently degrade to local
 	// simulation (the one explicit exception is Degrade +
-	// ErrUnavailable). Uncacheable points (custom Params.Mem) never
-	// route remotely — a MemModel is arbitrary local code. Set it before
-	// the first Run.
+	// ErrUnavailable). Set it before the first Run.
 	RemoteBatch func([]Point) ([]*engine.Result, error)
 	// Remote is the point-wise form of RemoteBatch, with the same
 	// contract: when RemoteBatch is nil, each miss is sent through it
@@ -139,7 +138,7 @@ type Runner struct {
 	cache  map[key]*entry //daelint:guardedby mu
 	prefix string         //daelint:guardedby mu -- engine version + suite fingerprint, built lazily
 
-	l1Hits, storeHits, remoteHits, sims, degraded, uncacheable atomic.Int64
+	l1Hits, storeHits, remoteHits, sims, degraded atomic.Int64
 }
 
 // NewRunner returns a Runner for the suite.
@@ -164,18 +163,15 @@ func (r *Runner) Run(pt Point) (*engine.Result, error) {
 // tag and the suite's source key (lowering version, trace, partition
 // assignment) joined with the canonical parameter encoding. The key is
 // built once per Runner, on first use.
-func (r *Runner) storeKey(pt Point) (string, bool) {
-	pk, ok := pt.P.CacheKey(pt.Kind)
-	if !ok {
-		return "", false
-	}
+func (r *Runner) storeKey(pt Point) string {
+	pk, _ := pt.P.CacheKey(pt.Kind)
 	r.mu.Lock()
 	if r.prefix == "" {
 		r.prefix = engine.Version + "|" + r.Suite.Fingerprint() + "|"
 	}
 	p := r.prefix
 	r.mu.Unlock()
-	return p + pk, true
+	return p + pk
 }
 
 // fillMiss produces the canonical result for a point known to miss the
@@ -215,21 +211,18 @@ func (r *Runner) fillMiss(pt Point) (*engine.Result, error) {
 // install writes a freshly filled result into the Store, when attached.
 func (r *Runner) install(pt Point, res *engine.Result) {
 	if r.Store != nil {
-		if sk, ok := r.storeKey(pt); ok {
-			r.Store.Put(sk, res)
-		}
+		r.Store.Put(r.storeKey(pt), res)
 	}
 }
 
 // Stats returns a snapshot of the runner's cache traffic.
 func (r *Runner) Stats() CacheStats {
 	return CacheStats{
-		L1Hits:      r.l1Hits.Load(),
-		StoreHits:   r.storeHits.Load(),
-		RemoteHits:  r.remoteHits.Load(),
-		Sims:        r.sims.Load(),
-		Degraded:    r.degraded.Load(),
-		Uncacheable: r.uncacheable.Load(),
+		L1Hits:     r.l1Hits.Load(),
+		StoreHits:  r.storeHits.Load(),
+		RemoteHits: r.remoteHits.Load(),
+		Sims:       r.sims.Load(),
+		Degraded:   r.degraded.Load(),
 	}
 }
 
@@ -248,13 +241,8 @@ func (r *Runner) Stats() CacheStats {
 func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(pts))
 	var owned, waiters []claim
-	var uncached []int
 	r.mu.Lock()
 	for i, pt := range pts {
-		if pt.P.Mem != nil {
-			uncached = append(uncached, i)
-			continue
-		}
 		// The key canonicalizes the retirement policy (RetireAuto
 		// resolves to a concrete policy, exactly as the engine and the
 		// store key see it), so an explicit-policy point and its
@@ -282,10 +270,8 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	} else {
 		hits := make([]*engine.Result, len(owned))
 		_ = ForEach(r.Parallelism, len(owned), func(j int) error {
-			if sk, ok := r.storeKey(pts[owned[j].idx]); ok {
-				if res, hit := r.Store.Get(sk); hit {
-					hits[j] = res
-				}
+			if res, hit := r.Store.Get(r.storeKey(pts[owned[j].idx])); hit {
+				hits[j] = res
 			}
 			return nil
 		})
@@ -326,17 +312,6 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 		}
 	}
 
-	// Uncacheable points (custom Params.Mem) bypass both layers and never
-	// route remotely: a MemModel is arbitrary local code.
-	for _, i := range uncached {
-		r.uncacheable.Add(1)
-		res, err := r.Suite.Run(pts[i].Kind, pts[i].P)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-		out[i] = res
-	}
-
 	// Entries owned elsewhere: every claim of ours is settled by now, so
 	// waiting last cannot deadlock on our own call's duplicates.
 	for _, c := range waiters {
@@ -350,7 +325,7 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	return out, nil
 }
 
-// claim is one cacheable point's L1 slot within a RunAll call: either
+// claim is one point's L1 slot within a RunAll call: either
 // owned by that call (it fills and settles the entry) or by another
 // in-flight caller (the call waits on it).
 type claim struct {

@@ -11,6 +11,7 @@ import (
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 )
 
@@ -80,30 +81,47 @@ func TestRunReturnsDefensiveCopies(t *testing.T) {
 	}
 }
 
-func TestCustomMemBypassesCache(t *testing.T) {
-	r := testRunner(t)
-	var calls atomic.Int64
-	mem := &countingMem{calls: &calls}
-	pt := Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30, Mem: mem}}
-	if _, err := r.Run(pt); err != nil {
+// TestMemSpecHitsL1AndStore: a point with a memory model is cached like
+// any other — a repeat is an L1 hit, and a fresh runner over the same
+// store reads it back without simulating, hit count included.
+func TestMemSpecHitsL1AndStore(t *testing.T) {
+	dir := t.TempDir()
+	bp, err := memsys.BypassSpec(16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := calls.Load()
-	if _, err := r.Run(pt); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2*first {
-		t.Fatal("points with custom memory models must not be cached")
+	for _, spec := range []memsys.Spec{bp, memsys.DefaultCacheSpec()} {
+		pt := storePoint
+		pt.P.Mem = spec
+		r := storeRunner(t, dir, 24)
+		cold, err := r.Run(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(pt); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Sims != 1 || st.L1Hits != 1 {
+			t.Errorf("%v: want 1 sim and 1 L1 hit, got %+v", spec, st)
+		}
+		if cold.MemHits == 0 {
+			t.Errorf("%v: no hits recorded on a reused array", spec)
+		}
+		warm := storeRunner(t, dir, 24)
+		got, err := warm.Run(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := warm.Stats(); st.Sims != 0 || st.StoreHits != 1 {
+			t.Errorf("%v: a fresh runner must read the point from the store: %+v", spec, st)
+		}
+		if !reflect.DeepEqual(got, cold) {
+			t.Errorf("%v: store round trip changed the result:\ncold %+v\nwarm %+v", spec, cold, got)
+		}
+		r.Store.Close()
+		warm.Store.Close()
 	}
 }
-
-type countingMem struct{ calls *atomic.Int64 }
-
-func (m *countingMem) RequestFill(addr uint64, sent int64) int64 { return sent + 5 }
-func (m *countingMem) Consume(addr uint64, cycle int64)          {}
-func (m *countingMem) Reset()                                    { m.calls.Add(1) }
-
-var _ engine.MemModel = (*countingMem)(nil)
 
 func TestRunAllOrderAndParallel(t *testing.T) {
 	r := testRunner(t)
@@ -141,18 +159,16 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 
 // TestRunBatchMatchesRunAll: a batch through RunAll answers exactly
 // what point-wise Run calls would — including duplicates, cached points
-// and uncacheable custom-Mem points — with the same counters a
-// point-wise run would produce.
+// and memory-model points — with the same counters a point-wise run
+// would produce.
 func TestRunBatchMatchesRunAll(t *testing.T) {
 	oracle := testRunner(t)
 	r := testRunner(t)
-	var calls atomic.Int64
-	mem := &countingMem{calls: &calls}
 	pts := []Point{
 		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}},
 		{Kind: machine.SWSM, P: machine.Params{Window: 16, MD: 30}},
 		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}, // duplicate
-		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30, Mem: mem}},
+		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30, Mem: memsys.DefaultCacheSpec()}},
 		{Kind: machine.DM, P: machine.Params{Window: 4, MD: 30}},
 	}
 	// Warm one point so the batch sees a pre-existing L1 entry.
@@ -173,8 +189,8 @@ func TestRunBatchMatchesRunAll(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if st.Sims != 3 || st.L1Hits != 2 || st.Uncacheable != 1 {
-		t.Errorf("want 3 sims, 2 L1 hits, 1 uncacheable, got %+v", st)
+	if st.Sims != 4 || st.L1Hits != 2 {
+		t.Errorf("want 4 sims and 2 L1 hits, got %+v", st)
 	}
 	// Returned results are private copies, like every other path.
 	got[0].Cycles = -1
