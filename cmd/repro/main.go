@@ -60,8 +60,9 @@
 // runtime/pprof CPU profile of the run, so an end-to-end time can be
 // attributed without the perfbench driver; no output depends on it.
 //
-// TestUsageEnumeratesExperiments keeps the usage line above, the -exp
-// flag help and the dispatch table in sync.
+// The -exp values come from the experiments registry
+// (experiments.Experiments); TestUsageEnumeratesExperiments keeps the
+// usage line above in step with it.
 package main
 
 import (
@@ -88,80 +89,19 @@ import (
 	"daesim/internal/workloads"
 )
 
-// experimentOrder lists every dispatchable -exp value except "all", in
-// usage order. The dispatch table below must cover exactly these.
-var experimentOrder = []string{
-	"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-	"cutoffs", "bigwindow", "esw", "ablations",
-	"expansion", "policies", "retire", "cache", "complexity",
-}
-
-// renderTo adapts a result-producing experiment to the dispatch table.
-func renderTo[T interface{ Render(io.Writer) error }](get func() (T, error)) func(io.Writer) error {
-	return func(w io.Writer) error {
-		res, err := get()
-		if err != nil {
-			return err
-		}
-		return res.Render(w)
+// experimentNames lists every -exp value except "all", in registry
+// order.
+func experimentNames() []string {
+	names := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		names[i] = e.Name
 	}
-}
-
-// figureExps maps the figure experiments to their number and the
-// paper's workload; -workload overrides the workload, never the number.
-var figureExps = map[string]struct {
-	num      int
-	workload string
-}{
-	"fig4": {4, "FLO52Q"}, "fig5": {5, "MDG"}, "fig6": {6, "TRACK"},
-	"fig7": {7, "FLO52Q"}, "fig8": {8, "MDG"}, "fig9": {9, "TRACK"},
-}
-
-// dispatch maps -exp values to their drivers (each bound to ctx).
-// workload, when non-empty, re-points the figure experiments at that
-// workload (run rejects the combination for non-figure experiments).
-func dispatch(ctx *experiments.Context, workload string) map[string]func(io.Writer) error {
-	m := map[string]func(io.Writer) error{
-		"table1":     renderTo(ctx.Table1),
-		"cutoffs":    renderTo(ctx.Cutoffs),
-		"bigwindow":  renderTo(ctx.BigWindow),
-		"esw":        renderTo(ctx.ESWStudy),
-		"expansion":  renderTo(ctx.CodeExpansion),
-		"policies":   renderTo(ctx.PolicyStudy),
-		"retire":     renderTo(ctx.RetireStudy),
-		"cache":      renderTo(ctx.CacheStudy),
-		"complexity": renderTo(ctx.ComplexityStudy),
-		"ablations": func(w io.Writer) error {
-			as, err := ctx.Ablations()
-			if err != nil {
-				return err
-			}
-			for _, a := range as {
-				if err := a.Render(w); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
-			}
-			return nil
-		},
-	}
-	for exp, fig := range figureExps { //daelint:nondeterministic-ok populates the dispatch map; per-entry closures are order-free
-		num, name := fig.num, fig.workload
-		if workload != "" {
-			name = workload
-		}
-		if num <= 6 {
-			m[exp] = renderTo(func() (*experiments.FigureResult, error) { return ctx.FigureNamed(num, name) })
-		} else {
-			m[exp] = renderTo(func() (*experiments.RatioResult, error) { return ctx.RatioFigureNamed(num, name) })
-		}
-	}
-	return m
+	return names
 }
 
 // expFlagHelp enumerates the -exp values for the flag description.
 func expFlagHelp() string {
-	return "experiment to run: all, " + strings.Join(experimentOrder, ", ")
+	return "experiment to run: all, " + strings.Join(experimentNames(), ", ")
 }
 
 func main() {
@@ -262,7 +202,7 @@ func main() {
 		ctx.Degrade = *degrade
 	}
 
-	if err := run(ctx, *exp, *out, *workload); err != nil {
+	if err := run(ctx, *exp, *out, *workload, os.Stdout); err != nil {
 		fatal(err)
 	}
 	if err := reportCache(ctx, *cacheStats); err != nil {
@@ -368,9 +308,14 @@ func listWorkloads(w io.Writer) {
 	}
 }
 
-func run(ctx *experiments.Context, exp, out, workload string) error {
+// run runs one -exp value on ctx: all writes every artifact into out
+// and logs the paths to stdout; any other experiment prints its first
+// file to stdout. workload, when set, replaces a figure's paper
+// workload.
+func run(ctx *experiments.Context, exp, out, workload string, stdout io.Writer) error {
+	e, found := experiments.Lookup(exp)
 	if workload != "" {
-		if _, isFigure := figureExps[exp]; !isFigure {
+		if e.Workload == "" {
 			return fmt.Errorf("-workload applies to the figure experiments only (-exp fig4..fig9), not %q", exp)
 		}
 		// Fail on an unknown or malformed workload before any simulation
@@ -378,16 +323,21 @@ func run(ctx *experiments.Context, exp, out, workload string) error {
 		if _, err := workloads.Lookup(workload); err != nil {
 			return err
 		}
+	} else {
+		workload = e.Workload
 	}
 	if exp == "all" {
-		_, err := ctx.WriteAll(out, os.Stdout)
+		_, err := ctx.WriteAll(out, stdout)
 		return err
 	}
-	fn, ok := dispatch(ctx, workload)[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want all, %s)", exp, strings.Join(experimentOrder, ", "))
+	if !found {
+		return fmt.Errorf("unknown experiment %q (want all, %s)", exp, strings.Join(experimentNames(), ", "))
 	}
-	return fn(os.Stdout)
+	arts, err := e.Run(ctx, workload)
+	if err != nil {
+		return err
+	}
+	return arts[0].Render(stdout)
 }
 
 // cacheReport is the -cache-stats JSON document.

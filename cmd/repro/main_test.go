@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,32 +16,11 @@ import (
 	"daesim/internal/workloads"
 )
 
-// TestUsageEnumeratesExperiments keeps three things in sync: the
-// dispatch table, the doc comment's usage line, and the -exp flag help.
-// Any experiment reachable through run() must be discoverable from both
+// TestUsageEnumeratesExperiments keeps the doc comment's usage line and
+// the -exp flag help in step with the experiments registry: any
+// experiment run() can dispatch must be discoverable from both
 // user-facing strings.
 func TestUsageEnumeratesExperiments(t *testing.T) {
-	table := dispatch(experiments.NewContext(), "")
-	if len(table) != len(experimentOrder) {
-		t.Errorf("dispatch table has %d entries, experimentOrder %d", len(table), len(experimentOrder))
-	}
-	for _, name := range experimentOrder {
-		if table[name] == nil {
-			t.Errorf("experimentOrder lists %q but dispatch cannot run it", name)
-		}
-	}
-	for name := range table { //daelint:nondeterministic-ok order-free membership assertion over the dispatch table
-		found := false
-		for _, n := range experimentOrder {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("dispatchable experiment %q missing from experimentOrder", name)
-		}
-	}
-
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +60,7 @@ func TestUsageEnumeratesExperiments(t *testing.T) {
 	}) {
 		helpWords[w] = true
 	}
-	for _, name := range append([]string{"all"}, experimentOrder...) {
+	for _, name := range append([]string{"all"}, experimentNames()...) {
 		if !usageWords[name] {
 			t.Errorf("doc comment usage line omits experiment %q", name)
 		}
@@ -129,9 +109,14 @@ func TestCacheGCSummary(t *testing.T) {
 // TestCPUProfile: -cpuprofile writes a profile and leaves the rendered
 // output byte-identical.
 func TestCPUProfile(t *testing.T) {
+	table1, _ := experiments.Lookup("table1")
 	render := func() []byte {
+		arts, err := table1.Run(experiments.NewContext(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
 		var b bytes.Buffer
-		if err := dispatch(experiments.NewContext(), "")["table1"](&b); err != nil {
+		if err := arts[0].Render(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
@@ -152,6 +137,36 @@ func TestCPUProfile(t *testing.T) {
 	}
 }
 
+// TestExperimentsPrintWhatTheyWrite: for every registry row, repro -exp
+// prints exactly the bytes -exp all writes to the row's first file.
+func TestExperimentsPrintWhatTheyWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the whole corpus")
+	}
+	ctx := experiments.NewContext()
+	dir := t.TempDir()
+	if _, err := ctx.WriteAll(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiments.Experiments {
+		arts, err := e.Run(ctx, e.Workload)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, arts[0].File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := run(ctx, e.Name, t.TempDir(), "", &got); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("repro -exp %s printed %d bytes that differ from the %d of %s", e.Name, got.Len(), len(want), arts[0].File)
+		}
+	}
+}
+
 func TestSingleExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment regeneration is slow")
@@ -160,11 +175,11 @@ func TestSingleExperiments(t *testing.T) {
 	// Stdout-printing paths for a representative subset (shared context
 	// caches the workload suites across them).
 	for _, exp := range []string{"table1", "fig6", "cutoffs", "esw", "expansion", "cache"} {
-		if err := run(ctx, exp, t.TempDir(), ""); err != nil {
+		if err := run(ctx, exp, t.TempDir(), "", io.Discard); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
-	if err := run(ctx, "not-an-experiment", t.TempDir(), ""); err == nil {
+	if err := run(ctx, "not-an-experiment", t.TempDir(), "", io.Discard); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -177,17 +192,17 @@ func TestWorkloadOverride(t *testing.T) {
 		t.Skip("experiment regeneration is slow")
 	}
 	ctx := experiments.NewContext()
-	if err := run(ctx, "fig4", t.TempDir(), "spec:depth=3,ilp=2,iters=16"); err != nil {
+	if err := run(ctx, "fig4", t.TempDir(), "spec:depth=3,ilp=2,iters=16", io.Discard); err != nil {
 		t.Errorf("fig4 with a generated workload: %v", err)
 	}
-	if err := run(ctx, "table1", t.TempDir(), "spec:depth=3"); err == nil {
+	if err := run(ctx, "table1", t.TempDir(), "spec:depth=3", io.Discard); err == nil {
 		t.Error("-workload accepted for a non-figure experiment")
 	}
-	err := run(ctx, "fig4", t.TempDir(), "spec:depth=999")
+	err := run(ctx, "fig4", t.TempDir(), "spec:depth=999", io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Errorf("bad spec error %v does not name the field", err)
 	}
-	err = run(ctx, "fig4", t.TempDir(), "NOSUCH")
+	err = run(ctx, "fig4", t.TempDir(), "NOSUCH", io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "TRFD") {
 		t.Errorf("unknown workload error %v does not enumerate the registry", err)
 	}

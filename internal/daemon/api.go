@@ -152,8 +152,8 @@ func ParsePolicy(s string) (partition.Policy, error) {
 }
 
 // Target identifies the suite a request runs against: a workload at a
-// scale under a partition policy. The zero values mean scale 1 and the
-// classic partition.
+// scale (at most MaxScale) under a partition policy. The zero values
+// mean scale 1 and the classic partition.
 //
 // EngineVersion and Fingerprint, when set, make the daemon refuse
 // (HTTP 409) to answer from a skewed build: a daemon left running
@@ -207,6 +207,15 @@ type SearchResponse struct {
 	Ratio float64 `json:"ratio,omitempty"`
 	OK    bool    `json:"ok"`
 }
+
+// MaxScale caps Target.Scale; a larger scale is refused with 400 before
+// anything is built. A trace grows linearly with its scale (TRFD holds
+// about 9.5 MiB of heap per unit) and the daemon builds it while it
+// validates the request, so an unbounded scale lets one small body
+// exhaust the process's memory. Every client in this repository sends
+// scale 1; the bound also caps how many per-scale experiment contexts a
+// daemon holds.
+const MaxScale = 8
 
 // MaxBatchItems caps the item count of /v1/batch/run and
 // /v1/batch/search requests. Larger batches are refused with 400 — a

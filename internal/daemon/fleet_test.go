@@ -74,15 +74,13 @@ func TestFleetMemoryStudiesByteIdentical(t *testing.T) {
 	render := func(ctx *experiments.Context) (ablations, cache []byte) {
 		t.Helper()
 		var a, c bytes.Buffer
-		abls, err := ctx.Ablations()
+		abl, _ := experiments.Lookup("ablations")
+		arts, err := abl.Run(ctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, abl := range abls {
-			if err := abl.Render(&a); err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintln(&a)
+		if err := arts[0].Render(&a); err != nil {
+			t.Fatal(err)
 		}
 		study, err := ctx.CacheStudy()
 		if err != nil {

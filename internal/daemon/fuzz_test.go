@@ -70,6 +70,9 @@ func batchFuzzSeeds(f *testing.F, valid string) {
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"VLIW"}]}`))                      // bad kind
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":-5}}]}`)) // hostile params
 	f.Add([]byte(strings.Repeat(`[`, 10000)))                                           // deep nesting
+	for _, body := range hugeScaleBodies {
+		f.Add([]byte(body.body))
+	}
 	for _, body := range oversizedBodies {
 		f.Add([]byte(body.body))
 	}
@@ -121,6 +124,38 @@ var oversizedBodies = []struct {
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"bypass:68719476736"}}]}`, http.StatusBadRequest},
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:68719476736x2@1"}}]}`, http.StatusBadRequest},
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:64x68719476736@1"}}]}`, http.StatusBadRequest},
+}
+
+// hugeScaleBodies name a workload scale far past MaxScale, in the run
+// item shape and in the search item shape, with the endpoint whose
+// decoder accepts that shape (the other answers 400 at decode).
+var hugeScaleBodies = []struct{ path, body string }{
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","scale":1000000,"kind":"DM","params":{}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","scale":1000000,"op":"ratio","params":{}}]}`},
+}
+
+// TestHugeScaleRefused: a scale past MaxScale earns a 400 on both batch
+// endpoints before any trace is built, and the daemon keeps serving.
+func TestHugeScaleRefused(t *testing.T) {
+	t.Parallel()
+	handler := NewServer(Config{}).Handler()
+	for _, tc := range hugeScaleBodies {
+		for _, path := range []string{"/v1/batch/run", "/v1/batch/search"} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s answered %d to %s, want 400", path, rec.Code, tc.body)
+			}
+			if path == tc.path && !strings.Contains(rec.Body.String(), fmt.Sprintf("limit of %d", MaxScale)) {
+				t.Errorf("%s refused %s without naming the scale limit: %s", path, tc.body, rec.Body)
+			}
+		}
+	}
+	ok := `{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10}}]}`
+	if code := postBody(handler, "/v1/batch/run", []byte(ok)); code != http.StatusOK {
+		t.Errorf("after the refusals a normal request answered %d, want 200", code)
+	}
 }
 
 // TestOversizedRequestsAnswer: none of the oversizedBodies may take the

@@ -224,6 +224,9 @@ func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.EngineVersion != "" && t.EngineVersion != engine.Version {
 		return nil, &skewError{fmt.Sprintf("daemon: engine version skew: daemon runs %s, client expects %s (rebuild or restart sweepd)", engine.Version, t.EngineVersion)}
 	}
+	if t.Scale > MaxScale {
+		return nil, fmt.Errorf("daemon: scale %d exceeds the limit of %d", t.Scale, MaxScale)
+	}
 	pol, err := ParsePolicy(t.Policy)
 	if err != nil {
 		return nil, err

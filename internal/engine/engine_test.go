@@ -401,8 +401,7 @@ func (m *delayMem) RequestFill(addr uint64, sent int64) int64 {
 	}
 	return sent + m.md
 }
-func (m *delayMem) Consume(addr uint64, cycle int64) {}
-func (m *delayMem) Reset()                           { m.calls = 0 }
+func (m *delayMem) Reset() { m.calls = 0 }
 
 func TestCustomMemModel(t *testing.T) {
 	p := twoUnitProgram(20)
@@ -418,7 +417,6 @@ func TestCustomMemModel(t *testing.T) {
 type badMem struct{}
 
 func (badMem) RequestFill(addr uint64, sent int64) int64 { return sent - 1 }
-func (badMem) Consume(addr uint64, cycle int64)          {}
 func (badMem) Reset()                                    {}
 
 func TestBadMemModelRejected(t *testing.T) {

@@ -228,9 +228,6 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 				}
 				cb := bucketAt(done)
 				cb.comps = append(cb.comps, i)
-				if op.Kind.IsConsume() && cfg.Mem != nil {
-					cfg.Mem.Consume(op.Addr, cycle)
-				}
 			}
 			if issued > 0 {
 				c.stats.BusyCycles++

@@ -7,19 +7,15 @@ import (
 	"daesim/internal/isa"
 )
 
-// MemModel abstracts the memory system seen by send/consume operations.
-// The engine calls RequestFill when a send op completes (in nondecreasing
-// cycle order) and Consume when the matching consume op issues. The
-// paper's fixed-differential model is built in; locality-aware models
-// live in internal/memsys.
+// MemModel abstracts the memory system seen by send operations. The
+// engine calls RequestFill when a send op completes (in nondecreasing
+// cycle order). The paper's fixed-differential model is built in;
+// locality-aware models live in internal/memsys.
 type MemModel interface {
 	// RequestFill reports when the fill for addr arrives, given that the
 	// address reached the memory system at cycle sent. Must return a value
 	// >= sent.
 	RequestFill(addr uint64, sent int64) int64
-	// Consume notifies the model that the buffered value for addr was
-	// consumed at the given cycle.
-	Consume(addr uint64, cycle int64)
 	// Reset prepares the model for a fresh run.
 	Reset()
 }

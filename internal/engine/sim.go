@@ -294,7 +294,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 		for u := range cores {
 			c := &cores[u]
 			if c.wide && memOrdered && len(c.readyList) > 1 {
-				// A stateful memory model observes RequestFill/Consume call
+				// A stateful memory model observes RequestFill call
 				// order, so the drain must visit ops in index order. (With
 				// the fixed differential every per-op effect depends only on
 				// the op and the cycle, so the unordered drain is already
@@ -369,9 +369,6 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 					}
 				}
 				s.cq.schedule(cycle, done, i, false)
-				if flag&opFlagConsume != 0 && cfg.Mem != nil {
-					cfg.Mem.Consume(p.addrs[i], cycle) //daelint:hotpath-ok MemModel is an external interface; custom models opt out of the alloc pin
-				}
 			}
 			if c.wide {
 				c.readyList = c.readyList[:0]

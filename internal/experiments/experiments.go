@@ -1,15 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation, plus the auxiliary claims made in its text (DESIGN.md §5).
-//
-// Artifacts:
-//
-//	Table1       — DM latency-hiding effectiveness vs window size, MD=60
-//	Figure 4/5/6 — speedup vs window size for FLO52Q, MDG, TRACK
-//	Figure 7/8/9 — equivalent window ratio vs DM window size
-//	Cutoffs      — MD=0 windows where the SWSM overtakes the DM (C1)
-//	BigWindow    — DM vs SWSM at very large windows, MD=60 (C2)
-//	ESWStudy     — effective-single-window and slippage measurements (C3)
-//	Ablations    — design-choice studies (A1..A5)
+// evaluation, the auxiliary claims made in its text (DESIGN.md §5) and
+// the design-choice studies (§6). Experiments lists every artifact.
 package experiments
 
 import (
@@ -295,12 +286,9 @@ type FigureResult struct {
 	Series []sweep.Series
 }
 
-// figureNumber maps workloads to the paper's figure numbering.
-var figureNumber = map[string]int{"FLO52Q": 4, "MDG": 5, "TRACK": 6}
-
 // Figure measures one of Figures 4-6 for the named workload.
 func (c *Context) Figure(name string) (*FigureResult, error) {
-	num, ok := figureNumber[name]
+	num, ok := paperFigure(name, false)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %q is not a figure workload (want one of %v)", name, workloads.FigureNames())
 	}
@@ -371,12 +359,9 @@ type RatioResult struct {
 	Saturated map[int][]int // md -> DM windows where the search saturated
 }
 
-// ratioFigureNumber maps workloads to the paper's figure numbering.
-var ratioFigureNumber = map[string]int{"FLO52Q": 7, "MDG": 8, "TRACK": 9}
-
 // RatioFigure measures one of Figures 7-9 for the named workload.
 func (c *Context) RatioFigure(name string) (*RatioResult, error) {
-	num, ok := ratioFigureNumber[name]
+	num, ok := paperFigure(name, true)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %q is not a ratio-figure workload (want one of %v)", name, workloads.FigureNames())
 	}

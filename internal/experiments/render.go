@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"daesim/internal/metrics"
 	"daesim/internal/plot"
@@ -136,129 +134,17 @@ func (a *AblationResult) Render(w io.Writer) error {
 	return tbl.Render(w)
 }
 
-// WriteAll regenerates every artifact into dir, returning the files
-// written. It is the engine behind cmd/repro.
-func (c *Context) WriteAll(dir string, log io.Writer) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var files []string
-	save := func(name string, render func(io.Writer) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := render(f); err != nil {
-			return err
-		}
-		files = append(files, path)
-		if log != nil {
-			fmt.Fprintf(log, "wrote %s\n", path)
-		}
-		return nil
-	}
+// ablationSet is the ablations file: every study, each followed by a
+// blank line.
+type ablationSet []*AblationResult
 
-	t1, err := c.Table1()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("table1.txt", t1.Render); err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"FLO52Q", "MDG", "TRACK"} {
-		fig, err := c.Figure(name)
-		if err != nil {
-			return nil, err
+// Render writes every ablation study.
+func (s ablationSet) Render(w io.Writer) error {
+	for _, a := range s {
+		if err := a.Render(w); err != nil {
+			return err
 		}
-		if err := save(fmt.Sprintf("figure%d_%s.txt", fig.Number, name), fig.Render); err != nil {
-			return nil, err
-		}
-		if err := save(fmt.Sprintf("figure%d_%s.dat", fig.Number, name), fig.Dat); err != nil {
-			return nil, err
-		}
-		rat, err := c.RatioFigure(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := save(fmt.Sprintf("figure%d_%s.txt", rat.Number, name), rat.Render); err != nil {
-			return nil, err
-		}
-		if err := save(fmt.Sprintf("figure%d_%s.dat", rat.Number, name), rat.Dat); err != nil {
-			return nil, err
-		}
+		fmt.Fprintln(w)
 	}
-	cut, err := c.Cutoffs()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("cutoffs.txt", cut.Render); err != nil {
-		return nil, err
-	}
-	big, err := c.BigWindow()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("bigwindow.txt", big.Render); err != nil {
-		return nil, err
-	}
-	esw, err := c.ESWStudy()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("esw.txt", esw.Render); err != nil {
-		return nil, err
-	}
-	abls, err := c.Ablations()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("ablations.txt", func(w io.Writer) error {
-		for _, a := range abls {
-			if err := a.Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	exp, err := c.CodeExpansion()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("expansion.txt", exp.Render); err != nil {
-		return nil, err
-	}
-	pol, err := c.PolicyStudy()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("policies.txt", pol.Render); err != nil {
-		return nil, err
-	}
-	ret, err := c.RetireStudy()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("retire.txt", ret.Render); err != nil {
-		return nil, err
-	}
-	cache, err := c.CacheStudy()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("cache.txt", cache.Render); err != nil {
-		return nil, err
-	}
-	cx, err := c.ComplexityStudy()
-	if err != nil {
-		return nil, err
-	}
-	if err := save("complexity.txt", cx.Render); err != nil {
-		return nil, err
-	}
-	return files, nil
+	return nil
 }

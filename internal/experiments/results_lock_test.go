@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,46 +27,16 @@ var (
 //	go test ./internal/experiments -run TestResultsLock -update
 const resultsLock = "../engine/results.lock"
 
-// lockSubset is the tier-1 slice of the corpus: the cheap artifacts
+// lockSubset is the tier-1 slice of the corpus: the cheap experiments
 // that still cross every layer a store key names — Table 1 and
 // Figures 4-6 (catalog workloads under the classic partition), the
 // lowering statistics, and the policy study (every partition policy,
 // with the cross-policy store sharing of identical assignments).
-func lockSubset(c *Context) map[string]func(io.Writer) error {
-	m := map[string]func(io.Writer) error{
-		"table1.txt":    renderOf(c.Table1),
-		"expansion.txt": renderOf(c.CodeExpansion),
-		"policies.txt":  renderOf(c.PolicyStudy),
-	}
-	for _, name := range []string{"FLO52Q", "MDG", "TRACK"} {
-		fig := func() (*FigureResult, error) { return c.Figure(name) }
-		base := fmt.Sprintf("figure%d_%s", figureNumber[name], name)
-		m[base+".txt"] = renderOf(fig)
-		m[base+".dat"] = func(w io.Writer) error {
-			res, err := fig()
-			if err != nil {
-				return err
-			}
-			return res.Dat(w)
-		}
-	}
-	return m
-}
-
-// renderOf adapts a result-producing experiment to a renderer.
-func renderOf[T interface{ Render(io.Writer) error }](get func() (T, error)) func(io.Writer) error {
-	return func(w io.Writer) error {
-		res, err := get()
-		if err != nil {
-			return err
-		}
-		return res.Render(w)
-	}
-}
+var lockSubset = []string{"table1", "fig4", "fig5", "fig6", "expansion", "policies"}
 
 // renderDigests renders the corpus on a fresh Context over store and
 // returns each file's SHA-256 — the whole of repro -exp all when full,
-// else lockSubset in a fixed order — and the Context's cache counters.
+// else lockSubset's files — and the Context's cache counters.
 func renderDigests(t *testing.T, store *sweep.Store, full bool) (map[string]string, sweep.CacheStats) {
 	t.Helper()
 	c := NewContext()
@@ -89,18 +58,22 @@ func renderDigests(t *testing.T, store *sweep.Store, full bool) (map[string]stri
 		}
 		return out, c.CacheStats()
 	}
-	subset := lockSubset(c)
-	names := make([]string, 0, len(subset))
-	for name := range subset { //daelint:nondeterministic-ok keys are sorted before rendering
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := sha256.New()
-		if err := subset[name](h); err != nil {
+	for _, name := range lockSubset {
+		e, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("lockSubset names unknown experiment %q", name)
+		}
+		arts, err := e.Run(c, e.Workload)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out[name] = hex.EncodeToString(h.Sum(nil))
+		for _, a := range arts {
+			h := sha256.New()
+			if err := a.Render(h); err != nil {
+				t.Fatalf("%s: %v", a.File, err)
+			}
+			out[a.File] = hex.EncodeToString(h.Sum(nil))
+		}
 	}
 	return out, c.CacheStats()
 }

@@ -309,3 +309,49 @@ func TestRepoIsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineSurfaceReachesMemoryModels: the engine lock pins more than
+// internal/engine. The Params-to-Config translation, every memory model
+// the engine can be handed, and the isa helpers they call change stored
+// results as surely as the cycle loop does, so the real repo's surface
+// must contain each of them.
+func TestEngineSurfaceReachesMemoryModels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the engine and its inputs")
+	}
+	w, err := Load("../..", []string{"./internal/engine", "./internal/machine", "./internal/memsys", "./internal/isa"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surface, err := ComputeSemanticsSurface(w, DefaultVersionKeyConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, line := range surface {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "func" {
+			have[f[1]] = true
+		}
+	}
+	for _, fn := range []string{
+		"machine.(Params).Config",
+		"machine.(Params).queueModel",
+		"memsys.NewOutstanding",
+		"memsys.NewBypass",
+		"memsys.NewHierarchy",
+		"memsys.(Outstanding).RequestFill",
+		"memsys.(Outstanding).Reset",
+		"memsys.(Bypass).RequestFill",
+		"memsys.(Bypass).Reset",
+		"memsys.(Bypass).MemHits",
+		"memsys.(Hierarchy).RequestFill",
+		"memsys.(Hierarchy).Reset",
+		"memsys.(Hierarchy).MemHits",
+		"isa.(Timing).Latency",
+		"isa.LineOf",
+	} {
+		if !have["daesim/internal/"+fn] {
+			t.Errorf("engine semantics surface lacks %s", fn)
+		}
+	}
+}

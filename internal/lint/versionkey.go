@@ -48,12 +48,33 @@ type VersionKeyConfig struct {
 
 // DefaultVersionKeyConfig encodes the engine discipline: engine.Version
 // tags Sim.Run semantics, sweep folds it into store keys and daemon into
-// skew guards, and internal/engine/semantics.lock pins the surface.
+// skew guards, and internal/engine/semantics.lock pins the surface. The
+// surface reaches past the engine to everything that turns a cached
+// machine.Params into engine input or answers the engine mid-run: the
+// Params-to-Config translation, the memory models and their
+// constructors, and the isa latency and line helpers.
 var DefaultVersionKeyConfig = VersionKeyConfig{
 	VersionPkg:     "daesim/internal/engine",
 	VersionConst:   "Version",
 	VersionPattern: `^engine-v\d+$`,
-	Roots:          []string{"(Sim).Run", "Run"},
+	Roots: []string{
+		"(Sim).Run", "Run",
+		"daesim/internal/machine.(Params).Config",
+		"daesim/internal/memsys.NewOutstanding",
+		"daesim/internal/memsys.NewBypass",
+		"daesim/internal/memsys.NewHierarchy",
+		"daesim/internal/memsys.(Spec).CacheLevels",
+		"daesim/internal/memsys.(Outstanding).RequestFill",
+		"daesim/internal/memsys.(Outstanding).Reset",
+		"daesim/internal/memsys.(Bypass).RequestFill",
+		"daesim/internal/memsys.(Bypass).Reset",
+		"daesim/internal/memsys.(Bypass).MemHits",
+		"daesim/internal/memsys.(Hierarchy).RequestFill",
+		"daesim/internal/memsys.(Hierarchy).Reset",
+		"daesim/internal/memsys.(Hierarchy).MemHits",
+		"daesim/internal/isa.(Timing).Latency",
+		"daesim/internal/isa.LineOf",
+	},
 	Structs: [][2]string{
 		{"daesim/internal/engine", "Config"},
 		{"daesim/internal/engine", "Op"},

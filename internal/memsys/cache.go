@@ -123,9 +123,6 @@ func (h *Hierarchy) RequestFill(addr uint64, sent int64) int64 {
 	return sent + h.MD
 }
 
-// Consume implements engine.MemModel.
-func (h *Hierarchy) Consume(addr uint64, cycle int64) {}
-
 // MemHits implements engine.MemHitCounter: the fills served by any
 // level.
 func (h *Hierarchy) MemHits() int64 {

@@ -2,9 +2,10 @@
 // differential. All models implement engine.MemModel. The paper
 // deliberately idealizes the memory system ("we model its execution by
 // considering every access to have a fixed cost"); these models support
-// the ablations in DESIGN.md §6: finite bandwidth, bounded outstanding
-// fills (which bounds AU slip), and the bypass buffer the paper proposes
-// as future work to exploit the temporal locality exposed by decoupling.
+// the ablations in DESIGN.md §6: bounded outstanding fills (which
+// bounds AU slip), the bypass buffer the paper proposes as future work to
+// exploit the temporal locality exposed by decoupling, and set-associative
+// cache hierarchies.
 package memsys
 
 import (
@@ -12,68 +13,6 @@ import (
 
 	"daesim/internal/isa"
 )
-
-// Fixed is the paper's memory model: every fill arrives exactly MD cycles
-// after the address reaches the memory system. It is the explicit form of
-// the engine's built-in default, useful for composing and testing.
-type Fixed struct {
-	// MD is the memory differential in cycles.
-	MD int64
-}
-
-// RequestFill implements engine.MemModel.
-func (m *Fixed) RequestFill(addr uint64, sent int64) int64 { return sent + m.MD }
-
-// Consume implements engine.MemModel.
-func (m *Fixed) Consume(addr uint64, cycle int64) {}
-
-// Reset implements engine.MemModel.
-func (m *Fixed) Reset() {}
-
-// Ports models finite memory bandwidth: at most Ports new fills may start
-// per cycle; excess requests queue in arrival order. Each fill takes MD
-// cycles once started.
-type Ports struct {
-	// MD is the memory differential in cycles.
-	MD int64
-	// Ports is the number of fills that may start per cycle (>= 1).
-	Ports int
-
-	lastCycle int64
-	used      int
-}
-
-// NewPorts returns a bandwidth-limited model.
-func NewPorts(md int64, ports int) (*Ports, error) {
-	if ports < 1 {
-		return nil, fmt.Errorf("memsys: ports %d < 1", ports)
-	}
-	if md < 0 {
-		return nil, fmt.Errorf("memsys: md %d < 0", md)
-	}
-	return &Ports{MD: md, Ports: ports}, nil
-}
-
-// RequestFill implements engine.MemModel. Requests arrive in
-// nondecreasing sent order (the engine guarantees this).
-func (m *Ports) RequestFill(addr uint64, sent int64) int64 {
-	if sent > m.lastCycle {
-		m.lastCycle = sent
-		m.used = 0
-	}
-	if m.used == m.Ports {
-		m.lastCycle++
-		m.used = 0
-	}
-	m.used++
-	return m.lastCycle + m.MD
-}
-
-// Consume implements engine.MemModel.
-func (m *Ports) Consume(addr uint64, cycle int64) {}
-
-// Reset implements engine.MemModel.
-func (m *Ports) Reset() { m.lastCycle = 0; m.used = 0 }
 
 // Outstanding bounds the number of fills in flight (MSHR-style): at most
 // Cap fills may be outstanding; further requests queue until the oldest
@@ -151,9 +90,6 @@ func (m *Outstanding) grow(head int) int {
 	m.ring = ring
 	return 0
 }
-
-// Consume implements engine.MemModel.
-func (m *Outstanding) Consume(addr uint64, cycle int64) {}
 
 // Reset implements engine.MemModel.
 func (m *Outstanding) Reset() { m.head = 0; m.n = 0 }
@@ -255,9 +191,6 @@ func (m *Bypass) RequestFill(addr uint64, sent int64) int64 {
 	}
 	return arrival
 }
-
-// Consume implements engine.MemModel.
-func (m *Bypass) Consume(addr uint64, cycle int64) {}
 
 // Reset implements engine.MemModel.
 func (m *Bypass) Reset() {

@@ -10,67 +10,9 @@ import (
 
 // All models must satisfy engine.MemModel.
 var (
-	_ engine.MemModel = (*Fixed)(nil)
-	_ engine.MemModel = (*Ports)(nil)
 	_ engine.MemModel = (*Outstanding)(nil)
 	_ engine.MemModel = (*Bypass)(nil)
 )
-
-func TestFixed(t *testing.T) {
-	m := &Fixed{MD: 60}
-	if got := m.RequestFill(0x100, 10); got != 70 {
-		t.Fatalf("arrival = %d, want 70", got)
-	}
-	m.Consume(0x100, 71)
-	m.Reset()
-	if got := m.RequestFill(0x200, 0); got != 60 {
-		t.Fatalf("after reset: %d, want 60", got)
-	}
-}
-
-func TestPortsSerializesWithinCycle(t *testing.T) {
-	m, err := NewPorts(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three requests in cycle 5: two start at 5, one at 6.
-	if a := m.RequestFill(1, 5); a != 15 {
-		t.Errorf("first: %d, want 15", a)
-	}
-	if a := m.RequestFill(2, 5); a != 15 {
-		t.Errorf("second: %d, want 15", a)
-	}
-	if a := m.RequestFill(3, 5); a != 16 {
-		t.Errorf("third: %d, want 16", a)
-	}
-	// A later request is unaffected once bandwidth frees.
-	if a := m.RequestFill(4, 20); a != 30 {
-		t.Errorf("later: %d, want 30", a)
-	}
-}
-
-func TestPortsBacklogCarries(t *testing.T) {
-	m, _ := NewPorts(0, 1)
-	// Port rate 1/cycle: requests at the same cycle pile up one per cycle.
-	for i := int64(0); i < 5; i++ {
-		if a := m.RequestFill(uint64(i), 0); a != i {
-			t.Fatalf("request %d: arrival %d, want %d", i, a, i)
-		}
-	}
-	// Next request at cycle 2 is behind the backlog (backlog ends at 4).
-	if a := m.RequestFill(99, 2); a != 5 {
-		t.Fatalf("backlogged request: %d, want 5", a)
-	}
-}
-
-func TestPortsValidation(t *testing.T) {
-	if _, err := NewPorts(10, 0); err == nil {
-		t.Error("zero ports accepted")
-	}
-	if _, err := NewPorts(-1, 1); err == nil {
-		t.Error("negative md accepted")
-	}
-}
 
 func TestOutstandingCapacity(t *testing.T) {
 	m, err := NewOutstanding(10, 2)
@@ -226,10 +168,9 @@ func TestBypassValidation(t *testing.T) {
 // Property: all models respect the engine contract arrival >= sent.
 func TestModelsRespectContract(t *testing.T) {
 	mk := func() []engine.MemModel {
-		p, _ := NewPorts(13, 2)
 		o, _ := NewOutstanding(13, 3)
 		b, _ := NewBypass(13, 8)
-		return []engine.MemModel{&Fixed{MD: 13}, p, o, b}
+		return []engine.MemModel{o, b}
 	}
 	f := func(addrs []uint16, deltas []uint8) bool {
 		models := mk()
