@@ -1,5 +1,5 @@
 // Command daelint runs the repo's static-analysis suite (internal/lint):
-// seven analyzers that enforce the determinism, schema-parity, hot-path,
+// seven analyzers that enforce the determinism, schema-coverage, hot-path,
 // version-bump, lock-discipline, context-flow and error-classification
 // invariants the figures and the fleet failure ladder depend on. CI runs
 // it as a required step; DESIGN.md §12 documents the analyzers and the

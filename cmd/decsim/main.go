@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"daesim/internal/engine"
 	"daesim/internal/isa"
@@ -47,28 +48,14 @@ func main() {
 	}
 }
 
-func parsePolicy(s string) (partition.Policy, error) {
-	for _, p := range partition.Policies() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
 func run(w io.Writer, workload, kindName, policyName string, p machine.Params, scale int) error {
-	pol, err := parsePolicy(policyName)
-	if err != nil {
+	var pol partition.Policy
+	if err := pol.UnmarshalText([]byte(policyName)); err != nil {
 		return err
 	}
 	var kind machine.Kind
-	switch kindName {
-	case "DM", "dm":
-		kind = machine.DM
-	case "SWSM", "swsm":
-		kind = machine.SWSM
-	default:
-		return fmt.Errorf("unknown machine %q (want DM or SWSM)", kindName)
+	if err := kind.UnmarshalText([]byte(strings.ToUpper(kindName))); err != nil {
+		return err
 	}
 	tr, err := workloads.Build(workload, scale)
 	if err != nil {

@@ -51,14 +51,3 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unknown policy accepted")
 	}
 }
-
-func TestParsePolicy(t *testing.T) {
-	for _, name := range []string{"classic", "slice-only", "balance"} {
-		if _, err := parsePolicy(name); err != nil {
-			t.Errorf("%s rejected: %v", name, err)
-		}
-	}
-	if _, err := parsePolicy("x"); err == nil {
-		t.Error("bad policy accepted")
-	}
-}

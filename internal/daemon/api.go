@@ -21,135 +21,14 @@
 package daemon
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/json"
 
 	"daesim/internal/engine"
 	"daesim/internal/machine"
-	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/sweep"
 )
-
-// Params is the wire form of machine.Params. Every simulation-visible
-// field crosses the wire explicitly; a memory model travels as its
-// canonical spec text (memsys.Spec.String), omitted when there is none,
-// so requests without one keep their bytes. TestWireParamsCoverMachineParams
-// pins the field count against machine.Params, so adding a parameter
-// without extending the protocol fails the build gate.
-type Params struct {
-	Window        int    `json:"window,omitempty"`
-	AUWindow      int    `json:"au_window,omitempty"`
-	DUWindow      int    `json:"du_window,omitempty"`
-	MD            int    `json:"md,omitempty"`
-	FPLat         int    `json:"fp_lat,omitempty"`
-	CopyLat       int    `json:"copy_lat,omitempty"`
-	AUWidth       int    `json:"au_width,omitempty"`
-	DUWidth       int    `json:"du_width,omitempty"`
-	Width         int    `json:"width,omitempty"`
-	DispatchWidth int    `json:"dispatch_width,omitempty"`
-	MemQueue      int    `json:"mem_queue,omitempty"`
-	Mem           string `json:"mem,omitempty"` // memsys.Spec text: "bypass:64", "cache:64x2@2,1024x4@8"
-	CollectESW    bool   `json:"collect_esw,omitempty"`
-	HoldSendSlots bool   `json:"hold_send_slots,omitempty"`
-	Retire        string `json:"retire,omitempty"` // "", "auto", "at-complete", "in-order"
-}
-
-// ToParams converts machine parameters to their wire form.
-func ToParams(p machine.Params) Params {
-	retire := ""
-	mem := ""
-	if p.Mem != (memsys.Spec{}) {
-		mem = p.Mem.String()
-	}
-	if p.Retire != machine.RetireAuto {
-		retire = p.Retire.String()
-	}
-	return Params{
-		Window: p.Window, AUWindow: p.AUWindow, DUWindow: p.DUWindow,
-		MD: p.MD, FPLat: p.FPLat, CopyLat: p.CopyLat,
-		AUWidth: p.AUWidth, DUWidth: p.DUWidth, Width: p.Width,
-		DispatchWidth: p.DispatchWidth, MemQueue: p.MemQueue, Mem: mem,
-		CollectESW: p.CollectESW, HoldSendSlots: p.HoldSendSlots,
-		Retire: retire,
-	}
-}
-
-// Machine converts wire parameters back to machine.Params.
-func (w Params) Machine() (machine.Params, error) {
-	p := machine.Params{
-		Window: w.Window, AUWindow: w.AUWindow, DUWindow: w.DUWindow,
-		MD: w.MD, FPLat: w.FPLat, CopyLat: w.CopyLat,
-		AUWidth: w.AUWidth, DUWidth: w.DUWidth, Width: w.Width,
-		DispatchWidth: w.DispatchWidth, MemQueue: w.MemQueue,
-		CollectESW: w.CollectESW, HoldSendSlots: w.HoldSendSlots,
-	}
-	var err error
-	if p.Mem, err = memsys.ParseSpec(w.Mem); err != nil {
-		return p, fmt.Errorf("daemon: %w", err)
-	}
-	switch w.Retire {
-	case "", "auto":
-		p.Retire = machine.RetireAuto
-	case "at-complete":
-		p.Retire = machine.RetireAtComplete
-	case "in-order":
-		p.Retire = machine.RetireInOrder
-	default:
-		return p, fmt.Errorf("daemon: unknown retire policy %q (want auto, at-complete, in-order)", w.Retire)
-	}
-	return p, nil
-}
-
-// Point is the wire form of sweep.Point.
-type Point struct {
-	Kind   string `json:"kind"` // "DM" or "SWSM"
-	Params Params `json:"params"`
-}
-
-// ToPoint converts a sweep point to its wire form.
-func ToPoint(pt sweep.Point) Point {
-	return Point{Kind: pt.Kind.String(), Params: ToParams(pt.P)}
-}
-
-// Sweep converts a wire point back to a sweep.Point.
-func (w Point) Sweep() (sweep.Point, error) {
-	kind, err := ParseKind(w.Kind)
-	if err != nil {
-		return sweep.Point{}, err
-	}
-	p, err := w.Params.Machine()
-	if err != nil {
-		return sweep.Point{}, err
-	}
-	return sweep.Point{Kind: kind, P: p}, nil
-}
-
-// ParseKind parses a machine kind name as printed by machine.Kind.String.
-func ParseKind(s string) (machine.Kind, error) {
-	switch s {
-	case "DM":
-		return machine.DM, nil
-	case "SWSM":
-		return machine.SWSM, nil
-	default:
-		return 0, fmt.Errorf("daemon: unknown machine kind %q (want DM or SWSM)", s)
-	}
-}
-
-// ParsePolicy parses a partition policy name as printed by
-// partition.Policy.String; empty means the default classic partition.
-func ParsePolicy(s string) (partition.Policy, error) {
-	switch s {
-	case "", "classic":
-		return partition.Classic, nil
-	case "slice-only":
-		return partition.SliceOnly, nil
-	case "balance":
-		return partition.Balance, nil
-	default:
-		return 0, fmt.Errorf("daemon: unknown partition policy %q (want classic, slice-only, balance)", s)
-	}
-}
 
 // Target identifies the suite a request runs against: a workload at a
 // scale (at most MaxScale) under a partition policy. The zero values
@@ -165,25 +44,45 @@ func ParsePolicy(s string) (partition.Policy, error) {
 // sends its linked engine.Version and, from sweeps routed through the
 // runner hooks, the local suite's source key.
 type Target struct {
-	Workload string `json:"workload"`
-	Scale    int    `json:"scale,omitempty"`
-	Policy   string `json:"policy,omitempty"`
+	Workload string           `json:"workload"`
+	Scale    int              `json:"scale,omitempty"`
+	Policy   partition.Policy `json:"policy,omitempty"`
 	// EngineVersion, when non-empty, must equal the daemon's
 	// engine.Version.
 	EngineVersion string `json:"engine_version,omitempty"`
-	// Fingerprint, when non-empty, must equal the daemon suite's
-	// machine.Suite.Fingerprint(): its source key, a hash of
-	// lower.Version and of digests of the trace and the partition
-	// assignment. A daemon built
-	// with another lowering version, or one that builds the workload or
-	// its partition differently, refuses the request.
+	// Fingerprint, when non-empty, must equal the
+	// machine.Suite.Fingerprint() of the daemon's suite for the workload
+	// under Policy or, failing that, under another partition policy: its
+	// source key, a hash of lower.Version and of digests of the trace and
+	// the partition assignment. A daemon built with another lowering
+	// version, or one that builds the workload or its partition
+	// differently, refuses the request.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // RunRequest is one simulation point: an item of a /v1/batch/run body.
 type RunRequest struct {
 	Target
-	Point
+	sweep.Point
+}
+
+// noKind is the Kind of a decoded RunRequest whose body named none.
+const noKind = machine.Kind(255)
+
+// UnmarshalJSON decodes an item as strictly as the body around it,
+// leaving Kind at noKind when the item names none: machine.DM is Kind's
+// zero value, so the server could not otherwise tell an omitted or null
+// "kind" from the DM, and would run the DM silently.
+func (r *RunRequest) UnmarshalJSON(data []byte) error {
+	type plain RunRequest // without this method
+	item := plain{Point: sweep.Point{Kind: noKind}}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&item); err != nil {
+		return err
+	}
+	*r = RunRequest(item)
+	return nil
 }
 
 // SearchRatio is the one SearchRequest.Op: run the DM at the given
@@ -198,7 +97,7 @@ type SearchRequest struct {
 	// Op selects the search; SearchRatio is the only one.
 	Op string `json:"op"`
 	// Params configures the probes; Params.Window is the DM window.
-	Params Params `json:"params"`
+	Params machine.Params `json:"params"`
 }
 
 // SearchResponse answers one SearchRequest. OK is false when the

@@ -20,37 +20,14 @@ import (
 	"daesim/internal/machine"
 	"daesim/internal/memsys"
 	"daesim/internal/metrics"
+	"daesim/internal/partition"
 	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
 
-// TestWireParamsCoverMachineParams is the protocol's field-count guard,
-// mirroring TestCacheKeyCoversAllParams: machine.Params and the wire
-// Params declare the same fields. Adding a machine parameter without extending the protocol — which
-// would silently simulate the default value on the daemon — fails here.
-func TestWireParamsCoverMachineParams(t *testing.T) {
-	t.Parallel()
-	names := func(typ reflect.Type) map[string]bool {
-		m := map[string]bool{}
-		for i := 0; i < typ.NumField(); i++ {
-			m[typ.Field(i).Name] = true
-		}
-		return m
-	}
-	mp := names(reflect.TypeOf(machine.Params{}))
-	wp := names(reflect.TypeOf(Params{}))
-	for n := range mp {
-		if !wp[n] {
-			t.Errorf("machine.Params.%s has no wire counterpart: extend the protocol (daemon.Params, ToParams, Machine)", n)
-		}
-	}
-	for n := range wp {
-		if !mp[n] {
-			t.Errorf("wire Params.%s has no machine counterpart: dead protocol surface, or a rename that forgot one side", n)
-		}
-	}
-}
-
+// TestParamsRoundTrip pins the wire schema: machine.Params and
+// sweep.Point round-trip through JSON unchanged, and the request shapes
+// encode to the bytes the protocol has always sent.
 func TestParamsRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := machine.Params{
@@ -59,24 +36,53 @@ func TestParamsRoundTrip(t *testing.T) {
 		CollectESW: true, HoldSendSlots: true, Retire: machine.RetireAtComplete,
 		Mem: memsys.DefaultCacheSpec(),
 	}
-	wp := ToParams(in)
-	out, err := wp.Machine()
-	if err != nil {
+	var out sweep.Point
+	if err := json.Unmarshal(asJSON(t, sweep.Point{Kind: machine.SWSM, P: in}), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Fatalf("round trip changed params:\nin  %+v\nout %+v", in, out)
+	if out != (sweep.Point{Kind: machine.SWSM, P: in}) {
+		t.Fatalf("round trip changed the point:\nin  %+v\nout %+v", in, out)
 	}
-	// Without a memory model the wire form carries no "mem" key, so
-	// requests keep the bytes they had before the field existed.
-	if b, err := json.Marshal(ToParams(machine.Params{Window: 8})); err != nil || string(b) != `{"window":8}` {
-		t.Errorf("spec-free params encode as %s (%v), want {\"window\":8}", b, err)
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{sweep.Point{Kind: machine.SWSM, P: in},
+			`{"kind":"SWSM","params":{"window":64,"au_window":32,"du_window":48,"md":60,"fp_lat":5,"copy_lat":2,"au_width":3,"du_width":6,"width":9,"dispatch_width":4,"mem_queue":128,"mem":"cache:64x2@2,1024x4@8","collect_esw":true,"hold_send_slots":true,"retire":"at-complete"}}`},
+		// Zero fields are omitted, so a point without a memory model
+		// keeps the bytes it had before the field existed.
+		{machine.Params{Window: 8}, `{"window":8}`},
+		{RunRequest{Target: Target{Workload: "TRFD", Scale: 2, EngineVersion: "engine-v9", Fingerprint: "f00d"}, Point: sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}}},
+			`{"workload":"TRFD","scale":2,"engine_version":"engine-v9","fingerprint":"f00d","kind":"DM","params":{"window":8}}`},
+		{SearchRequest{Target: Target{Workload: "TRFD", EngineVersion: "engine-v9"}, Op: SearchRatio, Params: machine.Params{Window: 10, MD: 60}},
+			`{"workload":"TRFD","engine_version":"engine-v9","op":"ratio","params":{"window":10,"md":60}}`},
+		{Target{Workload: "TRFD", Policy: partition.Balance, EngineVersion: "engine-v9"},
+			`{"workload":"TRFD","policy":"balance","engine_version":"engine-v9"}`},
+		{BatchRunRequest{Items: []RunRequest{{Target: Target{Workload: "TRFD"}, Point: sweep.Point{P: machine.Params{Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 64}, Retire: machine.RetireInOrder}}}}},
+			`{"items":[{"workload":"TRFD","kind":"DM","params":{"mem":"bypass:64","retire":"in-order"}}]}`},
+	} {
+		if got := string(asJSON(t, tc.v)); got != tc.want {
+			t.Errorf("%T encodes as\n%s\nwant\n%s", tc.v, got, tc.want)
+		}
 	}
-	if _, err := (Params{Mem: "cache:3x2@1"}).Machine(); err == nil {
+	// The text forms refuse what they cannot name; the empty string is
+	// the zero value where one has a name.
+	var p machine.Params
+	if err := json.Unmarshal([]byte(`{"mem":"cache:3x2@1"}`), &p); err == nil {
 		t.Error("an invalid memory spec must fail")
 	}
-	if _, err := (Params{Retire: "bogus"}).Machine(); err == nil {
+	if err := json.Unmarshal([]byte(`{"retire":"bogus"}`), &p); err == nil {
 		t.Error("unknown retire policy must fail")
+	}
+	if err := json.Unmarshal([]byte(`{"mem":"","retire":""}`), &p); err != nil || p != (machine.Params{}) {
+		t.Errorf("empty mem and retire decode as %+v (%v), want the zero params", p, err)
+	}
+	var tg Target
+	if err := json.Unmarshal([]byte(`{"policy":""}`), &tg); err != nil || tg.Policy != partition.Classic {
+		t.Errorf("empty policy decodes as %v (%v), want classic", tg.Policy, err)
+	}
+	if err := json.Unmarshal([]byte(`{"kind":""}`), &out); err == nil {
+		t.Error("an empty kind must fail")
 	}
 }
 
@@ -256,7 +262,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	p := machine.Params{Window: 16, MD: 30}
-	resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{{Op: SearchRatio, Params: Params{Window: 16, MD: 30}}})
+	resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{{Op: SearchRatio, Params: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +317,7 @@ func TestSkewRefused(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	_, err := client.Clients()[0].BatchRun(context.Background(), []RunRequest{{
 		Target: Target{Workload: testWorkload, EngineVersion: "engine-v0"},
-		Point:  Point{Kind: "DM", Params: Params{Window: 8}},
+		Point:  sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}},
 	}})
 	if err == nil || !strings.Contains(err.Error(), "engine version skew") || !strings.Contains(err.Error(), "409") {
 		t.Errorf("engine version skew should be refused with 409: %v", err)
@@ -328,7 +334,7 @@ func TestSkewRefused(t *testing.T) {
 	const programContentFP = "d39d6c8eabefb13843668b60b78e0c0a391d30ec132e24ab5a1b615760ebcbe0"
 	_, err = client.Clients()[0].BatchRun(context.Background(), []RunRequest{{
 		Target: Target{Workload: testWorkload, EngineVersion: engine.Version, Fingerprint: programContentFP},
-		Point:  Point{Kind: "DM", Params: Params{Window: 8}},
+		Point:  sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}},
 	}})
 	if err == nil || !strings.Contains(err.Error(), "workload content skew") || !strings.Contains(err.Error(), "409") {
 		t.Errorf("program-content fingerprint from an older client should be refused with 409: %v", err)
@@ -403,6 +409,7 @@ func TestBadRequests(t *testing.T) {
 		return client.post(context.Background(), path, body, &resp)
 	}
 	run := func(item any) error { return post("/v1/batch/run", map[string]any{"items": []any{item}}) }
+	raw := func(item string) error { return run(json.RawMessage(item)) }
 	search := func(item SearchRequest) error {
 		item.Target = Target{Workload: testWorkload}
 		return post("/v1/batch/search", BatchSearchRequest{Items: []SearchRequest{item}})
@@ -416,15 +423,26 @@ func TestBadRequests(t *testing.T) {
 			_, err := fleet.Run(context.Background(), "NOSUCH", 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
 			return err
 		}, "NOSUCH"},
+		// A malformed value is refused at decode, naming the value.
 		{"bad kind", func() error {
-			return run(RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}})
-		}, "unknown machine kind"},
+			return raw(`{"workload":"TRFD","kind":"VLIW"}`)
+		}, `unknown machine kind "VLIW"`},
+		{"no kind", func() error {
+			return raw(`{"workload":"TRFD","params":{"window":8}}`)
+		}, "names no machine kind"},
+		{"null kind", func() error {
+			return raw(`{"workload":"TRFD","kind":null}`)
+		}, "names no machine kind"},
 		{"bad policy", func() error {
-			return run(RunRequest{Target: Target{Workload: testWorkload, Policy: "random"}, Point: Point{Kind: "DM"}})
-		}, "unknown partition policy"},
+			return raw(`{"workload":"TRFD","policy":"random","kind":"DM"}`)
+		}, `unknown partition policy "random"`},
 		{"bad retire", func() error {
-			return run(RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Retire: "never"}}})
-		}, "unknown retire policy"},
+			return raw(`{"workload":"TRFD","kind":"DM","params":{"retire":"never"}}`)
+		}, `unknown retire policy "never"`},
+		{"bad mem", func() error {
+			return raw(`{"workload":"TRFD","kind":"DM","params":{"mem":"cache:3x2@1"}}`)
+		}, `spec "cache:3x2@1"`},
+
 		{"empty batch", func() error {
 			return post("/v1/batch/run", BatchRunRequest{})
 		}, "no items"},
@@ -445,6 +463,15 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error %v, want a 400 containing %q", tc.name, err, tc.want)
 		}
 	}
+	// A number or an object where a name belongs is a type error at
+	// decode, never a value.
+	for _, tc := range shapeConfusedBodies {
+		err := post(tc.path, json.RawMessage(tc.body))
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "cannot unmarshal") {
+			t.Errorf("%s %s: error %v, want a 400 type error", tc.path, tc.body, err)
+		}
+	}
 }
 
 // TestBatchRunEndpoint: a batch whose items span workloads answers
@@ -455,38 +482,34 @@ func TestBatchRunEndpoint(t *testing.T) {
 	t.Parallel()
 	_, fleet := newTestServer(t, Config{})
 	client := fleet.Clients()[0]
-	mk := func(workload string, kind string, w int) RunRequest {
+	mk := func(workload string, kind machine.Kind, w int) RunRequest {
 		return RunRequest{
 			Target: Target{Workload: workload, EngineVersion: engine.Version},
-			Point:  Point{Kind: kind, Params: Params{Window: w, MD: 20}},
+			Point:  sweep.Point{Kind: kind, P: machine.Params{Window: w, MD: 20}},
 		}
 	}
 	items := []RunRequest{
-		mk(testWorkload, "DM", 8),
-		mk("ADM", "SWSM", 16),
-		mk(testWorkload, "SWSM", 8),
-		mk(testWorkload, "DM", 8), // duplicate: single-flight, same answer
+		mk(testWorkload, machine.DM, 8),
+		mk("ADM", machine.SWSM, 16),
+		mk(testWorkload, machine.SWSM, 8),
+		mk(testWorkload, machine.DM, 8), // duplicate: single-flight, same answer
 	}
 	results, err := client.BatchRun(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, item := range items {
-		pt, err := item.Point.Sweep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := localResult(t, item.Workload, pt)
+		local := localResult(t, item.Workload, item.Point)
 		if !bytes.Equal(asJSON(t, results[i]), asJSON(t, local)) {
 			t.Errorf("batch item %d differs from local", i)
 		}
 	}
 
-	bad := append(items[:2:2], RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}})
+	bad := append(items[:2:2], RunRequest{Target: Target{Workload: "NOSUCH"}, Point: items[0].Point})
 	if _, err := client.BatchRun(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "batch item 2") {
-		t.Errorf("bad item should fail the batch naming the index: %v", err)
+		t.Errorf("bad target should fail the batch naming the index: %v", err)
 	}
-	skewed := []RunRequest{{Target: Target{Workload: testWorkload, EngineVersion: "engine-v0"}, Point: Point{Kind: "DM", Params: Params{Window: 8}}}}
+	skewed := []RunRequest{{Target: Target{Workload: testWorkload, EngineVersion: "engine-v0"}, Point: items[0].Point}}
 	if _, err := client.BatchRun(context.Background(), skewed); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Errorf("skewed item should 409 the batch: %v", err)
 	}
@@ -500,8 +523,8 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	client := fleet.Clients()[0]
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
 	items := []SearchRequest{
-		{Target: target, Op: SearchRatio, Params: Params{Window: 16, MD: 30}},
-		{Target: target, Op: SearchRatio, Params: Params{Window: 8, MD: 30}},
+		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 16, MD: 30}},
+		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
 	if err != nil {
@@ -509,12 +532,9 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	}
 	runner := localRunner(t, testWorkload)
 	for i, item := range items {
-		p, err := item.Params.Machine()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want SearchResponse
-		want.Ratio, want.OK, err = metrics.EquivalentWindowRatio(runner, p)
+		var err error
+		want.Ratio, want.OK, err = metrics.EquivalentWindowRatio(runner, item.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -550,7 +550,7 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 	items := make([]RunRequest, len(pts))
 	for i, pt := range pts {
 		keys[i] = routeKey(workload, scale, fingerprint, pt)
-		items[i] = RunRequest{Target: target, Point: ToPoint(pt)}
+		items[i] = RunRequest{Target: target, Point: pt}
 	}
 	out := make([]*engine.Result, len(pts))
 	err := f.scatter(ctx, len(pts), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
@@ -637,7 +637,7 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {
-		items[i] = SearchRequest{Op: SearchRatio, Params: ToParams(p)}
+		items[i] = SearchRequest{Op: SearchRatio, Params: p}
 	}
 	resp, err := f.BatchSearch(ctx, workload, scale, fingerprint, items)
 	if err != nil {

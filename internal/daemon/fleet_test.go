@@ -3,9 +3,11 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"daesim/internal/experiments"
 	"daesim/internal/machine"
 	"daesim/internal/metrics"
+	"daesim/internal/partition"
 	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
@@ -307,6 +310,44 @@ func TestFleetSkewNotRetried(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("skew refusal should cost exactly one request, servers saw %d", total)
+	}
+}
+
+// TestFleetPartitionPolicies: a context partitioning under any policy
+// renders Figure 4 through a fleet exactly as it does locally, with
+// zero local simulations. The remote hooks carry no policy, so the
+// daemon finds the suite by its fingerprint; FLO52Q and TRACK are
+// workloads whose non-classic assignments differ from the classic one.
+// A fingerprint no policy produces is still refused with 409.
+func TestFleetPartitionPolicies(t *testing.T) {
+	t.Parallel()
+	fleet, _, _ := newFleet(t, 1, nil, nil)
+	for _, w := range []string{"FLO52Q", "TRACK"} {
+		for _, pol := range partition.Policies() {
+			local := experiments.NewContext()
+			local.Policy = pol
+			remote := fleetContext(fleet)
+			remote.Policy = pol
+			want, err := local.FigureNamed(4, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := remote.FigureNamed(4, w)
+			if err != nil {
+				t.Fatalf("%s under %s through the fleet: %v", w, pol, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s under %s: fleet figure differs from local", w, pol)
+			}
+			if st := remote.CacheStats(); st.Sims != 0 {
+				t.Errorf("%s under %s: fleet context simulated %d points locally", w, pol, st.Sims)
+			}
+		}
+	}
+	_, err := fleet.Run(context.Background(), "FLO52Q", 1, "garbage", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || !strings.Contains(err.Error(), "partition policy") {
+		t.Errorf("a fingerprint no policy produces: %v, want a 409 naming the partition policy", err)
 	}
 }
 

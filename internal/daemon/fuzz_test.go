@@ -9,15 +9,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"daesim/internal/sweep"
 )
 
 // TestBatchWireSchemasMirrorPointSchemas is the batch protocol's drift
-// guard, mirroring TestWireParamsCoverMachineParams one level up: the
-// batch request bodies are exactly {items: [<one-point request>]}, so
-// the existing field-count guard on Params transitively covers them —
-// but only as long as the item types stay RunRequest and SearchRequest
-// and nothing grows beside Items without the decoders (and their fuzz
-// corpus) being extended consciously.
+// guard: the batch request bodies are exactly {items: [<one-point
+// request>]}, so schemaguard's json-tag check on machine.Params
+// transitively covers them — but only as long as the item types stay
+// RunRequest and SearchRequest and nothing grows beside Items without
+// the decoders (and their fuzz corpus) being extended consciously.
 func TestBatchWireSchemasMirrorPointSchemas(t *testing.T) {
 	t.Parallel()
 	br := reflect.TypeOf(BatchRunRequest{})
@@ -69,7 +71,10 @@ func batchFuzzSeeds(f *testing.F, valid string) {
 	f.Add([]byte(`{"items":[{"workload":"NOSUCH","kind":"DM"}]}`))                      // unknown workload
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"VLIW"}]}`))                      // bad kind
 	f.Add([]byte(`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":-5}}]}`)) // hostile params
-	f.Add([]byte(strings.Repeat(`[`, 10000)))                                           // deep nesting
+	for _, body := range shapeConfusedBodies {
+		f.Add([]byte(body.body))
+	}
+	f.Add([]byte(strings.Repeat(`[`, 10000))) // deep nesting
 	for _, body := range hugeScaleBodies {
 		f.Add([]byte(body.body))
 	}
@@ -124,6 +129,20 @@ var oversizedBodies = []struct {
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"bypass:68719476736"}}]}`, http.StatusBadRequest},
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:68719476736x2@1"}}]}`, http.StatusBadRequest},
 	{`{"items":[{"workload":"TRFD","kind":"DM","params":{"window":8,"md":10,"mem":"cache:64x68719476736@1"}}]}`, http.StatusBadRequest},
+}
+
+// shapeConfusedBodies put a number or an object where the wire form is
+// a name: an enum's integer value, or a memory spec's Go fields (with a
+// size past memsys's bounds, which must not bypass ParseSpec). Each
+// endpoint refuses its bodies with 400 at decode (TestBadRequests).
+var shapeConfusedBodies = []struct{ path, body string }{
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":1}]}`},
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":"DM","params":{"retire":2}}]}`},
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","policy":1,"kind":"DM"}]}`},
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":"DM","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","op":"ratio","params":{"retire":2}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","policy":1,"op":"ratio"}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","op":"ratio","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
 }
 
 // hugeScaleBodies name a workload scale far past MaxScale, in the run
@@ -184,6 +203,38 @@ func FuzzBatchRunDecode(f *testing.F) {
 func FuzzBatchSearchDecode(f *testing.F) {
 	fuzzBatchEndpoint(f, "/v1/batch/search",
 		`{"items":[{"workload":"TRFD","op":"ratio","params":{"window":8,"md":10}}]}`)
+}
+
+// FuzzCacheGCDecode fuzzes the /v1/cache/gc decoder over a server with
+// an empty store: whatever bytes arrive the server answers a status,
+// never a panic; invalid JSON, a negative bound and a bad max_age are
+// each a 400.
+func FuzzCacheGCDecode(f *testing.F) {
+	store, err := sweep.OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	handler := NewServer(Config{Store: store}).Handler()
+	for _, body := range []string{
+		`{}`, `{"max_entries":10,"max_bytes":1024,"max_age":"24h"}`,
+		``, `{`, `null`, `[]`, `{"max_entries":1}garbage`, `{"max_entriez":1}`,
+		`{"max_entries":-1}`, `{"max_bytes":-1}`, `{"max_entries":"1"}`,
+		`{"max_age":"soon"}`, `{"max_age":"-1h"}`, `{"max_age":24}`,
+		`{"max_entries":1e400}`, `{"max_bytes":9223372036854775808}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code := postBody(handler, "/v1/cache/gc", body)
+		var req GCRequest
+		bad := json.Unmarshal(body, &req) != nil || req.MaxEntries < 0 || req.MaxBytes < 0
+		if d, err := time.ParseDuration(req.MaxAge); req.MaxAge != "" && (err != nil || d < 0) {
+			bad = true
+		}
+		if bad && code != http.StatusBadRequest {
+			t.Errorf("/v1/cache/gc answered %d to %q, want 400", code, body)
+		}
+	})
 }
 
 // TestBatchSizeBounds pins the non-fuzz half of the oversize contract

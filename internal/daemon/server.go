@@ -14,7 +14,6 @@ import (
 
 	"daesim/internal/engine"
 	"daesim/internal/experiments"
-	"daesim/internal/machine"
 	"daesim/internal/metrics"
 	"daesim/internal/obsv"
 	"daesim/internal/partition"
@@ -220,6 +219,12 @@ func (e *skewError) Error() string { return e.msg }
 // engine version or suite source key (trace, partition assignment and
 // lower.Version) than this daemon's build is refused rather than
 // answered with results the client could never have produced itself.
+//
+// The remote hooks carry no partition policy, so a client sweeping
+// under a non-classic policy sends a classic target with its own
+// suite's key. When the target's suite misses that key, the workload's
+// suites under the other policies are tried, and the one that matches
+// serves: equal keys mean equal lowering inputs, so equal results.
 func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.EngineVersion != "" && t.EngineVersion != engine.Version {
 		return nil, &skewError{fmt.Sprintf("daemon: engine version skew: daemon runs %s, client expects %s (rebuild or restart sweepd)", engine.Version, t.EngineVersion)}
@@ -227,18 +232,23 @@ func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.Scale > MaxScale {
 		return nil, fmt.Errorf("daemon: scale %d exceeds the limit of %d", t.Scale, MaxScale)
 	}
-	pol, err := ParsePolicy(t.Policy)
-	if err != nil {
-		return nil, err
+	r, err := s.contextFor(t.Scale, t.Policy).Runner(t.Workload)
+	if err != nil || t.Fingerprint == "" || t.Fingerprint == r.Suite.Fingerprint() {
+		return r, err
 	}
-	r, err := s.contextFor(t.Scale, pol).Runner(t.Workload)
-	if err != nil {
-		return nil, err
+	for _, pol := range partition.Policies() {
+		if pol == t.Policy {
+			continue
+		}
+		alt, err := s.contextFor(t.Scale, pol).Runner(t.Workload)
+		if err != nil {
+			return nil, err
+		}
+		if alt.Suite.Fingerprint() == t.Fingerprint {
+			return alt, nil
+		}
 	}
-	if t.Fingerprint != "" && t.Fingerprint != r.Suite.Fingerprint() {
-		return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d, policy %s): daemon key %s, client key %s — the builds trace, partition or lower (lower.Version) the workload differently; restart sweepd from the client's build", t.Workload, t.Scale, pol, r.Suite.Fingerprint(), t.Fingerprint)}
-	}
-	return r, nil
+	return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d): client key %s matches this daemon's suite under no partition policy (policy %s has key %s) — the builds trace, partition or lower (lower.Version) the workload differently; restart sweepd from the client's build", t.Workload, t.Scale, t.Fingerprint, t.Policy, r.Suite.Fingerprint())}
 }
 
 // targetStatus maps a runnerFor error to its HTTP status.
@@ -381,24 +391,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// prepSearch validates one search request: it checks the op, resolves
-// the runner and decodes the params before anything simulates. A
-// non-nil error carries the HTTP status to refuse with.
-func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, int, error) {
-	if req.Op != SearchRatio {
-		return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: unknown search op %q (want %s)", req.Op, SearchRatio)
-	}
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		return nil, machine.Params{}, targetStatus(err), err
-	}
-	p, err := req.Params.Machine()
-	if err != nil {
-		return nil, machine.Params{}, http.StatusBadRequest, err
-	}
-	return runner, p, 0, nil
-}
-
 // checkBatchSize refuses empty and oversized batches with 400.
 func checkBatchSize(w http.ResponseWriter, path string, n int) bool {
 	switch {
@@ -424,18 +416,17 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 	// Validate every item before simulating any: the batch is
 	// all-or-nothing, so a malformed tail must not waste the head's work.
 	runners := make([]*sweep.Runner, len(req.Items))
-	pts := make([]sweep.Point, len(req.Items))
 	for i, item := range req.Items {
 		runner, err := s.runnerFor(item.Target)
 		if err != nil {
 			writeError(w, targetStatus(err), fmt.Errorf("daemon: batch item %d: %w", i, err))
 			return
 		}
-		runners[i] = runner
-		if pts[i], err = item.Point.Sweep(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: batch item %d: %w", i, err))
+		if item.Kind == noKind {
+			writeError(w, http.StatusBadRequest, fmt.Errorf(`daemon: batch item %d names no machine kind (want "DM" or "SWSM")`, i))
 			return
 		}
+		runners[i] = runner
 	}
 	// Execute per runner through RunAll, so each group fills on the
 	// runner's worker pool like a local sweep.
@@ -453,7 +444,7 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 		idx := groups[rn]
 		gp := make([]sweep.Point, len(idx))
 		for j, i := range idx {
-			gp[j] = pts[i]
+			gp[j] = req.Items[i].Point
 		}
 		res, err := rn.RunAll(gp)
 		if err != nil {
@@ -478,21 +469,24 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	runners := make([]*sweep.Runner, len(req.Items))
-	params := make([]machine.Params, len(req.Items))
 	for i, item := range req.Items {
-		runner, p, status, err := s.prepSearch(item)
-		if err != nil {
-			writeError(w, status, fmt.Errorf("daemon: batch item %d: %w", i, err))
+		if item.Op != SearchRatio {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: batch item %d: unknown search op %q (want %s)", i, item.Op, SearchRatio))
 			return
 		}
-		runners[i], params[i] = runner, p
+		runner, err := s.runnerFor(item.Target)
+		if err != nil {
+			writeError(w, targetStatus(err), fmt.Errorf("daemon: batch item %d: %w", i, err))
+			return
+		}
+		runners[i] = runner
 	}
 	// Independent searches fan out across the pool, each probing one
 	// point at a time; all probes coalesce in the runners' caches.
 	start := time.Now()
 	results := make([]SearchResponse, len(req.Items))
 	if err := sweep.ForEach(s.cfg.Parallelism, len(req.Items), func(i int) error {
-		ratio, ok, err := metrics.EquivalentWindowRatio(runners[i], params[i])
+		ratio, ok, err := metrics.EquivalentWindowRatio(runners[i], req.Items[i].Params)
 		results[i] = SearchResponse{Ratio: ratio, OK: ok}
 		return err
 	}); err != nil {

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestHotpathFixture(t *testing.T) {
 // fixtureSchemaConfig mirrors DefaultSchemaConfig over the fixture tree.
 var fixtureSchemaConfig = SchemaConfig{
 	ParamsPkg: "schema/machine", ParamsType: "Params", CacheKeyFunc: "CacheKey",
-	WirePkg: "schema/wire", WireType: "Params", WireTo: "ToParams", WireFrom: "Machine",
+	WirePkg: "schema/machine", WireType: "Params",
 	ResultPkg:    "schema/result",
 	ResultTypes:  []string{"Result", "CoreStats"},
 	CloneFunc:    "Clone",
@@ -30,8 +31,45 @@ var fixtureSchemaConfig = SchemaConfig{
 }
 
 func TestSchemaGuardFixture(t *testing.T) {
-	w := loadFixture(t, filepath.Join("testdata", "src"), "schema/machine", "schema/wire", "schema/result")
+	w := loadFixture(t, filepath.Join("testdata", "src"), "schema/machine", "schema/result")
 	runFixture(t, w, []*Analyzer{NewSchemaGuard(fixtureSchemaConfig)})
+}
+
+// TestSchemaGuardMissingDeclarations: a config naming a declaration
+// that is gone from a loaded package is a finding, never a silent pass,
+// for every schemaguard check.
+func TestSchemaGuardMissingDeclarations(t *testing.T) {
+	w := loadFixture(t, filepath.Join("testdata", "src"), "schema/machine", "schema/result")
+	for _, tc := range []struct {
+		name string
+		cfg  SchemaConfig
+		want string
+	}{
+		{"cache-key params", SchemaConfig{ParamsPkg: "schema/machine", ParamsType: "Gone", CacheKeyFunc: "CacheKey"},
+			"schema config names schema/machine.Gone, which does not exist"},
+		{"cache-key encoder", SchemaConfig{ParamsPkg: "schema/machine", ParamsType: "Params", CacheKeyFunc: "Gone"},
+			"schema config names encoder Gone on schema/machine.Params, which does not exist"},
+		{"wire names", SchemaConfig{WirePkg: "schema/machine", WireType: "Gone"},
+			"schema config names schema/machine.Gone, which does not exist"},
+		{"clone func", SchemaConfig{ResultPkg: "schema/result", ResultTypes: []string{"Result"}, CloneFunc: "Gone"},
+			"schema config names Gone on schema/result.Result, which does not exist"},
+		{"clone type", SchemaConfig{ResultPkg: "schema/result", ResultTypes: []string{"Result", "Gone"}, CloneFunc: "Clone"},
+			"schema config names schema/result.Gone, which does not exist"},
+		{"oracle", SchemaConfig{ResultPkg: "schema/result", OracleFunc: "gone"},
+			"oracle comparison result.gone not found"},
+		{"source-key func", SchemaConfig{SourceKeyPkg: "schema/machine", SourceKeyFunc: "Gone", SourceStructs: [][2]string{{"schema/trace", "Instr"}}},
+			"schema config names Gone in schema/machine, which does not exist"},
+		{"source-key struct", SchemaConfig{SourceKeyPkg: "schema/machine", SourceKeyFunc: "Fingerprint", SourceStructs: [][2]string{{"schema/trace", "Gone"}}},
+			"schema config names schema/trace.Gone, which does not exist"},
+	} {
+		var got []string
+		for _, d := range RunAnalyzers(w, []*Analyzer{NewSchemaGuard(tc.cfg)}) {
+			got = append(got, d.Message)
+		}
+		if !slices.ContainsFunc(got, func(m string) bool { return strings.HasPrefix(m, tc.want) }) {
+			t.Errorf("%s: findings %q lack %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestLockguardFixture(t *testing.T) {

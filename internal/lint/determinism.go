@@ -16,7 +16,7 @@ type DeterminismConfig struct {
 
 // DefaultDeterminismPaths are the result-affecting packages: everything
 // between a trace and a rendered figure. The serving layer (daemon) and
-// offline tooling (benchparse) are deliberately out of scope — wall-clock
+// offline tooling are deliberately out of scope — wall-clock
 // time there is operational, not result-affecting.
 var DefaultDeterminismPaths = []string{
 	"daesim/cmd/repro",

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
+	"strings"
 )
 
 // SchemaConfig names the declarations the schemaguard analyzer proves
@@ -16,10 +18,9 @@ type SchemaConfig struct {
 	// field not annotated //daelint:unkeyed must be read — directly or
 	// through the functions it calls — by CacheKeyFunc.
 	ParamsPkg, ParamsType, CacheKeyFunc string
-	// WirePkg.WireType is the wire form of ParamsType: field names must
-	// match 1:1 with ParamsType, every wire field needs a json tag, and the To/From converters must read
-	// every field they translate.
-	WirePkg, WireType, WireTo, WireFrom string
+	// WirePkg.WireType is a struct that is its own wire form: every
+	// field needs a unique, non-empty json name other than "-".
+	WirePkg, WireType string
 	// ResultPkg holds ResultTypes, whose reference-typed fields must
 	// each be named inside CloneFunc (value fields ride the struct copy).
 	ResultPkg   string
@@ -42,7 +43,7 @@ type SchemaConfig struct {
 // §9: cache identity; §10: wire protocol).
 var DefaultSchemaConfig = SchemaConfig{
 	ParamsPkg: "daesim/internal/machine", ParamsType: "Params", CacheKeyFunc: "CacheKey",
-	WirePkg: "daesim/internal/daemon", WireType: "Params", WireTo: "ToParams", WireFrom: "Machine",
+	WirePkg: "daesim/internal/machine", WireType: "Params",
 	ResultPkg:    "daesim/internal/engine",
 	ResultTypes:  []string{"Result", "CoreStats"},
 	CloneFunc:    "Clone",
@@ -57,17 +58,17 @@ var DefaultSchemaConfig = SchemaConfig{
 // NewSchemaGuard builds the schemaguard analyzer: the static form of the
 // field-coverage invariants the repo previously pinned with
 // reflect.NumField counts — every Params field reaches the cache-key
-// encoding and the wire schema, every reference-typed Result field is
-// deep-copied by Clone, every trace instruction field and assignment
-// slice reaches the source key — with diagnostics that name the missing
-// field.
+// encoding and carries its own wire name, every reference-typed Result
+// field is deep-copied by Clone, every trace instruction field and
+// assignment slice reaches the source key — with diagnostics that name
+// the missing field.
 func NewSchemaGuard(cfg SchemaConfig) *Analyzer {
 	return &Analyzer{
 		Name: "schemaguard",
-		Doc:  "proves cache-key, wire-schema, clone and source-key field coverage",
+		Doc:  "proves cache-key, wire-name, clone and source-key field coverage",
 		Run: func(w *World, report func(pos token.Pos, format string, args ...any)) {
 			checkCacheKey(w, cfg, report)
-			checkWireParity(w, cfg, report)
+			checkWireTags(w, cfg, report)
 			checkClone(w, cfg, report)
 			checkOracle(w, cfg, report)
 			checkSourceKey(w, cfg, report)
@@ -138,64 +139,38 @@ func checkCacheKey(w *World, cfg SchemaConfig, report func(pos token.Pos, format
 	}
 }
 
-// checkWireParity: machine params and wire params must declare the same
-// field names, wire fields must carry json
-// tags, and the converters must read every field they translate.
-func checkWireParity(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
-	if cfg.ParamsPkg == "" || cfg.WirePkg == "" {
+// checkWireTags: every field of the wire struct carries a unique,
+// non-empty json name other than "-", so no field is left off the wire,
+// shadowed by another, or named by its Go identifier (which a rename
+// would silently change).
+func checkWireTags(w *World, cfg SchemaConfig, report func(pos token.Pos, format string, args ...any)) {
+	if cfg.WirePkg == "" || cfg.WireType == "" {
 		return
 	}
-	ppkg, wpkg := w.Pkg(cfg.ParamsPkg), w.Pkg(cfg.WirePkg)
-	if ppkg == nil || wpkg == nil {
+	pkg := w.Pkg(cfg.WirePkg)
+	if pkg == nil {
 		return
 	}
-	_, pFields, _ := structFields(ppkg, cfg.ParamsType)
-	wNamed, wFields, wAst := structFields(wpkg, cfg.WireType)
-	if pFields == nil || wFields == nil {
+	named, fields, _ := structFields(pkg, cfg.WireType)
+	if fields == nil {
+		report(token.NoPos, "schema config names %s.%s, which does not exist", cfg.WirePkg, cfg.WireType)
 		return
 	}
-	wireSet := map[string]bool{}
-	for _, f := range wFields {
-		wireSet[f.Name()] = true
-	}
-	machineSet := map[string]bool{}
-	for _, f := range pFields {
-		machineSet[f.Name()] = true
-		if !wireSet[f.Name()] {
-			report(f.Pos(), "field %s added to %s.%s but missing from the wire struct %s.%s: a daemon would silently simulate the default value; extend the protocol", f.Name(), pkgBase(cfg.ParamsPkg), cfg.ParamsType, pkgBase(cfg.WirePkg), cfg.WireType)
+	st := named.Underlying().(*types.Struct)
+	owner := map[string]string{}
+	for i, f := range fields {
+		name, _, _ := strings.Cut(reflect.StructTag(st.Tag(i)).Get("json"), ",")
+		switch {
+		case name == "":
+			report(f.Pos(), "wire field %s.%s has no json name: the Go field name would leak into the protocol and silently change on a rename", cfg.WireType, f.Name())
+		case name == "-":
+			report(f.Pos(), "wire field %s.%s is tagged json:\"-\": it never crosses the wire, so a daemon would silently simulate its default value", cfg.WireType, f.Name())
+		case owner[name] != "":
+			report(f.Pos(), "wire field %s.%s reuses the json name %q of field %s: neither would cross the wire", cfg.WireType, f.Name(), name, owner[name])
+		default:
+			owner[name] = f.Name()
 		}
 	}
-	for _, f := range wFields {
-		if !machineSet[f.Name()] {
-			report(f.Pos(), "wire field %s has no counterpart in %s.%s: dead protocol surface, or a rename that forgot one side", f.Name(), pkgBase(cfg.ParamsPkg), cfg.ParamsType)
-		}
-		if tag, ok := wireJSONTag(wNamed, f.Name()); !ok || tag == "" {
-			report(f.Pos(), "wire field %s has no json tag: the field name would leak into the protocol and silently change on a rename", f.Name())
-		}
-	}
-	// Converter coverage: To must read every wired machine field, From
-	// every wire field, or a new field round-trips as the zero value.
-	if cfg.WireTo != "" {
-		if to := findFunc(wpkg, cfg.WireTo, ""); to != nil {
-			read := fieldsRead(w, wpkg, to, cfg.ParamsPkg, cfg.ParamsType)
-			for _, f := range pFields {
-				if machineSet[f.Name()] && !read[f.Name()] {
-					report(f.Pos(), "%s does not read %s.%s, so the wire form drops field %s", cfg.WireTo, cfg.ParamsType, f.Name(), f.Name())
-				}
-			}
-		}
-	}
-	if cfg.WireFrom != "" {
-		if from := findFunc(wpkg, cfg.WireFrom, cfg.WireType); from != nil {
-			read := fieldsRead(w, wpkg, from, cfg.WirePkg, cfg.WireType)
-			for _, f := range wFields {
-				if !read[f.Name()] {
-					report(f.Pos(), "%s does not read wire field %s, so the daemon drops it on decode", cfg.WireFrom, f.Name())
-				}
-			}
-		}
-	}
-	_ = wAst
 }
 
 // checkClone: every reference-typed field of the result structs must be
@@ -436,61 +411,6 @@ func isReferenceType(t types.Type) bool {
 		return false
 	}
 	return walk(t)
-}
-
-// wireJSONTag extracts the json tag of the named field.
-func wireJSONTag(named *types.Named, field string) (string, bool) {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return "", false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == field {
-			tag := st.Tag(i)
-			return reflectStructTagGet(tag, "json"), true
-		}
-	}
-	return "", false
-}
-
-// reflectStructTagGet is reflect.StructTag.Get without importing reflect
-// for one call; the format is the conventional key:"value" list.
-func reflectStructTagGet(tag, key string) string {
-	for tag != "" {
-		i := 0
-		for i < len(tag) && tag[i] == ' ' {
-			i++
-		}
-		tag = tag[i:]
-		if tag == "" {
-			break
-		}
-		i = 0
-		for i < len(tag) && tag[i] > ' ' && tag[i] != ':' && tag[i] != '"' && tag[i] != 0x7f {
-			i++
-		}
-		if i == 0 || i+1 >= len(tag) || tag[i] != ':' || tag[i+1] != '"' {
-			break
-		}
-		name := tag[:i]
-		tag = tag[i+1:]
-		i = 1
-		for i < len(tag) && tag[i] != '"' {
-			if tag[i] == '\\' {
-				i++
-			}
-			i++
-		}
-		if i >= len(tag) {
-			break
-		}
-		value := tag[1:i]
-		tag = tag[i+1:]
-		if name == key {
-			return value
-		}
-	}
-	return ""
 }
 
 func pkgBase(path string) string {

@@ -1,5 +1,6 @@
-// Package machine is the schemaguard fixture's parameter schema: A and
-// B are fully plumbed, C is the field someone forgot everywhere.
+// Package machine is the schemaguard fixture's parameter schema, which
+// is also its own wire form: A and B are fully plumbed, C is the field
+// someone forgot everywhere, and D and E carry bad wire names.
 // Fingerprint is the source key over trace.Instr and Assignment.
 package machine
 
@@ -11,9 +12,13 @@ import (
 
 // Params mirrors the real machine.Params shape.
 type Params struct {
-	A int
-	B string
-	C int // want `field C added to machine.Params but not encoded in CacheKey` `field C added to machine.Params but missing from the wire struct wire.Params` `ToParams does not read Params.C`
+	A int    `json:"a"`
+	B string `json:"b,omitempty"`
+	C int    // want `field C added to machine.Params but not encoded in CacheKey` `wire field Params.C has no json name`
+	//daelint:unkeyed fixture: exercises the wire-name check only
+	D int `json:"-"` // want `wire field Params.D is tagged json:"-"`
+	//daelint:unkeyed fixture: exercises the wire-name check only
+	E int `json:"a,omitempty"` // want `wire field Params.E reuses the json name "a" of field A`
 }
 
 // Assignment mirrors partition.Assignment for the source-key check:

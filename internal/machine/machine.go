@@ -39,41 +39,64 @@ func (k Kind) String() string {
 	}
 }
 
+// MarshalText writes the kind's name, its wire form.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a kind's name: "DM" or "SWSM".
+func (k *Kind) UnmarshalText(text []byte) error {
+	for _, c := range []Kind{DM, SWSM} {
+		if string(text) == c.String() {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("machine: unknown machine kind %q (want DM or SWSM)", text)
+}
+
 // Params configures one simulation run. The zero value plus a Window is
 // usable: all other fields default to the paper's configuration.
+//
+// Params is also its own wire form (sweepd's "params" object, DESIGN.md
+// §10): each field's json tag names it on the wire, zero fields are
+// omitted, and enum and memory-spec fields travel as their text names.
+// daelint's schemaguard requires every field to carry a unique tag.
 type Params struct {
 	// Window is the instruction window size: per unit on the DM (AU and DU
 	// each get Window slots), total on the SWSM. Zero or negative means
 	// unlimited.
-	Window int
+	Window int `json:"window,omitempty"`
 	// AUWindow/DUWindow override the per-unit windows on the DM when > 0.
-	AUWindow, DUWindow int
+	AUWindow int `json:"au_window,omitempty"`
+	DUWindow int `json:"du_window,omitempty"`
 	// MD is the memory differential in cycles.
-	MD int
+	MD int `json:"md,omitempty"`
 	// FPLat and CopyLat override the default latencies when > 0.
-	FPLat, CopyLat int
+	FPLat   int `json:"fp_lat,omitempty"`
+	CopyLat int `json:"copy_lat,omitempty"`
 	// AUWidth, DUWidth and Width override the issue widths when > 0
 	// (defaults 4, 5 and 9).
-	AUWidth, DUWidth, Width int
+	AUWidth int `json:"au_width,omitempty"`
+	DUWidth int `json:"du_width,omitempty"`
+	Width   int `json:"width,omitempty"`
 	// DispatchWidth overrides per-core dispatch width when > 0 (default:
 	// same as issue width).
-	DispatchWidth int
+	DispatchWidth int `json:"dispatch_width,omitempty"`
 	// MemQueue bounds the number of outstanding memory fills — the
 	// capacity of the decoupled memory (DM) or prefetch buffer (SWSM),
 	// which in the original machines were finite queues. Zero selects the
 	// default QueueFactor×Window (unlimited when the window is unlimited);
 	// Unbounded disables the limit; any positive value is used directly.
-	MemQueue int
+	MemQueue int `json:"mem_queue,omitempty"`
 	// Mem selects a memory model — a bypass buffer or a cache hierarchy
 	// whose full misses pay MD — and then overrides MemQueue. The zero
 	// value keeps the fixed differential behind the MemQueue bound. Each
 	// run builds a fresh model from the spec.
-	Mem memsys.Spec
+	Mem memsys.Spec `json:"mem,omitzero"`
 	// CollectESW enables effective-single-window statistics.
-	CollectESW bool
+	CollectESW bool `json:"collect_esw,omitempty"`
 	// HoldSendSlots makes sends occupy window slots until their fill
 	// returns (ablation A3: removes fire-and-forget slippage).
-	HoldSendSlots bool
+	HoldSendSlots bool `json:"hold_send_slots,omitempty"`
 	// Retire selects the window-slot reclamation policy. The zero value
 	// (RetireAuto) resolves to the machine default: in-order (ROB-style)
 	// on both machines — the mid-90s machines the paper abstracts
@@ -81,7 +104,7 @@ type Params struct {
 	// queues (DM/PIPE/WM), and symmetric accounting is what restores the
 	// paper's C2 large-window ordering (EXPERIMENTS.md). RetireAtComplete
 	// forces the older free-at-completion accounting (ablation A6).
-	Retire RetirePolicy
+	Retire RetirePolicy `json:"retire,omitempty"`
 }
 
 // RetirePolicy selects how window slots are reclaimed.
@@ -109,6 +132,24 @@ func (r RetirePolicy) String() string {
 	default:
 		return fmt.Sprintf("retire(%d)", uint8(r))
 	}
+}
+
+// MarshalText writes the policy's name, its wire form.
+func (r RetirePolicy) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText reads a policy's name; the empty string is RetireAuto.
+func (r *RetirePolicy) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*r = RetireAuto
+		return nil
+	}
+	for _, c := range []RetirePolicy{RetireAuto, RetireAtComplete, RetireInOrder} {
+		if string(text) == c.String() {
+			*r = c
+			return nil
+		}
+	}
+	return fmt.Errorf("machine: unknown retire policy %q (want auto, at-complete, in-order)", text)
 }
 
 // ResolveRetire maps a policy to the concrete policy the engine runs:

@@ -44,6 +44,38 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestEnumText: kinds and retire policies round-trip through their
+// text forms; the empty string is RetireAuto but no kind.
+func TestEnumText(t *testing.T) {
+	for _, k := range []Kind{DM, SWSM} {
+		text, _ := k.MarshalText()
+		var back Kind
+		if err := back.UnmarshalText(text); err != nil || back != k {
+			t.Errorf("%v round-trips as %v (%v)", k, back, err)
+		}
+	}
+	for _, r := range []RetirePolicy{RetireAuto, RetireAtComplete, RetireInOrder} {
+		text, _ := r.MarshalText()
+		var back RetirePolicy
+		if err := back.UnmarshalText(text); err != nil || back != r {
+			t.Errorf("%v round-trips as %v (%v)", r, back, err)
+		}
+	}
+	retire := RetireInOrder
+	if err := retire.UnmarshalText(nil); err != nil || retire != RetireAuto {
+		t.Errorf("empty retire text decodes as %v (%v), want auto", retire, err)
+	}
+	var k Kind
+	for _, bad := range []string{"", "dm", "VLIW", "machine(9)"} {
+		if err := k.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("kind %q accepted", bad)
+		}
+		if err := retire.UnmarshalText([]byte(bad)); err == nil && bad != "" {
+			t.Errorf("retire %q accepted", bad)
+		}
+	}
+}
+
 func TestParamsDefaults(t *testing.T) {
 	p := Params{Window: 32, MD: 60}
 	tm := p.Timing()

@@ -138,6 +138,20 @@ func (s Spec) String() string {
 	}
 }
 
+// MarshalText writes the spec's canonical text, its wire form.
+func (s Spec) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a spec through ParseSpec, so decoded geometry is
+// bounded like parsed geometry; the empty string is NoModel.
+func (s *Spec) UnmarshalText(text []byte) error {
+	spec, err := ParseSpec(string(text))
+	if err != nil {
+		return err
+	}
+	*s = spec
+	return nil
+}
+
 // ParseSpec reads a spec's text form (see String). The empty string
 // is NoModel. The result is validated.
 func ParseSpec(text string) (Spec, error) {

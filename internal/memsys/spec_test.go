@@ -26,6 +26,10 @@ func TestParseSpec(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("ParseSpec(%q).String() = %q, want %q", in, got, want)
 		}
+		var back Spec
+		if text, _ := s.MarshalText(); back.UnmarshalText(text) != nil || back != s {
+			t.Errorf("%q does not round-trip through its text form: %+v", in, back)
+		}
 	}
 	invalid := []string{
 		"none:1", "lru:4", "bypass", "bypass:", "bypass:0", "bypass:-3", "bypass:1048577",
@@ -37,6 +41,10 @@ func TestParseSpec(t *testing.T) {
 	for _, in := range invalid {
 		if s, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted %+v", in, s)
+		}
+		var s Spec
+		if err := s.UnmarshalText([]byte(in)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted %+v", in, s)
 		}
 	}
 }

@@ -58,6 +58,24 @@ func (p Policy) String() string {
 // Policies lists all placement policies.
 func Policies() []Policy { return []Policy{Classic, SliceOnly, Balance} }
 
+// MarshalText writes the policy's name, its wire form.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText reads a policy's name; the empty string is Classic.
+func (p *Policy) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*p = Classic
+		return nil
+	}
+	for _, c := range Policies() {
+		if string(text) == c.String() {
+			*p = c
+			return nil
+		}
+	}
+	return fmt.Errorf("partition: unknown partition policy %q (want classic, slice-only, balance)", text)
+}
+
 // Assignment is the result of partitioning a trace.
 type Assignment struct {
 	// Unit is the executing unit per trace instruction: for Int/FP ops the

@@ -153,6 +153,27 @@ func TestPolicyStrings(t *testing.T) {
 	}
 }
 
+// TestPolicyText: every policy round-trips through its text form, the
+// empty string is Classic, and other names are refused.
+func TestPolicyText(t *testing.T) {
+	for _, p := range Policies() {
+		text, err := p.MarshalText()
+		var back Policy
+		if err != nil || back.UnmarshalText(text) != nil || back != p {
+			t.Errorf("%v round-trips as %v (%s, %v)", p, back, text, err)
+		}
+	}
+	back := Balance
+	if err := back.UnmarshalText(nil); err != nil || back != Classic {
+		t.Errorf("empty text decodes as %v (%v), want classic", back, err)
+	}
+	for _, bad := range []string{"x", "Classic", "policy(3)"} {
+		if err := back.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	a, _ := Partition(mk(), Classic)
 	s := a.Stats()

@@ -24,10 +24,11 @@ import (
 // the point loudly.
 var ErrUnavailable = errors.New("sweep: remote unavailable")
 
-// Point identifies one simulation: a machine kind plus parameters.
+// Point identifies one simulation: a machine kind plus parameters. It
+// is also the wire form of a sweepd run item's point.
 type Point struct {
-	Kind machine.Kind
-	P    machine.Params
+	Kind machine.Kind   `json:"kind"`
+	P    machine.Params `json:"params"`
 }
 
 // key is the in-memory memoization key.
