@@ -111,6 +111,47 @@ func TestFleetMemoryStudiesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFleetPolicyStudy: the policies registry row renders through a
+// 3-replica fleet byte-identically to a local render and simulates
+// nothing locally. Its rows under non-default policies run on runners
+// over repartitioned suites, which must take the context's remote hooks
+// bound to their own fingerprint.
+func TestFleetPolicyStudy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the policy study twice; skipped with -short")
+	}
+	t.Parallel()
+	fleet, _, _ := newFleet(t, 3, nil, nil)
+	row, ok := experiments.Lookup("policies")
+	if !ok {
+		t.Fatal("no policies row in the registry")
+	}
+	render := func(ctx *experiments.Context) []byte {
+		t.Helper()
+		arts, err := row.Run(ctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if len(arts) != 1 || arts[0].File != "policies.txt" {
+			t.Fatalf("policies row writes %v, want policies.txt", arts)
+		}
+		if err := arts[0].Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	local := render(experiments.NewContext())
+	remoteCtx := fleetContext(fleet)
+	remote := render(remoteCtx)
+	if !bytes.Equal(local, remote) {
+		t.Errorf("fleet policies.txt differs from local:\n%s\nlocal:\n%s", remote, local)
+	}
+	if st := remoteCtx.CacheStats(); st.Sims != 0 || st.RemoteHits == 0 {
+		t.Errorf("fleet context must simulate nothing locally: %+v", st)
+	}
+}
+
 // TestFleetFigure7ByteIdentical is the fleet's end-to-end contract: a
 // 3-replica fleet reproduces Figure 7 (and the Figure 4 speedup sweep,
 // which exercises the batched point path where Figure 7 exercises the

@@ -38,10 +38,8 @@ type Context struct {
 	// context's scale, and the local suite's source key (so a daemon
 	// built from different workload, lowering or engine code refuses
 	// instead of answering with skewed results).
-	// internal/daemon.FleetClient.Run has this signature. Detached
-	// runners built outside the per-workload cache (the policy study's
-	// non-default partitions) still simulate locally. Set it before the
-	// first experiment runs.
+	// internal/daemon.FleetClient.Run has this signature. Set it
+	// before the first experiment runs.
 	Remote func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error)
 	// RemoteBatch, when non-nil, executes point sets remotely in one
 	// call, bound like Remote — it becomes each workload runner's
@@ -132,23 +130,30 @@ func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.newRunner(name, suite), nil
+}
+
+// newRunner returns a runner over suite, a suite of workload name, with
+// the context's parallelism, store, degrade setting and remote hooks,
+// each hook bound to the workload, the context's scale and the suite's
+// fingerprint.
+func (c *Context) newRunner(name string, suite *machine.Suite) *sweep.Runner {
 	r := sweep.NewRunner(suite)
 	r.Parallelism = c.Parallelism
 	r.Store = c.Cache
 	r.Degrade = c.Degrade
-	if c.Remote != nil {
-		remote, scale, fp := c.Remote, c.Scale, suite.Fingerprint()
+	scale, fp := c.Scale, suite.Fingerprint()
+	if remote := c.Remote; remote != nil {
 		r.Remote = func(pt sweep.Point) (*engine.Result, error) {
 			return remote(name, scale, fp, pt)
 		}
 	}
-	if c.RemoteBatch != nil {
-		rb, scale, fp := c.RemoteBatch, c.Scale, suite.Fingerprint()
+	if rb := c.RemoteBatch; rb != nil {
 		r.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
 			return rb(name, scale, fp, pts)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // CacheStats aggregates cache traffic across every runner the context

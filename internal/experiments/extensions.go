@@ -110,8 +110,10 @@ type PolicyResult struct {
 // L1, store traffic and remote hooks with every other experiment. Rows
 // under the other policies run on detached runners over
 // Suite.Repartition, which partitions again and shares the runner's
-// trace and SWSM program; the suite fingerprint covers the partition, so
-// these points persist in the shared store as well. The op and copy
+// trace and SWSM program. They take the context's store and remote
+// hooks, bound to their own fingerprint, which covers the partition:
+// these points persist in the shared store and run on a fleet like any
+// other. The op and copy
 // counts come from the suites' lowering statistics, so a row served from
 // the store lowers nothing.
 func (c *Context) PolicyStudy() (*PolicyResult, error) {
@@ -128,8 +130,7 @@ func (c *Context) PolicyStudy() (*PolicyResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				r = sweep.NewRunner(suite)
-				r.Store = c.Cache
+				r = c.newRunner(spec.Name, suite)
 			}
 			r0, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
 			if err != nil {

@@ -54,11 +54,28 @@ func (a Array) Name() string { return a.name }
 // At returns the byte address of element i.
 func (a Array) At(i int) uint64 { return a.base + uint64(i)*a.elem }
 
+// instrChunk is the number of instructions a Builder collects per chunk,
+// and opChunk the number of operand references per operand slab.
+const (
+	instrChunk = 4096
+	opChunk    = 8192
+)
+
 // Builder accumulates a trace. The zero value is not ready for use; call
 // New.
+//
+// A Builder allocates in slabs, not per instruction: instructions fill
+// fixed-size chunks that Trace copies once into an exactly sized
+// stream, and every instruction's Addr and Args are carved from shared
+// operand slabs with their capacity capped at their length, so an
+// append to one instruction's operands reallocates rather than
+// overwriting a neighbour's.
 type Builder struct {
 	name   string
-	instrs []trace.Instr
+	full   [][]trace.Instr // filled chunks, in program order
+	cur    []trace.Instr   // the chunk being filled
+	n      int             // instructions emitted
+	ops    []int32         // the operand slab being carved
 	nextAd uint64
 }
 
@@ -69,7 +86,7 @@ func New(name string) *Builder {
 }
 
 // Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.instrs) }
+func (b *Builder) Len() int { return b.n }
 
 // Array reserves an address region for n elements of elemSize bytes.
 func (b *Builder) Array(name string, n, elemSize int) Array {
@@ -86,30 +103,45 @@ func (b *Builder) Array(name string, n, elemSize int) Array {
 }
 
 func (b *Builder) emit(in trace.Instr) Val {
-	b.instrs = append(b.instrs, in)
-	return Val{idx: int32(len(b.instrs))}
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]trace.Instr, 0, instrChunk)
+	}
+	b.cur = append(b.cur, in)
+	b.n++
+	return Val{idx: int32(b.n)}
 }
 
-func refs(vals []Val) []int32 {
-	var out []int32
+// refs returns the trace indices of the valid values among vals, carved
+// from the operand slab, or nil when every value is a constant.
+func (b *Builder) refs(vals ...Val) []int32 {
+	if cap(b.ops)-len(b.ops) < len(vals) {
+		b.ops = make([]int32, 0, max(opChunk, len(vals)))
+	}
+	at := len(b.ops)
 	for _, v := range vals {
 		if v.Valid() {
-			out = append(out, v.Index())
+			b.ops = append(b.ops, v.Index())
 		}
 	}
-	return out
+	if len(b.ops) == at {
+		return nil
+	}
+	return b.ops[at:len(b.ops):len(b.ops)]
 }
 
 // Int emits an integer/address operation consuming the given values.
 // Constant (zero) operands are dropped; an all-constant Int models loading
 // an immediate or a loop-invariant base address.
 func (b *Builder) Int(args ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.IntALU, Args: refs(args)})
+	return b.emit(trace.Instr{Class: isa.IntALU, Args: b.refs(args...)})
 }
 
 // FP emits a floating-point operation consuming the given values.
 func (b *Builder) FP(args ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.FPALU, Args: refs(args)})
+	return b.emit(trace.Instr{Class: isa.FPALU, Args: b.refs(args...)})
 }
 
 // IntChain emits a dependent chain of n integer operations seeded by the
@@ -134,7 +166,7 @@ func (b *Builder) FPChain(n int, args ...Val) Val {
 
 // Load emits a load of arr[i] whose address depends on the given values.
 func (b *Builder) Load(arr Array, i int, addr ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.Load, Addr: refs(addr), MemAddr: arr.At(i)})
+	return b.emit(trace.Instr{Class: isa.Load, Addr: b.refs(addr...), MemAddr: arr.At(i)})
 }
 
 // Store emits a store of data to arr[i] whose address depends on the given
@@ -143,14 +175,20 @@ func (b *Builder) Store(arr Array, i int, data Val, addr ...Val) {
 	if !data.Valid() {
 		panic("kernel: store of constant data")
 	}
-	b.emit(trace.Instr{Class: isa.Store, Addr: refs(addr), Args: []int32{data.Index()}, MemAddr: arr.At(i)})
+	b.emit(trace.Instr{Class: isa.Store, Addr: b.refs(addr...), Args: b.refs(data), MemAddr: arr.At(i)})
 }
 
 // Trace finalizes the builder, validates the trace and returns it.
-// The builder can keep being used; later Trace calls include the new
-// instructions.
+// The trace holds its own copy of the instruction stream, so the
+// builder can keep being used without changing it; later Trace calls
+// include the new instructions.
 func (b *Builder) Trace() (*trace.Trace, error) {
-	t := &trace.Trace{Name: b.name, Instrs: b.instrs}
+	instrs := make([]trace.Instr, 0, b.n)
+	for _, c := range b.full {
+		instrs = append(instrs, c...)
+	}
+	instrs = append(instrs, b.cur...)
+	t := &trace.Trace{Name: b.name, Instrs: instrs}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,64 @@ func TestTraceSnapshotGrows(t *testing.T) {
 	t2 := b.MustTrace()
 	if t1.Len() != 1 || t2.Len() != 2 {
 		t.Fatalf("snapshot lengths: %d then %d", t1.Len(), t2.Len())
+	}
+}
+
+// slabProgram emits n loop steps of loads, FP ops and stores: enough
+// instructions and operand references to fill several chunks and slabs.
+func slabProgram(b *Builder, n int) {
+	arr := b.Array("a", n, 8)
+	base := b.Int()
+	carry := b.FP()
+	for i := 0; i < n; i++ {
+		ix := b.Int(base)
+		x := b.Load(arr, i, ix, base)
+		carry = b.FP(x, carry, Const)
+		b.Store(arr, i, carry, ix)
+	}
+}
+
+// cloneInstrs deep-copies an instruction stream, operands included.
+func cloneInstrs(in []trace.Instr) []trace.Instr {
+	out := make([]trace.Instr, len(in))
+	for i, x := range in {
+		out[i] = x
+		out[i].Addr = append([]int32(nil), x.Addr...)
+		out[i].Args = append([]int32(nil), x.Args...)
+	}
+	return out
+}
+
+// TestOperandSlicesAreCapped: instructions' operands share slabs, so an
+// append to one instruction's Addr or Args must reallocate instead of
+// writing into the slab, where it would overwrite a neighbour's.
+func TestOperandSlicesAreCapped(t *testing.T) {
+	b := New("slab")
+	slabProgram(b, 3*opChunk/5)
+	tr := b.MustTrace()
+	want := cloneInstrs(tr.Instrs)
+	for i := range tr.Instrs {
+		in := &tr.Instrs[i]
+		_ = append(in.Addr, -7)
+		_ = append(in.Args, -7)
+	}
+	if !reflect.DeepEqual(tr.Instrs, want) {
+		t.Fatal("appending to one instruction's operands changed another's")
+	}
+}
+
+// TestTraceUnchangedByLaterEmits: the builder stays usable after Trace,
+// and what it emits later never shows in a trace it already returned.
+func TestTraceUnchangedByLaterEmits(t *testing.T) {
+	b := New("snap")
+	slabProgram(b, instrChunk/3)
+	tr := b.MustTrace()
+	want := cloneInstrs(tr.Instrs)
+	slabProgram(b, 2*instrChunk)
+	if !reflect.DeepEqual(tr.Instrs, want) {
+		t.Fatal("later emits changed a returned trace")
+	}
+	if got := b.MustTrace(); got.Len() != len(want)+4*2*instrChunk+2 || !reflect.DeepEqual(got.Instrs[:len(want)], want) {
+		t.Fatalf("second trace: %d instructions, want %d starting with the first trace", got.Len(), len(want)+4*2*instrChunk+2)
 	}
 }

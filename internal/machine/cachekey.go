@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"daesim/internal/lower"
 	"daesim/internal/partition"
@@ -23,14 +23,33 @@ import (
 // without extending this encoding is a build-time-visible bug, not a
 // silent stale-cache hazard.
 func (p Params) CacheKey(kind Kind) (key string, ok bool) {
+	var buf [160]byte
+	return string(p.AppendCacheKey(buf[:0], kind)), true
+}
+
+// AppendCacheKey appends CacheKey's encoding of (kind, p) to dst, so a
+// caller can build a longer key in one buffer.
+func (p Params) AppendCacheKey(dst []byte, kind Kind) []byte {
 	retire := RetireAtComplete
 	if p.retireInOrder() {
 		retire = RetireInOrder
 	}
-	return fmt.Sprintf("k=%s w=%d auw=%d duw=%d md=%d fp=%d cp=%d aw=%d dw=%d sw=%d dpw=%d mq=%d mem=%s esw=%t hold=%t ret=%s",
-		kind, p.Window, p.AUWindow, p.DUWindow, p.MD, p.FPLat, p.CopyLat,
-		p.AUWidth, p.DUWidth, p.Width, p.DispatchWidth, p.MemQueue, p.Mem.String(),
-		p.CollectESW, p.HoldSendSlots, retire), true
+	dst = append(append(dst, "k="...), kind.String()...)
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{" w=", p.Window}, {" auw=", p.AUWindow}, {" duw=", p.DUWindow},
+		{" md=", p.MD}, {" fp=", p.FPLat}, {" cp=", p.CopyLat},
+		{" aw=", p.AUWidth}, {" dw=", p.DUWidth}, {" sw=", p.Width},
+		{" dpw=", p.DispatchWidth}, {" mq=", p.MemQueue},
+	} {
+		dst = strconv.AppendInt(append(dst, f.name...), int64(f.v), 10)
+	}
+	dst = append(append(dst, " mem="...), p.Mem.String()...)
+	dst = strconv.AppendBool(append(dst, " esw="...), p.CollectESW)
+	dst = strconv.AppendBool(append(dst, " hold="...), p.HoldSendSlots)
+	return append(append(dst, " ret="...), retire.String()...)
 }
 
 // Fingerprint returns the suite's source identity — the workload

@@ -441,14 +441,87 @@ func recordHead(rec []byte) (key string, saved int64, extra int, ok bool) {
 }
 
 // verifyRecord checks a record read back under key: it must parse,
-// carry key and match its checksum.
+// carry key and match its checksum. A record in the canonical form Put
+// and GC compaction write is checked in place (canonicalRecord); any
+// other bytes take the full JSON parse, which decides.
 func verifyRecord(key string, data []byte) (entryFile, bool) {
+	if ent, ok := canonicalRecord(key, data); ok && json.Valid(ent.Result) {
+		return ent, true
+	}
+	return parseRecord(key, data)
+}
+
+// parseRecord is verifyRecord's full parse.
+func parseRecord(key string, data []byte) (entryFile, bool) {
 	var ent entryFile
 	if err := json.Unmarshal(data, &ent); err != nil || ent.Key != key {
 		return ent, false
 	}
 	sum := sha256.Sum256(ent.Result)
 	return ent, hex.EncodeToString(sum[:]) == ent.Sum
+}
+
+// canonicalRecord is verifyRecord's fast path. It recognizes the bytes
+// json.Marshal of an entryFile produces for a key of printable ASCII
+// without quotes or backslashes,
+//
+//	{"key":"<key>",["atime":<n>,]"sum":"<64 lowercase hex>","result":{…}}
+//
+// and accepts them when the sum matches the result: it compares the key
+// in place and hashes the result sub-slice, decoding and copying
+// nothing. ok is false for anything else, which leaves the decision to
+// the full parse. It does not check that the result is one JSON value;
+// the full parse agrees with it exactly when the result is, so callers
+// check that, by json.Valid or by decoding the result.
+func canonicalRecord(key string, data []byte) (ent entryFile, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"key":"`))
+	if !ok || !plainKey(key) || len(rest) <= len(key) || string(rest[:len(key)]) != key || rest[len(key)] != '"' {
+		return ent, false
+	}
+	rest = rest[len(key)+1:]
+	if digits, found := bytes.CutPrefix(rest, []byte(`,"atime":`)); found {
+		j := 0
+		for j < len(digits) && '0' <= digits[j] && digits[j] <= '9' {
+			j++
+		}
+		if j == 0 || digits[0] == '0' {
+			return ent, false
+		}
+		v, err := strconv.ParseInt(string(digits[:j]), 10, 64)
+		if err != nil {
+			return ent, false
+		}
+		ent.Atime, rest = v, digits[j:]
+	}
+	rest, ok = bytes.CutPrefix(rest, []byte(`,"sum":"`))
+	if !ok || len(rest) < 2*sha256.Size {
+		return ent, false
+	}
+	sum := rest[:2*sha256.Size]
+	rest, ok = bytes.CutPrefix(rest[len(sum):], []byte(`","result":`))
+	if !ok || len(rest) < 3 || rest[0] != '{' || rest[len(rest)-2] != '}' || rest[len(rest)-1] != '}' {
+		return ent, false
+	}
+	result := rest[:len(rest)-1]
+	var want [2 * sha256.Size]byte
+	got := sha256.Sum256(result)
+	hex.Encode(want[:], got[:])
+	if !bytes.Equal(sum, want[:]) {
+		return ent, false
+	}
+	ent.Key, ent.Sum, ent.Result = key, string(sum), result
+	return ent, true
+}
+
+// plainKey reports whether key is printable ASCII without quotes or
+// backslashes, which a JSON string holds verbatim.
+func plainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // segSeq keeps segment names unique within a process.
@@ -536,7 +609,12 @@ func (s *Store) Get(key string) (*engine.Result, bool) {
 	if s.Faults != nil {
 		data = s.Faults.OnRead(key, data)
 	}
-	ent, ok := verifyRecord(key, data)
+	// Decoding the result checks that it is JSON, which makes the fast
+	// path's verdict the full parse's.
+	ent, ok := canonicalRecord(key, data)
+	if !ok {
+		ent, ok = parseRecord(key, data)
+	}
 	var res engine.Result
 	if !ok || json.Unmarshal(ent.Result, &res) != nil {
 		return nil, s.evictCorrupt(key, e, data)

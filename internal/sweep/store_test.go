@@ -24,7 +24,7 @@ import (
 // storeSuite builds a small deterministic suite; n varies the trace so
 // tests can model a workload recalibration (different content, same
 // construction path).
-func storeSuite(t *testing.T, n int) *machine.Suite {
+func storeSuite(t testing.TB, n int) *machine.Suite {
 	t.Helper()
 	b := kernel.New("store")
 	arr := b.Array("a", 4*n, 8)
@@ -106,6 +106,36 @@ func TestStoreKeyScheme(t *testing.T) {
 	memPt.P.Mem = memsys.DefaultCacheSpec()
 	if r.storeKey(memPt) == k {
 		t.Error("a memory model must change the key")
+	}
+}
+
+// TestStoreKeyGolden pins the bytes of the key of an all-fields point
+// and of a zero one: every existing store is read by these keys, so an
+// encoding change must be deliberate (and is a cache flush).
+func TestStoreKeyGolden(t *testing.T) {
+	mem, err := memsys.ParseSpec("cache:64x4@2,512x8@12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := storeRunner(t, t.TempDir(), 24)
+	prefix := engine.Version + "|" + r.Suite.Fingerprint() + "|"
+	for _, c := range []struct {
+		pt   Point
+		want string
+	}{
+		{Point{Kind: machine.DM, P: machine.Params{
+			Window: 1, AUWindow: 2, DUWindow: 3, MD: 4, FPLat: 5, CopyLat: 6,
+			AUWidth: 7, DUWidth: 8, Width: 9, DispatchWidth: 10, MemQueue: -1,
+			Mem: mem, CollectESW: true, HoldSendSlots: true, Retire: machine.RetireInOrder,
+		}}, "k=DM w=1 auw=2 duw=3 md=4 fp=5 cp=6 aw=7 dw=8 sw=9 dpw=10 mq=-1 mem=cache:64x4@2,512x8@12 esw=true hold=true ret=in-order"},
+		{Point{Kind: machine.SWSM}, "k=SWSM w=0 auw=0 duw=0 md=0 fp=0 cp=0 aw=0 dw=0 sw=0 dpw=0 mq=0 mem=none esw=false hold=false ret=in-order"},
+	} {
+		if pk, ok := c.pt.P.CacheKey(c.pt.Kind); pk != c.want || !ok {
+			t.Errorf("CacheKey = %q, %v; want %q, true", pk, ok, c.want)
+		}
+		if k := r.storeKey(c.pt); k != prefix+c.want {
+			t.Errorf("storeKey = %q, want %q", k, prefix+c.want)
+		}
 	}
 }
 
@@ -756,6 +786,32 @@ func BenchmarkStoreGetMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGetHit measures a hit on a warm store: the record read,
+// its key and checksum check and the Result decode every point of a
+// warm repro pass pays.
+func BenchmarkStoreGetHit(b *testing.B) {
+	res, err := storeSuite(b, 24).Run(storePoint.Kind, storePoint.P)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	const keys = 64
+	for i := 0; i < keys; i++ {
+		st.Put(fmt.Sprintf("key-%d", i), res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.Get(fmt.Sprintf("key-%d", i%keys)); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
 // TestStoreConcurrentWriters hammers one directory from many Runners
 // with private L1s (modelling parallel repro processes); run under
 // -race in CI. Every result must agree and the store must end healthy.
@@ -1006,5 +1062,96 @@ func FuzzStoreSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		check(st.Get(key))
+	})
+}
+
+// TestCanonicalRecordsTakeFastPath: what Put writes, and what a GC
+// compaction writes with the access time saved, is the canonical form,
+// so reading it back never takes the full parse.
+func TestCanonicalRecordsTakeFastPath(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Put("k", &engine.Result{Cycles: 5, Ops: 2})
+	check := func(stage string, saved bool) {
+		t.Helper()
+		paths := segPaths(t, dir)
+		if len(paths) != 1 {
+			t.Fatalf("%s: %d segments, want 1", stage, len(paths))
+		}
+		data, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := canonicalRecord("k", bytes.TrimSuffix(data, []byte("\n")))
+		if !ok || !json.Valid(ent.Result) || (ent.Atime > 0) != saved {
+			t.Fatalf("%s: fast path rejects %q (atime %d)", stage, data, ent.Atime)
+		}
+	}
+	check("put", false)
+	if _, err := st.GC(GCPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", true)
+	if res, ok := st.Get("k"); !ok || res.Cycles != 5 {
+		t.Fatal("the compacted record must read back")
+	}
+}
+
+// FuzzVerifyRecord: for any bytes and key, the canonical fast path
+// accepts only what the full JSON parse accepts, and the two agree on
+// every field. Get relies on the same: a record the fast path frames
+// and checksums is the full parse's exactly when its result is one
+// JSON value, which Get's decode checks.
+func FuzzVerifyRecord(f *testing.F) {
+	body, _ := json.Marshal(&engine.Result{Cycles: 7, Ops: 3, Cores: []engine.CoreStats{{IssueHist: []int64{1, 2}}}})
+	rec := func(ent entryFile) []byte {
+		data, _ := json.Marshal(ent)
+		return data
+	}
+	sumOf := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	put := rec(entryFile{Key: "k", Sum: sumOf(body), Result: body})
+	f.Add(put, "k")
+	f.Add(rec(entryFile{Key: "k", Atime: 1700000000000000000, Sum: sumOf(body), Result: body}), "k") // compacted
+	f.Add([]byte(`{"sum":"`+sumOf(body)+`","key":"k","result":`+string(body)+`}`), "k")              // reordered
+	f.Add(rec(entryFile{Key: `a<b"c\d`, Sum: sumOf(body), Result: body}), `a<b"c\d`)                 // escaped key
+	f.Add(bytes.Replace(put, []byte(`"key":"k"`), []byte(`"key": "k"`), 1), "k")                     // inner whitespace
+	spaced := []byte(`{"cycles": 7}`)
+	f.Add([]byte(`{"key":"k","sum":"`+sumOf(spaced)+`","result":`+string(spaced)+`}`), "k") // whitespace in the result
+	flip := func(at int) []byte {
+		b := bytes.Clone(put)
+		b[at] ^= 1
+		return b
+	}
+	f.Add(flip(bytes.Index(put, []byte(`"sum":"`))+10), "k")   // flipped byte in the sum
+	f.Add(flip(bytes.Index(put, []byte(`"result":`))+12), "k") // flipped byte in the result
+	f.Add([]byte(strings.Replace(string(put), sumOf(body), strings.ToUpper(sumOf(body)), 1)), "k")
+	joined := []byte(`{"a":1},"b":{}`) // its sum matches, but it is no one value
+	f.Add([]byte(`{"key":"k","sum":"`+sumOf(joined)+`","result":`+string(joined)+`}`), "k")
+	f.Add(put, "j")
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		full, fullOK := parseRecord(key, data)
+		fast, fastOK := canonicalRecord(key, data)
+		if !fastOK {
+			return
+		}
+		if valid := json.Valid(fast.Result); valid != fullOK {
+			t.Fatalf("fast path frames %q (result valid JSON: %v), full parse accepts: %v", data, valid, fullOK)
+		}
+		if !fullOK {
+			return
+		}
+		if fast.Key != full.Key || fast.Atime != full.Atime || fast.Sum != full.Sum || !bytes.Equal(fast.Result, full.Result) {
+			t.Fatalf("fast path %+v, full parse %+v", fast, full)
+		}
+		if got, ok := verifyRecord(key, data); !ok || !reflect.DeepEqual(got, fast) {
+			t.Fatalf("verifyRecord = %+v, %v; want the fast path's %+v", got, ok, fast)
+		}
 	})
 }

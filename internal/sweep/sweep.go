@@ -162,17 +162,18 @@ func (r *Runner) Run(pt Point) (*engine.Result, error) {
 
 // storeKey returns the persistent key for a point: the engine version
 // tag and the suite's source key (lowering version, trace, partition
-// assignment) joined with the canonical parameter encoding. The key is
-// built once per Runner, on first use.
+// assignment) joined with the canonical parameter encoding. The prefix
+// is built once per Runner, on first use; each key is built in one
+// buffer.
 func (r *Runner) storeKey(pt Point) string {
-	pk, _ := pt.P.CacheKey(pt.Kind)
 	r.mu.Lock()
 	if r.prefix == "" {
 		r.prefix = engine.Version + "|" + r.Suite.Fingerprint() + "|"
 	}
 	p := r.prefix
 	r.mu.Unlock()
-	return p + pk
+	var buf [256]byte
+	return string(pt.P.AppendCacheKey(append(buf[:0], p...), pt.Kind))
 }
 
 // fillMiss produces the canonical result for a point known to miss the

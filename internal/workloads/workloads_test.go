@@ -153,3 +153,14 @@ func TestStructuralSignatures(t *testing.T) {
 		t.Error("TRACK should have FP-dependent address computation (loss of decoupling)")
 	}
 }
+
+// BenchmarkWorkloadBuild builds every catalog workload at scale 1: the
+// trace construction a warm repro pass pays before it reads the store.
+func BenchmarkWorkloadBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range Catalog() {
+			s.Build(1)
+		}
+	}
+}
