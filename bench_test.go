@@ -154,9 +154,11 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkPolicyStudy regenerates the partition-policy study (P1) on a
 // fresh Context over a persistent store filled before the timer starts,
 // the warm path of repro -exp all: what it times is building the seven
-// workloads, partitioning and counting them under each policy, keying
-// the suites and reading the stored points back. A pass that simulates
-// anything fails the benchmark.
+// workloads and partitioning and counting them under the classic
+// policy, repartitioning each under the other two (unit assignment and
+// DM walk only), keying the suites and reading the stored points back,
+// with the workloads fanned out across GOMAXPROCS workers. A pass that
+// simulates anything fails the benchmark.
 func BenchmarkPolicyStudy(b *testing.B) {
 	store, err := sweep.OpenStore(b.TempDir())
 	if err != nil {

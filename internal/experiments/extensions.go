@@ -109,50 +109,69 @@ type PolicyResult struct {
 // context's own policy run on the context's workload runner, sharing its
 // L1, store traffic and remote hooks with every other experiment. Rows
 // under the other policies run on detached runners over
-// Suite.Repartition, which partitions again and shares the runner's
-// trace and SWSM program. They take the context's store and remote
-// hooks, bound to their own fingerprint, which covers the partition:
-// these points persist in the shared store and run on a fleet like any
-// other. The op and copy
-// counts come from the suites' lowering statistics, so a row served from
-// the store lowers nothing.
+// Suite.Repartition, which redoes only the unit assignment and the DM
+// statistics and shares the runner's trace, address slice and SWSM
+// program. They take the context's store and remote hooks, bound to
+// their own fingerprint, which covers the partition: these points
+// persist in the shared store and run on a fleet like any other. The op
+// and copy counts come from the suites' lowering statistics, so a row
+// served from the store lowers nothing.
+//
+// The seven workloads fan out across the pool; each runs its policies in
+// order. Policies whose assignments coincide share a fingerprint, so a
+// later one reads the points an earlier one stored: run side by side,
+// both would miss and simulate, and the study's simulations and store
+// writes would depend on timing.
 func (c *Context) PolicyStudy() (*PolicyResult, error) {
-	res := &PolicyResult{}
-	for _, spec := range workloads.Catalog() {
-		base, err := c.Runner(spec.Name)
+	specs, pols := workloads.Catalog(), partition.Policies()
+	res := &PolicyResult{Rows: make([]PolicyRow, len(specs)*len(pols))}
+	if err := sweep.ForEach(c.Parallelism, len(specs), func(i int) error {
+		base, err := c.Runner(specs[i].Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, pol := range partition.Policies() {
-			r := base
-			if pol != c.Policy {
-				suite, err := base.Suite.Repartition(pol)
-				if err != nil {
-					return nil, err
-				}
-				r = c.newRunner(spec.Name, suite)
+		for j, pol := range pols {
+			if res.Rows[i*len(pols)+j], err = c.policyRow(base, specs[i].Name, pol); err != nil {
+				return err
 			}
-			r0, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
-			if err != nil {
-				return nil, err
-			}
-			r60, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
-			if err != nil {
-				return nil, err
-			}
-			if r != base {
-				c.addStats(r.Stats())
-			}
-			asg := r.Suite.Assignment()
-			res.Rows = append(res.Rows, PolicyRow{
-				Name: spec.Name, Policy: pol,
-				AUOps: asg.OpsAU, DUOps: asg.OpsDU,
-				Copies:  r.Suite.Stats().Copies(),
-				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
-			})
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// policyRow measures workload name under pol. base is the context's
+// runner for the workload; a row under another policy runs on a
+// detached runner over base's suite repartitioned.
+func (c *Context) policyRow(base *sweep.Runner, name string, pol partition.Policy) (PolicyRow, error) {
+	r := base
+	if pol != c.Policy {
+		suite, err := base.Suite.Repartition(pol)
+		if err != nil {
+			return PolicyRow{}, err
+		}
+		r = c.newRunner(name, suite)
+	}
+	r0, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: MDZero}})
+	if err != nil {
+		return PolicyRow{}, err
+	}
+	r60, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: ablationWindow, MD: ablationMD}})
+	if err != nil {
+		return PolicyRow{}, err
+	}
+	if r != base {
+		c.addStats(r.Stats())
+	}
+	asg := r.Suite.Assignment()
+	return PolicyRow{
+		Name: name, Policy: pol,
+		AUOps: asg.OpsAU, DUOps: asg.OpsDU,
+		Copies:  r.Suite.Stats().Copies(),
+		Cycles0: r0.Cycles, Cycles60: r60.Cycles,
+	}, nil
 }
 
 // Render writes the policy study as a table.

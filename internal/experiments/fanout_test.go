@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"daesim/internal/sweep"
 )
 
 // TestFannedStudiesMatchSerial: the drivers that fan their points
@@ -12,7 +14,7 @@ import (
 // change in the count means the probe path changed.
 func TestFannedStudiesMatchSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the ratio figure and six studies on two fresh contexts")
+		t.Skip("runs the ratio figure and seven studies on two fresh contexts")
 	}
 	const fig7Sims = 535
 	studies := []struct {
@@ -26,6 +28,7 @@ func TestFannedStudiesMatchSerial(t *testing.T) {
 		{"RetireStudy", func(c *Context) (any, error) { return c.RetireStudy() }},
 		{"Ablations", func(c *Context) (any, error) { return c.Ablations() }},
 		{"ComplexityStudy", func(c *Context) (any, error) { return c.ComplexityStudy() }},
+		{"PolicyStudy", func(c *Context) (any, error) { return c.PolicyStudy() }},
 	}
 	serial := NewContext()
 	serial.Parallelism = 1
@@ -54,6 +57,36 @@ func TestFannedStudiesMatchSerial(t *testing.T) {
 						c.Parallelism, st.Sims, st.Uncacheable, fig7Sims)
 				}
 			}
+		}
+	}
+}
+
+// TestPolicyStudyStoreTrafficMatchesSerial: on an empty store the
+// fanned policy study simulates and writes exactly what a one-worker
+// study does. Policies whose assignments coincide share store keys, so
+// a workload's rows run in order and a later policy reads what an
+// earlier one wrote; each distinct (assignment, point) simulates once.
+func TestPolicyStudyStoreTrafficMatchesSerial(t *testing.T) {
+	traffic := func(par int) (sweep.CacheStats, int64) {
+		store, err := sweep.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		c := NewContext()
+		c.Parallelism, c.Cache = par, store
+		if _, err := c.PolicyStudy(); err != nil {
+			t.Fatal(err)
+		}
+		return c.CacheStats(), store.Stats().Writes
+	}
+	want, writes := traffic(1)
+	if want.Sims != writes {
+		t.Fatalf("serial study simulated %d points and wrote %d", want.Sims, writes)
+	}
+	for _, par := range []int{0, 3} {
+		if got, w := traffic(par); got != want || w != writes {
+			t.Errorf("Parallelism %d: stats %+v and %d writes, want %+v and %d", par, got, w, want, writes)
 		}
 	}
 }

@@ -41,10 +41,18 @@ func (s Stats) Copies() int { return s.CopiesAUDU + s.CopiesDUAU }
 // Count returns the statistics of lowering tr under asg for both
 // machines. It runs the lowerings' walks with no op stream attached, so
 // it builds no program and allocates only the walks' per-value tables.
+// Under another assignment of the same trace, Recount gives the same
+// statistics for one walk instead of two.
 func Count(tr *trace.Trace, asg *partition.Assignment) Stats {
-	var st Stats
+	return Recount(tr, asg, Stats{SWSMOps: walkSWSM(tr, nil)})
+}
+
+// Recount returns Count(tr, asg), given prev, the Count of tr under any
+// assignment. The SWSM lowering never reads the assignment, so Recount
+// takes the SWSM op count from prev and runs only the DM walk.
+func Recount(tr *trace.Trace, asg *partition.Assignment, prev Stats) Stats {
+	st := Stats{SWSMOps: prev.SWSMOps}
 	st.DMOps, st.CopiesAUDU, st.CopiesDUAU = walkDM(tr, asg, nil)
-	st.SWSMOps = walkSWSM(tr, nil)
 	return st
 }
 

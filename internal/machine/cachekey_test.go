@@ -222,7 +222,10 @@ func referenceFingerprint(s *Suite) string {
 // TestFingerprintMatchesReference pins every source key the persistent
 // store is keyed by: each catalog workload and a generated one, under
 // every partition policy. It also checks that a repartitioned suite is
-// indistinguishable from one lowered from scratch under the new policy.
+// indistinguishable from one built from scratch under the new policy —
+// in Fingerprint, Stats and Assignment — although it shares the
+// receiver's address slice and SWSM count, and that no repartition
+// writes to the slice it shares.
 func TestFingerprintMatchesReference(t *testing.T) {
 	for _, name := range guardWorkloads() {
 		tr, err := workloads.Build(name, 1)
@@ -240,6 +243,10 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			}
 			fresh[pol] = s
 		}
+		slices := map[partition.Policy][]bool{}
+		for _, pol := range partition.Policies() {
+			slices[pol] = append([]bool(nil), fresh[pol].asg.InAddrSlice...)
+		}
 		for _, from := range partition.Policies() {
 			for _, to := range partition.Policies() {
 				re, err := fresh[from].Repartition(to)
@@ -252,6 +259,17 @@ func TestFingerprintMatchesReference(t *testing.T) {
 				if got, want := re.Fingerprint(), fresh[to].Fingerprint(); got != want {
 					t.Errorf("%s: Repartition(%v→%v) fingerprint %s, NewSuite(%v) %s", name, from, to, got, to, want)
 				}
+				if !reflect.DeepEqual(re.Stats(), fresh[to].Stats()) {
+					t.Errorf("%s: Repartition(%v→%v) stats %+v, NewSuite(%v) %+v", name, from, to, re.Stats(), to, fresh[to].Stats())
+				}
+				if !reflect.DeepEqual(re.Assignment(), fresh[to].Assignment()) {
+					t.Errorf("%s: Repartition(%v→%v) assignment differs from NewSuite(%v)'s", name, from, to, to)
+				}
+			}
+		}
+		for _, pol := range partition.Policies() {
+			if !reflect.DeepEqual(fresh[pol].asg.InAddrSlice, slices[pol]) {
+				t.Errorf("%s: repartitioning changed the %v suite's address slice", name, pol)
 			}
 		}
 	}

@@ -301,24 +301,28 @@ func Lowerings() (dm, swsm int64) {
 // NewSuite partitions tr under the given policy and counts its lowering
 // statistics. Neither program is built until a run needs it.
 func NewSuite(tr *trace.Trace, pol partition.Policy) (*Suite, error) {
-	return newSuite(tr, pol, &lazyProgram{})
-}
-
-// Repartition returns the suite for the same trace under another
-// partition policy. The trace and the SWSM program do not depend on the
-// partition, so the new suite shares them with s: the SWSM program is
-// lowered at most once for both (programs are read-only once built, and
-// runners already share them across goroutines).
-func (s *Suite) Repartition(pol partition.Policy) (*Suite, error) {
-	return newSuite(s.Trace, pol, s.swsm)
-}
-
-func newSuite(tr *trace.Trace, pol partition.Policy, swsm *lazyProgram) (*Suite, error) {
 	asg, err := partition.Partition(tr, pol)
 	if err != nil {
 		return nil, fmt.Errorf("machine: partitioning: %w", err)
 	}
-	return &Suite{Trace: tr, asg: asg, stats: lower.Count(tr, asg), dm: &lazyProgram{}, swsm: swsm}, nil
+	return &Suite{Trace: tr, asg: asg, stats: lower.Count(tr, asg), dm: &lazyProgram{}, swsm: &lazyProgram{}}, nil
+}
+
+// Repartition returns the suite for the same trace under another
+// partition policy; it equals NewSuite(s.Trace, pol) in Stats,
+// Assignment and Fingerprint. It redoes only what the policy changes:
+// the unit assignment and load routing (partition.Assign) and the DM
+// half of the lowering statistics (lower.Recount). The trace, its
+// address slice, the SWSM op count and the SWSM program do not depend
+// on the partition, so the new suite shares them with s: the SWSM
+// program is lowered at most once for both (programs are read-only
+// once built, and runners already share them across goroutines).
+func (s *Suite) Repartition(pol partition.Policy) (*Suite, error) {
+	asg, err := partition.Assign(s.Trace, s.asg.InAddrSlice, pol)
+	if err != nil {
+		return nil, fmt.Errorf("machine: partitioning: %w", err)
+	}
+	return &Suite{Trace: s.Trace, asg: asg, stats: lower.Recount(s.Trace, asg, s.stats), dm: &lazyProgram{}, swsm: s.swsm}, nil
 }
 
 // Assignment returns the AU/DU partition the DM program is lowered

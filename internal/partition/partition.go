@@ -83,7 +83,7 @@ type Assignment struct {
 	// that initiates the access).
 	Unit []isa.Unit
 	// InAddrSlice marks instructions in the backward slice of a memory
-	// address.
+	// address (AddrSlice). Assignments of one trace may share it.
 	InAddrSlice []bool
 	// RecvAU/RecvDU mark loads whose value must be delivered to the AU
 	// (self-load) and/or the DU.
@@ -97,27 +97,23 @@ type Assignment struct {
 	SelfLoads int
 }
 
-// Partition computes the AU/DU assignment of tr under the given policy.
-// The trace must be valid.
+// Partition computes the AU/DU assignment of tr under the given policy:
+// AddrSlice followed by Assign. The trace must be valid.
 func Partition(tr *trace.Trace, pol Policy) (*Assignment, error) {
-	if pol >= numPolicies {
-		return nil, fmt.Errorf("partition: unknown policy %d", pol)
-	}
-	n := tr.Len()
-	a := &Assignment{
-		Unit:        make([]isa.Unit, n),
-		InAddrSlice: make([]bool, n),
-		RecvAU:      make([]bool, n),
-		RecvDU:      make([]bool, n),
-	}
+	return Assign(tr, AddrSlice(tr), pol)
+}
 
-	// Mark the address slice: seed with address operands of memory ops,
-	// propagate backwards through integer ops and loads. FP ops terminate
-	// propagation (they stay on the DU; their value crosses by copy).
-	work := make([]int32, 0, n/4)
+// AddrSlice marks the backward slice of every memory address in tr: the
+// seeds are the address operands of memory ops, and the marking
+// propagates backwards through integer ops and loads. FP ops terminate
+// propagation (they stay on the DU; their value crosses by copy). The
+// slice depends only on the trace, so every policy shares it.
+func AddrSlice(tr *trace.Trace) []bool {
+	slice := make([]bool, tr.Len())
+	work := make([]int32, 0, tr.Len()/4)
 	mark := func(i int32) {
-		if !a.InAddrSlice[i] && tr.Instrs[i].Class != isa.FPALU {
-			a.InAddrSlice[i] = true
+		if !slice[i] && tr.Instrs[i].Class != isa.FPALU {
+			slice[i] = true
 			work = append(work, i)
 		}
 	}
@@ -138,6 +134,24 @@ func Partition(tr *trace.Trace, pol Policy) (*Assignment, error) {
 		for _, p := range in.Args {
 			mark(p)
 		}
+	}
+	return slice
+}
+
+// Assign places tr's ops on the units under pol and routes its load
+// deliveries, given tr's address slice (AddrSlice(tr)). The assignment
+// keeps slice as its InAddrSlice, so assignments of one trace under
+// several policies share it; it is read-only.
+func Assign(tr *trace.Trace, slice []bool, pol Policy) (*Assignment, error) {
+	if pol >= numPolicies {
+		return nil, fmt.Errorf("partition: unknown policy %d", pol)
+	}
+	n := tr.Len()
+	a := &Assignment{
+		Unit:        make([]isa.Unit, n),
+		InAddrSlice: slice,
+		RecvAU:      make([]bool, n),
+		RecvDU:      make([]bool, n),
 	}
 
 	// Assign units.

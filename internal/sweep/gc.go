@@ -332,11 +332,18 @@ func (x *index) rewrite(keep []candidate) (sg *segment, placed []*record, err er
 		if rerr != nil || !ok {
 			continue
 		}
-		ent.Atime = c.at
-		rec, err := json.Marshal(ent)
+		// The head is encoded again with the access time; the result
+		// is written verbatim, since the sum covers its exact bytes.
+		// They come from one record line, so they hold no newline.
+		head, err := json.Marshal(struct {
+			Key   string `json:"key"`
+			Atime int64  `json:"atime,omitempty"`
+			Sum   string `json:"sum"`
+		}{ent.Key, c.at, ent.Sum})
 		if err != nil {
 			return fail(err)
 		}
+		rec := append(append(append(head[:len(head)-1], `,"result":`...), ent.Result...), '}')
 		_, saved, extra, _ := recordHead(rec)
 		placed[i] = &record{off: off, n: len(rec), saved: saved, extra: extra}
 		bw.Write(rec)

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -206,6 +208,49 @@ func TestGCUnboundedPolicyIsANoop(t *testing.T) {
 	}
 	if (GCPolicy{}).Bounded() {
 		t.Error("zero policy must report unbounded")
+	}
+}
+
+// TestGCKeepsNonCompactRecords: a record the full parse accepts with a
+// non-compact result (whitespace inside it, its sum over those bytes)
+// reads the same after compaction. GC writes the result it verified
+// verbatim, so the sum still matches.
+func TestGCKeepsNonCompactRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("k", &engine.Result{Cycles: 5})
+	st.Close()
+	spaced := `{"Cycles": 5}`
+	sum := sha256.Sum256([]byte(spaced))
+	rewriteRecord(t, segPaths(t, dir)[0], func([]byte) []byte {
+		return []byte(`{"key":"k","sum":"` + hex.EncodeToString(sum[:]) + `","result":` + spaced + `}`)
+	})
+	fresh, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if res, ok := fresh.Get("k"); !ok || res.Cycles != 5 {
+		t.Fatal("the non-compact record must read before GC")
+	}
+	if _, err := fresh.GC(GCPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := fresh.Get("k"); !ok || res.Cycles != 5 {
+		t.Fatal("the non-compact record must read after GC")
+	}
+	if c := fresh.Stats().Corrupt; c != 0 {
+		t.Errorf("GC left %d corrupt records", c)
+	}
+	data, err := os.ReadFile(segPaths(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"result":`+spaced+`}`) {
+		t.Errorf("compaction must keep the result bytes its sum covers, wrote %q", data)
 	}
 }
 

@@ -57,18 +57,7 @@ func FuzzWorkgenDifferential(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(15), uint8(2), uint8(10), uint8(16), uint64(3), uint8(64), uint8(30))
 	f.Add(uint8(6), uint8(1), uint8(0), uint8(3), uint8(5), uint8(20), uint64(11), uint8(4), uint8(10))
 	f.Fuzz(func(t *testing.T, depthB, ilpB, mem10, shapeB, haz10, itersB uint8, seed uint64, windowB, mdB uint8) {
-		spec := Spec{
-			Depth:  1 + int(depthB%8),
-			ILP:    1 + int(ilpB%4),
-			Mem:    float64(mem10%16) / 10,
-			Addr:   Shape(shapeB % 4),
-			Hazard: float64(haz10%11) / 10,
-			Iters:  4 + int(itersB%21),
-			Seed:   seed,
-		}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("clamped spec %q invalid: %v", spec.Format(), err)
-		}
+		spec := fuzzSpec(t, depthB, ilpB, mem10, shapeB, haz10, itersB, seed)
 		tr := spec.Generate(1)
 		suite, err := machine.NewSuite(tr, partition.Policy(0))
 		if err != nil {
@@ -138,6 +127,71 @@ func FuzzWorkgenDifferential(f *testing.F) {
 		if lb := tr.CriticalPath(unlimited.Timing()); dm.Cycles < lb {
 			t.Errorf("spec %q md=%d: DM at unlimited window ran %d cycles, below the dataflow bound %d",
 				spec.Format(), md, dm.Cycles, lb)
+		}
+	})
+}
+
+// fuzzSpec clamps fuzzed bytes into a valid small spec.
+func fuzzSpec(t *testing.T, depthB, ilpB, mem10, shapeB, haz10, itersB uint8, seed uint64) Spec {
+	t.Helper()
+	spec := Spec{
+		Depth:  1 + int(depthB%8),
+		ILP:    1 + int(ilpB%4),
+		Mem:    float64(mem10%16) / 10,
+		Addr:   Shape(shapeB % 4),
+		Hazard: float64(haz10%11) / 10,
+		Iters:  4 + int(itersB%21),
+		Seed:   seed,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("clamped spec %q invalid: %v", spec.Format(), err)
+	}
+	return spec
+}
+
+// FuzzRepartition: a repartitioned suite is the suite built from
+// scratch under its policy. Suite.Repartition reuses the receiver's
+// address slice and SWSM op count and redoes only the unit assignment
+// and the DM walk; for every base and target policy the result must
+// equal machine.NewSuite's in Stats, Assignment and Fingerprint (the
+// store key), and the shared slice must come out unchanged.
+func FuzzRepartition(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint8(10), uint8(0), uint8(2), uint8(12), uint64(1))
+	f.Add(uint8(8), uint8(3), uint8(5), uint8(1), uint8(0), uint8(8), uint64(7))
+	f.Add(uint8(2), uint8(4), uint8(15), uint8(2), uint8(10), uint8(16), uint64(3))
+	f.Add(uint8(6), uint8(1), uint8(0), uint8(3), uint8(5), uint8(20), uint64(11))
+	f.Fuzz(func(t *testing.T, depthB, ilpB, mem10, shapeB, haz10, itersB uint8, seed uint64) {
+		spec := fuzzSpec(t, depthB, ilpB, mem10, shapeB, haz10, itersB, seed)
+		tr := spec.Generate(1)
+		fresh := map[partition.Policy]*machine.Suite{}
+		for _, pol := range partition.Policies() {
+			s, err := machine.NewSuite(tr, pol)
+			if err != nil {
+				t.Fatalf("spec %q %v: %v", spec.Format(), pol, err)
+			}
+			fresh[pol] = s
+		}
+		for _, from := range partition.Policies() {
+			slice := append([]bool(nil), fresh[from].Assignment().InAddrSlice...)
+			for _, to := range partition.Policies() {
+				re, err := fresh[from].Repartition(to)
+				if err != nil {
+					t.Fatalf("spec %q %v→%v: %v", spec.Format(), from, to, err)
+				}
+				want := fresh[to]
+				if !reflect.DeepEqual(re.Stats(), want.Stats()) {
+					t.Errorf("spec %q %v→%v: stats %+v, NewSuite %+v", spec.Format(), from, to, re.Stats(), want.Stats())
+				}
+				if !reflect.DeepEqual(re.Assignment(), want.Assignment()) {
+					t.Errorf("spec %q %v→%v: assignment differs from NewSuite's", spec.Format(), from, to)
+				}
+				if re.Fingerprint() != want.Fingerprint() {
+					t.Errorf("spec %q %v→%v: fingerprint %s, NewSuite %s", spec.Format(), from, to, re.Fingerprint(), want.Fingerprint())
+				}
+			}
+			if !reflect.DeepEqual(fresh[from].Assignment().InAddrSlice, slice) {
+				t.Errorf("spec %q: repartitioning changed the %v suite's address slice", spec.Format(), from)
+			}
 		}
 	})
 }
