@@ -53,7 +53,9 @@ type farHeap struct{ a []farEvent }
 
 //daelint:hotpath
 func (h *farHeap) empty() bool { return len(h.a) == 0 }
-func (h *farHeap) reset()      { h.a = h.a[:0] }
+
+//daelint:hotpath
+func (h *farHeap) reset() { h.a = h.a[:0] }
 
 //daelint:hotpath
 func (h *farHeap) min() int64 { return h.a[0].time }
@@ -227,4 +229,34 @@ func (q *calQueue) nextAfter(now int64) int64 {
 		return q.far.min()
 	}
 	return -1
+}
+
+// shift moves every pending event dt cycles and dop ops later, for the
+// steady-state skip's jump from cycle now to now+dt. evs is scratch; the
+// grown slice is returned for reuse.
+//
+//daelint:hotpath
+func (q *calQueue) shift(evs []farEvent, now, dt int64, dop int32) []farEvent {
+	evs = evs[:0]
+	for w, word := range q.bits {
+		for word != 0 {
+			b := &q.slots[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range b.comps {
+				evs = append(evs, farEvent{time: b.time, op: i})
+			}
+			for _, i := range b.fills {
+				evs = append(evs, farEvent{time: b.time, op: i, fill: true})
+			}
+			b.comps = b.comps[:0]
+			b.fills = b.fills[:0]
+		}
+		q.bits[w] = 0
+	}
+	evs = append(evs, q.far.a...)
+	q.far.reset()
+	for _, ev := range evs {
+		q.schedule(now+dt, ev.time+dt, ev.op+dop, ev.fill)
+	}
+	return evs
 }

@@ -1,0 +1,497 @@
+package engine
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// The steady-state skip (DESIGN.md §3). The programs the engine runs are
+// loop nests: over most of a program, op i and op i+P agree on kind,
+// unit and every edge taken relative to the op. Run then tends to fall
+// into an orbit: the machine state at one period boundary, written
+// relative to that boundary and to the current cycle, repeats exactly
+// some whole periods later. A deterministic machine that reaches the same
+// state on the same future input repeats the same trajectory, so Run
+// simulates the orbit once, checks the repeat byte for byte, and jumps
+// whole repeats at once: it shifts the op-indexed state, stream
+// positions, calendar and memory model, and adds the per-orbit deltas to
+// every additive Result counter. Maxima stay as they are, because the
+// skipped orbits repeat one already simulated. Results are bit-identical
+// to simulating every cycle; ReferenceRun, which never skips, is the
+// oracle the tests hold it to.
+
+// maxOrbitUnits bounds the cores of a program the skip applies to (the
+// lowerings emit one or two).
+const maxOrbitUnits = 2
+
+// periodScanBudget bounds scanPeriod's op comparisons, per program op.
+const periodScanBudget = 64
+
+// ShiftableMem is a memory model whose answers the steady-state skip can
+// jump over: RequestFill ignores the address, the model counts no hits
+// (it is not a MemHitCounter), and its whole state is a list of cycle
+// times, so moving every stored time dt later moves every later answer
+// dt later. Run skips repeated orbits only with no model or such a
+// model; with any other model it simulates every cycle.
+type ShiftableMem interface {
+	MemModel
+	// AppendState appends the model's state relative to now to dst, in a
+	// canonical form: two states append the same values exactly when
+	// every later request sent after now gets the same answer from both,
+	// relative to now.
+	AppendState(dst []int64, now int64) []int64
+	// Shift moves every stored time dt cycles later.
+	Shift(dt int64)
+}
+
+// period is a program's structural period: ops i and i+p agree (sameOp)
+// for every i in [lo, hi-p). p is 0 when the program has none.
+type period struct {
+	p, lo, hi int32
+	// reach is the longest edge with an endpoint in [lo, hi): no op of
+	// the run has a producer or consumer further away than this.
+	reach int32
+	// spos is each unit's stream position of op lo, cnt its ops per
+	// period.
+	spos, cnt [maxOrbitUnits]int32
+}
+
+// orbitPeriod returns the program's structural period, scanning for it
+// on first use.
+//
+//daelint:hotpath
+func (p *Program) orbitPeriod() *period {
+	p.perOnce.Do(func() { p.per = p.scanPeriod() }) //daelint:hotpath-ok once per program; the closure does not escape
+	return &p.per
+}
+
+// sameOp reports whether ops i and j agree on kind, unit, flags and
+// every edge taken relative to the op itself: sources, memory source,
+// and completion and fill consumers. Addresses and Orig are not
+// compared: the skip runs only where neither matters.
+func (p *Program) sameOp(i, j int32) bool {
+	if p.kinds[i] != p.kinds[j] || p.units[i] != p.units[j] || p.flags[i] != p.flags[j] {
+		return false
+	}
+	mi, mj := p.memSrcs[i], p.memSrcs[j]
+	if (mi == NoDep) != (mj == NoDep) || (mi != NoDep && i-mi != j-mj) {
+		return false
+	}
+	return sameRel(p.srcOff, p.srcDat, i, j) && sameRel(p.cpOff, p.cpDat, i, j) && sameRel(p.cfOff, p.cfDat, i, j)
+}
+
+// sameRel reports whether CSR rows i and j hold the same op offsets
+// relative to i and j.
+func sameRel(off, dat []int32, i, j int32) bool {
+	a, b := dat[off[i]:off[i+1]], dat[off[j]:off[j+1]]
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k]-i != b[k]-j {
+			return false
+		}
+	}
+	return true
+}
+
+// scanPeriod finds the program's period: the smallest p for which the
+// run of ops i with sameOp(i, i+p) around the middle op covers at least
+// a quarter of the program and four periods. The scan allocates nothing
+// and gives up after periodScanBudget comparisons per op.
+func (p *Program) scanPeriod() period {
+	n := int32(len(p.kinds))
+	if p.NumUnits > maxOrbitUnits || n < 8 {
+		return period{}
+	}
+	budget := int64(periodScanBudget) * int64(n)
+	m := n / 2
+	for q := int32(1); 4*q <= n && m+q < n && budget > 0; q++ {
+		budget--
+		if !p.sameOp(m, m+q) {
+			continue
+		}
+		lo, end := m, m+1 // sameOp(i, i+q) for every i in [lo, end)
+		for lo > 0 && p.sameOp(lo-1, lo-1+q) {
+			lo--
+		}
+		for end+q < n && p.sameOp(end, end+q) {
+			end++
+		}
+		budget -= int64(end - lo)
+		if hi := end + q; hi-lo >= 4*q && hi-lo >= n/4 {
+			per := period{p: q, lo: lo, hi: hi, reach: p.reachIn(lo, hi)}
+			for i := int32(0); i < lo+q; i++ {
+				if i < lo {
+					per.spos[p.units[i]]++
+				} else {
+					per.cnt[p.units[i]]++
+				}
+			}
+			return per
+		}
+	}
+	return period{}
+}
+
+// reachIn returns the longest edge with an endpoint in ops [lo, hi).
+func (p *Program) reachIn(lo, hi int32) int32 {
+	var reach int32
+	for i := lo; i < hi; i++ {
+		for _, s := range p.srcs(i) {
+			reach = max(reach, i-s)
+		}
+		if m := p.memSrcs[i]; m != NoDep {
+			reach = max(reach, i-m)
+		}
+		for _, c := range p.plainConsumers(i) {
+			reach = max(reach, c-i)
+		}
+		for _, c := range p.fillConsumers(i) {
+			reach = max(reach, c-i)
+		}
+	}
+	return reach
+}
+
+// orbit is a Sim's steady-state skip state for one run.
+type orbit struct {
+	// on is set while Run samples anchors.
+	on bool
+	// inOrder records Config.RetireInOrder: retirePtr is state only then.
+	inOrder bool
+	per     *period
+	mem     ShiftableMem
+	// step is the op distance between sampled anchors, a whole number of
+	// periods; anchor is the next one, k the number sampled so far.
+	step, anchor int32
+	k            int
+	// The saved sample, Brent's tortoise: replaced at k = 1, 2, 4, ...
+	// and compared with every later sample.
+	have      bool
+	savedA    int32 // its anchor
+	savedBase int32 // the lowest op its state covers
+	saved     []int64
+	savedCnt  []int64
+	// cur and curCnt are the sample being taken: the canonical state and
+	// the additive counters (see counters).
+	cur, curCnt []int64
+	evs         []farEvent
+	// skipped counts the ops the last run jumped over (tests read it).
+	skipped int
+}
+
+// orbitBegin arms the skip for a run when it can be exact: no ESW
+// sampling (it reads trace positions), a memory model that is absent or
+// ShiftableMem, a structural period, and windows small enough to leave
+// room for repeats inside the periodic run.
+//
+//daelint:hotpath
+func (s *Sim) orbitBegin(p *Program, cfg *Config) {
+	o := &s.orb
+	o.on, o.have, o.k, o.skipped, o.mem, o.per = false, false, 0, 0, nil, nil
+	o.inOrder = cfg.RetireInOrder
+	if cfg.CollectESW {
+		return
+	}
+	if cfg.Mem != nil {
+		sm, ok := cfg.Mem.(ShiftableMem)
+		if _, counts := cfg.Mem.(MemHitCounter); !ok || counts {
+			return
+		}
+		o.mem = sm
+	}
+	per := p.orbitPeriod()
+	if per.p == 0 {
+		return
+	}
+	span := int64(per.reach)
+	for u := range s.cores {
+		span += int64(s.cores[u].window)
+	}
+	if span+3*int64(per.p) > int64(per.hi-per.lo) {
+		return
+	}
+	// Sample every so many periods that a snapshot, about three words
+	// per op of the window span, costs little next to simulating the
+	// ops between two samples.
+	o.step = int32(max(1, (span+2*int64(per.p)-1)/(2*int64(per.p)))) * per.p
+	o.per = per
+	o.anchor = per.lo + o.step
+	o.on = true
+}
+
+// anchorDone reports whether every op below op a has completed.
+//
+//daelint:hotpath
+func (s *Sim) anchorDone(a int32) bool {
+	for u := range s.cores {
+		c := &s.cores[u]
+		for c.donePtr < c.next && s.state[c.stream[c.donePtr]] == stDone {
+			c.donePtr++
+		}
+		if c.donePtr < len(c.stream) && c.stream[c.donePtr] < a {
+			return false
+		}
+	}
+	return true
+}
+
+// orbitStep samples the anchor that every op below has just passed, at
+// the top of cycle `cycle`: it writes the canonical state and, when it
+// equals the saved sample, skips as many whole orbits as the periodic
+// run leaves room for. It returns the cycle and completed count to go on
+// from.
+//
+//daelint:hotpath
+func (s *Sim) orbitStep(p *Program, res *Result, cycle int64, completed, inflight int) (int64, int) {
+	o := &s.orb
+	a := o.anchor
+	o.k++
+	o.anchor += o.step
+	front := int32(0)
+	for u := range s.cores {
+		c := &s.cores[u]
+		if c.next > 0 {
+			front = max(front, c.stream[c.next-1]+1)
+		}
+		c.touch(cycle)
+	}
+	// A skip of j orbits of d ops needs front + ahead + j·d <= hi (see
+	// skip); d is at least one step.
+	ahead := max(o.per.reach, o.per.p)
+	if int64(front)+int64(ahead)+int64(o.step) > int64(o.per.hi) {
+		o.on = false // no room left for a repeat and a skip
+		return cycle, completed
+	}
+	save := o.k&(o.k-1) == 0
+	base, whole := s.snapshot(p, a, front, cycle, inflight, res.Fills, !save)
+	if whole && o.have && o.savedBase >= o.per.lo && slices.Equal(o.cur, o.saved) {
+		o.on = false
+		d := a - o.savedA
+		if j := (o.per.hi - front - ahead) / d; j >= 1 {
+			return s.skip(p, res, cycle, completed, base, front, d, j)
+		}
+		return cycle, completed
+	}
+	if save && whole {
+		o.cur, o.saved = o.saved, o.cur
+		o.curCnt, o.savedCnt = o.savedCnt, o.curCnt
+		o.have, o.savedA, o.savedBase = true, a, base
+	}
+	return cycle, completed
+}
+
+// snapshot writes the canonical state at the top of cycle now into
+// o.cur, relative to anchor a and to now, and the additive counters into
+// o.curCnt. The state is: each core's dispatch and retirement positions
+// and occupancy; the fills in flight; each op's lifecycle state, pending
+// dependence count and pending completion and fill events, from base
+// (the lowest op not completed or with an event pending) up to the
+// dispatch frontier plus reach; and the memory model's state. Below base
+// every op has completed with nothing pending; above the frontier plus
+// reach no op has been touched. The ready sets follow from the op
+// states (see packEvent for the per-op words). It returns base, and
+// whole false for a sample that is not to be used: one with a value too
+// wide to pack or, with cut set (a sample that can only be compared,
+// not saved), one whose head (positions, base, top and fills in flight)
+// already differs from the saved sample's.
+//
+//daelint:hotpath
+func (s *Sim) snapshot(p *Program, a, front int32, now int64, inflight int, fills int64, cut bool) (base int32, whole bool) {
+	o := &s.orb
+	per := o.per
+	n := int32(len(p.kinds))
+	periods := (a - per.lo) / per.p
+	buf := o.cur[:0]
+	base = n
+	for u := range s.cores {
+		c := &s.cores[u]
+		if c.donePtr < len(c.stream) {
+			base = min(base, c.stream[c.donePtr])
+		}
+		sp := int(per.spos[u] + periods*per.cnt[u])
+		buf = append(buf, int64(c.next-sp), int64(c.occ))
+		if o.inOrder {
+			buf = append(buf, int64(c.retirePtr-sp))
+		}
+	}
+	q := &s.cq
+	for w, word := range q.bits {
+		for word != 0 {
+			b := &q.slots[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range b.comps {
+				base = min(base, i)
+			}
+			for _, i := range b.fills {
+				base = min(base, i)
+			}
+		}
+	}
+	for _, ev := range q.far.a {
+		base = min(base, ev.op)
+	}
+	top := max(min(front+per.reach, n), base)
+	buf = append(buf, int64(base-a), int64(top-a), int64(inflight))
+	off := len(buf)
+	if cut && (!o.have || !slices.Equal(buf, o.saved[:off])) {
+		o.cur = buf
+		return base, false
+	}
+	buf = slices.Grow(buf, int(top-base))[:off+int(top-base)]
+	for i := base; i < top; i++ {
+		pd := s.pending[i]
+		if pd >= 1<<pendingBits {
+			o.cur = buf
+			return base, false
+		}
+		buf[off+int(i-base)] = int64(s.state[i]) | int64(pd)<<2
+	}
+	fits := true
+	for w, word := range q.bits {
+		for word != 0 {
+			b := &q.slots[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range b.comps {
+				fits = packEvent(&buf[off+int(i-base)], b.time-now, compShift) && fits
+			}
+			for _, i := range b.fills {
+				fits = packEvent(&buf[off+int(i-base)], b.time-now, fillShift) && fits
+			}
+		}
+	}
+	for _, ev := range q.far.a {
+		shift := uint(compShift)
+		if ev.fill {
+			shift = fillShift
+		}
+		fits = packEvent(&buf[off+int(ev.op-base)], ev.time-now, shift) && fits
+	}
+	if !fits {
+		o.cur = buf
+		return base, false
+	}
+	if o.mem != nil {
+		buf = o.mem.AppendState(buf, now) //daelint:hotpath-ok ShiftableMem is a MemModel: an external interface, not auditable
+	}
+	o.cur = buf
+	o.curCnt = s.counters(o.curCnt[:0], fills, now)
+	return base, true
+}
+
+// A snapshot packs each op into one word: its lifecycle state (2 bits),
+// its pending dependence count (pendingBits) and the time to its pending
+// completion and fill events, plus one (eventBits each, 0 for none). A
+// sample with a value too wide for its field is neither compared nor
+// saved, so such a run simply skips nothing.
+const (
+	pendingBits = 14
+	eventBits   = 24
+	compShift   = 2 + pendingBits
+	fillShift   = compShift + eventBits
+)
+
+// packEvent records in an op's snapshot word, at bit shift, an event due
+// dt cycles from now. It reports false when dt does not fit.
+//
+//daelint:hotpath
+func packEvent(w *int64, dt int64, shift uint) bool {
+	if dt+1 >= 1<<eventBits {
+		return false
+	}
+	*w |= (dt + 1) << shift
+	return true
+}
+
+// counters appends the run's additive counters to dst: per core Issued,
+// BusyCycles, OccIntegral, IssuedByKind and IssueHist, then Fills and
+// the cycle.
+//
+//daelint:hotpath
+func (s *Sim) counters(dst []int64, fills, now int64) []int64 {
+	for u := range s.cores {
+		st := &s.cores[u].stats
+		dst = append(dst, st.Issued, st.BusyCycles, st.OccIntegral)
+		dst = append(dst, st.IssuedByKind[:]...)
+		dst = append(dst, st.IssueHist...)
+	}
+	return append(dst, fills, now)
+}
+
+// skip jumps j orbits of d ops from the state just sampled (equal to the
+// saved sample, shifted by d ops). The orbits replay the one between the
+// two samples, which touched ops from the saved base up to the current
+// frontier plus reach. The caller chose j with frontier + max(reach, p)
+// + j·d <= hi, so every op the replays touch stays inside the periodic
+// run, and so does the next op of each core's stream (one period on at
+// most): no replay sees a stream run out or the program end that the
+// first orbit did not. It returns the cycle and completed count after
+// the jump.
+//
+//daelint:hotpath
+func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, front, d, j int32) (int64, int) {
+	o := &s.orb
+	per := o.per
+	jd := j * d
+	dc := int64(j) * (cycle - o.savedCnt[len(o.savedCnt)-1])
+
+	// Additive counters gain j orbits' worth; maxima stay.
+	cur, sv := o.curCnt, o.savedCnt
+	at := 0
+	add := func(v *int64) { //daelint:hotpath-ok non-escaping closure over locals, called inline below
+		*v += int64(j) * (cur[at] - sv[at])
+		at++
+	}
+	for u := range s.cores {
+		st := &s.cores[u].stats
+		add(&st.Issued)
+		add(&st.BusyCycles)
+		add(&st.OccIntegral)
+		for k := range st.IssuedByKind {
+			add(&st.IssuedByKind[k])
+		}
+		for k := range st.IssueHist {
+			add(&st.IssueHist[k])
+		}
+	}
+	add(&res.Fills)
+
+	// Op-indexed state: the covered range moves up jd ops, and every op
+	// it leaves behind has completed.
+	top := max(min(front+per.reach, int32(len(p.kinds))), base)
+	copy(s.state[base+jd:top+jd], s.state[base:top])
+	copy(s.pending[base+jd:top+jd], s.pending[base:top])
+	for i := base; i < base+jd; i++ {
+		s.state[i] = stDone
+	}
+	clear(s.pending[base : base+jd])
+
+	for u := range s.cores {
+		c := &s.cores[u]
+		if !c.wide && c.next > 0 {
+			// Ready bits lie in [issueFrontier, next); rebuilt below.
+			clear(c.readyBits[c.issueFrontier>>6 : (c.next-1)>>6+1])
+		}
+		sh := int(jd / per.p * per.cnt[u])
+		c.next += sh
+		if o.inOrder {
+			c.retirePtr += sh
+		}
+		c.lastTouch = cycle + dc
+	}
+	for i := base + jd; i < top+jd; i++ {
+		if s.state[i] == stInWindow && s.pending[i] == 0 {
+			if c := &s.cores[p.units[i]]; !c.wide {
+				pos := p.posInStream[i]
+				c.readyBits[pos>>6] |= 1 << uint(pos&63)
+			}
+		}
+	}
+	o.evs = s.cq.shift(o.evs, cycle, dc, jd)
+	if o.mem != nil {
+		o.mem.Shift(dc) //daelint:hotpath-ok ShiftableMem is a MemModel: an external interface, not auditable
+	}
+	o.skipped = int(jd)
+	return cycle + dc, completed + int(jd)
+}

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"daesim/internal/isa"
 )
@@ -99,6 +100,11 @@ type Program struct {
 	streamOff   []int32
 	streamDat   []int32
 	posInStream []int32
+
+	// per is the structural period the steady-state skip uses, found on
+	// the first run that asks (orbit.go).
+	perOnce sync.Once
+	per     period
 }
 
 // NewProgram validates ops and precomputes the SoA dependence structure.

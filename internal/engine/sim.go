@@ -21,6 +21,7 @@ type Sim struct {
 	pending []int32
 	cores   []coreRun
 	cq      calQueue
+	orb     orbit
 	// lat caches cfg.Timing.Latency per op kind for the current run.
 	lat [isa.NumOpKinds]int64
 }
@@ -52,6 +53,7 @@ type coreRun struct {
 	// be set (everything below is issued or done); it only advances.
 	issueFrontier int
 	oldestPtr     int // lazy pointer to oldest possibly-in-flight stream position
+	donePtr       int // lazy pointer to oldest possibly-incomplete stream position (steady-state skip)
 	retirePtr     int // in-order retirement frontier (RetireInOrder only)
 	lastOrig      int32
 	stats         CoreStats
@@ -210,6 +212,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	memOrdered := cfg.Mem != nil
 	s.reset(p, cfg) //daelint:hotpath-ok setup: scratch (re)allocation happens once, before the cycle loop
 	cores := s.cores
+	s.orbitBegin(p, &cfg)
 
 	completed := 0
 	var cycle int64
@@ -218,6 +221,13 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	var eswSum, slipSum int64
 
 	for completed < n {
+		// 0. At a sampled period boundary, look for a repeated state and
+		// skip the orbits it repeats (orbit.go). Every op below the
+		// anchor has completed only once that many ops have.
+		if s.orb.on && completed >= int(s.orb.anchor) && s.anchorDone(s.orb.anchor) {
+			cycle, completed = s.orbitStep(p, res, cycle, completed, inflight)
+		}
+
 		// 1. Fire events due now.
 		s.cq.drain(cycle)
 		if b := s.cq.fire(cycle); b != nil {

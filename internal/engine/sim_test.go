@@ -169,23 +169,35 @@ func TestSimRunsAreIdentical(t *testing.T) {
 
 // TestSimReuseAllocs pins the zero-allocation property of the reused
 // scratch path: after warm-up, a run allocates only the Result it
-// returns (Result, Cores slice, per-core IssueHist).
+// returns (Result, Cores slice, per-core IssueHist). The one-core loop
+// settles into an orbit, so its runs also take the steady-state skip,
+// whose snapshots live in the Sim's scratch too.
 func TestSimReuseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
 	}
-	p := twoUnitProgram(200)
-	cfg := Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 64, IssueWidth: 4}, {Window: 64, IssueWidth: 5}}}
-	sim := NewSim()
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := sim.Run(p, cfg); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		p    *Program
+		cfg  Config
+		skip bool
+	}{
+		{twoUnitProgram(200), Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 64, IssueWidth: 4}, {Window: 64, IssueWidth: 5}}}, false},
+		{swsmLoop(400), Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 32, IssueWidth: 4}}}, true},
+	} {
+		sim := NewSim()
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := sim.Run(tc.p, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// 4 = Result + Cores + 2 IssueHist; allow a little headroom for
+		// runtime-internal noise.
+		if avg > 8 {
+			t.Errorf("%s: reused-scratch run allocates %.0f objects, want <= 8", tc.p.Name, avg)
 		}
-	})
-	// 4 = Result + Cores + 2 IssueHist; allow a little headroom for
-	// runtime-internal noise.
-	if avg > 8 {
-		t.Fatalf("reused-scratch run allocates %.0f objects, want <= 8", avg)
+		if skipped := sim.orb.skipped > 0; skipped != tc.skip {
+			t.Errorf("%s: the steady-state skip fired: %v, want %v", tc.p.Name, skipped, tc.skip)
+		}
 	}
 }
 

@@ -17,4 +17,13 @@ package engine
 //	     points carry the resolved policy in their key
 //	v4 — Result.MemHits: a memory model's hit count rides the result,
 //	     and memory models are cacheable parameters (machine.Params.Mem)
+//
+// Not bumped for the steady-state skip (orbit.go), which jumps repeated
+// orbits of the machine state instead of simulating them: it changes
+// Sim.Run's surface in semantics.lock but no Result, because a jump lands
+// exactly where simulating would have and every additive counter gains
+// exactly the skipped orbits' counts. ReferenceRun, which never skips,
+// is the oracle (TestOrbitSkipMatchesReference, TestOrbitSkipCatalog,
+// FuzzOrbitSkip), and points.lock pins Cycles, MemHits and a digest of
+// the whole Result of every point repro -exp all simulates, unchanged.
 const Version = "engine-v4"

@@ -52,7 +52,9 @@ type VersionKeyConfig struct {
 // surface reaches past the engine to everything that turns a cached
 // machine.Params into engine input or answers the engine mid-run: the
 // Params-to-Config translation, the memory models and their
-// constructors, and the isa latency and line helpers.
+// constructors (with the state and shift methods the steady-state skip
+// reads and moves the Outstanding queue by), and the isa latency and
+// line helpers.
 var DefaultVersionKeyConfig = VersionKeyConfig{
 	VersionPkg:     "daesim/internal/engine",
 	VersionConst:   "Version",
@@ -66,6 +68,8 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 		"daesim/internal/memsys.(Spec).CacheLevels",
 		"daesim/internal/memsys.(Outstanding).RequestFill",
 		"daesim/internal/memsys.(Outstanding).Reset",
+		"daesim/internal/memsys.(Outstanding).AppendState",
+		"daesim/internal/memsys.(Outstanding).Shift",
 		"daesim/internal/memsys.(Bypass).RequestFill",
 		"daesim/internal/memsys.(Bypass).Reset",
 		"daesim/internal/memsys.(Bypass).MemHits",

@@ -94,6 +94,38 @@ func (m *Outstanding) grow(head int) int {
 // Reset implements engine.MemModel.
 func (m *Outstanding) Reset() { m.head = 0; m.n = 0 }
 
+// AppendState implements engine.ShiftableMem: the fills in flight, oldest
+// first, as completion times relative to now. Every later request is
+// sent after now, so it first retires the fills at the head of the queue
+// that are complete by now: they are left out, and a complete fill behind
+// one still in flight, which counts toward Cap until it reaches the
+// head, is written as 0.
+func (m *Outstanding) AppendState(dst []int64, now int64) []int64 {
+	head, n := m.head, m.n
+	for n > 0 && m.ring[head] <= now {
+		if head++; head == len(m.ring) {
+			head = 0
+		}
+		n--
+	}
+	dst = append(dst, int64(n))
+	for ; n > 0; n-- {
+		dst = append(dst, max(m.ring[head]-now, 0))
+		if head++; head == len(m.ring) {
+			head = 0
+		}
+	}
+	return dst
+}
+
+// Shift implements engine.ShiftableMem: every fill in flight completes
+// dt cycles later.
+func (m *Outstanding) Shift(dt int64) {
+	for i := range m.ring {
+		m.ring[i] += dt
+	}
+}
+
 // Bypass models the paper's future-work bypass buffer: a line-grain LRU
 // buffer inside the decoupled memory that captures the temporal locality
 // exposed by decoupling. A request whose line is resident (fetched

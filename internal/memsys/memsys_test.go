@@ -10,9 +10,72 @@ import (
 
 // All models must satisfy engine.MemModel.
 var (
-	_ engine.MemModel = (*Outstanding)(nil)
-	_ engine.MemModel = (*Bypass)(nil)
+	_ engine.MemModel     = (*Outstanding)(nil)
+	_ engine.MemModel     = (*Bypass)(nil)
+	_ engine.ShiftableMem = (*Outstanding)(nil)
 )
+
+// TestOutstandingShift checks the state the steady-state skip reads and
+// moves: a queue shifted dt cycles, asked dt cycles later, answers dt
+// cycles later than the unshifted one, and the two report the same
+// state relative to their own now.
+func TestOutstandingShift(t *testing.T) {
+	f := func(seed uint32, capSel, dtSel uint8) bool {
+		a, err := NewOutstanding(7, 1+int(capSel%5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := NewOutstanding(7, a.Cap)
+		dt := int64(dtSel)
+		sent := int64(0)
+		next := func() int64 { // nondecreasing send times
+			seed = seed*1664525 + 1013904223
+			sent += int64(seed>>28) % 4
+			return sent
+		}
+		for i := 0; i < 20; i++ {
+			s := next()
+			a.RequestFill(0, s)
+			b.RequestFill(0, s)
+		}
+		b.Shift(dt)
+		for i := 0; i < 20; i++ {
+			now := sent
+			sa := a.AppendState(nil, now)
+			sb := b.AppendState(nil, now+dt)
+			if len(sa) != len(sb) {
+				return false
+			}
+			for k := range sa {
+				if sa[k] != sb[k] {
+					return false
+				}
+			}
+			s := next() + 1
+			if b.RequestFill(0, s+dt) != a.RequestFill(0, s)+dt {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOutstandingStateDropsCompletedHead pins AppendState's canonical
+// form: fills complete by now at the head of the queue are left out.
+func TestOutstandingStateDropsCompletedHead(t *testing.T) {
+	m, _ := NewOutstanding(10, 4)
+	m.RequestFill(0, 0) // completes at 10
+	m.RequestFill(0, 5) // completes at 15
+	if got := m.AppendState(nil, 12); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("state at 12 = %v, want [1 3]", got)
+	}
+	if got := m.AppendState(nil, 20); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("state at 20 = %v, want [0]", got)
+	}
+}
 
 func TestOutstandingCapacity(t *testing.T) {
 	m, err := NewOutstanding(10, 2)
