@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -249,11 +250,11 @@ func TestFleetFigure7ByteIdentical(t *testing.T) {
 type dyingHandler struct {
 	h       http.Handler
 	served  atomic.Int64
-	healthy int64
+	healthy atomic.Int64
 }
 
 func (d *dyingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/healthz" && d.served.Add(1) > d.healthy {
+	if r.URL.Path != "/healthz" && d.served.Add(1) > d.healthy.Load() {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte(`{"error":"replica dying"}`))
@@ -264,16 +265,17 @@ func (d *dyingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestFleetFailoverMidSweep pins the retry path: one replica dies after
 // its first two requests, mid-sweep; every point still completes,
-// byte-identical to local, served by the survivors.
+// byte-identical to local, served by the survivors. The ring hashes the
+// servers' URLs, whose ports are random, so the replica that dies is
+// chosen once the ring is known: the one that owns points in the most
+// waves, which makes its third request land mid-sweep.
 func TestFleetFailoverMidSweep(t *testing.T) {
 	t.Parallel()
-	var dying *dyingHandler
+	handlers := make([]*dyingHandler, 3)
 	fleet, servers, _ := newFleet(t, 3, nil, func(i int, h http.Handler) http.Handler {
-		if i == 2 {
-			dying = &dyingHandler{h: h, healthy: 2}
-			return dying
-		}
-		return h
+		handlers[i] = &dyingHandler{h: h}
+		handlers[i].healthy.Store(math.MaxInt64) // disarmed
+		return handlers[i]
 	})
 	fleet.Cooldown = 50 * time.Millisecond
 
@@ -282,16 +284,33 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 		pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}})
 	}
 	suite := mustSuite(t, testWorkload)
-	// Several waves so the death lands mid-sweep, not before or after.
-	var remote []*engine.Result
-	for i := 0; i < len(pts); i += 6 {
-		end := i + 6
-		if end > len(pts) {
-			end = len(pts)
+	// Several waves of six points so the death lands mid-sweep, not
+	// before or after.
+	const wave = 6
+	waves := make([]map[int]bool, len(handlers))
+	for r := range waves {
+		waves[r] = map[int]bool{}
+	}
+	for i, pt := range pts {
+		waves[fleet.Ring().Owner(routeKey(testWorkload, 1, suite.Fingerprint(), pt))][i/wave] = true
+	}
+	victim := 0
+	for r := range waves {
+		if len(waves[r]) > len(waves[victim]) {
+			victim = r
 		}
+	}
+	if len(waves[victim]) < 3 {
+		t.Fatalf("no replica owns points in three of the %d waves (owners per replica: %v), so no death can land mid-sweep", (len(pts)+wave-1)/wave, waves)
+	}
+	dying := handlers[victim]
+	dying.healthy.Store(2)
+	var remote []*engine.Result
+	for i := 0; i < len(pts); i += wave {
+		end := min(i+wave, len(pts))
 		res, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), pts[i:end])
 		if err != nil {
-			t.Fatalf("wave %d: fleet sweep did not survive the replica death: %v", i/6, err)
+			t.Fatalf("wave %d: fleet sweep did not survive the replica death: %v", i/wave, err)
 		}
 		remote = append(remote, res...)
 	}
@@ -304,7 +323,13 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 			t.Fatalf("point %d differs from local after failover", i)
 		}
 	}
-	if s := servers[0].Stats().Requests + servers[1].Stats().Requests; s == 0 {
+	survivors := int64(0)
+	for r, s := range servers {
+		if r != victim {
+			survivors += s.Stats().Requests
+		}
+	}
+	if survivors == 0 {
 		t.Error("survivors served nothing")
 	}
 }

@@ -108,6 +108,13 @@ const (
 	maxWheelSize = 8192
 )
 
+// A bucket's initial room for completions and for fills; a bucket that
+// needs more grows on its own and keeps the room across runs.
+const (
+	bucketComps = 8
+	bucketFills = 4
+)
+
 type calQueue struct {
 	slots []evBucket
 	mask  int64
@@ -126,6 +133,15 @@ func (q *calQueue) reset(horizon int64) {
 	if int64(len(q.slots)) != size {
 		q.slots = make([]evBucket, size)
 		q.bits = make([]uint64, size/64)
+		// Every bucket starts with room for a few events, carved from one
+		// slab: growing each from nil one append at a time cost a fresh
+		// Sim about a thousand allocations on its first run.
+		slab := make([]int32, size*(bucketComps+bucketFills))
+		for i := range q.slots {
+			b := &q.slots[i]
+			b.comps, slab = slab[:0:bucketComps], slab[bucketComps:]
+			b.fills, slab = slab[:0:bucketFills], slab[bucketFills:]
+		}
 	} else {
 		for i := range q.slots {
 			q.slots[i].comps = q.slots[i].comps[:0]

@@ -14,7 +14,10 @@ import (
 // TestOrbitSkipCatalog holds the steady-state skip to the never-skipping
 // reference on every catalog workload, both machines, windows 8, 64 and
 // 512 and MD 0 and 60: the programs and configurations the paper's
-// figures are made of.
+// figures are made of. The DM also runs at windows 4, 16 and 32, where
+// its AU runs furthest ahead: six of the seven DM programs split into
+// one pass per unit there, and TRACK, whose DU feeds its AU, takes the
+// joint path.
 func TestOrbitSkipCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the reference engine over the catalog")
@@ -34,7 +37,11 @@ func TestOrbitSkipCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{8, 64, 512} {
+			windows := []int{8, 64, 512}
+			if kind == machine.DM {
+				windows = []int{4, 8, 16, 32, 64, 512}
+			}
+			for _, w := range windows {
 				for _, md := range []int{0, 60} {
 					name := fmt.Sprintf("%s/%v/w=%d/md=%d", spec.Name, kind, w, md)
 					p := machine.Params{Window: w, MD: md}

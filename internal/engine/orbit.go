@@ -154,17 +154,20 @@ func (p *Program) reachIn(lo, hi int32) int32 {
 	return reach
 }
 
-// orbit is a Sim's steady-state skip state for one run.
+// orbit is a Sim's steady-state skip state for one pass of a run.
 type orbit struct {
-	// on is set while Run samples anchors.
+	// on is set while the pass samples anchors.
 	on bool
 	// inOrder records Config.RetireInOrder: retirePtr is state only then.
 	inOrder bool
+	kind    passKind
 	per     *period
 	mem     ShiftableMem
 	// step is the op distance between sampled anchors, a whole number of
-	// periods; anchor is the next one, k the number sampled so far.
+	// periods; anchor is the next one, need the number of the pass's ops
+	// below it, and k the number sampled so far.
 	step, anchor int32
+	need         int
 	k            int
 	// The saved sample, Brent's tortoise: replaced at k = 1, 2, 4, ...
 	// and compared with every later sample.
@@ -177,24 +180,45 @@ type orbit struct {
 	// the additive counters (see counters).
 	cur, curCnt []int64
 	evs         []farEvent
-	// skipped counts the ops the last run jumped over (tests read it).
-	skipped int
+	stats       skipStats
 }
 
-// orbitBegin arms the skip for a run when it can be exact: no ESW
+// skipStats records what the skip did in the last run; tests read it.
+// The per-pass arrays are indexed by passKind.slot: a joint run or the
+// AU pass, then the DU pass.
+type skipStats struct {
+	// split is set when the run took two passes.
+	split bool
+	// skipped counts the ops jumped over, over all passes.
+	skipped int
+	// jumps counts each pass's jumps.
+	jumps [2]int
+	// step is each pass's distance between anchors, first the anchor of
+	// its first sample (0 for none).
+	step, first [2]int32
+	// landed is the dispatch frontier just after each pass's last jump,
+	// orbit that jump's ops per orbit, and byHi whether the end of the
+	// periodic run, not the DU's external inputs, bounded it.
+	landed, orbit [2]int32
+	byHi          [2]bool
+}
+
+// orbitBegin arms the skip for a pass when it can be exact: no ESW
 // sampling (it reads trace positions), a memory model that is absent or
-// ShiftableMem, a structural period, and windows small enough to leave
-// room for repeats inside the periodic run.
+// ShiftableMem (the DU pass of a split run never calls it), a structural
+// period, and windows small enough to leave room for repeats inside the
+// periodic run.
 //
 //daelint:hotpath
-func (s *Sim) orbitBegin(p *Program, cfg *Config) {
+func (s *Sim) orbitBegin(p *Program, cfg *Config, kind passKind) {
 	o := &s.orb
-	o.on, o.have, o.k, o.skipped, o.mem, o.per = false, false, 0, 0, nil, nil
+	o.on, o.have, o.k, o.mem, o.per = false, false, 0, nil, nil
+	o.kind = kind
 	o.inOrder = cfg.RetireInOrder
 	if cfg.CollectESW {
 		return
 	}
-	if cfg.Mem != nil {
+	if cfg.Mem != nil && kind != passDU {
 		sm, ok := cfg.Mem.(ShiftableMem)
 		if _, counts := cfg.Mem.(MemHitCounter); !ok || counts {
 			return
@@ -206,7 +230,7 @@ func (s *Sim) orbitBegin(p *Program, cfg *Config) {
 		return
 	}
 	span := int64(per.reach)
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		span += int64(s.cores[u].window)
 	}
 	if span+3*int64(per.p) > int64(per.hi-per.lo) {
@@ -217,15 +241,38 @@ func (s *Sim) orbitBegin(p *Program, cfg *Config) {
 	// ops between two samples.
 	o.step = int32(max(1, (span+2*int64(per.p)-1)/(2*int64(per.p)))) * per.p
 	o.per = per
-	o.anchor = per.lo + o.step
+	o.stats.step[kind.slot()] = o.step
+	// The first sample needs only every op below it to lie past the
+	// aperiodic prologue's edges: one reach into the run, unless a step
+	// comes sooner.
+	s.setAnchor(per.lo + min(o.step, per.reach+1))
 	o.on = true
 }
 
-// anchorDone reports whether every op below op a has completed.
+// setAnchor makes a the next anchor, and counts the pass's ops below it:
+// the pass has not passed a before it has completed that many.
+//
+//daelint:hotpath
+func (s *Sim) setAnchor(a int32) {
+	o := &s.orb
+	o.anchor = a
+	if s.u1-s.u0 == len(s.cores) {
+		o.need = int(a)
+		return
+	}
+	o.need = 0
+	for u := s.u0; u < s.u1; u++ {
+		pos, _ := slices.BinarySearch(s.cores[u].stream, a)
+		o.need += pos
+	}
+}
+
+// anchorDone reports whether every op of the pass below op a has
+// completed.
 //
 //daelint:hotpath
 func (s *Sim) anchorDone(a int32) bool {
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		c := &s.cores[u]
 		for c.donePtr < c.next && s.state[c.stream[c.donePtr]] == stDone {
 			c.donePtr++
@@ -246,11 +293,15 @@ func (s *Sim) anchorDone(a int32) bool {
 //daelint:hotpath
 func (s *Sim) orbitStep(p *Program, res *Result, cycle int64, completed, inflight int) (int64, int) {
 	o := &s.orb
+	per := o.per
 	a := o.anchor
 	o.k++
-	o.anchor += o.step
+	if o.k == 1 && o.stats.first[o.kind.slot()] == 0 {
+		o.stats.first[o.kind.slot()] = a
+	}
+	s.setAnchor(a + o.step)
 	front := int32(0)
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		c := &s.cores[u]
 		if c.next > 0 {
 			front = max(front, c.stream[c.next-1]+1)
@@ -258,19 +309,55 @@ func (s *Sim) orbitStep(p *Program, res *Result, cycle int64, completed, infligh
 		c.touch(cycle)
 	}
 	// A skip of j orbits of d ops needs front + ahead + j·d <= hi (see
-	// skip); d is at least one step.
-	ahead := max(o.per.reach, o.per.p)
-	if int64(front)+int64(ahead)+int64(o.step) > int64(o.per.hi) {
+	// skip); d is at least one step. ahead covers the reach of every
+	// edge and each core's next op, so a core whose stream has run out
+	// while the period still holds its ops leaves no room.
+	ahead := per.reach
+	for u := s.u0; u < s.u1; u++ {
+		c := &s.cores[u]
+		if c.next < len(c.stream) {
+			ahead = max(ahead, c.stream[c.next]-front+1)
+		} else if per.cnt[u] > 0 {
+			o.on = false
+			return cycle, completed
+		}
+	}
+	if int64(front)+int64(ahead)+int64(o.step) > int64(per.hi) {
 		o.on = false // no room left for a repeat and a skip
 		return cycle, completed
 	}
 	save := o.k&(o.k-1) == 0
 	base, whole := s.snapshot(p, a, front, cycle, inflight, res.Fills, !save)
-	if whole && o.have && o.savedBase >= o.per.lo && slices.Equal(o.cur, o.saved) {
-		o.on = false
+	if whole && o.have && o.savedBase >= per.lo && slices.Equal(o.cur, o.saved) {
 		d := a - o.savedA
-		if j := (o.per.hi - front - ahead) / d; j >= 1 {
-			return s.skip(p, res, cycle, completed, base, front, d, j)
+		j := (per.hi - front - ahead) / d
+		if j < 1 || o.kind != passDU {
+			o.on = false
+			if j >= 1 {
+				return s.skip(p, res, cycle, completed, base, front, d, j, true)
+			}
+			return cycle, completed
+		}
+		// The DU pass's input is the AU's times: the replays repeat the
+		// orbit only as far as those repeat too.
+		c1 := o.savedCnt[len(o.savedCnt)-1]
+		jx := s.extRepeats(c1, cycle-c1, int(d/per.p*per.cnt[1]), j)
+		if jx < 1 {
+			// Compare the next samples with this one: the orbit stays
+			// the shortest, and the inputs may repeat from here on.
+			o.cur, o.saved = o.saved, o.cur
+			o.curCnt, o.savedCnt = o.savedCnt, o.curCnt
+			o.savedA, o.savedBase = a, base
+			return cycle, completed
+		}
+		cycle, completed = s.skip(p, res, cycle, completed, base, front, d, jx, jx == j)
+		if jx == j {
+			o.on = false
+		} else {
+			// The inputs stopped repeating: look for an orbit again
+			// after the jump.
+			o.have, o.k = false, 0
+			s.setAnchor(o.anchor + jx*d)
 		}
 		return cycle, completed
 	}
@@ -305,7 +392,7 @@ func (s *Sim) snapshot(p *Program, a, front int32, now int64, inflight int, fill
 	periods := (a - per.lo) / per.p
 	buf := o.cur[:0]
 	base = n
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		c := &s.cores[u]
 		if c.donePtr < len(c.stream) {
 			base = min(base, c.stream[c.donePtr])
@@ -315,6 +402,13 @@ func (s *Sim) snapshot(p *Program, a, front int32, now int64, inflight int, fill
 		if o.inOrder {
 			buf = append(buf, int64(c.retirePtr-sp))
 		}
+	}
+	buf = append(buf, int64(inflight))
+	if cut && (!o.have || !slices.Equal(buf, o.saved[:len(buf)])) {
+		// Cheap to tell apart before the calendar scan below, which
+		// grows with the fills in flight.
+		o.cur = buf
+		return base, false
 	}
 	q := &s.cq
 	for w, word := range q.bits {
@@ -333,14 +427,21 @@ func (s *Sim) snapshot(p *Program, a, front int32, now int64, inflight int, fill
 		base = min(base, ev.op)
 	}
 	top := max(min(front+per.reach, n), base)
-	buf = append(buf, int64(base-a), int64(top-a), int64(inflight))
+	buf = append(buf, int64(base-a), int64(top-a))
 	off := len(buf)
 	if cut && (!o.have || !slices.Equal(buf, o.saved[:off])) {
 		o.cur = buf
 		return base, false
 	}
 	buf = slices.Grow(buf, int(top-base))[:off+int(top-base)]
+	single := s.u1-s.u0 < len(s.cores)
 	for i := base; i < top; i++ {
+		if single && (int(p.units[i]) < s.u0 || int(p.units[i]) >= s.u1) {
+			// The other core's ops do not take part in a single-core
+			// pass.
+			buf[off+int(i-base)] = 0
+			continue
+		}
 		pd := s.pending[i]
 		if pd >= 1<<pendingBits {
 			o.cur = buf
@@ -410,7 +511,7 @@ func packEvent(w *int64, dt int64, shift uint) bool {
 //
 //daelint:hotpath
 func (s *Sim) counters(dst []int64, fills, now int64) []int64 {
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		st := &s.cores[u].stats
 		dst = append(dst, st.Issued, st.BusyCycles, st.OccIntegral)
 		dst = append(dst, st.IssuedByKind[:]...)
@@ -422,19 +523,23 @@ func (s *Sim) counters(dst []int64, fills, now int64) []int64 {
 // skip jumps j orbits of d ops from the state just sampled (equal to the
 // saved sample, shifted by d ops). The orbits replay the one between the
 // two samples, which touched ops from the saved base up to the current
-// frontier plus reach. The caller chose j with frontier + max(reach, p)
-// + j·d <= hi, so every op the replays touch stays inside the periodic
-// run, and so does the next op of each core's stream (one period on at
-// most): no replay sees a stream run out or the program end that the
-// first orbit did not. It returns the cycle and completed count after
-// the jump.
+// frontier plus reach. The caller chose j with frontier + ahead + j·d <=
+// hi, where ahead covers reach and each core's next op, so every op the
+// replays touch stays inside the periodic run, and so does the next op
+// of each core's stream: no replay sees a stream run out or the program
+// end that the first orbit did not. In the AU pass of a split run it
+// also writes the times the jumped ops' values become ready: each
+// replays the op d before it, one orbit later. byHi records whether the
+// periodic run's end bounded j. It returns the cycle and completed count
+// after the jump.
 //
 //daelint:hotpath
-func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, front, d, j int32) (int64, int) {
+func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, front, d, j int32, byHi bool) (int64, int) {
 	o := &s.orb
 	per := o.per
 	jd := j * d
-	dc := int64(j) * (cycle - o.savedCnt[len(o.savedCnt)-1])
+	orbitCycles := cycle - o.savedCnt[len(o.savedCnt)-1]
+	dc := int64(j) * orbitCycles
 
 	// Additive counters gain j orbits' worth; maxima stay.
 	cur, sv := o.curCnt, o.savedCnt
@@ -443,7 +548,7 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 		*v += int64(j) * (cur[at] - sv[at])
 		at++
 	}
-	for u := range s.cores {
+	for u := s.u0; u < s.u1; u++ {
 		st := &s.cores[u].stats
 		add(&st.Issued)
 		add(&st.BusyCycles)
@@ -457,17 +562,30 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	}
 	add(&res.Fills)
 
+	top := max(min(front+per.reach, int32(len(p.kinds))), base)
+	if o.kind == passAU {
+		// Every op that issues during the jump is one the saved state
+		// had not issued (at or above top, nothing had); it replays the
+		// op d below, which issued earlier in the true run: recorded, or
+		// written by this loop. Ops that issue only after the jump are
+		// written again when they do.
+		for x := base; x < top+jd; x++ {
+			if x >= top || s.state[x] < stIssued {
+				s.tDone[x] = s.tDone[x-d] + orbitCycles
+				s.tFill[x] = s.tFill[x-d] + orbitCycles
+			}
+		}
+	}
+
 	// Op-indexed state: the covered range moves up jd ops, and every op
 	// it leaves behind has completed.
-	top := max(min(front+per.reach, int32(len(p.kinds))), base)
 	copy(s.state[base+jd:top+jd], s.state[base:top])
 	copy(s.pending[base+jd:top+jd], s.pending[base:top])
-	for i := base; i < base+jd; i++ {
-		s.state[i] = stDone
-	}
+	fillDone(s.state[base : base+jd])
 	clear(s.pending[base : base+jd])
 
-	for u := range s.cores {
+	ops := 0
+	for u := s.u0; u < s.u1; u++ {
 		c := &s.cores[u]
 		if !c.wide && c.next > 0 {
 			// Ready bits lie in [issueFrontier, next); rebuilt below.
@@ -478,7 +596,12 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 		if o.inOrder {
 			c.retirePtr += sh
 		}
+		// The lazy pointers move with the state: every position they
+		// pass over is issued or done, before the jump and after it.
+		c.issueFrontier += sh
+		c.donePtr += sh
 		c.lastTouch = cycle + dc
+		ops += sh
 	}
 	for i := base + jd; i < top+jd; i++ {
 		if s.state[i] == stInWindow && s.pending[i] == 0 {
@@ -492,6 +615,22 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	if o.mem != nil {
 		o.mem.Shift(dc) //daelint:hotpath-ok ShiftableMem is a MemModel: an external interface, not auditable
 	}
-	o.skipped = int(jd)
-	return cycle + dc, completed + int(jd)
+	st, k := &o.stats, o.kind.slot()
+	st.skipped += ops
+	st.jumps[k]++
+	st.landed[k], st.orbit[k], st.byHi[k] = front+jd, d, byHi
+	return cycle + dc, completed + ops
+}
+
+// fillDone marks every op of b completed, at memmove speed.
+//
+//daelint:hotpath
+func fillDone(b []uint8) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = stDone
+	for k := 1; k < len(b); k *= 2 {
+		copy(b[k:], b[:k])
+	}
 }

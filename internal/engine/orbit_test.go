@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +16,27 @@ import (
 // reads the matching ops of copies r, r-1 and r-2, and a random
 // epilogue. Edges that would reach before op 0 are dropped, so the
 // first copies differ from the rest, as a real loop's first iterations
-// do.
-func tiledProgram(draw func(k int) int, units int) *Program {
+// do. A decoupled program drops every edge from unit 1 to unit 0 and
+// puts every send on unit 0, so Run splits it (split.go). Sends carry a
+// few distinct addresses, for the locality-aware memory models.
+func tiledProgram(draw func(k int) int, units int, decoupled bool) *Program {
 	var ops []Op
 	add := func(kind isa.OpKind, u isa.Unit, srcs []int32, memSrc int32) {
-		ops = append(ops, Op{Kind: kind, Unit: u, Srcs: srcs, MemSrc: memSrc, Orig: int32(len(ops))})
+		if decoupled && u == 0 {
+			srcs = slices.DeleteFunc(srcs, func(s int32) bool { return ops[s].Unit != 0 })
+		}
+		op := Op{Kind: kind, Unit: u, Srcs: srcs, MemSrc: memSrc, Orig: int32(len(ops))}
+		if kind.IsSend() {
+			op.Addr = uint64(len(ops)%5) * 64
+		}
+		ops = append(ops, op)
+	}
+	// sender is the unit of a send drawn for unit u.
+	sender := func(u isa.Unit) isa.Unit {
+		if decoupled {
+			return 0
+		}
+		return u
 	}
 	// randomOps appends k ops, each reading at most one of the 32 ops
 	// before it.
@@ -32,7 +49,7 @@ func tiledProgram(draw func(k int) int, units int) *Program {
 			}
 			switch draw(4) {
 			case 0:
-				add(isa.OpLoadSend, u, srcs, NoDep)
+				add(isa.OpLoadSend, sender(u), srcs, NoDep)
 				add(isa.OpLoadRecv, isa.Unit(draw(units)), nil, int32(len(ops)-1))
 			case 1:
 				add(isa.OpFP, u, srcs, NoDep)
@@ -61,7 +78,7 @@ func tiledProgram(draw func(k int) int, units int) *Program {
 		}
 		switch draw(6) {
 		case 0:
-			body = append(body, tmpl{kind: isa.OpLoadSend, unit: u, srcs: srcs})
+			body = append(body, tmpl{kind: isa.OpLoadSend, unit: sender(u), srcs: srcs})
 			memOff := int32(1)
 			if draw(2) == 0 {
 				memOff += int32(bodyLen) // the previous copy's send
@@ -70,7 +87,7 @@ func tiledProgram(draw func(k int) int, units int) *Program {
 		case 1:
 			body = append(body, tmpl{kind: isa.OpFP, unit: u, srcs: srcs})
 		case 2:
-			body = append(body, tmpl{kind: isa.OpStoreAddr, unit: u, srcs: srcs})
+			body = append(body, tmpl{kind: isa.OpStoreAddr, unit: sender(u), srcs: srcs})
 		case 3:
 			body = append(body, tmpl{kind: isa.OpCopy, unit: u, srcs: srcs})
 		default:
@@ -109,11 +126,14 @@ func tiledProgram(draw func(k int) int, units int) *Program {
 }
 
 // tiledConfig draws a configuration for a tiled program: finite windows
-// (an unlimited one leaves nothing to skip), optional dispatch widths,
+// (an unlimited one leaves nothing to skip; decoupled programs, which
+// split whatever the windows, sometimes get one), optional dispatch widths,
 // held sends, either retirement policy, sometimes a memory differential
 // long enough to put events in the calendar's far heap and, sometimes,
 // an Outstanding queue, which the skip carries across its jump.
-func tiledConfig(draw func(k int) int, units int) Config {
+// Decoupled programs sometimes get a bypass buffer instead, which only
+// their AU pass sees.
+func tiledConfig(draw func(k int) int, units int, decoupled bool) Config {
 	cores := make([]isa.CoreConfig, units)
 	for i := range cores {
 		cores[i] = isa.CoreConfig{Window: 1 + draw(24), IssueWidth: 1 + draw(6)}
@@ -122,6 +142,9 @@ func tiledConfig(draw func(k int) int, units int) Config {
 		}
 		if draw(3) == 0 {
 			cores[i].DispatchWidth = 1 + draw(4)
+		}
+		if decoupled && draw(8) == 0 {
+			cores[i].Window = 0 // unlimited: nothing to skip, but the split holds
 		}
 	}
 	md := draw(70)
@@ -141,26 +164,32 @@ func tiledConfig(draw func(k int) int, units int) Config {
 		}
 		cfg.Mem = m
 	}
+	if decoupled && draw(4) == 0 {
+		m, err := memsys.NewBypass(int64(md), 1+draw(4))
+		if err != nil {
+			panic(err)
+		}
+		cfg.Mem = m
+	}
 	return cfg
 }
 
 // skipMatchesReference runs p under cfg on a fresh Sim and through
-// ReferenceRun, reports a mismatch, and returns how many ops the Sim
-// skipped.
-func skipMatchesReference(t *testing.T, p *Program, cfg Config) (skipped int, ok bool) {
+// ReferenceRun, reports a mismatch, and returns what the Sim's skip did.
+func skipMatchesReference(t *testing.T, p *Program, cfg Config) (st skipStats, ok bool) {
 	t.Helper()
 	sim := NewSim()
 	got, gotErr := sim.Run(p, cfg)
 	want, wantErr := ReferenceRun(p, cfg)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Errorf("%s: error mismatch: %v vs %v", p.Name, gotErr, wantErr)
-		return 0, false
+		return sim.orb.stats, false
 	}
 	if gotErr == nil && !resultsEqual(got, want) {
-		t.Errorf("%s (%d ops, period %+v): skipped %d ops, result mismatch:\n engine:    %+v\n reference: %+v", p.Name, p.Len(), *p.orbitPeriod(), sim.orb.skipped, got, want)
-		return sim.orb.skipped, false
+		t.Errorf("%s (%d ops, period %+v): skip %+v, result mismatch:\n engine:    %+v\n reference: %+v", p.Name, p.Len(), *p.orbitPeriod(), sim.orb.stats, got, want)
+		return sim.orb.stats, false
 	}
-	return sim.orb.skipped, true
+	return sim.orb.stats, true
 }
 
 // TestOrbitSkipMatchesReference checks the steady-state skip against the
@@ -172,10 +201,10 @@ func TestOrbitSkipMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		units := 1 + rng.Intn(2)
-		p := tiledProgram(rng.Intn, units)
-		skipped, ok := skipMatchesReference(t, p, tiledConfig(rng.Intn, units))
+		p := tiledProgram(rng.Intn, units, false)
+		st, ok := skipMatchesReference(t, p, tiledConfig(rng.Intn, units, false))
 		runs++
-		if skipped > 0 {
+		if st.skipped > 0 {
 			fired++
 		}
 		return ok
@@ -221,8 +250,8 @@ func TestOrbitSkipFallsBack(t *testing.T) {
 		{Timing: tm(30), Cores: cores, Mem: &delayMem{md: 30}},
 		{Timing: tm(1 << eventBits), Cores: cores},
 	} {
-		if skipped, ok := skipMatchesReference(t, p, cfg); ok && skipped != 0 {
-			t.Errorf("esw=%v mem=%T md=%d: skipped %d ops, want 0", cfg.CollectESW, cfg.Mem, cfg.Timing.MD, skipped)
+		if st, ok := skipMatchesReference(t, p, cfg); ok && st.skipped != 0 {
+			t.Errorf("esw=%v mem=%T md=%d: skipped %d ops, want 0", cfg.CollectESW, cfg.Mem, cfg.Timing.MD, st.skipped)
 		}
 	}
 	// The same program and core with no model, or an Outstanding queue,
@@ -232,7 +261,7 @@ func TestOrbitSkipFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mem := range []MemModel{nil, queue} {
-		if skipped, _ := skipMatchesReference(t, p, Config{Timing: tm(30), Cores: cores, Mem: mem}); skipped == 0 {
+		if st, _ := skipMatchesReference(t, p, Config{Timing: tm(30), Cores: cores, Mem: mem}); st.skipped == 0 {
 			t.Errorf("mem=%T: the periodic control run skipped nothing", mem)
 		}
 	}
@@ -253,7 +282,7 @@ func FuzzOrbitSkip(f *testing.F) {
 			return int(data[pos-1]) % k
 		}
 		units := 1 + draw(2)
-		p := tiledProgram(draw, units)
-		skipMatchesReference(t, p, tiledConfig(draw, units))
+		p := tiledProgram(draw, units, false)
+		skipMatchesReference(t, p, tiledConfig(draw, units, false))
 	})
 }

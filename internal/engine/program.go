@@ -105,6 +105,9 @@ type Program struct {
 	// the first run that asks (orbit.go).
 	perOnce sync.Once
 	per     period
+	// split records whether the program is decoupled, found on the
+	// first run that asks (split.go).
+	split splitInfo
 }
 
 // NewProgram validates ops and precomputes the SoA dependence structure.

@@ -22,8 +22,15 @@ type Sim struct {
 	cores   []coreRun
 	cq      calQueue
 	orb     orbit
+	// u0 and u1 bound the cores the current pass simulates.
+	u0, u1 int
+	// The split run's scratch (split.go): per-op AU completion and fill
+	// times, then the DU ops' external ready times.
+	tDone, tFill []int64
 	// lat caches cfg.Timing.Latency per op kind for the current run.
 	lat [isa.NumOpKinds]int64
+	// horizon is the calendar horizon the current run's timing needs.
+	horizon int64
 }
 
 // NewSim returns an empty simulation context. Scratch buffers grow on
@@ -161,7 +168,8 @@ func (s *Sim) reset(p *Program, cfg Config) {
 		maxLat = cfg.Timing.CopyLat
 	}
 	// +2 covers the completion cycle and the fill's sent->arrive hop.
-	s.cq.reset(int64(maxLat) + int64(cfg.Timing.MD) + 2)
+	s.horizon = int64(maxLat) + int64(cfg.Timing.MD) + 2
+	s.cq.reset(s.horizon)
 
 	for k := range s.lat {
 		s.lat[k] = int64(cfg.Timing.Latency(isa.OpKind(k)))
@@ -182,14 +190,11 @@ func (s *Sim) wake(p *Program, i int32) {
 // statistics. Runs are deterministic: identical inputs produce identical
 // results, regardless of which (or how warm a) Sim executes them.
 //
-// The cycle loop is: fire due events; dispatch in program order per
-// core; issue oldest-first per core; sample ESW/slippage; advance time,
-// jumping over idle stretches via the calendar queue. Event order within
-// a cycle never affects the outcome: completions and fills only
-// decrement dependence counters and push onto the ready min-heaps, and
-// the heaps order issue by op index alone. Wide cores (issue width never
-// binding) drain an unordered ready list instead — every ready op issues
-// that cycle, so order is again irrelevant.
+// A decoupled program (Program.splittable: the AU never reads a DU value
+// and the DU never sends) without ESW sampling runs as two single-core
+// passes, the AU first and then the DU against the times the AU's values
+// reach it (split.go); any other run simulates every core at once. Either
+// way the Result is the one the joint cycle loop produces.
 //
 //daelint:hotpath
 func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
@@ -202,17 +207,60 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	// in scratch.
 	//daelint:hotpath-ok caller-owned Result and Cores slice, allocated once per run
 	res := &Result{Ops: n, TraceLen: p.TraceLen, Cores: make([]CoreStats, p.NumUnits)}
+	s.orb.stats = skipStats{}
 	if n == 0 {
 		return res, nil
 	}
 	if cfg.Mem != nil {
 		cfg.Mem.Reset() //daelint:hotpath-ok once per run; MemModel is an external interface, not auditable
 	}
-	md := int64(cfg.Timing.MD)
-	memOrdered := cfg.Mem != nil
 	s.reset(p, cfg) //daelint:hotpath-ok setup: scratch (re)allocation happens once, before the cycle loop
-	cores := s.cores
-	s.orbitBegin(p, &cfg)
+	var err error
+	if !cfg.CollectESW && p.splittable() {
+		err = s.runSplit(p, &cfg, res)
+	} else {
+		res.Cycles, err = s.pass(p, &cfg, res, passJoint)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.MemHits = memHits(cfg.Mem) //daelint:hotpath-ok once per run; MemModel is an external interface, not auditable
+	return res, nil
+}
+
+// pass runs the cycle loop over the cores the pass kind makes active
+// and returns the cycle of the last completion among their ops. It
+// writes those cores' statistics into res, and Fills, MaxFillsInFlight
+// and the ESW and slippage figures when the pass is the one that
+// produces them.
+//
+// The cycle loop is: fire due events; dispatch in program order per
+// core; issue oldest-first per core; sample ESW/slippage; advance time,
+// jumping over idle stretches via the calendar queue. Event order within
+// a cycle never affects the outcome: completions and fills only
+// decrement dependence counters and push onto the ready min-heaps, and
+// the heaps order issue by op index alone. Wide cores (issue width never
+// binding) drain an unordered ready list instead — every ready op issues
+// that cycle, so order is again irrelevant.
+//
+//daelint:hotpath
+func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, error) {
+	u0, u1 := kind.units(p.NumUnits)
+	s.u0, s.u1 = u0, u1
+	n := int(p.streamOff[u1] - p.streamOff[u0])
+	md := int64(cfg.Timing.MD)
+	// Only unit 0 sends in a split run, so the DU pass never calls the
+	// memory model and its issue order is free.
+	memOrdered := cfg.Mem != nil && kind != passDU
+	// rec records each AU op's completion and fill times for the DU pass;
+	// ext holds the DU ops' external ready times during it (split.go).
+	rec := kind == passAU
+	var ext []int64
+	if kind == passDU {
+		ext = s.tDone
+	}
+	cores := s.cores[u0:u1]
+	s.orbitBegin(p, cfg, kind)
 
 	completed := 0
 	var cycle int64
@@ -223,8 +271,9 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	for completed < n {
 		// 0. At a sampled period boundary, look for a repeated state and
 		// skip the orbits it repeats (orbit.go). Every op below the
-		// anchor has completed only once that many ops have.
-		if s.orb.on && completed >= int(s.orb.anchor) && s.anchorDone(s.orb.anchor) {
+		// anchor has completed only once the active cores' ops below it
+		// have.
+		if s.orb.on && completed >= s.orb.need && s.anchorDone(s.orb.anchor) {
 			cycle, completed = s.orbitStep(p, res, cycle, completed, inflight)
 		}
 
@@ -235,7 +284,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 				s.state[i] = stDone
 				completed++
 				if !cfg.RetireInOrder {
-					c := &cores[p.units[i]]
+					c := &s.cores[p.units[i]]
 					c.touch(cycle)
 					c.occ--
 				}
@@ -255,10 +304,19 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 					}
 				}
 			}
-			for _, i := range b.fills {
-				inflight--
-				for _, consumer := range p.fillConsumers(i) {
-					s.wake(p, consumer)
+			if ext != nil {
+				// In the DU pass the fill list carries external
+				// deliveries: each entry is the DU op whose last AU
+				// input arrives now.
+				for _, i := range b.fills {
+					s.wake(p, i)
+				}
+			} else {
+				for _, i := range b.fills {
+					inflight--
+					for _, consumer := range p.fillConsumers(i) {
+						s.wake(p, consumer)
+					}
 				}
 			}
 			s.cq.clearBucket(b)
@@ -284,6 +342,12 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 			for j := 0; j < k; j++ {
 				i := c.stream[base+j]
 				s.state[i] = stInWindow
+				if ext != nil && ext[i] > cycle {
+					// An AU value this op reads is still on its way:
+					// deliver it when it arrives.
+					s.pending[i]++
+					s.cq.schedule(cycle, ext[i], i, true)
+				}
 				if s.pending[i] == 0 {
 					c.enqueue(i, int32(base+j))
 				}
@@ -362,10 +426,13 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 						arrive = cfg.Mem.RequestFill(p.addrs[i], done) //daelint:hotpath-ok MemModel is an external interface; custom models opt out of the alloc pin
 						if arrive < done {
 							//daelint:hotpath-ok cold exit: a broken memory model aborts the run
-							return nil, fmt.Errorf("engine: memory model returned arrival %d before send %d", arrive, done)
+							return 0, fmt.Errorf("engine: memory model returned arrival %d before send %d", arrive, done)
 						}
 					}
 					res.Fills++
+					if rec {
+						s.tFill[i] = arrive
+					}
 					if flag&opFlagFillCons != 0 || cfg.Mem != nil {
 						inflight++
 						if inflight > maxInflight {
@@ -377,6 +444,9 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 						// The send occupies its slot until the fill returns.
 						done = arrive
 					}
+				}
+				if rec {
+					s.tDone[i] = done
 				}
 				s.cq.schedule(cycle, done, i, false)
 			}
@@ -450,25 +520,25 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 		next := s.cq.nextAfter(cycle)
 		if next < 0 {
 			//daelint:hotpath-ok cold exit: deadlock aborts the run
-			return nil, fmt.Errorf("engine: deadlock at cycle %d with %d/%d ops complete", cycle, completed, n)
+			return 0, fmt.Errorf("engine: deadlock at cycle %d with %d/%d ops complete", cycle, completed, n)
 		}
 		cycle = next
 	}
 
-	// Final cycle count: the last completion time.
-	res.Cycles = cycle
+	// The pass ends at its last completion time.
 	for u := range cores {
 		c := &cores[u]
 		c.touch(cycle)
-		res.Cores[u] = c.stats
+		res.Cores[u0+u] = c.stats
 	}
-	res.MaxFillsInFlight = maxInflight
-	res.MemHits = memHits(cfg.Mem) //daelint:hotpath-ok once per run; MemModel is an external interface, not auditable
+	if kind != passDU {
+		res.MaxFillsInFlight = maxInflight
+	}
 	if eswSamples > 0 {
 		res.AvgESW = float64(eswSum) / float64(eswSamples)
 	}
 	if slipSamples > 0 {
 		res.AvgSlip = float64(slipSum) / float64(slipSamples)
 	}
-	return res, nil
+	return cycle, nil
 }

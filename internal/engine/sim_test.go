@@ -169,20 +169,25 @@ func TestSimRunsAreIdentical(t *testing.T) {
 
 // TestSimReuseAllocs pins the zero-allocation property of the reused
 // scratch path: after warm-up, a run allocates only the Result it
-// returns (Result, Cores slice, per-core IssueHist). The one-core loop
-// settles into an orbit, so its runs also take the steady-state skip,
-// whose snapshots live in the Sim's scratch too.
+// returns (Result, Cores slice, per-core IssueHist). The decoupled
+// two-unit loop splits into one pass per unit and both passes skip; the
+// one-core loop skips too; their snapshots and time tables live in the
+// Sim's scratch. The coupled loop, whose last AU op reads a DU value,
+// keeps the joint path pinned: it cannot split, and its AU's growing
+// lead keeps the joint state from repeating.
 func TestSimReuseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
 	}
+	twoCores := []isa.CoreConfig{{Window: 64, IssueWidth: 4}, {Window: 64, IssueWidth: 5}}
 	for _, tc := range []struct {
-		p    *Program
-		cfg  Config
-		skip bool
+		p           *Program
+		cfg         Config
+		split, skip bool
 	}{
-		{twoUnitProgram(200), Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 64, IssueWidth: 4}, {Window: 64, IssueWidth: 5}}}, false},
-		{swsmLoop(400), Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 32, IssueWidth: 4}}}, true},
+		{twoUnitProgram(200), Config{Timing: tm(60), Cores: twoCores}, true, true},
+		{coupledProgram(200), Config{Timing: tm(60), Cores: twoCores}, false, false},
+		{swsmLoop(400), Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 32, IssueWidth: 4}}}, false, true},
 	} {
 		sim := NewSim()
 		avg := testing.AllocsPerRun(20, func() {
@@ -195,10 +200,18 @@ func TestSimReuseAllocs(t *testing.T) {
 		if avg > 8 {
 			t.Errorf("%s: reused-scratch run allocates %.0f objects, want <= 8", tc.p.Name, avg)
 		}
-		if skipped := sim.orb.skipped > 0; skipped != tc.skip {
-			t.Errorf("%s: the steady-state skip fired: %v, want %v", tc.p.Name, skipped, tc.skip)
+		if st := sim.orb.stats; st.split != tc.split || (st.skipped > 0) != tc.skip {
+			t.Errorf("%s: split %v, skipped %d ops; want split %v, skip %v", tc.p.Name, st.split, st.skipped, tc.split, tc.skip)
 		}
 	}
+}
+
+// coupledProgram is twoUnitProgram with one more AU op that reads the
+// DU's last value: a loss of decoupling, so Run simulates it jointly.
+func coupledProgram(n int) *Program {
+	p := twoUnitProgram(n)
+	ops := append(p.Ops, Op{Kind: isa.OpInt, Unit: isa.AU, Srcs: []int32{int32(len(p.Ops) - 1)}, MemSrc: NoDep, Orig: int32(2 * n)})
+	return MustProgram("coupled", ops, 2, 2*n+1)
 }
 
 // TestPooledRunAllocs asserts the compatibility wrapper inherits the

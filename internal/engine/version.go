@@ -26,4 +26,12 @@ package engine
 // is the oracle (TestOrbitSkipMatchesReference, TestOrbitSkipCatalog,
 // FuzzOrbitSkip), and points.lock pins Cycles, MemHits and a digest of
 // the whole Result of every point repro -exp all simulates, unchanged.
+//
+// Not bumped either for the decoupled split (split.go), which runs a
+// program whose AU never reads a DU value as an AU pass and then a DU
+// pass fed the AU's recorded times, nor for the skip's sooner first
+// sample and tighter frontier bound: semantics.lock gains the passes,
+// but every Result is the joint run's (TestSplitMatchesReference,
+// FuzzDecoupledSplit, TestOrbitSkipCatalog's small DM windows), and
+// results.lock and points.lock are unchanged.
 const Version = "engine-v4"

@@ -221,6 +221,11 @@ func TestVersionKeyLifecycle(t *testing.T) {
 	// its signature is unchanged.
 	edit("return w + 1", "return w + 2")
 	wantOne("body edit", `func version/engine.(Sim).step (changed)`)
+	writeLock()
+
+	// A function reached only as a value, not called, is surface too.
+	edit("return t * 1", "return t * 2")
+	wantOne("method value edit", `func version/engine.(Sim).finish (changed)`)
 
 	// Regenerating the lock (the reviewable way to accept the change)
 	// settles it again.

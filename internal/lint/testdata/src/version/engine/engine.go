@@ -21,13 +21,23 @@ func (s *Sim) step(w int) int {
 	return w + 1
 }
 
+// finish rounds off a run; Run reaches it only as a method value.
+func (s *Sim) finish(t int) int {
+	return t * 1
+}
+
+// apply calls f on t.
+func apply(t int, f func(int) int) int {
+	return f(t)
+}
+
 // Run is the semantic root.
 func (s *Sim) Run(cfg Config) int {
 	t := 0
 	for i := 0; i < cfg.Width; i++ {
 		t = s.step(t)
 	}
-	return t
+	return apply(t, s.finish)
 }
 
 // Op is one program instruction, surface of the lowering lock.

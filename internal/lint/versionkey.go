@@ -216,9 +216,12 @@ func ComputeSemanticsSurface(w *World, cfg VersionKeyConfig) ([]string, error) {
 			return
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := calleeFunc(pkg.Info, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == pkg.Path {
-					visit(pkg, decls, funcKey(callee))
+			// Every use of a same-package function is an edge: a call,
+			// and equally a function or method value (handed to
+			// sync.Once.Do, stored as a callback), which runs later.
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == pkg.Path {
+					visit(pkg, decls, funcKey(fn))
 				}
 			}
 			return true
