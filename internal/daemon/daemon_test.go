@@ -515,8 +515,10 @@ func TestBatchRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSearchEndpoint: a batch of ratio searches answers each
-// item exactly as a local search over a sweep.Runner would.
+// TestBatchSearchEndpoint: a batch of ratio searches answers each curve
+// — the items sharing every parameter but the DM window — exactly as a
+// local metrics.RatioCurve over the same windows would, whatever order
+// the items interleave in.
 func TestBatchSearchEndpoint(t *testing.T) {
 	t.Parallel()
 	_, fleet := newTestServer(t, Config{})
@@ -524,6 +526,7 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
 	items := []SearchRequest{
 		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 16, MD: 30}},
+		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 12, MD: 10}},
 		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
@@ -531,19 +534,70 @@ func TestBatchSearchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := localRunner(t, testWorkload)
-	for i, item := range items {
-		var want SearchResponse
-		var err error
-		want.Ratio, want.OK, err = metrics.EquivalentWindowRatio(runner, item.Params)
+	for _, curve := range []struct {
+		md  int
+		idx []int
+	}{{30, []int{0, 2}}, {10, []int{1}}} {
+		windows := make([]int, len(curve.idx))
+		for j, i := range curve.idx {
+			windows[j] = items[i].Params.Window
+		}
+		want, err := metrics.RatioCurve(runner, machine.Params{MD: curve.md}, windows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batched[i] != want {
-			t.Errorf("batch item %d: %+v != local %+v", i, batched[i], want)
+		for j, i := range curve.idx {
+			if got := batched[i]; got.Ratio != want[j].Ratio || got.OK != want[j].OK {
+				t.Errorf("batch item %d: %+v != local %+v", i, got, want[j])
+			}
 		}
 	}
 	if _, err := client.BatchSearch(context.Background(), []SearchRequest{{Target: target, Op: "median"}}); err == nil || !strings.Contains(err.Error(), "unknown search op") {
 		t.Errorf("bad op in a batch: %v", err)
+	}
+}
+
+// TestBatchSearchReadsLocalProbes: a curve searched by the daemon reads
+// exactly the probes the same curve reads locally. The daemon's runner
+// simulates what its search reads, once each; so it must have simulated
+// as many points as the local curve read, and every one of those must
+// then be an L1 hit on the daemon.
+func TestBatchSearchReadsLocalProbes(t *testing.T) {
+	t.Parallel()
+	srv, fleet := newTestServer(t, Config{})
+	windows := []int{20, 50, 10, 40, 30}
+	suite := mustSuite(t, testWorkload)
+	local := sweep.NewRunner(suite)
+	local.Parallelism = 1
+	var read []sweep.Point
+	local.Remote = func(pt sweep.Point) (*engine.Result, error) {
+		read = append(read, pt)
+		return suite.Run(pt.Kind, pt.P)
+	}
+	want, err := metrics.RatioCurve(local, machine.Params{MD: 40}, windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := make([]machine.Params, len(windows))
+	for i, w := range windows {
+		params[i] = machine.Params{Window: w, MD: 40}
+	}
+	got, err := fleet.RatioBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("daemon curve %v, local %v", got, want)
+	}
+	sims := srv.Stats().Runner.Sims
+	if sims != int64(len(read)) {
+		t.Errorf("daemon simulated %d points, the local curve read %d", sims, len(read))
+	}
+	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), read); err != nil {
+		t.Fatal(err)
+	}
+	if after := srv.Stats().Runner.Sims; after != sims {
+		t.Errorf("the local curve's probes cost the daemon %d new simulations: it read others", after-sims)
 	}
 }
 

@@ -576,21 +576,25 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 	return out, nil
 }
 
-// searchKey is the ring key for a server-side search: the canonical
-// encoding of the search itself under the client's engine version, so
-// identical searches from any client of the fleet land on one replica
-// and share its memoized probes.
-func searchKey(workload string, scale int, req SearchRequest) string {
+// curveKey is the ring key for a server-side search: the canonical
+// encoding of its curve — the search with the DM window left out —
+// under the client's engine version. Every item of one curve lands on
+// one replica, which searches them as a unit (a curve split across
+// replicas would get other brackets, so other answers, than a local
+// run), and identical curves from any client of the fleet share that
+// replica's memoized probes.
+func curveKey(workload string, scale int, req SearchRequest) string {
 	req.Target = Target{}
+	req.Params.Window = 0
 	b, _ := json.Marshal(req)
 	return engine.Version + "|" + workload + "|" + strconv.Itoa(scale) + "|search|" + string(b)
 }
 
 // BatchSearch executes server-side searches across the fleet: items
-// group by owning replica, one /v1/batch/search round trip per group.
-// Results[i] answers items[i]; each item's Target is pinned to this
-// build's engine version (and the suite fingerprint when known) like
-// RunBatch's. Unlike RunBatch there is no partial return —
+// group by the replica owning their curve, one /v1/batch/search round
+// trip per group. Results[i] answers items[i]; each item's Target is
+// pinned to this build's engine version (and the suite fingerprint when
+// known) like RunBatch's. Unlike RunBatch there is no partial return —
 // a search with unavailable owners fails with sweep.ErrUnavailable and
 // the caller (experiments.RatioFigure with Degrade) falls back to the
 // local search path wholesale.
@@ -604,7 +608,7 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 			Workload: workload, Scale: scale,
 			EngineVersion: engine.Version, Fingerprint: fingerprint,
 		}
-		keys[i] = searchKey(workload, scale, items[i])
+		keys[i] = curveKey(workload, scale, items[i])
 	}
 	out := make([]SearchResponse, len(items))
 	err := f.scatter(ctx, len(items), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
@@ -627,13 +631,12 @@ func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale in
 	return out, nil
 }
 
-// RatioBatch executes one curve of equivalent-window ratio searches
-// across the fleet, grouped by owning replica, with the
-// experiments.Context.RemoteSearch signature and the scatter loop's
-// failover: Figures 7-9 cost a few requests per figure instead of
-// several per ratio point, with answers identical to the local search
-// (the probe path is a fixed function of its inputs; see
-// metrics.EquivalentWindow).
+// RatioBatch executes one curve of equivalent-window ratio searches on
+// the replica owning it, with the experiments.Context.RemoteSearch
+// signature and the scatter loop's failover: Figures 7-9 cost one
+// request per curve instead of several per ratio point, with answers
+// identical to the local search (the probe path is a fixed function of
+// the curve; see metrics.RatioCurve).
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {

@@ -3,13 +3,16 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -459,7 +462,8 @@ func TestFleetMembershipGuards(t *testing.T) {
 
 // TestFleetBatchedSearchRequestSavings pins the acceptance bound: a
 // batched equivalent-window ratio curve costs at least 5x fewer HTTP
-// requests than the same curve probed point-wise.
+// requests than the same curve searched locally with its probes sent
+// point-wise.
 func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	t.Parallel()
 	suiteFP := mustSuite(t, testWorkload).Fingerprint()
@@ -474,7 +478,7 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 		return total
 	}
 
-	// Point-wise: a local search whose probes each travel alone.
+	// Point-wise: a local curve whose probes each travel alone.
 	pwFleet, pwServers, _ := newFleet(t, 3, nil, nil)
 	pwCtx := experiments.NewContext()
 	// No RemoteBatch, no RemoteSearch: each probe travels alone.
@@ -485,13 +489,9 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pwAnswers []experiments.RatioAnswer
-	for _, w := range windows {
-		ratio, ok, err := metrics.EquivalentWindowRatio(pwRunner, machine.Params{Window: w, MD: md})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pwAnswers = append(pwAnswers, experiments.RatioAnswer{Ratio: ratio, OK: ok})
+	pwAnswers, err := metrics.RatioCurve(pwRunner, machine.Params{MD: md}, windows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	pointwise := requests(pwServers)
 
@@ -530,4 +530,76 @@ func mustSuite(t *testing.T, workload string) *machine.Suite {
 		t.Fatal(err)
 	}
 	return suite
+}
+
+// searchLog records which curves each replica's /v1/batch/search
+// requests carried, by MD (the one parameter a ratio figure's curves
+// differ in besides the DM window).
+type searchLog struct {
+	h  http.Handler
+	mu sync.Mutex
+	md map[int]int // MD -> search items this replica received
+}
+
+func (l *searchLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/batch/search" {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var req BatchSearchRequest
+		if err := json.Unmarshal(body, &req); err == nil {
+			l.mu.Lock()
+			for _, item := range req.Items {
+				l.md[item.Params.MD]++
+			}
+			l.mu.Unlock()
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	l.h.ServeHTTP(w, r)
+}
+
+// TestFleetCurveOnOneReplica: the fleet client routes by curve, so every
+// item of a ratio curve reaches one replica, which searches it as a
+// unit; a 3-replica fleet's ratio figure for a generated workload with
+// hazards then equals a local one exactly.
+func TestFleetCurveOnOneReplica(t *testing.T) {
+	t.Parallel()
+	const spec = "spec:depth=5,ilp=2,mem=0.8,addr=gather,hazard=0.2,iters=32,seed=9"
+	logs := make([]*searchLog, 3)
+	fleet, _, _ := newFleet(t, 3, nil, func(i int, h http.Handler) http.Handler {
+		logs[i] = &searchLog{h: h, md: map[int]int{}}
+		return logs[i]
+	})
+	remoteCtx := fleetContext(fleet)
+	got, err := remoteCtx.RatioFigureNamed(7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewContext().RatioFigureNamed(7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet ratio figure %+v differs from local %+v", got, want)
+	}
+	if st := remoteCtx.CacheStats(); st.Sims != 0 || st.RemoteSearches != int64(len(experiments.RatioMDs)*len(experiments.RatioWindows)) {
+		t.Errorf("every ratio point should be a remote search with no local simulation, got %+v", st)
+	}
+	for _, md := range experiments.RatioMDs {
+		var owners []int
+		for i, l := range logs {
+			if n := l.md[md]; n > 0 {
+				owners = append(owners, i)
+				if n != len(experiments.RatioWindows) {
+					t.Errorf("md=%d: replica %d received %d of the curve's %d items", md, i, n, len(experiments.RatioWindows))
+				}
+			}
+		}
+		if len(owners) != 1 {
+			t.Errorf("md=%d: curve reached replicas %v, want exactly one", md, owners)
+		}
+	}
 }

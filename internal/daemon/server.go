@@ -14,6 +14,7 @@ import (
 
 	"daesim/internal/engine"
 	"daesim/internal/experiments"
+	"daesim/internal/machine"
 	"daesim/internal/metrics"
 	"daesim/internal/obsv"
 	"daesim/internal/partition"
@@ -26,8 +27,8 @@ type Config struct {
 	// runner the daemon builds; nil serves from memory only.
 	Store *sweep.Store
 	// Parallelism is the sweep.ForEach width of each runner's RunAll
-	// fills and of a batch search's fan-out across its items
-	// (0 = GOMAXPROCS). Each search probes one point at a time.
+	// fills and of a batch search's fan-out across its curves
+	// (0 = GOMAXPROCS). Each curve probes one point at a time.
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
 	// (batch run and batch search); excess requests queue until a slot
@@ -468,7 +469,16 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	if !checkBatchSize(w, "search", len(req.Items)) {
 		return
 	}
-	runners := make([]*sweep.Runner, len(req.Items))
+	// Items sharing a target and every parameter but the DM window are
+	// one curve, searched as a unit (metrics.RatioCurve): its answers
+	// depend on the curve, so a curve is never split across searches.
+	type curveID struct {
+		t Target
+		p machine.Params
+	}
+	var curves [][]int // item indices, curves in first-seen order
+	var runners []*sweep.Runner
+	index := make(map[curveID]int)
 	for i, item := range req.Items {
 		if item.Op != SearchRatio {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: batch item %d: unknown search op %q (want %s)", i, item.Op, SearchRatio))
@@ -479,21 +489,40 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, targetStatus(err), fmt.Errorf("daemon: batch item %d: %w", i, err))
 			return
 		}
-		runners[i] = runner
+		k := curveID{item.Target, item.Params}
+		k.p.Window = 0
+		ci, ok := index[k]
+		if !ok {
+			ci = len(curves)
+			index[k] = ci
+			curves = append(curves, nil)
+			runners = append(runners, runner)
+		}
+		curves[ci] = append(curves[ci], i)
 	}
-	// Independent searches fan out across the pool, each probing one
-	// point at a time; all probes coalesce in the runners' caches.
+	// Curves fan out across the pool, each probing one point at a
+	// time; all probes coalesce in the runners' caches.
 	start := time.Now()
 	results := make([]SearchResponse, len(req.Items))
-	if err := sweep.ForEach(s.cfg.Parallelism, len(req.Items), func(i int) error {
-		ratio, ok, err := metrics.EquivalentWindowRatio(runners[i], req.Items[i].Params)
-		results[i] = SearchResponse{Ratio: ratio, OK: ok}
-		return err
+	if err := sweep.ForEach(s.cfg.Parallelism, len(curves), func(ci int) error {
+		idx := curves[ci]
+		windows := make([]int, len(idx))
+		for j, i := range idx {
+			windows[j] = req.Items[i].Params.Window
+		}
+		answers, err := metrics.RatioCurve(runners[ci], req.Items[idx[0]].Params, windows)
+		if err != nil {
+			return err
+		}
+		for j, i := range idx {
+			results[i] = SearchResponse{Ratio: answers[j].Ratio, OK: answers[j].OK}
+		}
+		return nil
 	}); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.logf("batch search: %d items in %s", len(req.Items), time.Since(start).Round(time.Millisecond))
+	s.logf("batch search: %d items in %d curves in %s", len(req.Items), len(curves), time.Since(start).Round(time.Millisecond))
 	writeJSON(w, BatchSearchResponse{Results: results})
 }
 

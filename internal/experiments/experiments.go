@@ -54,11 +54,10 @@ type Context struct {
 	// RemoteSearch, when non-nil, executes a whole curve of
 	// equivalent-window ratio searches (the unit of Figures 7-9)
 	// server-side in one call, instead of probing locally and shipping
-	// each probe wave. The answers are identical either way — the search
-	// probe path is a fixed function of its inputs
-	// (metrics.EquivalentWindow), not of where it executes — but a
-	// server-side curve is one round trip where even a batched local
-	// search needs several per ratio point.
+	// each probe wave. The answers are identical either way — a curve's
+	// probe path is a fixed function of its inputs (metrics.RatioCurve),
+	// not of where it executes — but a server-side curve is one round
+	// trip where even a batched local search needs several per curve.
 	// daemon.FleetClient.RatioBatch has this signature (repro -remote
 	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
@@ -383,24 +382,20 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	}
 	// answers[mi][wi] is the search answer at RatioMDs[mi], RatioWindows[wi].
 	answers := make([][]RatioAnswer, len(RatioMDs))
-	for mi := range answers {
-		answers[mi] = make([]RatioAnswer, len(RatioWindows))
-	}
-	ratioAt := func(mi, wi int) error {
-		ratio, ok, err := metrics.EquivalentWindowRatio(r, machine.Params{Window: RatioWindows[wi], MD: RatioMDs[mi]})
-		answers[mi][wi] = RatioAnswer{Ratio: ratio, OK: ok}
+	curveAt := func(mi int) (err error) {
+		answers[mi], err = metrics.RatioCurve(r, machine.Params{MD: RatioMDs[mi]}, RatioWindows)
 		return err
 	}
 	if c.RemoteSearch != nil {
 		// With a remote search service attached, each MD curve travels
-		// as one server-side batch: the daemon runs the same
-		// deterministic searches over its own shared cache, so a whole
-		// figure costs a few round trips instead of one per probe wave —
-		// and the values are identical to the local path by
-		// construction. A curve whose owners are all unavailable is
-		// searched locally, point by point on this worker, when Degrade
-		// is set: the probes then flow through the runner, whose own
-		// Degrade fallback absorbs any remaining point-level outage.
+		// as one server-side batch: the daemon searches the curve as a
+		// unit over its own shared cache, so a whole figure costs a few
+		// round trips instead of one per probe wave — and the values
+		// are identical to the local path by construction. A curve
+		// whose owners are all unavailable is searched locally on this
+		// worker when Degrade is set: the probes then flow through the
+		// runner, whose own Degrade fallback absorbs any remaining
+		// point-level outage.
 		fp := r.Suite.Fingerprint()
 		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(mi int) error {
 			params := make([]machine.Params, len(RatioWindows))
@@ -412,28 +407,33 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 				if !c.Degrade || !errors.Is(err, sweep.ErrUnavailable) {
 					return err
 				}
-				for wi := range RatioWindows {
-					if err := ratioAt(mi, wi); err != nil {
-						return err
-					}
-				}
-				return nil
+				return curveAt(mi)
 			}
 			if len(got) != len(params) {
 				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
 			}
-			copy(answers[mi], got)
+			answers[mi] = got
 			c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
 			return nil
 		})
 	} else {
-		// Every (MD, window) point is an independent search, so the
-		// pool schedules points, not curves, and no worker idles while
-		// another finishes a long curve. Every probe routes through the
-		// shared Runner, so curves still share memoized results with
-		// each other and with other sweeps.
-		err = sweep.ForEach(c.Parallelism, len(RatioMDs)*len(RatioWindows), func(i int) error {
-			return ratioAt(i/len(RatioWindows), i%len(RatioWindows))
+		// The figure's DM anchors run as one RunAll across the pool;
+		// then the curves fan out, each searched as a unit, highest MD
+		// first: those tend to run longest, and a long curve started
+		// last would leave the rest of the pool idle. Every probe
+		// routes through the shared Runner, so curves still share
+		// memoized results with other sweeps.
+		pts := make([]sweep.Point, 0, len(RatioMDs)*len(RatioWindows))
+		for _, md := range RatioMDs {
+			for _, w := range RatioWindows {
+				pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: md}})
+			}
+		}
+		if _, err := r.RunAll(pts); err != nil {
+			return nil, err
+		}
+		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(i int) error {
+			return curveAt(len(RatioMDs) - 1 - i)
 		})
 	}
 	if err != nil {
@@ -457,10 +457,7 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 
 // RatioAnswer is one RemoteSearch result: the equivalent-window ratio
 // at a DM configuration, or OK=false when the search saturated.
-type RatioAnswer struct {
-	Ratio float64
-	OK    bool
-}
+type RatioAnswer = metrics.RatioAnswer
 
 // CutoffRow records the MD=0 crossover for one program.
 type CutoffRow struct {

@@ -10,13 +10,13 @@ import (
 // TestFannedStudiesMatchSerial: the drivers that fan their points
 // across the worker pool give the results a one-worker Context gives,
 // and a fresh storeless Figure 7 costs a pinned number of simulations
-// at any pool width: every search probes one point at a time, so a
+// at any pool width: every curve probes one point at a time, so a
 // change in the count means the probe path changed.
 func TestFannedStudiesMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the ratio figure and seven studies on two fresh contexts")
 	}
-	const fig7Sims = 535
+	const fig7Sims = 342
 	studies := []struct {
 		name string
 		run  func(c *Context) (any, error)

@@ -3,14 +3,18 @@
 // equivalent window (the SWSM window matching a DM configuration) and
 // the MD=0 crossover window.
 //
-// The equivalent-window searches route every probe through a
-// sweep.Runner, so overlapping figure sweeps share memoized results.
-// Each search is serial; callers fan independent searches out.
+// The equivalent-window search works on a curve, whose targets share
+// every parameter but the DM window, as one unit. Every probe routes
+// through a sweep.Runner, so overlapping figure sweeps share memoized
+// results. Each curve is serial; callers fan independent curves out.
 package metrics
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
+	"daesim/internal/engine"
 	"daesim/internal/machine"
 	"daesim/internal/sweep"
 )
@@ -38,79 +42,85 @@ func LHE(perfect, actual int64) float64 {
 // sweep so ratios near the top of Figures 7-9 resolve.
 const MaxEquivalentWindow = 8192
 
-// evalWave evaluates the SWSM at the windows of one wave and returns
-// the times of an evaluated prefix of it: the prefix ends at the first
-// probe meeting the target, or is the whole wave when none does.
-//
-// The searches are wave-structured: the exponential bracket ladder is
-// climbed in stages of ladderStage rungs, then each refinement layer
-// probes kSectionWidth interior points (k-section). The wave contents
-// are a pure function of the hint and the probe results — never of
-// where the probes execute — and every wave is read for one thing only:
-// its first probe meeting the target. So the prefix carries the wave's
-// whole answer, a search returns the same window on a laptop, a CI
-// runner and a sweepd fleet (TestSearchLocalMatchesRemoteBatch), and
-// byte-identity between local and remote reproductions is structural
-// rather than lucky. Locally a wave is probed in order, one point at a
-// time through the Runner (so overlapping sweeps share memoized
-// results), and stops at its first probe meeting the target. With a
-// RemoteBatch hook on the Runner the whole wave travels as one batched
-// round trip, which is what collapses a remote search's request count
-// (DESIGN.md §11). A search is serial: callers get parallelism by
-// fanning independent searches out (sweep.ForEach).
-func evalWave(r *sweep.Runner, p machine.Params, ws []int, target int64) ([]int64, error) {
-	pts := make([]sweep.Point, len(ws))
-	for i, w := range ws {
-		q := p
-		q.Window = w
-		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
-	}
-	if r.RemoteBatch != nil {
-		return runBatch(r, pts)
-	}
-	times := make([]int64, 0, len(pts))
-	for _, pt := range pts {
-		res, err := r.Run(pt)
-		if err != nil {
-			return nil, err
-		}
-		times = append(times, res.Cycles)
-		if res.Cycles <= target {
-			break
-		}
-	}
-	return times, nil
-}
-
-// runBatch evaluates every point in one Runner.RunAll call.
-func runBatch(r *sweep.Runner, pts []sweep.Point) ([]int64, error) {
-	results, err := r.RunAll(pts)
-	if err != nil {
-		return nil, err
-	}
-	times := make([]int64, len(results))
-	for i, res := range results {
-		times[i] = res.Cycles
-	}
-	return times, nil
+// RatioAnswer is one point of a ratio curve: the equivalent SWSM window
+// over the DM window, with OK false when the search saturated.
+type RatioAnswer struct {
+	Ratio float64
+	OK    bool
 }
 
 // EquivalentWindow returns the smallest SWSM window (running the suite
 // under p with p.Window replaced by the candidate) whose time is at most
-// target cycles. p.Window, when positive, seeds the bracket: the search
-// probes it first and expands or refines from there. ok is false if even
-// MaxEquivalentWindow cannot reach the target.
+// target cycles: a curve of one target (see RatioCurve). p.Window, when
+// positive, seeds the bracket: the search probes it first and expands or
+// refines from there. ok is false if even MaxEquivalentWindow cannot
+// reach the target.
 //
 // Minimality holds under monotonicity of time in window size, which the
 // engine satisfies up to small Graham anomalies (DESIGN.md §3). Inside
 // an anomaly wobble band the boundary is ambiguous and the returned
 // window depends on the probe path — but the probe path is a pure
-// function of the hint and the probe results, never of execution
-// placement (see evalWave), so the answer is reproducible everywhere and
-// always satisfies t(w) <= target < t(w-1). Only the hint can steer
-// which boundary of a wobble band is reported.
+// function of the curve and the probe results, never of execution
+// placement, so the answer is reproducible everywhere and always
+// satisfies t(w) <= target < t(w-1).
 func EquivalentWindow(r *sweep.Runner, p machine.Params, target int64) (window int, ok bool, err error) {
-	return ladderSearch(r, p, target, ladderWindows(clampHint(p.Window)), nil)
+	windows, oks, err := (&curve{r: r, p: p}).searchAll([]int{p.Window}, []int64{target})
+	if err != nil {
+		return 0, false, err
+	}
+	return windows[0], oks[0], nil
+}
+
+// EquivalentWindowRatio runs the DM at p and returns the ratio of the
+// equivalent SWSM window to the DM (per-unit) window: a ratio curve of
+// one point.
+func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok bool, err error) {
+	answers, err := RatioCurve(r, p, []int{p.Window})
+	if err != nil {
+		return 0, false, err
+	}
+	return answers[0].Ratio, answers[0].OK, nil
+}
+
+// RatioCurve measures one curve of Figures 7-9: for each DM window of
+// windows, the ratio of the equivalent SWSM window to it, with every
+// other parameter fixed by p. Each machine's memory buffer scales with
+// its own window (the default QueueFactor×Window): the prefetch buffer
+// is part of the window resource the search is scaling, so a probe at
+// window w gets a w-proportional buffer just as the DM it must match got
+// one. An explicit p.MemQueue or p.Mem is used as given.
+//
+// The DM anchors run as one Runner.RunAll; then every target searches
+// the same SWSM time t(w), starting from the probes the curve has
+// already read (curve.search). An answer is a pure function of its
+// curve's set of DM windows, not of their order.
+func RatioCurve(r *sweep.Runner, p machine.Params, windows []int) ([]RatioAnswer, error) {
+	pts := make([]sweep.Point, len(windows))
+	for i, w := range windows {
+		if w <= 0 {
+			return nil, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
+		}
+		q := p
+		q.Window = w
+		pts[i] = sweep.Point{Kind: machine.DM, P: q}
+	}
+	dms, err := r.RunAll(pts)
+	if err != nil {
+		return nil, err
+	}
+	targets := make([]int64, len(dms))
+	for i, dm := range dms {
+		targets[i] = dm.Cycles
+	}
+	eq, oks, err := (&curve{r: r, p: p}).searchAll(windows, targets)
+	if err != nil {
+		return nil, err
+	}
+	answers := make([]RatioAnswer, len(windows))
+	for i, w := range windows {
+		answers[i] = RatioAnswer{Ratio: float64(eq[i]) / float64(w), OK: oks[i]}
+	}
+	return answers, nil
 }
 
 // kSectionWidth is the interior-probe count of each refinement wave.
@@ -118,22 +128,10 @@ func EquivalentWindow(r *sweep.Runner, p machine.Params, target int64) (window i
 // wave contents define the search's answer path, and that path must be
 // identical everywhere for local, remote, and differently-sized hosts
 // to agree bit-for-bit on figure values. 4 shrinks a bracket 5x per
-// wave, 2-3 waves for figure-scale brackets. A local search stops each
-// wave at its first target-meeting probe, so the width costs it nothing
-// beyond the probes it reads; only a batched remote wave simulates
-// all 4.
+// wave. A local search stops each wave at its first target-meeting
+// probe, so the width costs it nothing beyond the probes it reads; only
+// a batched remote wave simulates all 4.
 const kSectionWidth = 4
-
-// clampHint bounds a bracket hint to [1, MaxEquivalentWindow].
-func clampHint(hint int) int {
-	if hint < 1 {
-		return 1
-	}
-	if hint > MaxEquivalentWindow {
-		return MaxEquivalentWindow
-	}
-	return hint
-}
 
 // ladderWindows is the speculative bracket sequence for a hint: the
 // hint and its doublings up to the cap. A pure function of the hint.
@@ -148,152 +146,153 @@ func ladderWindows(hint int) []int {
 	return ladder
 }
 
-// ladderStage is how many ladder rungs one wave speculates on. Figure
-// ratios land within a few doublings of the hint, so a 4-rung stage
-// (hint..8×hint) resolves most searches in one wave without paying for
-// the cap-sized probes a full-ladder wave would waste; only searches
-// that overshoot the stage climb to the next one.
+// ladderStage is how many ladder rungs one wave speculates on. Only a
+// target no probe of its curve meets yet climbs the ladder: in a ratio
+// curve, the largest DM window, whose ratio lands within a few
+// doublings of its hint. A 4-rung stage (hint..8×hint) resolves it in
+// one wave without paying for the cap-sized probes a full-ladder wave
+// would waste.
 const ladderStage = 4
 
-// ladderSearch continues a partially evaluated ladder (times covers
-// ladder[:len(times)]) stage by stage until a rung meets the target or
-// the ladder is exhausted, then refines the bracket. The probe path is
-// a pure function of (ladder, target, probe results).
-func ladderSearch(r *sweep.Runner, p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
-	found := func() bool {
-		for _, t := range times {
-			if t <= target {
-				return true
-			}
-		}
-		return false
-	}
-	for !found() && len(times) < len(ladder) {
-		end := len(times) + ladderStage
-		if end > len(ladder) {
-			end = len(ladder)
-		}
-		chunk, err := evalWave(r, p, ladder[len(times):end], target)
-		if err != nil {
-			return 0, false, err
-		}
-		times = append(times, chunk...)
-	}
-	return refine(r, p, target, ladder[:len(times)], times)
+// curve is one curve's search: the SWSM under p with only the window
+// varied, and the probes the curve has read so far.
+type curve struct {
+	r     *sweep.Runner
+	p     machine.Params
+	known []probe // ascending window; no window is read twice
 }
 
-// refine turns evaluated ladder times into the smallest target-meeting
-// window: bracket from the first ladder rung meeting the target, then
-// k-section waves of kSectionWidth interior points until the bracket
-// closes.
-func refine(r *sweep.Runner, p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
-	first := -1
-	for i, t := range times {
-		if t <= target {
-			first = i
+// probe is one SWSM time a curve has read.
+type probe struct {
+	window int
+	cycles int64
+}
+
+// searchAll answers every target of the curve: the smallest window
+// meeting targets[i], with hints[i] seeding the ladder if no probe of the
+// curve meets it yet. Targets are searched in descending hint order, ties
+// by ascending target, so the order callers list them in changes nothing.
+func (c *curve) searchAll(hints []int, targets []int64) (windows []int, oks []bool, err error) {
+	order := make([]int, len(targets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		return hints[i] > hints[j] || hints[i] == hints[j] && targets[i] < targets[j]
+	})
+	windows, oks = make([]int, len(targets)), make([]bool, len(targets))
+	for _, i := range order {
+		if windows[i], oks[i], err = c.search(hints[i], targets[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return windows, oks, nil
+}
+
+// search answers one target: the smallest window w with
+// t(w) <= target < t(w-1), or (MaxEquivalentWindow, false) when no
+// window up to the cap meets it. Its bracket (lo, hi] starts from the
+// curve's probes: hi is the smallest known window meeting the target, lo
+// the known window just below it (0 if none). When no known window
+// meets the target, the ladder climbs from above every known window,
+// and the bracket is the rung before its first hit (lo, at the first
+// rung) and that hit. k-section waves then close the bracket.
+func (c *curve) search(hint int, target int64) (window int, ok bool, err error) {
+	lo, hi := 0, 0
+	for _, k := range c.known {
+		if k.cycles <= target {
+			hi = k.window
 			break
 		}
+		lo = k.window
 	}
-	if first < 0 {
-		return MaxEquivalentWindow, false, nil
-	}
-	lo, hi := 1, ladder[first]
-	if first > 0 {
-		lo = ladder[first-1] + 1
-	}
-	for lo < hi {
-		span := hi - lo
-		m := kSectionWidth
-		if m > span {
-			m = span
+	if hi == 0 {
+		if lo >= MaxEquivalentWindow {
+			return MaxEquivalentWindow, false, nil
 		}
+		ladder := ladderWindows(min(max(hint, lo+1), MaxEquivalentWindow))
+		for i := 0; hi == 0; i += ladderStage {
+			if i >= len(ladder) {
+				return MaxEquivalentWindow, false, nil
+			}
+			stage := ladder[i:min(i+ladderStage, len(ladder))]
+			first, err := c.wave(stage, target)
+			if err != nil {
+				return 0, false, err
+			}
+			if first >= 0 {
+				hi = stage[first]
+				if i+first > 0 {
+					lo = ladder[i+first-1]
+				}
+			}
+		}
+	}
+	// next is the smallest window not known to miss the target.
+	for next := lo + 1; next < hi; {
+		span := hi - next
+		m := min(kSectionWidth, span)
 		xs := make([]int, 0, m)
 		for j := 1; j <= m; j++ {
-			x := lo + j*span/(m+1)
-			if len(xs) == 0 || x > xs[len(xs)-1] {
+			if x := next + j*span/(m+1); len(xs) == 0 || x > xs[len(xs)-1] {
 				xs = append(xs, x)
 			}
 		}
-		if len(xs) == 0 {
-			xs = append(xs, lo+span/2)
-		}
-		times, err := evalWave(r, p, xs, target)
+		first, err := c.wave(xs, target)
 		if err != nil {
 			return 0, false, err
 		}
-		firstGood := -1
-		for i, t := range times {
-			if t <= target {
-				firstGood = i
-				break
-			}
-		}
 		switch {
-		case firstGood < 0:
-			lo = xs[len(xs)-1] + 1
-		case firstGood == 0:
+		case first < 0:
+			next = xs[len(xs)-1] + 1
+		case first == 0:
 			hi = xs[0]
 		default:
-			lo, hi = xs[firstGood-1]+1, xs[firstGood]
+			next, hi = xs[first-1]+1, xs[first]
 		}
 	}
 	return hi, true, nil
 }
 
-// EquivalentWindowRatio runs the DM at p and returns the ratio of the
-// equivalent SWSM window to the DM (per-unit) window — the quantity of
-// Figures 7-9. Each machine's memory buffer scales with its own window
-// (the default QueueFactor×Window): the prefetch buffer is part of the
-// window resource the search is scaling, so a probe at window w gets a
-// w-proportional buffer just as the DM it must match got one — pinning
-// the probes to the DM's capacity would charge the SWSM twice for the
-// same slots. An explicit p.MemQueue or p.Mem is used as given. ok is
-// false when the SWSM cannot match the DM within MaxEquivalentWindow.
-func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok bool, err error) {
-	if p.Window <= 0 {
-		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
-	}
-	var w int
-	if r.RemoteBatch == nil {
-		// Locally the DM anchor resolves first: its time is the target
-		// every ladder wave stops on.
-		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: p})
-		if err != nil {
-			return 0, false, err
-		}
-		w, ok, err = EquivalentWindow(r, p, dm.Cycles)
-	} else {
-		w, ok, err = remoteRatio(r, p)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(w) / float64(p.Window), ok, nil
-}
-
-// remoteRatio is the batched ratio search. The DM anchor rides in the
-// first wave with the first ladder stage: the ladder's contents depend
-// only on the hint, not on the target, so nothing forces the anchor to
-// resolve first — and folding it in saves a remote search one full
-// round trip per ratio point.
-func remoteRatio(r *sweep.Runner, p machine.Params) (window int, ok bool, err error) {
-	ladder := ladderWindows(clampHint(p.Window))
-	end := ladderStage
-	if end > len(ladder) {
-		end = len(ladder)
-	}
-	pts := make([]sweep.Point, 0, end+1)
-	pts = append(pts, sweep.Point{Kind: machine.DM, P: p})
-	for _, w := range ladder[:end] {
-		q := p
+// wave evaluates the SWSM at the windows of one wave and returns the
+// index of the first meeting the target, or -1 when none does. The
+// wave's evaluated prefix, up to and including that first hit, joins
+// the curve's known probes.
+//
+// Locally a wave is probed in order, one point at a time through the
+// Runner, and stops at its first hit. With a RemoteBatch hook the whole
+// wave travels as one round trip (DESIGN.md §11), but the probes past
+// the first hit are not recorded: a curve's known probes, and with them
+// every later bracket, are the same on a laptop, a CI runner and a
+// sweepd fleet (TestCurveLocalMatchesRemoteBatch).
+func (c *curve) wave(ws []int, target int64) (first int, err error) {
+	pts := make([]sweep.Point, len(ws))
+	for i, w := range ws {
+		q := c.p
 		q.Window = w
-		pts = append(pts, sweep.Point{Kind: machine.SWSM, P: q})
+		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	times, err := runBatch(r, pts)
-	if err != nil {
-		return 0, false, err
+	var batch []*engine.Result
+	if c.r.RemoteBatch != nil {
+		if batch, err = c.r.RunAll(pts); err != nil {
+			return 0, err
+		}
 	}
-	return ladderSearch(r, p, times[0], ladder, times[1:])
+	for i, pt := range pts {
+		var res *engine.Result
+		if batch != nil {
+			res = batch[i]
+		} else if res, err = c.r.Run(pt); err != nil {
+			return 0, err
+		}
+		at, _ := slices.BinarySearchFunc(c.known, ws[i], func(k probe, w int) int { return k.window - w })
+		c.known = slices.Insert(c.known, at, probe{ws[i], res.Cycles})
+		if res.Cycles <= target {
+			return i, nil
+		}
+	}
+	return -1, nil
 }
 
 // Crossover returns the smallest window in windows (ascending) at which

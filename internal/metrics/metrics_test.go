@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,6 +116,39 @@ func TestSearchAnswersAreBoundaries(t *testing.T) {
 			}
 		}
 	}
+
+	// Every answer of a whole curve is a boundary too, though all but
+	// its first target start from brackets the curve's earlier probes
+	// narrowed. A probe at window w gets the default w-scaled queue.
+	swsm := func(md, w int) int64 {
+		r, err := s.RunSWSM(machine.Params{Window: w, MD: md})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles
+	}
+	for _, md := range []int{0, 20, 40, 60} {
+		windows := append([]int{4, 8, 12}, figureWindows...)
+		targets := ratioTargets(t, s, machine.Params{MD: md}, windows)
+		got, ok, err := (&curve{r: r, p: machine.Params{MD: md}}).searchAll(windows, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range windows {
+			if !ok[i] {
+				t.Errorf("curve md=%d w=%d: search saturated on a tiny kernel", md, w)
+				continue
+			}
+			if c := swsm(md, got[i]); c > targets[i] {
+				t.Errorf("curve md=%d w=%d: window %d misses target (%d > %d)", md, w, got[i], c, targets[i])
+			}
+			if got[i] > 1 {
+				if c := swsm(md, got[i]-1); c <= targets[i] {
+					t.Errorf("curve md=%d w=%d: window %d is not a boundary (t(w-1)=%d <= %d)", md, w, got[i], c, targets[i])
+				}
+			}
+		}
+	}
 }
 
 // TestSearchLocalMatchesRemoteBatch pins the fleet-era contract the
@@ -165,22 +199,135 @@ func TestSearchLocalMatchesRemoteBatch(t *testing.T) {
 	}
 	t.Logf("search resolved in %d remote waves", waves)
 
-	// The ratio search folds its DM anchor into the first wave: one
-	// round trip covers anchor plus ladder stage.
+	// A ratio curve's DM anchors travel as one batch, ahead of its probe
+	// waves, which carry SWSM points only.
 	execR := sweep.NewRunner(s)
 	batchedR := sweep.NewRunner(s)
-	var firstWave []sweep.Point
+	var batches [][]sweep.Point
 	batchedR.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
-		if firstWave == nil {
-			firstWave = append([]sweep.Point(nil), pts...)
-		}
+		batches = append(batches, append([]sweep.Point(nil), pts...))
 		return execR.RunAll(pts)
 	}
-	if _, _, err := EquivalentWindowRatio(batchedR, p); err != nil {
+	windows := []int{4, 8, 12, 20}
+	if _, err := RatioCurve(batchedR, machine.Params{MD: 40}, windows); err != nil {
 		t.Fatal(err)
 	}
-	if len(firstWave) < 2 || firstWave[0].Kind != machine.DM || firstWave[1].Kind != machine.SWSM {
-		t.Errorf("ratio search's first wave should carry the DM anchor plus SWSM rungs, got %d points", len(firstWave))
+	if len(batches) < 2 || len(batches[0]) != len(windows) {
+		t.Fatalf("a ratio curve's first batch should carry its %d DM anchors; got %d batches", len(windows), len(batches))
+	}
+	for i, b := range batches {
+		want := machine.SWSM
+		if i == 0 {
+			want = machine.DM
+		}
+		for _, pt := range b {
+			if pt.Kind != want {
+				t.Errorf("batch %d carries a %v point, want only %v", i, pt.Kind, want)
+			}
+		}
+	}
+}
+
+// ratioTargets runs the DM at every window of a curve and returns the
+// times its searches must meet.
+func ratioTargets(t *testing.T, s *machine.Suite, p machine.Params, windows []int) []int64 {
+	t.Helper()
+	targets := make([]int64, len(windows))
+	for i, w := range windows {
+		q := p
+		q.Window = w
+		dm, err := s.RunDM(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets[i] = dm.Cycles
+	}
+	return targets
+}
+
+// figureWindows are the DM windows of a Figure 7-9 curve.
+var figureWindows = []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+
+// TestCurveLocalMatchesRemoteBatch: a whole curve searched locally and
+// through a RemoteBatch runner gives identical answers and reads an
+// identical known set. A batched wave returns every probe, but the
+// curve records only the prefix a local search reads, so later targets'
+// brackets — and their answers — cannot depend on where probes ran.
+func TestCurveLocalMatchesRemoteBatch(t *testing.T) {
+	s := smallSuite(t)
+	var batchedSims, known int64
+	for _, md := range []int{0, 20, 40, 60} {
+		p := machine.Params{MD: md}
+		targets := ratioTargets(t, s, p, figureWindows)
+		local := &curve{r: sweep.NewRunner(s), p: p}
+		wantW, wantOK, err := local.searchAll(figureWindows, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := sweep.NewRunner(s)
+		batched := &curve{r: sweep.NewRunner(s), p: p}
+		batched.r.RemoteBatch = exec.RunAll
+		gotW, gotOK, err := batched.searchAll(figureWindows, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotOK, wantOK) {
+			t.Errorf("md=%d: batched curve answers %v %v, local %v %v", md, gotW, gotOK, wantW, wantOK)
+		}
+		if !reflect.DeepEqual(batched.known, local.known) {
+			t.Errorf("md=%d: batched curve read %v, local %v", md, batched.known, local.known)
+		}
+		if st := batched.r.Stats(); st.Sims != 0 {
+			t.Errorf("md=%d: batched curve simulated %d probes locally", md, st.Sims)
+		}
+		batchedSims += exec.Stats().Sims
+		known += int64(len(local.known))
+	}
+	// The check bites only if some batched wave ran past its first hit.
+	if batchedSims <= known {
+		t.Errorf("batched waves simulated %d probes for %d known: no wave ran past its first hit", batchedSims, known)
+	}
+}
+
+// TestCurveOrderInvariance: a curve's answers and its probe path do not
+// depend on the order its targets are listed in.
+func TestCurveOrderInvariance(t *testing.T) {
+	s := smallSuite(t)
+	p := machine.Params{MD: 40}
+	r := sweep.NewRunner(s)
+	var want []RatioAnswer
+	var wantKnown []probe
+	for _, perm := range [][]int{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+		{3, 7, 0, 9, 5, 1, 8, 2, 6, 4},
+	} {
+		windows := make([]int, len(perm))
+		for i, j := range perm {
+			windows[i] = figureWindows[j]
+		}
+		got, err := RatioCurve(r, p, windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &curve{r: r, p: p}
+		if _, _, err := c.searchAll(windows, ratioTargets(t, s, p, windows)); err != nil {
+			t.Fatal(err)
+		}
+		byWindow := make([]RatioAnswer, len(perm))
+		for i, j := range perm {
+			byWindow[j] = got[i]
+		}
+		if want == nil {
+			want, wantKnown = byWindow, c.known
+			continue
+		}
+		if !reflect.DeepEqual(byWindow, want) {
+			t.Errorf("order %v: answers %v, want %v", perm, byWindow, want)
+		}
+		if !reflect.DeepEqual(c.known, wantKnown) {
+			t.Errorf("order %v: probe path %v, want %v", perm, c.known, wantKnown)
+		}
 	}
 }
 
