@@ -120,6 +120,32 @@ func BenchmarkEngineSWSMScratch(b *testing.B) {
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
+// BenchmarkEngineLowerBound measures the certified lower bound a search
+// probe computes instead of simulating (DESIGN.md §3) at
+// BenchmarkEngineSWSMScratch's point, on a caller-held Sim. Mops/s
+// counts every op of the program, the jumped orbits included, as for
+// the engine benchmarks.
+func BenchmarkEngineLowerBound(b *testing.B) {
+	flo, _ := suites(b)
+	ops := float64(flo.Stats().SWSMOps)
+	prog, err := flo.Program(daesim.SWSM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := daesim.Params{Window: 64, MD: 60}.Config(daesim.SWSM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim := daesim.NewSim()
+	sim.LowerBound(prog, cfg) // warm the scratch so growth isn't timed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.LowerBound(prog, cfg)
+	}
+	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
 // BenchmarkLowering measures trace construction and machine lowering:
 // the suite's partition and statistics, then both programs.
 func BenchmarkLowering(b *testing.B) {

@@ -343,11 +343,13 @@ func run(ctx *experiments.Context, exp, out, workload string, stdout io.Writer) 
 // cacheReport is the -cache-stats JSON document.
 type cacheReport struct {
 	// Runner-level traffic: L1 (in-memory) hits, persistent-store hits,
-	// simulations executed, and the composite hit rate.
+	// simulations executed, search probes a certified bound proved miss
+	// (Pruned) and bounds computed.
 	Runner sweep.CacheStats `json:"runner"`
 	// HitRate is Runner's fraction of points served from cache.
 	HitRate float64 `json:"hit_rate"`
-	// Store-level counters (zero when -cache is off).
+	// Store-level counters (zero when -cache is off), the bound record
+	// class's apart (BoundHits, BoundWrites).
 	Store sweep.StoreStats `json:"store"`
 }
 
@@ -357,9 +359,9 @@ type cacheReport struct {
 func reportCache(ctx *experiments.Context, statsPath string) error {
 	stats := ctx.CacheStats()
 	report := cacheReport{Runner: stats, HitRate: stats.HitRate(), Store: ctx.StoreStats()}
-	fmt.Fprintf(os.Stderr, "repro: cache: %d sims, %d L1 hits, %d store hits, %d remote, %d remote searches (hit rate %.1f%%), %d degraded; store: %d writes, %d corrupt\n",
-		stats.Sims, stats.L1Hits, stats.StoreHits, stats.RemoteHits, stats.RemoteSearches, 100*report.HitRate, stats.Degraded,
-		report.Store.Writes, report.Store.Corrupt)
+	fmt.Fprintf(os.Stderr, "repro: cache: %d sims, %d L1 hits, %d store hits, %d remote, %d remote searches (hit rate %.1f%%), %d degraded, %d certified misses, %d bounds computed; store: %d writes, %d corrupt, %d bound hits, %d bound writes\n",
+		stats.Sims, stats.L1Hits, stats.StoreHits, stats.RemoteHits, stats.RemoteSearches, 100*report.HitRate, stats.Degraded, stats.Pruned, stats.Bounds,
+		report.Store.Writes, report.Store.Corrupt, report.Store.BoundHits, report.Store.BoundWrites)
 	if statsPath == "" {
 		return nil
 	}

@@ -557,27 +557,58 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSearchReadsLocalProbes: a curve searched by the daemon reads
-// exactly the probes the same curve reads locally. The daemon's runner
-// simulates what its search reads, once each; so it must have simulated
-// as many points as the local curve read, and every one of those must
-// then be an L1 hit on the daemon.
+// TestBatchSearchReadsLocalProbes: a curve searched by the daemon
+// simulates exactly the probes the same curve simulates locally. Both
+// prune the probes a certified lower bound proves miss, so the local
+// curve runs on a runner of its own over a store, and a hooked runner,
+// which never prunes, lists every probe the curve reads. The points the
+// store then holds are the ones the local curve simulated: the daemon
+// must have simulated as many, and re-requesting them must cost it
+// nothing, while each probe the curve left as a bound costs it one.
 func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	t.Parallel()
 	srv, fleet := newTestServer(t, Config{})
 	windows := []int{20, 50, 10, 40, 30}
 	suite := mustSuite(t, testWorkload)
-	local := sweep.NewRunner(suite)
-	local.Parallelism = 1
+	p := machine.Params{MD: 40}
+	reader := sweep.NewRunner(suite)
+	reader.Parallelism = 1 // the hook appends to read
 	var read []sweep.Point
-	local.Remote = func(pt sweep.Point) (*engine.Result, error) {
+	reader.Remote = func(pt sweep.Point) (*engine.Result, error) {
 		read = append(read, pt)
 		return suite.Run(pt.Kind, pt.P)
 	}
-	want, err := metrics.RatioCurve(local, machine.Params{MD: 40}, windows)
+	if _, err := metrics.RatioCurve(reader, p, windows); err != nil {
+		t.Fatal(err)
+	}
+	store, err := sweep.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
+	local := sweep.NewRunner(suite)
+	local.Store = store
+	want, err := metrics.RatioCurve(local, p, windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split the read probes by whether the local curve simulated them: a
+	// runner over the same store whose hook fails reads only its hits.
+	probe := sweep.NewRunner(suite)
+	probe.Store = store
+	probe.Remote = func(pt sweep.Point) (*engine.Result, error) { return nil, errors.New("not simulated") }
+	var simulated, bounded []sweep.Point
+	for _, pt := range read {
+		if _, err := probe.Run(pt); err == nil {
+			simulated = append(simulated, pt)
+		} else {
+			bounded = append(bounded, pt)
+		}
+	}
+	if st := local.Stats(); st.Sims != int64(len(simulated)) || st.Pruned == 0 {
+		t.Fatalf("the local curve simulated %d points and pruned %d; its store holds %d of the %d it read", st.Sims, st.Pruned, len(simulated), len(read))
+	}
+
 	params := make([]machine.Params, len(windows))
 	for i, w := range windows {
 		params[i] = machine.Params{Window: w, MD: 40}
@@ -590,14 +621,20 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 		t.Errorf("daemon curve %v, local %v", got, want)
 	}
 	sims := srv.Stats().Runner.Sims
-	if sims != int64(len(read)) {
-		t.Errorf("daemon simulated %d points, the local curve read %d", sims, len(read))
+	if sims != int64(len(simulated)) {
+		t.Errorf("daemon simulated %d points, the local curve %d", sims, len(simulated))
 	}
-	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), read); err != nil {
+	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), simulated); err != nil {
 		t.Fatal(err)
 	}
 	if after := srv.Stats().Runner.Sims; after != sims {
-		t.Errorf("the local curve's probes cost the daemon %d new simulations: it read others", after-sims)
+		t.Errorf("the local curve's simulated probes cost the daemon %d new simulations: it simulated others", after-sims)
+	}
+	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), bounded); err != nil {
+		t.Fatal(err)
+	}
+	if after := srv.Stats().Runner.Sims; after != sims+int64(len(bounded)) {
+		t.Errorf("the local curve's %d certified probes cost the daemon %d simulations", len(bounded), after-sims)
 	}
 }
 

@@ -31,6 +31,8 @@ var cacheStatsMetrics = map[string]metricSpec{
 	"RemoteSearches": {"daesim_runner_remote_searches_total", "whole searches answered server-side by a remote daemon"},
 	"Sims":           {"daesim_runner_sims_total", "simulations executed"},
 	"Degraded":       {"daesim_runner_degraded_total", "points simulated locally because every remote owner was unavailable"},
+	"Pruned":         {"daesim_runner_pruned_total", "search probes a certified lower bound proved miss their target, not simulated"},
+	"Bounds":         {"daesim_runner_bounds_total", "certified lower bounds computed"},
 	"Uncacheable":    {"daesim_runner_uncacheable_total", "always 0: every point is cacheable (kept while sweep.CacheStats has the field)"},
 }
 
@@ -43,6 +45,8 @@ var storeStatsMetrics = map[string]metricSpec{
 	"WriteErrors":        {"daesim_store_write_errors_total", "failed store installs (cache degraded to pass-through)"},
 	"GCEvictions":        {"daesim_store_gc_evictions_total", "store entries removed by GC passes"},
 	"CorruptQuarantined": {"daesim_store_corrupt_quarantined_total", "keys retired after failing their checksum twice"},
+	"BoundHits":          {"daesim_store_bound_hits_total", "certified lower-bound records read back"},
+	"BoundWrites":        {"daesim_store_bound_writes_total", "certified lower-bound records installed"},
 }
 
 // fleetMetricsSpecs maps every FleetMetrics field to its metric.

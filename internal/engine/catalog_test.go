@@ -7,6 +7,7 @@ import (
 
 	"daesim/internal/engine"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/workloads"
 )
@@ -72,4 +73,82 @@ func TestOrbitSkipCatalog(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLowerBoundCatalog holds the certified lower bound to its full
+// recurrence and below ReferenceRun on every catalog SWSM program, at
+// windows 8, 64, 512 and unlimited, MD 0 and 60, under the default
+// configuration, held sends, retirement at completion and an explicit
+// and an unbounded memory queue. The bypass buffer and the cache
+// hierarchy, which can answer before MD, have no bound.
+func TestLowerBoundCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reference engine over the catalog")
+	}
+	sim := engine.NewSim()
+	for _, spec := range workloads.Catalog() {
+		tr, err := workloads.Build(spec.Name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite, err := machine.NewSuite(tr, partition.Classic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := suite.Program(machine.SWSM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{8, 64, 512, 0} {
+			for _, md := range []int{0, 60} {
+				base := machine.Params{Window: w, MD: md}
+				hold, atComplete, queue, unbounded := base, base, base, base
+				hold.HoldSendSlots = true
+				atComplete.Retire = machine.RetireAtComplete
+				queue.MemQueue = 16
+				unbounded.MemQueue = machine.Unbounded
+				for _, v := range []struct {
+					name string
+					p    machine.Params
+				}{{"default", base}, {"hold", hold}, {"at-complete", atComplete}, {"queue=16", queue}, {"unbounded", unbounded}} {
+					vname, p := v.name, v.p
+					name := fmt.Sprintf("%s/w=%d/md=%d/%s", spec.Name, w, md, vname)
+					cfg, err := p.Config(machine.SWSM)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lb := sim.LowerBound(prog, cfg)
+					if want := engine.ReferenceLowerBound(prog, cfg); lb != want {
+						t.Errorf("%s: skipping bound %d, full recurrence %d", name, lb, want)
+					}
+					if lb <= 0 {
+						t.Errorf("%s: no bound", name)
+					}
+					res, err := engine.ReferenceRun(prog, cfg)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					if lb > res.Cycles {
+						t.Errorf("%s: lower bound %d above %d cycles", name, lb, res.Cycles)
+					}
+				}
+			}
+		}
+		for _, spec := range []memsys.Spec{mustSpec(memsys.BypassSpec(64)), memsys.DefaultCacheSpec()} {
+			cfg, err := machine.Params{Window: 64, MD: 60, Mem: spec}.Config(machine.SWSM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lb := sim.LowerBound(prog, cfg); lb != 0 {
+				t.Errorf("%s/mem=%v: bound %d, want 0", spec.String(), spec, lb)
+			}
+		}
+	}
+}
+
+func mustSpec(s memsys.Spec, err error) memsys.Spec {
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

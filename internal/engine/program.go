@@ -105,6 +105,10 @@ type Program struct {
 	// the first run that asks (orbit.go).
 	perOnce sync.Once
 	per     period
+	// reach is the longest dependence edge anywhere in the program,
+	// found on the first lower bound that asks (lowerbound.go).
+	reachOnce sync.Once
+	reach     int32
 	// split records whether the program is decoupled, found on the
 	// first run that asks (split.go).
 	split splitInfo

@@ -319,3 +319,63 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
+
+// ReferenceLowerBound is Sim.LowerBound's oracle: the same width-free
+// recurrence over whole per-op arrays of the authored Op structs, every
+// op computed, nothing skipped and no ring reused. Sim.LowerBound must
+// equal it exactly (TestLowerBoundMatchesOracle, TestLowerBoundCatalog,
+// FuzzLowerBound). Like ReferenceRun it is exported for differential
+// harnesses only.
+func ReferenceLowerBound(p *Program, cfg Config) int64 {
+	n := len(p.Ops)
+	if p.NumUnits != 1 || n == 0 || cfg.CollectESW || cfg.Validate(p) != nil {
+		return 0
+	}
+	md := int64(cfg.Timing.MD)
+	if cfg.Mem != nil {
+		dm, ok := cfg.Mem.(DelayMem)
+		if !ok {
+			return 0
+		}
+		md = dm.MinFill()
+	}
+	cc := cfg.Cores[0]
+	d := cc.EffectiveDispatch()
+	disp, ret := make([]int64, n), make([]int64, n)
+	done, arr := make([]int64, n), make([]int64, n)
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		t := int64(0)
+		if i > 0 {
+			t = disp[i-1]
+		}
+		if i >= d {
+			t = max(t, disp[i-d]+1)
+		}
+		if cfg.RetireInOrder && !cc.Unlimited() && i >= cc.Window {
+			t = max(t, ret[i-cc.Window])
+		}
+		disp[i] = t
+		for _, s := range op.Srcs {
+			t = max(t, done[s])
+		}
+		if op.Kind.IsConsume() {
+			t = max(t, arr[op.MemSrc])
+		}
+		t += int64(cfg.Timing.Latency(op.Kind))
+		arr[i] = t
+		if op.Kind.IsSend() {
+			arr[i] = t + md
+			if cfg.HoldSendSlots {
+				t = arr[i]
+			}
+		}
+		done[i] = t
+		ret[i] = t
+		if i > 0 {
+			ret[i] = max(t, ret[i-1])
+		}
+	}
+	iw := int64(cc.IssueWidth)
+	return max(ret[n-1], (int64(n)+iw-1)/iw)
+}

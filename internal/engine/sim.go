@@ -22,6 +22,8 @@ type Sim struct {
 	cores   []coreRun
 	cq      calQueue
 	orb     orbit
+	// lb is the lower bound's scratch (lowerbound.go).
+	lb lbScratch
 	// u0 and u1 bound the cores the current pass simulates.
 	u0, u1 int
 	// The split run's scratch (split.go): per-op AU completion and fill

@@ -34,4 +34,11 @@ package engine
 // but every Result is the joint run's (TestSplitMatchesReference,
 // FuzzDecoupledSplit, TestOrbitSkipCatalog's small DM windows), and
 // results.lock and points.lock are unchanged.
+//
+// Not bumped either for the certified lower bound (lowerbound.go),
+// which no Result carries: Sim.LowerBound and Program.LowerBound are
+// semantics.lock roots because the store keeps their values as bound
+// records under keys this string prefixes, and searches prune probes by
+// them. A change that can move a bound must bump the version like a
+// change that can move a Result, so no stale bound outlives it.
 const Version = "engine-v4"

@@ -10,13 +10,14 @@ import (
 // TestFannedStudiesMatchSerial: the drivers that fan their points
 // across the worker pool give the results a one-worker Context gives,
 // and a fresh storeless Figure 7 costs a pinned number of simulations
-// at any pool width: every curve probes one point at a time, so a
-// change in the count means the probe path changed.
+// at any pool width: every curve probes one point at a time, and a
+// probe its certified lower bound proves a miss is not simulated, so a
+// change in the count means the probe path or the bound changed.
 func TestFannedStudiesMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the ratio figure and seven studies on two fresh contexts")
 	}
-	const fig7Sims = 342
+	const fig7Sims = 221
 	studies := []struct {
 		name string
 		run  func(c *Context) (any, error)

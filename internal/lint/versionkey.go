@@ -47,7 +47,9 @@ type VersionKeyConfig struct {
 }
 
 // DefaultVersionKeyConfig encodes the engine discipline: engine.Version
-// tags Sim.Run semantics, sweep folds it into store keys and daemon into
+// tags Sim.Run semantics and the certified lower bound
+// (Sim.LowerBound, whose records the store keeps beside results), sweep
+// folds it into store keys and daemon into
 // skew guards, and internal/engine/semantics.lock pins the surface. The
 // surface reaches past the engine to everything that turns a cached
 // machine.Params into engine input or answers the engine mid-run: the
@@ -61,6 +63,7 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 	VersionPattern: `^engine-v\d+$`,
 	Roots: []string{
 		"(Sim).Run", "Run",
+		"(Sim).LowerBound", "(Program).LowerBound",
 		"daesim/internal/machine.(Params).Config",
 		"daesim/internal/memsys.NewOutstanding",
 		"daesim/internal/memsys.NewBypass",
@@ -70,6 +73,7 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 		"daesim/internal/memsys.(Outstanding).Reset",
 		"daesim/internal/memsys.(Outstanding).AppendState",
 		"daesim/internal/memsys.(Outstanding).Shift",
+		"daesim/internal/memsys.(Outstanding).MinFill",
 		"daesim/internal/memsys.(Bypass).RequestFill",
 		"daesim/internal/memsys.(Bypass).Reset",
 		"daesim/internal/memsys.(Bypass).MemHits",

@@ -374,6 +374,26 @@ func (s *Suite) RunWith(sim *engine.Sim, kind Kind, p Params) (*engine.Result, e
 	return sim.Run(prog, cfg)
 }
 
+// LowerBound returns a certified lower bound on the Cycles of
+// Run(kind, p) — engine.Sim.LowerBound of kind's program under p's
+// configuration — or 0 where there is none (the DM, ESW sampling, the
+// bypass buffer and cache models). Like Run, it lowers the SWSM program
+// on first use.
+func (s *Suite) LowerBound(kind Kind, p Params) (int64, error) {
+	if kind == DM {
+		return 0, nil // two units: no bound, so nothing to lower
+	}
+	prog, err := s.Program(kind)
+	if err != nil {
+		return 0, err
+	}
+	cfg, err := p.Config(kind)
+	if err != nil {
+		return 0, err
+	}
+	return prog.LowerBound(cfg), nil
+}
+
 // Config materializes the engine configuration p implies for a machine
 // kind — exactly what Run hands the engine. Only the cores differ by
 // kind: the DM's AU and DU, or the SWSM's single window. Exported for

@@ -94,6 +94,10 @@ func (m *Outstanding) grow(head int) int {
 // Reset implements engine.MemModel.
 func (m *Outstanding) Reset() { m.head = 0; m.n = 0 }
 
+// MinFill implements engine.DelayMem: a queued fill only starts later,
+// so no fill arrives sooner than MD after its send.
+func (m *Outstanding) MinFill() int64 { return m.MD }
+
 // AppendState implements engine.ShiftableMem: the fills in flight, oldest
 // first, as completion times relative to now. Every later request is
 // sent after now, so it first retires the fills at the head of the queue

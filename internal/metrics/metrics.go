@@ -162,10 +162,14 @@ type curve struct {
 	known []probe // ascending window; no window is read twice
 }
 
-// probe is one SWSM time a curve has read.
+// probe is one SWSM time a curve has read: exact, or, with bound set,
+// a certified lower bound that proved a miss without simulating
+// (sweep.Runner.Probe). A bound decides every target below it; a later
+// target at or above it simulates the probe (curve.settle).
 type probe struct {
 	window int
 	cycles int64
+	bound  bool
 }
 
 // searchAll answers every target of the curve: the smallest window
@@ -200,7 +204,13 @@ func (c *curve) searchAll(hints []int, targets []int64) (windows []int, oks []bo
 // rung) and that hit. k-section waves then close the bracket.
 func (c *curve) search(hint int, target int64) (window int, ok bool, err error) {
 	lo, hi := 0, 0
-	for _, k := range c.known {
+	for i := range c.known {
+		k := &c.known[i]
+		if k.bound && k.cycles <= target {
+			if err := c.settle(k, target); err != nil {
+				return 0, false, err
+			}
+		}
 		if k.cycles <= target {
 			hi = k.window
 			break
@@ -255,23 +265,42 @@ func (c *curve) search(hint int, target int64) (window int, ok bool, err error) 
 	return hi, true, nil
 }
 
+// point returns the SWSM point at window w.
+func (c *curve) point(w int) sweep.Point {
+	q := c.p
+	q.Window = w
+	return sweep.Point{Kind: machine.SWSM, P: q}
+}
+
+// settle replaces a known bound that cannot decide target with the
+// probe's exact time: the bound is at or below target, so the Runner
+// simulates it.
+func (c *curve) settle(k *probe, target int64) error {
+	res, _, err := c.r.Probe(c.point(k.window), target)
+	if err != nil {
+		return err
+	}
+	*k = probe{window: k.window, cycles: res.Cycles}
+	return nil
+}
+
 // wave evaluates the SWSM at the windows of one wave and returns the
 // index of the first meeting the target, or -1 when none does. The
 // wave's evaluated prefix, up to and including that first hit, joins
 // the curve's known probes.
 //
-// Locally a wave is probed in order, one point at a time through the
-// Runner, and stops at its first hit. With a RemoteBatch hook the whole
-// wave travels as one round trip (DESIGN.md §11), but the probes past
-// the first hit are not recorded: a curve's known probes, and with them
-// every later bracket, are the same on a laptop, a CI runner and a
-// sweepd fleet (TestCurveLocalMatchesRemoteBatch).
+// Locally a wave is probed in order, one point at a time through
+// Runner.Probe, and stops at its first hit; a probe whose certified
+// lower bound exceeds the target is a miss that is not simulated, and
+// joins the known probes carrying its bound. With a RemoteBatch hook
+// the whole wave travels as one round trip (DESIGN.md §11), but the
+// probes past the first hit are not recorded: a curve's known probes,
+// and with them every later bracket, are the same on a laptop, a CI
+// runner and a sweepd fleet (TestCurveLocalMatchesRemoteBatch).
 func (c *curve) wave(ws []int, target int64) (first int, err error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
-		q := c.p
-		q.Window = w
-		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
+		pts[i] = c.point(w)
 	}
 	var batch []*engine.Result
 	if c.r.RemoteBatch != nil {
@@ -280,15 +309,23 @@ func (c *curve) wave(ws []int, target int64) (first int, err error) {
 		}
 	}
 	for i, pt := range pts {
-		var res *engine.Result
+		k := probe{window: ws[i]}
 		if batch != nil {
-			res = batch[i]
-		} else if res, err = c.r.Run(pt); err != nil {
-			return 0, err
+			k.cycles = batch[i].Cycles
+		} else {
+			res, lb, err := c.r.Probe(pt, target)
+			if err != nil {
+				return 0, err
+			}
+			if res == nil {
+				k.cycles, k.bound = lb, true
+			} else {
+				k.cycles = res.Cycles
+			}
 		}
 		at, _ := slices.BinarySearchFunc(c.known, ws[i], func(k probe, w int) int { return k.window - w })
-		c.known = slices.Insert(c.known, at, probe{ws[i], res.Cycles})
-		if res.Cycles <= target {
+		c.known = slices.Insert(c.known, at, k)
+		if !k.bound && k.cycles <= target {
 			return i, nil
 		}
 	}
@@ -300,7 +337,8 @@ func (c *curve) wave(ws []int, target int64) (first int, err error) {
 // and ok=false if no such window exists in the sweep. This locates the
 // paper's MD=0 cutoff points. Both machines run through the Runner, so
 // a crossover scan over windows another sweep already visited costs
-// nothing.
+// nothing; the SWSM is a Runner.Probe against the DM's time, so a
+// window its certified lower bound rules out is not simulated.
 func Crossover(r *sweep.Runner, p machine.Params, windows []int) (window int, ok bool, err error) {
 	for _, w := range windows {
 		q := p
@@ -309,11 +347,11 @@ func Crossover(r *sweep.Runner, p machine.Params, windows []int) (window int, ok
 		if err != nil {
 			return 0, false, err
 		}
-		sw, err := r.Run(sweep.Point{Kind: machine.SWSM, P: q})
+		sw, _, err := r.Probe(sweep.Point{Kind: machine.SWSM, P: q}, dm.Cycles)
 		if err != nil {
 			return 0, false, err
 		}
-		if sw.Cycles <= dm.Cycles {
+		if sw != nil && sw.Cycles <= dm.Cycles {
 			return w, true, nil
 		}
 	}

@@ -249,13 +249,16 @@ func ratioTargets(t *testing.T, s *machine.Suite, p machine.Params, windows []in
 var figureWindows = []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
 // TestCurveLocalMatchesRemoteBatch: a whole curve searched locally and
-// through a RemoteBatch runner gives identical answers and reads an
-// identical known set. A batched wave returns every probe, but the
-// curve records only the prefix a local search reads, so later targets'
-// brackets — and their answers — cannot depend on where probes ran.
+// through a RemoteBatch runner gives identical answers and reads the
+// same known windows, each with the same outcome against every target.
+// A batched wave returns every probe, but the curve records only the
+// prefix a local search reads, so later targets' brackets — and their
+// answers — cannot depend on where probes ran. A local probe its
+// certified bound proved a miss carries the bound, a batched one its
+// Cycles.
 func TestCurveLocalMatchesRemoteBatch(t *testing.T) {
 	s := smallSuite(t)
-	var batchedSims, known int64
+	var batchedSims, known, pruned int64
 	for _, md := range []int{0, 20, 40, 60} {
 		p := machine.Params{MD: md}
 		targets := ratioTargets(t, s, p, figureWindows)
@@ -274,19 +277,56 @@ func TestCurveLocalMatchesRemoteBatch(t *testing.T) {
 		if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotOK, wantOK) {
 			t.Errorf("md=%d: batched curve answers %v %v, local %v %v", md, gotW, gotOK, wantW, wantOK)
 		}
-		if !reflect.DeepEqual(batched.known, local.known) {
+		if !sameOutcomes(batched.known, local.known, targets) {
 			t.Errorf("md=%d: batched curve read %v, local %v", md, batched.known, local.known)
 		}
-		if st := batched.r.Stats(); st.Sims != 0 {
-			t.Errorf("md=%d: batched curve simulated %d probes locally", md, st.Sims)
+		if st := batched.r.Stats(); st.Sims != 0 || st.Pruned != 0 {
+			t.Errorf("md=%d: batched curve simulated %d probes and pruned %d locally", md, st.Sims, st.Pruned)
 		}
 		batchedSims += exec.Stats().Sims
 		known += int64(len(local.known))
+		pruned += local.r.Stats().Pruned
 	}
-	// The check bites only if some batched wave ran past its first hit.
+	// The check bites only if some batched wave ran past its first hit,
+	// and some local probe was a certified miss.
 	if batchedSims <= known {
 		t.Errorf("batched waves simulated %d probes for %d known: no wave ran past its first hit", batchedSims, known)
 	}
+	if pruned == 0 {
+		t.Error("no local probe was a certified miss")
+	}
+}
+
+// sameOutcomes reports whether a batched curve's known probes, all
+// exact, and a local curve's, some of them certified bounds, cover the
+// same windows with the same outcome against every target: an exact
+// local probe has the batched time, and a bound is never above it, so
+// every target below the bound is a miss both ways.
+func sameOutcomes(batched, local []probe, targets []int64) bool {
+	if len(batched) != len(local) {
+		return false
+	}
+	for i, b := range batched {
+		l := local[i]
+		if b.window != l.window || b.bound {
+			return false
+		}
+		if !l.bound {
+			if l.cycles != b.cycles {
+				return false
+			}
+			continue
+		}
+		for _, target := range targets {
+			if l.cycles > target && b.cycles <= target {
+				return false
+			}
+		}
+		if l.cycles > b.cycles {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCurveOrderInvariance: a curve's answers and its probe path do not

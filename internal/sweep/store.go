@@ -69,6 +69,7 @@ type Store struct {
 	Faults BlobFaults
 
 	hits, misses, writes, corrupt, writeErrs, gcEvictions, quarantines atomic.Int64
+	boundHits, boundWrites                                             atomic.Int64
 
 	qmu         sync.Mutex
 	corruptSeen map[string]int  //daelint:guardedby qmu
@@ -97,7 +98,7 @@ type BlobFaults interface {
 
 // StoreStats is a snapshot of a Store's traffic counters.
 type StoreStats struct {
-	// Hits and Misses count Get outcomes. Corrupt counts damaged
+	// Hits and Misses count Get and GetProbe outcomes. Corrupt counts damaged
 	// records: the misses they cause (they leave the index on sight),
 	// plus complete lines too damaged to name a key, counted once per
 	// handle when a scan meets them.
@@ -114,7 +115,23 @@ type StoreStats struct {
 	// breaking the heal/re-corrupt loop a persistently bad record would
 	// otherwise cause.
 	CorruptQuarantined int64
+	// BoundHits and BoundWrites count the bound record class
+	// (GetProbe, PutBound): certified lower bounds read back and
+	// installed. They never count under Hits or Writes, which stay the
+	// result records' counters.
+	BoundHits, BoundWrites int64
 }
+
+// boundRecord is the payload of a bound record: a certified lower bound
+// on a point's Cycles (engine.Sim.LowerBound) that proved a search probe
+// misses its target.
+type boundRecord struct {
+	LowerBound int64 `json:"lower_bound"`
+}
+
+// boundKey is the store key of the bound record for the point whose
+// result record has key: its own class, never a result key.
+func boundKey(key string) string { return key + " class=bound" }
 
 // entryFile is the record format, one per line. Key catches cross-key
 // collisions and makes records self-describing; Sum is the SHA-256 of
@@ -594,58 +611,94 @@ func (s *Store) evidencePath(key string) string {
 // records the access time in memory, the recency GC's LRU eviction
 // orders by.
 func (s *Store) Get(key string) (*engine.Result, bool) {
-	if s.isQuarantined(key) {
+	var res engine.Result
+	if _, e, data, err := s.lookup(key); !s.decode(key, e, data, err, &res) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	e, data, err := s.lookup(key)
-	if e == nil {
-		s.misses.Add(1)
-		return nil, false
+	s.hits.Add(1)
+	return &res, true
+}
+
+// GetProbe is Get for a search probe (Runner.Probe): it returns key's
+// result, or else the certified lower bound PutBound installed for the
+// same point, or ok=false when the store holds neither. A bound read
+// counts under BoundHits, never Hits; only a probe that finds neither
+// counts a miss.
+func (s *Store) GetProbe(key string) (res *engine.Result, lb int64, ok bool) {
+	bkey := boundKey(key)
+	// One lookup for both classes: a point only ever certified has no
+	// result record, and its miss must not cost an index top-up.
+	var r engine.Result
+	var b boundRecord
+	switch i, e, data, err := s.lookup(key, bkey); {
+	case i == 0 && s.decode(key, e, data, err, &r):
+		s.hits.Add(1)
+		return &r, 0, true
+	case i == 1 && s.decode(bkey, e, data, err, &b) && b.LowerBound > 0:
+		s.boundHits.Add(1)
+		return nil, b.LowerBound, true
+	}
+	s.misses.Add(1)
+	return nil, 0, false
+}
+
+// decode checks the record e that lookup read for key (data, or the
+// read error err) and decodes its payload into v. A missing record, a
+// quarantined key and a damaged record, which is dropped from the index,
+// read as absent. A hit records the access time in memory.
+func (s *Store) decode(key string, e *record, data []byte, err error, v any) bool {
+	if e == nil || s.isQuarantined(key) {
+		return false
 	}
 	if err != nil {
-		return nil, s.evictCorrupt(key, e, data)
+		return s.evictCorrupt(key, e, data)
 	}
 	if s.Faults != nil {
 		data = s.Faults.OnRead(key, data)
 	}
-	// Decoding the result checks that it is JSON, which makes the fast
+	// Decoding the payload checks that it is JSON, which makes the fast
 	// path's verdict the full parse's.
 	ent, ok := canonicalRecord(key, data)
 	if !ok {
 		ent, ok = parseRecord(key, data)
 	}
-	var res engine.Result
-	if !ok || json.Unmarshal(ent.Result, &res) != nil {
-		return nil, s.evictCorrupt(key, e, data)
+	if !ok || json.Unmarshal(ent.Result, v) != nil {
+		return s.evictCorrupt(key, e, data)
 	}
-	s.hits.Add(1)
 	e.atime.Store(time.Now().UnixNano()) //daelint:nondeterministic-ok access time feeds LRU eviction only, never a Result
-	return &res, true
+	return true
 }
 
-// lookup finds key's latest record and reads it, topping the index up
-// from new and grown segments on a miss. e is nil when no segment holds
-// the key.
-func (s *Store) lookup(key string) (e *record, data []byte, err error) {
+// lookup finds the latest record of the first of keys a segment holds
+// and reads it, topping the index up from new and grown segments only
+// when it holds none of them. i is that key's index; e is nil and i -1
+// when no segment holds any.
+func (s *Store) lookup(keys ...string) (i int, e *record, data []byte, err error) {
 	s.mu.RLock()
-	if e = s.idx.m[key]; e != nil {
-		data, err = e.read()
-	}
+	i, e, data, err = s.idx.read(keys)
 	s.mu.RUnlock()
 	if e != nil {
-		return e, data, err
+		return i, e, data, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx.topUp() // best effort: an unreadable directory is a miss
-	if e = s.idx.m[key]; e != nil {
-		data, err = e.read()
-	}
-	return e, data, err
+	return s.idx.read(keys)
 }
 
-// evictCorrupt handles a damaged record and reports the miss. The first
+// read reads the record of the first of keys the index holds.
+func (x *index) read(keys []string) (i int, e *record, data []byte, err error) {
+	for i, key := range keys {
+		if e = x.m[key]; e != nil {
+			data, err = e.read()
+			return i, e, data, err
+		}
+	}
+	return -1, nil, nil, nil
+}
+
+// evictCorrupt handles a damaged record and reports it absent. The first
 // corrupt read of a key drops it from the index so the point
 // re-simulates and heals; a second corrupt read of the same key
 // quarantines it instead (damaged bytes kept as evidence, key dropped
@@ -658,7 +711,6 @@ func (s *Store) lookup(key string) (e *record, data []byte, err error) {
 // next Put starts a new one.
 func (s *Store) evictCorrupt(key string, e *record, data []byte) bool {
 	s.corrupt.Add(1)
-	s.misses.Add(1)
 	s.wmu.Lock()
 	s.mu.Lock()
 	s.idx.drop(key, e)
@@ -702,10 +754,22 @@ func (s *Store) isQuarantined(key string) bool {
 // segment on the handle's first Put. Best effort: a failed append is
 // counted and the run proceeds uncached.
 func (s *Store) Put(key string, res *engine.Result) {
+	s.put(key, res, &s.writes)
+}
+
+// PutBound installs a certified lower bound for the point whose result
+// record has key, as a record of the bound class (see GetProbe); it
+// counts under BoundWrites.
+func (s *Store) PutBound(key string, lb int64) {
+	s.put(boundKey(key), boundRecord{LowerBound: lb}, &s.boundWrites)
+}
+
+// put appends v's record under key and counts it in writes.
+func (s *Store) put(key string, v any, writes *atomic.Int64) {
 	if s.isQuarantined(key) {
 		return
 	}
-	body, err := json.Marshal(res)
+	body, err := json.Marshal(v)
 	if err != nil {
 		s.writeErrs.Add(1)
 		return
@@ -756,7 +820,7 @@ func (s *Store) Put(key string, res *engine.Result) {
 	s.mu.Lock()
 	s.idx.put(key, w, off, len(data), now)
 	s.mu.Unlock()
-	s.writes.Add(1)
+	writes.Add(1)
 }
 
 // seal ends a handle's appends to w, its own segment: w becomes an
@@ -833,5 +897,7 @@ func (s *Store) Stats() StoreStats {
 		WriteErrors:        s.writeErrs.Load(),
 		GCEvictions:        s.gcEvictions.Load(),
 		CorruptQuarantined: s.quarantines.Load(),
+		BoundHits:          s.boundHits.Load(),
+		BoundWrites:        s.boundWrites.Load(),
 	}
 }

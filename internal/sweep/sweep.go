@@ -24,6 +24,12 @@ import (
 // the point loudly.
 var ErrUnavailable = errors.New("sweep: remote unavailable")
 
+// ErrBoundViolated marks a simulated point whose Cycles came out below
+// the certified lower bound the runner held for it (Runner.Probe): the
+// bound or the engine is wrong, and every search it pruned is suspect.
+// The run fails loudly instead of going on silently wrong.
+var ErrBoundViolated = errors.New("sweep: lower bound above simulated cycles")
+
 // Point identifies one simulation: a machine kind plus parameters. It
 // is also the wire form of a sweepd run item's point.
 type Point struct {
@@ -72,6 +78,16 @@ type CacheStats struct {
 	// cache. Counted separately from Sims so "warm remote runs simulate
 	// nothing" assertions stay meaningful.
 	Degraded int64
+	// Pruned are search probes (Runner.Probe) answered by a certified
+	// lower bound above their target instead of a simulation: a proved
+	// miss. They are not points served and do not enter HitRate; the
+	// bound came from the L1, the store (StoreStats.BoundHits) or was
+	// computed (Bounds).
+	Pruned int64
+	// Bounds are certified lower bounds computed (engine.Sim.LowerBound;
+	// the first lowers the program): one per point a probe found in no
+	// layer.
+	Bounds int64
 	// Uncacheable is always 0: every point is cacheable since memory
 	// models became values (machine.Params.Mem). perfbench still reads
 	// the field; the benchmark's next revision (ROADMAP item 2) deletes
@@ -87,6 +103,8 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.RemoteSearches += other.RemoteSearches
 	s.Sims += other.Sims
 	s.Degraded += other.Degraded
+	s.Pruned += other.Pruned
+	s.Bounds += other.Bounds
 }
 
 // HitRate returns the fraction of points served without
@@ -137,14 +155,26 @@ type Runner struct {
 
 	mu     sync.Mutex
 	cache  map[key]*entry //daelint:guardedby mu
+	bounds map[key]*bound //daelint:guardedby mu
 	prefix string         //daelint:guardedby mu -- engine version + suite fingerprint, built lazily
 
-	l1Hits, storeHits, remoteHits, sims, degraded atomic.Int64
+	l1Hits, storeHits, remoteHits, sims, degraded, pruned, lbs atomic.Int64
+}
+
+// bound is one point's L1 lower-bound slot, single-flight like entry:
+// the first probe to reach a point with no exact result reads or
+// computes its bound; later probes wait on ready. lb stays 0 while the
+// slot fills, and when the point has no bound or its exact result is in
+// the L1.
+type bound struct {
+	ready chan struct{}
+	lb    atomic.Int64
+	err   error
 }
 
 // NewRunner returns a Runner for the suite.
 func NewRunner(s *machine.Suite) *Runner {
-	return &Runner{Suite: s, cache: make(map[key]*entry)}
+	return &Runner{Suite: s, cache: make(map[key]*entry), bounds: make(map[key]*bound)}
 }
 
 // Run executes one point. It is RunAll of one point, run inline on the
@@ -158,6 +188,121 @@ func (r *Runner) Run(pt Point) (*engine.Result, error) {
 		return nil, err
 	}
 	return out[0], nil
+}
+
+// keyOf returns pt's L1 key. It canonicalizes the retirement policy
+// (RetireAuto resolves to a concrete policy, exactly as the engine and
+// the store key see it), so an explicit-policy point and its equivalent
+// auto-policy point share one entry instead of simulating twice.
+func keyOf(pt Point) key {
+	kp := pt.P
+	kp.Retire = machine.ResolveRetire(kp.Retire)
+	return key{kind: pt.Kind, p: kp}
+}
+
+// Probe runs pt for a caller that only asks whether its Cycles meet
+// target: it returns pt's exact Result, or a nil Result and a certified
+// lower bound above target, a miss proved without simulating. It looks,
+// in order, for the L1's exact result, a bound the L1 holds, the store's
+// exact record and its bound record; failing all four it computes the
+// bound (machine.Suite.LowerBound). A bound above target is the answer,
+// installed in the store when it was computed; otherwise Probe is Run,
+// and the simulation must not come out below the bound (fillMiss). The
+// returned Result is a private copy, as Run's.
+//
+// A runner with a Remote or RemoteBatch hook never prunes: its client
+// lowers no program, so every probe is a Run.
+//
+//daelint:ctx-root like RunAll: local simulation and bound computation are not cancellable mid-run
+func (r *Runner) Probe(pt Point, target int64) (*engine.Result, int64, error) {
+	if r.Remote != nil || r.RemoteBatch != nil || pt.Kind != machine.SWSM {
+		res, err := r.Run(pt)
+		return res, 0, err
+	}
+	k := keyOf(pt)
+	r.mu.Lock()
+	_, exact := r.cache[k]
+	b := r.bounds[k]
+	own := !exact && b == nil
+	if own {
+		b = &bound{ready: make(chan struct{})}
+		r.bounds[k] = b
+	}
+	r.mu.Unlock()
+	if !exact {
+		if own {
+			r.fillBound(pt, k, b, target)
+		}
+		<-b.ready
+		if b.err != nil {
+			return nil, 0, b.err
+		}
+		if lb := b.lb.Load(); lb > target {
+			r.pruned.Add(1)
+			return nil, lb, nil
+		}
+	}
+	res, err := r.Run(pt)
+	return res, 0, err
+}
+
+// fillBound settles a claimed bound slot: from the store's exact record
+// (adopted into the L1, and the slot left at 0), the store's bound
+// record, or the bound computed, which the store keeps when it proves a
+// miss of target. A failed computation drops the slot so later probes
+// retry.
+func (r *Runner) fillBound(pt Point, k key, b *bound, target int64) {
+	defer close(b.ready)
+	var skey string
+	if r.Store != nil {
+		skey = r.storeKey(pt)
+		if res, lb, hit := r.Store.GetProbe(skey); hit {
+			if res != nil {
+				r.adopt(k, res)
+			}
+			b.lb.Store(lb)
+			return
+		}
+	}
+	lb, err := r.Suite.LowerBound(pt.Kind, pt.P)
+	if err != nil {
+		b.err = err
+		r.mu.Lock()
+		delete(r.bounds, k)
+		r.mu.Unlock()
+		return
+	}
+	r.lbs.Add(1)
+	b.lb.Store(lb)
+	if lb > target && r.Store != nil {
+		r.Store.PutBound(skey, lb)
+	}
+}
+
+// adopt installs a store hit into the L1 as a settled entry, unless the
+// point already has one (another caller claimed it meanwhile and reads
+// or fills it itself).
+func (r *Runner) adopt(k key, res *engine.Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.cache[k]; ok {
+		return
+	}
+	e := &entry{ready: make(chan struct{}), res: res}
+	close(e.ready)
+	r.cache[k] = e
+	r.storeHits.Add(1)
+}
+
+// heldBound returns the lower bound the L1 holds for pt, 0 if none.
+func (r *Runner) heldBound(pt Point) int64 {
+	r.mu.Lock()
+	b := r.bounds[keyOf(pt)]
+	r.mu.Unlock()
+	if b == nil {
+		return 0
+	}
+	return b.lb.Load()
 }
 
 // storeKey returns the persistent key for a point: the engine version
@@ -205,6 +350,9 @@ func (r *Runner) fillMiss(pt Point) (*engine.Result, error) {
 			return nil, err
 		}
 		r.sims.Add(1)
+		if lb := r.heldBound(pt); lb > res.Cycles {
+			return nil, fmt.Errorf("%w: %s: bound %d, %d cycles", ErrBoundViolated, string(pt.P.AppendCacheKey(nil, pt.Kind)), lb, res.Cycles)
+		}
 	}
 	r.install(pt, res)
 	return res, nil
@@ -225,6 +373,8 @@ func (r *Runner) Stats() CacheStats {
 		RemoteHits: r.remoteHits.Load(),
 		Sims:       r.sims.Load(),
 		Degraded:   r.degraded.Load(),
+		Pruned:     r.pruned.Load(),
+		Bounds:     r.lbs.Load(),
 	}
 }
 
@@ -245,14 +395,7 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	var owned, waiters []claim
 	r.mu.Lock()
 	for i, pt := range pts {
-		// The key canonicalizes the retirement policy (RetireAuto
-		// resolves to a concrete policy, exactly as the engine and the
-		// store key see it), so an explicit-policy point and its
-		// equivalent auto-policy point share one entry instead of
-		// simulating twice.
-		kp := pt.P
-		kp.Retire = machine.ResolveRetire(kp.Retire)
-		k := key{kind: pt.Kind, p: kp}
+		k := keyOf(pt)
 		if e, ok := r.cache[k]; ok {
 			waiters = append(waiters, claim{i, e, k})
 			continue

@@ -44,8 +44,9 @@ func FuzzSpecParse(f *testing.F) {
 // verifier: every exec builds a random valid spec, lowers it for both
 // machines, and runs a random configuration through the
 // structure-of-arrays engine and the retained seed oracle
-// (engine.ReferenceRun). Results must be bit-identical, and two
-// machine-level invariants must hold — cycles are monotone
+// (engine.ReferenceRun). Results must be bit-identical, the certified
+// lower bound (engine.Program.LowerBound) must not exceed the cycles,
+// and two machine-level invariants must hold — cycles are monotone
 // non-decreasing as the window shrinks (asserted at unlimited issue
 // width, where the Graham scheduling anomaly cannot bite), and the DM
 // never beats the ideal-trace dataflow bound. CI runs this for at
@@ -89,6 +90,11 @@ func FuzzWorkgenDifferential(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("spec %q %v window=%d md=%d: engine diverges from reference:\n engine:    %+v\n reference: %+v",
 					spec.Format(), kind, window, md, got, want)
+			}
+			// The certified lower bound a search prunes by never
+			// exceeds the simulated time.
+			if lb := prog.LowerBound(cfg); lb > got.Cycles {
+				t.Errorf("spec %q %v window=%d md=%d: lower bound %d above %d cycles", spec.Format(), kind, window, md, lb, got.Cycles)
 			}
 		}
 
