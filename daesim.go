@@ -214,12 +214,13 @@ type (
 	// with probe-on-recovery, penalty-free rerouting off draining
 	// replicas, and partial-batch returns that let a Degrade-enabled
 	// Runner simulate unserved points locally. Every method takes a
-	// context.Context that cancels the requests in flight. Bind
-	// DaemonFleet.RunBatch and RatioBatch to a context and attach them
-	// to Experiments.RemoteBatch/RemoteSearch to shard a sweep across
-	// the fleet with batched round trips (a single point travels as a
+	// context.Context that cancels the requests in flight. It routes
+	// through Run (one point), RunBatch and RatioBatch: bind RunBatch
+	// and RatioBatch to a context and attach them to
+	// Experiments.RemoteBatch/RemoteSearch to shard a sweep across the
+	// fleet with batched round trips (a single point travels as a
 	// one-item batch) — repro -remote url1,url2,... is exactly that
-	// wiring. Clients() exposes the
+	// wiring. Health checks every replica, and Clients() exposes the
 	// per-replica transports for cache statistics and store GC. See
 	// DESIGN.md §10, §11 and §13.
 	DaemonFleet = daemon.FleetClient

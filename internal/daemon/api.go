@@ -123,35 +123,39 @@ const MaxScale = 8
 // body size limit alone would still admit millions of tiny items).
 const MaxBatchItems = 4096
 
+// BatchRequest is the body of both batch endpoints: up to
+// MaxBatchItems items answered in one round trip.
+type BatchRequest[I any] struct {
+	Items []I `json:"items"`
+}
+
+// BatchResponse is a batch endpoint's reply; Results[i] answers
+// Items[i].
+type BatchResponse[R any] struct {
+	Results []R `json:"results"`
+}
+
 // BatchRunRequest is the POST /v1/batch/run body: up to MaxBatchItems
 // independent run requests answered in one round trip. Items carry
 // their own targets, so one request may span workloads and scales —
 // a fleet replica receives whatever slice of a cross-workload sweep
 // (Table1's global point list, a search's probe wave) the ring routed
 // to it, batched by the client into a single round trip.
-type BatchRunRequest struct {
-	Items []RunRequest `json:"items"`
-}
+type BatchRunRequest = BatchRequest[RunRequest]
 
 // BatchRunResponse is the POST /v1/batch/run reply; Results[i] answers
 // Items[i]. The batch is all-or-nothing: any invalid item fails the
 // whole request (400/409) before anything simulates.
-type BatchRunResponse struct {
-	Results []*engine.Result `json:"results"`
-}
+type BatchRunResponse = BatchResponse[*engine.Result]
 
 // BatchSearchRequest is the POST /v1/batch/search body: up to
 // MaxBatchItems searches executed server-side, fanned across the
 // daemon's pool, answered in one round trip.
-type BatchSearchRequest struct {
-	Items []SearchRequest `json:"items"`
-}
+type BatchSearchRequest = BatchRequest[SearchRequest]
 
 // BatchSearchResponse is the POST /v1/batch/search reply; Results[i]
 // answers Items[i].
-type BatchSearchResponse struct {
-	Results []SearchResponse `json:"results"`
-}
+type BatchSearchResponse = BatchResponse[SearchResponse]
 
 // GCRequest is the POST /v1/cache/gc body; zero fields are unbounded,
 // matching sweep.GCPolicy. MaxAge uses time.Duration syntax ("24h").

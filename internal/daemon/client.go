@@ -42,39 +42,29 @@ func (c *Client) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-// post sends req to path and decodes the 200 body into resp; non-2xx
-// replies become errors carrying the daemon's message. ctx cancels the
-// request in flight (nil is tolerated for robustness and means
-// background).
-func (c *Client) post(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("daemon client: encoding %s request: %w", path, err)
+// call makes one round trip: method to path, with req JSON-encoded as
+// the body unless it is nil, and decodes the 200 reply into resp;
+// non-2xx replies become errors carrying the daemon's message. ctx
+// cancels the request in flight (nil is tolerated for robustness and
+// means background).
+func (c *Client) call(ctx context.Context, method, path string, req, resp any) error {
+	var body io.Reader
+	if req != nil {
+		b, err := json.Marshal(req)
+		if err != nil {
+			return fmt.Errorf("daemon client: encoding %s request: %w", path, err)
+		}
+		body = bytes.NewReader(b)
 	}
 	if ctx == nil {
 		ctx = context.Background() //daelint:ctxflow-ok nil ctx is documented to mean background
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return fmt.Errorf("daemon client: %s: %w", path, err)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	r, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return fmt.Errorf("daemon client: %s: %w", path, err)
-	}
-	defer r.Body.Close()
-	return c.decodeReply(path, r, resp)
-}
-
-// get fetches path and decodes the 200 body into resp.
-func (c *Client) get(ctx context.Context, path string, resp any) error {
-	if ctx == nil {
-		ctx = context.Background() //daelint:ctxflow-ok nil ctx is documented to mean background
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return fmt.Errorf("daemon client: %s: %w", path, err)
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
 	}
 	r, err := c.httpClient().Do(hreq)
 	if err != nil {
@@ -127,65 +117,56 @@ func (c *Client) decodeReply(path string, r *http.Response, resp any) error {
 	return nil
 }
 
-// BatchRun executes run requests — each carrying its own target — in
+// batch sends items to the batch endpoint at path in
 // MaxBatchItems-sized round trips (one for any realistically sized
 // batch; the server 400s oversized requests with a non-retryable
 // refusal, so the split must happen here, where sweeps of any size
-// funnel through). Results[i] answers items[i].
-func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Result, error) {
-	out := make([]*engine.Result, 0, len(items))
+// funnel through). out[i] answers items[i]; a reply with a result count
+// other than its chunk's is ErrMalformedReply.
+func batch[I, R any](ctx context.Context, c *Client, path string, items []I) ([]R, error) {
+	out := make([]R, 0, len(items))
 	for start := 0; start < len(items); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(items) {
-			end = len(items)
-		}
-		chunk := items[start:end]
-		var resp BatchRunResponse
-		if err := c.post(ctx, "/v1/batch/run", BatchRunRequest{Items: chunk}, &resp); err != nil {
+		chunk := items[start:min(start+MaxBatchItems, len(items))]
+		var resp BatchResponse[R]
+		if err := c.call(ctx, http.MethodPost, path, BatchRequest[I]{Items: chunk}, &resp); err != nil {
 			return nil, err
 		}
 		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("daemon client: /v1/batch/run returned %d results for %d items: %w", len(resp.Results), len(chunk), ErrMalformedReply)
-		}
-		for i, r := range resp.Results {
-			if r == nil {
-				// A null element would otherwise settle into the caller's L1
-				// and store as a poisoned entry and crash the first reader.
-				return nil, fmt.Errorf("daemon client: /v1/batch/run returned a null result for item %d: %w", start+i, ErrMalformedReply)
-			}
+			return nil, fmt.Errorf("daemon client: %s returned %d results for %d items: %w", path, len(resp.Results), len(chunk), ErrMalformedReply)
 		}
 		out = append(out, resp.Results...)
 	}
 	return out, nil
 }
 
-// BatchSearch executes searches server-side in MaxBatchItems-sized
-// round trips; Results[i] answers items[i]. Each item's Target must be
-// set by the caller (FleetClient.BatchSearch pins them).
-func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
-	out := make([]SearchResponse, 0, len(items))
-	for start := 0; start < len(items); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(items) {
-			end = len(items)
+// BatchRun executes run requests, each carrying its own target, on
+// /v1/batch/run; Results[i] answers items[i].
+func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Result, error) {
+	out, err := batch[RunRequest, *engine.Result](ctx, c, "/v1/batch/run", items)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range out {
+		if r == nil {
+			// A null element would otherwise settle into the caller's L1
+			// and store as a poisoned entry and crash the first reader.
+			return nil, fmt.Errorf("daemon client: /v1/batch/run returned a null result for item %d: %w", i, ErrMalformedReply)
 		}
-		chunk := items[start:end]
-		var resp BatchSearchResponse
-		if err := c.post(ctx, "/v1/batch/search", BatchSearchRequest{Items: chunk}, &resp); err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("daemon client: /v1/batch/search returned %d results for %d items: %w", len(resp.Results), len(chunk), ErrMalformedReply)
-		}
-		out = append(out, resp.Results...)
 	}
 	return out, nil
+}
+
+// BatchSearch executes searches server-side on /v1/batch/search;
+// Results[i] answers items[i]. Each item's Target must be set by the
+// caller (FleetClient.RatioBatch pins them).
+func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
+	return batch[SearchRequest, SearchResponse](ctx, c, "/v1/batch/search", items)
 }
 
 // CacheStats fetches the daemon's cache counters.
 func (c *Client) CacheStats(ctx context.Context) (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.get(ctx, "/v1/cache/stats", &resp)
+	err := c.call(ctx, http.MethodGet, "/v1/cache/stats", nil, &resp)
 	return resp, err
 }
 
@@ -196,6 +177,6 @@ func (c *Client) GC(ctx context.Context, pol sweep.GCPolicy) (sweep.GCResult, er
 		req.MaxAge = pol.MaxAge.String()
 	}
 	var resp sweep.GCResult
-	err := c.post(ctx, "/v1/cache/gc", req, &resp)
+	err := c.call(ctx, http.MethodPost, "/v1/cache/gc", req, &resp)
 	return resp, err
 }

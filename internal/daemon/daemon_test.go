@@ -262,7 +262,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	p := machine.Params{Window: 16, MD: 30}
-	resp, err := client.BatchSearch(context.Background(), testWorkload, 1, "", []SearchRequest{{Op: SearchRatio, Params: p}})
+	resp, err := client.RatioBatch(context.Background(), testWorkload, 1, "", []machine.Params{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestGCEndpoint(t *testing.T) {
 	// Negative bounds must be refused, not silently treated as
 	// unbounded (every other GC entry point rejects them too).
 	var gcres sweep.GCResult
-	if err := client.post(context.Background(), "/v1/cache/gc", map[string]any{"max_entries": -1}, &gcres); err == nil || !strings.Contains(err.Error(), "negative GC bound") {
+	if err := client.call(context.Background(), http.MethodPost, "/v1/cache/gc", map[string]any{"max_entries": -1}, &gcres); err == nil || !strings.Contains(err.Error(), "negative GC bound") {
 		t.Errorf("negative GC bound: %v", err)
 	}
 
@@ -395,9 +395,6 @@ func TestHealthz(t *testing.T) {
 	if err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.WaitHealthy(context.Background(), time.Second); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBadRequests(t *testing.T) {
@@ -406,7 +403,7 @@ func TestBadRequests(t *testing.T) {
 	client := fleet.Clients()[0]
 	post := func(path string, body any) error {
 		var resp json.RawMessage
-		return client.post(context.Background(), path, body, &resp)
+		return client.call(context.Background(), http.MethodPost, path, body, &resp)
 	}
 	run := func(item any) error { return post("/v1/batch/run", map[string]any{"items": []any{item}}) }
 	raw := func(item string) error { return run(json.RawMessage(item)) }
@@ -561,10 +558,11 @@ func TestBatchSearchEndpoint(t *testing.T) {
 // simulates exactly the probes the same curve simulates locally. Both
 // prune the probes a certified lower bound proves miss, so the local
 // curve runs on a runner of its own over a store, and a hooked runner,
-// which never prunes, lists every probe the curve reads. The points the
-// store then holds are the ones the local curve simulated: the daemon
-// must have simulated as many, and re-requesting them must cost it
-// nothing, while each probe the curve left as a bound costs it one.
+// which never prunes, lists every point of every wave the curve sends.
+// The points the store then holds are the ones the local curve
+// simulated: the daemon must have simulated as many, and re-requesting
+// them must cost it nothing, while each other point (a probe the curve
+// left as a bound, or one past a wave's first hit) costs it one.
 func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	t.Parallel()
 	srv, fleet := newTestServer(t, Config{})
@@ -572,11 +570,17 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	suite := mustSuite(t, testWorkload)
 	p := machine.Params{MD: 40}
 	reader := sweep.NewRunner(suite)
-	reader.Parallelism = 1 // the hook appends to read
 	var read []sweep.Point
-	reader.Remote = func(pt sweep.Point) (*engine.Result, error) {
-		read = append(read, pt)
-		return suite.Run(pt.Kind, pt.P)
+	reader.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
+		read = append(read, pts...)
+		out := make([]*engine.Result, len(pts))
+		for i, pt := range pts {
+			var err error
+			if out[i], err = suite.Run(pt.Kind, pt.P); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 	if _, err := metrics.RatioCurve(reader, p, windows); err != nil {
 		t.Fatal(err)
@@ -596,7 +600,7 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	// runner over the same store whose hook fails reads only its hits.
 	probe := sweep.NewRunner(suite)
 	probe.Store = store
-	probe.Remote = func(pt sweep.Point) (*engine.Result, error) { return nil, errors.New("not simulated") }
+	probe.RemoteBatch = func([]sweep.Point) ([]*engine.Result, error) { return nil, errors.New("not simulated") }
 	var simulated, bounded []sweep.Point
 	for _, pt := range read {
 		if _, err := probe.Run(pt); err == nil {
@@ -606,7 +610,7 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 		}
 	}
 	if st := local.Stats(); st.Sims != int64(len(simulated)) || st.Pruned == 0 {
-		t.Fatalf("the local curve simulated %d points and pruned %d; its store holds %d of the %d it read", st.Sims, st.Pruned, len(simulated), len(read))
+		t.Fatalf("the local curve simulated %d points and pruned %d; its store holds %d of the %d sent", st.Sims, st.Pruned, len(simulated), len(read))
 	}
 
 	params := make([]machine.Params, len(windows))
@@ -634,7 +638,7 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := srv.Stats().Runner.Sims; after != sims+int64(len(bounded)) {
-		t.Errorf("the local curve's %d certified probes cost the daemon %d simulations", len(bounded), after-sims)
+		t.Errorf("the %d points the local curve did not simulate cost the daemon %d simulations", len(bounded), after-sims)
 	}
 }
 
@@ -658,6 +662,17 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 			t.Errorf("request %d under concurrency limit: %v", i, err)
 		}
 	}
+}
+
+// deadFleet returns a one-replica fleet over an address nothing
+// listens on (port 1).
+func deadFleet(t *testing.T) *FleetClient {
+	t.Helper()
+	f, err := NewFleetClient([]string{"http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestRemoteContext is the repro -remote wiring end to end: an
@@ -695,8 +710,8 @@ func TestRemoteContext(t *testing.T) {
 	localRes := run(localCtx)
 
 	remoteCtx := experiments.NewContext()
-	remoteCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return client.Run(context.Background(), workload, scale, fingerprint, pt)
+	remoteCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return client.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
 	remoteRes := run(remoteCtx)
 
@@ -717,8 +732,8 @@ func TestRemoteContext(t *testing.T) {
 	// A dead daemon must fail the run loudly, not fall back to local.
 	deadCtx := experiments.NewContext()
 	dead := deadFleet(t)
-	deadCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return dead.Run(context.Background(), workload, scale, fingerprint, pt)
+	deadCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return dead.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
 	r, err := deadCtx.Runner(testWorkload)
 	if err != nil {

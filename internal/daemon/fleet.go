@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,12 +53,14 @@ import (
 //     Degrade-enabled sweep.Runner converts into last-resort local
 //     simulation.
 //
-// Run, RunBatch and RatioBatch have the hook shapes of
-// experiments.Context.Remote, RemoteBatch and RemoteSearch; attaching
-// RunBatch and RatioBatch is repro -remote host1,host2,... (DESIGN.md
-// §11), and single points then ride RunBatch as one-item batches. Every
-// call travels over the two batch endpoints, so a single daemon is just
-// a one-replica fleet. A FleetClient is safe for concurrent use.
+// It routes through exactly three calls: Run (one point), RunBatch and
+// RatioBatch. RunBatch and RatioBatch have the hook shapes of
+// experiments.Context.RemoteBatch and RemoteSearch; attaching them is
+// repro -remote host1,host2,... (DESIGN.md §11), and single points then
+// ride RunBatch as one-item batches. Every call travels over the two
+// batch endpoints, so a single daemon is just a one-replica fleet.
+// Health checks the fleet; per-replica cache statistics and store GC go
+// through Clients. A FleetClient is safe for concurrent use.
 type FleetClient struct {
 	clients []*Client
 	ring    *Ring
@@ -521,10 +524,8 @@ func (f *FleetClient) scatter(ctx context.Context, n int, keyOf func(int) string
 }
 
 // Run executes one point as a one-item RunBatch: the owner of its cache
-// key answers, with the scatter loop's failover. Bound to a workload it
-// matches experiments.Context.Remote. An unserved point is (nil, err)
-// with err wrapping sweep.ErrUnavailable, so a Degrade-enabled Runner
-// simulates it locally.
+// key answers, with the scatter loop's failover. An unserved point is
+// (nil, err) with err wrapping sweep.ErrUnavailable.
 func (f *FleetClient) Run(ctx context.Context, workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
 	res, err := f.RunBatch(ctx, workload, scale, fingerprint, []sweep.Point{pt})
 	if err != nil {
@@ -552,13 +553,26 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 		keys[i] = routeKey(workload, scale, fingerprint, pt)
 		items[i] = RunRequest{Target: target, Point: pt}
 	}
-	out := make([]*engine.Result, len(pts))
-	err := f.scatter(ctx, len(pts), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
-		sub := make([]RunRequest, len(idx))
+	out, err := scatterBatch(ctx, f, keys, items, (*Client).BatchRun)
+	if err != nil && !errors.Is(err, sweep.ErrUnavailable) {
+		return nil, err
+	}
+	return out, err // partial on ErrUnavailable: settled slots are valid
+}
+
+// scatterBatch sends items through the scatter loop, item i routed by
+// keys[i], each replica's group as one batch call send, and places every
+// reply slot at its item's index: out[i] answers items[i]. Items that
+// exhaust every candidate keep zero slots, and the error then wraps
+// sweep.ErrUnavailable.
+func scatterBatch[I, R any](ctx context.Context, f *FleetClient, keys []string, items []I, send func(*Client, context.Context, []I) ([]R, error)) ([]R, error) {
+	out := make([]R, len(items))
+	err := f.scatter(ctx, len(items), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
+		sub := make([]I, len(idx))
 		for j, i := range idx {
 			sub[j] = items[i]
 		}
-		res, err := f.clients[replica].BatchRun(ctx, sub)
+		res, err := send(f.clients[replica], ctx, sub)
 		if err != nil {
 			return err
 		}
@@ -567,13 +581,7 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 		}
 		return nil
 	})
-	if err != nil {
-		if errors.Is(err, sweep.ErrUnavailable) {
-			return out, err // partial: settled slots are valid
-		}
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // curveKey is the ring key for a server-side search: the canonical
@@ -590,59 +598,26 @@ func curveKey(workload string, scale int, req SearchRequest) string {
 	return engine.Version + "|" + workload + "|" + strconv.Itoa(scale) + "|search|" + string(b)
 }
 
-// BatchSearch executes server-side searches across the fleet: items
-// group by the replica owning their curve, one /v1/batch/search round
-// trip per group. Results[i] answers items[i]; each item's Target is
-// pinned to this build's engine version (and the suite fingerprint when
-// known) like RunBatch's. Unlike RunBatch there is no partial return —
-// a search with unavailable owners fails with sweep.ErrUnavailable and
-// the caller (experiments.RatioFigure with Degrade) falls back to the
-// local search path wholesale.
-func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale int, fingerprint string, reqs []SearchRequest) ([]SearchResponse, error) {
-	// Work on a copy: stamping targets must not scribble on the
-	// caller's slice.
-	items := append([]SearchRequest(nil), reqs...)
-	keys := make([]string, len(items))
-	for i := range items {
-		items[i].Target = Target{
-			Workload: workload, Scale: scale,
-			EngineVersion: engine.Version, Fingerprint: fingerprint,
-		}
-		keys[i] = curveKey(workload, scale, items[i])
-	}
-	out := make([]SearchResponse, len(items))
-	err := f.scatter(ctx, len(items), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
-		sub := make([]SearchRequest, len(idx))
-		for j, i := range idx {
-			sub[j] = items[i]
-		}
-		res, err := f.clients[replica].BatchSearch(ctx, sub)
-		if err != nil {
-			return err
-		}
-		for j, i := range idx {
-			out[i] = res[j]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RatioBatch executes one curve of equivalent-window ratio searches on
 // the replica owning it, with the experiments.Context.RemoteSearch
 // signature and the scatter loop's failover: Figures 7-9 cost one
 // request per curve instead of several per ratio point, with answers
 // identical to the local search (the probe path is a fixed function of
-// the curve; see metrics.RatioCurve).
+// the curve; see metrics.RatioCurve). Each item's Target is pinned to
+// this build's engine version (and the suite fingerprint when known)
+// like RunBatch's. Unlike RunBatch there is no partial return: a curve
+// with unavailable owners fails with sweep.ErrUnavailable and the
+// caller (experiments.RatioFigure with Degrade) falls back to the local
+// search path wholesale.
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
+	target := Target{Workload: workload, Scale: scale, EngineVersion: engine.Version, Fingerprint: fingerprint}
+	keys := make([]string, len(params))
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {
-		items[i] = SearchRequest{Op: SearchRatio, Params: p}
+		items[i] = SearchRequest{Target: target, Op: SearchRatio, Params: p}
+		keys[i] = curveKey(workload, scale, items[i])
 	}
-	resp, err := f.BatchSearch(ctx, workload, scale, fingerprint, items)
+	resp, err := scatterBatch(ctx, f, keys, items, (*Client).BatchSearch)
 	if err != nil {
 		return nil, err
 	}
@@ -663,7 +638,7 @@ func (f *FleetClient) Health(ctx context.Context) error {
 	ids := make(map[string]int)
 	for i, c := range f.clients {
 		var resp HealthResponse
-		if err := c.get(ctx, "/healthz", &resp); err != nil {
+		if err := c.call(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
 			return fmt.Errorf("daemon fleet: replica %d (%s): %w", i, c.BaseURL, err)
 		}
 		if resp.Status != "ok" {
@@ -709,41 +684,4 @@ func sameMembers(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// WaitHealthy polls until every replica passes Health or the deadline
-// (or ctx) expires — the startup handshake for scripts that just
-// launched a fleet. A nil ctx means background, as in Client's calls.
-func (f *FleetClient) WaitHealthy(ctx context.Context, timeout time.Duration) error {
-	if ctx == nil {
-		ctx = context.Background() //daelint:ctxflow-ok nil ctx is documented to mean background
-	}
-	deadline := time.Now().Add(timeout)
-	var err error
-	for {
-		if err = f.Health(ctx); err == nil {
-			return nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon fleet: not healthy after %s: %w", timeout, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// CacheStats fetches every replica's cache counters, index-aligned
-// with the ring members.
-func (f *FleetClient) CacheStats(ctx context.Context) ([]StatsResponse, error) {
-	out := make([]StatsResponse, len(f.clients))
-	for i, c := range f.clients {
-		s, err := c.CacheStats(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("daemon fleet: replica %d (%s): %w", i, c.BaseURL, err)
-		}
-		out[i] = s
-	}
-	return out, nil
 }

@@ -432,9 +432,6 @@ func TestFleetMembershipGuards(t *testing.T) {
 	if err := fleet.Health(context.Background()); err != nil {
 		t.Fatalf("healthy fleet refused: %v", err)
 	}
-	if err := fleet.WaitHealthy(context.Background(), time.Second); err != nil {
-		t.Fatalf("WaitHealthy on a healthy fleet: %v", err)
-	}
 
 	skewed, _, _ := newFleet(t, 2, func(i int) Config {
 		return Config{Fleet: []string{"http://other-a:1", "http://other-b:2"}}
@@ -461,9 +458,9 @@ func TestFleetMembershipGuards(t *testing.T) {
 }
 
 // TestFleetBatchedSearchRequestSavings pins the acceptance bound: a
-// batched equivalent-window ratio curve costs at least 5x fewer HTTP
-// requests than the same curve searched locally with its probes sent
-// point-wise.
+// ratio curve searched server-side costs at least 5x fewer HTTP
+// requests than the same curve searched locally with each probe wave
+// sent as a client-side batch.
 func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	t.Parallel()
 	suiteFP := mustSuite(t, testWorkload).Fingerprint()
@@ -478,22 +475,22 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 		return total
 	}
 
-	// Point-wise: a local curve whose probes each travel alone.
-	pwFleet, pwServers, _ := newFleet(t, 3, nil, nil)
-	pwCtx := experiments.NewContext()
-	// No RemoteBatch, no RemoteSearch: each probe travels alone.
-	pwCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return pwFleet.Run(context.Background(), workload, scale, fingerprint, pt)
+	// Waves: a local curve whose probe waves each travel as one batch.
+	wFleet, wServers, _ := newFleet(t, 3, nil, nil)
+	wCtx := experiments.NewContext()
+	// No RemoteSearch: the curve is searched on the client.
+	wCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return wFleet.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
-	pwRunner, err := pwCtx.Runner(testWorkload)
+	wRunner, err := wCtx.Runner(testWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pwAnswers, err := metrics.RatioCurve(pwRunner, machine.Params{MD: md}, windows)
+	wAnswers, err := metrics.RatioCurve(wRunner, machine.Params{MD: md}, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pointwise := requests(pwServers)
+	waves := requests(wServers)
 
 	// Batched: the whole curve as one server-side batch.
 	bFleet, bServers, _ := newFleet(t, 3, nil, nil)
@@ -508,13 +505,13 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	batched := requests(bServers)
 
 	for i := range windows {
-		if pwAnswers[i] != bAnswers[i] {
-			t.Errorf("window %d: point-wise answer %+v != batched %+v", windows[i], pwAnswers[i], bAnswers[i])
+		if wAnswers[i] != bAnswers[i] {
+			t.Errorf("window %d: client-searched answer %+v != server-searched %+v", windows[i], wAnswers[i], bAnswers[i])
 		}
 	}
-	t.Logf("requests: point-wise %d, batched %d (%.1fx)", pointwise, batched, float64(pointwise)/float64(batched))
-	if pointwise < 5*batched {
-		t.Errorf("batched search must cost >= 5x fewer requests: point-wise %d, batched %d", pointwise, batched)
+	t.Logf("requests: client-side waves %d, server-side curve %d (%.1fx)", waves, batched, float64(waves)/float64(batched))
+	if waves < 5*batched {
+		t.Errorf("server-side search must cost >= 5x fewer requests: client-side waves %d, server-side curve %d", waves, batched)
 	}
 }
 

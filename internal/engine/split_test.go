@@ -66,11 +66,11 @@ func FuzzDecoupledSplit(f *testing.F) {
 // TestOrbitSkipBound pins where the skip samples and how far it jumps,
 // which no Result shows: the first sample comes one reach into the
 // periodic run (or one step, if sooner), and a jump bounded by the
-// periodic run's end stops less than one orbit past reach short of it,
-// reach plus each core's next op being all a replay needs beyond its
-// frontier. The ops left to dispatch after such a jump are then within
-// reach + one orbit + the epilogue on one core; on two, a core's next
-// op can lie up to a period past the frontier.
+// periodic run's end stops at least reach and less than max(reach, 1)
+// plus one orbit short of it, reach plus each core's next op being all
+// a replay needs beyond its frontier: that next op is counted even
+// when reach is 0, so that no replay sees a stream run out. On two
+// cores, a core's next op can lie up to a period past the frontier.
 func TestOrbitSkipBound(t *testing.T) {
 	checked := 0
 	f := func(seed int64) bool {
@@ -91,7 +91,7 @@ func TestOrbitSkipBound(t *testing.T) {
 				continue
 			}
 			checked++
-			ahead := per.reach
+			ahead := max(per.reach, 1)
 			if units == 2 {
 				ahead = max(per.reach, per.p)
 			}
@@ -101,6 +101,11 @@ func TestOrbitSkipBound(t *testing.T) {
 			}
 		}
 		return ok
+	}
+	// A one-unit pass with reach 0 and an orbit of 2 ops whose jump
+	// lands 2 ops short: the model with reach alone rejected it.
+	if !f(-7214299044434064879) {
+		t.Fatal("seed -7214299044434064879 failed")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -32,20 +32,19 @@ type Context struct {
 	// invalidated by engine-version bumps and workload recalibrations
 	// (DESIGN.md §9). Set it before the first experiment runs.
 	Cache *sweep.Store
-	// Remote, when non-nil and RemoteBatch is nil, executes cacheable
-	// points that miss the local cache layers one at a time — it becomes
-	// each workload runner's Remote hook, bound to that workload, the
-	// context's scale, and the local suite's source key (so a daemon
-	// built from different workload, lowering or engine code refuses
-	// instead of answering with skewed results).
-	// internal/daemon.FleetClient.Run has this signature. Set it
-	// before the first experiment runs.
+	// Remote is never called: every point that misses the local layers
+	// travels through RemoteBatch. Runner fails when Remote is set
+	// without RemoteBatch, so a caller that relied on it fails loudly
+	// instead of silently simulating locally.
 	Remote func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error)
 	// RemoteBatch, when non-nil, executes point sets remotely in one
-	// call, bound like Remote — it becomes each workload runner's
-	// RemoteBatch hook, so figure sweeps and search probe waves travel
-	// as one request per fleet replica instead of one per point, and a
-	// single point as a one-item batch; Remote is then never called.
+	// call — it becomes each workload runner's RemoteBatch hook, bound
+	// to that workload, the context's scale and the local suite's
+	// source key (so a daemon built from different workload, lowering
+	// or engine code refuses instead of answering with skewed results).
+	// Figure sweeps and search probe waves travel as one request per
+	// fleet replica instead of one per point, and a single point as a
+	// one-item batch.
 	// daemon.FleetClient.RunBatch has this signature, so attaching a
 	// fleet client routes every cacheable simulation through running
 	// sweepd replicas (repro -remote; DESIGN.md §10-11). Set it before
@@ -62,7 +61,7 @@ type Context struct {
 	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
 	// Degrade, when set, arms every runner's last-resort fallback: a
-	// RemoteBatch/Remote call failing with sweep.ErrUnavailable (every
+	// RemoteBatch call failing with sweep.ErrUnavailable (every
 	// candidate replica down or exhausted — daemon.FleetClient reports
 	// exactly that) is answered by simulating the affected points
 	// locally instead of failing the experiment, counted under
@@ -97,8 +96,12 @@ func NewContext() *Context {
 
 // Runner returns the memoizing runner for a workload, building the trace
 // and its suite on first use. The suite lowers each machine's program on
-// the first point that simulates.
+// the first point that simulates. It fails when Remote is set without
+// RemoteBatch.
 func (c *Context) Runner(name string) (*sweep.Runner, error) {
+	if c.Remote != nil && c.RemoteBatch == nil {
+		return nil, errors.New("experiments: Context.Remote is never called; attach the remote service as RemoteBatch")
+	}
 	c.mu.Lock()
 	if e, ok := c.runners[name]; ok {
 		c.mu.Unlock()
@@ -133,21 +136,16 @@ func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 }
 
 // newRunner returns a runner over suite, a suite of workload name, with
-// the context's parallelism, store, degrade setting and remote hooks,
-// each hook bound to the workload, the context's scale and the suite's
+// the context's parallelism, store, degrade setting and RemoteBatch
+// hook, bound to the workload, the context's scale and the suite's
 // fingerprint.
 func (c *Context) newRunner(name string, suite *machine.Suite) *sweep.Runner {
 	r := sweep.NewRunner(suite)
 	r.Parallelism = c.Parallelism
 	r.Store = c.Cache
 	r.Degrade = c.Degrade
-	scale, fp := c.Scale, suite.Fingerprint()
-	if remote := c.Remote; remote != nil {
-		r.Remote = func(pt sweep.Point) (*engine.Result, error) {
-			return remote(name, scale, fp, pt)
-		}
-	}
 	if rb := c.RemoteBatch; rb != nil {
+		scale, fp := c.Scale, suite.Fingerprint()
 		r.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
 			return rb(name, scale, fp, pts)
 		}

@@ -6,9 +6,14 @@ package experiments
 // paper's story. EXPERIMENTS.md records the quantitative details.
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
+	"daesim/internal/engine"
+	"daesim/internal/machine"
+	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
 
@@ -520,5 +525,36 @@ func TestWriteAll(t *testing.T) {
 	// cache + complexity.
 	if len(files) != 22 {
 		t.Errorf("want 22 artifact files, got %d", len(files))
+	}
+}
+
+// TestRemoteNeedsRemoteBatch: Context.Remote is never called, so a
+// context that sets it without RemoteBatch fails loudly instead of
+// simulating locally, and one that sets both sends every miss through
+// RemoteBatch.
+func TestRemoteNeedsRemoteBatch(t *testing.T) {
+	c := NewContext()
+	c.Remote = func(string, int, string, sweep.Point) (*engine.Result, error) {
+		t.Error("Context.Remote called")
+		return nil, errors.New("unused")
+	}
+	if _, err := c.Runner("TRFD"); err == nil || !strings.Contains(err.Error(), "RemoteBatch") {
+		t.Fatalf("Remote without RemoteBatch: %v, want an error naming RemoteBatch", err)
+	}
+	batches := 0
+	c.RemoteBatch = func(workload string, _ int, _ string, pts []sweep.Point) ([]*engine.Result, error) {
+		batches++
+		r, err := ctx().Runner(workload)
+		if err != nil {
+			return nil, err
+		}
+		return r.RunAll(pts)
+	}
+	r, err := c.Runner("TRFD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: MDFull}}); err != nil || batches != 1 {
+		t.Fatalf("with both hooks: %v after %d RemoteBatch calls, want one", err, batches)
 	}
 }

@@ -107,11 +107,11 @@ type PolicyResult struct {
 // slice-only and balanced partitions, the paper's second future-work
 // question (static vs alternative partitions of the code). Rows under the
 // context's own policy run on the context's workload runner, sharing its
-// L1, store traffic and remote hooks with every other experiment. Rows
+// L1, store traffic and RemoteBatch hook with every other experiment. Rows
 // under the other policies run on detached runners over
 // Suite.Repartition, which redoes only the unit assignment and the DM
 // statistics and shares the runner's trace, address slice and SWSM
-// program. They take the context's store and remote hooks, bound to
+// program. They take the context's store and RemoteBatch hook, bound to
 // their own fingerprint, which covers the partition: these points
 // persist in the shared store and run on a fleet like any other. The op
 // and copy counts come from the suites' lowering statistics, so a row

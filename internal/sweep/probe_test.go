@@ -84,9 +84,10 @@ func TestProbeHookedNeverPrunes(t *testing.T) {
 	r := testRunner(t)
 	pt, lb, cycles := probePoint(t, r, 8)
 	calls := 0
-	r.Remote = func(pt Point) (*engine.Result, error) {
+	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
 		calls++
-		return r.Suite.Run(pt.Kind, pt.P)
+		res, err := r.Suite.Run(pts[0].Kind, pts[0].P)
+		return []*engine.Result{res}, err
 	}
 	res, _, err := r.Probe(pt, lb-1)
 	if err != nil || res == nil || res.Cycles != cycles || calls != 1 {

@@ -18,10 +18,10 @@ import (
 // ErrUnavailable marks a remote error meaning "no replica could serve
 // this work at all" — every candidate was tried (or the whole fleet is
 // down), as opposed to a refusal that would repeat anywhere (bad
-// request, version skew). Remote hooks wrap it (errors.Is) to tell a
-// Degrade-enabled Runner that falling back to local simulation is both
-// safe and the only way forward; any other remote error still fails
-// the point loudly.
+// request, version skew). A RemoteBatch hook wraps it (errors.Is) to
+// tell a Degrade-enabled Runner that falling back to local simulation
+// is both safe and the only way forward; any other remote error still
+// fails the point loudly.
 var ErrUnavailable = errors.New("sweep: remote unavailable")
 
 // ErrBoundViolated marks a simulated point whose Cycles came out below
@@ -60,8 +60,7 @@ type CacheStats struct {
 	L1Hits int64
 	// StoreHits are points loaded from the persistent Store.
 	StoreHits int64
-	// RemoteHits are points served by a remote daemon (Runner.RemoteBatch
-	// or Runner.Remote).
+	// RemoteHits are points served by a remote daemon (Runner.RemoteBatch).
 	RemoteHits int64
 	// RemoteSearches are whole equivalent-window searches answered
 	// server-side by a remote daemon (experiments.Context.RemoteSearch)
@@ -140,13 +139,9 @@ type Runner struct {
 	// simulation (the one explicit exception is Degrade +
 	// ErrUnavailable). Set it before the first Run.
 	RemoteBatch func([]Point) ([]*engine.Result, error)
-	// Remote is the point-wise form of RemoteBatch, with the same
-	// contract: when RemoteBatch is nil, each miss is sent through it
-	// on its own. It is never called while RemoteBatch is set.
-	Remote func(Point) (*engine.Result, error)
 	// Degrade is the last rung of the failure ladder: when set, a
-	// RemoteBatch/Remote failure that wraps ErrUnavailable (every owner
-	// of the point is down) falls back to local simulation — counted as
+	// RemoteBatch failure that wraps ErrUnavailable (every owner of the
+	// point is down) falls back to local simulation — counted as
 	// Degraded, installed into the Store like any fill, byte-identical
 	// by determinism — instead of failing the sweep. Any other remote
 	// error still surfaces loudly, so misconfiguration (bad URL, skew,
@@ -207,15 +202,15 @@ func keyOf(pt Point) key {
 // exact record and its bound record; failing all four it computes the
 // bound (machine.Suite.LowerBound). A bound above target is the answer,
 // installed in the store when it was computed; otherwise Probe is Run,
-// and the simulation must not come out below the bound (fillMiss). The
+// and the simulation must not come out below the bound (fillBatch). The
 // returned Result is a private copy, as Run's.
 //
-// A runner with a Remote or RemoteBatch hook never prunes: its client
-// lowers no program, so every probe is a Run.
+// A runner with a RemoteBatch hook never prunes: its client lowers no
+// program, so every probe is a Run.
 //
-//daelint:ctx-root like RunAll: local simulation and bound computation are not cancellable mid-run
+//daelint:ctx-root like RunAll: cancellation rides the RemoteBatch hook's captured context; local simulation and bound computation are not cancellable mid-run
 func (r *Runner) Probe(pt Point, target int64) (*engine.Result, int64, error) {
-	if r.Remote != nil || r.RemoteBatch != nil || pt.Kind != machine.SWSM {
+	if r.RemoteBatch != nil || pt.Kind != machine.SWSM {
 		res, err := r.Run(pt)
 		return res, 0, err
 	}
@@ -321,43 +316,6 @@ func (r *Runner) storeKey(pt Point) string {
 	return string(pt.P.AppendCacheKey(append(buf[:0], p...), pt.Kind))
 }
 
-// fillMiss produces the canonical result for a point known to miss the
-// store — through the Remote hook or the local simulator — and installs
-// it.
-func (r *Runner) fillMiss(pt Point) (*engine.Result, error) {
-	var res *engine.Result
-	var err error
-	if r.Remote != nil {
-		res, err = r.Remote(pt)
-		switch {
-		case err == nil:
-			r.remoteHits.Add(1)
-		case r.Degrade && errors.Is(err, ErrUnavailable):
-			// Every owner is down: simulate locally so the sweep
-			// completes (byte-identically — the remote would have run
-			// the same deterministic simulation).
-			res, err = r.Suite.Run(pt.Kind, pt.P)
-			if err != nil {
-				return nil, err
-			}
-			r.degraded.Add(1)
-		default:
-			return nil, err
-		}
-	} else {
-		res, err = r.Suite.Run(pt.Kind, pt.P)
-		if err != nil {
-			return nil, err
-		}
-		r.sims.Add(1)
-		if lb := r.heldBound(pt); lb > res.Cycles {
-			return nil, fmt.Errorf("%w: %s: bound %d, %d cycles", ErrBoundViolated, string(pt.P.AppendCacheKey(nil, pt.Kind)), lb, res.Cycles)
-		}
-	}
-	r.install(pt, res)
-	return res, nil
-}
-
 // install writes a freshly filled result into the Store, when attached.
 func (r *Runner) install(pt Point, res *engine.Result) {
 	if r.Store != nil {
@@ -380,16 +338,16 @@ func (r *Runner) Stats() CacheStats {
 
 // RunAll executes a set of points as one unit, preserving order: L1
 // and Store hits are peeled off locally, and the remaining misses go to
-// RemoteBatch in a single call when it is set (else they are filled
-// locally, or through Remote, across the ForEach pool). This is the
-// request-collapsing path of remote sweeps — a probe wave whose points
-// are all warm issues no remote traffic at all — and it keeps the
+// RemoteBatch in a single call when it is set (else they simulate
+// locally across the ForEach pool). This is the request-collapsing
+// path of remote sweeps — a probe wave whose points are all warm
+// issues no remote traffic at all — and it keeps the
 // single-flight contract: misses are claimed before filling, so
 // concurrent overlapping calls never duplicate a simulation. The first
 // error aborts the call; failed claims are dropped so later callers
 // retry.
 //
-//daelint:ctx-root cancellation rides the remote hooks' captured context; local simulation is not cancellable mid-run
+//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
 func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(pts))
 	var owned, waiters []claim
@@ -480,50 +438,43 @@ type claim struct {
 }
 
 // fillBatch produces canonical results for claimed misses and hands
-// each to settle. With RemoteBatch: one remote call for the whole set.
-// Without: fillMiss across the ForEach pool. Results install into the
-// Store either way.
+// each to settle. With RemoteBatch set, the misses travel in one call;
+// every slot still empty after it (each one without the hook, the
+// unserved ones of a degraded batch) simulates on the ForEach pool. A
+// result must not come out below the bound the L1 holds for its point,
+// and every result installs into the Store before any settles.
 func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
+	var results []*engine.Result
+	local, served := &r.sims, 0
 	if r.RemoteBatch != nil {
 		mpts := make([]Point, len(misses))
 		for j, c := range misses {
 			mpts[j] = pts[c.idx]
 		}
-		results, err := r.RemoteBatch(mpts)
-		var unserved []bool
+		var err error
+		results, err = r.RemoteBatch(mpts)
 		if err != nil {
 			if !r.Degrade || !errors.Is(err, ErrUnavailable) {
 				return err
 			}
 			// Partial-batch degradation: the hook ran the batch against
 			// the surviving owners and returned what it could (slots it
-			// could not serve are nil — possibly all of them). Accept
-			// the served slots as remote hits and simulate the rest
-			// locally, so one dead replica (or a whole dead fleet)
-			// degrades the batch instead of failing it.
+			// could not serve are nil, possibly all of them). The served
+			// slots are remote hits and the rest simulate locally, so one
+			// dead replica (or a whole dead fleet) degrades the batch
+			// instead of failing it.
+			local = &r.degraded
 			if len(results) != len(mpts) {
-				results = make([]*engine.Result, len(mpts))
+				results = nil
 			}
-			unserved = make([]bool, len(mpts))
-			if err := ForEach(r.Parallelism, len(mpts), func(j int) error {
-				if results[j] != nil {
-					return nil
-				}
-				unserved[j] = true
-				var err error
-				if results[j], err = r.Suite.Run(mpts[j].Kind, mpts[j].P); err != nil {
-					return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		if len(results) != len(mpts) {
+		} else if len(results) != len(mpts) {
 			return fmt.Errorf("sweep: remote batch returned %d results for %d points", len(results), len(mpts))
 		}
 		for j, res := range results {
-			if res == nil {
+			switch {
+			case res != nil:
+				served++
+			case err == nil:
 				// Never settle a nil into the L1 or persist it: fail the
 				// batch loudly like any other remote error. Indices in
 				// errors are caller-relative (the batch's point list),
@@ -531,27 +482,29 @@ func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res
 				return fmt.Errorf("sweep: remote batch returned a nil result for point %d", misses[j].idx)
 			}
 		}
-		for j, c := range misses {
-			if unserved != nil && unserved[j] {
-				r.degraded.Add(1)
-			} else {
-				r.remoteHits.Add(1)
-			}
-			r.install(pts[c.idx], results[j])
-			settle(c, results[j])
-		}
-		return nil
 	}
-	results := make([]*engine.Result, len(misses))
+	if results == nil {
+		results = make([]*engine.Result, len(misses))
+	}
 	if err := ForEach(r.Parallelism, len(misses), func(j int) error {
-		var err error
-		if results[j], err = r.fillMiss(pts[misses[j].idx]); err != nil {
-			return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
+		pt := pts[misses[j].idx]
+		if results[j] == nil {
+			res, err := r.Suite.Run(pt.Kind, pt.P)
+			if err != nil {
+				return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
+			}
+			local.Add(1)
+			results[j] = res
 		}
+		if lb := r.heldBound(pt); lb > results[j].Cycles {
+			return fmt.Errorf("sweep: point %d: %w: %s: bound %d, %d cycles", misses[j].idx, ErrBoundViolated, string(pt.P.AppendCacheKey(nil, pt.Kind)), lb, results[j].Cycles)
+		}
+		r.install(pt, results[j])
 		return nil
 	}); err != nil {
 		return err
 	}
+	r.remoteHits.Add(int64(served))
 	for j, c := range misses {
 		settle(c, results[j])
 	}

@@ -265,8 +265,8 @@ func TestRunMatchesRunAll(t *testing.T) {
 	}
 }
 
-// TestRunRidesRemoteBatch: with both hooks set, a single point travels
-// as one RemoteBatch call carrying that point; Remote is never called.
+// TestRunRidesRemoteBatch: a single point travels as one RemoteBatch
+// call carrying that point.
 func TestRunRidesRemoteBatch(t *testing.T) {
 	exec := testRunner(t)
 	r := testRunner(t)
@@ -274,10 +274,6 @@ func TestRunRidesRemoteBatch(t *testing.T) {
 	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
 		batches = append(batches, len(pts))
 		return exec.RunAll(pts)
-	}
-	r.Remote = func(Point) (*engine.Result, error) {
-		t.Error("Remote called while RemoteBatch is set")
-		return nil, errFleetDown
 	}
 	if _, err := r.Run(Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}); err != nil {
 		t.Fatal(err)
@@ -420,6 +416,11 @@ func TestRunBatchStorePeel(t *testing.T) {
 	if _, err := bad.RunAll(pts[:1]); err == nil {
 		t.Error("the poisoned claim should have been dropped and retried remotely (still failing)")
 	}
+	// So is a reply of the wrong length.
+	bad.RemoteBatch = func([]Point) ([]*engine.Result, error) { return nil, nil }
+	if _, err := bad.RunAll(pts[:1]); !errorsContains(err, "0 results for 1 points") {
+		t.Errorf("a short remote reply must fail the batch: %v", err)
+	}
 }
 
 func errorsContains(err error, sub string) bool {
@@ -453,9 +454,8 @@ func TestWindows(t *testing.T) {
 }
 
 // TestRemoteDegradeFallsBackLocally pins the last rung of the failure
-// ladder for a single point, on a RemoteBatch runner (the point travels
-// as a one-item batch whose slot comes back nil) and on a Remote-only
-// runner: a failure wrapping ErrUnavailable fails loudly by default,
+// ladder for a single point, which travels as a one-item batch whose
+// slot comes back nil, or with no result slice at all: a failure wrapping ErrUnavailable fails loudly by default,
 // but with Degrade set the point simulates locally (counted as
 // Degraded, byte-identical to the local oracle). Any other remote error
 // still surfaces even with Degrade on.
@@ -475,8 +475,8 @@ func TestRemoteDegradeFallsBackLocally(t *testing.T) {
 				return make([]*engine.Result, len(pts)), err
 			}
 		}},
-		{"Remote", func(r *Runner, err error) {
-			r.Remote = func(Point) (*engine.Result, error) { return nil, err }
+		{"RemoteBatch without results", func(r *Runner, err error) {
+			r.RemoteBatch = func([]Point) ([]*engine.Result, error) { return nil, err }
 		}},
 	}
 	for _, h := range hooks {
