@@ -118,8 +118,8 @@ const MaxScale = 8
 
 // MaxBatchItems caps the item count of /v1/batch/run and
 // /v1/batch/search requests. Larger batches are refused with 400 — a
-// probe wave or sweep shard legitimately reaches a few thousand points,
-// but an unbounded batch is indistinguishable from a decoder bomb (the
+// sweep shard legitimately reaches a few thousand points, but an
+// unbounded batch is indistinguishable from a decoder bomb (the
 // body size limit alone would still admit millions of tiny items).
 const MaxBatchItems = 4096
 
@@ -139,7 +139,7 @@ type BatchResponse[R any] struct {
 // independent run requests answered in one round trip. Items carry
 // their own targets, so one request may span workloads and scales —
 // a fleet replica receives whatever slice of a cross-workload sweep
-// (Table1's global point list, a search's probe wave) the ring routed
+// (Table1's global point list, a figure's DM anchors) the ring routed
 // to it, batched by the client into a single round trip.
 type BatchRunRequest = BatchRequest[RunRequest]
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -555,14 +556,11 @@ func TestBatchSearchEndpoint(t *testing.T) {
 }
 
 // TestBatchSearchReadsLocalProbes: a curve searched by the daemon
-// simulates exactly the probes the same curve simulates locally. Both
-// prune the probes a certified lower bound proves miss, so the local
-// curve runs on a runner of its own over a store, and a hooked runner,
-// which never prunes, lists every point of every wave the curve sends.
-// The points the store then holds are the ones the local curve
-// simulated: the daemon must have simulated as many, and re-requesting
-// them must cost it nothing, while each other point (a probe the curve
-// left as a bound, or one past a wave's first hit) costs it one.
+// simulates exactly the probes the same curve simulates locally. Every
+// runner prunes the probes a certified lower bound proves miss, hooked
+// or not, so a hooked reader sends exactly the points a local curve
+// over a store simulates: the daemon must simulate as many, and
+// re-requesting them must cost it nothing.
 func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	t.Parallel()
 	srv, fleet := newTestServer(t, Config{})
@@ -596,21 +594,18 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split the read probes by whether the local curve simulated them: a
-	// runner over the same store whose hook fails reads only its hits.
+	// The store holds exactly the points the local curve simulated: a
+	// runner over it whose hook fails reads only those.
 	probe := sweep.NewRunner(suite)
 	probe.Store = store
 	probe.RemoteBatch = func([]sweep.Point) ([]*engine.Result, error) { return nil, errors.New("not simulated") }
-	var simulated, bounded []sweep.Point
 	for _, pt := range read {
-		if _, err := probe.Run(pt); err == nil {
-			simulated = append(simulated, pt)
-		} else {
-			bounded = append(bounded, pt)
+		if _, err := probe.Run(pt); err != nil {
+			t.Errorf("the hook received %v, which the local curve did not simulate", pt)
 		}
 	}
-	if st := local.Stats(); st.Sims != int64(len(simulated)) || st.Pruned == 0 {
-		t.Fatalf("the local curve simulated %d points and pruned %d; its store holds %d of the %d sent", st.Sims, st.Pruned, len(simulated), len(read))
+	if st := local.Stats(); st.Sims != int64(len(read)) || st.Pruned == 0 || reader.Stats().Pruned != st.Pruned {
+		t.Fatalf("the local curve simulated %d points and pruned %d; the hook received %d, the reader pruned %d", st.Sims, st.Pruned, len(read), reader.Stats().Pruned)
 	}
 
 	params := make([]machine.Params, len(windows))
@@ -625,20 +620,14 @@ func TestBatchSearchReadsLocalProbes(t *testing.T) {
 		t.Errorf("daemon curve %v, local %v", got, want)
 	}
 	sims := srv.Stats().Runner.Sims
-	if sims != int64(len(simulated)) {
-		t.Errorf("daemon simulated %d points, the local curve %d", sims, len(simulated))
+	if sims != int64(len(read)) {
+		t.Errorf("daemon simulated %d points, the local curve %d", sims, len(read))
 	}
-	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), simulated); err != nil {
+	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), read); err != nil {
 		t.Fatal(err)
 	}
 	if after := srv.Stats().Runner.Sims; after != sims {
 		t.Errorf("the local curve's simulated probes cost the daemon %d new simulations: it simulated others", after-sims)
-	}
-	if _, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), bounded); err != nil {
-		t.Fatal(err)
-	}
-	if after := srv.Stats().Runner.Sims; after != sims+int64(len(bounded)) {
-		t.Errorf("the %d points the local curve did not simulate cost the daemon %d simulations", len(bounded), after-sims)
 	}
 }
 
@@ -741,6 +730,51 @@ func TestRemoteContext(t *testing.T) {
 	}
 	if _, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}}); err == nil {
 		t.Error("unreachable daemon must surface as an error")
+	}
+}
+
+// TestClientSearchesMatchLocal: the searches a client runs itself (the
+// C1 cutoff scan and the complexity study's equivalent windows) prune
+// and stop where they run, so through a daemon hooked by RemoteBatch
+// alone they render exactly as locally, the daemon simulates exactly the
+// points the local context does, and the client prunes as many.
+func TestClientSearchesMatchLocal(t *testing.T) {
+	t.Parallel()
+	type renderer interface{ Render(io.Writer) error }
+	studies := []struct {
+		name string
+		run  func(*experiments.Context) (renderer, error)
+	}{
+		{"Cutoffs", func(c *experiments.Context) (renderer, error) { return c.Cutoffs() }},
+		{"ComplexityStudy", func(c *experiments.Context) (renderer, error) { return c.ComplexityStudy() }},
+	}
+	for _, st := range studies {
+		render := func(ctx *experiments.Context) []byte {
+			t.Helper()
+			res, err := st.run(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			var buf bytes.Buffer
+			if err := res.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		localCtx := experiments.NewContext()
+		want := render(localCtx)
+		srv, client := newTestServer(t, Config{})
+		remoteCtx := experiments.NewContext()
+		remoteCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+			return client.RunBatch(context.Background(), workload, scale, fingerprint, pts)
+		}
+		if got := render(remoteCtx); !bytes.Equal(got, want) {
+			t.Errorf("%s: remote output differs from local:\n%s\nwant:\n%s", st.name, got, want)
+		}
+		local, remote, server := localCtx.CacheStats(), remoteCtx.CacheStats(), srv.Stats().Runner
+		if server.Sims != local.Sims || remote.Sims != 0 || remote.Pruned != local.Pruned {
+			t.Errorf("%s: daemon simulated %d, client %d and pruned %d; local simulated %d and pruned %d", st.name, server.Sims, remote.Sims, remote.Pruned, local.Sims, local.Pruned)
+		}
 	}
 }
 

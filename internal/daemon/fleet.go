@@ -538,7 +538,7 @@ func (f *FleetClient) Run(ctx context.Context, workload string, scale int, finge
 // by owning replica and each group travels as one /v1/batch/run round
 // trip, concurrently across replicas. Results[i] answers pts[i]. The
 // signature matches experiments.Context.RemoteBatch — this is how a
-// probe wave or figure sweep reaches the whole fleet in ≤N requests.
+// figure sweep reaches the whole fleet in ≤N requests.
 //
 // Partial-batch semantics: when some points exhaust every candidate
 // the rest of the batch still settles; the returned slice carries the

@@ -459,8 +459,8 @@ func TestFleetMembershipGuards(t *testing.T) {
 
 // TestFleetBatchedSearchRequestSavings pins the acceptance bound: a
 // ratio curve searched server-side costs at least 5x fewer HTTP
-// requests than the same curve searched locally with each probe wave
-// sent as a client-side batch.
+// requests than the same curve searched on the client, which sends its
+// DM anchors as one batch and then one request per probe it simulates.
 func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 	t.Parallel()
 	suiteFP := mustSuite(t, testWorkload).Fingerprint()
@@ -475,7 +475,8 @@ func TestFleetBatchedSearchRequestSavings(t *testing.T) {
 		return total
 	}
 
-	// Waves: a local curve whose probe waves each travel as one batch.
+	// Waves: a client-side curve whose simulated probes each travel as a
+	// one-point batch.
 	wFleet, wServers, _ := newFleet(t, 3, nil, nil)
 	wCtx := experiments.NewContext()
 	// No RemoteSearch: the curve is searched on the client.

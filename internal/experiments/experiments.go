@@ -42,9 +42,10 @@ type Context struct {
 	// to that workload, the context's scale and the local suite's
 	// source key (so a daemon built from different workload, lowering
 	// or engine code refuses instead of answering with skewed results).
-	// Figure sweeps and search probe waves travel as one request per
-	// fleet replica instead of one per point, and a single point as a
-	// one-item batch.
+	// Figure sweeps travel as one request per fleet replica instead of
+	// one per point, and a single point as a one-item batch: a search
+	// the client runs itself sends each probe it simulates that way and
+	// prunes the rest, exactly as a local search does.
 	// daemon.FleetClient.RunBatch has this signature, so attaching a
 	// fleet client routes every cacheable simulation through running
 	// sweepd replicas (repro -remote; DESIGN.md §10-11). Set it before
@@ -52,11 +53,12 @@ type Context struct {
 	RemoteBatch func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error)
 	// RemoteSearch, when non-nil, executes a whole curve of
 	// equivalent-window ratio searches (the unit of Figures 7-9)
-	// server-side in one call, instead of probing locally and shipping
-	// each probe wave. The answers are identical either way — a curve's
-	// probe path is a fixed function of its inputs (metrics.RatioCurve),
-	// not of where it executes — but a server-side curve is one round
-	// trip where even a batched local search needs several per curve.
+	// server-side in one call, instead of probing on the client and
+	// shipping each simulated probe. The answers are identical either
+	// way — a curve's probe path is a fixed function of its inputs
+	// (metrics.RatioCurve), not of where it executes — but a
+	// server-side curve is one round trip where a client-side search
+	// needs one per simulated probe.
 	// daemon.FleetClient.RatioBatch has this signature (repro -remote
 	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
@@ -388,7 +390,7 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 		// With a remote search service attached, each MD curve travels
 		// as one server-side batch: the daemon searches the curve as a
 		// unit over its own shared cache, so a whole figure costs a few
-		// round trips instead of one per probe wave — and the values
+		// round trips instead of one per simulated probe — and the values
 		// are identical to the local path by construction. A curve
 		// whose owners are all unavailable is searched locally on this
 		// worker when Degrade is set: the probes then flow through the

@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 
-	"daesim/internal/engine"
 	"daesim/internal/machine"
 	"daesim/internal/sweep"
 )
@@ -128,9 +127,9 @@ func RatioCurve(r *sweep.Runner, p machine.Params, windows []int) ([]RatioAnswer
 // wave contents define the search's answer path, and that path must be
 // identical everywhere for local, remote, and differently-sized hosts
 // to agree bit-for-bit on figure values. 4 shrinks a bracket 5x per
-// wave. A local search stops each wave at its first target-meeting
-// probe, so the width costs it nothing beyond the probes it reads; only
-// a batched remote wave simulates all 4.
+// wave. A search stops each wave at its first target-meeting probe,
+// wherever the probes simulate, so the width costs nothing beyond the
+// probes it reads.
 const kSectionWidth = 4
 
 // ladderWindows is the speculative bracket sequence for a hint: the
@@ -284,46 +283,28 @@ func (c *curve) settle(k *probe, target int64) error {
 	return nil
 }
 
-// wave evaluates the SWSM at the windows of one wave and returns the
-// index of the first meeting the target, or -1 when none does. The
-// wave's evaluated prefix, up to and including that first hit, joins
-// the curve's known probes.
-//
-// Locally a wave is probed in order, one point at a time through
-// Runner.Probe, and stops at its first hit; a probe whose certified
-// lower bound exceeds the target is a miss that is not simulated, and
-// joins the known probes carrying its bound. With a RemoteBatch hook
-// the whole wave travels as one round trip (DESIGN.md §11), but the
-// probes past the first hit are not recorded: a curve's known probes,
-// and with them every later bracket, are the same on a laptop, a CI
-// runner and a sweepd fleet (TestCurveLocalMatchesRemoteBatch).
+// wave evaluates the SWSM at the windows of one wave, in order, one
+// point at a time through Runner.Probe, and returns the index of the
+// first meeting the target, or -1 when none does. The wave stops at
+// that first hit, and every probe it read joins the curve's known
+// probes; a probe whose certified lower bound exceeds the target is a
+// miss that is not simulated, and joins them carrying its bound. A
+// RemoteBatch hook moves only where the simulations run, so a curve's
+// known probes, and with them every later bracket, are the same on a
+// laptop, a CI runner and a sweepd fleet.
 func (c *curve) wave(ws []int, target int64) (first int, err error) {
-	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
-		pts[i] = c.point(w)
-	}
-	var batch []*engine.Result
-	if c.r.RemoteBatch != nil {
-		if batch, err = c.r.RunAll(pts); err != nil {
+		k := probe{window: w}
+		res, lb, err := c.r.Probe(c.point(w), target)
+		if err != nil {
 			return 0, err
 		}
-	}
-	for i, pt := range pts {
-		k := probe{window: ws[i]}
-		if batch != nil {
-			k.cycles = batch[i].Cycles
+		if res == nil {
+			k.cycles, k.bound = lb, true
 		} else {
-			res, lb, err := c.r.Probe(pt, target)
-			if err != nil {
-				return 0, err
-			}
-			if res == nil {
-				k.cycles, k.bound = lb, true
-			} else {
-				k.cycles = res.Cycles
-			}
+			k.cycles = res.Cycles
 		}
-		at, _ := slices.BinarySearchFunc(c.known, ws[i], func(k probe, w int) int { return k.window - w })
+		at, _ := slices.BinarySearchFunc(c.known, w, func(k probe, w int) int { return k.window - w })
 		c.known = slices.Insert(c.known, at, k)
 		if !k.bound && k.cycles <= target {
 			return i, nil

@@ -151,12 +151,13 @@ func TestSearchAnswersAreBoundaries(t *testing.T) {
 	}
 }
 
-// TestSearchLocalMatchesRemoteBatch pins the fleet-era contract the
-// probe waves were designed around: the search answer is a pure
-// function of its inputs — never of whether probes execute locally or
-// through a batch-capable runner. This is what makes a server-side
-// search byte-identical to a local one by construction (DESIGN.md §11),
-// not merely in practice.
+// TestSearchLocalMatchesRemoteBatch: the search answer is a pure
+// function of its inputs, never of whether probes simulate locally or
+// through a RemoteBatch hook, which is what makes a remote search
+// byte-identical to a local one (DESIGN.md §11). One window search
+// gives the same answer both ways, and the hook simulates exactly the
+// probes the local search simulates. A ratio curve's DM anchors travel
+// as one batch, and every later batch is one SWSM probe.
 func TestSearchLocalMatchesRemoteBatch(t *testing.T) {
 	s := smallSuite(t)
 	dm, err := s.RunDM(machine.Params{Window: 12, MD: 40})
@@ -169,61 +170,55 @@ func TestSearchLocalMatchesRemoteBatch(t *testing.T) {
 		w  int
 		ok bool
 	}
-	w, ok, err := EquivalentWindow(sweep.NewRunner(s), p, dm.Cycles)
+	local := sweep.NewRunner(s)
+	w, ok, err := EquivalentWindow(local, p, dm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := answer{w, ok}
 
-	// A batch-capable runner (the remote path) probes the same waves and
-	// lands on the same answer; every probe travels through RemoteBatch.
 	exec := sweep.NewRunner(s)
-	batched := sweep.NewRunner(s)
-	waves := 0
-	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
-		waves++
+	hooked := sweep.NewRunner(s)
+	calls := 0
+	hooked.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
+		calls++
 		return exec.RunAll(pts)
 	}
-	w, ok, err = EquivalentWindow(batched, p, dm.Cycles)
+	w, ok, err = EquivalentWindow(hooked, p, dm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if (answer{w, ok}) != want {
-		t.Errorf("batch-capable runner: (%d, %v) differs from local (%d, %v)", w, ok, want.w, want.ok)
+		t.Errorf("hooked runner: (%d, %v) differs from local (%d, %v)", w, ok, want.w, want.ok)
 	}
-	if waves == 0 {
-		t.Error("batch-capable runner should have routed probe waves remotely")
+	if calls == 0 {
+		t.Error("hooked runner should have routed its probes through RemoteBatch")
 	}
-	if st := batched.Stats(); st.Sims != 0 {
-		t.Errorf("batch-capable runner simulated %d probes locally", st.Sims)
+	if st := hooked.Stats(); st.Sims != 0 {
+		t.Errorf("hooked runner simulated %d probes locally", st.Sims)
 	}
-	t.Logf("search resolved in %d remote waves", waves)
+	if got, want := exec.Stats().Sims, local.Stats().Sims; got != want {
+		t.Errorf("hook simulated %d probes, local search %d", got, want)
+	}
+	t.Logf("search resolved in %d remote calls", calls)
 
-	// A ratio curve's DM anchors travel as one batch, ahead of its probe
-	// waves, which carry SWSM points only.
 	execR := sweep.NewRunner(s)
-	batchedR := sweep.NewRunner(s)
+	hookedR := sweep.NewRunner(s)
 	var batches [][]sweep.Point
-	batchedR.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
+	hookedR.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
 		batches = append(batches, append([]sweep.Point(nil), pts...))
 		return execR.RunAll(pts)
 	}
 	windows := []int{4, 8, 12, 20}
-	if _, err := RatioCurve(batchedR, machine.Params{MD: 40}, windows); err != nil {
+	if _, err := RatioCurve(hookedR, machine.Params{MD: 40}, windows); err != nil {
 		t.Fatal(err)
 	}
 	if len(batches) < 2 || len(batches[0]) != len(windows) {
 		t.Fatalf("a ratio curve's first batch should carry its %d DM anchors; got %d batches", len(windows), len(batches))
 	}
-	for i, b := range batches {
-		want := machine.SWSM
-		if i == 0 {
-			want = machine.DM
-		}
-		for _, pt := range b {
-			if pt.Kind != want {
-				t.Errorf("batch %d carries a %v point, want only %v", i, pt.Kind, want)
-			}
+	for i, b := range batches[1:] {
+		if len(b) != 1 || b[0].Kind != machine.SWSM {
+			t.Errorf("batch %d carries %v, want one SWSM probe", i+1, b)
 		}
 	}
 }
@@ -249,16 +244,13 @@ func ratioTargets(t *testing.T, s *machine.Suite, p machine.Params, windows []in
 var figureWindows = []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
 // TestCurveLocalMatchesRemoteBatch: a whole curve searched locally and
-// through a RemoteBatch runner gives identical answers and reads the
-// same known windows, each with the same outcome against every target.
-// A batched wave returns every probe, but the curve records only the
-// prefix a local search reads, so later targets' brackets — and their
-// answers — cannot depend on where probes ran. A local probe its
-// certified bound proved a miss carries the bound, a batched one its
-// Cycles.
+// through a RemoteBatch hook gives the same answers and reads the same
+// known probes, certified bounds included; the hook simulates exactly
+// the points the local curve simulates, and the hooked runner prunes as
+// many.
 func TestCurveLocalMatchesRemoteBatch(t *testing.T) {
 	s := smallSuite(t)
-	var batchedSims, known, pruned int64
+	var pruned int64
 	for _, md := range []int{0, 20, 40, 60} {
 		p := machine.Params{MD: md}
 		targets := ratioTargets(t, s, p, figureWindows)
@@ -268,65 +260,28 @@ func TestCurveLocalMatchesRemoteBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		exec := sweep.NewRunner(s)
-		batched := &curve{r: sweep.NewRunner(s), p: p}
-		batched.r.RemoteBatch = exec.RunAll
-		gotW, gotOK, err := batched.searchAll(figureWindows, targets)
+		hooked := &curve{r: sweep.NewRunner(s), p: p}
+		hooked.r.RemoteBatch = exec.RunAll
+		gotW, gotOK, err := hooked.searchAll(figureWindows, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotOK, wantOK) {
-			t.Errorf("md=%d: batched curve answers %v %v, local %v %v", md, gotW, gotOK, wantW, wantOK)
+			t.Errorf("md=%d: hooked curve answers %v %v, local %v %v", md, gotW, gotOK, wantW, wantOK)
 		}
-		if !sameOutcomes(batched.known, local.known, targets) {
-			t.Errorf("md=%d: batched curve read %v, local %v", md, batched.known, local.known)
+		if !reflect.DeepEqual(hooked.known, local.known) {
+			t.Errorf("md=%d: hooked curve read %v, local %v", md, hooked.known, local.known)
 		}
-		if st := batched.r.Stats(); st.Sims != 0 || st.Pruned != 0 {
-			t.Errorf("md=%d: batched curve simulated %d probes and pruned %d locally", md, st.Sims, st.Pruned)
+		want, got := local.r.Stats(), hooked.r.Stats()
+		if exec.Stats().Sims != want.Sims || got.Sims != 0 || got.Pruned != want.Pruned {
+			t.Errorf("md=%d: hook simulated %d, hooked runner %d and pruned %d; local simulated %d and pruned %d", md, exec.Stats().Sims, got.Sims, got.Pruned, want.Sims, want.Pruned)
 		}
-		batchedSims += exec.Stats().Sims
-		known += int64(len(local.known))
-		pruned += local.r.Stats().Pruned
+		pruned += want.Pruned
 	}
-	// The check bites only if some batched wave ran past its first hit,
-	// and some local probe was a certified miss.
-	if batchedSims <= known {
-		t.Errorf("batched waves simulated %d probes for %d known: no wave ran past its first hit", batchedSims, known)
-	}
+	// The bounds check bites only if some probe was a certified miss.
 	if pruned == 0 {
 		t.Error("no local probe was a certified miss")
 	}
-}
-
-// sameOutcomes reports whether a batched curve's known probes, all
-// exact, and a local curve's, some of them certified bounds, cover the
-// same windows with the same outcome against every target: an exact
-// local probe has the batched time, and a bound is never above it, so
-// every target below the bound is a miss both ways.
-func sameOutcomes(batched, local []probe, targets []int64) bool {
-	if len(batched) != len(local) {
-		return false
-	}
-	for i, b := range batched {
-		l := local[i]
-		if b.window != l.window || b.bound {
-			return false
-		}
-		if !l.bound {
-			if l.cycles != b.cycles {
-				return false
-			}
-			continue
-		}
-		for _, target := range targets {
-			if l.cycles > target && b.cycles <= target {
-				return false
-			}
-		}
-		if l.cycles > b.cycles {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCurveOrderInvariance: a curve's answers and its probe path do not
@@ -533,74 +488,4 @@ func TestCrossover(t *testing.T) {
 	if w < 2 || w > 128 {
 		t.Fatalf("crossover %d outside sweep", w)
 	}
-}
-
-// TestInOrderWavesKeepAnswersAndSaveProbes: a local search evaluates
-// each wave in order, one point at a time, and stops at the first probe
-// meeting the target. The reference is a runner whose RemoteBatch hook
-// evaluates whole waves. Over every Figure 7 (MD, window) point of the
-// small suite, both the window and the ratio search must give the
-// reference's answer, and never simulate more probes than it.
-func TestInOrderWavesKeepAnswersAndSaveProbes(t *testing.T) {
-	s := smallSuite(t)
-	type answer struct {
-		w     int
-		ratio float64
-		ok    bool
-	}
-	searches := []struct {
-		name string
-		run  func(r *sweep.Runner, p machine.Params, target int64) (answer, error)
-	}{
-		{"EquivalentWindow", func(r *sweep.Runner, p machine.Params, target int64) (answer, error) {
-			w, ok, err := EquivalentWindow(r, p, target)
-			return answer{w: w, ok: ok}, err
-		}},
-		{"EquivalentWindowRatio", func(r *sweep.Runner, p machine.Params, _ int64) (answer, error) {
-			ratio, ok, err := EquivalentWindowRatio(r, p)
-			return answer{ratio: ratio, ok: ok}, err
-		}},
-	}
-	// Points where the serial search must simulate strictly fewer
-	// probes: some of their waves meet the target before the last probe
-	// (whole waves 12 and 18 probes per ratio search, serial 8 and 13).
-	named := map[machine.Params]bool{{Window: 10, MD: 0}: true, {Window: 50, MD: 60}: true}
-	var whole, serial int64
-	for _, md := range []int{0, 10, 20, 30, 40, 50, 60} {
-		for w := 10; w <= 100; w += 10 {
-			p := machine.Params{Window: w, MD: md}
-			dm, err := s.RunDM(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sr := range searches {
-				exec := sweep.NewRunner(s)
-				batched := sweep.NewRunner(s)
-				batched.RemoteBatch = exec.RunAll
-				want, err := sr.run(batched, p, dm.Cycles)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSims := exec.Stats().Sims
-				whole += wantSims
-				local := sweep.NewRunner(s)
-				got, err := sr.run(local, p, dm.Cycles)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s md=%d w=%d: %+v, whole-wave search gave %+v", sr.name, md, w, got, want)
-				}
-				sims := local.Stats().Sims
-				serial += sims
-				if sims > wantSims {
-					t.Errorf("%s md=%d w=%d: %d probes simulated, whole-wave search needed %d", sr.name, md, w, sims, wantSims)
-				}
-				if named[p] && sims >= wantSims {
-					t.Errorf("%s md=%d w=%d: serial search simulated %d probes, want fewer than the whole-wave %d", sr.name, md, w, sims, wantSims)
-				}
-			}
-		}
-	}
-	t.Logf("probes simulated: whole waves %d, serial in-order %d", whole, serial)
 }

@@ -78,40 +78,59 @@ func TestProbePrunesAndPersistsBounds(t *testing.T) {
 	}
 }
 
-// TestProbeHookedNeverPrunes: a runner with a remote hook lowers no
-// program, so a probe is a Run.
-func TestProbeHookedNeverPrunes(t *testing.T) {
+// TestProbeHookedPrunes: a runner with a remote hook prunes as a local
+// one does. A probe its bound proves a miss sends nothing; one below
+// the bound travels as a one-point batch.
+func TestProbeHookedPrunes(t *testing.T) {
 	r := testRunner(t)
 	pt, lb, cycles := probePoint(t, r, 8)
-	calls := 0
+	var calls [][]Point
 	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
-		calls++
+		calls = append(calls, pts)
 		res, err := r.Suite.Run(pts[0].Kind, pts[0].P)
 		return []*engine.Result{res}, err
 	}
-	res, _, err := r.Probe(pt, lb-1)
-	if err != nil || res == nil || res.Cycles != cycles || calls != 1 {
-		t.Fatalf("hooked probe: %v, %v after %d remote calls; want the result through the hook", res, err, calls)
+	res, got, err := r.Probe(pt, lb-1)
+	if err != nil || res != nil || got != lb || len(calls) != 0 {
+		t.Fatalf("hooked probe below the bound: %v, bound %d, %v after %d remote calls; want a certified miss at %d", res, got, err, len(calls), lb)
 	}
-	if st := r.Stats(); st.Pruned != 0 || st.Bounds != 0 {
-		t.Fatalf("hooked probe pruned: %+v", st)
+	if st := r.Stats(); st.Pruned != 1 || st.Bounds != 1 {
+		t.Fatalf("hooked certified miss: %+v, want 1 pruned and 1 bound", st)
+	}
+	res, _, err = r.Probe(pt, lb)
+	if err != nil || res == nil || res.Cycles != cycles || len(calls) != 1 || len(calls[0]) != 1 {
+		t.Fatalf("hooked probe at the bound: %v, %v after remote calls %v; want the result through one one-point call", res, err, calls)
 	}
 }
 
-// TestProbeBoundViolationFails: a simulation that comes out below the
-// bound the runner holds fails loudly, naming the point, instead of
-// leaving every search the bound pruned silently wrong.
+// TestProbeBoundViolationFails: a result that comes out below the bound
+// the runner holds fails loudly, naming the point and installing
+// nothing, instead of leaving every search the bound pruned silently
+// wrong: a local simulation, and a remote reply alike.
 func TestProbeBoundViolationFails(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := testRunner(t)
-	r.Store = store
-	pt, _, cycles := probePoint(t, r, 8)
-	store.PutBound(r.storeKey(pt), cycles+10)
-	_, _, err = r.Probe(pt, cycles+10)
-	if !errors.Is(err, ErrBoundViolated) || !strings.Contains(err.Error(), "w=8") {
-		t.Fatalf("probe over a bound above the simulated cycles: %v, want ErrBoundViolated naming the point", err)
+	for _, hooked := range []bool{false, true} {
+		store, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := testRunner(t)
+		r.Store = store
+		pt, lb, cycles := probePoint(t, r, 8)
+		held := cycles + 10
+		if hooked {
+			// The store holds the true bound; the reply undercuts it.
+			held = lb
+			r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
+				return []*engine.Result{{Cycles: lb - 1}}, nil
+			}
+		}
+		store.PutBound(r.storeKey(pt), held)
+		_, _, err = r.Probe(pt, held)
+		if !errors.Is(err, ErrBoundViolated) || !strings.Contains(err.Error(), "w=8") {
+			t.Fatalf("hooked=%v: probe over a bound above the returned cycles: %v, want ErrBoundViolated naming the point", hooked, err)
+		}
+		if _, hit := store.Get(r.storeKey(pt)); hit || store.Stats().Writes != 0 {
+			t.Fatalf("hooked=%v: a result below its bound was installed: %+v", hooked, store.Stats())
+		}
 	}
 }

@@ -89,7 +89,7 @@ type CacheStats struct {
 	Bounds int64
 	// Uncacheable is always 0: every point is cacheable since memory
 	// models became values (machine.Params.Mem). perfbench still reads
-	// the field; the benchmark's next revision (ROADMAP item 2) deletes
+	// the field; the benchmark's next revision (ROADMAP item 1) deletes
 	// it.
 	Uncacheable int64
 }
@@ -131,8 +131,9 @@ type Runner struct {
 	// RemoteBatch, when non-nil, executes the points that miss
 	// the local layers in one call per Run or RunAll — typically a
 	// daemon fleet client (internal/daemon.FleetClient.RunBatch bound to
-	// a workload), so a probe wave or figure sweep becomes one HTTP
-	// round trip per replica, and a single point a one-item batch.
+	// a workload), so a figure sweep becomes one HTTP round trip per
+	// replica, and a single point, such as a search probe no bound
+	// certifies (Probe), a one-item batch.
 	// Remote results are installed into the local Store (when attached)
 	// like any fill. A remote error fails the call: a misconfigured or
 	// unreachable daemon should surface, not silently degrade to local
@@ -205,12 +206,13 @@ func keyOf(pt Point) key {
 // and the simulation must not come out below the bound (fillBatch). The
 // returned Result is a private copy, as Run's.
 //
-// A runner with a RemoteBatch hook never prunes: its client lowers no
-// program, so every probe is a Run.
+// A RemoteBatch hook changes nothing but where the simulation runs: the
+// client computes bounds too, so a certified miss sends nothing, and a
+// remote reply below the held bound fails like a local simulation.
 //
 //daelint:ctx-root like RunAll: cancellation rides the RemoteBatch hook's captured context; local simulation and bound computation are not cancellable mid-run
 func (r *Runner) Probe(pt Point, target int64) (*engine.Result, int64, error) {
-	if r.RemoteBatch != nil || pt.Kind != machine.SWSM {
+	if pt.Kind != machine.SWSM {
 		res, err := r.Run(pt)
 		return res, 0, err
 	}
@@ -340,8 +342,8 @@ func (r *Runner) Stats() CacheStats {
 // and Store hits are peeled off locally, and the remaining misses go to
 // RemoteBatch in a single call when it is set (else they simulate
 // locally across the ForEach pool). This is the request-collapsing
-// path of remote sweeps — a probe wave whose points are all warm
-// issues no remote traffic at all — and it keeps the
+// path of remote sweeps — a sweep whose points are all warm issues
+// no remote traffic at all — and it keeps the
 // single-flight contract: misses are claimed before filling, so
 // concurrent overlapping calls never duplicate a simulation. The first
 // error aborts the call; failed claims are dropped so later callers
