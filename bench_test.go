@@ -88,13 +88,13 @@ func BenchmarkEngineDMScratch(b *testing.B) {
 	flo, _ := suites(b)
 	ops := float64(flo.Stats().DMOps)
 	sim := daesim.NewSim()
-	if _, err := flo.RunDMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
+	if _, err := flo.RunWith(sim, daesim.DM, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flo.RunDMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
+		if _, err := flo.RunWith(sim, daesim.DM, daesim.Params{Window: 64, MD: 60}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,13 +107,13 @@ func BenchmarkEngineSWSMScratch(b *testing.B) {
 	flo, _ := suites(b)
 	ops := float64(flo.Stats().SWSMOps)
 	sim := daesim.NewSim()
-	if _, err := flo.RunSWSMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
+	if _, err := flo.RunWith(sim, daesim.SWSM, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flo.RunSWSMWith(sim, daesim.Params{Window: 64, MD: 60}); err != nil {
+		if _, err := flo.RunWith(sim, daesim.SWSM, daesim.Params{Window: 64, MD: 60}); err != nil {
 			b.Fatal(err)
 		}
 	}

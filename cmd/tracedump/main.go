@@ -1,20 +1,17 @@
 // Command tracedump inspects workload traces: statistics, partition
-// summaries, listings, binary export/import and ingestion of externally
-// recorded address traces.
+// summaries, listings, and text export and ingestion of address traces.
 //
 // Usage:
 //
-//	tracedump -workload MDG [-n 40] [-stats] [-partition] [-o trace.bin]
+//	tracedump -workload MDG [-n 40] [-stats] [-partition] [-text trace.txt]
 //	tracedump -workload spec:depth=8,ilp=4,addr=gather -stats
-//	tracedump -i trace.bin -stats
-//	tracedump -ingest recorded.txt -o trace.bin
+//	tracedump -ingest recorded.txt -stats
 //
-// -ingest reads the textual interchange format (see internal/trace
+// -text writes the textual interchange format (see internal/trace
 // ReadText): one instruction per line with ^N backward operand
-// references and @ADDR memory addresses, so traces recorded from
-// arbitrary programs become sweepable workloads — validate here, export
-// with -o, and simulate the binary via the library. -text exports the
-// same format, closing the round trip.
+// references and @ADDR memory addresses. -ingest reads it back, or an
+// externally recorded trace, and validates it; every inspection and
+// export then applies to the ingested trace.
 package main
 
 import (
@@ -33,10 +30,8 @@ import (
 func main() {
 	var (
 		workload = flag.String("workload", "", "workload to build (TRFD ADM FLO52Q DYFESM QCD MDG TRACK, or spec:depth=...)")
-		in       = flag.String("i", "", "read a binary trace instead of building a workload")
 		ingest   = flag.String("ingest", "", "read a textual address trace (see internal/trace ReadText) instead of building a workload")
-		out      = flag.String("o", "", "write the trace in binary format to this file")
-		text     = flag.String("text", "", "write the trace in the textual ingestion format to this file")
+		text     = flag.String("text", "", "write the trace in the textual interchange format (what -ingest reads) to this file")
 		n        = flag.Int("n", 20, "instructions to list (0 = all)")
 		stats    = flag.Bool("stats", false, "print composition statistics")
 		part     = flag.Bool("partition", false, "print AU/DU partition summary")
@@ -46,25 +41,15 @@ func main() {
 		list     = flag.Bool("list", false, "list instructions")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *workload, *in, *ingest, *out, *text, *dot, *n, *scale, *stats, *part, *reuse, *list); err != nil {
+	if err := run(os.Stdout, *workload, *ingest, *text, *dot, *n, *scale, *stats, *part, *reuse, *list); err != nil {
 		fmt.Fprintf(os.Stderr, "tracedump: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, workload, in, ingest, out, text, dot string, n, scale int, stats, part, reuse, list bool) error {
+func run(w io.Writer, workload, ingest, text, dot string, n, scale int, stats, part, reuse, list bool) error {
 	var tr *trace.Trace
 	switch {
-	case in != "":
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err = trace.Read(f)
-		if err != nil {
-			return err
-		}
 	case ingest != "":
 		f, err := os.Open(ingest)
 		if err != nil {
@@ -84,7 +69,7 @@ func run(w io.Writer, workload, in, ingest, out, text, dot string, n, scale int,
 			return err
 		}
 	default:
-		return fmt.Errorf("need -workload, -i or -ingest (known workloads: %v)", workloads.Names())
+		return fmt.Errorf("need -workload or -ingest (known workloads: %v)", workloads.Names())
 	}
 
 	if stats {
@@ -122,17 +107,6 @@ func run(w io.Writer, workload, in, ingest, out, text, dot string, n, scale int,
 				pol, s.AUOps, s.DUOps, s.SliceSize, s.SelfLoads)
 		}
 	}
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.Write(f, tr); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s (%d instructions)\n", out, tr.Len())
-	}
 	if text != "" {
 		f, err := os.Create(text)
 		if err != nil {
@@ -144,7 +118,7 @@ func run(w io.Writer, workload, in, ingest, out, text, dot string, n, scale int,
 		}
 		fmt.Fprintf(w, "wrote %s (%d instructions)\n", text, tr.Len())
 	}
-	if list || (!stats && !part && !reuse && out == "" && text == "" && dot == "") {
+	if list || (!stats && !part && !reuse && text == "" && dot == "") {
 		return trace.Dump(w, tr, n)
 	}
 	return nil

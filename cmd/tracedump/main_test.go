@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,7 +16,7 @@ import (
 
 func TestStatsAndPartitionAndReuse(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "MDG", "", "", "", "", "", 0, 1, true, true, true, false); err != nil {
+	if err := run(&b, "MDG", "", "", "", 0, 1, true, true, true, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -28,7 +29,7 @@ func TestStatsAndPartitionAndReuse(t *testing.T) {
 
 func TestListDefault(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "TRFD", "", "", "", "", "", 5, 1, false, false, false, false); err != nil {
+	if err := run(&b, "TRFD", "", "", "", 5, 1, false, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "showing 5") {
@@ -36,17 +37,17 @@ func TestListDefault(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTripAndDot(t *testing.T) {
+func TestTextRoundTripAndDot(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "t.bin")
+	text := filepath.Join(dir, "t.txt")
 	dot := filepath.Join(dir, "t.dot")
 	var b strings.Builder
-	if err := run(&b, "QCD", "", "", bin, "", dot, 10, 1, false, false, false, false); err != nil {
+	if err := run(&b, "QCD", "", text, dot, 10, 1, false, false, false, false); err != nil {
 		t.Fatal(err)
 	}
-	// Read the binary back and print stats.
+	// Ingest the text back and print stats.
 	b.Reset()
-	if err := run(&b, "", bin, "", "", "", "", 0, 1, true, false, false, false); err != nil {
+	if err := run(&b, "", text, "", "", 0, 1, true, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "trace QCD") {
@@ -62,37 +63,44 @@ func TestBinaryRoundTripAndDot(t *testing.T) {
 }
 
 // TestIngestRoundTrip closes the encode→decode→partition path end to
-// end: dump a generated workload in the textual ingestion format,
-// re-ingest it through -ingest into a binary export, and require the
-// re-lowered program to produce bit-identical Results on both machines
-// — the property that makes externally recorded traces first-class
-// workloads rather than approximations.
+// end: dump a generated workload in the textual interchange format,
+// re-ingest it through -ingest into a second text export, and require
+// byte-identical exports and a re-lowered program that produces
+// bit-identical Results on both machines — the property that makes
+// externally recorded traces first-class inputs rather than
+// approximations.
 func TestIngestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	text := filepath.Join(dir, "t.txt")
-	bin := filepath.Join(dir, "t.bin")
+	text := filepath.Join(dir, "a.txt")
+	again := filepath.Join(dir, "b.txt")
 	const spec = "spec:depth=5,ilp=3,mem=0.8,addr=mixed,hazard=0.2,iters=24,seed=4"
 
-	// Dump the generated workload as text, then ingest the text back out
-	// to binary — both through the command's own driver.
+	// Dump the generated workload as text, then ingest the text and
+	// export it again — both through the command's own driver.
 	var b strings.Builder
-	if err := run(&b, spec, "", "", "", text, "", 0, 1, false, false, false, false); err != nil {
+	if err := run(&b, spec, "", text, "", 0, 1, false, false, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&b, "", "", text, bin, "", "", 0, 1, false, false, false, false); err != nil {
+	if err := run(&b, "", text, again, "", 0, 1, false, false, false, false); err != nil {
 		t.Fatal(err)
+	}
+	first, err := os.ReadFile(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("re-exporting an ingested trace changed its text")
 	}
 
 	orig, err := workloads.Build(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ingested, err := trace.Read(f)
+	ingested, err := trace.ReadText(bytes.NewReader(second), "unnamed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +144,7 @@ func TestIngestRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err := run(&b, "", "", bad, "", "", "", 0, 1, false, false, false, false)
+	err := run(&b, "", bad, "", "", 0, 1, false, false, false, false)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("malformed ingest error %v does not name the line", err)
 	}
@@ -144,7 +152,7 @@ func TestIngestRejectsMalformed(t *testing.T) {
 
 func TestNeedsInput(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "", "", "", "", "", "", 0, 1, true, false, false, false); err == nil {
+	if err := run(&b, "", "", "", "", 0, 1, true, false, false, false); err == nil {
 		t.Fatal("missing input accepted")
 	}
 }

@@ -52,8 +52,8 @@ type (
 	// Result reports cycles and microarchitectural statistics.
 	Result = engine.Result
 	// Sim is a reusable engine scratch context: hold one per goroutine and
-	// pass it to Suite.RunDMWith/RunSWSMWith so repeated runs allocate
-	// almost nothing. The plain Run methods draw from a shared pool.
+	// pass it to Suite.RunWith so repeated runs allocate almost
+	// nothing. The plain Run methods draw from a shared pool.
 	Sim = engine.Sim
 )
 

@@ -52,8 +52,8 @@ func keyOwnedBy(t *testing.T, f *FleetClient, replica int) string {
 func TestBreakerTransitions(t *testing.T) {
 	t.Parallel()
 	f, now, _ := fakeFleet(t, 1)
-	f.FailureThreshold = 3
-	f.Cooldown = time.Second
+	f.failureThreshold = 3
+	f.cooldown = time.Second
 
 	if !f.allow(0) || f.breakerIs(0) != bkClosed {
 		t.Fatal("fresh breaker must be closed and admitting")
@@ -78,7 +78,7 @@ func TestBreakerTransitions(t *testing.T) {
 	// Success resets the consecutive-failure count: two failures, a
 	// success, then two more must not open.
 	f2, _, _ := fakeFleet(t, 1)
-	f2.FailureThreshold = 3
+	f2.failureThreshold = 3
 	f2.onFailure(0)
 	f2.onFailure(0)
 	f2.onSuccess(0)
@@ -88,7 +88,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("success must reset the consecutive-failure count")
 	}
 
-	// Cooldown expiry: half-open admits exactly one probe.
+	// cooldown expiry: half-open admits exactly one probe.
 	*now = now.Add(999 * time.Millisecond)
 	if f.allow(0) {
 		t.Fatal("breaker must stay open until the cooldown elapses")
@@ -132,8 +132,8 @@ func TestBreakerTransitions(t *testing.T) {
 func TestScatterBreakerRecovery(t *testing.T) {
 	t.Parallel()
 	f, now, _ := fakeFleet(t, 2)
-	f.FailureThreshold = 3
-	f.Cooldown = time.Second
+	f.failureThreshold = 3
+	f.cooldown = time.Second
 	key := keyOwnedBy(t, f, 0)
 
 	down := true
@@ -197,7 +197,7 @@ func TestScatterBreakerRecovery(t *testing.T) {
 func TestScatterForcesAttemptWhenAllOpen(t *testing.T) {
 	t.Parallel()
 	f, _, _ := fakeFleet(t, 1)
-	f.FailureThreshold = 1
+	f.failureThreshold = 1
 	f.onFailure(0)
 	if f.breakerIs(0) != bkOpen {
 		t.Fatal("setup: breaker should be open")
@@ -290,7 +290,7 @@ func TestScatterFatalErrorsFailFast(t *testing.T) {
 func TestScatterDrainingReroutesWithoutPenalty(t *testing.T) {
 	t.Parallel()
 	f, _, slept := fakeFleet(t, 2)
-	f.FailureThreshold = 1 // any real failure would open instantly
+	f.failureThreshold = 1 // any real failure would open instantly
 	key := keyOwnedBy(t, f, 0)
 	calls := [2]int{}
 	err := f.scatter(context.Background(), 1, func(int) string { return key }, func(_ context.Context, replica int, _ []int) error {
@@ -338,40 +338,40 @@ func TestScatterCancellation(t *testing.T) {
 
 // TestBackoffDeterministicAndBounded: the retry backoff is a pure
 // function of (seed, round), grows exponentially, and caps at
-// BackoffMax — the property that pins retry pacing across chaos
+// backoffMax — the property that pins retry pacing across chaos
 // replays.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	t.Parallel()
 	f, _, _ := fakeFleet(t, 1)
-	f.BackoffBase = 10 * time.Millisecond
-	f.BackoffMax = 80 * time.Millisecond
-	f.BackoffSeed = 42
+	f.backoffBase = 10 * time.Millisecond
+	f.backoffMax = 80 * time.Millisecond
+	f.backoffSeed = 42
 	g, _, _ := fakeFleet(t, 1)
-	g.BackoffBase = 10 * time.Millisecond
-	g.BackoffMax = 80 * time.Millisecond
-	g.BackoffSeed = 42
+	g.backoffBase = 10 * time.Millisecond
+	g.backoffMax = 80 * time.Millisecond
+	g.backoffSeed = 42
 	prevCap := time.Duration(0)
 	for round := 0; round < 10; round++ {
 		d := f.backoffDelay(round)
 		if d != g.backoffDelay(round) {
 			t.Fatalf("round %d: backoff not deterministic", round)
 		}
-		envelope := f.BackoffBase << uint(round)
-		if envelope > f.BackoffMax {
-			envelope = f.BackoffMax
+		envelope := f.backoffBase << uint(round)
+		if envelope > f.backoffMax {
+			envelope = f.backoffMax
 		}
 		if d < envelope/2 || d >= envelope {
 			t.Fatalf("round %d: delay %v outside jitter envelope [%v,%v)", round, d, envelope/2, envelope)
 		}
-		if envelope == f.BackoffMax && prevCap != 0 {
+		if envelope == f.backoffMax && prevCap != 0 {
 			// Past the cap the envelope stops growing.
-			if d >= f.BackoffMax {
+			if d >= f.backoffMax {
 				t.Fatalf("round %d: delay %v at or above the cap", round, d)
 			}
 		}
 		prevCap = envelope
 	}
-	g.BackoffSeed = 43
+	g.backoffSeed = 43
 	diff := false
 	for round := 0; round < 10; round++ {
 		if f.backoffDelay(round) != g.backoffDelay(round) {

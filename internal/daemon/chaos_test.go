@@ -35,9 +35,9 @@ func chaosFleet(t *testing.T, n int, spec string) (*FleetClient, []*Server, *fau
 			Transport: &faultinject.Transport{Injector: inj, Scope: fmt.Sprintf("r%d", i)},
 		}
 	}
-	fleet.Cooldown = 20 * time.Millisecond
-	fleet.BackoffBase = time.Millisecond
-	fleet.BackoffMax = 4 * time.Millisecond
+	fleet.cooldown = 20 * time.Millisecond
+	fleet.backoffBase = time.Millisecond
+	fleet.backoffMax = 4 * time.Millisecond
 	return fleet, servers, inj
 }
 
@@ -236,12 +236,12 @@ func TestChaosReplayDeterministic(t *testing.T) {
 				Transport: &faultinject.Transport{Injector: inj, Scope: fmt.Sprintf("r%d", i)},
 			}
 		}
-		fleet.BackoffBase = time.Millisecond
-		fleet.BackoffMax = 4 * time.Millisecond
+		fleet.backoffBase = time.Millisecond
+		fleet.backoffMax = 4 * time.Millisecond
 		// Routing must be a pure function of the schedule for the trace
 		// to replay: breaker state depends on the wall clock (cooldown
 		// expiry), so keep breakers closed for this test.
-		fleet.FailureThreshold = 1 << 30
+		fleet.failureThreshold = 1 << 30
 		res, err := fleet.RunBatch(context.Background(), testWorkload, 1, "", pts)
 		var rendered []string
 		for _, r := range res {

@@ -184,7 +184,7 @@ func TestFleetRunIsOneBatchItem(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	fleet.BackoffBase, fleet.BackoffMax = time.Millisecond, time.Millisecond
+	fleet.backoffBase, fleet.backoffMax = time.Millisecond, time.Millisecond
 	fp := mustSuite(t, testWorkload).Fingerprint()
 
 	pt := sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: 12, MD: 20}}

@@ -34,12 +34,12 @@ import (
 //     fail the call loudly, immediately.
 //   - Transport errors and 5xx — the signatures of a dying or
 //     overloaded replica — reroute the affected points to the next
-//     owners in ring order (Ring.Owners), bounded by MaxAttempts
-//     distinct replicas per point, with bounded exponential backoff
+//     owners in ring order (Ring.Owners), trying each replica at most
+//     once per point, with bounded exponential backoff
 //     (deterministically jittered) between retry rounds.
-//   - Each replica sits behind a circuit breaker: FailureThreshold
-//     consecutive failures open it, and while open the replica is
-//     skipped whenever another candidate exists. After Cooldown the
+//   - Each replica sits behind a circuit breaker: three consecutive
+//     failures open it, and while open the replica is skipped
+//     whenever another candidate exists. After a 2s cooldown the
 //     breaker goes half-open and admits a single probe; success closes
 //     it (the replica rejoins the scatter loop at full traffic),
 //     failure re-opens it. When every candidate's breaker is open the
@@ -65,23 +65,21 @@ type FleetClient struct {
 	clients []*Client
 	ring    *Ring
 
-	// MaxAttempts bounds how many distinct replicas one point is tried
-	// on before it is declared unavailable (0 = every replica).
-	MaxAttempts int
-	// FailureThreshold is how many consecutive retryable failures open
-	// a replica's circuit breaker (default 3).
-	FailureThreshold int
-	// Cooldown is how long an open breaker waits before going
-	// half-open and admitting a recovery probe (default 2s).
-	Cooldown time.Duration
-	// BackoffBase and BackoffMax bound the exponential backoff between
+	// failureThreshold is how many consecutive retryable failures open
+	// a replica's circuit breaker (3).
+	failureThreshold int
+	// cooldown is how long an open breaker waits before going
+	// half-open and admitting a recovery probe (2s).
+	cooldown time.Duration
+	// backoffBase and backoffMax bound the exponential backoff between
 	// scatter rounds that saw retryable failures: round r sleeps
-	// jittered min(BackoffBase<<r, BackoffMax) (defaults 5ms, 500ms).
-	// The jitter is a pure function of BackoffSeed and the round, so a
-	// replayed chaos run waits the same schedule.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	BackoffSeed uint64
+	// jittered min(backoffBase<<r, backoffMax) (5ms, 500ms). The jitter
+	// is a pure function of backoffSeed and the round, so a replayed
+	// chaos run waits the same schedule. NewFleetClient sets all five;
+	// only tests change them.
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	backoffSeed uint64
 
 	breakers []breaker
 
@@ -142,8 +140,9 @@ func NewFleetClient(urls []string) (*FleetClient, error) {
 			return nil, fmt.Errorf("daemon fleet: replica %d has an empty URL", i)
 		}
 		// Duplicates collapse to identical vnode hashes: the ring would
-		// route as if the fleet were smaller while maxAttempts still
-		// counts both entries, silently shrinking the real failover set.
+		// route as if the fleet were smaller while the attempt budget
+		// still counts both entries, silently shrinking the real
+		// failover set.
 		if prev, dup := seen[u]; dup {
 			return nil, fmt.Errorf("daemon fleet: replicas %d and %d are the same URL %q after trailing-slash normalization; every replica must be listed once", prev, i, u)
 		}
@@ -154,10 +153,10 @@ func NewFleetClient(urls []string) (*FleetClient, error) {
 	return &FleetClient{
 		clients:          clients,
 		ring:             NewRing(members),
-		FailureThreshold: 3,
-		Cooldown:         2 * time.Second,
-		BackoffBase:      5 * time.Millisecond,
-		BackoffMax:       500 * time.Millisecond,
+		failureThreshold: 3,
+		cooldown:         2 * time.Second,
+		backoffBase:      5 * time.Millisecond,
+		backoffMax:       500 * time.Millisecond,
 		breakers:         make([]breaker, len(urls)),
 		now:              time.Now,
 		sleep:            time.Sleep,
@@ -179,27 +178,6 @@ func (f *FleetClient) Metrics() FleetMetrics {
 		DrainingReroutes: f.drainingReroutes.Load(),
 		Unavailable:      f.unavailable.Load(),
 	}
-}
-
-func (f *FleetClient) maxAttempts() int {
-	if f.MaxAttempts > 0 && f.MaxAttempts < len(f.clients) {
-		return f.MaxAttempts
-	}
-	return len(f.clients)
-}
-
-func (f *FleetClient) failureThreshold() int {
-	if f.FailureThreshold > 0 {
-		return f.FailureThreshold
-	}
-	return 3
-}
-
-func (f *FleetClient) cooldown() time.Duration {
-	if f.Cooldown > 0 {
-		return f.Cooldown
-	}
-	return 2 * time.Second
 }
 
 // breakerState is a replica breaker's position in the
@@ -260,7 +238,7 @@ func (f *FleetClient) onSuccess(i int) {
 }
 
 // onFailure records a retryable failure on replica i: a failed probe
-// re-opens the breaker, FailureThreshold consecutive failures open a
+// re-opens the breaker, failureThreshold consecutive failures open a
 // closed one, and a failed forced attempt on an already-open breaker
 // extends its cooldown.
 func (f *FleetClient) onFailure(i int) {
@@ -271,17 +249,17 @@ func (f *FleetClient) onFailure(i int) {
 	case bkHalfOpen:
 		b.state = bkOpen
 		b.probing = false
-		b.until = f.now().Add(f.cooldown())
+		b.until = f.now().Add(f.cooldown)
 		f.breakerOpens.Add(1)
 	case bkClosed:
 		b.fails++
-		if b.fails >= f.failureThreshold() {
+		if b.fails >= f.failureThreshold {
 			b.state = bkOpen
-			b.until = f.now().Add(f.cooldown())
+			b.until = f.now().Add(f.cooldown)
 			f.breakerOpens.Add(1)
 		}
 	case bkOpen:
-		b.until = f.now().Add(f.cooldown())
+		b.until = f.now().Add(f.cooldown)
 	}
 }
 
@@ -380,9 +358,9 @@ func routeKey(workload string, scale int, fingerprint string, pt sweep.Point) st
 // owner in ring order that is untried and admitted by its breaker
 // (half-open admits one probe), else the first untried owner ignoring
 // breakers (stale opens must not fail a call unattempted), else -1
-// when the attempt budget is spent.
+// when every replica has been tried.
 func (f *FleetClient) pickCandidate(key string, tried uint64) int {
-	owners := f.ring.Owners(key, f.maxAttempts())
+	owners := f.ring.Owners(key, len(f.clients))
 	for _, o := range owners {
 		if tried&(1<<uint(o)) == 0 && f.allow(o) {
 			return o
@@ -398,17 +376,10 @@ func (f *FleetClient) pickCandidate(key string, tried uint64) int {
 
 // backoffDelay is the sleep before retry round r (0-based): bounded
 // exponential growth with deterministic jitter in [d/2, d) drawn from
-// BackoffSeed — a pure function of (seed, round), so a replayed run
+// backoffSeed — a pure function of (seed, round), so a replayed run
 // backs off identically.
 func (f *FleetClient) backoffDelay(round int) time.Duration {
-	base, max := f.BackoffBase, f.BackoffMax
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 500 * time.Millisecond
-	}
-	d := base
+	d, max := f.backoffBase, f.backoffMax
 	for i := 0; i < round && d < max; i++ {
 		d *= 2
 	}
@@ -416,7 +387,7 @@ func (f *FleetClient) backoffDelay(round int) time.Duration {
 		d = max
 	}
 	// splitmix64 of (seed, round) -> fraction of d/2.
-	x := f.BackoffSeed + 0x9e3779b97f4a7c15*(uint64(round)+1)
+	x := f.backoffSeed + 0x9e3779b97f4a7c15*(uint64(round)+1)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
@@ -432,7 +403,7 @@ func (f *FleetClient) backoffDelay(round int) time.Duration {
 // or charges the replica's breaker and reroutes. Rounds that saw real
 // failures are separated by backoffDelay. Every round consumes one
 // attempt per unsettled item, so the loop terminates within
-// maxAttempts rounds; items that exhaust their candidates are dropped
+// one round per replica; items that exhaust their candidates are dropped
 // from the loop and reported at the end via an unavailableError (exec
 // never ran for them, so batch callers return partial results).
 func (f *FleetClient) scatter(ctx context.Context, n int, keyOf func(int) string, exec func(ctx context.Context, replica int, idx []int) error) error {

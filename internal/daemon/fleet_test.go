@@ -280,7 +280,7 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 		handlers[i].healthy.Store(math.MaxInt64) // disarmed
 		return handlers[i]
 	})
-	fleet.Cooldown = 50 * time.Millisecond
+	fleet.cooldown = 50 * time.Millisecond
 
 	var pts []sweep.Point
 	for w := 4; w <= 96; w += 4 {
@@ -343,7 +343,7 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 func TestFleetDeadReplicaFromStart(t *testing.T) {
 	t.Parallel()
 	fleet, _, https := newFleet(t, 3, nil, nil)
-	fleet.Cooldown = 50 * time.Millisecond
+	fleet.cooldown = 50 * time.Millisecond
 	https[1].Close() // now refuses connections
 
 	suite := mustSuite(t, testWorkload)

@@ -432,20 +432,8 @@ func (p Params) Config(kind Kind) (engine.Config, error) {
 // RunDM executes the decoupled machine under p.
 func (s *Suite) RunDM(p Params) (*engine.Result, error) { return s.RunWith(nil, DM, p) }
 
-// RunDMWith executes the decoupled machine under p on sim's scratch
-// (nil draws from the shared pool).
-func (s *Suite) RunDMWith(sim *engine.Sim, p Params) (*engine.Result, error) {
-	return s.RunWith(sim, DM, p)
-}
-
 // RunSWSM executes the superscalar machine under p.
 func (s *Suite) RunSWSM(p Params) (*engine.Result, error) { return s.RunWith(nil, SWSM, p) }
-
-// RunSWSMWith executes the superscalar machine under p on sim's scratch
-// (nil draws from the shared pool).
-func (s *Suite) RunSWSMWith(sim *engine.Sim, p Params) (*engine.Result, error) {
-	return s.RunWith(sim, SWSM, p)
-}
 
 // SerialCycles returns the execution time of tr on the serial reference
 // machine used as the speedup baseline: a single-issue, non-overlapping

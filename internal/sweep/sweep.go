@@ -520,27 +520,6 @@ type Series struct {
 	Y    []float64
 }
 
-// WindowSweep runs the machine at each window size and maps results
-// through f (e.g. a speedup or LHE computation).
-func (r *Runner) WindowSweep(kind machine.Kind, base machine.Params, windows []int, f func(w int, res *engine.Result) float64) (Series, error) {
-	pts := make([]Point, len(windows))
-	for i, w := range windows {
-		p := base
-		p.Window = w
-		pts[i] = Point{Kind: kind, P: p}
-	}
-	results, err := r.RunAll(pts)
-	if err != nil {
-		return Series{}, err
-	}
-	s := Series{X: make([]float64, len(windows)), Y: make([]float64, len(windows))}
-	for i, res := range results {
-		s.X[i] = float64(windows[i])
-		s.Y[i] = f(windows[i], res)
-	}
-	return s, nil
-}
-
 // Windows returns the window sizes lo, lo+step, lo+2*step, ... up to and
 // including hi when it lands on the grid.
 func Windows(lo, hi, step int) []int {

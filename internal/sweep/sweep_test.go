@@ -427,22 +427,6 @@ func errorsContains(err error, sub string) bool {
 	return err != nil && strings.Contains(err.Error(), sub)
 }
 
-func TestWindowSweep(t *testing.T) {
-	r := testRunner(t)
-	windows := []int{4, 8, 16}
-	s, err := r.WindowSweep(machine.SWSM, machine.Params{MD: 20}, windows,
-		func(w int, res *engine.Result) float64 { return float64(res.Cycles) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.X) != 3 || s.X[0] != 4 || s.X[2] != 16 {
-		t.Fatalf("x values wrong: %v", s.X)
-	}
-	if s.Y[0] < s.Y[2] {
-		t.Fatalf("cycles should not grow with window: %v", s.Y)
-	}
-}
-
 func TestWindows(t *testing.T) {
 	w := Windows(10, 50, 10)
 	if len(w) != 5 || w[0] != 10 || w[4] != 50 {

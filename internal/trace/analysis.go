@@ -118,25 +118,3 @@ func (t *Trace) WriteDot(w io.Writer, max int) error {
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()
 }
-
-// OccupancyDemand estimates, per unit-latency dataflow level, how many
-// instructions must be simultaneously in flight to sustain the trace's
-// full parallelism — a resource-free proxy for the window size a machine
-// needs. It returns the maximum over a sliding window of depth levels.
-func (t *Trace) OccupancyDemand(depth int) int {
-	if depth < 1 {
-		depth = 1
-	}
-	prof := t.ILPProfile()
-	max, sum := 0, 0
-	for i, n := range prof {
-		sum += n
-		if i >= depth {
-			sum -= prof[i-depth]
-		}
-		if sum > max {
-			max = sum
-		}
-	}
-	return max
-}

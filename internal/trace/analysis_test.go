@@ -104,24 +104,3 @@ func TestWriteDot(t *testing.T) {
 		t.Error("truncated dot references dropped nodes")
 	}
 }
-
-func TestOccupancyDemand(t *testing.T) {
-	// Two independent chains of length 3: profile [2 2 2].
-	tr := &Trace{Instrs: []Instr{
-		{Class: isa.IntALU},
-		{Class: isa.IntALU},
-		{Class: isa.IntALU, Args: []int32{0}},
-		{Class: isa.IntALU, Args: []int32{1}},
-		{Class: isa.IntALU, Args: []int32{2}},
-		{Class: isa.IntALU, Args: []int32{3}},
-	}}
-	if d := tr.OccupancyDemand(1); d != 2 {
-		t.Fatalf("depth-1 demand = %d, want 2", d)
-	}
-	if d := tr.OccupancyDemand(2); d != 4 {
-		t.Fatalf("depth-2 demand = %d, want 4", d)
-	}
-	if d := tr.OccupancyDemand(0); d != 2 {
-		t.Fatalf("depth clamps to 1; got %d", d)
-	}
-}

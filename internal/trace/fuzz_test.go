@@ -3,39 +3,29 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// FuzzTraceDecode hardens both trace decoders — the binary format's
-// Read and the ingestion format's ReadText — against untrusted bytes:
-// malformed, truncated and oversized input must come back as an error,
-// never a panic or a multi-gigabyte allocation (Read's instruction
-// count is attacker-controlled; see the capped prealloc in encode.go).
-// Anything either decoder accepts must be a valid trace that survives
-// an encode/decode round trip bit-identically. Seed corpus under
-// testdata/fuzz/FuzzTraceDecode; CI live-fuzzes it on every PR next to
-// the batch-body fuzzers.
+// FuzzTraceDecode hardens the trace decoder, ReadText, against untrusted
+// bytes: malformed, truncated and oversized input must come back as an
+// error, never a panic or a runaway allocation. Anything it accepts must
+// be a valid trace that survives a WriteText/ReadText round trip
+// exactly. Seed corpus under testdata/fuzz/FuzzTraceDecode; its binary_*
+// entries are inputs the decoder must refuse. CI live-fuzzes it on
+// every PR next to the batch-body fuzzers.
 func FuzzTraceDecode(f *testing.F) {
-	// A well-formed binary trace seeds the structured path.
-	var good bytes.Buffer
-	tr := randomTrace(rand.New(rand.NewSource(1)), 60)
-	if err := Write(&good, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add(good.Bytes()[:len(good.Bytes())/2]) // truncated mid-stream
-	// Header claiming 4G instructions over 3 trailing bytes.
-	f.Add([]byte("DAET\x01\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00"))
 	var text bytes.Buffer
-	if err := WriteText(&text, tr); err != nil {
+	if err := WriteText(&text, randomTrace(rand.New(rand.NewSource(1)), 60)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(text.Bytes())
+	f.Add(text.Bytes()[:len(text.Bytes())/2]) // truncated mid-stream
 	f.Add([]byte("# trace x\nint\nload ^1 @0xfff\nstore ^1 ^2 @16\nfp ^9\n"))
+	f.Add([]byte("fp ^1\n")) // operand before the first instruction
+	// A binary header claiming 4G instructions over 3 trailing bytes.
+	f.Add([]byte("DAET\x01\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := Read(bytes.NewReader(data)); err == nil {
-			roundTrip(t, tr)
-		}
 		if tr, err := ReadText(bytes.NewReader(data), "fuzz"); err == nil {
 			roundTrip(t, tr)
 		}
@@ -43,28 +33,28 @@ func FuzzTraceDecode(f *testing.F) {
 }
 
 // roundTrip asserts an accepted trace is valid and encodes/decodes to
-// itself.
+// itself: the same name, equal instructions and bit-stable bytes.
 func roundTrip(t *testing.T, tr *Trace) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("decoder accepted an invalid trace: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	var a bytes.Buffer
+	if err := WriteText(&a, tr); err != nil {
 		t.Fatalf("re-encoding an accepted trace: %v", err)
 	}
-	again, err := Read(&buf)
+	again, err := ReadText(bytes.NewReader(a.Bytes()), "other")
 	if err != nil {
 		t.Fatalf("re-decoding an accepted trace: %v", err)
 	}
-	var a, b bytes.Buffer
-	if err := Write(&a, tr); err != nil {
-		t.Fatal(err)
+	if again.Name != tr.Name || !reflect.DeepEqual(again.Instrs, tr.Instrs) {
+		t.Fatal("text round trip changed the trace")
 	}
-	if err := Write(&b, again); err != nil {
+	var b bytes.Buffer
+	if err := WriteText(&b, again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("binary round trip is not bit-stable")
+		t.Fatal("text round trip is not bit-stable")
 	}
 }

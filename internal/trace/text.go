@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,9 +11,10 @@ import (
 	"daesim/internal/isa"
 )
 
-// Textual address-trace interchange format — the ingestion point for
-// externally recorded traces (cmd/tracedump -ingest). One instruction
-// per line, program order:
+// Textual address-trace interchange format — the one file format for
+// traces: cmd/tracedump writes it with -text and reads it back, or an
+// externally recorded trace, with -ingest. One instruction per line,
+// program order:
 //
 //	# comment                     (blank lines and # lines are ignored)
 //	# trace NAME                  (optional; names the trace)
@@ -21,20 +23,23 @@ import (
 //	load [^N ...] @ADDR
 //	store ^D [^N ...] @ADDR
 //
-// ^N is an operand reference N instructions back (N >= 1), matching the
-// binary format's delta encoding; ADDR is the memory address (0x-prefix
-// for hex). Loads treat every reference as an address producer; stores
-// treat the first (^D) as the stored data and the rest as address
-// producers; int/fp references are plain data operands. The parsed
-// trace passes the same Validate as every other source, so a recorded
-// program that breaks the operand invariants is rejected with the
-// offending line number, not simulated wrongly.
+// ^N is an operand reference N instructions back (N >= 1); ADDR is the
+// memory address (0x-prefix for hex). Loads treat every reference as an
+// address producer; stores treat the first (^D) as the stored data and
+// the rest as address producers; int/fp references are plain data
+// operands. The parsed trace passes the same Validate as every other
+// source, so a recorded program that breaks the operand invariants is
+// rejected with the offending line number, not simulated wrongly. A
+// line longer than maxTextLine is rejected the same way.
+
+// maxTextLine bounds one line of the textual format in bytes.
+const maxTextLine = 1 << 20
 
 // ReadText parses the textual trace format. name is used when the input
 // carries no "# trace NAME" directive.
 func ReadText(r io.Reader, name string) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTextLine)
 	t := &Trace{Name: name}
 	lineNo := 0
 	for sc.Scan() {
@@ -56,7 +61,11 @@ func ReadText(r io.Reader, name string) (*Trace, error) {
 		t.Instrs = append(t.Instrs, in)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The scanner stopped on the line after the last one it returned.
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("trace: line %d: longer than %d bytes: %w", lineNo+1, maxTextLine, err)
+		}
+		return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: ingested trace invalid: %w", err)
@@ -141,7 +150,7 @@ func addrBase(s string) int {
 }
 
 // WriteText renders t in the format ReadText parses, closing the
-// round trip (used by tracedump and its ingestion tests).
+// round trip (tracedump -text).
 func WriteText(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# trace %s\n", t.Name)
@@ -168,6 +177,31 @@ func WriteText(w io.Writer, t *Trace) error {
 			fmt.Fprintf(bw, " @%#x", in.MemAddr)
 		}
 		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+// Dump writes a human-readable listing of up to max instructions to w
+// (max <= 0 dumps everything).
+func Dump(w io.Writer, t *Trace, max int) error {
+	if max <= 0 || max > len(t.Instrs) {
+		max = len(t.Instrs)
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# trace %s: %d instructions (showing %d)\n", t.Name, len(t.Instrs), max)
+	for i := 0; i < max; i++ {
+		in := &t.Instrs[i]
+		fmt.Fprintf(bw, "%7d  %-6s", i, in.Class)
+		if len(in.Addr) > 0 {
+			fmt.Fprintf(bw, " addr=%v", in.Addr)
+		}
+		if len(in.Args) > 0 {
+			fmt.Fprintf(bw, " args=%v", in.Args)
+		}
+		if in.Class == isa.Load || in.Class == isa.Store {
+			fmt.Fprintf(bw, " @%#x", in.MemAddr)
+		}
+		fmt.Fprintln(bw)
 	}
 	return bw.Flush()
 }

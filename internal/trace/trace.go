@@ -20,7 +20,8 @@ import (
 	"daesim/internal/isa"
 )
 
-// None marks an absent operand reference.
+// None marks an absent operand reference (a constant, kernel.Val.Index).
+// It never appears in a valid trace.
 const None int32 = -1
 
 // Instr is one instruction of a trace. Operand references are indices of
@@ -38,18 +39,15 @@ type Instr struct {
 	MemAddr uint64
 }
 
-// Operands calls fn for every operand reference of in (address operands
-// first), skipping None entries.
+// Operands calls fn for every operand reference of in, address operands
+// first. A valid trace holds no None entries (Validate rejects them), so
+// every reference names an earlier instruction.
 func (in *Instr) Operands(fn func(int32)) {
 	for _, a := range in.Addr {
-		if a != None {
-			fn(a)
-		}
+		fn(a)
 	}
 	for _, a := range in.Args {
-		if a != None {
-			fn(a)
-		}
+		fn(a)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 	"daesim/internal/trace"
 )
 
-// traceBytes encodes tr in the binary trace format, the byte identity
+// traceBytes encodes tr in the textual trace format, the byte identity
 // every determinism property below compares.
 func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
+	if err := trace.WriteText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
