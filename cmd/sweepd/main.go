@@ -8,19 +8,17 @@
 //	sweepd [-addr :8077] [-cache dir] [-par 0] [-max-concurrent 0]
 //	       [-timeout 0] [-gc ""] [-gc-interval 10m] [-drain 30s]
 //	       [-drain-grace 500ms] [-quiet] [-replica id] [-fleet url1,url2,...]
-//	       [-metrics=true]
 //
 // Endpoints: POST /v1/batch/run (simulation points, each with its own
 // workload target, run on the bounded pool) and POST /v1/batch/search
 // (the equivalent-window ratio searches of Figures 7-9, fanned across
 // the pool) — a single point or search is a batch of one — plus
-// GET /v1/cache/stats, POST /v1/cache/gc,
-// GET /healthz, and GET /metrics (Prometheus text exposition of the
-// request, cache, store and admission-queue counters — DESIGN.md §15;
-// disable with -metrics=false). -gc takes a sweep GC policy
-// ("max-entries=N,max-bytes=N,max-age=DUR") enforced every -gc-interval
-// in the background; /v1/cache/gc remains available on demand either
-// way.
+// GET /v1/cache/stats, POST /v1/cache/gc, GET /healthz, and
+// GET /metrics (Prometheus text exposition of the request, cache, store
+// and admission-queue counters — DESIGN.md §15). -gc takes a sweep GC
+// policy ("max-entries=N,max-bytes=N,max-age=DUR") enforced every
+// -gc-interval in the background; /v1/cache/gc remains available on
+// demand either way.
 //
 // As one replica of a fleet (DESIGN.md §11), give each daemon a unique
 // -replica id and the full member list in -fleet — the same
@@ -71,23 +69,21 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress per-request logging")
 		replica    = flag.String("replica", "", "this daemon's replica id within a fleet (advertised in /healthz; must be unique)")
 		fleet      = flag.String("fleet", "", "comma-separated URLs of every fleet member, matching the clients' -remote list (advertised in /healthz for membership-skew checks)")
-		metrics    = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text exposition)")
 	)
 	flag.Parse()
-	if err := run(*addr, *cacheDir, *par, *maxConc, *timeout, *gcSpec, *gcInterval, *drain, *drainGrace, *quiet, *replica, *fleet, *metrics); err != nil {
+	if err := run(*addr, *cacheDir, *par, *maxConc, *timeout, *gcSpec, *gcInterval, *drain, *drainGrace, *quiet, *replica, *fleet); err != nil {
 		fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, cacheDir string, par, maxConc int, timeout time.Duration, gcSpec string, gcInterval, drain, drainGrace time.Duration, quiet bool, replica, fleet string, metrics bool) error {
+func run(addr, cacheDir string, par, maxConc int, timeout time.Duration, gcSpec string, gcInterval, drain, drainGrace time.Duration, quiet bool, replica, fleet string) error {
 	cfg := daemon.Config{
 		Parallelism:    par,
 		MaxConcurrent:  maxConc,
 		RequestTimeout: timeout,
 		GCInterval:     gcInterval,
 		ReplicaID:      replica,
-		DisableMetrics: !metrics,
 	}
 	if fleet != "" {
 		for _, u := range strings.Split(fleet, ",") {

@@ -43,8 +43,9 @@ type (
 	// Kind selects a machine model: DM or SWSM.
 	Kind = machine.Kind
 	// Params configures one simulation run; the zero value plus Window and
-	// MD reproduces the paper's configuration (AU/DU widths 4/5, SWSM
-	// width 9, FP latency 3, window-scaled memory queue).
+	// MD reproduces the paper's configuration (one Window per DM unit,
+	// AU/DU widths 4/5, SWSM width 9, FP latency 3, copy latency 1,
+	// window-scaled memory queue, in-order retirement).
 	Params = machine.Params
 	// Suite is one trace under one partition policy; build once, run many
 	// configurations. Each machine's program is lowered on its first run.
@@ -72,18 +73,16 @@ const (
 const Unbounded = machine.Unbounded
 
 // RetirePolicy selects how window slots are reclaimed (Params.Retire).
-// The zero value RetireAuto resolves to the machine default — in-order
-// (ROB/FIFO-queue-style) on both machines; RetireAtComplete forces the
-// older free-at-completion accounting (ablation A6, EXPERIMENTS.md).
+// The zero value RetireInOrder is the default on both machines
+// (ROB/FIFO-queue-style); RetireAtComplete forces the older
+// free-at-completion accounting (ablation A6, EXPERIMENTS.md).
 type RetirePolicy = machine.RetirePolicy
 
 const (
-	// RetireAuto picks the machine default: in-order on both machines.
-	RetireAuto = machine.RetireAuto
-	// RetireAtComplete frees a window slot when its op completes.
-	RetireAtComplete = machine.RetireAtComplete
 	// RetireInOrder frees window slots in program order (reorder buffer).
 	RetireInOrder = machine.RetireInOrder
+	// RetireAtComplete frees a window slot when its op completes.
+	RetireAtComplete = machine.RetireAtComplete
 )
 
 // Partition policies for the decoupled machine.

@@ -26,13 +26,13 @@ import (
 
 	"daesim/internal/engine"
 	"daesim/internal/machine"
-	"daesim/internal/partition"
 	"daesim/internal/sweep"
 )
 
 // Target identifies the suite a request runs against: a workload at a
-// scale (at most MaxScale) under a partition policy. The zero values
-// mean scale 1 and the classic partition.
+// scale (at most MaxScale). The zero scale means 1. The partition
+// policy is not on the wire: the daemon finds it from Fingerprint
+// (Server.runnerFor), and serves the classic partition without one.
 //
 // EngineVersion and Fingerprint, when set, make the daemon refuse
 // (HTTP 409) to answer from a skewed build: a daemon left running
@@ -44,15 +44,14 @@ import (
 // sends its linked engine.Version and, from sweeps routed through the
 // runner hooks, the local suite's source key.
 type Target struct {
-	Workload string           `json:"workload"`
-	Scale    int              `json:"scale,omitempty"`
-	Policy   partition.Policy `json:"policy,omitempty"`
+	Workload string `json:"workload"`
+	Scale    int    `json:"scale,omitempty"`
 	// EngineVersion, when non-empty, must equal the daemon's
 	// engine.Version.
 	EngineVersion string `json:"engine_version,omitempty"`
 	// Fingerprint, when non-empty, must equal the
 	// machine.Suite.Fingerprint() of the daemon's suite for the workload
-	// under Policy or, failing that, under another partition policy: its
+	// under the classic partition or, failing that, under another: its
 	// source key, a hash of lower.Version and of digests of the trace and
 	// the partition assignment. A daemon built with another lowering
 	// version, or one that builds the workload or its partition
@@ -85,17 +84,12 @@ func (r *RunRequest) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SearchRatio is the one SearchRequest.Op: run the DM at the given
-// params and report the equivalent-window ratio of Figures 7-9.
-const SearchRatio = "ratio"
-
 // SearchRequest is an equivalent-window ratio search against one suite,
 // probed through the daemon's shared cache: an item of a
-// /v1/batch/search body.
+// /v1/batch/search body. It runs the DM at Params and reports the
+// equivalent-window ratio of Figures 7-9.
 type SearchRequest struct {
 	Target
-	// Op selects the search; SearchRatio is the only one.
-	Op string `json:"op"`
 	// Params configures the probes; Params.Window is the DM window.
 	Params machine.Params `json:"params"`
 }

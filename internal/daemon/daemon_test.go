@@ -21,7 +21,6 @@ import (
 	"daesim/internal/machine"
 	"daesim/internal/memsys"
 	"daesim/internal/metrics"
-	"daesim/internal/partition"
 	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
@@ -32,8 +31,7 @@ import (
 func TestParamsRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := machine.Params{
-		Window: 64, AUWindow: 32, DUWindow: 48, MD: 60, FPLat: 5, CopyLat: 2,
-		AUWidth: 3, DUWidth: 6, Width: 9, DispatchWidth: 4, MemQueue: 128,
+		Window: 64, MD: 60, CopyLat: 2, AUWidth: 3, DUWidth: 6, Width: 9, MemQueue: 128,
 		CollectESW: true, HoldSendSlots: true, Retire: machine.RetireAtComplete,
 		Mem: memsys.DefaultCacheSpec(),
 	}
@@ -49,18 +47,16 @@ func TestParamsRoundTrip(t *testing.T) {
 		want string
 	}{
 		{sweep.Point{Kind: machine.SWSM, P: in},
-			`{"kind":"SWSM","params":{"window":64,"au_window":32,"du_window":48,"md":60,"fp_lat":5,"copy_lat":2,"au_width":3,"du_width":6,"width":9,"dispatch_width":4,"mem_queue":128,"mem":"cache:64x2@2,1024x4@8","collect_esw":true,"hold_send_slots":true,"retire":"at-complete"}}`},
+			`{"kind":"SWSM","params":{"window":64,"md":60,"copy_lat":2,"au_width":3,"du_width":6,"width":9,"mem_queue":128,"mem":"cache:64x2@2,1024x4@8","collect_esw":true,"hold_send_slots":true,"retire":"at-complete"}}`},
 		// Zero fields are omitted, so a point without a memory model
 		// keeps the bytes it had before the field existed.
 		{machine.Params{Window: 8}, `{"window":8}`},
 		{RunRequest{Target: Target{Workload: "TRFD", Scale: 2, EngineVersion: "engine-v9", Fingerprint: "f00d"}, Point: sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}}},
 			`{"workload":"TRFD","scale":2,"engine_version":"engine-v9","fingerprint":"f00d","kind":"DM","params":{"window":8}}`},
-		{SearchRequest{Target: Target{Workload: "TRFD", EngineVersion: "engine-v9"}, Op: SearchRatio, Params: machine.Params{Window: 10, MD: 60}},
-			`{"workload":"TRFD","engine_version":"engine-v9","op":"ratio","params":{"window":10,"md":60}}`},
-		{Target{Workload: "TRFD", Policy: partition.Balance, EngineVersion: "engine-v9"},
-			`{"workload":"TRFD","policy":"balance","engine_version":"engine-v9"}`},
-		{BatchRunRequest{Items: []RunRequest{{Target: Target{Workload: "TRFD"}, Point: sweep.Point{P: machine.Params{Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 64}, Retire: machine.RetireInOrder}}}}},
-			`{"items":[{"workload":"TRFD","kind":"DM","params":{"mem":"bypass:64","retire":"in-order"}}]}`},
+		{SearchRequest{Target: Target{Workload: "TRFD", EngineVersion: "engine-v9"}, Params: machine.Params{Window: 10, MD: 60}},
+			`{"workload":"TRFD","engine_version":"engine-v9","params":{"window":10,"md":60}}`},
+		{BatchRunRequest{Items: []RunRequest{{Target: Target{Workload: "TRFD"}, Point: sweep.Point{P: machine.Params{Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 64}, Retire: machine.RetireAtComplete}}}}},
+			`{"items":[{"workload":"TRFD","kind":"DM","params":{"mem":"bypass:64","retire":"at-complete"}}]}`},
 	} {
 		if got := string(asJSON(t, tc.v)); got != tc.want {
 			t.Errorf("%T encodes as\n%s\nwant\n%s", tc.v, got, tc.want)
@@ -77,10 +73,6 @@ func TestParamsRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"mem":"","retire":""}`), &p); err != nil || p != (machine.Params{}) {
 		t.Errorf("empty mem and retire decode as %+v (%v), want the zero params", p, err)
-	}
-	var tg Target
-	if err := json.Unmarshal([]byte(`{"policy":""}`), &tg); err != nil || tg.Policy != partition.Classic {
-		t.Errorf("empty policy decodes as %v (%v), want classic", tg.Policy, err)
 	}
 	if err := json.Unmarshal([]byte(`{"kind":""}`), &out); err == nil {
 		t.Error("an empty kind must fail")
@@ -408,10 +400,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	run := func(item any) error { return post("/v1/batch/run", map[string]any{"items": []any{item}}) }
 	raw := func(item string) error { return run(json.RawMessage(item)) }
-	search := func(item SearchRequest) error {
-		item.Target = Target{Workload: testWorkload}
-		return post("/v1/batch/search", BatchSearchRequest{Items: []SearchRequest{item}})
-	}
 	cases := []struct {
 		name string
 		call func() error
@@ -431,9 +419,16 @@ func TestBadRequests(t *testing.T) {
 		{"null kind", func() error {
 			return raw(`{"workload":"TRFD","kind":null}`)
 		}, "names no machine kind"},
-		{"bad policy", func() error {
-			return raw(`{"workload":"TRFD","policy":"random","kind":"DM"}`)
-		}, `unknown partition policy "random"`},
+		// Fields no build serves are refused, naming the field.
+		{"policy in a run item", func() error {
+			return raw(`{"workload":"TRFD","policy":"balance","kind":"DM"}`)
+		}, `unknown field "policy"`},
+		{"op in a search item", func() error {
+			return post("/v1/batch/search", json.RawMessage(`{"items":[{"workload":"TRFD","op":"ratio","params":{"window":8}}]}`))
+		}, `unknown field "op"`},
+		{"au_window in params", func() error {
+			return raw(`{"workload":"TRFD","kind":"DM","params":{"window":8,"au_window":4}}`)
+		}, `unknown field "au_window"`},
 		{"bad retire", func() error {
 			return raw(`{"workload":"TRFD","kind":"DM","params":{"retire":"never"}}`)
 		}, `unknown retire policy "never"`},
@@ -444,12 +439,6 @@ func TestBadRequests(t *testing.T) {
 		{"empty batch", func() error {
 			return post("/v1/batch/run", BatchRunRequest{})
 		}, "no items"},
-		{"bad search op", func() error {
-			return search(SearchRequest{Op: "median"})
-		}, "unknown search op"},
-		{"removed window search op", func() error {
-			return search(SearchRequest{Op: "window"})
-		}, "unknown search op"},
 		{"unknown field", func() error {
 			return run(map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}})
 		}, "unknown field"},
@@ -523,9 +512,9 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	client := fleet.Clients()[0]
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
 	items := []SearchRequest{
-		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 16, MD: 30}},
-		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 12, MD: 10}},
-		{Target: target, Op: SearchRatio, Params: machine.Params{Window: 8, MD: 30}},
+		{Target: target, Params: machine.Params{Window: 16, MD: 30}},
+		{Target: target, Params: machine.Params{Window: 12, MD: 10}},
+		{Target: target, Params: machine.Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
 	if err != nil {
@@ -549,9 +538,6 @@ func TestBatchSearchEndpoint(t *testing.T) {
 				t.Errorf("batch item %d: %+v != local %+v", i, got, want[j])
 			}
 		}
-	}
-	if _, err := client.BatchSearch(context.Background(), []SearchRequest{{Target: target, Op: "median"}}); err == nil || !strings.Contains(err.Error(), "unknown search op") {
-		t.Errorf("bad op in a batch: %v", err)
 	}
 }
 

@@ -585,7 +585,7 @@ func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int
 	keys := make([]string, len(params))
 	items := make([]SearchRequest, len(params))
 	for i, p := range params {
-		items[i] = SearchRequest{Target: target, Op: SearchRatio, Params: p}
+		items[i] = SearchRequest{Target: target, Params: p}
 		keys[i] = curveKey(workload, scale, items[i])
 	}
 	resp, err := scatterBatch(ctx, f, keys, items, (*Client).BatchSearch)

@@ -137,12 +137,12 @@ var oversizedBodies = []struct {
 // endpoint refuses its bodies with 400 at decode (TestBadRequests).
 var shapeConfusedBodies = []struct{ path, body string }{
 	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":1}]}`},
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":{"Kind":0}}]}`},
 	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":"DM","params":{"retire":2}}]}`},
-	{"/v1/batch/run", `{"items":[{"workload":"TRFD","policy":1,"kind":"DM"}]}`},
 	{"/v1/batch/run", `{"items":[{"workload":"TRFD","kind":"DM","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
-	{"/v1/batch/search", `{"items":[{"workload":"TRFD","op":"ratio","params":{"retire":2}}]}`},
-	{"/v1/batch/search", `{"items":[{"workload":"TRFD","policy":1,"op":"ratio"}]}`},
-	{"/v1/batch/search", `{"items":[{"workload":"TRFD","op":"ratio","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","params":{"retire":2}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","params":{"retire":{}}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
 }
 
 // hugeScaleBodies name a workload scale far past MaxScale, in the run
@@ -150,7 +150,7 @@ var shapeConfusedBodies = []struct{ path, body string }{
 // decoder accepts that shape (the other answers 400 at decode).
 var hugeScaleBodies = []struct{ path, body string }{
 	{"/v1/batch/run", `{"items":[{"workload":"TRFD","scale":1000000,"kind":"DM","params":{}}]}`},
-	{"/v1/batch/search", `{"items":[{"workload":"TRFD","scale":1000000,"op":"ratio","params":{}}]}`},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","scale":1000000,"params":{}}]}`},
 }
 
 // TestHugeScaleRefused: a scale past MaxScale earns a 400 on both batch
@@ -202,7 +202,7 @@ func FuzzBatchRunDecode(f *testing.F) {
 // FuzzBatchSearchDecode fuzzes the /v1/batch/search decoder.
 func FuzzBatchSearchDecode(f *testing.F) {
 	fuzzBatchEndpoint(f, "/v1/batch/search",
-		`{"items":[{"workload":"TRFD","op":"ratio","params":{"window":8,"md":10}}]}`)
+		`{"items":[{"workload":"TRFD","params":{"window":8,"md":10}}]}`)
 }
 
 // FuzzCacheGCDecode fuzzes the /v1/cache/gc decoder over a server with
@@ -246,7 +246,7 @@ func TestBatchSizeBounds(t *testing.T) {
 	handler := srv.Handler()
 	for path, item := range map[string]string{
 		"/v1/batch/run":    `{"workload":"TRFD","kind":"DM"}`,
-		"/v1/batch/search": `{"workload":"TRFD","op":"ratio"}`,
+		"/v1/batch/search": `{"workload":"TRFD"}`,
 	} {
 		if code := postBody(handler, path, []byte(`{"items":[]}`)); code != http.StatusBadRequest {
 			t.Errorf("%s: empty batch answered %d, want 400", path, code)

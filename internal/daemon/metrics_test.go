@@ -318,22 +318,6 @@ func TestThrottleQueueTimeoutAccounting(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled proves -metrics=false withholds the endpoint.
-func TestMetricsDisabled(t *testing.T) {
-	t.Parallel()
-	srv := NewServer(Config{DisableMetrics: true})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics with DisableMetrics: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestDecodeBodyLimitMessage pins the oversized-body wording: a body
 // past the 16 MiB cap must be refused by name, not as the truncating
 // reader's bare "unexpected EOF".

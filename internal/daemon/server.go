@@ -53,10 +53,6 @@ type Config struct {
 	// and -fleet; see HealthResponse).
 	ReplicaID string
 	Fleet     []string
-	// DisableMetrics leaves GET /metrics off the handler (sweepd
-	// -metrics=false). The registry still exists and the request
-	// accounting still runs — only the scrape endpoint is withheld.
-	DisableMetrics bool
 }
 
 // Server is the long-lived sweep daemon: one single-flight memoizing
@@ -221,11 +217,11 @@ func (e *skewError) Error() string { return e.msg }
 // lower.Version) than this daemon's build is refused rather than
 // answered with results the client could never have produced itself.
 //
-// The remote hooks carry no partition policy, so a client sweeping
-// under a non-classic policy sends a classic target with its own
-// suite's key. When the target's suite misses that key, the workload's
-// suites under the other policies are tried, and the one that matches
-// serves: equal keys mean equal lowering inputs, so equal results.
+// A Target carries no partition policy, so the classic suite is tried
+// first. A client sweeping under another policy sends its own suite's
+// key; when the classic suite misses that key, the workload's suites
+// under the other policies are tried, and the one that matches serves:
+// equal keys mean equal lowering inputs, so equal results.
 func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.EngineVersion != "" && t.EngineVersion != engine.Version {
 		return nil, &skewError{fmt.Sprintf("daemon: engine version skew: daemon runs %s, client expects %s (rebuild or restart sweepd)", engine.Version, t.EngineVersion)}
@@ -233,12 +229,12 @@ func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 	if t.Scale > MaxScale {
 		return nil, fmt.Errorf("daemon: scale %d exceeds the limit of %d", t.Scale, MaxScale)
 	}
-	r, err := s.contextFor(t.Scale, t.Policy).Runner(t.Workload)
+	r, err := s.contextFor(t.Scale, partition.Classic).Runner(t.Workload)
 	if err != nil || t.Fingerprint == "" || t.Fingerprint == r.Suite.Fingerprint() {
 		return r, err
 	}
 	for _, pol := range partition.Policies() {
-		if pol == t.Policy {
+		if pol == partition.Classic {
 			continue
 		}
 		alt, err := s.contextFor(t.Scale, pol).Runner(t.Workload)
@@ -249,7 +245,7 @@ func (s *Server) runnerFor(t Target) (*sweep.Runner, error) {
 			return alt, nil
 		}
 	}
-	return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d): client key %s matches this daemon's suite under no partition policy (policy %s has key %s) — the builds trace, partition or lower (lower.Version) the workload differently; restart sweepd from the client's build", t.Workload, t.Scale, t.Fingerprint, t.Policy, r.Suite.Fingerprint())}
+	return nil, &skewError{fmt.Sprintf("daemon: workload content skew for %s (scale %d): client key %s matches this daemon's suite under no partition policy (classic has key %s) — the builds trace, partition or lower (lower.Version) the workload differently; restart sweepd from the client's build", t.Workload, t.Scale, t.Fingerprint, r.Suite.Fingerprint())}
 }
 
 // targetStatus maps a runnerFor error to its HTTP status.
@@ -273,11 +269,9 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/cache/gc", s.instrument("cache_gc", http.HandlerFunc(s.handleCacheGC)))
 	mux.Handle("POST /v1/batch/run", s.instrument("batch_run", s.throttle(s.handleBatchRun)))
 	mux.Handle("POST /v1/batch/search", s.instrument("batch_search", s.throttle(s.handleBatchSearch)))
-	if !s.cfg.DisableMetrics {
-		// Deliberately outside instrument: a scraper polling /metrics
-		// every few seconds would drown the request counters it reads.
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	// Deliberately outside instrument: a scraper polling /metrics every
+	// few seconds would drown the request counters it reads.
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -480,10 +474,6 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	var runners []*sweep.Runner
 	index := make(map[curveID]int)
 	for i, item := range req.Items {
-		if item.Op != SearchRatio {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: batch item %d: unknown search op %q (want %s)", i, item.Op, SearchRatio))
-			return
-		}
 		runner, err := s.runnerFor(item.Target)
 		if err != nil {
 			writeError(w, targetStatus(err), fmt.Errorf("daemon: batch item %d: %w", i, err))

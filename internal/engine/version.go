@@ -41,4 +41,9 @@ package engine
 // records under keys this string prefixes, and searches prune probes by
 // them. A change that can move a bound must bump the version like a
 // change that can move a Result, so no stale bound outlives it.
+//
+// Not bumped either for deleting the never-set Params fields AUWindow,
+// DUWindow, FPLat, DispatchWidth and the RetireAuto name: every point
+// keeps its engine config, so no Result or bound moves. The store keys
+// lose auw=, duw=, fp= and dpw=, so old stores read cold once.
 const Version = "engine-v4"

@@ -382,61 +382,42 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	}
 	// answers[mi][wi] is the search answer at RatioMDs[mi], RatioWindows[wi].
 	answers := make([][]RatioAnswer, len(RatioMDs))
-	curveAt := func(mi int) (err error) {
-		answers[mi], err = metrics.RatioCurve(r, machine.Params{MD: RatioMDs[mi]}, RatioWindows)
-		return err
-	}
-	if c.RemoteSearch != nil {
-		// With a remote search service attached, each MD curve travels
-		// as one server-side batch: the daemon searches the curve as a
-		// unit over its own shared cache, so a whole figure costs a few
-		// round trips instead of one per simulated probe — and the values
-		// are identical to the local path by construction. A curve
-		// whose owners are all unavailable is searched locally on this
-		// worker when Degrade is set: the probes then flow through the
-		// runner, whose own Degrade fallback absorbs any remaining
-		// point-level outage.
-		fp := r.Suite.Fingerprint()
-		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(mi int) error {
+	// The curves fan out, each searched as a unit, highest MD first:
+	// those tend to run longest, and a long curve started last would
+	// leave the rest of the pool idle. With a remote search service
+	// attached, a curve travels as one server-side batch: the daemon
+	// searches it as a unit over its own shared cache, so a whole figure
+	// costs a few round trips instead of one per simulated probe, with
+	// values identical to the local search by construction. A curve
+	// whose owners are all unavailable is searched locally when Degrade
+	// is set: the probes then flow through the runner, whose own Degrade
+	// fallback absorbs any remaining point-level outage. Every local
+	// probe routes through the shared Runner, so curves share memoized
+	// results with other sweeps.
+	if err := sweep.ForEach(c.Parallelism, len(RatioMDs), func(i int) error {
+		mi := len(RatioMDs) - 1 - i
+		if c.RemoteSearch != nil {
 			params := make([]machine.Params, len(RatioWindows))
 			for wi, w := range RatioWindows {
 				params[wi] = machine.Params{Window: w, MD: RatioMDs[mi]}
 			}
-			got, err := c.RemoteSearch(name, c.Scale, fp, params)
-			if err != nil {
-				if !c.Degrade || !errors.Is(err, sweep.ErrUnavailable) {
-					return err
+			got, err := c.RemoteSearch(name, c.Scale, r.Suite.Fingerprint(), params)
+			if err == nil {
+				if len(got) != len(params) {
+					return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
 				}
-				return curveAt(mi)
+				answers[mi] = got
+				c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
+				return nil
 			}
-			if len(got) != len(params) {
-				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
-			}
-			answers[mi] = got
-			c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
-			return nil
-		})
-	} else {
-		// The figure's DM anchors run as one RunAll across the pool;
-		// then the curves fan out, each searched as a unit, highest MD
-		// first: those tend to run longest, and a long curve started
-		// last would leave the rest of the pool idle. Every probe
-		// routes through the shared Runner, so curves still share
-		// memoized results with other sweeps.
-		pts := make([]sweep.Point, 0, len(RatioMDs)*len(RatioWindows))
-		for _, md := range RatioMDs {
-			for _, w := range RatioWindows {
-				pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: md}})
+			if !c.Degrade || !errors.Is(err, sweep.ErrUnavailable) {
+				return err
 			}
 		}
-		if _, err := r.RunAll(pts); err != nil {
-			return nil, err
-		}
-		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(i int) error {
-			return curveAt(len(RatioMDs) - 1 - i)
-		})
-	}
-	if err != nil {
+		var err error
+		answers[mi], err = metrics.RatioCurve(r, machine.Params{MD: RatioMDs[mi]}, RatioWindows)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}

@@ -198,10 +198,10 @@ type RetireRow struct {
 
 // RetireResult is the retirement-policy study (A6). The paper does not
 // specify its simulator's window-slot accounting; this study bounds how
-// much that choice matters. The SWSM's production default is in-order
-// (machine.RetireAuto resolves it so; this is what restores the paper's
-// C2 large-window ordering — see EXPERIMENTS.md), so the study forces
-// both policies explicitly on both machines.
+// much that choice matters. Both machines default to in-order
+// (machine.RetireInOrder, the zero value; this is what restores the
+// paper's C2 large-window ordering — see EXPERIMENTS.md), so the study
+// runs both policies on both machines.
 type RetireResult struct {
 	MD   int
 	Rows []RetireRow
@@ -355,7 +355,7 @@ func (c *Context) ComplexityStudy() (*ComplexityResult, error) {
 			rows[i] = append(rows[i], ComplexityRow{
 				Name: names[i], DMWindow: w, EqWindow: eq,
 				Ratio:        float64(eq) / float64(w),
-				ClockPenalty: model.ClockAdjustedAdvantage(w, isa.DefaultDUWidth, eq, isa.DefaultSWSMWidth),
+				ClockPenalty: model.RelativeClock(eq, isa.DefaultSWSMWidth, w, isa.DefaultDUWidth),
 			})
 		}
 		return nil

@@ -34,16 +34,18 @@ func TestParseSchedule(t *testing.T) {
 
 func TestParseScheduleErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                        // no seed
-		"timeout",                 // no seed
-		"seed=x",                  // bad seed
-		"seed=1,explode",          // unknown kind
-		"seed=1,timeout:rate=1.5", // rate out of range
-		"seed=1,timeout:rate=0",   // rate out of range
-		"seed=1,slow",             // slow without delay
-		"seed=1,refuse:period=4",  // period without duty
-		"seed=1,timeout:bogus=1",  // unknown option
-		"seed=1,none",             // none is not injectable
+		"",                             // no seed
+		"timeout",                      // no seed
+		"seed=x",                       // bad seed
+		"seed=1,explode",               // unknown kind
+		"seed=1,timeout:rate=1.5",      // rate out of range
+		"seed=1,timeout:rate=0",        // rate out of range
+		"seed=1,slow",                  // slow without delay
+		"seed=1,refuse:period=4",       // period without duty
+		"seed=1,refuse@r1:from=5:to=5", // empty index window
+		"seed=1,refuse:from=9:to=3",    // inverted index window
+		"seed=1,timeout:bogus=1",       // unknown option
+		"seed=1,none",                  // none is not injectable
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("ParseSchedule(%q): want error, got nil", spec)

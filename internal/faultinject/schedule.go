@@ -37,7 +37,7 @@ const (
 	// true — a virtual client-side deadline, no wall clock burned.
 	Timeout
 	// Slow delays the operation by the rule's Delay, then lets it
-	// proceed (tail-latency injection for hedging tests).
+	// proceed (tail-latency injection).
 	Slow
 	// Truncate lets the operation complete, then cuts its payload short
 	// at a seed-determined position.
@@ -282,6 +282,9 @@ func parseRule(field string) (Rule, error) {
 	}
 	if r.Period > 0 && r.Duty == 0 {
 		return Rule{}, fmt.Errorf("faultinject: rule %q has period= but duty=0 (never matches)", field)
+	}
+	if r.To > 0 && r.To <= r.From {
+		return Rule{}, fmt.Errorf("faultinject: rule %q has to= at or below from= (never matches)", field)
 	}
 	return r, nil
 }

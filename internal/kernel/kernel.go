@@ -144,16 +144,6 @@ func (b *Builder) FP(args ...Val) Val {
 	return b.emit(trace.Instr{Class: isa.FPALU, Args: b.refs(args...)})
 }
 
-// IntChain emits a dependent chain of n integer operations seeded by the
-// given values, returning the final value. n must be >= 1.
-func (b *Builder) IntChain(n int, args ...Val) Val {
-	v := b.Int(args...)
-	for i := 1; i < n; i++ {
-		v = b.Int(v)
-	}
-	return v
-}
-
 // FPChain emits a dependent chain of n floating-point operations seeded by
 // the given values, returning the final value. n must be >= 1.
 func (b *Builder) FPChain(n int, args ...Val) Val {

@@ -93,8 +93,7 @@ func TestChains(t *testing.T) {
 	seed := b.Int()
 	v := b.FPChain(5, seed)
 	_ = v
-	w := b.IntChain(3, seed)
-	_ = w
+	b.Int(b.Int(b.Int(seed)))
 	tr := b.MustTrace()
 	if tr.Len() != 1+5+3 {
 		t.Fatalf("len = %d, want 9", tr.Len())

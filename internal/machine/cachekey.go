@@ -17,8 +17,7 @@ import (
 // still reads it, and goes with the benchmark's next revision.
 //
 // The encoding writes every Params field explicitly, raw (unresolved),
-// except the retirement policy, which is recorded resolved so a change
-// to the machines' default accounting changes the key.
+// the retirement policy by name.
 // TestCacheKeyCoversAllParams pins the field count: adding a Params field
 // without extending this encoding is a build-time-visible bug, not a
 // silent stale-cache hazard.
@@ -30,26 +29,21 @@ func (p Params) CacheKey(kind Kind) (key string, ok bool) {
 // AppendCacheKey appends CacheKey's encoding of (kind, p) to dst, so a
 // caller can build a longer key in one buffer.
 func (p Params) AppendCacheKey(dst []byte, kind Kind) []byte {
-	retire := RetireAtComplete
-	if p.retireInOrder() {
-		retire = RetireInOrder
-	}
 	dst = append(append(dst, "k="...), kind.String()...)
 	for _, f := range [...]struct {
 		name string
 		v    int
 	}{
-		{" w=", p.Window}, {" auw=", p.AUWindow}, {" duw=", p.DUWindow},
-		{" md=", p.MD}, {" fp=", p.FPLat}, {" cp=", p.CopyLat},
+		{" w=", p.Window}, {" md=", p.MD}, {" cp=", p.CopyLat},
 		{" aw=", p.AUWidth}, {" dw=", p.DUWidth}, {" sw=", p.Width},
-		{" dpw=", p.DispatchWidth}, {" mq=", p.MemQueue},
+		{" mq=", p.MemQueue},
 	} {
 		dst = strconv.AppendInt(append(dst, f.name...), int64(f.v), 10)
 	}
 	dst = append(append(dst, " mem="...), p.Mem.String()...)
 	dst = strconv.AppendBool(append(dst, " esw="...), p.CollectESW)
 	dst = strconv.AppendBool(append(dst, " hold="...), p.HoldSendSlots)
-	return append(append(dst, " ret="...), retire.String()...)
+	return append(append(dst, " ret="...), p.Retire.String()...)
 }
 
 // Fingerprint returns the suite's source identity — the workload

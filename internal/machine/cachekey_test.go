@@ -28,8 +28,7 @@ import (
 // alias distinct configurations in the persistent result cache.
 func TestCacheKeyCoversAllParams(t *testing.T) {
 	auditFields(t, reflect.TypeOf(Params{}), "CacheKey", []string{
-		"Window", "AUWindow", "DUWindow", "MD", "FPLat", "CopyLat",
-		"AUWidth", "DUWidth", "Width", "DispatchWidth", "MemQueue",
+		"Window", "MD", "CopyLat", "AUWidth", "DUWidth", "Width", "MemQueue",
 		"Mem", "CollectESW", "HoldSendSlots", "Retire",
 	})
 }
@@ -85,22 +84,18 @@ func TestCacheKeyDistinguishesEveryField(t *testing.T) {
 	base := Params{Window: 64, MD: 60}
 	variants := []Params{
 		{Window: 65, MD: 60},
-		{Window: 64, AUWindow: 32, MD: 60},
-		{Window: 64, DUWindow: 32, MD: 60},
 		{Window: 64, MD: 61},
-		{Window: 64, MD: 60, FPLat: 4},
 		{Window: 64, MD: 60, CopyLat: 2},
 		{Window: 64, MD: 60, AUWidth: 3},
 		{Window: 64, MD: 60, DUWidth: 6},
 		{Window: 64, MD: 60, Width: 8},
-		{Window: 64, MD: 60, DispatchWidth: 2},
 		{Window: 64, MD: 60, MemQueue: 7},
 		{Window: 64, MD: 60, Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 64}},
 		{Window: 64, MD: 60, Mem: memsys.Spec{Kind: memsys.BypassModel, Lines: 65}},
 		{Window: 64, MD: 60, Mem: memsys.DefaultCacheSpec()},
 		{Window: 64, MD: 60, CollectESW: true},
 		{Window: 64, MD: 60, HoldSendSlots: true},
-		{Window: 64, MD: 60, Retire: RetireAtComplete}, // auto resolves to in-order
+		{Window: 64, MD: 60, Retire: RetireAtComplete},
 	}
 	for _, kind := range []Kind{DM, SWSM} {
 		bk, ok := base.CacheKey(kind)
@@ -121,21 +116,18 @@ func TestCacheKeyDistinguishesEveryField(t *testing.T) {
 	}
 }
 
+// TestCacheKeyResolvesRetirePolicy pins the retire text of the store
+// key: the zero value is the in-order default, at-complete its own key.
 func TestCacheKeyResolvesRetirePolicy(t *testing.T) {
 	for _, kind := range []Kind{DM, SWSM} {
 		p := Params{Window: 64, MD: 60}
-		auto, _ := p.CacheKey(kind)
-		p.Retire = RetireInOrder
-		forced, _ := p.CacheKey(kind)
-		if auto != forced {
-			t.Errorf("%v: auto must alias forced in-order: %q vs %q", kind, auto, forced)
-		}
-		if !strings.Contains(auto, "ret=in-order") {
-			t.Errorf("%v: auto key must record the resolved in-order policy: %q", kind, auto)
+		def, _ := p.CacheKey(kind)
+		if !strings.Contains(def, "ret=in-order") {
+			t.Errorf("%v: the default key must record the in-order policy: %q", kind, def)
 		}
 		p.Retire = RetireAtComplete
 		atc, _ := p.CacheKey(kind)
-		if !strings.Contains(atc, "ret=at-complete") || atc == auto {
+		if !strings.Contains(atc, "ret=at-complete") || atc == def {
 			t.Errorf("%v: at-complete must be recorded distinctly: %q", kind, atc)
 		}
 	}

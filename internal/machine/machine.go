@@ -65,22 +65,15 @@ type Params struct {
 	// each get Window slots), total on the SWSM. Zero or negative means
 	// unlimited.
 	Window int `json:"window,omitempty"`
-	// AUWindow/DUWindow override the per-unit windows on the DM when > 0.
-	AUWindow int `json:"au_window,omitempty"`
-	DUWindow int `json:"du_window,omitempty"`
 	// MD is the memory differential in cycles.
 	MD int `json:"md,omitempty"`
-	// FPLat and CopyLat override the default latencies when > 0.
-	FPLat   int `json:"fp_lat,omitempty"`
+	// CopyLat overrides the default inter-unit copy latency when > 0.
 	CopyLat int `json:"copy_lat,omitempty"`
 	// AUWidth, DUWidth and Width override the issue widths when > 0
 	// (defaults 4, 5 and 9).
 	AUWidth int `json:"au_width,omitempty"`
 	DUWidth int `json:"du_width,omitempty"`
 	Width   int `json:"width,omitempty"`
-	// DispatchWidth overrides per-core dispatch width when > 0 (default:
-	// same as issue width).
-	DispatchWidth int `json:"dispatch_width,omitempty"`
 	// MemQueue bounds the number of outstanding memory fills — the
 	// capacity of the decoupled memory (DM) or prefetch buffer (SWSM),
 	// which in the original machines were finite queues. Zero selects the
@@ -97,13 +90,13 @@ type Params struct {
 	// HoldSendSlots makes sends occupy window slots until their fill
 	// returns (ablation A3: removes fire-and-forget slippage).
 	HoldSendSlots bool `json:"hold_send_slots,omitempty"`
-	// Retire selects the window-slot reclamation policy. The zero value
-	// (RetireAuto) resolves to the machine default: in-order (ROB-style)
-	// on both machines — the mid-90s machines the paper abstracts
-	// reclaimed slots through reorder buffers (SWSM) and per-unit FIFO
-	// queues (DM/PIPE/WM), and symmetric accounting is what restores the
-	// paper's C2 large-window ordering (EXPERIMENTS.md). RetireAtComplete
-	// forces the older free-at-completion accounting (ablation A6).
+	// Retire selects the window-slot reclamation policy. The zero value,
+	// RetireInOrder, is the machine default on both machines: the mid-90s
+	// machines the paper abstracts reclaimed slots through reorder
+	// buffers (SWSM) and per-unit FIFO queues (DM/PIPE/WM), and symmetric
+	// accounting is what restores the paper's C2 large-window ordering
+	// (EXPERIMENTS.md). RetireAtComplete forces the older
+	// free-at-completion accounting (ablation A6).
 	Retire RetirePolicy `json:"retire,omitempty"`
 }
 
@@ -111,24 +104,20 @@ type Params struct {
 type RetirePolicy uint8
 
 const (
-	// RetireAuto picks the machine default: in-order on both machines.
-	RetireAuto RetirePolicy = iota
-	// RetireAtComplete frees a slot as soon as its op completes.
-	RetireAtComplete
 	// RetireInOrder frees slots in program order (reorder-buffer style):
 	// a completed op's slot is reclaimed only once every older op in the
-	// same core has completed.
-	RetireInOrder
+	// same core has completed. It is the zero value.
+	RetireInOrder RetirePolicy = iota
+	// RetireAtComplete frees a slot as soon as its op completes.
+	RetireAtComplete
 )
 
 func (r RetirePolicy) String() string {
 	switch r {
-	case RetireAuto:
-		return "auto"
-	case RetireAtComplete:
-		return "at-complete"
 	case RetireInOrder:
 		return "in-order"
+	case RetireAtComplete:
+		return "at-complete"
 	default:
 		return fmt.Sprintf("retire(%d)", uint8(r))
 	}
@@ -137,35 +126,20 @@ func (r RetirePolicy) String() string {
 // MarshalText writes the policy's name, its wire form.
 func (r RetirePolicy) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
-// UnmarshalText reads a policy's name; the empty string is RetireAuto.
+// UnmarshalText reads a policy's name: "in-order" or "at-complete".
+// The empty string is the zero value, as for the memory spec.
 func (r *RetirePolicy) UnmarshalText(text []byte) error {
 	if len(text) == 0 {
-		*r = RetireAuto
+		*r = RetireInOrder
 		return nil
 	}
-	for _, c := range []RetirePolicy{RetireAuto, RetireAtComplete, RetireInOrder} {
+	for _, c := range []RetirePolicy{RetireInOrder, RetireAtComplete} {
 		if string(text) == c.String() {
 			*r = c
 			return nil
 		}
 	}
-	return fmt.Errorf("machine: unknown retire policy %q (want auto, at-complete, in-order)", text)
-}
-
-// ResolveRetire maps a policy to the concrete policy the engine runs:
-// RetireAuto becomes the machine default. Resolution is kind-independent
-// — both machines default to in-order reclamation (their per-unit FIFO
-// queues and reorder buffers) — so caches may canonicalize keys with it.
-func ResolveRetire(r RetirePolicy) RetirePolicy {
-	if r == RetireAtComplete {
-		return RetireAtComplete
-	}
-	return RetireInOrder
-}
-
-// retireInOrder resolves the policy (see ResolveRetire).
-func (p Params) retireInOrder() bool {
-	return ResolveRetire(p.Retire) == RetireInOrder
+	return fmt.Errorf("machine: unknown retire policy %q (want in-order or at-complete)", text)
 }
 
 // Unbounded disables the MemQueue outstanding-fill limit.
@@ -206,12 +180,9 @@ func (p Params) queueModel() (engine.MemModel, error) {
 
 // Timing returns the isa.Timing with defaults applied.
 func (p Params) Timing() isa.Timing {
-	t := isa.Timing{MD: p.MD, FPLat: p.FPLat, CopyLat: p.CopyLat}
-	if t.FPLat == 0 {
-		t.FPLat = isa.DefaultFPLat
-	}
-	if t.CopyLat == 0 {
-		t.CopyLat = isa.DefaultCopyLat
+	t := isa.DefaultTiming(p.MD)
+	if p.CopyLat != 0 {
+		t.CopyLat = p.CopyLat
 	}
 	return t
 }
@@ -235,20 +206,6 @@ func (p Params) swsmWidth() int {
 		return p.Width
 	}
 	return isa.DefaultSWSMWidth
-}
-
-func (p Params) auWindow() int {
-	if p.AUWindow > 0 {
-		return p.AUWindow
-	}
-	return p.Window
-}
-
-func (p Params) duWindow() int {
-	if p.DUWindow > 0 {
-		return p.DUWindow
-	}
-	return p.Window
 }
 
 // Suite is one trace under one partition policy, ready to run on both
@@ -405,12 +362,12 @@ func (p Params) Config(kind Kind) (engine.Config, error) {
 	switch kind {
 	case DM:
 		cores = []isa.CoreConfig{
-			{Window: p.auWindow(), IssueWidth: p.auWidth(), DispatchWidth: p.DispatchWidth},
-			{Window: p.duWindow(), IssueWidth: p.duWidth(), DispatchWidth: p.DispatchWidth},
+			{Window: p.Window, IssueWidth: p.auWidth()},
+			{Window: p.Window, IssueWidth: p.duWidth()},
 		}
 	case SWSM:
 		cores = []isa.CoreConfig{
-			{Window: p.Window, IssueWidth: p.swsmWidth(), DispatchWidth: p.DispatchWidth},
+			{Window: p.Window, IssueWidth: p.swsmWidth()},
 		}
 	default:
 		return engine.Config{}, fmt.Errorf("machine: unknown kind %v", kind)
@@ -425,7 +382,7 @@ func (p Params) Config(kind Kind) (engine.Config, error) {
 		Mem:           mem,
 		CollectESW:    p.CollectESW,
 		HoldSendSlots: p.HoldSendSlots,
-		RetireInOrder: p.retireInOrder(),
+		RetireInOrder: p.Retire == RetireInOrder,
 	}, nil
 }
 

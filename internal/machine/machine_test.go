@@ -45,7 +45,7 @@ func TestKindString(t *testing.T) {
 }
 
 // TestEnumText: kinds and retire policies round-trip through their
-// text forms; the empty string is RetireAuto but no kind.
+// text forms; the empty string is RetireInOrder but no kind.
 func TestEnumText(t *testing.T) {
 	for _, k := range []Kind{DM, SWSM} {
 		text, _ := k.MarshalText()
@@ -54,19 +54,19 @@ func TestEnumText(t *testing.T) {
 			t.Errorf("%v round-trips as %v (%v)", k, back, err)
 		}
 	}
-	for _, r := range []RetirePolicy{RetireAuto, RetireAtComplete, RetireInOrder} {
+	for _, r := range []RetirePolicy{RetireInOrder, RetireAtComplete} {
 		text, _ := r.MarshalText()
 		var back RetirePolicy
 		if err := back.UnmarshalText(text); err != nil || back != r {
 			t.Errorf("%v round-trips as %v (%v)", r, back, err)
 		}
 	}
-	retire := RetireInOrder
-	if err := retire.UnmarshalText(nil); err != nil || retire != RetireAuto {
-		t.Errorf("empty retire text decodes as %v (%v), want auto", retire, err)
+	retire := RetireAtComplete
+	if err := retire.UnmarshalText(nil); err != nil || retire != RetireInOrder {
+		t.Errorf("empty retire text decodes as %v (%v), want in-order", retire, err)
 	}
 	var k Kind
-	for _, bad := range []string{"", "dm", "VLIW", "machine(9)"} {
+	for _, bad := range []string{"", "dm", "VLIW", "machine(9)", "auto"} {
 		if err := k.UnmarshalText([]byte(bad)); err == nil {
 			t.Errorf("kind %q accepted", bad)
 		}
@@ -85,12 +85,9 @@ func TestParamsDefaults(t *testing.T) {
 	if p.auWidth() != isa.DefaultAUWidth || p.duWidth() != isa.DefaultDUWidth || p.swsmWidth() != isa.DefaultSWSMWidth {
 		t.Fatal("width defaults wrong")
 	}
-	if p.auWindow() != 32 || p.duWindow() != 32 {
-		t.Fatal("window defaults wrong")
-	}
-	p.AUWindow, p.DUWindow = 8, 16
-	if p.auWindow() != 8 || p.duWindow() != 16 {
-		t.Fatal("window overrides ignored")
+	p.CopyLat = 2
+	if p.Timing().CopyLat != 2 {
+		t.Fatal("copy latency override ignored")
 	}
 }
 

@@ -39,13 +39,3 @@ func (m DelayModel) Delay(window, issueWidth int) float64 {
 func (m DelayModel) RelativeClock(window, issueWidth, refWindow, refWidth int) float64 {
 	return m.Delay(window, issueWidth) / m.Delay(refWindow, refWidth)
 }
-
-// ClockAdjustedAdvantage combines an equivalent-window measurement with
-// the delay model: given that the SWSM needs eqWindow slots at swsmWidth
-// to match a DM whose largest window is dmWindow slots at dmWidth (the
-// wider of AU/DU), it returns the factor by which the SWSM's cycle time
-// exceeds the DM's. Values above 1 mean the DM wins on clock even at
-// equal instruction throughput.
-func (m DelayModel) ClockAdjustedAdvantage(dmWindow, dmWidth, eqWindow, swsmWidth int) float64 {
-	return m.RelativeClock(eqWindow, swsmWidth, dmWindow, dmWidth)
-}

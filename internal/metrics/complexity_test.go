@@ -41,12 +41,12 @@ func TestRelativeClock(t *testing.T) {
 	}
 	// The paper's scenario: DM's widest unit is the 5-wide DU with a
 	// 64-entry window; the SWSM needs ~3x the window at 9-wide.
-	adv := m.ClockAdjustedAdvantage(64, 5, 192, 9)
+	adv := m.RelativeClock(192, 9, 64, 5)
 	if adv <= 1.5 {
 		t.Fatalf("expected a substantial clock advantage, got %.2f", adv)
 	}
 	// And the advantage grows with the equivalent-window ratio.
-	if m.ClockAdjustedAdvantage(64, 5, 256, 9) <= adv {
+	if m.RelativeClock(256, 9, 64, 5) <= adv {
 		t.Fatal("advantage should grow with the equivalent window")
 	}
 }

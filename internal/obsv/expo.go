@@ -64,8 +64,6 @@ func (r *Registry) Snapshot() []Sample {
 				out = append(out, Sample{Family: f.name, Name: f.name, Kind: f.kind, Labels: s.labels, Value: s.fn()})
 			case s.c != nil:
 				out = append(out, Sample{Family: f.name, Name: f.name, Kind: f.kind, Labels: s.labels, Value: float64(s.c.Value())})
-			case s.g != nil:
-				out = append(out, Sample{Family: f.name, Name: f.name, Kind: f.kind, Labels: s.labels, Value: s.g.Value()})
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 
 // Registry holds metric families. The zero value is not usable; create
 // with NewRegistry. All methods are safe for concurrent use; the
-// get-or-create accessors (Counter, Gauge, Histogram) return the same
+// get-or-create accessors (Counter, Histogram) return the same
 // instance for the same name and label values, so call sites need not
 // coordinate registration.
 type Registry struct {
@@ -70,7 +70,6 @@ type family struct {
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64 // func-backed counter/gauge; read at snapshot
 }
@@ -166,19 +165,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.c
 }
 
-// Gauge returns the gauge series for name and labels, registering the
-// family on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.familyFor(name, help, KindGauge, nil, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := f.seriesFor(labels, func() *series { return &series{g: &Gauge{}} })
-	if s.g == nil {
-		panic(fmt.Sprintf("obsv: metric %s already registered func-backed", name))
-	}
-	return s.g
-}
-
 // Histogram returns the histogram series for name and labels,
 // registering the family on first use with the given bucket upper
 // bounds (ascending; +Inf is implicit). All series of one family share
@@ -235,32 +221,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64 // float64 bits
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.Store(int64(math.Float64bits(v))) }
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.v.Load()
-		new_ := int64(math.Float64bits(math.Float64frombits(uint64(old)) + d))
-		if g.v.CompareAndSwap(old, new_) {
-			return
-		}
-	}
-}
-
-// Inc adds 1; Dec subtracts 1.
-func (g *Gauge) Inc() { g.Add(1) }
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(uint64(g.v.Load())) }
 
 // Histogram counts observations into fixed buckets and accumulates
 // their sum. Buckets are upper bounds (le); the implicit +Inf bucket

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -19,12 +20,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("test_requests_total", "requests"); again != c {
 		t.Fatal("second registration returned a different counter instance")
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(3)
-	g.Inc()
-	g.Add(-2.5)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
+	depth := 1.5
+	r.GaugeFunc("test_depth", "depth", func() float64 { return depth })
+	r.GaugeFunc("test_depth", "depth", func() float64 { return -1 }) // same series: the first fn stays
+	if snap := r.Snapshot(); len(snap) != 2 || snap[0].Name != "test_depth" || snap[0].Value != 1.5 {
+		t.Fatalf("snapshot = %+v, want test_depth 1.5 first", snap)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	r.Counter("zz_total", "z").Inc()
 	r.Counter("aa_total", "a", L("k", "v2")).Inc()
 	r.Counter("aa_total", "a", L("k", "v1")).Inc()
-	r.Gauge("mm_depth", "m").Set(1)
+	r.GaugeFunc("mm_depth", "m", func() float64 { return 1 })
 	snap := r.Snapshot()
 	var names []string
 	for _, s := range snap {
@@ -149,7 +149,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
 	r.Counter("test_reqs_total", "requests served", L("endpoint", "run")).Add(3)
-	r.Gauge("test_depth", "queue depth").Set(2)
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return 2 })
 	h := r.Histogram("test_lat_seconds", "latency", []float64{0.5})
 	h.Observe(0.25)
 	h.Observe(2)
@@ -197,7 +197,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge should panic")
 		}
 	}()
-	r.Gauge("test_total", "t")
+	r.GaugeFunc("test_total", "t", func() float64 { return 0 })
 }
 
 func TestBadNamePanics(t *testing.T) {
@@ -216,7 +216,8 @@ func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_conc_total", "")
 	h := r.Histogram("test_conc_seconds", "", LatencyBuckets)
-	g := r.Gauge("test_conc_depth", "")
+	var depth atomic.Int64
+	r.GaugeFunc("test_conc_depth", "", func() float64 { return float64(depth.Load()) })
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -224,9 +225,12 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Inc()
+				depth.Add(1)
 				h.Observe(0.001)
 				r.Counter("test_conc_total", "").Inc()
+				if i%100 == 0 {
+					r.Snapshot() // reads the gauge while others write
+				}
 			}
 		}()
 	}
@@ -237,7 +241,9 @@ func TestConcurrentUse(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
-	if g.Value() != 8000 {
-		t.Fatalf("gauge = %v, want 8000", g.Value())
+	for _, s := range r.Snapshot() {
+		if s.Name == "test_conc_depth" && s.Value != 8000 {
+			t.Fatalf("gauge = %v, want 8000", s.Value)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -116,6 +117,9 @@ func parseBytes(v string) (int64, error) {
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("sweep: bad byte count %q", v)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("sweep: byte count %q exceeds %d bytes", v, int64(math.MaxInt64))
 	}
 	return n * mult, nil
 }

@@ -355,7 +355,8 @@ func TestParseGCPolicy(t *testing.T) {
 	if got := p.String(); got != "max-entries=500,max-bytes=67108864,max-age=168h0m0s" {
 		t.Fatalf("String() = %q", got)
 	}
-	for _, bad := range []string{"", "max-entries", "max-entries=x", "max-bytes=-1", "max-age=yesterday", "entries=3"} {
+	for _, bad := range []string{"", "max-entries", "max-entries=x", "max-bytes=-1", "max-age=yesterday", "entries=3",
+		"max-bytes=17179869185gb", "max-bytes=8589934592gb"} { // past MaxInt64 bytes: no wrap-around
 		if _, err := ParseGCPolicy(bad); err == nil {
 			t.Errorf("ParseGCPolicy(%q) should fail", bad)
 		}

@@ -124,11 +124,10 @@ func TestStoreKeyGolden(t *testing.T) {
 		want string
 	}{
 		{Point{Kind: machine.DM, P: machine.Params{
-			Window: 1, AUWindow: 2, DUWindow: 3, MD: 4, FPLat: 5, CopyLat: 6,
-			AUWidth: 7, DUWidth: 8, Width: 9, DispatchWidth: 10, MemQueue: -1,
-			Mem: mem, CollectESW: true, HoldSendSlots: true, Retire: machine.RetireInOrder,
-		}}, "k=DM w=1 auw=2 duw=3 md=4 fp=5 cp=6 aw=7 dw=8 sw=9 dpw=10 mq=-1 mem=cache:64x4@2,512x8@12 esw=true hold=true ret=in-order"},
-		{Point{Kind: machine.SWSM}, "k=SWSM w=0 auw=0 duw=0 md=0 fp=0 cp=0 aw=0 dw=0 sw=0 dpw=0 mq=0 mem=none esw=false hold=false ret=in-order"},
+			Window: 1, MD: 4, CopyLat: 6, AUWidth: 7, DUWidth: 8, Width: 9, MemQueue: -1,
+			Mem: mem, CollectESW: true, HoldSendSlots: true, Retire: machine.RetireAtComplete,
+		}}, "k=DM w=1 md=4 cp=6 aw=7 dw=8 sw=9 mq=-1 mem=cache:64x4@2,512x8@12 esw=true hold=true ret=at-complete"},
+		{Point{Kind: machine.SWSM}, "k=SWSM w=0 md=0 cp=0 aw=0 dw=0 sw=0 mq=0 mem=none esw=false hold=false ret=in-order"},
 	} {
 		if pk, ok := c.pt.P.CacheKey(c.pt.Kind); pk != c.want || !ok {
 			t.Errorf("CacheKey = %q, %v; want %q, true", pk, ok, c.want)

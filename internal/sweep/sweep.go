@@ -37,12 +37,6 @@ type Point struct {
 	P    machine.Params `json:"params"`
 }
 
-// key is the in-memory memoization key.
-type key struct {
-	kind machine.Kind
-	p    machine.Params
-}
-
 // entry is one in-flight or settled L1 slot. The first caller to reach a
 // point owns its entry and simulates (or loads from the Store); everyone
 // else blocks on ready — single-flight, so concurrent shards sweeping
@@ -150,9 +144,9 @@ type Runner struct {
 	Degrade bool
 
 	mu     sync.Mutex
-	cache  map[key]*entry //daelint:guardedby mu
-	bounds map[key]*bound //daelint:guardedby mu
-	prefix string         //daelint:guardedby mu -- engine version + suite fingerprint, built lazily
+	cache  map[Point]*entry //daelint:guardedby mu
+	bounds map[Point]*bound //daelint:guardedby mu
+	prefix string           //daelint:guardedby mu -- engine version + suite fingerprint, built lazily
 
 	l1Hits, storeHits, remoteHits, sims, degraded, pruned, lbs atomic.Int64
 }
@@ -170,7 +164,7 @@ type bound struct {
 
 // NewRunner returns a Runner for the suite.
 func NewRunner(s *machine.Suite) *Runner {
-	return &Runner{Suite: s, cache: make(map[key]*entry), bounds: make(map[key]*bound)}
+	return &Runner{Suite: s, cache: make(map[Point]*entry), bounds: make(map[Point]*bound)}
 }
 
 // Run executes one point. It is RunAll of one point, run inline on the
@@ -184,16 +178,6 @@ func (r *Runner) Run(pt Point) (*engine.Result, error) {
 		return nil, err
 	}
 	return out[0], nil
-}
-
-// keyOf returns pt's L1 key. It canonicalizes the retirement policy
-// (RetireAuto resolves to a concrete policy, exactly as the engine and
-// the store key see it), so an explicit-policy point and its equivalent
-// auto-policy point share one entry instead of simulating twice.
-func keyOf(pt Point) key {
-	kp := pt.P
-	kp.Retire = machine.ResolveRetire(kp.Retire)
-	return key{kind: pt.Kind, p: kp}
 }
 
 // Probe runs pt for a caller that only asks whether its Cycles meet
@@ -216,19 +200,18 @@ func (r *Runner) Probe(pt Point, target int64) (*engine.Result, int64, error) {
 		res, err := r.Run(pt)
 		return res, 0, err
 	}
-	k := keyOf(pt)
 	r.mu.Lock()
-	_, exact := r.cache[k]
-	b := r.bounds[k]
+	_, exact := r.cache[pt]
+	b := r.bounds[pt]
 	own := !exact && b == nil
 	if own {
 		b = &bound{ready: make(chan struct{})}
-		r.bounds[k] = b
+		r.bounds[pt] = b
 	}
 	r.mu.Unlock()
 	if !exact {
 		if own {
-			r.fillBound(pt, k, b, target)
+			r.fillBound(pt, b, target)
 		}
 		<-b.ready
 		if b.err != nil {
@@ -248,14 +231,14 @@ func (r *Runner) Probe(pt Point, target int64) (*engine.Result, int64, error) {
 // record, or the bound computed, which the store keeps when it proves a
 // miss of target. A failed computation drops the slot so later probes
 // retry.
-func (r *Runner) fillBound(pt Point, k key, b *bound, target int64) {
+func (r *Runner) fillBound(pt Point, b *bound, target int64) {
 	defer close(b.ready)
 	var skey string
 	if r.Store != nil {
 		skey = r.storeKey(pt)
 		if res, lb, hit := r.Store.GetProbe(skey); hit {
 			if res != nil {
-				r.adopt(k, res)
+				r.adopt(pt, res)
 			}
 			b.lb.Store(lb)
 			return
@@ -265,7 +248,7 @@ func (r *Runner) fillBound(pt Point, k key, b *bound, target int64) {
 	if err != nil {
 		b.err = err
 		r.mu.Lock()
-		delete(r.bounds, k)
+		delete(r.bounds, pt)
 		r.mu.Unlock()
 		return
 	}
@@ -279,22 +262,22 @@ func (r *Runner) fillBound(pt Point, k key, b *bound, target int64) {
 // adopt installs a store hit into the L1 as a settled entry, unless the
 // point already has one (another caller claimed it meanwhile and reads
 // or fills it itself).
-func (r *Runner) adopt(k key, res *engine.Result) {
+func (r *Runner) adopt(pt Point, res *engine.Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.cache[k]; ok {
+	if _, ok := r.cache[pt]; ok {
 		return
 	}
 	e := &entry{ready: make(chan struct{}), res: res}
 	close(e.ready)
-	r.cache[k] = e
+	r.cache[pt] = e
 	r.storeHits.Add(1)
 }
 
 // heldBound returns the lower bound the L1 holds for pt, 0 if none.
 func (r *Runner) heldBound(pt Point) int64 {
 	r.mu.Lock()
-	b := r.bounds[keyOf(pt)]
+	b := r.bounds[pt]
 	r.mu.Unlock()
 	if b == nil {
 		return 0
@@ -355,14 +338,13 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 	var owned, waiters []claim
 	r.mu.Lock()
 	for i, pt := range pts {
-		k := keyOf(pt)
-		if e, ok := r.cache[k]; ok {
-			waiters = append(waiters, claim{i, e, k})
+		if e, ok := r.cache[pt]; ok {
+			waiters = append(waiters, claim{i, e})
 			continue
 		}
 		e := &entry{ready: make(chan struct{})}
-		r.cache[k] = e
-		owned = append(owned, claim{i, e, k})
+		r.cache[pt] = e
+		owned = append(owned, claim{i, e})
 	}
 	r.mu.Unlock()
 
@@ -403,7 +385,7 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 			r.mu.Lock()
 			for _, c := range misses {
 				if c.e.res == nil {
-					delete(r.cache, c.k)
+					delete(r.cache, pts[c.idx])
 				}
 			}
 			r.mu.Unlock()
@@ -436,7 +418,6 @@ func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
 type claim struct {
 	idx int
 	e   *entry
-	k   key
 }
 
 // fillBatch produces canonical results for claimed misses and hands

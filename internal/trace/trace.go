@@ -211,13 +211,3 @@ func (t *Trace) MeanILP() float64 {
 	}
 	return float64(len(t.Instrs)) / float64(len(t.ILPProfile()))
 }
-
-// Slice returns a new trace containing the first n instructions. It
-// panics if the prefix is not closed under dependencies (it always is,
-// because operands point backwards).
-func (t *Trace) Slice(n int) *Trace {
-	if n > len(t.Instrs) {
-		n = len(t.Instrs)
-	}
-	return &Trace{Name: t.Name, Instrs: t.Instrs[:n]}
-}

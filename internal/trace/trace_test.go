@@ -123,20 +123,6 @@ func TestILPProfile(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := chainTrace()
-	s := tr.Slice(2)
-	if s.Len() != 2 || s.Name != tr.Name {
-		t.Fatalf("slice wrong: %+v", s)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("prefix invalid: %v", err)
-	}
-	if tr.Slice(100).Len() != 4 {
-		t.Error("over-long slice should clamp")
-	}
-}
-
 // randomTrace generates a structurally valid random trace for property tests.
 func randomTrace(rng *rand.Rand, n int) *Trace {
 	tr := &Trace{Name: "random"}
