@@ -189,10 +189,12 @@ type orbit struct {
 type skipStats struct {
 	// split is set when the run took two passes.
 	split bool
-	// skipped counts the ops jumped over, over all passes.
-	skipped int
-	// jumps counts each pass's jumps.
-	jumps [2]int
+	// skipped counts each pass's ops jumped over, and jumps its jumps.
+	skipped, jumps [2]int
+	// ext counts the DU pass's external-time computations and reads,
+	// and straddled the DU ops whose replays ran past the AU's jumped
+	// stretch and were checked op by op there (split.go).
+	ext, straddled int
 	// step is each pass's distance between anchors, first the anchor of
 	// its first sample (0 for none).
 	step, first [2]int32
@@ -341,7 +343,9 @@ func (s *Sim) orbitStep(p *Program, res *Result, cycle int64, completed, infligh
 		// The DU pass's input is the AU's times: the replays repeat the
 		// orbit only as far as those repeat too.
 		c1 := o.savedCnt[len(o.savedCnt)-1]
-		jx := s.extRepeats(c1, cycle-c1, int(d/per.p*per.cnt[1]), j)
+		c := &s.cores[1]
+		w := c.stream[c.next-int(d/per.p*per.cnt[1]) : c.next]
+		jx := s.extRepeats(p, c1, cycle-c1, d, w, j)
 		if jx < 1 {
 			// Compare the next samples with this one: the orbit stays
 			// the shortest, and the inputs may repeat from here on.
@@ -436,9 +440,10 @@ func (s *Sim) snapshot(p *Program, a, front int32, now int64, inflight int, fill
 	buf = slices.Grow(buf, int(top-base))[:off+int(top-base)]
 	single := s.u1-s.u0 < len(s.cores)
 	for i := base; i < top; i++ {
-		if single && (int(p.units[i]) < s.u0 || int(p.units[i]) >= s.u1) {
+		if single && (int(p.units[i]) < s.u0 || int(p.units[i]) >= s.u1) || o.kind == passDU && i >= front {
 			// The other core's ops do not take part in a single-core
-			// pass.
+			// pass, and the DU pass sets up an op's words only as it
+			// dispatches it.
 			buf[off+int(i-base)] = 0
 			continue
 		}
@@ -528,10 +533,10 @@ func (s *Sim) counters(dst []int64, fills, now int64) []int64 {
 // replays touch stays inside the periodic run, and so does the next op
 // of each core's stream: no replay sees a stream run out or the program
 // end that the first orbit did not. In the AU pass of a split run it
-// also writes the times the jumped ops' values become ready: each
-// replays the op d before it, one orbit later. byHi records whether the
-// periodic run's end bounded j. It returns the cycle and completed count
-// after the jump.
+// also records the jump (s.jump) and writes the times of the ops its
+// landing state covers: each replays the op d before it, one orbit
+// later. byHi records whether the periodic run's end bounded j. It
+// returns the cycle and completed count after the jump.
 //
 //daelint:hotpath
 func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, front, d, j int32, byHi bool) (int64, int) {
@@ -566,15 +571,25 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	if o.kind == passAU {
 		// Every op that issues during the jump is one the saved state
 		// had not issued (at or above top, nothing had); it replays the
-		// op d below, which issued earlier in the true run: recorded, or
-		// written by this loop. Ops that issue only after the jump are
-		// written again when they do.
-		for x := base; x < top+jd; x++ {
-			if x >= top || s.state[x] < stIssued {
+		// op d below, which issued earlier in the true run. Below top
+		// such an op's times are written now, from the op d below:
+		// recorded, or written by this loop. Above the newest op issued
+		// so far and below the landing base, every op issues during the
+		// jump: s.jump resolves them (auTime). Ops that issue only after
+		// the jump are written when they do.
+		lo := base
+		for x := base; x < top; x++ {
+			if p.units[x] != 0 {
+				continue
+			}
+			if s.state[x] >= stIssued {
+				lo = x + 1
+			} else {
 				s.tDone[x] = s.tDone[x-d] + orbitCycles
 				s.tFill[x] = s.tFill[x-d] + orbitCycles
 			}
 		}
+		s.jump = auJump{lo: lo, hi: base + jd, d: d, dc: orbitCycles}
 	}
 
 	// Op-indexed state: the covered range moves up jd ops, and every op
@@ -583,6 +598,18 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	copy(s.pending[base+jd:top+jd], s.pending[base:top])
 	fillDone(s.state[base : base+jd])
 	clear(s.pending[base : base+jd])
+	if o.kind == passAU {
+		// The landing state's issued ops above the jumped stretch issued
+		// during the jump too, and the cycle loop will not write them.
+		// The op d below issued before each of them, so its time is
+		// written or resolved.
+		for x := max(top, base+jd); x < top+jd; x++ {
+			if p.units[x] == 0 && s.state[x] >= stIssued {
+				s.tDone[x] = s.auTime(s.tDone, x-d) + orbitCycles
+				s.tFill[x] = s.auTime(s.tFill, x-d) + orbitCycles
+			}
+		}
+	}
 
 	ops := 0
 	for u := s.u0; u < s.u1; u++ {
@@ -616,7 +643,7 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 		o.mem.Shift(dc) //daelint:hotpath-ok ShiftableMem is a MemModel: an external interface, not auditable
 	}
 	st, k := &o.stats, o.kind.slot()
-	st.skipped += ops
+	st.skipped[k] += ops
 	st.jumps[k]++
 	st.landed[k], st.orbit[k], st.byHi[k] = front+jd, d, byHi
 	return cycle + dc, completed + ops

@@ -204,7 +204,7 @@ func TestOrbitSkipMatchesReference(t *testing.T) {
 		p := tiledProgram(rng.Intn, units, false)
 		st, ok := skipMatchesReference(t, p, tiledConfig(rng.Intn, units, false))
 		runs++
-		if st.skipped > 0 {
+		if st.skipped != [2]int{} {
 			fired++
 		}
 		return ok
@@ -250,7 +250,7 @@ func TestOrbitSkipFallsBack(t *testing.T) {
 		{Timing: tm(30), Cores: cores, Mem: &delayMem{md: 30}},
 		{Timing: tm(1 << eventBits), Cores: cores},
 	} {
-		if st, ok := skipMatchesReference(t, p, cfg); ok && st.skipped != 0 {
+		if st, ok := skipMatchesReference(t, p, cfg); ok && st.skipped != [2]int{} {
 			t.Errorf("esw=%v mem=%T md=%d: skipped %d ops, want 0", cfg.CollectESW, cfg.Mem, cfg.Timing.MD, st.skipped)
 		}
 	}
@@ -261,7 +261,7 @@ func TestOrbitSkipFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mem := range []MemModel{nil, queue} {
-		if st, _ := skipMatchesReference(t, p, Config{Timing: tm(30), Cores: cores, Mem: mem}); st.skipped == 0 {
+		if st, _ := skipMatchesReference(t, p, Config{Timing: tm(30), Cores: cores, Mem: mem}); st.skipped == [2]int{} {
 			t.Errorf("mem=%T: the periodic control run skipped nothing", mem)
 		}
 	}
@@ -273,16 +273,23 @@ func FuzzOrbitSkip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 3, 1, 0, 30, 2, 5, 1, 7, 0, 3, 2, 40, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pos := 0
-		draw := func(k int) int {
-			if pos >= len(data) {
-				return 0
-			}
-			pos++
-			return int(data[pos-1]) % k
-		}
+		draw := byteDraw(data)
 		units := 1 + draw(2)
 		p := tiledProgram(draw, units, false)
 		skipMatchesReference(t, p, tiledConfig(draw, units, false))
 	})
+}
+
+// byteDraw returns a draw for tiledProgram and tiledConfig that takes
+// its choices from the fuzz input data, one byte each, and 0 once data
+// runs out.
+func byteDraw(data []byte) func(k int) int {
+	pos := 0
+	return func(k int) int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1]) % k
+	}
 }

@@ -27,8 +27,10 @@ type Sim struct {
 	// u0 and u1 bound the cores the current pass simulates.
 	u0, u1 int
 	// The split run's scratch (split.go): per-op AU completion and fill
-	// times, then the DU ops' external ready times.
+	// times, and the DU ops' external ready times once dispatched; and
+	// the AU pass's jump.
 	tDone, tFill []int64
+	jump         auJump
 	// lat caches cfg.Timing.Latency per op kind for the current run.
 	lat [isa.NumOpKinds]int64
 	// horizon is the calendar horizon the current run's timing needs.
@@ -255,7 +257,8 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 	// memory model and its issue order is free.
 	memOrdered := cfg.Mem != nil && kind != passDU
 	// rec records each AU op's completion and fill times for the DU pass;
-	// ext holds the DU ops' external ready times during it (split.go).
+	// ext holds the DU ops' external ready times during it, each read
+	// as the op dispatches (split.go).
 	rec := kind == passAU
 	var ext []int64
 	if kind == passDU {
@@ -343,13 +346,17 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 			base := c.next
 			for j := 0; j < k; j++ {
 				i := c.stream[base+j]
-				s.state[i] = stInWindow
-				if ext != nil && ext[i] > cycle {
-					// An AU value this op reads is still on its way:
-					// deliver it when it arrives.
-					s.pending[i]++
-					s.cq.schedule(cycle, ext[i], i, true)
+				if ext != nil {
+					var pend int32
+					if ext[i], pend = s.extTime(p, i); ext[i] > cycle {
+						// An AU value this op reads is still on its
+						// way: deliver it when it arrives.
+						pend++
+						s.cq.schedule(cycle, ext[i], i, true)
+					}
+					s.pending[i] = pend
 				}
+				s.state[i] = stInWindow
 				if s.pending[i] == 0 {
 					c.enqueue(i, int32(base+j))
 				}
@@ -359,7 +366,9 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 			if c.occ > c.stats.MaxOcc {
 				c.stats.MaxOcc = c.occ
 			}
-			c.lastOrig = p.origs[c.stream[c.next-1]]
+			if cfg.CollectESW {
+				c.lastOrig = p.origs[c.stream[c.next-1]]
+			}
 		}
 
 		// 3. Issue oldest-first, per core. Wide cores drain the whole

@@ -200,8 +200,8 @@ func TestSimReuseAllocs(t *testing.T) {
 		if avg > 8 {
 			t.Errorf("%s: reused-scratch run allocates %.0f objects, want <= 8", tc.p.Name, avg)
 		}
-		if st := sim.orb.stats; st.split != tc.split || (st.skipped > 0) != tc.skip {
-			t.Errorf("%s: split %v, skipped %d ops; want split %v, skip %v", tc.p.Name, st.split, st.skipped, tc.split, tc.skip)
+		if st := sim.orb.stats; st.split != tc.split || (st.skipped != [2]int{}) != tc.skip {
+			t.Errorf("%s: split %v, skipped %v ops; want split %v, skip %v", tc.p.Name, st.split, st.skipped, tc.split, tc.skip)
 		}
 	}
 }

@@ -84,11 +84,12 @@ func (p *Program) scanSplit() {
 	p.split.ok = true
 }
 
-// runSplit runs a decoupled program as the AU pass, which records every
-// AU op's completion and fill times, then the DU pass, which takes those
-// times as external ready times. It sets res.Cycles to the later pass's
-// end: each pass ends at its last completion, and the joint run ends at
-// the last completion of either core.
+// runSplit runs a decoupled program as the AU pass, which records its
+// ops' completion and fill times (and its one jump, as an auJump), then
+// the DU pass, which takes those times as external ready times. It sets
+// res.Cycles to the later pass's end: each pass ends at its last
+// completion, and the joint run ends at the last completion of either
+// core.
 //
 //daelint:hotpath
 func (s *Sim) runSplit(p *Program, cfg *Config, res *Result) error {
@@ -100,11 +101,15 @@ func (s *Sim) runSplit(p *Program, cfg *Config, res *Result) error {
 		s.tDone, s.tFill = s.tDone[:n], s.tFill[:n]
 	}
 	s.orb.stats.split = true
+	s.jump = auJump{}
 	endAU, err := s.pass(p, cfg, res, passAU)
 	if err != nil {
 		return err
 	}
-	s.prepareDU(p)
+	// The AU pass's wakes and jump touched DU ops' words, which the DU
+	// pass sets up afresh as it dispatches each op (extTime). The
+	// calendar starts empty.
+	s.cq.reset(s.horizon) //daelint:hotpath-ok setup between the passes, outside either cycle loop
 	endDU, err := s.pass(p, cfg, res, passDU)
 	if err != nil {
 		return err
@@ -113,57 +118,182 @@ func (s *Sim) runSplit(p *Program, cfg *Config, res *Result) error {
 	return nil
 }
 
-// prepareDU turns the AU pass's times into the DU pass's inputs. Every
-// DU op gets its external ready time, the latest time at which one of
-// its AU producers completes (or, for a consume, its fill arrives), in
-// tDone's DU slots, which the AU pass never reads; its pending count
-// then covers its DU producers only. The calendar starts empty.
+// auJump is the AU pass's jump, which it takes at most once. Every AU
+// op in [lo, hi) issued during the jumped orbits, so it replays the op
+// d below, dc cycles later; auTime resolves its times from the orbit
+// below lo. Times are written for every AU op outside [lo, hi), from
+// the cycle loop or, for ops the jump's landing state has already
+// issued, from the jump itself. An empty range (hi <= lo) resolves
+// nothing.
+type auJump struct {
+	lo, hi, d int32
+	dc        int64
+}
+
+// auTime returns AU op x's entry of t (tDone or tFill): written, or,
+// inside the jumped stretch, the entry of the op k orbits below, the
+// first one under it, plus k orbits' cycles.
 //
 //daelint:hotpath
-func (s *Sim) prepareDU(p *Program) {
-	for _, x := range p.Stream(1) {
-		var t int64
-		var own int32
-		for _, src := range p.srcs(x) {
-			if p.units[src] == 0 {
-				t = max(t, s.tDone[src])
-			} else {
-				own++
-			}
-		}
-		if m := p.memSrcs[x]; m != NoDep {
-			t = max(t, s.tFill[m])
-		}
-		// The AU pass's wakes and skips touched DU ops' words; they
-		// start over.
-		s.state[x] = stWaiting
-		s.pending[x] = own
-		s.tDone[x] = t
+func (s *Sim) auTime(t []int64, x int32) int64 {
+	g := &s.jump
+	if x < g.lo || x >= g.hi {
+		return t[x]
 	}
-	s.cq.reset(s.horizon) //daelint:hotpath-ok setup between the passes, outside either cycle loop
+	k := (x-g.lo)/g.d + 1
+	return t[x-k*g.d] + int64(k)*g.dc
+}
+
+// extTime returns DU op x's external ready time, the latest time at
+// which one of its AU producers completes or, for a consume, its fill
+// arrives, and how many of its DU producers have not completed yet.
+//
+// The DU pass calls it as it dispatches x, which sets up x's words: the
+// AU pass's wakes and jump touched them, and a DU producer's wake before
+// x dispatches only decrements a count this replaces. Such a producer
+// precedes x in the DU stream, so it has dispatched and its state is
+// live. For an op not yet dispatched only the time counts.
+//
+//daelint:hotpath
+func (s *Sim) extTime(p *Program, x int32) (t int64, pend int32) {
+	s.orb.stats.ext++
+	for _, src := range p.srcs(x) {
+		if p.units[src] == 0 {
+			t = max(t, s.auTime(s.tDone, src))
+		} else if s.state[src] != stDone {
+			pend++
+		}
+	}
+	if m := p.memSrcs[x]; m != NoDep {
+		t = max(t, s.auTime(s.tFill, m))
+	}
+	return t, pend
 }
 
 // extRepeats returns the largest j' <= j for which the first j' replays
 // of the DU pass's orbit see their external inputs as the orbit did.
-// The orbit ran from cycle c1 to c1+dc and dispatched the DU stream's
-// positions [next-sh, next); replay k dispatches each of those ops' k·sh
-// positions on, k·dc cycles later. An op whose input was ready by c1
-// needs its replay's input ready by c1 + k·dc, ahead of the replay's
-// dispatch; any other needs its replay's input exactly k·dc later.
+// The orbit ran from cycle c1 to c1+dc and dispatched the ops w, whose
+// external times are in tDone; replay k dispatches each op k·d ops on,
+// k·dc cycles later. An op whose input was ready by c1 needs its
+// replay's input ready by c1 + k·dc, ahead of the replay's dispatch; any
+// other needs its replay's input exactly k·dc later.
+//
+// Replays are checked op by op, except where the AU's jump decides them
+// (jumpRepeats).
 //
 //daelint:hotpath
-func (s *Sim) extRepeats(c1, dc int64, sh int, j int32) int32 {
-	c := &s.cores[1]
-	st, ext := c.stream, s.tDone
-	for k := int32(1); k <= j; k++ {
-		at := int(k) * sh
-		kdc := int64(k) * dc
-		for pos := c.next - sh; pos < c.next; pos++ {
-			t, tk := ext[st[pos]], ext[st[pos+at]]
-			if t > c1 && tk != t+kdc || t <= c1 && tk > c1+kdc {
-				return k - 1
+func (s *Sim) extRepeats(p *Program, c1, dc int64, d int32, w []int32, j int32) int32 {
+	g := &s.jump
+	// With d a whole number of AU orbits, a replay whose AU producers
+	// all lie in the AU's jumped stretch sees inputs rate later than the
+	// replay before it.
+	closed := g.hi > g.lo && d%g.d == 0
+	rate := int64(d/max(g.d, 1)) * g.dc
+	for _, x := range w {
+		if j == 0 {
+			break
+		}
+		k := int32(1)
+		if closed {
+			var kx int32
+			k, kx = s.jumpRepeats(p, x, c1, dc, rate, d, j)
+			j = min(j, kx)
+			if k > 1 && k <= j {
+				s.orb.stats.straddled++
+			}
+		}
+		if k > j {
+			continue
+		}
+		t := s.extRead(x)
+		for ; k <= j; k++ {
+			if tk, _ := s.extTime(p, x+k*d); !replays(t, tk, c1, int64(k)*dc) {
+				j = k - 1
 			}
 		}
 	}
 	return j
+}
+
+// replays reports whether a replay k·dc cycles on whose input is ready
+// at tk sees it as the orbit, whose input was ready at t, did (see
+// extRepeats).
+//
+//daelint:hotpath
+func replays(t, tk, c1, kdc int64) bool {
+	if t > c1 {
+		return tk == t+kdc
+	}
+	return tk <= c1+kdc
+}
+
+// extRead returns dispatched DU op x's external ready time.
+//
+//daelint:hotpath
+func (s *Sim) extRead(x int32) int64 {
+	s.orb.stats.ext++
+	return s.tDone[x]
+}
+
+// jumpRepeats settles what it can of op x's replays 1..j from the AU's
+// jump: replays k0..kmax of x have every AU producer a with a + k·d
+// inside the jumped stretch, one AU orbit below it included, so replay
+// k0+i's input is replay k0's plus i·rate. Replays up to k0 it checks op
+// by op. It returns the first replay left to check op by op and the
+// last replay known to repeat, which is j when none has failed.
+//
+//daelint:hotpath
+func (s *Sim) jumpRepeats(p *Program, x int32, c1, dc, rate int64, d, j int32) (next, ok int32) {
+	g := &s.jump
+	lo, hi := g.hi, int32(-1)
+	for _, src := range p.srcs(x) {
+		if p.units[src] == 0 {
+			lo, hi = min(lo, src), max(hi, src)
+		}
+	}
+	if m := p.memSrcs[x]; m != NoDep {
+		lo, hi = min(lo, m), max(hi, m)
+	}
+	if hi < 0 {
+		// No AU input: every replay's is 0, as the orbit's was.
+		return j + 1, j
+	}
+	if hi >= g.hi {
+		return 1, j
+	}
+	k0 := max(0, (g.lo-g.d-lo+d-1)/d)
+	kmax := (g.hi - 1 - hi) / d
+	if k0 > kmax {
+		return 1, j
+	}
+	if k0 == 0 && rate == dc {
+		// Every replay's input is the orbit's plus k·dc.
+		return kmax + 1, j
+	}
+	t := s.extRead(x)
+	e0 := t
+	for k := int32(1); k <= k0; k++ {
+		if k > j {
+			return k, j
+		}
+		if e0, _ = s.extTime(p, x+k*d); !replays(t, e0, c1, int64(k)*dc) {
+			return k, k - 1
+		}
+	}
+	// e0 is replay k0's input, and replay k0+i's is e0 + i·rate: a late
+	// input needs rate == dc, and one ready by c1 needs e0 + i·rate <=
+	// c1 + (k0+i)·dc.
+	kc := int64(kmax)
+	switch {
+	case t > c1:
+		if rate != dc {
+			kc = int64(k0)
+		}
+	case rate > dc:
+		kc = min(kc, int64(k0)+(c1+int64(k0)*dc-e0)/(rate-dc))
+	}
+	if kc < int64(kmax) {
+		return j + 1, int32(min(kc, int64(j)))
+	}
+	return kmax + 1, j
 }

@@ -13,8 +13,15 @@ import (
 // configurations: Outstanding queues, a bypass buffer, held sends and
 // both retirement policies. Every Result must be bit-identical, most
 // runs must split, and the DU pass must jump more than once on some,
-// as it does when the AU's times stop repeating for a while.
+// as it does when the AU's times stop repeating for a while. First it
+// runs the jumpRecordCases, each of which must do what it is named for.
 func TestSplitMatchesReference(t *testing.T) {
+	for _, c := range jumpRecordCases {
+		st, ok := splitMatchesReference(t, splitCase(c.seed))
+		if ok && !c.does(st) {
+			t.Errorf("%s (seed %d): skip %+v does not", c.name, c.seed, st)
+		}
+	}
 	runs, split, skipped, rejumps := 0, 0, 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -24,7 +31,7 @@ func TestSplitMatchesReference(t *testing.T) {
 		if st.split {
 			split++
 		}
-		if st.skipped > 0 {
+		if st.skipped != [2]int{} {
 			skipped++
 		}
 		if st.jumps[1] > 1 {
@@ -44,22 +51,57 @@ func TestSplitMatchesReference(t *testing.T) {
 	t.Logf("%d runs: %d split, %d skipped, %d with a DU pass that jumped more than once", runs, split, skipped, rejumps)
 }
 
+// jumpRecordCases are decoupled tiled programs, given by the seed of
+// their fuzz input (splitCase), whose DU pass reads the AU's jump
+// record (auJump) where it is easiest to get wrong. In both the AU pass
+// jumps once.
+var jumpRecordCases = []struct {
+	name string
+	seed int64
+	does func(skipStats) bool
+}{
+	// The AU's times stop repeating within the DU's first jump, which
+	// therefore stops short (extRepeats returns less than it asked),
+	// and the DU pass jumps again later.
+	{"DU jumps part of the way, then again", 938, func(st skipStats) bool {
+		return st.jumps == [2]int{1, 2}
+	}},
+	// Some DU ops' replays reach AU producers past the AU's jumped
+	// stretch: jumpRepeats settles the replays inside it at once, and
+	// extRepeats checks the rest op by op.
+	{"DU replays straddle the end of the AU's jump", 2, func(st skipStats) bool {
+		return st.jumps == [2]int{1, 1} && st.straddled > 0
+	}},
+}
+
+// splitCase returns the fuzz input for FuzzDecoupledSplit that seed
+// draws: 256 random bytes.
+func splitCase(seed int64) []byte {
+	data := make([]byte, 256)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return data
+}
+
+// splitMatchesReference runs the decoupled tiled program and
+// configuration data draws against the reference.
+func splitMatchesReference(t *testing.T, data []byte) (skipStats, bool) {
+	t.Helper()
+	draw := byteDraw(data)
+	p := tiledProgram(draw, 2, true)
+	return skipMatchesReference(t, p, tiledConfig(draw, 2, true))
+}
+
 // FuzzDecoupledSplit is FuzzOrbitSkip over decoupled tiled programs:
 // the split's two passes, and the skip on each, against ReferenceRun.
+// Its seeds include the jumpRecordCases.
 func FuzzDecoupledSplit(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 3, 1, 0, 30, 2, 5, 1, 7, 0, 3, 2, 40, 1})
+	for _, c := range jumpRecordCases {
+		f.Add(splitCase(c.seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pos := 0
-		draw := func(k int) int {
-			if pos >= len(data) {
-				return 0
-			}
-			pos++
-			return int(data[pos-1]) % k
-		}
-		p := tiledProgram(draw, 2, true)
-		skipMatchesReference(t, p, tiledConfig(draw, 2, true))
+		splitMatchesReference(t, data)
 	})
 }
 

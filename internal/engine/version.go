@@ -42,6 +42,17 @@ package engine
 // them. A change that can move a bound must bump the version like a
 // change that can move a Result, so no stale bound outlives it.
 //
+// Not bumped either for the split's jump record (split.go): the AU
+// pass records its one jump as a stretch whose times auTime resolves
+// instead of writing every jumped op's times, the DU pass prepares its
+// ops and reads their AU inputs as its dispatch nears them instead of
+// all up front, and extRepeats settles the replays inside the AU's
+// jump from one time per op; nor for LowerBound stopping its samples
+// once dispatch outruns completion, which only decides where it
+// samples. No Result or bound moves: TestSplitMatchesReference (with
+// its jump-record cases), FuzzDecoupledSplit, TestOrbitSkipCatalog,
+// TestLowerBoundCatalog, points.lock and results.lock are unchanged.
+//
 // Not bumped either for deleting the never-set Params fields AUWindow,
 // DUWindow, FPLat, DispatchWidth and the RetireAuto name: every point
 // keeps its engine config, so no Result or bound moves. The store keys

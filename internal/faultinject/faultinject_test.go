@@ -42,6 +42,8 @@ func TestParseScheduleErrors(t *testing.T) {
 		"seed=1,timeout:rate=0",        // rate out of range
 		"seed=1,slow",                  // slow without delay
 		"seed=1,refuse:period=4",       // period without duty
+		"seed=1,refuse:duty=3",         // duty without period
+		"seed=1,refuse:delay=200ms",    // delay on a kind that never sleeps
 		"seed=1,refuse@r1:from=5:to=5", // empty index window
 		"seed=1,refuse:from=9:to=3",    // inverted index window
 		"seed=1,timeout:bogus=1",       // unknown option

@@ -192,8 +192,8 @@ func scopeHash(scope string) uint64 {
 //
 // where KIND is refuse|timeout|slow|trunc|corrupt|5xx and k=v tunes
 // rate= (float in (0,1], default 1), from=, to= (per-scope index
-// window, half-open), period=, duty= (duty cycle), delay= (Go
-// duration, slow only). Examples:
+// window, half-open), period= and duty= (a duty cycle: both or
+// neither), delay= (Go duration, slow only). Examples:
 //
 //	seed=1,timeout:rate=0.1,5xx:rate=0.1      — 10% timeouts and 503s everywhere
 //	seed=2,refuse@r2:from=5                   — replica 2 dies after its 5th request
@@ -240,6 +240,7 @@ func parseRule(field string) (Rule, error) {
 		return Rule{}, fmt.Errorf("faultinject: unknown fault kind %q in %q", head, field)
 	}
 	r.Kind = k
+	hasDelay := false
 	for _, kv := range parts[1:] {
 		key, val, found := strings.Cut(kv, "=")
 		if !found {
@@ -272,7 +273,7 @@ func parseRule(field string) (Rule, error) {
 			if err != nil || d < 0 {
 				return Rule{}, fmt.Errorf("faultinject: bad delay %q in %q", val, field)
 			}
-			r.Delay = d
+			r.Delay, hasDelay = d, true
 		default:
 			return Rule{}, fmt.Errorf("faultinject: unknown option %q in %q", key, field)
 		}
@@ -280,8 +281,14 @@ func parseRule(field string) (Rule, error) {
 	if r.Kind == Slow && r.Delay == 0 {
 		return Rule{}, fmt.Errorf("faultinject: slow rule %q needs delay=", field)
 	}
+	if r.Kind != Slow && hasDelay {
+		return Rule{}, fmt.Errorf("faultinject: rule %q has delay=, which only slow reads", field)
+	}
 	if r.Period > 0 && r.Duty == 0 {
 		return Rule{}, fmt.Errorf("faultinject: rule %q has period= but duty=0 (never matches)", field)
+	}
+	if r.Period == 0 && r.Duty > 0 {
+		return Rule{}, fmt.Errorf("faultinject: rule %q has duty= without period= (matches always)", field)
 	}
 	if r.To > 0 && r.To <= r.From {
 		return Rule{}, fmt.Errorf("faultinject: rule %q has to= at or below from= (never matches)", field)
