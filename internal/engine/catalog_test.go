@@ -75,41 +75,6 @@ func TestOrbitSkipCatalog(t *testing.T) {
 	}
 }
 
-// TestSplitWorkCatalog pins the DU pass's work on external times in a
-// catalog split run, FLO52Q's DM at W=32 and MD=60: it computes each op's
-// external ready time once, as the op dispatches, and reads the AU's
-// times for the ops it jumps only around the end of the AU's jumped
-// stretch and to settle its orbit's replays, so it does at most the DU
-// ops it simulates plus one DU orbit's worth: 4,838 of at most 8,448.
-// Preparing every DU op up front and reading two times per replayed op
-// costs 119,808 here.
-func TestSplitWorkCatalog(t *testing.T) {
-	tr, err := workloads.Build("FLO52Q", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := machine.NewSuite(tr, partition.Classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := suite.Program(machine.DM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := machine.Params{Window: 32, MD: 60}.Config(machine.DM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := engine.NewSim()
-	if _, err := sim.Run(prog, cfg); err != nil {
-		t.Fatal(err)
-	}
-	ext, simulated, orbit := sim.SplitWork(prog)
-	if orbit == 0 || ext > simulated+orbit {
-		t.Errorf("%d external-time computations and reads, want at most %d simulated DU ops + %d of an orbit", ext, simulated, orbit)
-	}
-}
-
 // TestLowerBoundCatalog holds the certified lower bound to its full
 // recurrence and below ReferenceRun on every catalog SWSM program, at
 // windows 8, 64, 512 and unlimited, MD 0 and 60, under the default

@@ -52,9 +52,8 @@ type DelayMem interface {
 type lbScratch struct {
 	disp, ret, done, arr []int64
 	saved, cur           []int64
-	// skipped counts the ops the last bound jumped over, and samples
-	// the states it took (tests).
-	skipped, samples int
+	// skipped counts the ops the last bound jumped over (tests).
+	skipped int
 }
 
 // ring returns buf resized to a power of two above need, every slot set
@@ -120,7 +119,7 @@ func (s *Sim) LowerBound(p *Program, cfg Config) int64 {
 		s.lat[k] = int64(cfg.Timing.Latency(isa.OpKind(k)))
 	}
 	b := &s.lb
-	b.skipped, b.samples = 0, 0
+	b.skipped = 0
 	// Before op 0, disp is -1 and ret 0: the first D ops dispatch at
 	// cycle 0 and the first W slots are free.
 	b.disp = ring(b.disp, d, -1)
@@ -178,16 +177,7 @@ func (s *Sim) LowerBound(p *Program, cfg Config) int64 {
 			cur = append(cur, b.done[j&am]-base, b.arr[j&am]-base)
 		}
 		b.cur = cur
-		b.samples++
 		switch {
-		case have && w == 0 && drifts(cur, b.saved, d):
-			// Dispatch outruns completion: with no window term nothing
-			// ties the two back together, so the gap is taken to widen
-			// every orbit and the state never to repeat. Sampling
-			// decides only where to jump, so stopping is exact either
-			// way.
-			skip = false
-			continue
 		case have && slices.Equal(cur, b.saved):
 			// The ops from savedA repeat from i, shifted by the time
 			// the dispatch front moved, and so does every later orbit
@@ -234,23 +224,6 @@ func (s *Sim) LowerBound(p *Program, cfg Config) int64 {
 	}
 	iw := int64(cc.IssueWidth)
 	return max(r, (int64(n)+iw-1)/iw)
-}
-
-// drifts reports whether the state cur, taken with no window term,
-// repeats saved in its first d values, the dispatch times, while its
-// running completion maximum, the next value, is later than saved's and
-// none of its completion times is earlier: relative to dispatch,
-// completion fell further behind over the orbit between them.
-func drifts(cur, saved []int64, d int) bool {
-	if !slices.Equal(cur[:d], saved[:d]) || cur[d] <= saved[d] {
-		return false
-	}
-	for k := d + 1; k < len(cur); k++ {
-		if cur[k] < saved[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // run computes ops [from, to) of the recurrence on the rings and

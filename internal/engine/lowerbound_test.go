@@ -115,22 +115,3 @@ func FuzzLowerBound(f *testing.F) {
 		boundHolds(t, sim, p, tiledConfig(draw, 1, false))
 	})
 }
-
-// TestLowerBoundStopsOnDrift pins where the bound stops sampling a run
-// whose dispatch outruns its completion: retirement at completion drops
-// the window term, and swsmLoop's FP chain takes three cycles an
-// iteration while four-wide dispatch takes three quarters of one, so
-// the gap grows every orbit and no state ever repeats. Samples fall six
-// ops apart and dispatch alternates between two phases, so the fourth
-// sample, the first to match the saved second one's dispatch times,
-// shows the drift, and the bound takes no fifth of the 198 it took
-// before. It still matches the full recurrence.
-func TestLowerBoundStopsOnDrift(t *testing.T) {
-	p := swsmLoop(400)
-	cfg := Config{Timing: tm(60), Cores: []isa.CoreConfig{{Window: 16, IssueWidth: 4}}}
-	sim := NewSim()
-	boundHolds(t, sim, p, cfg)
-	if sim.lb.samples != 4 || sim.lb.skipped != 0 {
-		t.Errorf("took %d samples and skipped %d ops, want 4 and 0", sim.lb.samples, sim.lb.skipped)
-	}
-}

@@ -191,10 +191,6 @@ type skipStats struct {
 	split bool
 	// skipped counts each pass's ops jumped over, and jumps its jumps.
 	skipped, jumps [2]int
-	// ext counts the DU pass's external-time computations and reads,
-	// and straddled the DU ops whose replays ran past the AU's jumped
-	// stretch and were checked op by op there (split.go).
-	ext, straddled int
 	// step is each pass's distance between anchors, first the anchor of
 	// its first sample (0 for none).
 	step, first [2]int32
@@ -342,10 +338,9 @@ func (s *Sim) orbitStep(p *Program, res *Result, cycle int64, completed, infligh
 		}
 		// The DU pass's input is the AU's times: the replays repeat the
 		// orbit only as far as those repeat too.
-		c1 := o.savedCnt[len(o.savedCnt)-1]
 		c := &s.cores[1]
 		w := c.stream[c.next-int(d/per.p*per.cnt[1]) : c.next]
-		jx := s.extRepeats(p, c1, cycle-c1, d, w, j)
+		jx := s.extRepeats(p, cycle-o.savedCnt[len(o.savedCnt)-1], d, w, j)
 		if jx < 1 {
 			// Compare the next samples with this one: the orbit stays
 			// the shortest, and the inputs may repeat from here on.

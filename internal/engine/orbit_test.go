@@ -179,17 +179,25 @@ func tiledConfig(draw func(k int) int, units int, decoupled bool) Config {
 func skipMatchesReference(t *testing.T, p *Program, cfg Config) (st skipStats, ok bool) {
 	t.Helper()
 	sim := NewSim()
+	ok = simMatchesReference(t, sim, p, cfg)
+	return sim.orb.stats, ok
+}
+
+// simMatchesReference runs p under cfg on sim and through ReferenceRun,
+// and reports a mismatch.
+func simMatchesReference(t *testing.T, sim *Sim, p *Program, cfg Config) bool {
+	t.Helper()
 	got, gotErr := sim.Run(p, cfg)
 	want, wantErr := ReferenceRun(p, cfg)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Errorf("%s: error mismatch: %v vs %v", p.Name, gotErr, wantErr)
-		return sim.orb.stats, false
+		return false
 	}
 	if gotErr == nil && !resultsEqual(got, want) {
 		t.Errorf("%s (%d ops, period %+v): skip %+v, result mismatch:\n engine:    %+v\n reference: %+v", p.Name, p.Len(), *p.orbitPeriod(), sim.orb.stats, got, want)
-		return sim.orb.stats, false
+		return false
 	}
-	return sim.orb.stats, true
+	return true
 }
 
 // TestOrbitSkipMatchesReference checks the steady-state skip against the

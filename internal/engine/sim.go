@@ -27,8 +27,8 @@ type Sim struct {
 	// u0 and u1 bound the cores the current pass simulates.
 	u0, u1 int
 	// The split run's scratch (split.go): per-op AU completion and fill
-	// times, and the DU ops' external ready times once dispatched; and
-	// the AU pass's jump.
+	// times, and the DU ops' inputs once dispatched; and the AU pass's
+	// jump.
 	tDone, tFill []int64
 	jump         auJump
 	// lat caches cfg.Timing.Latency per op kind for the current run.
@@ -257,8 +257,8 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 	// memory model and its issue order is free.
 	memOrdered := cfg.Mem != nil && kind != passDU
 	// rec records each AU op's completion and fill times for the DU pass;
-	// ext holds the DU ops' external ready times during it, each read
-	// as the op dispatches (split.go).
+	// ext records, as each DU op dispatches, when its input arrives or,
+	// ready already, the complement of the dispatch cycle (split.go).
 	rec := kind == passAU
 	var ext []int64
 	if kind == passDU {
@@ -347,12 +347,15 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 			for j := 0; j < k; j++ {
 				i := c.stream[base+j]
 				if ext != nil {
-					var pend int32
-					if ext[i], pend = s.extTime(p, i); ext[i] > cycle {
+					t, pend := s.extTime(p, i)
+					if t > cycle {
 						// An AU value this op reads is still on its
 						// way: deliver it when it arrives.
 						pend++
-						s.cq.schedule(cycle, ext[i], i, true)
+						s.cq.schedule(cycle, t, i, true)
+						ext[i] = t
+					} else {
+						ext[i] = ^cycle // ready at dispatch
 					}
 					s.pending[i] = pend
 				}

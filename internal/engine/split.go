@@ -156,7 +156,6 @@ func (s *Sim) auTime(t []int64, x int32) int64 {
 //
 //daelint:hotpath
 func (s *Sim) extTime(p *Program, x int32) (t int64, pend int32) {
-	s.orb.stats.ext++
 	for _, src := range p.srcs(x) {
 		if p.units[src] == 0 {
 			t = max(t, s.auTime(s.tDone, src))
@@ -172,128 +171,50 @@ func (s *Sim) extTime(p *Program, x int32) (t int64, pend int32) {
 
 // extRepeats returns the largest j' <= j for which the first j' replays
 // of the DU pass's orbit see their external inputs as the orbit did.
-// The orbit ran from cycle c1 to c1+dc and dispatched the ops w, whose
-// external times are in tDone; replay k dispatches each op k·d ops on,
-// k·dc cycles later. An op whose input was ready by c1 needs its
-// replay's input ready by c1 + k·dc, ahead of the replay's dispatch; any
-// other needs its replay's input exactly k·dc later.
+// The orbit took dc cycles and dispatched the ops w; replay k
+// dispatches each op k·d ops on, k·dc cycles later. An op whose input
+// was ready when it dispatched at cycle r needs its replay's input
+// ready by r + k·dc; one whose input was delivered later, at t, needs
+// its replay's delivered exactly at t + k·dc. The DU pass recorded
+// either ^r or t in tDone as it dispatched the op.
 //
-// Replays are checked op by op, except where the AU's jump decides them
-// (jumpRepeats).
+// A replay's input is the one before it plus the AU's cycles over d
+// ops when d is a whole number of AU orbits and the AU times both read
+// lie in the AU's jumped stretch or the orbit below it (auTime);
+// otherwise extTime computes it.
 //
 //daelint:hotpath
-func (s *Sim) extRepeats(p *Program, c1, dc int64, d int32, w []int32, j int32) int32 {
+func (s *Sim) extRepeats(p *Program, dc int64, d int32, w []int32, j int32) int32 {
 	g := &s.jump
-	// With d a whole number of AU orbits, a replay whose AU producers
-	// all lie in the AU's jumped stretch sees inputs rate later than the
-	// replay before it.
-	closed := g.hi > g.lo && d%g.d == 0
+	periodic := g.hi > g.lo && d%g.d == 0
 	rate := int64(d/max(g.d, 1)) * g.dc
 	for _, x := range w {
-		if j == 0 {
-			break
-		}
-		k := int32(1)
-		if closed {
-			var kx int32
-			k, kx = s.jumpRepeats(p, x, c1, dc, rate, d, j)
-			j = min(j, kx)
-			if k > 1 && k <= j {
-				s.orb.stats.straddled++
+		// [lo, hi] spans x's AU inputs.
+		lo, hi := int32(len(p.kinds)), int32(-1)
+		for _, src := range p.srcs(x) {
+			if p.units[src] == 0 {
+				lo, hi = min(lo, src), max(hi, src)
 			}
 		}
-		if k > j {
-			continue
+		if m := p.memSrcs[x]; m != NoDep {
+			lo, hi = min(lo, m), max(hi, m)
 		}
-		t := s.extRead(x)
-		for ; k <= j; k++ {
-			if tk, _ := s.extTime(p, x+k*d); !replays(t, tk, c1, int64(k)*dc) {
+		if hi < 0 {
+			continue // no AU input: every replay's is ready at 0
+		}
+		e, _ := s.extTime(p, x)
+		t := s.tDone[x]
+		for k := int32(1); k <= j; k++ {
+			if periodic && lo+(k-1)*d >= g.lo-g.d && hi+k*d < g.hi {
+				e += rate
+			} else {
+				e, _ = s.extTime(p, x+k*d)
+			}
+			kdc := int64(k) * dc
+			if t >= 0 && e != t+kdc || t < 0 && e > ^t+kdc {
 				j = k - 1
 			}
 		}
 	}
 	return j
-}
-
-// replays reports whether a replay k·dc cycles on whose input is ready
-// at tk sees it as the orbit, whose input was ready at t, did (see
-// extRepeats).
-//
-//daelint:hotpath
-func replays(t, tk, c1, kdc int64) bool {
-	if t > c1 {
-		return tk == t+kdc
-	}
-	return tk <= c1+kdc
-}
-
-// extRead returns dispatched DU op x's external ready time.
-//
-//daelint:hotpath
-func (s *Sim) extRead(x int32) int64 {
-	s.orb.stats.ext++
-	return s.tDone[x]
-}
-
-// jumpRepeats settles what it can of op x's replays 1..j from the AU's
-// jump: replays k0..kmax of x have every AU producer a with a + k·d
-// inside the jumped stretch, one AU orbit below it included, so replay
-// k0+i's input is replay k0's plus i·rate. Replays up to k0 it checks op
-// by op. It returns the first replay left to check op by op and the
-// last replay known to repeat, which is j when none has failed.
-//
-//daelint:hotpath
-func (s *Sim) jumpRepeats(p *Program, x int32, c1, dc, rate int64, d, j int32) (next, ok int32) {
-	g := &s.jump
-	lo, hi := g.hi, int32(-1)
-	for _, src := range p.srcs(x) {
-		if p.units[src] == 0 {
-			lo, hi = min(lo, src), max(hi, src)
-		}
-	}
-	if m := p.memSrcs[x]; m != NoDep {
-		lo, hi = min(lo, m), max(hi, m)
-	}
-	if hi < 0 {
-		// No AU input: every replay's is 0, as the orbit's was.
-		return j + 1, j
-	}
-	if hi >= g.hi {
-		return 1, j
-	}
-	k0 := max(0, (g.lo-g.d-lo+d-1)/d)
-	kmax := (g.hi - 1 - hi) / d
-	if k0 > kmax {
-		return 1, j
-	}
-	if k0 == 0 && rate == dc {
-		// Every replay's input is the orbit's plus k·dc.
-		return kmax + 1, j
-	}
-	t := s.extRead(x)
-	e0 := t
-	for k := int32(1); k <= k0; k++ {
-		if k > j {
-			return k, j
-		}
-		if e0, _ = s.extTime(p, x+k*d); !replays(t, e0, c1, int64(k)*dc) {
-			return k, k - 1
-		}
-	}
-	// e0 is replay k0's input, and replay k0+i's is e0 + i·rate: a late
-	// input needs rate == dc, and one ready by c1 needs e0 + i·rate <=
-	// c1 + (k0+i)·dc.
-	kc := int64(kmax)
-	switch {
-	case t > c1:
-		if rate != dc {
-			kc = int64(k0)
-		}
-	case rate > dc:
-		kc = min(kc, int64(k0)+(c1+int64(k0)*dc-e0)/(rate-dc))
-	}
-	if kc < int64(kmax) {
-		return j + 1, int32(min(kc, int64(j)))
-	}
-	return kmax + 1, j
 }

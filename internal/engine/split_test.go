@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,9 +18,10 @@ import (
 // runs the jumpRecordCases, each of which must do what it is named for.
 func TestSplitMatchesReference(t *testing.T) {
 	for _, c := range jumpRecordCases {
-		st, ok := splitMatchesReference(t, splitCase(c.seed))
-		if ok && !c.does(st) {
-			t.Errorf("%s (seed %d): skip %+v does not", c.name, c.seed, st)
+		sim := NewSim()
+		p, ok := splitMatchesReference(t, sim, splitCase(c.seed))
+		if ok && !c.does(sim, p) {
+			t.Errorf("%s (seed %d): skip %+v, AU jump %+v does not", c.name, c.seed, sim.orb.stats, sim.jump)
 		}
 	}
 	runs, split, skipped, rejumps := 0, 0, 0, 0
@@ -58,20 +60,71 @@ func TestSplitMatchesReference(t *testing.T) {
 var jumpRecordCases = []struct {
 	name string
 	seed int64
-	does func(skipStats) bool
+	does func(*Sim, *Program) bool
 }{
 	// The AU's times stop repeating within the DU's first jump, which
 	// therefore stops short (extRepeats returns less than it asked),
 	// and the DU pass jumps again later.
-	{"DU jumps part of the way, then again", 938, func(st skipStats) bool {
-		return st.jumps == [2]int{1, 2}
+	{"DU jumps part of the way, then again", 938, func(s *Sim, _ *Program) bool {
+		return s.orb.stats.jumps == [2]int{1, 2}
 	}},
-	// Some DU ops' replays reach AU producers past the AU's jumped
-	// stretch: jumpRepeats settles the replays inside it at once, and
-	// extRepeats checks the rest op by op.
-	{"DU replays straddle the end of the AU's jump", 2, func(st skipStats) bool {
-		return st.jumps == [2]int{1, 1} && st.straddled > 0
+	// The DU pass's one jump starts inside the AU's jumped stretch and
+	// lands past its end, so the replays it checks read AU times that
+	// auTime resolves and, further on, times the AU pass wrote. Those
+	// do not follow the AU's orbit here: stepping a replay's input by
+	// the orbit's cycles past the stretch's end gives a wrong Result.
+	{"DU replays straddle the end of the AU's jump", 2615, func(s *Sim, p *Program) bool {
+		st, g := &s.orb.stats, s.jump
+		if st.jumps != [2]int{1, 1} {
+			return false
+		}
+		per := p.orbitPeriod()
+		d := st.orbit[1]
+		from := st.landed[1] - int32(st.skipped[1])/(d/per.p*per.cnt[1])*d
+		return g.lo <= from && from < g.hi && g.hi < st.landed[1]
 	}},
+}
+
+// TestSplitTimesWritten pins the split's bookkeeping to the ops its
+// passes simulate, on the jumpRecordCases. Inside its jumped stretch,
+// whose times auTime resolves, the AU pass writes times only for the
+// ops its window held unissued when it jumped and those within reach
+// above them; the DU pass sets up an external time only for each op it
+// dispatches, so the DU ops it jumps over get none. The split's scratch
+// starts out holding math.MinInt64, which nothing it records equals.
+func TestSplitTimesWritten(t *testing.T) {
+	for _, c := range jumpRecordCases {
+		draw := byteDraw(splitCase(c.seed))
+		p := tiledProgram(draw, 2, true)
+		cfg := tiledConfig(draw, 2, true)
+		sim := NewSim()
+		n := len(p.kinds)
+		sim.tDone, sim.tFill = make([]int64, n), make([]int64, n)
+		for x := 0; x < n; x++ {
+			sim.tDone[x], sim.tFill[x] = math.MinInt64, math.MinInt64
+		}
+		if _, err := sim.Run(p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		g, st := sim.jump, sim.orb.stats
+		au, du := 0, 0
+		for x := int32(0); x < int32(n); x++ {
+			switch {
+			case p.units[x] != 0:
+				if sim.tDone[x] != math.MinInt64 {
+					du++
+				}
+			case x >= g.lo && x < g.hi && (sim.tDone[x] != math.MinInt64 || sim.tFill[x] != math.MinInt64):
+				au++
+			}
+		}
+		if limit := cfg.Cores[0].Window + int(p.orbitPeriod().reach); g.hi-g.lo <= int32(limit) || au > limit {
+			t.Errorf("%s: AU jump %+v wrote %d times inside its stretch, want at most the window plus reach, %d, and a longer stretch", c.name, g, au, limit)
+		}
+		if simulated := len(p.Stream(1)) - st.skipped[1]; st.skipped[1] == 0 || du != simulated {
+			t.Errorf("%s: %d DU ops jumped, %d DU external times written; want one per simulated DU op, %d", c.name, st.skipped[1], du, simulated)
+		}
+	}
 }
 
 // splitCase returns the fuzz input for FuzzDecoupledSplit that seed
@@ -83,12 +136,13 @@ func splitCase(seed int64) []byte {
 }
 
 // splitMatchesReference runs the decoupled tiled program and
-// configuration data draws against the reference.
-func splitMatchesReference(t *testing.T, data []byte) (skipStats, bool) {
+// configuration data draws on sim and against the reference, and
+// returns the program.
+func splitMatchesReference(t *testing.T, sim *Sim, data []byte) (*Program, bool) {
 	t.Helper()
 	draw := byteDraw(data)
 	p := tiledProgram(draw, 2, true)
-	return skipMatchesReference(t, p, tiledConfig(draw, 2, true))
+	return p, simMatchesReference(t, sim, p, tiledConfig(draw, 2, true))
 }
 
 // FuzzDecoupledSplit is FuzzOrbitSkip over decoupled tiled programs:
@@ -101,7 +155,7 @@ func FuzzDecoupledSplit(f *testing.F) {
 		f.Add(splitCase(c.seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		splitMatchesReference(t, data)
+		splitMatchesReference(t, NewSim(), data)
 	})
 }
 

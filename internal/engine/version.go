@@ -45,13 +45,15 @@ package engine
 // Not bumped either for the split's jump record (split.go): the AU
 // pass records its one jump as a stretch whose times auTime resolves
 // instead of writing every jumped op's times, the DU pass prepares its
-// ops and reads their AU inputs as its dispatch nears them instead of
-// all up front, and extRepeats settles the replays inside the AU's
-// jump from one time per op; nor for LowerBound stopping its samples
-// once dispatch outruns completion, which only decides where it
-// samples. No Result or bound moves: TestSplitMatchesReference (with
-// its jump-record cases), FuzzDecoupledSplit, TestOrbitSkipCatalog,
-// TestLowerBoundCatalog, points.lock and results.lock are unchanged.
+// ops and reads their AU inputs as it dispatches them instead of all up
+// front, and extRepeats steps a replay's input from the one before it
+// inside the AU's jump. Nor for the DU jump's input condition taking an
+// input ready at its op's dispatch, rather than by the orbit's first
+// cycle, as one that needs only to be ready at the replay's: such an op
+// schedules no delivery, so its input time never reaches the state,
+// and jumps stay exact. No Result moves: TestSplitMatchesReference
+// (with its jump-record cases), FuzzDecoupledSplit,
+// TestOrbitSkipCatalog, points.lock and results.lock are unchanged.
 //
 // Not bumped either for deleting the never-set Params fields AUWindow,
 // DUWindow, FPLat, DispatchWidth and the RetireAuto name: every point

@@ -186,11 +186,6 @@ func Load(dir string, patterns []string, tests bool) (*World, error) {
 	}
 
 	exports := map[string]string{}
-	// forTest[p][path] is path's export data as recompiled for p's test
-	// binary ("path [p.test]"): p's external test package imports these,
-	// as go test builds it, so it sees helpers that p's in-package
-	// _test.go files add.
-	forTest := map[string]map[string]string{}
 	var targets []listedPkg
 	module := ""
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -204,14 +199,9 @@ func Load(dir string, patterns []string, tests bool) (*World, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		// Test variants ("q [p.test]", "p.test") are no targets: the
-		// -test listing includes every package as an ordinary entry too.
-		if path, _, ok := strings.Cut(p.ImportPath, " ["); ok && p.ForTest != "" && p.Export != "" {
-			if forTest[p.ForTest] == nil {
-				forTest[p.ForTest] = map[string]string{}
-			}
-			forTest[p.ForTest][path] = p.Export
-		}
+		// Test variants ("p [p.test]", "p.test") only contribute export
+		// data for their clean-path imports, which the -test listing
+		// already includes as ordinary entries.
 		if strings.ContainsAny(p.ImportPath, " [") || strings.HasSuffix(p.ImportPath, ".test") {
 			continue
 		}
@@ -227,20 +217,14 @@ func Load(dir string, patterns []string, tests bool) (*World, error) {
 	}
 
 	fset := token.NewFileSet()
-	// importerFor imports from exports, preferring variants.
-	importerFor := func(variants map[string]string) types.Importer {
-		return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			f := variants[path]
-			if f == "" {
-				f = exports[path]
-			}
-			if f == "" {
-				return nil, fmt.Errorf("lint: no export data for %q", path)
-			}
-			return os.Open(f)
-		})
+	lookup := func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok || f == "" {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(f)
 	}
-	imp := importerFor(nil)
+	imp := importer.ForCompiler(fset, "gc", lookup)
 
 	w := &World{Fset: fset, Pkgs: map[string]*Package{}, Module: module, Tests: tests}
 	for _, t := range targets {
@@ -261,7 +245,7 @@ func Load(dir string, patterns []string, tests bool) (*World, error) {
 
 		if tests && len(t.XTestGoFiles) > 0 {
 			xpath := t.ImportPath + "_test"
-			xpkg, err := checkPackage(fset, importerFor(forTest[t.ImportPath]), xpath, t.Dir, t.XTestGoFiles, 0)
+			xpkg, err := checkPackage(fset, imp, xpath, t.Dir, t.XTestGoFiles, 0)
 			if err != nil {
 				return nil, err
 			}
