@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -225,7 +227,23 @@ func randomProgram(rng *rand.Rand, n, units int) *Program {
 			producers = append(producers, int32(len(ops)-1))
 		}
 	}
-	return MustProgram("random", ops, units, len(ops))
+	return authored("random", ops, units)
+}
+
+// authored builds the program of ops and panics unless Program.Ops
+// rebuilds exactly the authored ops, a nil Srcs equal to an empty one.
+// The oracles read the rebuilt ops, so this holds the source slab to
+// what was authored.
+func authored(name string, ops []Op, units int) *Program {
+	p := MustProgram(name, ops, units, len(ops))
+	same := func(a, b Op) bool {
+		return a.Kind == b.Kind && a.Unit == b.Unit && slices.Equal(a.Srcs, b.Srcs) &&
+			a.MemSrc == b.MemSrc && a.Addr == b.Addr && a.Orig == b.Orig
+	}
+	if !slices.EqualFunc(p.Ops(), ops, same) {
+		panic(fmt.Sprintf("%s: Program.Ops differs from the authored ops", name))
+	}
+	return p
 }
 
 func TestUnlimitedResourcesMatchDataflowTime(t *testing.T) {

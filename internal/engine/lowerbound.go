@@ -11,7 +11,8 @@ import (
 // completes as early as its constraints allow. Dropping the one
 // constraint that makes the schedule hard to compute, the issue width,
 // leaves a recurrence over ops in program order that no real run can
-// beat. With D the dispatch width, W the window and lat the op's latency:
+// beat. With D the dispatch width (a core dispatches as many ops a cycle
+// as it may issue), W the window and lat the op's latency:
 //
 //	disp_i = max(disp_{i-1}, disp_{i-D}+1, ret_{i-W})
 //	iss_i  = max(disp_i, done_s for each source s, arr_m for the fill m)
@@ -110,10 +111,15 @@ func (s *Sim) LowerBound(p *Program, cfg Config) int64 {
 		md = dm.MinFill()
 	}
 	cc := cfg.Cores[0]
-	d := cc.EffectiveDispatch()
 	w := 0 // the window term's distance; 0 when it cannot bind
 	if cfg.RetireInOrder && !cc.Unlimited() && cc.Window < n {
 		w = cc.Window
+	}
+	// The dispatch term binds only below n ops and, with a window term,
+	// below W: every latency is at least 1, so ret_{i-W} > disp_{i-W}.
+	d := min(cc.IssueWidth, n)
+	if w > 0 {
+		d = min(d, w)
 	}
 	for k := range s.lat {
 		s.lat[k] = int64(cfg.Timing.Latency(isa.OpKind(k)))

@@ -609,7 +609,7 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	ops := 0
 	for u := s.u0; u < s.u1; u++ {
 		c := &s.cores[u]
-		if !c.wide && c.next > 0 {
+		if c.next > 0 {
 			// Ready bits lie in [issueFrontier, next); rebuilt below.
 			clear(c.readyBits[c.issueFrontier>>6 : (c.next-1)>>6+1])
 		}
@@ -627,10 +627,8 @@ func (s *Sim) skip(p *Program, res *Result, cycle int64, completed int, base, fr
 	}
 	for i := base + jd; i < top+jd; i++ {
 		if s.state[i] == stInWindow && s.pending[i] == 0 {
-			if c := &s.cores[p.units[i]]; !c.wide {
-				pos := p.posInStream[i]
-				c.readyBits[pos>>6] |= 1 << uint(pos&63)
-			}
+			c, pos := &s.cores[p.units[i]], p.posInStream[i]
+			c.readyBits[pos>>6] |= 1 << uint(pos&63)
 		}
 	}
 	o.evs = s.cq.shift(o.evs, cycle, dc, jd)

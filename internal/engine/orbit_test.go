@@ -122,12 +122,12 @@ func tiledProgram(draw func(k int) int, units int, decoupled bool) *Program {
 		}
 	}
 	randomOps(draw(24))
-	return MustProgram("tiled", ops, units, len(ops))
+	return authored("tiled", ops, units)
 }
 
 // tiledConfig draws a configuration for a tiled program: finite windows
 // (an unlimited one leaves nothing to skip; decoupled programs, which
-// split whatever the windows, sometimes get one), optional dispatch widths,
+// split whatever the windows, sometimes get one), widths that never bind,
 // held sends, either retirement policy, sometimes a memory differential
 // long enough to put events in the calendar's far heap and, sometimes,
 // an Outstanding queue, which the skip carries across its jump.
@@ -138,10 +138,7 @@ func tiledConfig(draw func(k int) int, units int, decoupled bool) Config {
 	for i := range cores {
 		cores[i] = isa.CoreConfig{Window: 1 + draw(24), IssueWidth: 1 + draw(6)}
 		if draw(4) == 0 {
-			cores[i].IssueWidth = 1 << 20 // wide: the unordered ready list
-		}
-		if draw(3) == 0 {
-			cores[i].DispatchWidth = 1 + draw(4)
+			cores[i].IssueWidth = 1 << 20 // never binds: the bitmap drains whole
 		}
 		if decoupled && draw(8) == 0 {
 			cores[i].Window = 0 // unlimited: nothing to skip, but the split holds

@@ -28,10 +28,9 @@ const (
 // program order; each is bound to one core (unit) and dispatches in order
 // within that core's stream.
 //
-// Op is the authoring format only: NewProgram repacks the op stream into
-// structure-of-arrays slabs (see Program) and the simulator never touches
-// the Op structs again, so lowerings are free to build them incrementally
-// with per-op Srcs slices.
+// Op is the authoring format only: ProgramBuilder.Add writes each op's
+// fields straight into a Program's structure-of-arrays slabs, and
+// Program.Ops rebuilds the ops from them for the reference oracles.
 type Op struct {
 	// Kind selects latency and memory behaviour.
 	Kind isa.OpKind
@@ -53,22 +52,18 @@ type Op struct {
 }
 
 // Program is an immutable lowered program plus precomputed dependence
-// structure. Build one with NewProgram and reuse it across many Run calls.
+// structure. Build one with a ProgramBuilder (or NewProgram) and reuse
+// it across many Run calls.
 //
-// Internally the op stream is repacked as structure-of-arrays: the hot
-// per-op scalars (kind, unit, orig, addr) live in dense parallel arrays,
-// and the variable-length adjacency (dependence sources, completion-edge
-// and fill-edge consumers, per-unit streams) is CSR-flattened into
-// offset+data slab pairs. The simulator's inner loops read only these
-// slabs, never the Op structs, so an issue touches a few contiguous
-// cache lines instead of striding across 64-byte Op records whose cold
-// fields (Srcs headers, MemSrc) pollute the cache.
+// The op stream is stored as structure-of-arrays only: the per-op
+// scalars (kind, unit, orig, addr, memSrc) live in dense parallel
+// arrays, and the variable-length adjacency (dependence sources,
+// completion-edge and fill-edge consumers, per-unit streams) is
+// CSR-flattened into offset+data slab pairs. An issue touches a few
+// contiguous cache lines instead of striding across 56-byte Op records.
 type Program struct {
 	// Name identifies the program (workload + machine lowering).
 	Name string
-	// Ops is the operation stream in global program order (authoring
-	// format; the simulator reads the SoA slabs below instead).
-	Ops []Op
 	// NumUnits is the number of cores the ops reference (1 or 2).
 	NumUnits int
 	// TraceLen is the length of the originating trace (for IPC reporting).
@@ -114,59 +109,91 @@ type Program struct {
 	split splitInfo
 }
 
-// NewProgram validates ops and precomputes the SoA dependence structure.
-func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error) {
+// ProgramBuilder builds a Program one op at a time: Add writes each
+// op's kind, unit, orig, addr, memSrc and sources into the program's
+// primary slabs, and Program validates them and derives the rest.
+type ProgramBuilder struct {
+	p *Program
+}
+
+// NewProgramBuilder returns a builder whose per-op slabs hold n ops
+// without growing. The source slab starts with room for n sources, about
+// what a lowering emits (0.9-1.3 per op over the catalog), and grows by
+// append past that.
+func NewProgramBuilder(n int) *ProgramBuilder {
+	return &ProgramBuilder{p: &Program{
+		kinds:   make([]isa.OpKind, 0, n),
+		units:   make([]uint8, 0, n),
+		origs:   make([]int32, 0, n),
+		addrs:   make([]uint64, 0, n),
+		memSrcs: make([]int32, 0, n),
+		srcOff:  make([]int32, 1, n+1),
+		srcDat:  make([]int32, 0, n),
+	}}
+}
+
+// Add appends op, copying its Srcs into the program's source slab.
+func (b *ProgramBuilder) Add(op Op) {
+	p := b.p
+	p.kinds = append(p.kinds, op.Kind)
+	p.units = append(p.units, uint8(op.Unit))
+	p.origs = append(p.origs, op.Orig)
+	p.addrs = append(p.addrs, op.Addr)
+	p.memSrcs = append(p.memSrcs, op.MemSrc)
+	p.srcDat = append(p.srcDat, op.Srcs...)
+	p.srcOff = append(p.srcOff, int32(len(p.srcDat)))
+}
+
+// Program validates the added ops and returns the program with its
+// consumer, stream, dependence-count and flag slabs derived. The
+// builder must not be used afterwards.
+func (b *ProgramBuilder) Program(name string, numUnits, traceLen int) (*Program, error) {
+	p := b.p
+	b.p = nil
 	if numUnits < 1 {
 		return nil, fmt.Errorf("engine: program %s: numUnits %d < 1", name, numUnits)
 	}
-	n := len(ops)
-	p := &Program{Name: name, Ops: ops, NumUnits: numUnits, TraceLen: traceLen}
-	p.kinds = make([]isa.OpKind, n)
-	p.units = make([]uint8, n)
+	p.Name, p.NumUnits, p.TraceLen = name, numUnits, traceLen
+	n := len(p.kinds)
 	p.flags = make([]uint8, n)
-	p.origs = make([]int32, n)
-	p.addrs = make([]uint64, n)
-	p.memSrcs = make([]int32, n)
 	p.nDeps = make([]int32, n)
 	p.posInStream = make([]int32, n)
-	p.srcOff = make([]int32, n+1)
 	p.cpOff = make([]int32, n+1)
 	p.cfOff = make([]int32, n+1)
 	p.streamOff = make([]int32, numUnits+1)
 
 	// Pass 1: validate and count edges; offsets temporarily hold counts
 	// shifted one slot right so the prefix sum turns them into offsets.
-	nSrcs := 0
-	for i := range ops {
-		op := &ops[i]
-		if !op.Kind.Valid() {
-			return nil, fmt.Errorf("engine: program %s: op %d: invalid kind %d", name, i, op.Kind)
+	for i := 0; i < n; i++ {
+		k := p.kinds[i]
+		if !k.Valid() {
+			return nil, fmt.Errorf("engine: program %s: op %d: invalid kind %d", name, i, k)
 		}
-		if int(op.Unit) >= numUnits {
-			return nil, fmt.Errorf("engine: program %s: op %d: unit %v out of range (%d units)", name, i, op.Unit, numUnits)
+		if int(p.units[i]) >= numUnits {
+			return nil, fmt.Errorf("engine: program %s: op %d: unit %v out of range (%d units)", name, i, isa.Unit(p.units[i]), numUnits)
 		}
-		for _, s := range op.Srcs {
+		for _, s := range p.srcs(int32(i)) {
 			if s < 0 || s >= int32(i) {
 				return nil, fmt.Errorf("engine: program %s: op %d: src %d not strictly backwards", name, i, s)
 			}
 			p.cpOff[s+1]++
-			p.nDeps[i]++
 		}
-		nSrcs += len(op.Srcs)
+		p.nDeps[i] = p.srcOff[i+1] - p.srcOff[i]
+		m := p.memSrcs[i]
 		switch {
-		case op.Kind.IsConsume():
-			if op.MemSrc < 0 || op.MemSrc >= int32(i) {
+		case k.IsConsume():
+			if m < 0 || m >= int32(i) {
 				return nil, fmt.Errorf("engine: program %s: op %d: consume without valid MemSrc", name, i)
 			}
-			if !ops[op.MemSrc].Kind.IsSend() {
-				return nil, fmt.Errorf("engine: program %s: op %d: MemSrc %d is %v, not a send", name, i, op.MemSrc, ops[op.MemSrc].Kind)
+			if !p.kinds[m].IsSend() {
+				return nil, fmt.Errorf("engine: program %s: op %d: MemSrc %d is %v, not a send", name, i, m, p.kinds[m])
 			}
-			p.cfOff[op.MemSrc+1]++
+			p.cfOff[m+1]++
 			p.nDeps[i]++
-		case op.MemSrc != NoDep:
-			return nil, fmt.Errorf("engine: program %s: op %d: MemSrc on non-consume op %v", name, i, op.Kind)
+		case m != NoDep:
+			return nil, fmt.Errorf("engine: program %s: op %d: MemSrc on non-consume op %v", name, i, k)
 		}
-		p.streamOff[int(op.Unit)+1]++
+		p.streamOff[int(p.units[i])+1]++
 	}
 	for i := 0; i < n; i++ {
 		p.cpOff[i+1] += p.cpOff[i]
@@ -175,47 +202,34 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 	for u := 0; u < numUnits; u++ {
 		p.streamOff[u+1] += p.streamOff[u]
 	}
-	p.srcDat = make([]int32, nSrcs)
 	p.cpDat = make([]int32, p.cpOff[n])
 	p.cfDat = make([]int32, p.cfOff[n])
 	p.streamDat = make([]int32, n)
 
-	// Pass 2: fill the slabs. Consumer and stream lists are appended in
-	// ascending op order, matching the order the old [][]int32 layout
-	// produced; fill cursors reuse scratch counters.
+	// Pass 2: fill the consumer and stream slabs, each list in ascending
+	// op order; fill cursors reuse scratch counters.
 	cpNext := make([]int32, n)
 	cfNext := make([]int32, n)
 	streamNext := make([]int32, numUnits)
 	copy(cpNext, p.cpOff[:n])
 	copy(cfNext, p.cfOff[:n])
 	copy(streamNext, p.streamOff[:numUnits])
-	srcPos := int32(0)
-	for i := range ops {
-		op := &ops[i]
-		p.kinds[i] = op.Kind
-		p.units[i] = uint8(op.Unit)
-		p.origs[i] = op.Orig
-		p.addrs[i] = op.Addr
-		p.memSrcs[i] = NoDep
-		p.srcOff[i] = srcPos
-		for _, s := range op.Srcs {
-			p.srcDat[srcPos] = s
-			srcPos++
-			p.cpDat[cpNext[s]] = int32(i)
+	for i := int32(0); i < int32(n); i++ {
+		for _, s := range p.srcs(i) {
+			p.cpDat[cpNext[s]] = i
 			cpNext[s]++
 		}
-		if op.Kind.IsConsume() {
-			p.memSrcs[i] = op.MemSrc
-			p.cfDat[cfNext[op.MemSrc]] = int32(i)
-			cfNext[op.MemSrc]++
+		if k := p.kinds[i]; k.IsConsume() {
+			m := p.memSrcs[i]
+			p.cfDat[cfNext[m]] = i
+			cfNext[m]++
 		}
-		u := int(op.Unit)
+		u := p.units[i]
 		p.posInStream[i] = streamNext[u] - p.streamOff[u]
-		p.streamDat[streamNext[u]] = int32(i)
+		p.streamDat[streamNext[u]] = i
 		streamNext[u]++
 	}
-	p.srcOff[n] = srcPos
-	for i := range ops {
+	for i := 0; i < n; i++ {
 		var f uint8
 		if p.kinds[i].IsSend() {
 			f |= opFlagSend
@@ -231,8 +245,16 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 	return p, nil
 }
 
-// MustProgram is NewProgram but panics on error; used by lowerings that
-// are correct by construction.
+// NewProgram validates ops and builds their program.
+func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error) {
+	b := NewProgramBuilder(len(ops))
+	for _, op := range ops {
+		b.Add(op)
+	}
+	return b.Program(name, numUnits, traceLen)
+}
+
+// MustProgram is NewProgram but panics on error.
 func MustProgram(name string, ops []Op, numUnits, traceLen int) *Program {
 	p, err := NewProgram(name, ops, numUnits, traceLen)
 	if err != nil {
@@ -241,8 +263,24 @@ func MustProgram(name string, ops []Op, numUnits, traceLen int) *Program {
 	return p
 }
 
+// Ops rebuilds the program's ops in the authoring format from its
+// slabs, for the reference oracles. Each op's Srcs is a capacity-capped
+// view of the program's source slab: read it, never write it.
+func (p *Program) Ops() []Op {
+	ops := make([]Op, len(p.kinds))
+	for i := range ops {
+		lo, hi := p.srcOff[i], p.srcOff[i+1]
+		ops[i] = Op{
+			Kind: p.kinds[i], Unit: isa.Unit(p.units[i]),
+			Srcs:   p.srcDat[lo:hi:hi],
+			MemSrc: p.memSrcs[i], Addr: p.addrs[i], Orig: p.origs[i],
+		}
+	}
+	return ops
+}
+
 // Len returns the number of machine operations.
-func (p *Program) Len() int { return len(p.Ops) }
+func (p *Program) Len() int { return len(p.kinds) }
 
 // Stream returns the op indices executed by the given unit, program order.
 //

@@ -8,9 +8,11 @@ package engine
 // TestCalendarQueueMatchesReference, and FuzzWorkgenDifferential in
 // internal/workgen, which drives both machines over generated workloads
 // against it). It deliberately shares no derived program state with the
-// SoA engine: the dependence adjacency is rebuilt here from the authored
-// Op structs, so a mistake in the CSR flattening cannot cancel out of
-// the comparison. It is exported for differential harnesses only; no
+// SoA engine: Program.Ops rebuilds the authored ops from the primary
+// slabs (kinds, units, sources, memSrcs, addrs, origs), and the
+// dependence adjacency is rebuilt here from those ops, so a mistake in
+// the derived consumer or stream slabs cannot cancel out of the
+// comparison. It is exported for differential harnesses only; no
 // production path calls it (it is not reachable from Sim.Run, so the
 // versioned semantics surface does not include it).
 
@@ -21,7 +23,8 @@ import (
 )
 
 // refAdjacency is the seed engine's array-of-slices dependence structure,
-// rebuilt from p.Ops independently of the Program's CSR slabs.
+// rebuilt from the authored ops independently of the Program's derived
+// slabs.
 type refAdjacency struct {
 	streams   [][]int32 // per-unit op indices, program order
 	consPlain [][]int32 // completion-edge consumers per op
@@ -29,15 +32,15 @@ type refAdjacency struct {
 	nDeps     []int32   // static dependence count per op
 }
 
-func refAdjacencyOf(p *Program) *refAdjacency {
+func refAdjacencyOf(ops []Op, numUnits int) *refAdjacency {
 	a := &refAdjacency{
-		streams:   make([][]int32, p.NumUnits),
-		consPlain: make([][]int32, len(p.Ops)),
-		consFill:  make([][]int32, len(p.Ops)),
-		nDeps:     make([]int32, len(p.Ops)),
+		streams:   make([][]int32, numUnits),
+		consPlain: make([][]int32, len(ops)),
+		consFill:  make([][]int32, len(ops)),
+		nDeps:     make([]int32, len(ops)),
 	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
+	for i := range ops {
+		op := &ops[i]
 		for _, s := range op.Srcs {
 			a.consPlain[s] = append(a.consPlain[s], int32(i))
 			a.nDeps[i]++
@@ -81,7 +84,8 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 	if err := cfg.Validate(p); err != nil {
 		return nil, err
 	}
-	n := len(p.Ops)
+	ops := p.Ops()
+	n := len(ops)
 	res := &Result{Ops: n, TraceLen: p.TraceLen, Cores: make([]CoreStats, p.NumUnits)}
 	if n == 0 {
 		return res, nil
@@ -91,7 +95,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 	}
 	md := int64(cfg.Timing.MD)
 
-	adj := refAdjacencyOf(p)
+	adj := refAdjacencyOf(ops, p.NumUnits)
 	state := make([]uint8, n)
 	pending := make([]int32, n)
 	copy(pending, adj.nDeps)
@@ -137,7 +141,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 	wake := func(i int32) {
 		pending[i]--
 		if pending[i] == 0 && state[i] == stInWindow {
-			cores[p.Ops[i].Unit].ready.push(i)
+			cores[ops[i].Unit].ready.push(i)
 		}
 	}
 
@@ -148,7 +152,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 				state[i] = stDone
 				completed++
 				if !cfg.RetireInOrder {
-					c := cores[p.Ops[i].Unit]
+					c := cores[ops[i].Unit]
 					c.touch(cycle)
 					c.occ--
 				}
@@ -176,8 +180,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 
 		// 2. Dispatch in program order, per core.
 		for _, c := range cores {
-			dw := c.cfg.EffectiveDispatch()
-			for k := 0; k < dw && c.occ < c.window && c.next < len(c.stream); k++ {
+			for k := 0; k < c.cfg.IssueWidth && c.occ < c.window && c.next < len(c.stream); k++ {
 				i := c.stream[c.next]
 				c.next++
 				c.touch(cycle)
@@ -186,7 +189,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 					c.stats.MaxOcc = c.occ
 				}
 				state[i] = stInWindow
-				c.lastOrig = p.Ops[i].Orig
+				c.lastOrig = ops[i].Orig
 				if pending[i] == 0 {
 					c.ready.push(i)
 				}
@@ -200,7 +203,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 				i := c.ready.pop()
 				issued++
 				state[i] = stIssued
-				op := &p.Ops[i]
+				op := &ops[i]
 				c.stats.Issued++
 				c.stats.IssuedByKind[op.Kind]++
 				lat := int64(cfg.Timing.Latency(op.Kind))
@@ -251,7 +254,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 					c.oldestPtr++
 				}
 				if c.oldestPtr < c.next {
-					o := p.Ops[c.stream[c.oldestPtr]].Orig
+					o := ops[c.stream[c.oldestPtr]].Orig
 					if oldest == -1 || o < oldest {
 						oldest = o
 					}
@@ -327,7 +330,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 // FuzzLowerBound). Like ReferenceRun it is exported for differential
 // harnesses only.
 func ReferenceLowerBound(p *Program, cfg Config) int64 {
-	n := len(p.Ops)
+	n := p.Len()
 	if p.NumUnits != 1 || n == 0 || cfg.CollectESW || cfg.Validate(p) != nil {
 		return 0
 	}
@@ -340,11 +343,12 @@ func ReferenceLowerBound(p *Program, cfg Config) int64 {
 		md = dm.MinFill()
 	}
 	cc := cfg.Cores[0]
-	d := cc.EffectiveDispatch()
+	d := cc.IssueWidth
+	ops := p.Ops()
 	disp, ret := make([]int64, n), make([]int64, n)
 	done, arr := make([]int64, n), make([]int64, n)
-	for i := range p.Ops {
-		op := &p.Ops[i]
+	for i := range ops {
+		op := &ops[i]
 		t := int64(0)
 		if i > 0 {
 			t = disp[i-1]

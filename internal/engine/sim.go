@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"daesim/internal/isa"
 )
@@ -47,14 +46,8 @@ type coreRun struct {
 	next   int // dispatch frontier within stream
 	occ    int
 	window int // effective window (large number when unlimited)
-	// wide marks a core whose issue width can never bind (width >= every
-	// possible ready-set size). Its ready structure is then a plain
-	// unordered list drained whole each cycle — no ordering work at all.
-	wide bool
-	// readyList is the wide-core ready set (insertion order).
-	readyList []int32
-	// readyBits is the narrow-core ready set: one bit per stream
-	// position. Oldest-first selection is a TrailingZeros64 scan from
+	// readyBits is the ready set: one bit per stream position.
+	// Oldest-first selection is a TrailingZeros64 scan from
 	// issueFrontier — within one core's stream, position order equals op
 	// index order, so the scan pops exactly what a min-heap would,
 	// without sift traffic.
@@ -82,11 +75,7 @@ func (c *coreRun) touch(cycle int64) {
 // enqueue marks the op at stream position pos ready for issue.
 //
 //daelint:hotpath
-func (c *coreRun) enqueue(i int32, pos int32) {
-	if c.wide {
-		c.readyList = append(c.readyList, i)
-		return
-	}
+func (c *coreRun) enqueue(pos int32) {
 	c.readyBits[pos>>6] |= 1 << uint(pos&63)
 	c.readyCount++
 }
@@ -94,18 +83,13 @@ func (c *coreRun) enqueue(i int32, pos int32) {
 // readyEmpty reports whether no op is ready to issue.
 //
 //daelint:hotpath
-func (c *coreRun) readyEmpty() bool {
-	if c.wide {
-		return len(c.readyList) == 0
-	}
-	return c.readyCount == 0
-}
+func (c *coreRun) readyEmpty() bool { return c.readyCount == 0 }
 
 const histCap = 32
 
 // reset sizes the scratch for program p under cfg and clears it.
 func (s *Sim) reset(p *Program, cfg Config) {
-	n := len(p.Ops)
+	n := len(p.kinds)
 	if cap(s.state) < n {
 		s.state = make([]uint8, n)
 	} else {
@@ -135,29 +119,20 @@ func (s *Sim) reset(p *Program, cfg Config) {
 			hist = histCap
 		}
 		c := &s.cores[u]
-		readyList := c.readyList[:0]
 		readyBits := c.readyBits
 		stream := p.Stream(isa.Unit(u))
-		// The ready set can never exceed min(window occupancy, stream
-		// length), so a width at or above that bound issues every ready
-		// op every cycle and ordering becomes irrelevant.
-		wide := cc.IssueWidth >= window || cc.IssueWidth >= len(stream)
-		if !wide {
-			words := (len(stream) + 63) / 64
-			if cap(readyBits) < words {
-				readyBits = make([]uint64, words)
-			} else {
-				readyBits = readyBits[:words]
-				clear(readyBits)
-			}
+		words := (len(stream) + 63) / 64
+		if cap(readyBits) < words {
+			readyBits = make([]uint64, words)
+		} else {
+			readyBits = readyBits[:words]
+			clear(readyBits)
 		}
 		// IssueHist escapes with the Result, so it must be fresh each run.
 		*c = coreRun{
 			cfg:       cc,
 			stream:    stream,
 			window:    window,
-			wide:      wide,
-			readyList: readyList,
 			readyBits: readyBits,
 			lastOrig:  -1,
 		}
@@ -186,7 +161,7 @@ func (s *Sim) reset(p *Program, cfg Config) {
 func (s *Sim) wake(p *Program, i int32) {
 	s.pending[i]--
 	if s.pending[i] == 0 && s.state[i] == stInWindow {
-		s.cores[p.units[i]].enqueue(i, p.posInStream[i])
+		s.cores[p.units[i]].enqueue(p.posInStream[i])
 	}
 }
 
@@ -205,7 +180,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	if err := cfg.Validate(p); err != nil { //daelint:hotpath-ok one validation pass before the cycle loop starts
 		return nil, err
 	}
-	n := len(p.Ops)
+	n := len(p.kinds)
 	// The returned Result and its Cores slice are 2 of the run's pinned
 	// allocations (TestSimReuseAllocs): caller-owned, so they cannot live
 	// in scratch.
@@ -242,10 +217,8 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 // core; issue oldest-first per core; sample ESW/slippage; advance time,
 // jumping over idle stretches via the calendar queue. Event order within
 // a cycle never affects the outcome: completions and fills only
-// decrement dependence counters and push onto the ready min-heaps, and
-// the heaps order issue by op index alone. Wide cores (issue width never
-// binding) drain an unordered ready list instead — every ready op issues
-// that cycle, so order is again irrelevant.
+// decrement dependence counters and set ready bits, and issue pops the
+// bits in op order alone.
 //
 //daelint:hotpath
 func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, error) {
@@ -253,9 +226,6 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 	s.u0, s.u1 = u0, u1
 	n := int(p.streamOff[u1] - p.streamOff[u0])
 	md := int64(cfg.Timing.MD)
-	// Only unit 0 sends in a split run, so the DU pass never calls the
-	// memory model and its issue order is free.
-	memOrdered := cfg.Mem != nil && kind != passDU
 	// rec records each AU op's completion and fill times for the DU pass;
 	// ext records, as each DU op dispatches, when its input arrives or,
 	// ready already, the complement of the dispatch cycle (split.go).
@@ -332,7 +302,7 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 		// once instead of per op).
 		for u := range cores {
 			c := &cores[u]
-			k := c.cfg.EffectiveDispatch()
+			k := c.cfg.IssueWidth
 			if avail := c.window - c.occ; k > avail {
 				k = avail
 			}
@@ -361,7 +331,7 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 				}
 				s.state[i] = stInWindow
 				if s.pending[i] == 0 {
-					c.enqueue(i, int32(base+j))
+					c.enqueue(int32(base + j))
 				}
 			}
 			c.next = base + k
@@ -374,23 +344,13 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 			}
 		}
 
-		// 3. Issue oldest-first, per core. Wide cores drain the whole
-		// ready list (issued can index it because the width bound
-		// guarantees the loop never stops early); narrow cores scan the
-		// ready bitmap upward from the issue frontier, which pops ready
-		// ops in ascending position — identical to heap order.
+		// 3. Issue oldest-first, per core: scan the ready bitmap upward
+		// from the issue frontier, which pops ready ops in ascending
+		// position — identical to heap order.
 		for u := range cores {
 			c := &cores[u]
-			if c.wide && memOrdered && len(c.readyList) > 1 {
-				// A stateful memory model observes RequestFill call
-				// order, so the drain must visit ops in index order. (With
-				// the fixed differential every per-op effect depends only on
-				// the op and the cycle, so the unordered drain is already
-				// equivalent.)
-				slices.Sort(c.readyList)
-			}
 			scan := 0
-			if !c.wide && c.readyCount > 0 {
+			if c.readyCount > 0 {
 				// Advance the frontier past ops that can never become ready
 				// again; amortized O(stream) over the whole run.
 				fr := c.issueFrontier
@@ -401,32 +361,21 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 				scan = fr
 			}
 			issued := 0
-			for issued < c.cfg.IssueWidth {
-				var i int32
-				if c.wide {
-					if issued == len(c.readyList) {
-						break
-					}
-					i = c.readyList[issued]
-				} else {
-					if c.readyCount == 0 {
-						break
-					}
-					// Next set bit at position >= scan; one exists because
-					// readyCount > 0 and all set bits are >= the frontier,
-					// ascending past prior pops (no bits are set mid-loop).
-					w := scan >> 6
-					word := c.readyBits[w] &^ (1<<uint(scan&63) - 1)
-					for word == 0 {
-						w++
-						word = c.readyBits[w]
-					}
-					pos := w<<6 + bits.TrailingZeros64(word)
-					c.readyBits[w] &^= 1 << uint(pos&63)
-					c.readyCount--
-					scan = pos + 1
-					i = c.stream[pos]
+			for issued < c.cfg.IssueWidth && c.readyCount > 0 {
+				// Next set bit at position >= scan; one exists because
+				// readyCount > 0 and all set bits are >= the frontier,
+				// ascending past prior pops (no bits are set mid-loop).
+				w := scan >> 6
+				word := c.readyBits[w] &^ (1<<uint(scan&63) - 1)
+				for word == 0 {
+					w++
+					word = c.readyBits[w]
 				}
+				pos := w<<6 + bits.TrailingZeros64(word)
+				c.readyBits[w] &^= 1 << uint(pos&63)
+				c.readyCount--
+				scan = pos + 1
+				i := c.stream[pos]
 				issued++
 				s.state[i] = stIssued
 				kind := p.kinds[i]
@@ -463,9 +412,6 @@ func (s *Sim) pass(p *Program, cfg *Config, res *Result, kind passKind) (int64, 
 					s.tDone[i] = done
 				}
 				s.cq.schedule(cycle, done, i, false)
-			}
-			if c.wide {
-				c.readyList = c.readyList[:0]
 			}
 			if issued > 0 {
 				c.stats.BusyCycles++

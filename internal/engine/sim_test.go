@@ -27,15 +27,11 @@ func randomConfig(rng *rand.Rand, units int) Config {
 		w := rng.Intn(20) // 0 = unlimited
 		width := 1 + rng.Intn(6)
 		if rng.Intn(4) == 0 {
-			// Effectively unlimited width: exercises the wide fast path
-			// (unordered ready list drained whole) against the reference's
-			// heap-ordered issue.
+			// Effectively unlimited width: the ready bitmap drains whole
+			// each cycle, against the reference's heap-ordered issue.
 			width = 1 << 20
 		}
 		cores[i] = isa.CoreConfig{Window: w, IssueWidth: width}
-		if rng.Intn(4) == 0 {
-			cores[i].DispatchWidth = 1 + rng.Intn(6)
-		}
 	}
 	cfg := Config{
 		Timing:        tm(rng.Intn(70)),
@@ -104,12 +100,12 @@ func TestFarEventOverflow(t *testing.T) {
 	}
 }
 
-// TestWidePathMatchesReference pins the wide (unlimited-issue-width) fast
-// path differentially on deterministic configurations: batched drain of
-// the unordered ready list must match the reference's heap-ordered issue
-// bit for bit, including under in-order retirement, finite windows with
-// width above the window (wide by the window bound), and a stateful
-// custom memory model.
+// TestWidePathMatchesReference pins issue widths that never bind
+// differentially on deterministic configurations: the ready bitmap,
+// drained whole each cycle, must match the reference's heap-ordered
+// issue bit for bit, including under in-order retirement, finite
+// windows with width at or above the window, and a stateful custom
+// memory model.
 func TestWidePathMatchesReference(t *testing.T) {
 	progs := []*Program{twoUnitProgram(60), randomProgram(rand.New(rand.NewSource(42)), 200, 2)}
 	cores := func(w, width int) []isa.CoreConfig {
@@ -124,7 +120,7 @@ func TestWidePathMatchesReference(t *testing.T) {
 		{Timing: tm(60), Cores: cores(16, 1<<20), RetireInOrder: true},
 		// Wide plus a stateful memory model and ESW sampling.
 		{Timing: tm(20), Cores: cores(12, 64), Mem: &delayMem{md: 35}, CollectESW: true},
-		// Wide core next to a narrow core (mixed heap/list paths).
+		// Wide core next to a narrow core.
 		{Timing: tm(40), Cores: []isa.CoreConfig{{Window: 10, IssueWidth: 1 << 20}, {Window: 10, IssueWidth: 2}}},
 		// Narrow everything, as a control for the harness itself.
 		{Timing: tm(50), Cores: cores(6, 2), RetireInOrder: true},
@@ -210,7 +206,7 @@ func TestSimReuseAllocs(t *testing.T) {
 // DU's last value: a loss of decoupling, so Run simulates it jointly.
 func coupledProgram(n int) *Program {
 	p := twoUnitProgram(n)
-	ops := append(p.Ops, Op{Kind: isa.OpInt, Unit: isa.AU, Srcs: []int32{int32(len(p.Ops) - 1)}, MemSrc: NoDep, Orig: int32(2 * n)})
+	ops := append(p.Ops(), Op{Kind: isa.OpInt, Unit: isa.AU, Srcs: []int32{int32(p.Len() - 1)}, MemSrc: NoDep, Orig: int32(2 * n)})
 	return MustProgram("coupled", ops, 2, 2*n+1)
 }
 

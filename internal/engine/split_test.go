@@ -65,7 +65,7 @@ var jumpRecordCases = []struct {
 	// The AU's times stop repeating within the DU's first jump, which
 	// therefore stops short (extRepeats returns less than it asked),
 	// and the DU pass jumps again later.
-	{"DU jumps part of the way, then again", 938, func(s *Sim, _ *Program) bool {
+	{"DU jumps part of the way, then again", 654, func(s *Sim, _ *Program) bool {
 		return s.orb.stats.jumps == [2]int{1, 2}
 	}},
 	// The DU pass's one jump starts inside the AU's jumped stretch and
@@ -73,7 +73,7 @@ var jumpRecordCases = []struct {
 	// auTime resolves and, further on, times the AU pass wrote. Those
 	// do not follow the AU's orbit here: stepping a replay's input by
 	// the orbit's cycles past the stretch's end gives a wrong Result.
-	{"DU replays straddle the end of the AU's jump", 2615, func(s *Sim, p *Program) bool {
+	{"DU replays straddle the end of the AU's jump", 2301, func(s *Sim, p *Program) bool {
 		st, g := &s.orb.stats, s.jump
 		if st.jumps != [2]int{1, 1} {
 			return false
@@ -200,8 +200,8 @@ func TestOrbitSkipBound(t *testing.T) {
 	}
 	// A one-unit pass with reach 0 and an orbit of 2 ops whose jump
 	// lands 2 ops short: the model with reach alone rejected it.
-	if !f(-7214299044434064879) {
-		t.Fatal("seed -7214299044434064879 failed")
+	if !f(2525) {
+		t.Fatal("seed 2525 failed")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,17 @@ package engine
 // TestOrbitSkipCatalog, points.lock and results.lock are unchanged.
 //
 // Not bumped either for deleting the never-set Params fields AUWindow,
-// DUWindow, FPLat, DispatchWidth and the RetireAuto name: every point
+// DUWindow, FPLat, the dispatch width and the RetireAuto name: every point
 // keeps its engine config, so no Result or bound moves. The store keys
 // lose auw=, duw=, fp= and dpw=, so old stores read cold once.
+//
+// Not bumped either for building programs in place (ProgramBuilder
+// writes each op straight into the slabs, and Program keeps no []Op),
+// for deleting the core's dispatch width, which nothing set, so every
+// core dispatches IssueWidth ops a cycle as it did, nor for issuing
+// every core from the ready bitmap, which pops ready ops oldest-first
+// at any width as the wide cores' sorted or unordered list did. The
+// lower bound clamps its dispatch distance to where the term can bind,
+// which moves no bound. ReferenceRun, ReferenceLowerBound, the fuzzers,
+// results.lock and points.lock are unchanged.
 const Version = "engine-v4"

@@ -148,20 +148,10 @@ type CoreConfig struct {
 	// Window is the number of instruction-window slots. Zero or negative
 	// means unlimited (the paper's "unlimited window" configuration).
 	Window int
-	// IssueWidth is the maximum instructions issued per cycle. Must be >= 1.
+	// IssueWidth is the maximum instructions issued per cycle, and
+	// dispatched (inserted into the window, in program order) per cycle.
+	// Must be >= 1.
 	IssueWidth int
-	// DispatchWidth is the maximum instructions dispatched (inserted into
-	// the window, in program order) per cycle. Zero means "same as
-	// IssueWidth".
-	DispatchWidth int
-}
-
-// EffectiveDispatch returns the dispatch width with the default applied.
-func (c CoreConfig) EffectiveDispatch() int {
-	if c.DispatchWidth <= 0 {
-		return c.IssueWidth
-	}
-	return c.DispatchWidth
 }
 
 // Unlimited reports whether the window is unbounded.
@@ -171,9 +161,6 @@ func (c CoreConfig) Unlimited() bool { return c.Window <= 0 }
 func (c CoreConfig) Validate() error {
 	if c.IssueWidth < 1 {
 		return fmt.Errorf("isa: issue width %d < 1", c.IssueWidth)
-	}
-	if c.DispatchWidth < 0 {
-		return fmt.Errorf("isa: dispatch width %d < 0", c.DispatchWidth)
 	}
 	return nil
 }

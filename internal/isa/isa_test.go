@@ -82,13 +82,6 @@ func TestSendConsumeSets(t *testing.T) {
 
 func TestCoreConfigDefaults(t *testing.T) {
 	c := CoreConfig{Window: 32, IssueWidth: 4}
-	if c.EffectiveDispatch() != 4 {
-		t.Errorf("default dispatch = %d, want issue width 4", c.EffectiveDispatch())
-	}
-	c.DispatchWidth = 2
-	if c.EffectiveDispatch() != 2 {
-		t.Errorf("explicit dispatch = %d, want 2", c.EffectiveDispatch())
-	}
 	if c.Unlimited() {
 		t.Error("window 32 should not be unlimited")
 	}
@@ -103,9 +96,6 @@ func TestCoreConfigValidate(t *testing.T) {
 	}
 	if err := (CoreConfig{Window: 8, IssueWidth: 0}).Validate(); err == nil {
 		t.Error("zero issue width accepted")
-	}
-	if err := (CoreConfig{Window: 8, IssueWidth: 2, DispatchWidth: -1}).Validate(); err == nil {
-		t.Error("negative dispatch width accepted")
 	}
 }
 

@@ -102,12 +102,17 @@ var DefaultVersionKeyConfig = VersionKeyConfig{
 // its output, so lower.Version tags what DM and SWSM emit for a trace
 // and assignment, machine folds it into the key, and
 // internal/lower/lower.lock pins the surface — the lowerings, the
-// program constructor they call and the op layout they fill.
+// program builder they write each op into and the op layout they fill.
 var LowerVersionKeyConfig = VersionKeyConfig{
-	VersionPkg:        "daesim/internal/lower",
-	VersionConst:      "Version",
-	VersionPattern:    `^lower-v\d+$`,
-	Roots:             []string{"DM", "SWSM", "daesim/internal/engine.NewProgram"},
+	VersionPkg:     "daesim/internal/lower",
+	VersionConst:   "Version",
+	VersionPattern: `^lower-v\d+$`,
+	Roots: []string{
+		"DM", "SWSM",
+		"daesim/internal/engine.NewProgramBuilder",
+		"daesim/internal/engine.(ProgramBuilder).Add",
+		"daesim/internal/engine.(ProgramBuilder).Program",
+	},
 	Structs:           [][2]string{{"daesim/internal/engine", "Op"}},
 	ConstPkgs:         []string{"daesim/internal/lower"},
 	LockFile:          "lower.lock",

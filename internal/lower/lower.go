@@ -39,7 +39,7 @@ type Stats struct {
 func (s Stats) Copies() int { return s.CopiesAUDU + s.CopiesDUAU }
 
 // Count returns the statistics of lowering tr under asg for both
-// machines. It runs the lowerings' walks with no op stream attached, so
+// machines. It runs the lowerings' walks with no builder attached, so
 // it builds no program and allocates only the walks' per-value tables.
 // Under another assignment of the same trace, Recount gives the same
 // statistics for one walk instead of two.
@@ -58,55 +58,26 @@ func Recount(tr *trace.Trace, asg *partition.Assignment, prev Stats) Stats {
 
 // DM lowers tr for the decoupled machine under the partition assignment
 // asg: unit 0 is the AU, unit 1 the DU. st must be Count(tr, asg); it
-// sizes the op stream exactly.
+// sizes the program exactly.
 func DM(tr *trace.Trace, asg *partition.Assignment, st Stats) (*engine.Program, error) {
-	out := newOpStream(st.DMOps)
+	out := engine.NewProgramBuilder(st.DMOps)
 	walkDM(tr, asg, out)
-	return engine.NewProgram(tr.Name+"/dm", out.ops, 2, tr.Len())
+	return out.Program(tr.Name+"/dm", 2, tr.Len())
 }
 
 // SWSM lowers tr for the single-window superscalar machine. st must be
-// Count of tr under any assignment; it sizes the op stream exactly.
+// Count of tr under any assignment; it sizes the program exactly.
 func SWSM(tr *trace.Trace, st Stats) (*engine.Program, error) {
-	out := newOpStream(st.SWSMOps)
+	out := engine.NewProgramBuilder(st.SWSMOps)
 	walkSWSM(tr, out)
-	return engine.NewProgram(tr.Name+"/swsm", out.ops, 1, tr.Len())
-}
-
-// srcChunk is the number of dependence references an opStream allocates
-// at a time for its ops' Srcs.
-const srcChunk = 4096
-
-// opStream collects a walk's ops into a program's op stream. Each op's
-// Srcs are copied out of the walk's scratch into chunks shared by many
-// ops, so a lowering makes a few large allocations instead of one per op.
-type opStream struct {
-	ops  []engine.Op
-	srcs []int32
-}
-
-func newOpStream(n int) *opStream {
-	return &opStream{ops: make([]engine.Op, 0, n)}
-}
-
-// add appends op, taking its own copy of op.Srcs.
-func (s *opStream) add(op engine.Op) {
-	if k := len(op.Srcs); k > 0 {
-		if cap(s.srcs)-len(s.srcs) < k {
-			s.srcs = make([]int32, 0, max(srcChunk, k))
-		}
-		at := len(s.srcs)
-		s.srcs = append(s.srcs, op.Srcs...)
-		op.Srcs = s.srcs[at:len(s.srcs):len(s.srcs)]
-	}
-	s.ops = append(s.ops, op)
+	return out.Program(tr.Name+"/swsm", 1, tr.Len())
 }
 
 // walkDM is the decoupled-machine lowering of tr under asg. It visits
 // every op of the program in order, appending each to out when out is
 // non-nil, and returns the op count and the copies it inserted in each
 // direction.
-func walkDM(tr *trace.Trace, asg *partition.Assignment, out *opStream) (ops, copiesAUDU, copiesDUAU int) {
+func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuilder) (ops, copiesAUDU, copiesDUAU int) {
 	n := tr.Len()
 	// avail[u][v] is the machine op producing trace value v on unit u, or
 	// engine.NoDep when the value is not (yet) available there.
@@ -116,13 +87,13 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *opStream) (ops, cop
 			avail[u][i] = engine.NoDep
 		}
 	}
-	// srcs and copySrc are the walk's scratch for resolved sources; add
+	// srcs and copySrc are the walk's scratch for resolved sources; Add
 	// copies them out.
 	srcs := make([]int32, 0, 8)
 	copySrc := make([]int32, 1)
 	emit := func(op engine.Op) int32 {
 		if out != nil {
-			out.add(op)
+			out.Add(op)
 		}
 		ops++
 		return int32(ops - 1)
@@ -212,7 +183,7 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *opStream) (ops, cop
 // walkSWSM is the superscalar lowering of tr. It visits every op of the
 // program in order, appending each to out when out is non-nil, and
 // returns the op count.
-func walkSWSM(tr *trace.Trace, out *opStream) (ops int) {
+func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) (ops int) {
 	n := tr.Len()
 	avail := make([]int32, n)
 	for i := range avail {
@@ -238,7 +209,7 @@ func walkSWSM(tr *trace.Trace, out *opStream) (ops int) {
 	}
 	emit := func(op engine.Op) int32 {
 		if out != nil {
-			out.add(op)
+			out.Add(op)
 		}
 		ops++
 		return int32(ops - 1)

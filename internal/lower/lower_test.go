@@ -63,7 +63,7 @@ func TestDMOpShapes(t *testing.T) {
 		t.Errorf("no copies expected, got %d", c[isa.OpCopy])
 	}
 	// Memory halves: send on AU, recv on DU.
-	for _, op := range p.Ops {
+	for _, op := range p.Ops() {
 		switch op.Kind {
 		case isa.OpLoadSend, isa.OpStoreAddr:
 			if op.Unit != isa.AU {

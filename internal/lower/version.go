@@ -14,4 +14,9 @@ package lower
 //
 //	v1 — store keys name the lowering inputs instead of hashing the
 //	     lowered programs
+//
+// Not bumped for writing each op straight into the engine's slabs
+// (engine.ProgramBuilder) instead of collecting an []engine.Op first:
+// the programs are the same, and TestLoweringGuard's manifest is
+// unchanged.
 const Version = "lower-v1"

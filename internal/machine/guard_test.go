@@ -54,9 +54,10 @@ func loweredDigest(t *testing.T, s *Suite) string {
 		h.Write([]byte(p.Name))
 		wInt(int64(p.NumUnits))
 		wInt(int64(p.TraceLen))
-		wInt(int64(len(p.Ops)))
-		for i := range p.Ops {
-			op := &p.Ops[i]
+		ops := p.Ops()
+		wInt(int64(len(ops)))
+		for i := range ops {
+			op := &ops[i]
 			wInt(int64(op.Kind))
 			wInt(int64(op.Unit))
 			wInt(int64(op.MemSrc))
