@@ -45,6 +45,16 @@ func suites(b *testing.B) (*daesim.Suite, *daesim.Suite) {
 	return benchFLO, benchTRACK
 }
 
+// programLen returns the op count of suite's program for kind.
+func programLen(b *testing.B, suite *daesim.Suite, kind daesim.Kind) float64 {
+	b.Helper()
+	prog, err := suite.Program(kind)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return float64(prog.Len())
+}
+
 // BenchmarkEngineDM measures simulation throughput of the decoupled
 // machine at the paper's headline operating point (pool-backed scratch).
 // Mops/s is effective throughput: every op of the program counts,
@@ -52,7 +62,7 @@ func suites(b *testing.B) (*daesim.Suite, *daesim.Suite) {
 // over (DESIGN.md §3), so it is not a per-op simulation cost.
 func BenchmarkEngineDM(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.Stats().DMOps)
+	ops := programLen(b, flo, daesim.DM)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,7 +80,7 @@ func BenchmarkEngineDM(b *testing.B) {
 // throughput, as for BenchmarkEngineDM.
 func BenchmarkEngineSWSM(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.Stats().SWSMOps)
+	ops := programLen(b, flo, daesim.SWSM)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +96,7 @@ func BenchmarkEngineSWSM(b *testing.B) {
 // for the goroutine's whole lifetime. Mops/s is effective throughput.
 func BenchmarkEngineDMScratch(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.Stats().DMOps)
+	ops := programLen(b, flo, daesim.DM)
 	sim := daesim.NewSim()
 	if _, err := flo.RunWith(sim, daesim.DM, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
@@ -105,7 +115,7 @@ func BenchmarkEngineDMScratch(b *testing.B) {
 // Mops/s is effective throughput.
 func BenchmarkEngineSWSMScratch(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.Stats().SWSMOps)
+	ops := programLen(b, flo, daesim.SWSM)
 	sim := daesim.NewSim()
 	if _, err := flo.RunWith(sim, daesim.SWSM, daesim.Params{Window: 64, MD: 60}); err != nil {
 		b.Fatal(err) // warm the scratch so growth isn't timed
@@ -127,11 +137,11 @@ func BenchmarkEngineSWSMScratch(b *testing.B) {
 // the engine benchmarks.
 func BenchmarkEngineLowerBound(b *testing.B) {
 	flo, _ := suites(b)
-	ops := float64(flo.Stats().SWSMOps)
 	prog, err := flo.Program(daesim.SWSM)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ops := float64(prog.Len())
 	cfg, err := daesim.Params{Window: 64, MD: 60}.Config(daesim.SWSM)
 	if err != nil {
 		b.Fatal(err)
@@ -147,7 +157,7 @@ func BenchmarkEngineLowerBound(b *testing.B) {
 }
 
 // BenchmarkLowering measures trace construction and machine lowering:
-// the suite's partition and statistics, then both programs.
+// the suite's partition, then both programs.
 func BenchmarkLowering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr, err := daesim.Workload("MDG", 1)
@@ -185,11 +195,11 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkPolicyStudy regenerates the partition-policy study (P1) on a
 // fresh Context over a persistent store filled before the timer starts,
 // the warm path of repro -exp all: what it times is building the seven
-// workloads and partitioning and counting them under the classic
-// policy, repartitioning each under the other two (unit assignment and
-// DM walk only), keying the suites and reading the stored points back,
-// with the workloads fanned out across GOMAXPROCS workers. A pass that
-// simulates anything fails the benchmark.
+// workloads and partitioning them under the classic policy,
+// repartitioning each under the other two (unit assignment only),
+// keying the suites and reading the stored points back, with the
+// workloads fanned out across GOMAXPROCS workers. No pass lowers a
+// program, and a pass that simulates anything fails the benchmark.
 func BenchmarkPolicyStudy(b *testing.B) {
 	store, err := sweep.OpenStore(b.TempDir())
 	if err != nil {

@@ -74,9 +74,10 @@ func run(w io.Writer, workload, kindName, policyName string, p machine.Params, s
 	fmt.Fprintf(w, "workload   %s (scale %d): %v\n", workload, scale, st)
 	fmt.Fprintf(w, "machine    %s  window=%d md=%d policy=%s\n", kind, p.Window, p.MD, pol)
 	if kind == machine.DM {
-		asg, st := suite.Assignment(), suite.Stats()
+		// A copy issues on the unit that holds the value.
+		asg := suite.Assignment()
 		fmt.Fprintf(w, "partition  AU ops=%d DU ops=%d self-loads=%d copies AU->DU=%d DU->AU=%d\n",
-			asg.OpsAU, asg.OpsDU, asg.SelfLoads, st.CopiesAUDU, st.CopiesDUAU)
+			asg.OpsAU, asg.OpsDU, asg.SelfLoads, res.Cores[isa.AU].IssuedByKind[isa.OpCopy], res.Cores[isa.DU].IssuedByKind[isa.OpCopy])
 	}
 	fmt.Fprintf(w, "cycles     %d\n", res.Cycles)
 	fmt.Fprintf(w, "ipc        %.2f instructions/cycle (%.2f machine ops/cycle)\n", res.IPC(), res.OpsPerCycle())

@@ -112,9 +112,8 @@ type (
 	Timing = isa.Timing
 )
 
-// NewSuite partitions tr under the given policy and counts its lowering
-// statistics (Suite.Stats); each machine's program is lowered on its
-// first run.
+// NewSuite partitions tr under the given policy; each machine's
+// program is lowered on its first run.
 func NewSuite(tr *Trace, pol Policy) (*Suite, error) { return machine.NewSuite(tr, pol) }
 
 // Workload builds a trace by name at the given scale (1 = the

@@ -65,7 +65,7 @@ func main() {
 		}
 		fmt.Printf("  %-11s %9d cycles  (AU ops %d, DU ops %d, copies %d)\n",
 			pol, res.Cycles,
-			suite.Assignment().OpsAU, suite.Assignment().OpsDU, suite.Stats().Copies())
+			suite.Assignment().OpsAU, suite.Assignment().OpsDU, res.Copies())
 	}
 
 	suite, err := daesim.NewSuite(tr, daesim.Classic)

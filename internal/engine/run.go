@@ -173,6 +173,16 @@ func (r *Result) OpsPerCycle() float64 {
 	return float64(r.Ops) / float64(r.Cycles)
 }
 
+// Copies returns the register copies the run issued on all cores. Every
+// op issues once, so on a DM run it is the program's copy count.
+func (r *Result) Copies() int {
+	n := int64(0)
+	for i := range r.Cores {
+		n += r.Cores[i].IssuedByKind[isa.OpCopy]
+	}
+	return int(n)
+}
+
 // op lifecycle states
 const (
 	stWaiting  uint8 = iota // not yet dispatched

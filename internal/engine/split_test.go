@@ -41,7 +41,7 @@ func TestSplitMatchesReference(t *testing.T) {
 		}
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	if 2*split < runs {

@@ -222,7 +222,7 @@ type Table1Result struct {
 
 // Table1 measures DM latency-hiding effectiveness for all seven programs
 // at MD=60 across window sizes. The table is sharded two ways: workload
-// construction (trace build, partition, lowering statistics) fans out
+// construction (trace build, partition) fans out
 // across the pool, then every (workload, window, MD) point — they are all
 // independent — joins one global work list instead of running
 // workload-serial.

@@ -40,8 +40,9 @@ type ExpansionResult struct {
 }
 
 // CodeExpansion measures how much each lowering expands the instruction
-// stream, the paper's first future-work question. The op and copy counts
-// are the suites' lowering statistics, which build no program.
+// stream, the paper's first future-work question. Every op issues once,
+// so the op and copy counts are read from the two runs at the standard
+// operating point, and a row served from the store lowers nothing.
 func (c *Context) CodeExpansion() (*ExpansionResult, error) {
 	res := &ExpansionResult{}
 	for _, spec := range workloads.Catalog() {
@@ -57,13 +58,12 @@ func (c *Context) CodeExpansion() (*ExpansionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := r.Suite.Stats()
 		res.Rows = append(res.Rows, ExpansionRow{
 			Name:     spec.Name,
 			TraceLen: r.Suite.Trace.Len(),
-			DMOps:    st.DMOps,
-			SWSMOps:  st.SWSMOps,
-			Copies:   st.Copies(),
+			DMOps:    dm.Ops,
+			SWSMOps:  sw.Ops,
+			Copies:   dm.Copies(),
 			DMCycles: dm.Cycles,
 			SWCycles: sw.Cycles,
 		})
@@ -109,13 +109,13 @@ type PolicyResult struct {
 // context's own policy run on the context's workload runner, sharing its
 // L1, store traffic and RemoteBatch hook with every other experiment. Rows
 // under the other policies run on detached runners over
-// Suite.Repartition, which redoes only the unit assignment and the DM
-// statistics and shares the runner's trace, address slice and SWSM
-// program. They take the context's store and RemoteBatch hook, bound to
-// their own fingerprint, which covers the partition: these points
-// persist in the shared store and run on a fleet like any other. The op
-// and copy counts come from the suites' lowering statistics, so a row
-// served from the store lowers nothing.
+// Suite.Repartition, which redoes only the unit assignment and shares
+// the runner's trace, address slice and SWSM program. They take the
+// context's store and RemoteBatch hook, bound to their own fingerprint,
+// which covers the partition: these points persist in the shared store
+// and run on a fleet like any other. The op counts come from the
+// assignment and the copy count from the MD=60 run, so a row served
+// from the store lowers nothing.
 //
 // The seven workloads fan out across the pool; each runs its policies in
 // order. Policies whose assignments coincide share a fingerprint, so a
@@ -169,7 +169,7 @@ func (c *Context) policyRow(base *sweep.Runner, name string, pol partition.Polic
 	return PolicyRow{
 		Name: name, Policy: pol,
 		AUOps: asg.OpsAU, DUOps: asg.OpsDU,
-		Copies:  r.Suite.Stats().Copies(),
+		Copies:  r60.Copies(),
 		Cycles0: r0.Cycles, Cycles60: r60.Cycles,
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"daesim/internal/isa"
 	"daesim/internal/machine"
 	"daesim/internal/partition"
 	"daesim/internal/sweep"
@@ -149,10 +150,14 @@ func TestPolicyStudyReusesContextRunners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			dm, err := s.Program(machine.DM)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want = append(want, PolicyRow{
 				Name: spec.Name, Policy: pol,
 				AUOps: s.Assignment().OpsAU, DUOps: s.Assignment().OpsDU,
-				Copies:  s.Stats().Copies(),
+				Copies:  dm.KindCounts()[isa.OpCopy],
 				Cycles0: r0.Cycles, Cycles60: r60.Cycles,
 			})
 		}

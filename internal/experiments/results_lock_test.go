@@ -30,8 +30,9 @@ const resultsLock = "../engine/results.lock"
 // lockSubset is the tier-1 slice of the corpus: the cheap experiments
 // that still cross every layer a store key names — Table 1 and
 // Figures 4-6 (catalog workloads under the classic partition), the
-// lowering statistics, and the policy study (every partition policy,
-// with the cross-policy store sharing of identical assignments).
+// code-expansion study's op and copy counts, and the policy study
+// (every partition policy, with the cross-policy store sharing of
+// identical assignments).
 var lockSubset = []string{"table1", "fig4", "fig5", "fig6", "expansion", "policies"}
 
 // renderDigests renders the corpus on a fresh Context over store and

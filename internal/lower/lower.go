@@ -23,61 +23,29 @@ import (
 	"daesim/internal/trace"
 )
 
-// Stats counts what the two lowerings emit for one trace and partition
-// assignment. Count derives it from the same walks that build the
-// programs, without building either one.
-type Stats struct {
-	// DMOps and SWSMOps are the op counts of the DM and SWSM programs.
-	DMOps, SWSMOps int
-	// CopiesAUDU counts AU→DU register copies in the DM program.
-	CopiesAUDU int
-	// CopiesDUAU counts DU→AU register copies (loss-of-decoupling events).
-	CopiesDUAU int
-}
-
-// Copies returns the DM program's register copies in both directions.
-func (s Stats) Copies() int { return s.CopiesAUDU + s.CopiesDUAU }
-
-// Count returns the statistics of lowering tr under asg for both
-// machines. It runs the lowerings' walks with no builder attached, so
-// it builds no program and allocates only the walks' per-value tables.
-// Under another assignment of the same trace, Recount gives the same
-// statistics for one walk instead of two.
-func Count(tr *trace.Trace, asg *partition.Assignment) Stats {
-	return Recount(tr, asg, Stats{SWSMOps: walkSWSM(tr, nil)})
-}
-
-// Recount returns Count(tr, asg), given prev, the Count of tr under any
-// assignment. The SWSM lowering never reads the assignment, so Recount
-// takes the SWSM op count from prev and runs only the DM walk.
-func Recount(tr *trace.Trace, asg *partition.Assignment, prev Stats) Stats {
-	st := Stats{SWSMOps: prev.SWSMOps}
-	st.DMOps, st.CopiesAUDU, st.CopiesDUAU = walkDM(tr, asg, nil)
-	return st
-}
-
 // DM lowers tr for the decoupled machine under the partition assignment
-// asg: unit 0 is the AU, unit 1 the DU. st must be Count(tr, asg); it
-// sizes the program exactly.
-func DM(tr *trace.Trace, asg *partition.Assignment, st Stats) (*engine.Program, error) {
-	out := engine.NewProgramBuilder(st.DMOps)
+// asg: unit 0 is the AU, unit 1 the DU. A counting walk sizes the
+// program exactly before the building walk fills it.
+func DM(tr *trace.Trace, asg *partition.Assignment) (*engine.Program, error) {
+	out := engine.NewProgramBuilder(walkDM(tr, asg, nil))
 	walkDM(tr, asg, out)
 	return out.Program(tr.Name+"/dm", 2, tr.Len())
 }
 
-// SWSM lowers tr for the single-window superscalar machine. st must be
-// Count of tr under any assignment; it sizes the program exactly.
-func SWSM(tr *trace.Trace, st Stats) (*engine.Program, error) {
-	out := engine.NewProgramBuilder(st.SWSMOps)
+// SWSM lowers tr for the single-window superscalar machine. Every
+// instruction lowers to one op and every memory instruction to one
+// more, which sizes the program exactly.
+func SWSM(tr *trace.Trace) (*engine.Program, error) {
+	st := tr.Stats()
+	out := engine.NewProgramBuilder(st.Total + st.MemRefs)
 	walkSWSM(tr, out)
 	return out.Program(tr.Name+"/swsm", 1, tr.Len())
 }
 
 // walkDM is the decoupled-machine lowering of tr under asg. It visits
 // every op of the program in order, appending each to out when out is
-// non-nil, and returns the op count and the copies it inserted in each
-// direction.
-func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuilder) (ops, copiesAUDU, copiesDUAU int) {
+// non-nil, and returns the op count.
+func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuilder) (ops int) {
 	n := tr.Len()
 	// avail[u][v] is the machine op producing trace value v on unit u, or
 	// engine.NoDep when the value is not (yet) available there.
@@ -115,11 +83,6 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuild
 		copySrc[0] = src
 		cp := emit(engine.Op{Kind: isa.OpCopy, Unit: other, Srcs: copySrc, MemSrc: engine.NoDep, Orig: orig})
 		avail[u][v] = cp
-		if other == isa.AU {
-			copiesAUDU++
-		} else {
-			copiesDUAU++
-		}
 		return cp
 	}
 	resolveAll := func(vals []int32, u isa.Unit, orig int32) []int32 {
@@ -177,13 +140,12 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuild
 			})
 		}
 	}
-	return ops, copiesAUDU, copiesDUAU
+	return ops
 }
 
-// walkSWSM is the superscalar lowering of tr. It visits every op of the
-// program in order, appending each to out when out is non-nil, and
-// returns the op count.
-func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) (ops int) {
+// walkSWSM is the superscalar lowering of tr. It appends every op of the
+// program to out in order.
+func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) {
 	n := tr.Len()
 	avail := make([]int32, n)
 	for i := range avail {
@@ -207,12 +169,11 @@ func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) (ops int) {
 		}
 		return srcs
 	}
+	ops := int32(0)
 	emit := func(op engine.Op) int32 {
-		if out != nil {
-			out.Add(op)
-		}
+		out.Add(op)
 		ops++
-		return int32(ops - 1)
+		return ops - 1
 	}
 	for i := range tr.Instrs {
 		in := &tr.Instrs[i]
@@ -232,5 +193,4 @@ func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) (ops int) {
 			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: resolveAll(in.Addr, in.Args), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
 		}
 	}
-	return ops
 }

@@ -23,29 +23,29 @@ func simpleTrace() *trace.Trace {
 	}}
 }
 
-// dmOf partitions tr under pol and lowers it for the DM, returning the
-// program with the statistics Count reports for it.
-func dmOf(tr *trace.Trace, pol partition.Policy) (*engine.Program, Stats, error) {
+// dmOf partitions tr under pol and lowers it for the DM.
+func dmOf(tr *trace.Trace, pol partition.Policy) (*engine.Program, error) {
 	asg, err := partition.Partition(tr, pol)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	st := Count(tr, asg)
-	p, err := DM(tr, asg, st)
-	return p, st, err
-}
-
-// swsmOf lowers tr for the SWSM.
-func swsmOf(tr *trace.Trace) (*engine.Program, error) {
-	asg, err := partition.Partition(tr, partition.Classic)
 	if err != nil {
 		return nil, err
 	}
-	return SWSM(tr, Count(tr, asg))
+	return DM(tr, asg)
+}
+
+// copiesOf returns p's register copies by the unit that issues them: a
+// copy runs on the unit holding the value, so [isa.AU] counts AU→DU
+// copies and [isa.DU] DU→AU copies.
+func copiesOf(p *engine.Program) (byUnit [2]int) {
+	for _, op := range p.Ops() {
+		if op.Kind == isa.OpCopy {
+			byUnit[op.Unit]++
+		}
+	}
+	return byUnit
 }
 
 func TestDMOpShapes(t *testing.T) {
-	p, _, err := dmOf(simpleTrace(), partition.Classic)
+	p, err := dmOf(simpleTrace(), partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDMOpShapes(t *testing.T) {
 }
 
 func TestSWSMOpShapes(t *testing.T) {
-	p, err := swsmOf(simpleTrace())
+	p, err := SWSM(simpleTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,16 @@ func TestLossOfDecouplingCopy(t *testing.T) {
 		{Class: isa.Load, Addr: []int32{1}, MemAddr: 0x100},
 		{Class: isa.FPALU, Args: []int32{2}},
 	}}
-	_, st, err := dmOf(tr, partition.Classic)
+	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CopiesDUAU != 1 {
-		t.Errorf("DU→AU copies = %d, want 1", st.CopiesDUAU)
+	c := copiesOf(p)
+	if c[isa.DU] != 1 {
+		t.Errorf("DU→AU copies = %d, want 1", c[isa.DU])
 	}
-	if st.CopiesAUDU != 0 {
-		t.Errorf("AU→DU copies = %d, want 0", st.CopiesAUDU)
+	if c[isa.AU] != 0 {
+		t.Errorf("AU→DU copies = %d, want 0", c[isa.AU])
 	}
 }
 
@@ -122,12 +123,12 @@ func TestAUtoDUCopy(t *testing.T) {
 		{Class: isa.IntALU},
 		{Class: isa.FPALU, Args: []int32{0}},
 	}}
-	_, st, err := dmOf(tr, partition.Classic)
+	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CopiesAUDU != 1 || st.CopiesDUAU != 0 {
-		t.Errorf("copies = %d/%d, want 1/0", st.CopiesAUDU, st.CopiesDUAU)
+	if c := copiesOf(p); c[isa.AU] != 1 || c[isa.DU] != 0 {
+		t.Errorf("copies = %d/%d, want 1/0", c[isa.AU], c[isa.DU])
 	}
 }
 
@@ -138,12 +139,12 @@ func TestCopyMemoized(t *testing.T) {
 		{Class: isa.FPALU, Args: []int32{0}},
 		{Class: isa.FPALU, Args: []int32{0}},
 	}}
-	_, st, err := dmOf(tr, partition.Classic)
+	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CopiesAUDU != 1 {
-		t.Errorf("copies = %d, want 1 (memoized)", st.CopiesAUDU)
+	if c := copiesOf(p); c[isa.AU] != 1 {
+		t.Errorf("copies = %d, want 1 (memoized)", c[isa.AU])
 	}
 }
 
@@ -156,7 +157,7 @@ func TestDualDeliveryLoad(t *testing.T) {
 		{Class: isa.Load, Addr: []int32{2}, MemAddr: 0x200},
 		{Class: isa.FPALU, Args: []int32{1}},
 	}}
-	p, _, err := dmOf(tr, partition.Classic)
+	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,11 @@ func TestLoweredProgramsRun(t *testing.T) {
 	}
 	tr := b.MustTrace()
 
-	dm, _, err := dmOf(tr, partition.Classic)
+	dm, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := swsmOf(tr)
+	sw, err := SWSM(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +259,18 @@ func TestLoweringProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomKernel(rng, int(sz)+5)
-		sw, err := swsmOf(tr)
+		sw, err := SWSM(tr)
 		if err != nil {
 			t.Logf("swsm: %v", err)
 			return false
 		}
 		for _, pol := range partition.Policies() {
-			dm, dst, err := dmOf(tr, pol)
+			asg, err := partition.Partition(tr, pol)
+			if err != nil {
+				t.Logf("partition(%v): %v", pol, err)
+				return false
+			}
+			dm, err := DM(tr, asg)
 			if err != nil {
 				t.Logf("dm(%v): %v", pol, err)
 				return false
@@ -285,13 +291,20 @@ func TestLoweringProperty(t *testing.T) {
 				t.Logf("dm(%v): missing receives", pol)
 				return false
 			}
-			if c[isa.OpCopy] != dst.Copies() || dm.Len() != dst.DMOps || sw.Len() != dst.SWSMOps {
-				t.Logf("dm(%v): statistics %+v do not match the programs", pol, dst)
+			// The counting walk sizes the builder for the building walk.
+			if n := walkDM(tr, asg, nil); n != dm.Len() {
+				t.Logf("dm(%v): counting walk gives %d ops, the program has %d", pol, n, dm.Len())
 				return false
 			}
 		}
 		cs := sw.KindCounts()
 		st := tr.Stats()
+		// SWSM's sizing rule: one op per instruction, one more per memory
+		// instruction.
+		if sw.Len() != st.Total+st.MemRefs {
+			t.Logf("swsm: %d ops for %d instructions and %d memory references", sw.Len(), st.Total, st.MemRefs)
+			return false
+		}
 		if cs[isa.OpPrefetch] != st.MemRefs || cs[isa.OpAccess] != st.ByClass[isa.Load] || cs[isa.OpStoreAcc] != st.ByClass[isa.Store] {
 			t.Log("swsm: memory op mismatch")
 			return false
@@ -310,8 +323,8 @@ func TestUnlimitedLoweredRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomKernel(rng, 60)
-		dm, _, err1 := dmOf(tr, partition.Classic)
-		sw, err2 := swsmOf(tr)
+		dm, err1 := dmOf(tr, partition.Classic)
+		sw, err2 := SWSM(tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}

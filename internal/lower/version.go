@@ -19,4 +19,9 @@ package lower
 // (engine.ProgramBuilder) instead of collecting an []engine.Op first:
 // the programs are the same, and TestLoweringGuard's manifest is
 // unchanged.
+//
+// Not bumped for deleting the count-only walks (Stats, Count, Recount):
+// DM sizes its builder with a counting walk of its own and SWSM from the
+// trace's instruction classes, the programs are the same, and
+// TestLoweringGuard's manifest is unchanged.
 const Version = "lower-v1"

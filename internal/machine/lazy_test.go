@@ -18,12 +18,13 @@ func loweringsSince(dm0, swsm0 int64) (dm, swsm int64) {
 	return dm - dm0, swsm - swsm0
 }
 
-// TestLoweringStatsMatchPrograms: the statistics a suite reports without
-// lowering are exactly what its lowered programs contain — op counts,
-// copies and the copy split by direction — for every guarded workload
-// under every policy. Lowering sizes its program builder from these
-// statistics, so a miscount shows here as a Len mismatch.
-func TestLoweringStatsMatchPrograms(t *testing.T) {
+// TestRunCountsMatchPrograms: every op issues once, so a run's Ops is
+// its program's length and each DM core's issued copies are the copies
+// its unit holds in the DM program, for every guarded workload under
+// every policy. These are the op and copy counts the code-expansion (C4)
+// and partition-policy (P1) studies print.
+func TestRunCountsMatchPrograms(t *testing.T) {
+	p := Params{Window: 64, MD: 60}
 	for _, name := range guardWorkloads() {
 		tr, err := workloads.Build(name, 1)
 		if err != nil {
@@ -34,43 +35,40 @@ func TestLoweringStatsMatchPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := s.Stats()
-			dm, err := s.Program(DM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw, err := s.Program(SWSM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var auDU, duAU int
-			for _, op := range dm.Ops() {
-				if op.Kind != isa.OpCopy {
+			id := name + " " + pol.String()
+			for _, kind := range []Kind{DM, SWSM} {
+				res, err := s.Run(kind, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := s.Program(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Ops != prog.Len() {
+					t.Errorf("%s %v: run issued %d ops, program has %d", id, kind, res.Ops, prog.Len())
+				}
+				if kind != DM {
 					continue
 				}
-				// A copy executes on the unit that holds the value.
-				if op.Unit == isa.AU {
-					auDU++
-				} else {
-					duAU++
+				var copies [2]int64
+				for _, op := range prog.Ops() {
+					if op.Kind == isa.OpCopy {
+						copies[op.Unit]++
+					}
 				}
-			}
-			id := name + " " + pol.String()
-			if dm.Len() != st.DMOps || sw.Len() != st.SWSMOps {
-				t.Errorf("%s: stats count %d DM / %d SWSM ops, programs have %d / %d", id, st.DMOps, st.SWSMOps, dm.Len(), sw.Len())
-			}
-			if c := dm.KindCounts()[isa.OpCopy]; c != st.Copies() {
-				t.Errorf("%s: stats count %d copies, DM program has %d", id, st.Copies(), c)
-			}
-			if auDU != st.CopiesAUDU || duAU != st.CopiesDUAU {
-				t.Errorf("%s: stats split copies %d AU→DU / %d DU→AU, DM program has %d / %d", id, st.CopiesAUDU, st.CopiesDUAU, auDU, duAU)
+				for u, cs := range res.Cores {
+					if got := cs.IssuedByKind[isa.OpCopy]; got != copies[u] {
+						t.Errorf("%s: %v issued %d copies, DM program holds %d there", id, isa.Unit(u), got, copies[u])
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestSuiteLowersOnFirstRun: building, repartitioning, keying and
-// reading the statistics of a suite lower nothing; the first run of a
+// reading the assignment of a suite lower nothing; the first run of a
 // kind lowers that kind's program once, and a repartitioned suite
 // shares the SWSM program it came with.
 func TestSuiteLowersOnFirstRun(t *testing.T) {
@@ -89,11 +87,10 @@ func TestSuiteLowersOnFirstRun(t *testing.T) {
 	}
 	for _, x := range []*Suite{s, re} {
 		x.Fingerprint()
-		x.Stats()
 		x.Assignment()
 	}
 	if dm, sw := loweringsSince(dm0, sw0); dm != 0 || sw != 0 {
-		t.Fatalf("NewSuite, Repartition, Fingerprint and the statistics accessors lowered %d DM and %d SWSM programs, want none", dm, sw)
+		t.Fatalf("NewSuite, Repartition, Fingerprint and Assignment lowered %d DM and %d SWSM programs, want none", dm, sw)
 	}
 	p := Params{Window: 16, MD: 60}
 	for i := 0; i < 2; i++ {

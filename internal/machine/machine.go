@@ -209,16 +209,15 @@ func (p Params) swsmWidth() int {
 }
 
 // Suite is one trace under one partition policy, ready to run on both
-// machines. NewSuite partitions the trace and counts what lowering it
-// would emit (Stats); each machine's program is lowered on its first
-// run, once, so a suite whose points are all served from a result store
-// never builds a program. Build once, run many configurations.
+// machines. NewSuite only partitions the trace; each machine's program
+// is lowered on its first run, once, so a suite whose points are all
+// served from a result store never walks the trace to lower it. Build
+// once, run many configurations.
 type Suite struct {
 	// Trace is the source trace.
 	Trace *trace.Trace
 
-	asg   *partition.Assignment
-	stats lower.Stats
+	asg *partition.Assignment
 	// dm and swsm lower each program on first use. A repartitioned suite
 	// shares swsm with the suite it came from.
 	dm, swsm *lazyProgram
@@ -255,50 +254,44 @@ func Lowerings() (dm, swsm int64) {
 	return lowerings[DM].Load(), lowerings[SWSM].Load()
 }
 
-// NewSuite partitions tr under the given policy and counts its lowering
-// statistics. Neither program is built until a run needs it.
+// NewSuite partitions tr under the given policy. Neither program is
+// lowered until a run needs it.
 func NewSuite(tr *trace.Trace, pol partition.Policy) (*Suite, error) {
 	asg, err := partition.Partition(tr, pol)
 	if err != nil {
 		return nil, fmt.Errorf("machine: partitioning: %w", err)
 	}
-	return &Suite{Trace: tr, asg: asg, stats: lower.Count(tr, asg), dm: &lazyProgram{}, swsm: &lazyProgram{}}, nil
+	return &Suite{Trace: tr, asg: asg, dm: &lazyProgram{}, swsm: &lazyProgram{}}, nil
 }
 
 // Repartition returns the suite for the same trace under another
-// partition policy; it equals NewSuite(s.Trace, pol) in Stats,
-// Assignment and Fingerprint. It redoes only what the policy changes:
-// the unit assignment and load routing (partition.Assign) and the DM
-// half of the lowering statistics (lower.Recount). The trace, its
-// address slice, the SWSM op count and the SWSM program do not depend
-// on the partition, so the new suite shares them with s: the SWSM
-// program is lowered at most once for both (programs are read-only
-// once built, and runners already share them across goroutines).
+// partition policy; it equals NewSuite(s.Trace, pol) in Assignment and
+// Fingerprint. It redoes only what the policy changes: the unit
+// assignment and load routing (partition.Assign). The trace, its
+// address slice and the SWSM program do not depend on the partition, so
+// the new suite shares them with s: the SWSM program is lowered at most
+// once for both (programs are read-only once built, and runners already
+// share them across goroutines).
 func (s *Suite) Repartition(pol partition.Policy) (*Suite, error) {
 	asg, err := partition.Assign(s.Trace, s.asg.InAddrSlice, pol)
 	if err != nil {
 		return nil, fmt.Errorf("machine: partitioning: %w", err)
 	}
-	return &Suite{Trace: s.Trace, asg: asg, stats: lower.Recount(s.Trace, asg, s.stats), dm: &lazyProgram{}, swsm: s.swsm}, nil
+	return &Suite{Trace: s.Trace, asg: asg, dm: &lazyProgram{}, swsm: s.swsm}, nil
 }
 
 // Assignment returns the AU/DU partition the DM program is lowered
 // under. It is read-only.
 func (s *Suite) Assignment() *partition.Assignment { return s.asg }
 
-// Stats returns the lowering statistics of both programs: op counts and
-// the DM's register copies. They are counted when the suite is built, so
-// reading them lowers nothing.
-func (s *Suite) Stats() lower.Stats { return s.stats }
-
 // Program returns the lowered program RunWith executes for kind,
 // lowering it on the first call.
 func (s *Suite) Program(kind Kind) (*engine.Program, error) {
 	switch kind {
 	case DM:
-		return s.dm.get(DM, func() (*engine.Program, error) { return lower.DM(s.Trace, s.asg, s.stats) })
+		return s.dm.get(DM, func() (*engine.Program, error) { return lower.DM(s.Trace, s.asg) })
 	case SWSM:
-		return s.swsm.get(SWSM, func() (*engine.Program, error) { return lower.SWSM(s.Trace, s.stats) })
+		return s.swsm.get(SWSM, func() (*engine.Program, error) { return lower.SWSM(s.Trace) })
 	default:
 		return nil, fmt.Errorf("machine: unknown kind %v", kind)
 	}

@@ -157,10 +157,11 @@ func fuzzSpec(t *testing.T, depthB, ilpB, mem10, shapeB, haz10, itersB uint8, se
 
 // FuzzRepartition: a repartitioned suite is the suite built from
 // scratch under its policy. Suite.Repartition reuses the receiver's
-// address slice and SWSM op count and redoes only the unit assignment
-// and the DM walk; for every base and target policy the result must
-// equal machine.NewSuite's in Stats, Assignment and Fingerprint (the
-// store key), and the shared slice must come out unchanged.
+// address slice and SWSM program and redoes only the unit assignment;
+// for every base and target policy the result must equal
+// machine.NewSuite's in Assignment and Fingerprint (the store key),
+// which together fix the DM lowering, and the shared slice must come
+// out unchanged.
 func FuzzRepartition(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(10), uint8(0), uint8(2), uint8(12), uint64(1))
 	f.Add(uint8(8), uint8(3), uint8(5), uint8(1), uint8(0), uint8(8), uint64(7))
@@ -185,9 +186,6 @@ func FuzzRepartition(f *testing.F) {
 					t.Fatalf("spec %q %v→%v: %v", spec.Format(), from, to, err)
 				}
 				want := fresh[to]
-				if !reflect.DeepEqual(re.Stats(), want.Stats()) {
-					t.Errorf("spec %q %v→%v: stats %+v, NewSuite %+v", spec.Format(), from, to, re.Stats(), want.Stats())
-				}
 				if !reflect.DeepEqual(re.Assignment(), want.Assignment()) {
 					t.Errorf("spec %q %v→%v: assignment differs from NewSuite's", spec.Format(), from, to)
 				}

@@ -8,6 +8,7 @@ package workloads
 import (
 	"testing"
 
+	"daesim/internal/isa"
 	"daesim/internal/machine"
 	"daesim/internal/metrics"
 	"daesim/internal/partition"
@@ -39,7 +40,7 @@ func TestCalibrateReport(t *testing.T) {
 
 		t.Logf("%-7s band=%-10s %v copies(AU->DU %d, DU->AU %d) selfloads=%d",
 			spec.Name, spec.Band, st,
-			suite.Stats().CopiesAUDU, suite.Stats().CopiesDUAU, suite.Assignment().SelfLoads)
+			actual.Cores[isa.AU].IssuedByKind[isa.OpCopy], actual.Cores[isa.DU].IssuedByKind[isa.OpCopy], suite.Assignment().SelfLoads)
 		t.Logf("  LHE(inf,md60)=%.3f  (perfect=%d actual=%d)", lheInf, perfect, actual.Cycles)
 
 		for _, md := range []int{0, 60} {
