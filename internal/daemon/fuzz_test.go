@@ -145,15 +145,21 @@ var shapeConfusedBodies = []struct{ path, body string }{
 	{"/v1/batch/search", `{"items":[{"workload":"TRFD","params":{"mem":{"Kind":1,"Lines":68719476736}}}]}`},
 }
 
-// hugeScaleBodies name a workload scale far past MaxScale, in the run
+// hugeScaleBodies ask for a workload too large to build, in the run
 // item shape and in the search item shape, with the endpoint whose
-// decoder accepts that shape (the other answers 400 at decode).
-var hugeScaleBodies = []struct{ path, body string }{
-	{"/v1/batch/run", `{"items":[{"workload":"TRFD","scale":1000000,"kind":"DM","params":{}}]}`},
-	{"/v1/batch/search", `{"items":[{"workload":"TRFD","scale":1000000,"params":{}}]}`},
+// decoder accepts that shape (the other answers 400 at decode) and what
+// its refusal names: a scale far past MaxScale, or a generated spec
+// within the size cap at scale 1 (3,773,056 instructions) but ~8x past
+// it at scale 8.
+var hugeScaleBodies = []struct{ path, body, want string }{
+	{"/v1/batch/run", `{"items":[{"workload":"TRFD","scale":1000000,"kind":"DM","params":{}}]}`, fmt.Sprintf("limit of %d", MaxScale)},
+	{"/v1/batch/search", `{"items":[{"workload":"TRFD","scale":1000000,"params":{}}]}`, fmt.Sprintf("limit of %d", MaxScale)},
+	{"/v1/batch/run", `{"items":[{"workload":"spec:depth=64,ilp=64,mem=0,iters=900","scale":8,"kind":"DM","params":{}}]}`, "at scale 8 (cap"},
+	{"/v1/batch/search", `{"items":[{"workload":"spec:depth=64,ilp=64,mem=0,iters=900","scale":8,"params":{}}]}`, "at scale 8 (cap"},
 }
 
-// TestHugeScaleRefused: a scale past MaxScale earns a 400 on both batch
+// TestHugeScaleRefused: a scale past MaxScale, or one at which a
+// generated workload outgrows its size cap, earns a 400 on both batch
 // endpoints before any trace is built, and the daemon keeps serving.
 func TestHugeScaleRefused(t *testing.T) {
 	t.Parallel()
@@ -166,8 +172,8 @@ func TestHugeScaleRefused(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("%s answered %d to %s, want 400", path, rec.Code, tc.body)
 			}
-			if path == tc.path && !strings.Contains(rec.Body.String(), fmt.Sprintf("limit of %d", MaxScale)) {
-				t.Errorf("%s refused %s without naming the scale limit: %s", path, tc.body, rec.Body)
+			if path == tc.path && !strings.Contains(rec.Body.String(), tc.want) {
+				t.Errorf("%s refused %s without naming %q: %s", path, tc.body, tc.want, rec.Body)
 			}
 		}
 	}

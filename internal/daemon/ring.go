@@ -100,30 +100,16 @@ func (r *Ring) Len() int { return len(r.members) }
 // Members returns the member names backing indices.
 func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
-// Owner returns the member index owning key, or -1 on an empty ring.
-// Every cache lookup the fleet client makes routes through here, so it
-// is a hand-written binary search rather than Owners(key, 1): no owner
-// slice, no seen bitmap, no sort.Search closure.
-//
-//daelint:hotpath
+// Owner returns the member index owning key, Owners(key, 1)[0], or -1
+// on an empty ring. The fleet client routes through Owners instead
+// (FleetClient.pickCandidate needs the failover sequence too); Owner
+// serves daesim.FleetRing callers and the routing tests, which ask only
+// for the primary owner.
 func (r *Ring) Owner(key string) int {
-	if len(r.points) == 0 {
-		return -1
+	if o := r.Owners(key, 1); len(o) > 0 {
+		return o[0]
 	}
-	h := ringHash(key)
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.points) {
-		lo = 0 // wrap: key hashes past the last point
-	}
-	return r.points[lo].member
+	return -1
 }
 
 // Owners returns up to n distinct member indices in ring order starting

@@ -152,3 +152,31 @@ func mustSpec(s memsys.Spec, err error) memsys.Spec {
 	}
 	return s
 }
+
+// BenchmarkReferenceRun times the oracle on one catalog program, MDG's
+// DM at window 64 and MD 60.
+func BenchmarkReferenceRun(b *testing.B) {
+	tr, err := workloads.Build("MDG", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite, err := machine.NewSuite(tr, partition.Classic)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := suite.Program(machine.DM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := machine.Params{Window: 64, MD: 60}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg, err := p.Config(machine.DM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.ReferenceRun(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

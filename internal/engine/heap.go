@@ -1,17 +1,15 @@
 package engine
 
-// i32Heap is a binary min-heap of op indices. Oldest-first issue selection
-// pops the minimum index, which is the oldest op in program order.
-// A hand-rolled heap avoids container/heap interface overhead in the
-// simulator's hottest loop.
-type i32Heap struct{ a []int32 }
+import "cmp"
 
-func (h *i32Heap) len() int    { return len(h.a) }
-func (h *i32Heap) empty() bool { return len(h.a) == 0 }
-func (h *i32Heap) peek() int32 { return h.a[0] }
-func (h *i32Heap) reset()      { h.a = h.a[:0] }
+// minHeap is a binary min-heap. ReferenceRun, the oracle, keeps each
+// core's ready ops in one (popping the minimum index issues the oldest
+// op in program order first) and its pending event cycles in another.
+type minHeap[T cmp.Ordered] struct{ a []T }
 
-func (h *i32Heap) push(v int32) {
+func (h *minHeap[T]) empty() bool { return len(h.a) == 0 }
+
+func (h *minHeap[T]) push(v T) {
 	h.a = append(h.a, v)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -24,52 +22,7 @@ func (h *i32Heap) push(v int32) {
 	}
 }
 
-func (h *i32Heap) pop() int32 {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.a[l] < h.a[smallest] {
-			smallest = l
-		}
-		if r < last && h.a[r] < h.a[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.a[i], h.a[smallest] = h.a[smallest], h.a[i]
-		i = smallest
-	}
-	return top
-}
-
-// int64Heap is a binary min-heap of cycle numbers for the event queue.
-type int64Heap struct{ a []int64 }
-
-func (h *int64Heap) len() int    { return len(h.a) }
-func (h *int64Heap) empty() bool { return len(h.a) == 0 }
-func (h *int64Heap) peek() int64 { return h.a[0] }
-func (h *int64Heap) reset()      { h.a = h.a[:0] }
-
-func (h *int64Heap) push(v int64) {
-	h.a = append(h.a, v)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.a[parent] <= h.a[i] {
-			break
-		}
-		h.a[parent], h.a[i] = h.a[i], h.a[parent]
-		i = parent
-	}
-}
-
-func (h *int64Heap) pop() int64 {
+func (h *minHeap[T]) pop() T {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]

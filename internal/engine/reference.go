@@ -66,7 +66,7 @@ type refCoreRun struct {
 	next      int
 	occ       int
 	window    int
-	ready     i32Heap
+	ready     minHeap[int32]
 	oldestPtr int
 	retirePtr int
 	lastOrig  int32
@@ -121,7 +121,7 @@ func ReferenceRun(p *Program, cfg Config) (*Result, error) {
 	}
 
 	events := map[int64]*refBucket{}
-	var eventTimes int64Heap
+	var eventTimes minHeap[int64]
 	bucketAt := func(t int64) *refBucket {
 		b := events[t]
 		if b == nil {

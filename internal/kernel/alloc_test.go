@@ -7,9 +7,9 @@ import (
 )
 
 // TestBuildAllocs pins the builder's slab allocation: building TRFD
-// (about 70k instructions) takes a few dozen allocations — instruction
-// chunks, operand slabs and the final copy — not one or more per
-// instruction.
+// (about 70k instructions) takes a few dozen allocations — each slab
+// doubling as it fills, and no copy of the stream at the end — not one
+// or more per instruction.
 func TestBuildAllocs(t *testing.T) {
 	n := workloads.TRFD(1).Len()
 	avg := testing.AllocsPerRun(3, func() { workloads.TRFD(1) })

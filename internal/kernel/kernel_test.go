@@ -65,12 +65,12 @@ func TestEmitBasics(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
 	}
-	if tr.Instrs[1].MemAddr != arr.At(3) {
-		t.Fatalf("load address wrong: %#x", tr.Instrs[1].MemAddr)
+	if tr.MemAddr(1) != arr.At(3) {
+		t.Fatalf("load address wrong: %#x", tr.MemAddr(1))
 	}
 	// FP should depend only on the load (Const dropped).
-	if len(tr.Instrs[2].Args) != 1 || tr.Instrs[2].Args[0] != 1 {
-		t.Fatalf("fp args wrong: %v", tr.Instrs[2].Args)
+	if args := tr.Args(2); len(args) != 1 || args[0] != 1 {
+		t.Fatalf("fp args wrong: %v", args)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -163,8 +163,9 @@ func TestTraceSnapshotGrows(t *testing.T) {
 	}
 }
 
-// slabProgram emits n loop steps of loads, FP ops and stores: enough
-// instructions and operand references to fill several chunks and slabs.
+// slabProgram emits n loop steps of loads, FP ops and stores: 4n+2
+// instructions and 7n operand references, enough at a few thousand
+// steps to grow every slab several times.
 func slabProgram(b *Builder, n int) {
 	arr := b.Array("a", n, 8)
 	base := b.Int()
@@ -177,47 +178,50 @@ func slabProgram(b *Builder, n int) {
 	}
 }
 
-// cloneInstrs deep-copies an instruction stream, operands included.
-func cloneInstrs(in []trace.Instr) []trace.Instr {
-	out := make([]trace.Instr, len(in))
-	for i, x := range in {
-		out[i] = x
-		out[i].Addr = append([]int32(nil), x.Addr...)
-		out[i].Args = append([]int32(nil), x.Args...)
+// instrsOf copies tr's instruction stream out, operands included.
+func instrsOf(tr *trace.Trace) []trace.Instr {
+	out := make([]trace.Instr, tr.Len())
+	for i := range out {
+		out[i] = tr.At(i)
+		out[i].Addr = append([]int32(nil), out[i].Addr...)
+		out[i].Args = append([]int32(nil), out[i].Args...)
 	}
 	return out
 }
 
-// TestOperandSlicesAreCapped: instructions' operands share slabs, so an
-// append to one instruction's Addr or Args must reallocate instead of
-// writing into the slab, where it would overwrite a neighbour's.
+// TestOperandSlicesAreCapped: instructions' operands share one slab, so
+// an append to the Addr or Args of an instruction At returns must
+// reallocate instead of writing into the slab, where it would overwrite
+// a neighbour's.
 func TestOperandSlicesAreCapped(t *testing.T) {
 	b := New("slab")
-	slabProgram(b, 3*opChunk/5)
+	slabProgram(b, 2000)
 	tr := b.MustTrace()
-	want := cloneInstrs(tr.Instrs)
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
+	want := instrsOf(tr)
+	for i := range tr.Len() {
+		in := tr.At(i)
 		_ = append(in.Addr, -7)
 		_ = append(in.Args, -7)
 	}
-	if !reflect.DeepEqual(tr.Instrs, want) {
+	if !reflect.DeepEqual(instrsOf(tr), want) {
 		t.Fatal("appending to one instruction's operands changed another's")
 	}
 }
 
 // TestTraceUnchangedByLaterEmits: the builder stays usable after Trace,
-// and what it emits later never shows in a trace it already returned.
+// and what it emits later, into the slabs' spare room and then past it,
+// never shows in a trace it already returned.
 func TestTraceUnchangedByLaterEmits(t *testing.T) {
 	b := New("snap")
-	slabProgram(b, instrChunk/3)
+	slabProgram(b, 300)
 	tr := b.MustTrace()
-	want := cloneInstrs(tr.Instrs)
-	slabProgram(b, 2*instrChunk)
-	if !reflect.DeepEqual(tr.Instrs, want) {
+	want := instrsOf(tr)
+	slabProgram(b, 3000)
+	if !reflect.DeepEqual(instrsOf(tr), want) {
 		t.Fatal("later emits changed a returned trace")
 	}
-	if got := b.MustTrace(); got.Len() != len(want)+4*2*instrChunk+2 || !reflect.DeepEqual(got.Instrs[:len(want)], want) {
-		t.Fatalf("second trace: %d instructions, want %d starting with the first trace", got.Len(), len(want)+4*2*instrChunk+2)
+	got := b.MustTrace()
+	if got.Len() != len(want)+4*3000+2 || !reflect.DeepEqual(instrsOf(got)[:len(want)], want) {
+		t.Fatalf("second trace: %d instructions, want %d starting with the first trace", got.Len(), len(want)+4*3000+2)
 	}
 }

@@ -27,7 +27,7 @@ var fixtureSchemaConfig = SchemaConfig{
 	CloneFunc:    "Clone",
 	OracleFunc:   "resultsEqual",
 	SourceKeyPkg: "schema/machine", SourceKeyFunc: "Fingerprint",
-	SourceStructs: [][2]string{{"schema/trace", "Instr"}, {"schema/machine", "Assignment"}},
+	SourceStructs: [][2]string{{"schema/trace", "Trace"}, {"schema/machine", "Assignment"}},
 }
 
 func TestSchemaGuardFixture(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSchemaGuardMissingDeclarations(t *testing.T) {
 			"schema config names schema/result.Gone, which does not exist"},
 		{"oracle", SchemaConfig{ResultPkg: "schema/result", OracleFunc: "gone"},
 			"oracle comparison result.gone not found"},
-		{"source-key func", SchemaConfig{SourceKeyPkg: "schema/machine", SourceKeyFunc: "Gone", SourceStructs: [][2]string{{"schema/trace", "Instr"}}},
+		{"source-key func", SchemaConfig{SourceKeyPkg: "schema/machine", SourceKeyFunc: "Gone", SourceStructs: [][2]string{{"schema/trace", "Trace"}}},
 			"schema config names Gone in schema/machine, which does not exist"},
 		{"source-key struct", SchemaConfig{SourceKeyPkg: "schema/machine", SourceKeyFunc: "Fingerprint", SourceStructs: [][2]string{{"schema/trace", "Gone"}}},
 			"schema config names schema/trace.Gone, which does not exist"},

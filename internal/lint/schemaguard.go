@@ -50,7 +50,7 @@ var DefaultSchemaConfig = SchemaConfig{
 	OracleFunc:   "resultsEqual",
 	SourceKeyPkg: "daesim/internal/machine", SourceKeyFunc: "Fingerprint",
 	SourceStructs: [][2]string{
-		{"daesim/internal/trace", "Instr"},
+		{"daesim/internal/trace", "Trace"},
 		{"daesim/internal/partition", "Assignment"},
 	},
 }
@@ -59,7 +59,7 @@ var DefaultSchemaConfig = SchemaConfig{
 // field-coverage invariants the repo previously pinned with
 // reflect.NumField counts — every Params field reaches the cache-key
 // encoding and carries its own wire name, every reference-typed Result
-// field is deep-copied by Clone, every trace instruction field and
+// field is deep-copied by Clone, every trace slab and
 // assignment slice reaches the source key — with diagnostics that name
 // the missing field.
 func NewSchemaGuard(cfg SchemaConfig) *Analyzer {

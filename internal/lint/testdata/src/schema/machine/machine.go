@@ -1,7 +1,7 @@
 // Package machine is the schemaguard fixture's parameter schema, which
 // is also its own wire form: A and B are fully plumbed, C is the field
 // someone forgot everywhere, and D and E carry bad wire names.
-// Fingerprint is the source key over trace.Instr and Assignment.
+// Fingerprint is the source key over trace.Trace and Assignment.
 package machine
 
 import (
@@ -38,7 +38,7 @@ func (p Params) CacheKey() string {
 
 // Fingerprint keys a suite by its lowering inputs; the trace half is
 // read in another package, through trace.Digest.
-func Fingerprint(tr []trace.Instr, a *Assignment) uint64 {
+func Fingerprint(tr *trace.Trace, a *Assignment) uint64 {
 	h := trace.Digest(tr)
 	for _, u := range a.Unit {
 		h ^= uint64(u)

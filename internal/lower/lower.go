@@ -36,8 +36,7 @@ func DM(tr *trace.Trace, asg *partition.Assignment) (*engine.Program, error) {
 // instruction lowers to one op and every memory instruction to one
 // more, which sizes the program exactly.
 func SWSM(tr *trace.Trace) (*engine.Program, error) {
-	st := tr.Stats()
-	out := engine.NewProgramBuilder(st.Total + st.MemRefs)
+	out := engine.NewProgramBuilder(tr.Len() + tr.MemRefs())
 	walkSWSM(tr, out)
 	return out.Program(tr.Name+"/swsm", 1, tr.Len())
 }
@@ -96,37 +95,37 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuild
 		return srcs
 	}
 
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
-		orig := int32(i)
-		switch in.Class {
+	for i := 0; i < n; i++ {
+		orig, addr := int32(i), tr.MemAddr(i)
+		switch c := tr.Class(i); c {
 		case isa.IntALU, isa.FPALU:
 			u := asg.Unit[i]
 			kind := isa.OpInt
-			if in.Class == isa.FPALU {
+			if c == isa.FPALU {
 				kind = isa.OpFP
 			}
-			idx := emit(engine.Op{Kind: kind, Unit: u, Srcs: resolveAll(in.Args, u, orig), MemSrc: engine.NoDep, Orig: orig})
+			idx := emit(engine.Op{Kind: kind, Unit: u, Srcs: resolveAll(tr.Args(i), u, orig), MemSrc: engine.NoDep, Orig: orig})
 			avail[u][i] = idx
 		case isa.Load:
 			send := emit(engine.Op{
 				Kind: isa.OpLoadSend, Unit: isa.AU,
-				Srcs: resolveAll(in.Addr, isa.AU, orig), MemSrc: engine.NoDep,
-				Addr: in.MemAddr, Orig: orig,
+				Srcs: resolveAll(tr.Addr(i), isa.AU, orig), MemSrc: engine.NoDep,
+				Addr: addr, Orig: orig,
 			})
 			if asg.RecvAU[i] {
-				avail[isa.AU][i] = emit(engine.Op{Kind: isa.OpLoadRecv, Unit: isa.AU, MemSrc: send, Addr: in.MemAddr, Orig: orig})
+				avail[isa.AU][i] = emit(engine.Op{Kind: isa.OpLoadRecv, Unit: isa.AU, MemSrc: send, Addr: addr, Orig: orig})
 			}
 			if asg.RecvDU[i] {
-				avail[isa.DU][i] = emit(engine.Op{Kind: isa.OpLoadRecv, Unit: isa.DU, MemSrc: send, Addr: in.MemAddr, Orig: orig})
+				avail[isa.DU][i] = emit(engine.Op{Kind: isa.OpLoadRecv, Unit: isa.DU, MemSrc: send, Addr: addr, Orig: orig})
 			}
 		case isa.Store:
 			emit(engine.Op{
 				Kind: isa.OpStoreAddr, Unit: isa.AU,
-				Srcs: resolveAll(in.Addr, isa.AU, orig), MemSrc: engine.NoDep,
-				Addr: in.MemAddr, Orig: orig,
+				Srcs: resolveAll(tr.Addr(i), isa.AU, orig), MemSrc: engine.NoDep,
+				Addr: addr, Orig: orig,
 			})
-			data := in.Args[0]
+			args := tr.Args(i)
+			data := args[0]
 			// The data half executes on whichever unit already holds the
 			// value, preferring the DU (the paper's data side).
 			du := isa.DU
@@ -135,8 +134,8 @@ func walkDM(tr *trace.Trace, asg *partition.Assignment, out *engine.ProgramBuild
 			}
 			emit(engine.Op{
 				Kind: isa.OpStoreData, Unit: du,
-				Srcs: resolveAll(in.Args[:1], du, orig), MemSrc: engine.NoDep,
-				Addr: in.MemAddr, Orig: orig,
+				Srcs: resolveAll(args, du, orig), MemSrc: engine.NoDep,
+				Addr: addr, Orig: orig,
 			})
 		}
 	}
@@ -152,17 +151,15 @@ func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) {
 		avail[i] = engine.NoDep
 	}
 	srcs := make([]int32, 0, 8)
-	// resolveAll returns the producers of the values in lists, in order,
-	// in the scratch srcs (nil when there are none).
-	resolveAll := func(lists ...[]int32) []int32 {
+	// resolveAll returns the producers of vals, in order, in the scratch
+	// srcs (nil when there are none).
+	resolveAll := func(vals []int32) []int32 {
 		srcs = srcs[:0]
-		for _, vals := range lists {
-			for _, v := range vals {
-				if avail[v] == engine.NoDep {
-					panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
-				}
-				srcs = append(srcs, avail[v])
+		for _, v := range vals {
+			if avail[v] == engine.NoDep {
+				panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
 			}
+			srcs = append(srcs, avail[v])
 		}
 		if len(srcs) == 0 {
 			return nil
@@ -175,22 +172,22 @@ func walkSWSM(tr *trace.Trace, out *engine.ProgramBuilder) {
 		ops++
 		return ops - 1
 	}
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
-		orig := int32(i)
-		switch in.Class {
+	for i := 0; i < n; i++ {
+		orig, addr := int32(i), tr.MemAddr(i)
+		switch tr.Class(i) {
 		case isa.IntALU:
-			avail[i] = emit(engine.Op{Kind: isa.OpInt, Unit: isa.AU, Srcs: resolveAll(in.Args), MemSrc: engine.NoDep, Orig: orig})
+			avail[i] = emit(engine.Op{Kind: isa.OpInt, Unit: isa.AU, Srcs: resolveAll(tr.Args(i)), MemSrc: engine.NoDep, Orig: orig})
 		case isa.FPALU:
-			avail[i] = emit(engine.Op{Kind: isa.OpFP, Unit: isa.AU, Srcs: resolveAll(in.Args), MemSrc: engine.NoDep, Orig: orig})
+			avail[i] = emit(engine.Op{Kind: isa.OpFP, Unit: isa.AU, Srcs: resolveAll(tr.Args(i)), MemSrc: engine.NoDep, Orig: orig})
 		case isa.Load:
-			pf := emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(in.Addr), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
+			pf := emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(tr.Addr(i)), MemSrc: engine.NoDep, Addr: addr, Orig: orig})
 			// The access's fill edge subsumes the address dependencies: the
 			// fill cannot arrive before the prefetch issued.
-			avail[i] = emit(engine.Op{Kind: isa.OpAccess, Unit: isa.AU, MemSrc: pf, Addr: in.MemAddr, Orig: orig})
+			avail[i] = emit(engine.Op{Kind: isa.OpAccess, Unit: isa.AU, MemSrc: pf, Addr: addr, Orig: orig})
 		case isa.Store:
-			emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(in.Addr), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
-			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: resolveAll(in.Addr, in.Args), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
+			emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(tr.Addr(i)), MemSrc: engine.NoDep, Addr: addr, Orig: orig})
+			// The access reads every operand, address operands first.
+			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: resolveAll(tr.Operands(i)), MemSrc: engine.NoDep, Addr: addr, Orig: orig})
 		}
 	}
 }

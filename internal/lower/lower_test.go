@@ -12,15 +12,24 @@ import (
 	"daesim/internal/trace"
 )
 
+// mustTrace builds a trace from authored instructions that must be valid.
+func mustTrace(name string, instrs []trace.Instr) *trace.Trace {
+	tr, err := trace.New(name, instrs...)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 func tm(md int) isa.Timing { return isa.Timing{MD: md, FPLat: 3, CopyLat: 1} }
 
 func simpleTrace() *trace.Trace {
-	return &trace.Trace{Name: "t", Instrs: []trace.Instr{
+	return mustTrace("t", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x1000},
 		{Class: isa.FPALU, Args: []int32{1}},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{2}, MemAddr: 0x2000},
-	}}
+	})
 }
 
 // dmOf partitions tr under pol and lowers it for the DM.
@@ -98,12 +107,12 @@ func TestSWSMOpShapes(t *testing.T) {
 func TestLossOfDecouplingCopy(t *testing.T) {
 	// fp; int(fp); load(addr=int); fp(load): the int on the AU consumes a
 	// DU value, forcing a DU→AU copy.
-	tr := &trace.Trace{Name: "lod", Instrs: []trace.Instr{
+	tr := mustTrace("lod", []trace.Instr{
 		{Class: isa.FPALU},
 		{Class: isa.IntALU, Args: []int32{0}},
 		{Class: isa.Load, Addr: []int32{1}, MemAddr: 0x100},
 		{Class: isa.FPALU, Args: []int32{2}},
-	}}
+	})
 	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +128,10 @@ func TestLossOfDecouplingCopy(t *testing.T) {
 
 func TestAUtoDUCopy(t *testing.T) {
 	// int; fp(int): FP consumes an AU integer value.
-	tr := &trace.Trace{Name: "audu", Instrs: []trace.Instr{
+	tr := mustTrace("audu", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.FPALU, Args: []int32{0}},
-	}}
+	})
 	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +143,11 @@ func TestAUtoDUCopy(t *testing.T) {
 
 func TestCopyMemoized(t *testing.T) {
 	// One AU value consumed by two FP ops: only one copy.
-	tr := &trace.Trace{Name: "memo", Instrs: []trace.Instr{
+	tr := mustTrace("memo", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.FPALU, Args: []int32{0}},
 		{Class: isa.FPALU, Args: []int32{0}},
-	}}
+	})
 	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -150,13 +159,13 @@ func TestCopyMemoized(t *testing.T) {
 
 func TestDualDeliveryLoad(t *testing.T) {
 	// A load consumed both as an address (AU) and by FP (DU).
-	tr := &trace.Trace{Name: "dual", Instrs: []trace.Instr{
+	tr := mustTrace("dual", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x100},
 		{Class: isa.IntALU, Args: []int32{1}},
 		{Class: isa.Load, Addr: []int32{2}, MemAddr: 0x200},
 		{Class: isa.FPALU, Args: []int32{1}},
-	}}
+	})
 	p, err := dmOf(tr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)

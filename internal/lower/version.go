@@ -24,4 +24,10 @@ package lower
 // DM sizes its builder with a counting walk of its own and SWSM from the
 // trace's instruction classes, the programs are the same, and
 // TestLoweringGuard's manifest is unchanged.
+//
+// Not bumped for reading the trace through its accessors once it became
+// slabs (trace.Trace's Class, Addr, Args, Operands and MemAddr) and for
+// sizing SWSM from trace.MemRefs instead of Stats: each walk reads the
+// same operands in the same order, the programs are the same, and
+// TestLoweringGuard's manifest is unchanged.
 const Version = "lower-v1"

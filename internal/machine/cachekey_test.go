@@ -44,18 +44,28 @@ func TestFingerprintCoversAllOpFields(t *testing.T) {
 }
 
 // TestFingerprintCoversSourceFields pins the fields the source key
-// reads: every trace.Instr field (trace.Digest) and every
+// reads: the trace's name and every slab (trace.Digest) and every
 // per-instruction slice of the partition assignment (assignmentDigest).
-// daelint's schemaguard proves the same statically; the assignment's
-// op counts are derived from the slices and stay unkeyed.
+// daelint's schemaguard proves the same statically; the digest memo and
+// the assignment's op counts are derived and stay unkeyed.
 func TestFingerprintCoversSourceFields(t *testing.T) {
-	auditFields(t, reflect.TypeOf(trace.Instr{}), "trace.Digest", []string{
-		"Class", "Addr", "Args", "MemAddr",
+	auditFields(t, reflect.TypeOf(trace.Trace{}), "trace.Digest", []string{
+		"Name", "class", "memAddr", "off", "ops",
+		"digestOnce", "digest", // the digest memo, unkeyed
 	})
 	auditFields(t, reflect.TypeOf(partition.Assignment{}), "assignmentDigest", []string{
 		"Unit", "InAddrSlice", "RecvAU", "RecvDU",
 		"OpsAU", "OpsDU", "SelfLoads", // derived counters, unkeyed
 	})
+}
+
+// instrsOf returns tr's instructions as the values tests author.
+func instrsOf(tr *trace.Trace) []trace.Instr {
+	instrs := make([]trace.Instr, tr.Len())
+	for i := range instrs {
+		instrs[i] = tr.At(i)
+	}
+	return instrs
 }
 
 // auditFields fails naming the exact fields that drifted from the
@@ -174,9 +184,9 @@ func referenceFingerprint(s *Suite) string {
 	tr := s.Trace
 	w32(th, uint32(len(tr.Name)))
 	th.Write([]byte(tr.Name))
-	w32(th, uint32(len(tr.Instrs)))
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
+	w32(th, uint32(tr.Len()))
+	for i := range tr.Len() {
+		in := tr.At(i)
 		th.Write([]byte{byte(in.Class)})
 		for _, refs := range [][]int32{in.Addr, in.Args} {
 			w32(th, uint32(len(refs)))
@@ -264,11 +274,10 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRepartitionReusesTraceDigest: a repartitioned suite takes its
-// trace digest from the shared trace's memo instead of hashing the
-// trace again. The test breaks the trace's immutability on purpose
-// after the base suite was keyed — a load's MemAddr moves, which no
-// partition reads — so a recomputed digest would show as a new key.
+// TestRepartitionReusesTraceDigest: a repartitioned suite shares its
+// base suite's trace, so it takes the trace digest from that trace's
+// memo instead of hashing the trace again, and keys the same; a fresh
+// trace whose one load moved keys differently.
 func TestRepartitionReusesTraceDigest(t *testing.T) {
 	tr, err := workloads.Build("TRFD", 1)
 	if err != nil {
@@ -279,20 +288,28 @@ func TestRepartitionReusesTraceDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := base.Fingerprint()
-	for i := range tr.Instrs {
-		if tr.Instrs[i].Class == isa.Load {
-			tr.Instrs[i].MemAddr += 8
-			break
-		}
-	}
 	re, err := base.Repartition(partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Fingerprint(); got != key {
-		t.Errorf("repartitioned suite rehashed its trace: key %s, base %s", got, key)
+	if re.Trace != tr {
+		t.Error("repartitioned suite holds another trace, whose digest is hashed again")
 	}
-	moved, err := NewSuite(&trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, partition.Classic)
+	if got := re.Fingerprint(); got != key {
+		t.Errorf("repartitioned suite keys %s, base %s", got, key)
+	}
+	instrs := instrsOf(tr)
+	for i := range instrs {
+		if instrs[i].Class == isa.Load {
+			instrs[i].MemAddr += 8
+			break
+		}
+	}
+	movedTr, err := trace.New(tr.Name, instrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := NewSuite(movedTr, partition.Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +399,22 @@ func BenchmarkSuiteFingerprint(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := int64(len(tr.Name)) + 8 + 4*int64(len(s.Assignment().Unit)) + 16
-	for i := range tr.Instrs {
-		n += 1 + 8 + 8 + 4*int64(len(tr.Instrs[i].Addr)+len(tr.Instrs[i].Args))
+	for i := range tr.Len() {
+		n += 1 + 8 + 8 + 4*int64(len(tr.Operands(i)))
 	}
+	instrs := instrsOf(tr)
 	b.SetBytes(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Trace and Suite per iteration: both memoize.
-		fresh := &Suite{Trace: &trace.Trace{Name: tr.Name, Instrs: tr.Instrs}, asg: s.asg}
-		fresh.Fingerprint()
+		// A fresh Trace and Suite per iteration: both memoize. Building
+		// the trace is not timed.
+		b.StopTimer()
+		fresh, err := trace.New(tr.Name, instrs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		(&Suite{Trace: fresh, asg: s.asg}).Fingerprint()
 	}
 }

@@ -391,18 +391,8 @@ func (s *Suite) RunSWSM(p Params) (*engine.Result, error) { return s.RunWith(nil
 // Integer ops cost 1 cycle, FP ops FPLat, loads MD+1 (the differential
 // plus the access cycle) and stores 1 (retired through a store buffer).
 func SerialCycles(tr *trace.Trace, tm isa.Timing) int64 {
-	var total int64
-	for i := range tr.Instrs {
-		switch tr.Instrs[i].Class {
-		case isa.IntALU, isa.Store:
-			total++
-		case isa.FPALU:
-			total += int64(tm.FPLat)
-		case isa.Load:
-			total += int64(tm.MD) + 1
-		}
-	}
-	return total
+	n := tr.Stats().ByClass
+	return int64(n[isa.IntALU]+n[isa.Store]) + int64(tm.FPLat)*int64(n[isa.FPALU]) + (int64(tm.MD)+1)*int64(n[isa.Load])
 }
 
 // PerfectCycles returns the execution time of the machine with perfect

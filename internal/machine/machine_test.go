@@ -13,6 +13,15 @@ import (
 	"daesim/internal/workloads"
 )
 
+// mustTrace builds a trace from authored instructions that must be valid.
+func mustTrace(name string, instrs []trace.Instr) *trace.Trace {
+	tr, err := trace.New(name, instrs...)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 // testTrace builds a small streaming kernel exercising both machines.
 func testTrace() *trace.Trace {
 	b := kernel.New("m")
@@ -150,12 +159,12 @@ func TestQueueBoundsHurtPerformance(t *testing.T) {
 }
 
 func TestSerialCycles(t *testing.T) {
-	tr := &trace.Trace{Instrs: []trace.Instr{
+	tr := mustTrace("", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}},
 		{Class: isa.FPALU, Args: []int32{1}},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{2}},
-	}}
+	})
 	tm := isa.Timing{MD: 60, FPLat: 3, CopyLat: 1}
 	// 1 + 61 + 3 + 1 = 66
 	if got := SerialCycles(tr, tm); got != 66 {

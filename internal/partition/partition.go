@@ -112,26 +112,23 @@ func AddrSlice(tr *trace.Trace) []bool {
 	slice := make([]bool, tr.Len())
 	work := make([]int32, 0, tr.Len()/4)
 	mark := func(i int32) {
-		if !slice[i] && tr.Instrs[i].Class != isa.FPALU {
+		if !slice[i] && tr.Class(int(i)) != isa.FPALU {
 			slice[i] = true
 			work = append(work, i)
 		}
 	}
-	for i := range tr.Instrs {
-		for _, p := range tr.Instrs[i].Addr {
+	for i := range slice {
+		for _, p := range tr.Addr(i) {
 			mark(p)
 		}
 	}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		in := &tr.Instrs[i]
-		if in.Class == isa.Load {
-			// The load's value feeds addresses; its inputs are already
-			// addresses by construction (they are Addr operands).
-			continue
-		}
-		for _, p := range in.Args {
+		// A load's value feeds addresses; its inputs are already
+		// addresses by construction (they are Addr operands), and Args
+		// holds none.
+		for _, p := range tr.Args(int(i)) {
 			mark(p)
 		}
 	}
@@ -155,9 +152,8 @@ func Assign(tr *trace.Trace, slice []bool, pol Policy) (*Assignment, error) {
 	}
 
 	// Assign units.
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
-		switch in.Class {
+	for i := range n {
+		switch tr.Class(i) {
 		case isa.FPALU:
 			a.Unit[i] = isa.DU
 			a.OpsDU++
@@ -186,41 +182,32 @@ func Assign(tr *trace.Trace, slice []bool, pol Policy) (*Assignment, error) {
 		}
 	}
 
-	// Route load deliveries to consuming units.
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
-		route := func(p int32) {
-			if tr.Instrs[p].Class != isa.Load {
-				return
+	// Route load deliveries to consuming units. Address operands need
+	// the value on the AU, value operands on the consumer's unit. A
+	// store's data goes to its store-data op, which lowering places on
+	// the unit already holding the value, so a load feeding a store
+	// directly is delivered on the DU (data side): a pure
+	// memory-to-memory copy.
+	for i := range n {
+		for _, p := range tr.Addr(i) {
+			if tr.Class(int(p)) == isa.Load {
+				a.RecvAU[p] = true
 			}
-			if a.Unit[i] == isa.AU || in.Class == isa.Load || in.Class == isa.Store {
-				// Address operands and AU consumers need the value on the AU.
+		}
+		toAU := a.Unit[i] == isa.AU && tr.Class(i) != isa.Store
+		for _, p := range tr.Args(i) {
+			if tr.Class(int(p)) != isa.Load {
+				continue
+			}
+			if toAU {
 				a.RecvAU[p] = true
 			} else {
 				a.RecvDU[p] = true
 			}
 		}
-		for _, p := range in.Addr {
-			route(p)
-		}
-		for _, p := range in.Args {
-			// Store data goes to the store-data op, which executes on the
-			// producing unit; delivery is decided by the producer's unit,
-			// handled in lowering. For value consumers, deliver to the
-			// consumer's unit.
-			if in.Class == isa.Store {
-				if tr.Instrs[p].Class == isa.Load {
-					// Load feeding a store directly: deliver on the DU (data
-					// side) — a pure memory-to-memory copy.
-					a.RecvDU[p] = true
-				}
-				continue
-			}
-			route(p)
-		}
 	}
-	for i := range tr.Instrs {
-		if tr.Instrs[i].Class == isa.Load {
+	for i := range n {
+		if tr.Class(i) == isa.Load {
 			if !a.RecvAU[i] && !a.RecvDU[i] {
 				// Dead load: deliver to the DU by convention.
 				a.RecvDU[i] = true

@@ -7,14 +7,23 @@ import (
 	"daesim/internal/trace"
 )
 
+// mustTrace builds a trace from authored instructions that must be valid.
+func mustTrace(name string, instrs []trace.Instr) *trace.Trace {
+	tr, err := trace.New(name, instrs...)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 // mk builds a tiny trace: int; load(addr=0); fp(1); store(fp, addr=0).
 func mk() *trace.Trace {
-	return &trace.Trace{Name: "t", Instrs: []trace.Instr{
+	return mustTrace("t", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x1000},
 		{Class: isa.FPALU, Args: []int32{1}},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{2}, MemAddr: 0x2000},
-	}}
+	})
 }
 
 func TestClassicPartition(t *testing.T) {
@@ -41,13 +50,13 @@ func TestClassicPartition(t *testing.T) {
 
 func TestSelfLoadDetection(t *testing.T) {
 	// load idx; int(idx); load(addr=int): the first load feeds an address.
-	tr := &trace.Trace{Name: "gather", Instrs: []trace.Instr{
+	tr := mustTrace("gather", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x100},
 		{Class: isa.IntALU, Args: []int32{1}},
 		{Class: isa.Load, Addr: []int32{2}, MemAddr: 0x200},
 		{Class: isa.FPALU, Args: []int32{3}},
-	}}
+	})
 	a, err := Partition(tr, Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +77,11 @@ func TestSelfLoadDetection(t *testing.T) {
 
 func TestFPTerminatesSlice(t *testing.T) {
 	// fp; int(fp); load(addr=int): the fp feeds an address but stays DU.
-	tr := &trace.Trace{Name: "lod", Instrs: []trace.Instr{
+	tr := mustTrace("lod", []trace.Instr{
 		{Class: isa.FPALU},
 		{Class: isa.IntALU, Args: []int32{0}},
 		{Class: isa.Load, Addr: []int32{1}, MemAddr: 0x300},
-	}}
+	})
 	a, err := Partition(tr, Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +99,10 @@ func TestFPTerminatesSlice(t *testing.T) {
 
 func TestPoliciesPlaceNonSliceInt(t *testing.T) {
 	// One non-slice int op (pure data): int; fp(int-data? keep int data alone)
-	tr := &trace.Trace{Name: "data", Instrs: []trace.Instr{
+	tr := mustTrace("data", []trace.Instr{
 		{Class: isa.IntALU}, // data int, not feeding any address
 		{Class: isa.FPALU, Args: []int32{0}},
-	}}
+	})
 	classic, _ := Partition(tr, Classic)
 	if classic.Unit[0] != isa.AU {
 		t.Error("classic must place int on AU")
@@ -109,10 +118,10 @@ func TestPoliciesPlaceNonSliceInt(t *testing.T) {
 }
 
 func TestDeadLoadDefaultsToDU(t *testing.T) {
-	tr := &trace.Trace{Name: "dead", Instrs: []trace.Instr{
+	tr := mustTrace("dead", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x40},
-	}}
+	})
 	a, err := Partition(tr, Classic)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +133,11 @@ func TestDeadLoadDefaultsToDU(t *testing.T) {
 
 func TestStoreDataFromLoad(t *testing.T) {
 	// memory-to-memory copy: load; store(load).
-	tr := &trace.Trace{Name: "memcpy", Instrs: []trace.Instr{
+	tr := mustTrace("memcpy", []trace.Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x80},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{1}, MemAddr: 0xc0},
-	}}
+	})
 	a, err := Partition(tr, Classic)
 	if err != nil {
 		t.Fatal(err)

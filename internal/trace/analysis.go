@@ -53,13 +53,12 @@ func (t *Trace) Reuse() *ReuseProfile {
 	// exhibit; fine for analysis tooling.
 	var stack []uint64
 	pos := make(map[uint64]int)
-	for i := range t.Instrs {
-		in := &t.Instrs[i]
-		if in.Class != isa.Load && in.Class != isa.Store {
+	for i, c := range t.class {
+		if c != isa.Load && c != isa.Store {
 			continue
 		}
 		p.Refs++
-		line := isa.LineOf(in.MemAddr)
+		line := isa.LineOf(t.memAddr[i])
 		at, seen := pos[line]
 		if !seen {
 			p.Lines++
@@ -87,15 +86,14 @@ func (t *Trace) Reuse() *ReuseProfile {
 // solid edges are value dependencies and dashed edges address
 // dependencies. Useful for inspecting kernel structure.
 func (t *Trace) WriteDot(w io.Writer, max int) error {
-	if max <= 0 || max > len(t.Instrs) {
-		max = len(t.Instrs)
+	if max <= 0 || max > t.Len() {
+		max = t.Len()
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n", t.Name)
 	for i := 0; i < max; i++ {
-		in := &t.Instrs[i]
 		shape := ""
-		switch in.Class {
+		switch t.class[i] {
 		case isa.Load:
 			shape = ", style=filled, fillcolor=lightblue"
 		case isa.Store:
@@ -103,16 +101,13 @@ func (t *Trace) WriteDot(w io.Writer, max int) error {
 		case isa.FPALU:
 			shape = ", style=filled, fillcolor=lightyellow"
 		}
-		fmt.Fprintf(bw, "  n%d [label=\"%d %s\"%s];\n", i, i, in.Class, shape)
-		for _, p := range in.Addr {
-			if p < int32(max) {
-				fmt.Fprintf(bw, "  n%d -> n%d [style=dashed];\n", p, i)
-			}
+		fmt.Fprintf(bw, "  n%d [label=\"%d %s\"%s];\n", i, i, t.class[i], shape)
+		// Operands point backwards, so every edge stays inside the cut.
+		for _, p := range t.Addr(i) {
+			fmt.Fprintf(bw, "  n%d -> n%d [style=dashed];\n", p, i)
 		}
-		for _, p := range in.Args {
-			if p < int32(max) {
-				fmt.Fprintf(bw, "  n%d -> n%d;\n", p, i)
-			}
+		for _, p := range t.Args(i) {
+			fmt.Fprintf(bw, "  n%d -> n%d;\n", p, i)
 		}
 	}
 	fmt.Fprintln(bw, "}")

@@ -9,14 +9,14 @@ import (
 
 // refTrace builds a trace touching the given line numbers in order.
 func refTrace(lines ...uint64) *Trace {
-	tr := &Trace{Name: "refs", Instrs: []Instr{{Class: isa.IntALU}}}
+	instrs := []Instr{{Class: isa.IntALU}}
 	for _, l := range lines {
-		tr.Instrs = append(tr.Instrs, Instr{
+		instrs = append(instrs, Instr{
 			Class: isa.Load, Addr: []int32{0},
 			MemAddr: l * isa.CacheLineBytes,
 		})
 	}
-	return tr
+	return mustTrace("refs", instrs)
 }
 
 func TestReuseNoReuse(t *testing.T) {
@@ -67,11 +67,11 @@ func TestReuseImmediate(t *testing.T) {
 
 func TestReuseMatchesSameLineSubwordAccesses(t *testing.T) {
 	// Two addresses within one line count as reuse.
-	tr := &Trace{Instrs: []Instr{
+	tr := mustTrace("", []Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x100},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x108},
-	}}
+	})
 	p := tr.Reuse()
 	if p.Lines != 1 || len(p.Distances) != 1 || p.Distances[0] != 0 {
 		t.Fatalf("subword reuse wrong: %+v", p)
@@ -79,12 +79,12 @@ func TestReuseMatchesSameLineSubwordAccesses(t *testing.T) {
 }
 
 func TestWriteDot(t *testing.T) {
-	tr := &Trace{Name: "dot", Instrs: []Instr{
+	tr := mustTrace("dot", []Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x40},
 		{Class: isa.FPALU, Args: []int32{1}},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{2}, MemAddr: 0x80},
-	}}
+	})
 	var b strings.Builder
 	if err := tr.WriteDot(&b, 0); err != nil {
 		t.Fatal(err)

@@ -10,9 +10,10 @@ import (
 const digestChunk = 8 << 10
 
 // Digest returns the SHA-256 of the trace's name and instruction
-// stream: every field of every Instr, in program order. It is the
-// trace half of a suite's source key (machine.Suite.Fingerprint), so
-// it must cover everything a lowering can read. The hash input is the
+// stream: every instruction's class, operands and memory address, in
+// program order. It is the trace half of a suite's source key
+// (machine.Suite.Fingerprint), so it must cover everything a lowering
+// can read. The hash input is the
 // length-prefixed name, then per instruction the class byte, the
 // length-prefixed Addr and Args operand lists as little-endian 4-byte
 // integers and the 8-byte MemAddr; how the stream is chunked into
@@ -26,23 +27,21 @@ func (t *Trace) Digest() [sha256.Size]byte {
 		buf := make([]byte, 0, digestChunk)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Name)))
 		buf = append(buf, t.Name...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Instrs)))
-		for i := range t.Instrs {
-			in := &t.Instrs[i]
-			if len(buf)+1+4*(2+len(in.Addr)+len(in.Args))+8 > cap(buf) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Len()))
+		for i, c := range t.class {
+			addr, args := t.Addr(i), t.Args(i)
+			if len(buf)+1+4*(2+len(addr)+len(args))+8 > cap(buf) {
 				h.Write(buf)
 				buf = buf[:0]
 			}
-			buf = append(buf, byte(in.Class))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(in.Addr)))
-			for _, a := range in.Addr {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
+			buf = append(buf, byte(c))
+			for _, refs := range [2][]int32{addr, args} {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(refs)))
+				for _, a := range refs {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
+				}
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(in.Args)))
-			for _, a := range in.Args {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, in.MemAddr)
+			buf = binary.LittleEndian.AppendUint64(buf, t.memAddr[i])
 		}
 		h.Write(buf)
 		h.Sum(t.digest[:0])

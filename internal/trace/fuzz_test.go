@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -33,7 +32,8 @@ func FuzzTraceDecode(f *testing.F) {
 }
 
 // roundTrip asserts an accepted trace is valid and encodes/decodes to
-// itself: the same name, equal instructions and bit-stable bytes.
+// itself: the same name, equal slabs, an equal digest and bit-stable
+// bytes.
 func roundTrip(t *testing.T, tr *Trace) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
@@ -47,7 +47,7 @@ func roundTrip(t *testing.T, tr *Trace) {
 	if err != nil {
 		t.Fatalf("re-decoding an accepted trace: %v", err)
 	}
-	if again.Name != tr.Name || !reflect.DeepEqual(again.Instrs, tr.Instrs) {
+	if !sameTrace(again, tr) || again.Digest() != tr.Digest() {
 		t.Fatal("text round trip changed the trace")
 	}
 	var b bytes.Buffer

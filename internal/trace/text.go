@@ -40,7 +40,8 @@ const maxTextLine = 1 << 20
 func ReadText(r io.Reader, name string) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxTextLine)
-	t := &Trace{Name: name}
+	b := NewBuilder(name)
+	var refs []int32 // the line's operand references, reused across lines
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -49,16 +50,15 @@ func ReadText(r io.Reader, name string) (*Trace, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if rest, ok := strings.CutPrefix(line, "# trace "); ok && len(t.Instrs) == 0 {
-				t.Name = strings.TrimSpace(rest)
+			if rest, ok := strings.CutPrefix(line, "# trace "); ok && b.Len() == 0 {
+				b = NewBuilder(strings.TrimSpace(rest))
 			}
 			continue
 		}
-		in, err := parseTextInstr(line, len(t.Instrs))
-		if err != nil {
+		var err error
+		if refs, err = parseTextInstr(b, line, refs[:0]); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		t.Instrs = append(t.Instrs, in)
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner stopped on the line after the last one it returned.
@@ -67,79 +67,81 @@ func ReadText(r io.Reader, name string) (*Trace, error) {
 		}
 		return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)
 	}
-	if err := t.Validate(); err != nil {
+	t, err := b.Trace()
+	if err != nil {
 		return nil, fmt.Errorf("trace: ingested trace invalid: %w", err)
 	}
 	return t, nil
 }
 
-// parseTextInstr parses one instruction line at trace index i.
-func parseTextInstr(line string, i int) (Instr, error) {
+// parseTextInstr parses one instruction line into b, collecting its
+// operand references in refs, and returns refs for reuse.
+func parseTextInstr(b *Builder, line string, refs []int32) ([]int32, error) {
 	fields := strings.Fields(line)
-	var in Instr
+	i := b.Len()
+	var class isa.Class
 	switch fields[0] {
 	case "int":
-		in.Class = isa.IntALU
+		class = isa.IntALU
 	case "fp":
-		in.Class = isa.FPALU
+		class = isa.FPALU
 	case "load":
-		in.Class = isa.Load
+		class = isa.Load
 	case "store":
-		in.Class = isa.Store
+		class = isa.Store
 	default:
-		return Instr{}, fmt.Errorf("unknown class %q (want int, fp, load or store)", fields[0])
+		return nil, fmt.Errorf("unknown class %q (want int, fp, load or store)", fields[0])
 	}
-	mem := in.Class == isa.Load || in.Class == isa.Store
+	mem := class == isa.Load || class == isa.Store
 	sawAddr := false
-	var refs []int32
+	var memAddr uint64
 	for _, f := range fields[1:] {
 		switch {
 		case strings.HasPrefix(f, "^"):
 			if sawAddr {
-				return Instr{}, fmt.Errorf("operand %q after the @address", f)
+				return nil, fmt.Errorf("operand %q after the @address", f)
 			}
 			d, err := strconv.ParseUint(f[1:], 10, 32)
 			if err != nil || d == 0 || uint64(d) > uint64(i) {
-				return Instr{}, fmt.Errorf("bad operand %q (want ^N, 1 <= N <= instruction index %d)", f, i)
+				return nil, fmt.Errorf("bad operand %q (want ^N, 1 <= N <= instruction index %d)", f, i)
 			}
 			if len(refs) >= 0xff {
-				return Instr{}, fmt.Errorf("too many operands (max %d)", 0xff)
+				return nil, fmt.Errorf("too many operands (max %d)", 0xff)
 			}
 			refs = append(refs, int32(i)-int32(d))
 		case strings.HasPrefix(f, "@"):
 			if !mem {
-				return Instr{}, fmt.Errorf("@address on a non-memory %s", in.Class)
+				return nil, fmt.Errorf("@address on a non-memory %s", class)
 			}
 			if sawAddr {
-				return Instr{}, fmt.Errorf("duplicate @address %q", f)
+				return nil, fmt.Errorf("duplicate @address %q", f)
 			}
 			a, err := strconv.ParseUint(strings.TrimPrefix(f[1:], "0x"), addrBase(f[1:]), 64)
 			if err != nil {
-				return Instr{}, fmt.Errorf("bad address %q: %v", f, err)
+				return nil, fmt.Errorf("bad address %q: %v", f, err)
 			}
-			in.MemAddr, sawAddr = a, true
+			memAddr, sawAddr = a, true
 		default:
-			return Instr{}, fmt.Errorf("bad token %q (want ^N or @ADDR)", f)
+			return nil, fmt.Errorf("bad token %q (want ^N or @ADDR)", f)
 		}
 	}
 	if mem && !sawAddr {
-		return Instr{}, fmt.Errorf("%s needs an @address", in.Class)
+		return nil, fmt.Errorf("%s needs an @address", class)
 	}
-	switch in.Class {
-	case isa.Load:
-		in.Addr = refs
-	case isa.Store:
+	if class == isa.Store {
 		if len(refs) == 0 {
-			return Instr{}, fmt.Errorf("store needs a ^data operand")
+			return nil, fmt.Errorf("store needs a ^data operand")
 		}
-		in.Args, in.Addr = refs[:1], refs[1:]
-		if len(in.Addr) == 0 {
-			in.Addr = nil
-		}
-	default:
-		in.Args = refs
+		// The text leads with the data; the slabs end with it.
+		data := refs[0]
+		refs = append(refs[:0], refs[1:]...)
+		refs = append(refs, data)
 	}
-	return in, nil
+	for _, p := range refs {
+		b.Ref(p)
+	}
+	b.Emit(class, memAddr)
+	return refs, nil
 }
 
 func addrBase(s string) int {
@@ -154,9 +156,8 @@ func addrBase(s string) int {
 func WriteText(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# trace %s\n", t.Name)
-	for i := range t.Instrs {
-		in := &t.Instrs[i]
-		switch in.Class {
+	for i, c := range t.class {
+		switch c {
 		case isa.IntALU:
 			bw.WriteString("int")
 		case isa.FPALU:
@@ -166,15 +167,17 @@ func WriteText(w io.Writer, t *Trace) error {
 		case isa.Store:
 			bw.WriteString("store")
 		default:
-			return fmt.Errorf("trace: instr %d has unknown class %v", i, in.Class)
+			return fmt.Errorf("trace: instr %d has unknown class %v", i, c)
 		}
 		// Stores lead with the data operand, everything else with Args;
 		// loads carry only address producers.
-		for _, ref := range append(append([]int32(nil), in.Args...), in.Addr...) {
-			fmt.Fprintf(bw, " ^%d", int32(i)-ref)
+		for _, refs := range [2][]int32{t.Args(i), t.Addr(i)} {
+			for _, ref := range refs {
+				fmt.Fprintf(bw, " ^%d", int32(i)-ref)
+			}
 		}
-		if in.Class == isa.Load || in.Class == isa.Store {
-			fmt.Fprintf(bw, " @%#x", in.MemAddr)
+		if c == isa.Load || c == isa.Store {
+			fmt.Fprintf(bw, " @%#x", t.memAddr[i])
 		}
 		bw.WriteByte('\n')
 	}
@@ -184,13 +187,13 @@ func WriteText(w io.Writer, t *Trace) error {
 // Dump writes a human-readable listing of up to max instructions to w
 // (max <= 0 dumps everything).
 func Dump(w io.Writer, t *Trace, max int) error {
-	if max <= 0 || max > len(t.Instrs) {
-		max = len(t.Instrs)
+	if max <= 0 || max > t.Len() {
+		max = t.Len()
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# trace %s: %d instructions (showing %d)\n", t.Name, len(t.Instrs), max)
+	fmt.Fprintf(bw, "# trace %s: %d instructions (showing %d)\n", t.Name, t.Len(), max)
 	for i := 0; i < max; i++ {
-		in := &t.Instrs[i]
+		in := t.At(i)
 		fmt.Fprintf(bw, "%7d  %-6s", i, in.Class)
 		if len(in.Addr) > 0 {
 			fmt.Fprintf(bw, " addr=%v", in.Addr)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,14 +12,29 @@ import (
 	"daesim/internal/isa"
 )
 
+// mustTrace builds a trace from authored instructions that must be valid.
+func mustTrace(name string, instrs []Instr) *Trace {
+	tr, err := New(name, instrs...)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// sameTrace reports whether a and b hold the same name and slabs.
+func sameTrace(a, b *Trace) bool {
+	return a.Name == b.Name && slices.Equal(a.class, b.class) && slices.Equal(a.memAddr, b.memAddr) &&
+		slices.Equal(a.off, b.off) && slices.Equal(a.ops, b.ops)
+}
+
 // chainTrace builds: int; load(addr=int); fp(load); store(fp, addr=int).
 func chainTrace() *Trace {
-	return &Trace{Name: "chain", Instrs: []Instr{
+	return mustTrace("chain", []Instr{
 		{Class: isa.IntALU},
 		{Class: isa.Load, Addr: []int32{0}, MemAddr: 0x100},
 		{Class: isa.FPALU, Args: []int32{1}},
 		{Class: isa.Store, Addr: []int32{0}, Args: []int32{2}, MemAddr: 0x200},
-	}}
+	})
 }
 
 func TestValidateAcceptsChain(t *testing.T) {
@@ -27,27 +43,30 @@ func TestValidateAcceptsChain(t *testing.T) {
 	}
 }
 
+// TestValidateRejections: every malformed trace New is handed is refused
+// naming its fault, whether the slabs could hold it (checked by
+// Validate) or not (an operand split that does not fit the class).
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
-		name string
-		tr   *Trace
-		want string
+		name   string
+		instrs []Instr
+		want   string
 	}{
-		{"bad class", &Trace{Instrs: []Instr{{Class: isa.Class(99)}}}, "invalid class"},
-		{"forward ref", &Trace{Instrs: []Instr{{Class: isa.IntALU, Args: []int32{0}}}}, "strictly backwards"},
-		{"future ref", &Trace{Instrs: []Instr{{Class: isa.IntALU}, {Class: isa.IntALU, Args: []int32{5}}}}, "strictly backwards"},
-		{"none operand", &Trace{Instrs: []Instr{{Class: isa.IntALU}, {Class: isa.FPALU, Args: []int32{None}}}}, "strictly backwards"},
-		{"addr on alu", &Trace{Instrs: []Instr{{Class: isa.IntALU}, {Class: isa.FPALU, Addr: []int32{0}}}}, "non-memory"},
-		{"load with args", &Trace{Instrs: []Instr{{Class: isa.IntALU}, {Class: isa.Load, Addr: []int32{0}, Args: []int32{0}}}}, "value operands"},
-		{"store no data", &Trace{Instrs: []Instr{{Class: isa.IntALU}, {Class: isa.Store, Addr: []int32{0}}}}, "exactly one data"},
-		{"store as producer", &Trace{Instrs: []Instr{
+		{"bad class", []Instr{{Class: isa.Class(99)}}, "invalid class"},
+		{"forward ref", []Instr{{Class: isa.IntALU, Args: []int32{0}}}, "strictly backwards"},
+		{"future ref", []Instr{{Class: isa.IntALU}, {Class: isa.IntALU, Args: []int32{5}}}, "strictly backwards"},
+		{"none operand", []Instr{{Class: isa.IntALU}, {Class: isa.FPALU, Args: []int32{None}}}, "strictly backwards"},
+		{"addr on alu", []Instr{{Class: isa.IntALU}, {Class: isa.FPALU, Addr: []int32{0}}}, "non-memory"},
+		{"load with args", []Instr{{Class: isa.IntALU}, {Class: isa.Load, Addr: []int32{0}, Args: []int32{0}}}, "value operands"},
+		{"store no data", []Instr{{Class: isa.IntALU}, {Class: isa.Store, Addr: []int32{0}}}, "exactly one data"},
+		{"store as producer", []Instr{
 			{Class: isa.IntALU},
 			{Class: isa.Store, Addr: []int32{0}, Args: []int32{0}},
 			{Class: isa.IntALU, Args: []int32{1}},
-		}}, "stores produce no value"},
+		}, "stores produce no value"},
 	}
 	for _, tc := range cases {
-		err := tc.tr.Validate()
+		_, err := New("", tc.instrs...)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -88,7 +107,7 @@ func TestCriticalPath(t *testing.T) {
 	if got := tr.CriticalPath(tm); got != 7 {
 		t.Fatalf("critical path md=0 = %d, want 7", got)
 	}
-	empty := &Trace{}
+	empty := mustTrace("", nil)
 	if empty.CriticalPath(tm) != 0 {
 		t.Error("empty trace should have zero critical path")
 	}
@@ -108,12 +127,12 @@ func TestCriticalPathMonotoneInMD(t *testing.T) {
 
 func TestILPProfile(t *testing.T) {
 	// Two independent chains of length 2 => levels: 2 at depth 0, 2 at depth 1.
-	tr := &Trace{Instrs: []Instr{
+	tr := mustTrace("", []Instr{
 		{Class: isa.IntALU},
 		{Class: isa.IntALU},
 		{Class: isa.IntALU, Args: []int32{0}},
 		{Class: isa.IntALU, Args: []int32{1}},
-	}}
+	})
 	prof := tr.ILPProfile()
 	if !reflect.DeepEqual(prof, []int{2, 2}) {
 		t.Fatalf("profile = %v, want [2 2]", prof)
@@ -125,7 +144,7 @@ func TestILPProfile(t *testing.T) {
 
 // randomTrace generates a structurally valid random trace for property tests.
 func randomTrace(rng *rand.Rand, n int) *Trace {
-	tr := &Trace{Name: "random"}
+	var instrs []Instr
 	// Track indices of value-producing instructions for operand selection.
 	var producers []int32
 	for i := 0; i < n; i++ {
@@ -159,9 +178,9 @@ func randomTrace(rng *rand.Rand, n int) *Trace {
 		if in.Class != isa.Store {
 			producers = append(producers, int32(i))
 		}
-		tr.Instrs = append(tr.Instrs, in)
+		instrs = append(instrs, in)
 	}
-	return tr
+	return mustTrace("random", instrs)
 }
 
 func TestRandomTracesValid(t *testing.T) {
@@ -176,8 +195,8 @@ func TestRandomTracesValid(t *testing.T) {
 }
 
 // TestEncodeDecodeRoundTrip holds the text codec to an exact round trip:
-// whole Instrs compared with reflect.DeepEqual, so a field WriteText
-// drops fails here.
+// the whole slabs and the digests compared, so a field WriteText drops
+// fails here.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,7 +211,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Logf("read: %v", err)
 			return false
 		}
-		return got.Name == tr.Name && reflect.DeepEqual(got.Instrs, tr.Instrs)
+		return sameTrace(got, tr) && got.Digest() == tr.Digest()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

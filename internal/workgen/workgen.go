@@ -195,9 +195,10 @@ func (s Spec) Format() string {
 // canonical text form, so every spelling of a spec shares one name.
 func (s Spec) Name() string { return Prefix + s.Format() }
 
-// maxInstrs bounds a generated trace at scale 1; Validate rejects specs
-// whose worst-case emission exceeds it, so a fuzzer (or a typo'd iters)
-// cannot ask Generate for gigabytes.
+// maxInstrs bounds a generated trace at any scale; Validate rejects
+// specs whose worst-case emission at scale 1 exceeds it and CheckScale
+// those that exceed it at a larger scale, so a fuzzer, a typo'd iters
+// or a large scale cannot ask Generate for gigabytes.
 const maxInstrs = 4 << 20
 
 // Validate checks every knob's bounds, naming the offending field.
@@ -217,11 +218,18 @@ func (s Spec) Validate() error {
 	if sh := s.Addr; sh != Affine && sh != Gather && sh != Chase && sh != Mixed {
 		return fmt.Errorf("workgen: addr %v is not a known shape", sh)
 	}
+	return s.CheckScale(1)
+}
+
+// CheckScale refuses a scale at which the spec's worst-case emission
+// exceeds the cap; Generate multiplies Iters by the scale.
+func (s Spec) CheckScale(scale int) error {
+	scale = max(scale, 1)
 	// Worst-case emission: per (lane, step) one induction op, four ops
 	// per gather slot, the Depth-long chain and a store pair.
 	perStep := 3 + 4*s.loadsPerStep() + s.Depth
-	if n := s.ILP * s.Iters * perStep; n > maxInstrs {
-		return fmt.Errorf("workgen: spec emits ~%d instructions at scale 1 (cap %d); lower iters, ilp, depth or mem", n, maxInstrs)
+	if n := s.ILP * s.Iters * perStep; n > maxInstrs/scale {
+		return fmt.Errorf("workgen: spec emits ~%d instructions at scale %d (cap %d); lower iters, ilp, depth or mem", n*scale, scale, maxInstrs)
 	}
 	return nil
 }
@@ -263,10 +271,7 @@ const storePeriod = 4
 // Iters; values below 1 are clamped to 1). The result is a pure
 // function of (Spec, scale): same spec and scale, byte-identical trace.
 func (s Spec) Generate(scale int) *trace.Trace {
-	if scale < 1 {
-		scale = 1
-	}
-	iters := s.Iters * scale
+	iters := s.Iters * max(scale, 1)
 	loads := s.loadsPerStep()
 	// The rng only jitters which array element each memory ref touches;
 	// trace structure never consumes it (see the package comment).

@@ -174,6 +174,23 @@ func TestHazardMonotone(t *testing.T) {
 }
 
 // TestGenerateScale: scale multiplies the per-lane step count.
+// TestCheckScale: the size cap holds at every scale, not only at the
+// scale 1 Validate checks. This spec passes Validate (its worst case is
+// 3,859,200 instructions at scale 1) but is ~8x past the cap at scale 8;
+// CheckScale answers from the knobs alone, emitting nothing.
+func TestCheckScale(t *testing.T) {
+	s, err := Parse("depth=64,ilp=64,mem=0,iters=900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckScale(1); err != nil {
+		t.Fatalf("scale 1: %v", err)
+	}
+	if err := s.CheckScale(8); err == nil || !strings.Contains(err.Error(), "~30873600 instructions at scale 8 (cap 4194304)") {
+		t.Fatalf("scale 8: got %v, want the cap named", err)
+	}
+}
+
 func TestGenerateScale(t *testing.T) {
 	spec := Spec{Depth: 4, ILP: 2, Mem: 1, Addr: Affine, Hazard: 0, Iters: 16, Seed: 3}
 	s1 := spec.Generate(1).Stats()
@@ -198,13 +215,12 @@ func TestShapesShapeTheSlice(t *testing.T) {
 	chase.Addr = Chase
 	tr := chase.Generate(1)
 	dependent := false
-	for i := range tr.Instrs {
-		in := &tr.Instrs[i]
-		if in.Class != isa.IntALU {
+	for i := range tr.Len() {
+		if tr.Class(i) != isa.IntALU {
 			continue
 		}
-		for _, a := range in.Args {
-			if tr.Instrs[a].Class == isa.Load {
+		for _, a := range tr.Args(i) {
+			if tr.Class(int(a)) == isa.Load {
 				dependent = true
 			}
 		}

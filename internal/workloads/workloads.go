@@ -69,6 +69,8 @@ type Spec struct {
 	Band Band
 	// Build constructs the trace at the given scale (1 = default size).
 	Build func(scale int) *trace.Trace
+	// CheckScale, when set, refuses a scale too large to build.
+	CheckScale func(scale int) error
 }
 
 // catalog is ordered as in the paper's Table 1.
@@ -162,6 +164,7 @@ func Lookup(name string) (Spec, error) {
 			Description: "generated workload (internal/workgen)",
 			Band:        generatedBand(gs),
 			Build:       gs.Generate,
+			CheckScale:  gs.CheckScale,
 		}, nil
 	}
 	for _, s := range catalog {
@@ -196,8 +199,11 @@ func Build(name string, scale int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if scale < 1 {
-		scale = 1
+	scale = max(scale, 1)
+	if s.CheckScale != nil {
+		if err := s.CheckScale(scale); err != nil {
+			return nil, fmt.Errorf("workloads: %s: %w", s.Name, err)
+		}
 	}
 	return s.Build(scale), nil
 }

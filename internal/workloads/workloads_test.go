@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"daesim/internal/isa"
@@ -44,6 +45,11 @@ func TestLookupAndBuild(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Fatal("empty trace")
+	}
+	// A generated spec within its size cap at scale 1 is refused at a
+	// scale past it, before anything is built.
+	if _, err := Build("spec:depth=64,ilp=64,mem=0,iters=900", 8); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("oversized generated workload: got %v, want the size cap", err)
 	}
 }
 
@@ -95,8 +101,8 @@ func TestBuildsAreDeterministic(t *testing.T) {
 			t.Errorf("%s: nondeterministic length", spec.Name)
 			continue
 		}
-		for i := range a.Instrs {
-			if a.Instrs[i].Class != b.Instrs[i].Class || a.Instrs[i].MemAddr != b.Instrs[i].MemAddr {
+		for i := range a.Len() {
+			if a.Class(i) != b.Class(i) || a.MemAddr(i) != b.MemAddr(i) {
 				t.Errorf("%s: instruction %d differs between builds", spec.Name, i)
 				break
 			}
@@ -138,13 +144,12 @@ func TestStructuralSignatures(t *testing.T) {
 	}
 	a := get("TRACK")
 	lod := 0
-	for i := range trackTrace.Instrs {
-		in := &trackTrace.Instrs[i]
-		if in.Class != isa.IntALU || a.Unit[i] != isa.AU {
+	for i := range trackTrace.Len() {
+		if trackTrace.Class(i) != isa.IntALU || a.Unit[i] != isa.AU {
 			continue
 		}
-		for _, p := range in.Args {
-			if trackTrace.Instrs[p].Class == isa.FPALU {
+		for _, p := range trackTrace.Args(i) {
+			if trackTrace.Class(int(p)) == isa.FPALU {
 				lod++
 			}
 		}
