@@ -36,7 +36,8 @@ func DM(tr *trace.Trace, asg *partition.Assignment) (*engine.Program, error) {
 // instruction lowers to one op and every memory instruction to one
 // more, which sizes the program exactly.
 func SWSM(tr *trace.Trace) (*engine.Program, error) {
-	out := engine.NewProgramBuilder(tr.Len() + tr.MemRefs())
+	st := tr.Stats()
+	out := engine.NewProgramBuilder(st.Total + st.MemRefs)
 	walkSWSM(tr, out)
 	return out.Program(tr.Name+"/swsm", 1, tr.Len())
 }

@@ -26,8 +26,8 @@ package lower
 // TestLoweringGuard's manifest is unchanged.
 //
 // Not bumped for reading the trace through its accessors once it became
-// slabs (trace.Trace's Class, Addr, Args, Operands and MemAddr) and for
-// sizing SWSM from trace.MemRefs instead of Stats: each walk reads the
-// same operands in the same order, the programs are the same, and
-// TestLoweringGuard's manifest is unchanged.
+// slabs (trace.Trace's Class, Addr, Args, Operands and MemAddr), which
+// also makes the Stats that sizes SWSM a walk over the class slab alone:
+// each walk reads the same operands in the same order, the programs are
+// the same, and TestLoweringGuard's manifest is unchanged.
 const Version = "lower-v1"

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -274,10 +275,15 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRepartitionReusesTraceDigest: a repartitioned suite shares its
-// base suite's trace, so it takes the trace digest from that trace's
-// memo instead of hashing the trace again, and keys the same; a fresh
-// trace whose one load moved keys differently.
+// TestRepartitionReusesTraceDigest: a repartitioned suite takes its
+// trace digest from the shared trace's memo instead of hashing the
+// trace again. The test breaks the trace's immutability on purpose,
+// through the operand slice Args aliases, after the base suite was
+// keyed: one store's data moves to another FP op, which changes the
+// trace's bytes but not its assignment (FP ops always run on the DU, and
+// a store's data feeds no load and no address slice), so a recomputed
+// digest would show as a new key. A fresh trace whose one load moved,
+// built before the mutation, keys differently.
 func TestRepartitionReusesTraceDigest(t *testing.T) {
 	tr, err := workloads.Build("TRFD", 1)
 	if err != nil {
@@ -288,16 +294,6 @@ func TestRepartitionReusesTraceDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := base.Fingerprint()
-	re, err := base.Repartition(partition.Classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Trace != tr {
-		t.Error("repartitioned suite holds another trace, whose digest is hashed again")
-	}
-	if got := re.Fingerprint(); got != key {
-		t.Errorf("repartitioned suite keys %s, base %s", got, key)
-	}
 	instrs := instrsOf(tr)
 	for i := range instrs {
 		if instrs[i].Class == isa.Load {
@@ -315,6 +311,35 @@ func TestRepartitionReusesTraceDigest(t *testing.T) {
 	}
 	if moved.Fingerprint() == key {
 		t.Error("a fresh trace with a moved MemAddr must key differently")
+	}
+	mutated := false
+	for j := 0; j < tr.Len() && !mutated; j++ {
+		if tr.Class(j) != isa.Store || tr.Class(int(tr.Args(j)[0])) != isa.FPALU {
+			continue
+		}
+		for k := int32(0); k < int32(j); k++ {
+			if tr.Class(int(k)) == isa.FPALU && k != tr.Args(j)[0] {
+				tr.Args(j)[0] = k
+				mutated = true
+				break
+			}
+		}
+	}
+	if !mutated {
+		t.Fatal("TRFD has no store of an FP value to move")
+	}
+	re, err := base.Repartition(partition.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Trace != tr {
+		t.Error("repartitioned suite holds another trace, whose digest is hashed again")
+	}
+	if !reflect.DeepEqual(re.Assignment(), base.Assignment()) {
+		t.Fatal("moving a store's FP data changed the assignment")
+	}
+	if got := re.Fingerprint(); got != key {
+		t.Errorf("repartitioned suite rehashed its trace: key %s, base %s", got, key)
 	}
 }
 
@@ -402,19 +427,28 @@ func BenchmarkSuiteFingerprint(b *testing.B) {
 	for i := range tr.Len() {
 		n += 1 + 8 + 8 + 4*int64(len(tr.Operands(i)))
 	}
+	// A fresh Trace and Suite per iteration: both memoize. The traces
+	// come from a ring rebuilt, untimed, once every len(ring) iterations.
 	instrs := instrsOf(tr)
+	ring := make([]*trace.Trace, 16)
+	refill := func() {
+		for j := range ring {
+			if ring[j], err = trace.New(tr.Name, instrs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+	}
+	refill()
 	b.SetBytes(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Trace and Suite per iteration: both memoize. Building
-		// the trace is not timed.
-		b.StopTimer()
-		fresh, err := trace.New(tr.Name, instrs...)
-		if err != nil {
-			b.Fatal(err)
+		if i > 0 && i%len(ring) == 0 {
+			b.StopTimer()
+			refill()
+			b.StartTimer()
 		}
-		b.StartTimer()
-		(&Suite{Trace: fresh, asg: s.asg}).Fingerprint()
+		(&Suite{Trace: ring[i%len(ring)], asg: s.asg}).Fingerprint()
 	}
 }

@@ -29,17 +29,19 @@ func (t *Trace) Digest() [sha256.Size]byte {
 		buf = append(buf, t.Name...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Len()))
 		for i, c := range t.class {
-			addr, args := t.Addr(i), t.Args(i)
-			if len(buf)+1+4*(2+len(addr)+len(args))+8 > cap(buf) {
+			lo, mid, hi := t.off[i], t.split(i), t.off[i+1]
+			if len(buf)+1+4*(2+int(hi-lo))+8 > cap(buf) {
 				h.Write(buf)
 				buf = buf[:0]
 			}
 			buf = append(buf, byte(c))
-			for _, refs := range [2][]int32{addr, args} {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(refs)))
-				for _, a := range refs {
-					buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
-				}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(mid-lo))
+			for _, a := range t.ops[lo:mid] {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(hi-mid))
+			for _, a := range t.ops[mid:hi] {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
 			}
 			buf = binary.LittleEndian.AppendUint64(buf, t.memAddr[i])
 		}

@@ -66,17 +66,6 @@ type Trace struct {
 // Len returns the number of instructions.
 func (t *Trace) Len() int { return len(t.class) }
 
-// MemRefs returns the number of loads and stores.
-func (t *Trace) MemRefs() int {
-	n := 0
-	for _, c := range t.class {
-		if c == isa.Load || c == isa.Store {
-			n++
-		}
-	}
-	return n
-}
-
 // Class returns instruction i's class.
 func (t *Trace) Class(i int) isa.Class { return t.class[i] }
 
@@ -192,8 +181,10 @@ func New(name string, instrs ...Instr) (*Trace, error) {
 		case in.Class == isa.Store && len(in.Args) != 1:
 			return nil, fmt.Errorf("trace %s: instr %d: store needs exactly one data operand, has %d", name, i, len(in.Args))
 		}
-		for _, p := range slices.Concat(in.Addr, in.Args) {
-			b.Ref(p)
+		for _, refs := range [2][]int32{in.Addr, in.Args} {
+			for _, p := range refs {
+				b.Ref(p)
+			}
 		}
 		b.Emit(in.Class, in.MemAddr)
 	}
@@ -234,10 +225,11 @@ type Stats struct {
 
 // Stats computes composition statistics.
 func (t *Trace) Stats() Stats {
-	s := Stats{Total: t.Len(), MemRefs: t.MemRefs()}
+	s := Stats{Total: t.Len()}
 	for _, c := range t.class {
 		s.ByClass[c]++
 	}
+	s.MemRefs = s.ByClass[isa.Load] + s.ByClass[isa.Store]
 	if s.Total > 0 {
 		s.MemFrac = float64(s.MemRefs) / float64(s.Total)
 		s.AvgInDeg = float64(len(t.ops)) / float64(s.Total)

@@ -77,6 +77,22 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsStoreWithoutData: New refuses a dataless store
+// before it reaches the slabs, so this builds one through Builder to
+// reach Validate's own check.
+func TestBuilderRejectsStoreWithoutData(t *testing.T) {
+	b := NewBuilder("")
+	b.Emit(isa.IntALU, 0)
+	b.Emit(isa.Store, 0x40)
+	_, err := b.Trace()
+	if err == nil {
+		t.Fatal("accepted a store with no operands")
+	}
+	if !strings.Contains(err.Error(), "exactly one data") {
+		t.Errorf("error %q does not mention %q", err, "exactly one data")
+	}
+}
+
 func TestStats(t *testing.T) {
 	s := chainTrace().Stats()
 	if s.Total != 4 || s.ByClass[isa.IntALU] != 1 || s.ByClass[isa.FPALU] != 1 ||
